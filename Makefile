@@ -4,7 +4,7 @@ GO ?= go
 BENCH_OUT ?= BENCH_PR10.json
 LOAD_OUT ?= BENCH_LOAD.json
 
-.PHONY: all build vet test race check equiv32 fuzz-smoke bench bench-smoke load-smoke serve-bench clean
+.PHONY: all build vet test race check equiv32 fuzz-smoke bench bench-check bench-smoke load-smoke serve-bench clean
 
 all: check
 
@@ -46,6 +46,15 @@ check: vet build race equiv32 fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
+
+# bench/ is a nested module that imports internal/... directly, so
+# `go test ./...` never compiles it: an internal-API removal that breaks
+# the tracked benchmark would stay invisible until the benchmark next
+# runs. Vet and test the module, then smoke-run every workload
+# (run.sh exits non-zero when a verdict set comes out incorrect).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -all -smoke
 
 # A fast scoring/training-benchmark pass (sub-minute) that CI runs on
 # every build: it does not gate on throughput numbers, but catches hot

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"github.com/ucad/ucad/internal/minidb"
 	"github.com/ucad/ucad/internal/serve"
 	"github.com/ucad/ucad/internal/session"
+	"github.com/ucad/ucad/internal/tenant"
 	"github.com/ucad/ucad/internal/wal"
 )
 
@@ -192,13 +194,18 @@ func TestFeedE2EKillResume(t *testing.T) {
 	scfg.Workers = 2
 	scfg.SweepEvery = 0
 	scfg.Clock = clk.Now
-	svc := serve.NewService(trainApp(t), scfg)
-	defer svc.Stop()
+	reg := tenant.New(tenant.Options{Serve: scfg})
+	defer reg.Close(context.Background())
+	tn, err := reg.CreateFromModel(tenant.Spec{}, trainApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := tn.Service()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: reg.Handler()}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -1,0 +1,189 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/ucad/ucad/internal/workload"
+)
+
+// tree lists every path under root (relative, sorted by WalkDir) — the
+// "directory left untouched" witness of the refusal cases.
+func tree(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		out = append(out, rel)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestE2ESingleTenantLayout: `ucad-serve -model m -data-dir d` is
+// exactly tenant "default" under d/tenants/default/ — it restarts from
+// there after kill -9 and a standby replicates it from there — while a
+// directory in the old flat layout, and a WAL directory whose manifest
+// is gone, each make the real binary exit non-zero with a message
+// naming the fix, leaving the directory as it was.
+func TestE2ESingleTenantLayout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	root := t.TempDir()
+	model := filepath.Join(root, "m.model")
+	saveModel(t, trainOn(t, workload.NewScenarioSource(workload.ScenarioI(), 101, 0), 12), model)
+	dataDir := filepath.Join(root, "data")
+	tenantDir := filepath.Join(dataDir, "tenants", "default")
+	addr := freeAddr(t)
+	base := "http://" + addr
+	args := []string{
+		"-model", model, "-data-dir", dataDir, "-addr", addr,
+		"-fsync", "always", "-workers", "2", "-shards", "2",
+		"-sweep-every", "1h", "-idle-timeout", "1h",
+		// Tiny segments and frequent snapshots seal state fast enough for
+		// the standby to have something to mirror.
+		"-segment-bytes", "512", "-snapshot-interval", "200ms",
+	}
+	primary := startChild(t, args...)
+	defer primary.cmd.Process.Kill()
+	waitHealthy(t, primary, base)
+
+	src := workload.NewScenarioSource(workload.ScenarioI(), 1, 0)
+	clients := map[string]bool{}
+	for i := 0; i < 3; i++ {
+		ss := src.NextSession()
+		clients[ss.ClientID] = true
+		for _, sql := range ss.Statements {
+			b, _ := json.Marshal(map[string]string{"client_id": ss.ClientID, "user": ss.User, "sql": sql})
+			resp, err := http.Post(base+"/v1/events", "application/json", strings.NewReader(string(b)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("ingest = %d; child output:\n%s", resp.StatusCode, primary.log())
+			}
+		}
+	}
+	for _, sub := range []string{"wal", "checkpoints", "tenant.json"} {
+		if _, err := os.Stat(filepath.Join(tenantDir, sub)); err != nil {
+			t.Fatalf("single-tenant state not under tenants/default: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dataDir, sub)); err == nil {
+			t.Fatalf("single-tenant mode wrote %s at the data-dir root", sub)
+		}
+	}
+
+	// A standby mirrors the default tenant with no alias in between.
+	standbyAddr := freeAddr(t)
+	standby := startChild(t, "-data-dir", filepath.Join(root, "standby"), "-addr", standbyAddr,
+		"-replicate-from", base, "-replica-poll", "100ms")
+	defer standby.cmd.Process.Kill()
+	waitHealthy(t, standby, "http://"+standbyAddr)
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		var st struct {
+			Tenants []struct {
+				ID      string `json:"id"`
+				Applied int64  `json:"applied_records"`
+			} `json:"tenants"`
+		}
+		if resp, err := http.Get("http://" + standbyAddr + "/v1/replication"); err == nil {
+			json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+		}
+		if len(st.Tenants) == 1 && st.Tenants[0].ID == "default" && st.Tenants[0].Applied > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never replayed the default tenant: %+v\nstandby output:\n%s", st, standby.log())
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	standby.cmd.Process.Kill()
+	standby.cmd.Wait()
+
+	// kill -9 and restart: the default tenant comes back from
+	// tenants/default/ with every session.
+	primary.cmd.Process.Kill()
+	primary.cmd.Wait()
+	restarted := startChild(t, args...)
+	defer restarted.cmd.Process.Kill()
+	waitHealthy(t, restarted, base)
+	if in := listTenants(t, base)["default"]; in.CleanSeal || in.Recovered != len(clients) {
+		t.Fatalf("restart: %+v, want %d sessions recovered from a crash", in, len(clients))
+	}
+	restarted.cmd.Process.Signal(os.Interrupt)
+	if err := restarted.cmd.Wait(); err != nil {
+		t.Fatalf("graceful shutdown: %v; output:\n%s", err, restarted.log())
+	}
+
+	refused := func(what string, wants ...string) {
+		t.Helper()
+		before := tree(t, dataDir)
+		c := startChild(t, args...)
+		err := c.cmd.Wait()
+		if err == nil {
+			t.Fatalf("%s: ucad-serve exited zero; output:\n%s", what, c.log())
+		}
+		for _, want := range wants {
+			if !strings.Contains(c.log(), want) {
+				t.Fatalf("%s: output does not name %q:\n%s", what, want, c.log())
+			}
+		}
+		if after := tree(t, dataDir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: refusal changed the directory:\n got %v\nwant %v", what, after, before)
+		}
+	}
+
+	// The pre-tenant flat layout: the same files one level up.
+	for _, sub := range []string{"wal", "checkpoints", "tenant.json"} {
+		if err := os.Rename(filepath.Join(tenantDir, sub), filepath.Join(dataDir, sub)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.RemoveAll(filepath.Join(dataDir, "tenants")); err != nil {
+		t.Fatal(err)
+	}
+	refused("flat layout", "flat", fmt.Sprintf("mv %s/wal", dataDir), tenantDir)
+
+	// Doing what the message says makes it boot again, sessions intact.
+	if err := os.MkdirAll(tenantDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"wal", "checkpoints", "tenant.json"} {
+		if err := os.Rename(filepath.Join(dataDir, sub), filepath.Join(tenantDir, sub)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := startChild(t, args...)
+	defer moved.cmd.Process.Kill()
+	waitHealthy(t, moved, base)
+	if in := listTenants(t, base)["default"]; !in.CleanSeal || in.Recovered != len(clients) {
+		t.Fatalf("after the move: %+v, want a clean seal and %d sessions", in, len(clients))
+	}
+	moved.cmd.Process.Signal(os.Interrupt)
+	moved.cmd.Wait()
+
+	// Stream files without the manifest that names their layout.
+	if err := os.Remove(filepath.Join(tenantDir, "wal", "MANIFEST.json")); err != nil {
+		t.Fatal(err)
+	}
+	refused("manifest-less WAL", "MANIFEST.json", "move the stream files")
+}

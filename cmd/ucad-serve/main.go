@@ -10,11 +10,10 @@
 //	ucad-serve -tenants tenants.json -data-dir DIR [-addr :8844] ...
 //	ucad-serve -data-dir DIR -replicate-from http://primary:8844 [-auto-promote-after 30s]
 //
-// Without -tenants the process serves one default tenant from -model —
-// the original single-tenant deployment, byte-for-byte compatible
-// including the legacy <data-dir>/wal + <data-dir>/checkpoints layout.
-// With -tenants the process multiplexes one pipeline per tenant: the
-// file is a JSON array of specs like
+// Without -tenants the process serves exactly one tenant, "default",
+// from -model — the same registry, API and <data-dir>/tenants/default/
+// layout as any other tenant. With -tenants the process multiplexes one
+// pipeline per tenant: the file is a JSON array of specs like
 //
 //	[{"id": "scenario1", "model": "s1.model"},
 //	 {"id": "syslog",    "model": "logs.model"}]
@@ -22,6 +21,10 @@
 // and each tenant gets its own model, WAL, snapshots, and checkpoint
 // manifest under <data-dir>/tenants/<id>/. Tenants created later
 // through the admin API persist there too and come back on restart.
+// A data directory from before tenants existed (wal/ and checkpoints/
+// directly under -data-dir) is refused at boot; move it once:
+//
+//	mkdir -p DIR/tenants/default && mv DIR/wal DIR/checkpoints DIR/tenant.json DIR/tenants/default/
 //
 // Ingestion is sharded: sessions partition across -shards assembler
 // shards by client hash, each shard owning its own session map, WAL
@@ -39,9 +42,8 @@
 //
 // With -data-dir the process is also a replication primary: sealed WAL
 // segments, snapshots, model checkpoints and tenant specs are served
-// read-only under /v1/replica/ (the single-tenant flat layout ships as
-// tenant "default"). A second process
-// started with -replicate-from pointed at it runs as a warm standby:
+// read-only under /v1/replica/. A second process started with
+// -replicate-from pointed at it runs as a warm standby:
 // it mirrors every tenant into its own -data-dir, continuously replays
 // the shipped stream into live non-serving pipelines, and flips to
 // serving on POST /v1/promote (or on its own after -auto-promote-after
@@ -73,10 +75,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
-
-	"path/filepath"
 
 	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/replica"
@@ -123,13 +124,11 @@ func main() {
 	prec, err := transdas.ParsePrecision(*precision)
 	fatalIf(err)
 
-	// Resolve the boot-time tenant set. Single-tenant mode pins the
-	// default tenant to the legacy flat layout via the Dir override, so a
-	// pre-multi-tenant data directory restores unchanged.
-	var specs []tenant.Spec
-	if *tenantsFile == "" {
-		specs = []tenant.Spec{{ModelPath: *modelPath, Dir: *dataDir}}
-	} else {
+	// Resolve the boot-time tenant set: the -tenants file, or the one
+	// default tenant.
+	specs := []tenant.Spec{{ModelPath: *modelPath}}
+	if *tenantsFile != "" {
+		specs = nil
 		b, err := os.ReadFile(*tenantsFile)
 		fatalIf(err)
 		fatalIf(json.Unmarshal(b, &specs))
@@ -226,15 +225,10 @@ func main() {
 	if *dataDir != "" {
 		replMetrics = replica.NewMetrics(reg.Hub().Registry)
 		// Primary side of replication: expose the sealed WAL, snapshots,
-		// checkpoints and specs of every tenant. Single-tenant mode keeps
-		// the default tenant in the legacy flat layout at the data-dir
-		// root; a Flat alias lets standbys replicate it all the same.
+		// checkpoints and specs of every tenant.
 		shipper := &replica.Shipper{
 			Root:    filepath.Join(*dataDir, "tenants"),
 			Metrics: replMetrics,
-		}
-		if *tenantsFile == "" && *replicateFrom == "" {
-			shipper.Flat = map[string]string{"default": *dataDir}
 		}
 		mux.Handle("/v1/replica/", shipper.Handler("/v1/replica"))
 	}

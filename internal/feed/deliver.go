@@ -114,8 +114,8 @@ func (d *ServiceDeliverer) Deliver(ctx context.Context, events []serve.Event) er
 // so it is a hard failure rather than silent loss. A replayed batch is
 // always safe because the server deduplicates by sequence number.
 //
-// Responses without an envelope — pre-envelope servers and
-// intermediaries — fall back to status-code classification: 503 (with
+// Responses without an envelope — proxies and other intermediaries —
+// fall back to status-code classification: 503 (with
 // Retry-After), 429, 502/504 and transport errors retry indefinitely;
 // other 5xx statuses (501, 505, ... — usually a misconfigured endpoint,
 // not load) retry a bounded number of times before failing; a 400 is
@@ -298,7 +298,7 @@ func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
 // errorInfo mirrors the unified error envelope's payload
-// (serve.ErrorInfo): code names the rejection, retryable tells the
+// (tenant.ErrorInfo): code names the rejection, retryable tells the
 // deliverer whether resending the identical batch can ever succeed.
 type errorInfo struct {
 	Code      string `json:"code"`
@@ -306,24 +306,21 @@ type errorInfo struct {
 	Retryable bool   `json:"retryable"`
 }
 
-// eventsResponse mirrors the /v1/events response shape shared by
-// internal/serve's handler and internal/tenant's router. The top-level
-// "error" key is the envelope object on current servers and a bare
-// string on pre-envelope ones, so it is captured raw and decoded both
-// ways.
+// eventsResponse mirrors internal/tenant's /v1/events response shape.
+// The top-level "error" key is captured raw: a proxy's JSON error page
+// may put anything there, and only a well-formed envelope counts.
 type eventsResponse struct {
 	Accepted int             `json:"accepted"`
 	RawError json.RawMessage `json:"error,omitempty"`
 	Events   []struct {
 		Status    string `json:"status"`
-		Error     string `json:"error,omitempty"`
 		Code      string `json:"code,omitempty"`
 		Retryable bool   `json:"retryable,omitempty"`
 	} `json:"events,omitempty"`
 }
 
 // envelope decodes the structured error envelope, nil when the response
-// carries none (2xx, a pre-envelope server, or a proxy error page).
+// carries none (2xx, or a proxy error page).
 func (er *eventsResponse) envelope() *errorInfo {
 	if len(er.RawError) == 0 {
 		return nil
@@ -333,16 +330,6 @@ func (er *eventsResponse) envelope() *errorInfo {
 		return nil
 	}
 	return &e
-}
-
-// legacyError decodes the pre-envelope top-level error string ("" when
-// absent or already an envelope object).
-func (er *eventsResponse) legacyError() string {
-	var s string
-	if json.Unmarshal(er.RawError, &s) == nil {
-		return s
-	}
-	return ""
 }
 
 // postResult classifies one POST attempt: how many events the server
@@ -422,8 +409,8 @@ func (d *HTTPDeliverer) post(ctx context.Context, client *http.Client, url strin
 		}
 	}
 
-	// No envelope (a pre-envelope server, a proxy error page, a truncated
-	// body): fall back to classifying by status code.
+	// No envelope (a proxy error page, a truncated body): fall back to
+	// classifying by status code.
 	switch {
 	case resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests ||
 		resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusGatewayTimeout:
@@ -448,11 +435,7 @@ func (d *HTTPDeliverer) post(ctx context.Context, client *http.Client, url strin
 		}
 		// Decode-level 400 (oversized body, proxy rejection, ...): the
 		// server absorbed nothing, so "done" would be silent loss.
-		reason := er.legacyError()
-		if reason == "" {
-			reason = string(rbody)
-		}
-		return res, &permanentError{fmt.Errorf("feed: server rejected request body: %s: %.200s", resp.Status, reason)}
+		return res, &permanentError{fmt.Errorf("feed: server rejected request body: %s: %.200s", resp.Status, rbody)}
 	default:
 		return res, &permanentError{fmt.Errorf("feed: server rejected batch: %s", resp.Status)}
 	}

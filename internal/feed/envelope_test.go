@@ -13,7 +13,7 @@ import (
 )
 
 // TestHTTPDelivererEnvelopeRetryableOverridesCap: a retryable envelope
-// keeps the deliverer retrying even on a status the legacy heuristic
+// keeps the deliverer retrying even on a status the status-code fallback
 // would give up on (a bare 500 is capped at maxCapped5xxAttempts).
 func TestHTTPDelivererEnvelopeRetryableOverridesCap(t *testing.T) {
 	var posts atomic.Int64
@@ -41,7 +41,7 @@ func TestHTTPDelivererEnvelopeRetryableOverridesCap(t *testing.T) {
 
 // TestHTTPDelivererEnvelopeNonRetryableFailsFast: a non-retryable
 // envelope without per-event statuses is a hard failure on the first
-// attempt, even on a 503 the legacy heuristic would retry forever.
+// attempt, even on a 503 the status-code fallback would retry forever.
 func TestHTTPDelivererEnvelopeNonRetryableFailsFast(t *testing.T) {
 	var posts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -63,7 +63,7 @@ func TestHTTPDelivererEnvelopeNonRetryableFailsFast(t *testing.T) {
 
 // TestHTTPDelivererEnvelope404PerEventSkips: the multi-tenant router
 // answers a mixed batch with 404 + envelope + per-event statuses. The
-// legacy heuristic called any 404 permanent; the envelope's per-event
+// status-code fallback calls any 404 permanent; the envelope's per-event
 // statuses prove the server attempted every event, so the accepted ones
 // are done and the rejected ones are skipped.
 func TestHTTPDelivererEnvelope404PerEventSkips(t *testing.T) {
@@ -72,8 +72,7 @@ func TestHTTPDelivererEnvelope404PerEventSkips(t *testing.T) {
 		w.WriteHeader(http.StatusNotFound)
 		w.Write([]byte(`{"accepted":1,` +
 			`"error":{"code":"unknown_tenant","message":"no tenant \"ghost\"","retryable":false},` +
-			`"code":"unknown_tenant",` +
-			`"events":[{"status":"accepted"},{"status":"rejected","error":"no tenant","code":"unknown_tenant"}]}`))
+			`"events":[{"status":"accepted"},{"status":"rejected","code":"unknown_tenant"}]}`))
 	}))
 	defer srv.Close()
 
@@ -87,28 +86,5 @@ func TestHTTPDelivererEnvelope404PerEventSkips(t *testing.T) {
 	}
 	if got := sm.droppedEvents.Value(); got != 1 {
 		t.Fatalf("dropped = %d, want 1", got)
-	}
-}
-
-// TestHTTPDelivererLegacyStringErrorStillParses: pre-envelope servers
-// send a bare string under "error"; the deliverer must still decode the
-// rest of the body (the per-event statuses) instead of treating the
-// whole response as unparsable.
-func TestHTTPDelivererLegacyStringErrorStillParses(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		w.Write([]byte(`{"accepted":1,"error":"serve: event missing sql",` +
-			`"events":[{"status":"accepted"},{"status":"rejected","error":"serve: event missing sql"}]}`))
-	}))
-	defer srv.Close()
-
-	sm := NewMetrics(nil).Source("t")
-	d := &HTTPDeliverer{URL: srv.URL, Backoff: fastBackoff(), Metrics: sm}
-	if err := d.Deliver(context.Background(), smallEvents(2)); err != nil {
-		t.Fatalf("legacy per-event 400 should be done: %v", err)
-	}
-	if got, want := sm.deliveredEvents.Value(), int64(1); got != want {
-		t.Fatalf("delivered = %d, want %d", got, want)
 	}
 }

@@ -93,7 +93,7 @@ func (rp *Replayer) Apply() (Applied, error) {
 		return out, err
 	}
 	if !ok {
-		// Nothing shipped yet (or a legacy layout we don't replicate).
+		// Nothing shipped yet.
 		return out, nil
 	}
 	if man.Remap {

@@ -209,18 +209,14 @@ func TestShipperEndpoints(t *testing.T) {
 	}
 }
 
-// TestShipperFlatAlias: a legacy flat single-tenant data dir (spec and
-// streams at the data-dir root, no tenants/ subtree) ships through a
-// Flat alias exactly like a tenants-layout tenant, and a follower
-// mirrors it under the aliased id.
-func TestShipperFlatAlias(t *testing.T) {
+// TestShipperIgnoresFlatLayout: tenants/<id>/ is the only layout that
+// ships. A spec and streams sitting at the data-dir root (the
+// pre-tenant flat layout, which the registry refuses to boot) are
+// neither listed nor reachable.
+func TestShipperIgnoresFlatLayout(t *testing.T) {
 	parent := t.TempDir()
 	writeTenant(t, parent, "flatdata", 12, 5)
-	flatDir := filepath.Join(parent, "flatdata")
-	sh := &Shipper{
-		Root: filepath.Join(parent, "tenants"), // does not exist
-		Flat: map[string]string{"default": flatDir},
-	}
+	sh := &Shipper{Root: filepath.Join(parent, "flatdata", "tenants")} // does not exist
 	srv := httptest.NewServer(sh.Handler(""))
 	defer srv.Close()
 
@@ -230,22 +226,16 @@ func TestShipperFlatAlias(t *testing.T) {
 	}
 	b, _ := io.ReadAll(res.Body)
 	res.Body.Close()
-	if !strings.Contains(string(b), `"default"`) {
-		t.Fatalf("flat tenant not listed: %s", b)
+	if strings.TrimSpace(string(b)) != `{"tenants":[]}` {
+		t.Fatalf("flat layout listed: %s", b)
 	}
-
-	targets := map[string]*fakeTarget{}
-	f := newTestFollower(t, srv.URL, t.TempDir(), targets)
-	if err := f.SyncOnce(context.Background()); err != nil {
+	res, err = http.Get(srv.URL + "/v1/replica/files?tenant=default")
+	if err != nil {
 		t.Fatal(err)
 	}
-	ft := targets["default"]
-	if ft == nil {
-		t.Fatal("default target never opened")
-	}
-	wantSnaps, wantRecs := sealedExpectation(t, parent, "flatdata")
-	if !reflect.DeepEqual(ft.snapshots, wantSnaps) || !reflect.DeepEqual(ft.records, wantRecs) {
-		t.Fatalf("replayed state diverges:\n got %v %v\nwant %v %v", ft.snapshots, ft.records, wantSnaps, wantRecs)
+	res.Body.Close()
+	if res.StatusCode != http.StatusNotFound {
+		t.Fatalf("flat layout files: %d, want 404", res.StatusCode)
 	}
 }
 

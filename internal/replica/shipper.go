@@ -32,13 +32,6 @@ type Shipper struct {
 	// Root is the tenants root (<data-dir>/tenants): one subdirectory
 	// per tenant, each holding tenant.json, wal/, checkpoints/.
 	Root string
-	// Flat maps tenant ids to directories living outside Root. The
-	// legacy single-tenant flat layout keeps the default tenant's
-	// tenant.json/wal/checkpoints at the data-dir root rather than
-	// under tenants/<id>/; the internal structure is identical, so an
-	// alias is all it takes to replicate it. Flat entries shadow Root
-	// subdirectories of the same id.
-	Flat map[string]string
 	// Metrics is optional.
 	Metrics *Metrics
 }
@@ -80,19 +73,8 @@ func (sh *Shipper) handleTenants(w http.ResponseWriter, r *http.Request) {
 		if !e.IsDir() || !validTenantID(e.Name()) {
 			continue
 		}
-		if _, ok := sh.Flat[e.Name()]; ok {
-			continue // shadowed by the alias, listed below
-		}
 		if _, err := os.Stat(filepath.Join(sh.Root, e.Name(), specFile)); err == nil {
 			ids = append(ids, e.Name())
-		}
-	}
-	for id, dir := range sh.Flat {
-		if !validTenantID(id) {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, specFile)); err == nil {
-			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
@@ -110,10 +92,7 @@ func (sh *Shipper) tenantDir(w http.ResponseWriter, r *http.Request) string {
 		sh.refuse(w, "bad tenant id", http.StatusBadRequest)
 		return ""
 	}
-	dir, ok := sh.Flat[id]
-	if !ok {
-		dir = filepath.Join(sh.Root, id)
-	}
+	dir := filepath.Join(sh.Root, id)
 	if _, err := os.Stat(filepath.Join(dir, specFile)); err != nil {
 		sh.refuse(w, "unknown tenant", http.StatusNotFound)
 		return ""

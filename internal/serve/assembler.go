@@ -31,10 +31,10 @@ type openSession struct {
 	sess     *session.Session
 	keys     []int
 	lastSeen time.Time
-	// epoch/lastSeq are the dedupe high-water mark for epoch-carrying
-	// senders (Event.Epoch > 0): the newest sender session generation
-	// absorbed and its last sequence number. Zero epoch means only
-	// legacy (epoch-less) events have been appended.
+	// epoch/lastSeq are the dedupe high-water mark for sequenced senders
+	// (Event.Epoch > 0): the newest sender session generation absorbed
+	// and its last sequence number. Zero epoch means only unsequenced
+	// events have been appended.
 	epoch   int64
 	lastSeq int64
 }
@@ -75,14 +75,12 @@ type Appended struct {
 // key. window bounds the length of the returned key snapshot (0 means
 // the whole session).
 //
-// An event with a positive Seq is deduplicated against the client's
-// open session. When both the event and the session carry an epoch
-// (Event.Epoch > 0), the check is fenced on it: an older epoch, or the
-// same epoch at or below the session's last absorbed Seq, is a
+// A sequenced event (positive Seq and Epoch) is deduplicated against
+// the client's open session, fenced on the epoch: an older epoch, or
+// the same epoch at or below the session's last absorbed Seq, is a
 // redelivery; a newer epoch is fresh traffic (the sender started a new
 // session, so its Seq restarting at 1 must not look like a replay).
-// Epoch-less events fall back to comparing Seq against the session
-// length. A duplicate returns Dup without mutating state. Dedup cannot
+// A duplicate returns Dup without mutating state. Dedup cannot
 // reach across a close-out — once a session leaves the assembler, a
 // late redelivery of its statements opens a fresh session — so feeders
 // must keep their checkpoint lag well inside the idle timeout.
@@ -97,7 +95,7 @@ func (a *Assembler) Append(ev Event, key, window int) Appended {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	os := a.open[client]
-	if os != nil && ev.Seq > 0 && os.isDupLocked(ev) {
+	if os != nil && ev.Seq > 0 && ev.Epoch > 0 && os.isDupLocked(ev) {
 		os.lastSeen = now // the client is clearly alive; keep the session open
 		return Appended{SessionID: os.sess.ID, Pos: int(ev.Seq) - 1, Dup: true}
 	}
@@ -128,19 +126,16 @@ func (a *Assembler) Append(ev Event, key, window int) Appended {
 	return Appended{SessionID: os.sess.ID, Pos: len(os.keys) - 1, Keys: snap, Time: ts}
 }
 
-// isDupLocked reports whether a sequenced event (ev.Seq > 0) is a
-// redelivery the open session already absorbed. Sender epochs are
+// isDupLocked reports whether a sequenced event (ev.Seq, ev.Epoch > 0)
+// is a redelivery the open session already absorbed. Sender epochs are
 // monotonic and delivery is in order, so anything from an older epoch —
 // or from the current one at or below its last Seq — was already seen.
-// When exactly one side carries an epoch the mark is incomparable
-// (e.g. a session restored from a pre-epoch snapshot) and the event is
-// treated as new: a rare duplicate beats silently dropping live data.
+// A session with no epoch mark (only unsequenced events so far) is
+// incomparable and the event is treated as new: a rare duplicate beats
+// silently dropping live data.
 func (os *openSession) isDupLocked(ev Event) bool {
-	if ev.Epoch > 0 || os.epoch > 0 {
-		return ev.Epoch > 0 && os.epoch > 0 &&
-			(ev.Epoch < os.epoch || (ev.Epoch == os.epoch && ev.Seq <= os.lastSeq))
-	}
-	return int64(len(os.keys)) >= ev.Seq
+	return os.epoch > 0 &&
+		(ev.Epoch < os.epoch || (ev.Epoch == os.epoch && ev.Seq <= os.lastSeq))
 }
 
 // Rollback removes the operation at position pos from the client's open

@@ -24,9 +24,9 @@ import (
 // The WAL directory holds one stream per ingest shard
 // (wal-shard-NN-*.log / snap-shard-NN-*.snap) named by a layout
 // manifest (wal.Manifest). Restore replays the streams in parallel and,
-// when the on-disk shard count differs from the configured one —
-// including the pre-sharding v1 single-stream layout — migrates through
-// the crash-safe remap protocol documented in internal/wal.
+// when the on-disk shard count differs from the configured one,
+// migrates through the crash-safe remap protocol documented in
+// internal/wal.
 type DurabilityConfig struct {
 	// Dir holds the WAL segments, snapshots and the layout manifest.
 	Dir string
@@ -117,14 +117,17 @@ type snapState struct {
 // Service rejects events with ErrNotReady so no accepted event can ever
 // bypass the log. With Config.Durability nil it is a no-op.
 //
-// When the directory's layout differs from the configured shard count —
-// a resize, or a v1 single-stream directory from before sharding —
+// When the manifest's shard count differs from the configured one,
 // Restore recovers the old layout first, then migrates it with the
 // staged remap protocol: the merged state is durably written to
 // wal.RemapFile, the manifest flips to remap:true (the commit point),
 // the old stream files are deleted and fresh per-shard streams are
 // seeded. A crash at any step either recovers the old layout untouched
 // or resumes from the staging file.
+//
+// A directory that holds stream files but no manifest is refused, never
+// read and never treated as fresh: its layout is unknown (a lost
+// manifest, or a pre-sharding single-stream directory).
 func (s *Service) Restore() (RestoreStats, error) {
 	var st RestoreStats
 	d := s.cfg.Durability
@@ -144,34 +147,28 @@ func (s *Service) Restore() (RestoreStats, error) {
 	}
 	switch {
 	case !ok:
-		legacy, lerr := wal.HasLegacyStream(d.Dir)
-		if lerr != nil {
-			return st, lerr
+		if streams, serr := wal.HasStreamFiles(d.Dir); serr != nil {
+			return st, serr
+		} else if streams {
+			return st, fmt.Errorf("serve: %s holds WAL stream files but no %s, so its layout is unknown: "+
+				"write {\"version\":%d,\"shards\":N} there for N wal-shard-NN-* streams "+
+				"(a pre-sharding wal-<seq>.log directory must be restarted once on a PR 8-11 build first), "+
+				"or move the stream files away to start fresh",
+				d.Dir, wal.ManifestName, wal.ManifestVersion)
 		}
-		if legacy {
-			// v1 upgrade: read the single unprefixed stream, then migrate
-			// it onto the sharded layout.
-			if err := s.recoverStreams(d, 1, true, false, &st); err != nil {
-				return st, err
-			}
-			if err := s.remapTo(d, 0); err != nil {
-				return st, err
-			}
-		} else {
-			// Fresh directory: name the layout, then open empty streams.
-			if err := wal.SaveManifest(d.Dir, wal.Manifest{Version: wal.ManifestVersion, Shards: n}); err != nil {
-				return st, err
-			}
-			if err := s.recoverStreams(d, n, false, true, &st); err != nil {
-				return st, err
-			}
+		// Fresh directory: name the layout, then open empty streams.
+		if err := wal.SaveManifest(d.Dir, wal.Manifest{Version: wal.ManifestVersion, Shards: n}); err != nil {
+			return st, err
+		}
+		if err := s.recoverStreams(d, n, true, &st); err != nil {
+			return st, err
 		}
 	case man.Remap:
 		if err := s.resumeRemap(d, man); err != nil {
 			return st, err
 		}
 	case man.Shards == n:
-		if err := s.recoverStreams(d, n, false, true, &st); err != nil {
+		if err := s.recoverStreams(d, n, true, &st); err != nil {
 			return st, err
 		}
 		// A remap that crashed before its manifest flip may have left a
@@ -180,7 +177,7 @@ func (s *Service) Restore() (RestoreStats, error) {
 	default:
 		// Shard-count resize: recover the old layout into the (new)
 		// hash-routed shards, then migrate the streams.
-		if err := s.recoverStreams(d, man.Shards, false, false, &st); err != nil {
+		if err := s.recoverStreams(d, man.Shards, false, &st); err != nil {
 			return st, err
 		}
 		if err := s.remapTo(d, man.Shards); err != nil {
@@ -202,16 +199,17 @@ func (s *Service) Restore() (RestoreStats, error) {
 	return st, nil
 }
 
-// walOptions builds one stream's open options (shard prefixes are set
-// by the caller; the zero value names the legacy v1 stream).
-func (s *Service) walOptions(d *DurabilityConfig) wal.Options {
+// walOptions builds shard i's stream open options.
+func (s *Service) walOptions(d *DurabilityConfig, i int) wal.Options {
 	m := s.metrics
 	return wal.Options{
-		SegmentBytes: d.SegmentBytes,
-		Sync:         d.Fsync,
-		SyncInterval: d.FsyncInterval,
-		OnAppend:     func(int) { m.walAppends.Inc() },
-		OnSync:       func(took time.Duration) { m.walFsyncSeconds.Observe(took.Seconds()) },
+		SegmentBytes:   d.SegmentBytes,
+		Sync:           d.Fsync,
+		SyncInterval:   d.FsyncInterval,
+		OnAppend:       func(int) { m.walAppends.Inc() },
+		OnSync:         func(took time.Duration) { m.walFsyncSeconds.Observe(took.Seconds()) },
+		SegmentPrefix:  wal.ShardSegmentPrefix(i),
+		SnapshotPrefix: wal.ShardSnapshotPrefix(i),
 	}
 }
 
@@ -223,7 +221,7 @@ func (s *Service) walOptions(d *DurabilityConfig) wal.Options {
 // With keep the stores are installed as the shards' streams (valid only
 // when m equals the shard count and the prefixes match); otherwise they
 // are closed after recovery — the remap path reopens fresh ones.
-func (s *Service) recoverStreams(d *DurabilityConfig, m int, legacy, keep bool, st *RestoreStats) error {
+func (s *Service) recoverStreams(d *DurabilityConfig, m int, keep bool, st *RestoreStats) error {
 	stores := make([]*wal.Store, m)
 	stats := make([]RestoreStats, m)
 	recs := make([]wal.RecoverStats, m)
@@ -233,12 +231,7 @@ func (s *Service) recoverStreams(d *DurabilityConfig, m int, legacy, keep bool, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opt := s.walOptions(d)
-			if !legacy {
-				opt.SegmentPrefix = wal.ShardSegmentPrefix(i)
-				opt.SnapshotPrefix = wal.ShardSnapshotPrefix(i)
-			}
-			store, err := wal.OpenStore(d.Dir, opt)
+			store, err := wal.OpenStore(d.Dir, s.walOptions(d, i))
 			if err != nil {
 				errs[i] = err
 				return
@@ -289,7 +282,7 @@ func (s *Service) recoverStreams(d *DurabilityConfig, m int, legacy, keep bool, 
 }
 
 // remapTo migrates the in-memory state (just recovered from an old
-// layout of `from` streams; 0 = v1) onto the configured shard count.
+// layout of `from` streams) onto the configured shard count.
 // The staged state file plus the remap-flagged manifest form the commit
 // point; see the protocol notes in internal/wal/manifest.go.
 func (s *Service) remapTo(d *DurabilityConfig, from int) error {
@@ -350,10 +343,7 @@ func (s *Service) finishRemap(d *DurabilityConfig) error {
 		return err
 	}
 	for i, sh := range s.shards {
-		opt := s.walOptions(d)
-		opt.SegmentPrefix = wal.ShardSegmentPrefix(i)
-		opt.SnapshotPrefix = wal.ShardSnapshotPrefix(i)
-		store, err := wal.OpenStore(d.Dir, opt)
+		store, err := wal.OpenStore(d.Dir, s.walOptions(d, i))
 		if err != nil {
 			closeOpened()
 			return err

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"io"
-	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
@@ -289,8 +288,9 @@ func TestDurableReplayIdempotence(t *testing.T) {
 }
 
 // TestDurableNotReadyAndMetrics: a durability-configured service
-// rejects events before Restore, and /metrics exports the WAL families
-// after it.
+// rejects events before Restore, and the metrics registry exports the
+// WAL families after it (tenant.TestEnvelopeNotReady scrapes the same
+// over HTTP).
 func TestDurableNotReadyAndMetrics(t *testing.T) {
 	u := testUCAD(t)
 	dir := t.TempDir()
@@ -307,10 +307,7 @@ func TestDurableNotReadyAndMetrics(t *testing.T) {
 	ingestN(t, s, "c1", 3, 0)
 	s.Drain()
 
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	s.Handler().ServeHTTP(rec, req)
-	body := rec.Body.String()
+	body := httptestBody(t, s)
 	for _, family := range []string{
 		`ucad_wal_appends_total{tenant="default"} 3`,
 		`ucad_wal_fsync_seconds_count{tenant="default"}`,

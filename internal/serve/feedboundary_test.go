@@ -17,7 +17,7 @@ func TestAssemblerSeqDedupe(t *testing.T) {
 	a := NewAssembler(10*time.Minute, clk.Now)
 
 	ev := func(seq int64, sql string) Event {
-		return Event{ClientID: "c", User: "u", SQL: sql, Seq: seq}
+		return Event{ClientID: "c", User: "u", SQL: sql, Seq: seq, Epoch: 1}
 	}
 	ap1 := a.Append(ev(1, "s1"), 1, 4)
 	if ap1.Dup || ap1.Pos != 0 {
@@ -147,7 +147,7 @@ func TestIngestSeqDedupeExactlyOnce(t *testing.T) {
 
 	deliver := func() {
 		for i := 0; i < 6; i++ {
-			ev := Event{ClientID: "conn-1", User: "app", SQL: normalStatement(i), Seq: int64(i + 1)}
+			ev := Event{ClientID: "conn-1", User: "app", SQL: normalStatement(i), Seq: int64(i + 1), Epoch: 1}
 			if err := s.Ingest(ev); err != nil {
 				t.Fatal(err)
 			}
@@ -155,6 +155,11 @@ func TestIngestSeqDedupeExactlyOnce(t *testing.T) {
 	}
 	deliver()
 	deliver() // full replay, as after a feeder crash before its offset commit
+	// A seq names a position within an epoch; without one it cannot be
+	// fenced, so the event is refused rather than guessed at.
+	if err := s.Ingest(Event{ClientID: "conn-1", User: "app", SQL: normalStatement(6), Seq: 7}); err != ErrInvalid {
+		t.Fatalf("seq without epoch: %v, want ErrInvalid", err)
+	}
 	s.Drain()
 
 	st := s.Stats()
@@ -187,14 +192,14 @@ func TestIngestDurableSeqDedupeSkipsWAL(t *testing.T) {
 	defer s.Stop()
 
 	for i := 0; i < 4; i++ {
-		ev := Event{ClientID: "conn-1", User: "app", SQL: normalStatement(i), Seq: int64(i + 1)}
+		ev := Event{ClientID: "conn-1", User: "app", SQL: normalStatement(i), Seq: int64(i + 1), Epoch: 1}
 		if err := s.Ingest(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	walBefore := s.metrics.walAppends.Value()
 	for i := 0; i < 4; i++ {
-		ev := Event{ClientID: "conn-1", User: "app", SQL: normalStatement(i), Seq: int64(i + 1)}
+		ev := Event{ClientID: "conn-1", User: "app", SQL: normalStatement(i), Seq: int64(i + 1), Epoch: 1}
 		if err := s.Ingest(ev); err != nil {
 			t.Fatal(err)
 		}

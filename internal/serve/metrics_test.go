@@ -1,215 +1,10 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
-
-	"github.com/ucad/ucad/internal/obs"
 )
-
-// scrapeMetrics GETs a /metrics endpoint and parses every sample line
-// into series → value ("name{labels}" keys keep their label string).
-func scrapeMetrics(t *testing.T, url string) (map[string]float64, string) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s = %d", url, resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
-		t.Fatalf("Content-Type = %q, want %q", ct, obs.ContentType)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	out := make(map[string]float64)
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("malformed sample line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("unparseable value in %q: %v", line, err)
-		}
-		out[line[:i]] = v
-	}
-	return out, body
-}
-
-// dt labels a series with the default tenant — the form every serve
-// family exports under since the MetricsHub refactor (a single-tenant
-// deployment is the default tenant of a one-tenant hub).
-func dt(name string) string { return name + `{tenant="default"}` }
-
-// TestServiceMetricsScrapeEndToEnd is the observability acceptance
-// path: events stream in over HTTP, the worker pool scores them, and a
-// /metrics scrape must show the stage-latency histograms populated with
-// counts matching the pipeline's own accounting — and agree with
-// /stats, since both read the same counters.
-func TestServiceMetricsScrapeEndToEnd(t *testing.T) {
-	u := testUCAD(t)
-	clk := newFakeClock()
-	svc := NewService(u, Config{
-		Workers:     2,
-		QueueSize:   256,
-		Batch:       4,
-		IdleTimeout: 10 * time.Minute,
-		Clock:       clk.Now,
-	})
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	const clients, opsPerClient = 4, 12
-	for pos := 0; pos < opsPerClient; pos++ {
-		for c := 0; c < clients; c++ {
-			sql := normalStatement(pos)
-			if c == 0 && pos == 6 {
-				sql = anomalySQL
-			}
-			body, _ := json.Marshal(Event{ClientID: fmt.Sprintf("c%d", c), User: "app", SQL: sql})
-			resp, err := http.Post(ts.URL+"/v1/events", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("ingest status %d", resp.StatusCode)
-			}
-		}
-	}
-	svc.Drain()
-
-	m, body := scrapeMetrics(t, ts.URL+"/metrics")
-
-	// The exposition must carry all three family types.
-	for _, want := range []string{
-		"# TYPE ucad_events_accepted_total counter",
-		"# TYPE ucad_sessions_open gauge",
-		"# TYPE ucad_score_seconds histogram",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, body)
-		}
-	}
-
-	events := float64(clients * opsPerClient)
-	scored := float64(clients * (opsPerClient - u.Model.Config().MinContext))
-	checks := map[string]float64{
-		dt("ucad_events_accepted_total"):    events,
-		dt("ucad_ingest_seconds_count"):     events,
-		dt("ucad_ops_scored_total"):         scored,
-		dt("ucad_queue_wait_seconds_count"): scored,
-		dt("ucad_score_batch_size_sum"):     scored, // batch sizes sum to jobs drained
-		dt("ucad_sessions_open"):            clients,
-		dt("ucad_sessions_opened_total"):    clients,
-		dt("ucad_flags_mid_session_total"):  1,
-		dt("ucad_alerts_open"):              1,
-		dt("ucad_alerts_raised_total"):      1,
-		dt("ucad_events_rejected_total"):    0,
-		dt("ucad_ops_rejected_total"):       0,
-		dt("ucad_retrains_total"):           0,
-	}
-	for series, want := range checks {
-		got, ok := m[series]
-		if !ok {
-			t.Fatalf("series %s missing from scrape", series)
-		}
-		if got != want {
-			t.Fatalf("%s = %v, want %v", series, got, want)
-		}
-	}
-	// The score histogram observes fused micro-batches, not jobs: one
-	// sample per drain, between 1 (everything fused) and scored (no
-	// fusion), and exactly one batch-size sample per timed pass.
-	passes := m[dt("ucad_score_seconds_count")]
-	if passes < 1 || passes > scored {
-		t.Fatalf("score_seconds_count = %v, want in [1, %v]", passes, scored)
-	}
-	if got := m[dt("ucad_score_batch_size_count")]; got != passes {
-		t.Fatalf("score_batch_size_count = %v, want %v (one per fused pass)", got, passes)
-	}
-	// Latency histograms carry real (positive) time.
-	for _, series := range []string{dt("ucad_ingest_seconds_sum"), dt("ucad_score_seconds_sum")} {
-		if m[series] <= 0 {
-			t.Fatalf("%s = %v, want > 0", series, m[series])
-		}
-	}
-	// Cumulative bucket counts must reach the +Inf bucket.
-	if m[`ucad_score_seconds_bucket{tenant="default",le="+Inf"}`] != passes {
-		t.Fatalf("score +Inf bucket = %v, want %v", m[`ucad_score_seconds_bucket{tenant="default",le="+Inf"}`], passes)
-	}
-
-	// Close out every session and confirm the alert: the close-out
-	// histogram and the verdict-labelled counter populate.
-	clk.Advance(11 * time.Minute)
-	if n := svc.CloseIdleNow(); n != clients {
-		t.Fatalf("closed %d, want %d", n, clients)
-	}
-	alerts := svc.Alerts(StatusOpen)
-	if len(alerts) != 1 {
-		t.Fatalf("alerts = %+v", alerts)
-	}
-	if err := svc.Resolve(alerts[0].ID, StatusConfirmed); err != nil {
-		t.Fatal(err)
-	}
-
-	m, _ = scrapeMetrics(t, ts.URL+"/metrics")
-	if m[dt("ucad_closeout_seconds_count")] != clients {
-		t.Fatalf("closeout count = %v, want %d", m[dt("ucad_closeout_seconds_count")], clients)
-	}
-	if m[`ucad_alerts_resolved_total{tenant="default",verdict="confirmed"}`] != 1 {
-		t.Fatal("confirmed verdict not counted")
-	}
-	if m[dt("ucad_sessions_closed_total")] != clients || m[dt("ucad_sessions_processed_total")] != clients {
-		t.Fatalf("session close-out counters: closed=%v processed=%v",
-			m[dt("ucad_sessions_closed_total")], m[dt("ucad_sessions_processed_total")])
-	}
-	if m[dt("ucad_verified_pool")] != clients-1 {
-		t.Fatalf("verified pool = %v, want %d", m[dt("ucad_verified_pool")], clients-1)
-	}
-
-	// /stats and /metrics read the same counters — spot-check the pairs.
-	st := svc.Stats()
-	pairs := []struct {
-		series string
-		stat   float64
-	}{
-		{dt("ucad_events_accepted_total"), float64(st.EventsAccepted)},
-		{dt("ucad_ops_scored_total"), float64(st.OpsScored)},
-		{dt("ucad_ops_rejected_total"), float64(st.OpsRejected)},
-		{dt("ucad_sessions_open"), float64(st.SessionsOpen)},
-		{dt("ucad_alerts_raised_total"), float64(st.AlertsRaised)},
-		{dt("ucad_alerts_evicted_total"), float64(st.AlertsEvicted)},
-		{dt("ucad_uptime_seconds"), st.UptimeSeconds},
-	}
-	for _, p := range pairs {
-		if m[p.series] != p.stat {
-			t.Fatalf("%s = %v but Stats reports %v", p.series, m[p.series], p.stat)
-		}
-	}
-	if st.UptimeSeconds != (11 * time.Minute).Seconds() {
-		t.Fatalf("uptime = %v, want %v (fake clock advanced 11m)", st.UptimeSeconds, (11 * time.Minute).Seconds())
-	}
-	svc.Stop()
-}
 
 // TestAlertRetentionBounds exercises the resolved-alert eviction policy
 // at the store level: FIFO count bound, TTL aging, open alerts immune.

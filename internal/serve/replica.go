@@ -130,10 +130,7 @@ func (s *Service) PromoteToServing(d *DurabilityConfig) error {
 		sh.durMu.Lock()
 	}
 	for i, sh := range s.shards {
-		opt := s.walOptions(d)
-		opt.SegmentPrefix = wal.ShardSegmentPrefix(i)
-		opt.SnapshotPrefix = wal.ShardSnapshotPrefix(i)
-		store, oerr := wal.OpenStore(d.Dir, opt)
+		store, oerr := wal.OpenStore(d.Dir, s.walOptions(d, i))
 		if oerr != nil {
 			err = oerr
 			break

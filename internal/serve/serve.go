@@ -11,7 +11,9 @@
 //	Assembler  — per-client open-session state with idle-timeout close-out
 //	Engine     — micro-batched concurrent scoring with backpressure
 //	Service    — wires both to detect.Online's verified-pool/retrain loop
-//	Handler    — the HTTP/JSON front (cmd/ucad-serve)
+//
+// It is a library: the HTTP/JSON front over it is
+// internal/tenant's Registry.Handler, the only one.
 package serve
 
 import (
@@ -44,7 +46,8 @@ type Event struct {
 	// acknowledged without being appended or scored again, so an
 	// at-least-once feeder (internal/feed replaying from an offset
 	// checkpoint after a crash) yields exactly-once sessions. Zero means
-	// "no sequence" and disables deduplication for the event.
+	// "no sequence" and disables deduplication for the event. A positive
+	// Seq requires a positive Epoch (Ingest rejects the event otherwise).
 	Seq int64 `json:"seq,omitempty"`
 	// Epoch, when positive, identifies the sender-side session
 	// generation that assigned Seq: a feeder sessionizing by event time
@@ -55,8 +58,6 @@ type Event struct {
 	// high-water mark is a duplicate, while a higher epoch is genuinely
 	// new traffic even though its Seq restarted — which keeps a wall-clock
 	// server from swallowing a backlogged feeder's post-gap sessions.
-	// Zero means "no epoch" and falls back to comparing Seq against the
-	// open session's length.
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
@@ -68,11 +69,11 @@ func (e Event) Client() string {
 	return e.User + "@" + e.Addr
 }
 
-// Errors surfaced to API callers. ErrBusy maps to HTTP 503 (the
-// backpressure signal), ErrInvalid to 400, ErrSessionOpen to 409.
+// Errors surfaced to API callers (internal/tenant maps them to HTTP
+// statuses and envelope codes).
 var (
 	ErrBusy        = errors.New("serve: scoring queue full")
-	ErrInvalid     = errors.New("serve: event missing sql")
+	ErrInvalid     = errors.New("serve: invalid event (sql is required; seq requires epoch)")
 	ErrStopped     = errors.New("serve: service stopped")
 	ErrSessionOpen = errors.New("serve: session still open")
 	ErrNoAlert     = errors.New("serve: no such alert")

@@ -338,8 +338,8 @@ func (s *Service) stopBackground() {
 // to the reserved UNK key (sqlnorm.UnknownKey): it is still assembled
 // and scored — the model ranks UNK last, so such operations always flag
 // — and counted in ucad_feed_unknown_keys_total rather than rejected.
-// An event whose Seq the open session already covers is a redelivery:
-// it is acknowledged without re-appending, re-logging or re-scoring
+// An event whose (Epoch, Seq) the open session already covers is a
+// redelivery: it is acknowledged without re-appending, re-logging or re-scoring
 // (counted in ucad_feed_duplicate_events_total).
 func (s *Service) Ingest(ev Event) error {
 	if s.stopped.Load() {
@@ -351,7 +351,7 @@ func (s *Service) Ingest(ev Event) error {
 	if s.replica.Load() {
 		return ErrNotReady
 	}
-	if ev.SQL == "" {
+	if ev.SQL == "" || ev.Seq > 0 && ev.Epoch <= 0 {
 		return ErrInvalid
 	}
 	durable := s.cfg.Durability != nil
@@ -542,7 +542,7 @@ func (s *Service) Drain() { s.engine.Drain() }
 func (s *Service) Online() *detect.Online { return s.online }
 
 // Metrics exposes the serving instrumentation (scrape it with
-// Metrics().Registry.Handler(), already mounted at GET /metrics).
+// Metrics().Registry.Handler()).
 func (s *Service) Metrics() *Metrics { return s.metrics }
 
 // Stats is a point-in-time snapshot of the serving counters. Every

@@ -129,83 +129,59 @@ func TestShardRemapHardKill(t *testing.T) {
 	}
 }
 
-// TestShardV1UpgradeRestore: a pre-sharding data directory — one
-// unprefixed stream, no MANIFEST.json — restores onto a sharded layout
-// and is rewritten to manifest v2 in passing.
-func TestShardV1UpgradeRestore(t *testing.T) {
+// TestRestoreRefusesManifestlessStreams: a WAL directory that holds
+// stream files but no MANIFEST.json — a lost manifest, or the
+// pre-sharding single-stream layout — has an unknown layout. Restore
+// must refuse it with an error naming the fix, neither reading it nor
+// treating it as fresh, and leave every file in place.
+func TestRestoreRefusesManifestlessStreams(t *testing.T) {
 	u := testUCAD(t)
-	dir := t.TempDir()
 	clock := newFakeClock()
-
-	clients := []string{"v1", "v2", "v3", "v4"}
-	s1, _ := durableService(t, u, dir, clock.Now, func(c *Config) { c.Shards = 1 })
-	for i, client := range clients {
-		ingestN(t, s1, client, 4+i, 0)
-	}
-	s1.Drain()
-	if err := s1.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Transform the directory into the legacy single-stream layout the
-	// pre-sharding releases wrote: drop the shard-00 prefix from every
-	// stream file and remove the manifest. The framing is unchanged —
-	// only naming and the manifest distinguish v1 from v2.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-shard-00-"):
-			legacy := "wal-" + strings.TrimPrefix(name, "wal-shard-00-")
-			if err := os.Rename(filepath.Join(dir, name), filepath.Join(dir, legacy)); err != nil {
-				t.Fatal(err)
-			}
-		case strings.HasPrefix(name, "snap-shard-00-"):
-			legacy := "snap-" + strings.TrimPrefix(name, "snap-shard-00-")
-			if err := os.Rename(filepath.Join(dir, name), filepath.Join(dir, legacy)); err != nil {
-				t.Fatal(err)
-			}
-		case name == wal.ManifestName:
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				t.Fatal(err)
-			}
+	for _, v1 := range []bool{false, true} {
+		dir := t.TempDir()
+		s1, _ := durableService(t, u, dir, clock.Now, func(c *Config) { c.Shards = 1 })
+		ingestN(t, s1, "c1", 4, 0)
+		s1.Drain()
+		if err := s1.Close(context.Background()); err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := os.Remove(filepath.Join(dir, wal.ManifestName)); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before []string
+		for _, e := range entries {
+			name := e.Name()
+			if v1 {
+				// The pre-sharding releases wrote one unprefixed stream.
+				name = strings.Replace(name, "-shard-00-", "-", 1)
+				if err := os.Rename(filepath.Join(dir, e.Name()), filepath.Join(dir, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before = append(before, name)
+		}
 
-	ctl := NewService(testUCAD(t), Config{Workers: 2, SweepEvery: -1, Clock: clock.Now})
-	for i, client := range clients {
-		ingestN(t, ctl, client, 4+i, 0)
-	}
-	ctl.Drain()
-	defer ctl.Stop()
-	_, want := exportedState(ctl)
-
-	s2, rst := durableService(t, u, dir, clock.Now, func(c *Config) { c.Shards = 4 })
-	defer s2.Close(context.Background())
-	if rst.Sessions != len(clients) {
-		t.Fatalf("v1 upgrade restored %d sessions, want %d", rst.Sessions, len(clients))
-	}
-	_, got := exportedState(s2)
-	if !reflect.DeepEqual(stripTimes(got), stripTimes(want)) {
-		t.Fatalf("v1 upgrade diverges from control:\n got %+v\nwant %+v", got, want)
-	}
-	man, ok, err := wal.LoadManifest(dir)
-	if err != nil || !ok || man.Version != wal.ManifestVersion || man.Shards != 4 || man.Remap {
-		t.Fatalf("post-upgrade manifest = %+v ok=%v err=%v", man, ok, err)
-	}
-	// No legacy stream files may survive the upgrade.
-	entries, err = os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if (strings.HasPrefix(name, "wal-") && !strings.HasPrefix(name, "wal-shard-")) ||
-			(strings.HasPrefix(name, "snap-") && !strings.HasPrefix(name, "snap-shard-")) {
-			t.Fatalf("legacy stream file %s survived the upgrade", name)
+		s2 := NewService(u, Config{Workers: 2, SweepEvery: -1, Clock: clock.Now,
+			Durability: &DurabilityConfig{Dir: dir, Fsync: wal.SyncAlways}})
+		_, err = s2.Restore()
+		s2.Stop()
+		if err == nil || !strings.Contains(err.Error(), wal.ManifestName) || !strings.Contains(err.Error(), "move the stream files") {
+			t.Fatalf("v1=%v: Restore = %v, want a refusal naming %s and the fix", v1, err, wal.ManifestName)
+		}
+		entries, err = os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var after []string
+		for _, e := range entries {
+			after = append(after, e.Name())
+		}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("v1=%v: refused restore changed the directory:\n got %v\nwant %v", v1, after, before)
 		}
 	}
 }

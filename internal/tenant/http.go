@@ -4,60 +4,51 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
+	"strconv"
 
 	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/serve"
 )
 
-// Tenant-layer error codes, extending the serve envelope taxonomy
-// (see internal/serve/envelope.go).
-const (
-	// CodeUnknownTenant is the machine-readable error code a routing
-	// miss answers with — distinguishable from a bad payload (plain 400)
-	// so a misconfigured frontend shows up as exactly that.
-	CodeUnknownTenant = "unknown_tenant"
-	// CodeTenantExists rejects creating an id that is already live.
-	CodeTenantExists = "tenant_exists"
-	// CodeTenantDraining rejects writes to a quiesced tenant (it may
-	// come back or be deleted — retry and find out).
-	CodeTenantDraining = "tenant_draining"
-	// CodeInvalidModel rejects a model upload that fails validation.
-	CodeInvalidModel = "invalid_model"
-	// CodeNotReplica rejects promoting a process with no unpromoted
-	// replica tenants — a refused state change (409), not a retryable
-	// fault.
-	CodeNotReplica = "not_replica"
-)
-
 // TenantHeader routes events whose body carries no tenant field.
 const TenantHeader = "X-UCAD-Tenant"
 
-// maxModelUpload bounds a PUT model body (the serialized detector).
-const maxModelUpload = 256 << 20
+// maxModelUpload bounds a PUT model body (the serialized detector);
+// maxAdminBody every other JSON request body except /v1/events (which
+// serve.DecodeEvents caps itself).
+const (
+	maxModelUpload = 256 << 20
+	maxAdminBody   = 1 << 20
+)
 
-// Handler returns the multi-tenant HTTP surface:
+// Handler returns the HTTP/JSON API — the only front over the serving
+// library, single-tenant deployments included (they are the default
+// tenant of a one-tenant registry):
 //
-//	POST   /v1/events                  ingest, routed per event: body "tenant"
-//	                                   field → X-UCAD-Tenant header → ?tenant= → default
+//	POST   /v1/events                  ingest one event or an array (arrays get
+//	                                   per-event statuses back), routed per event:
+//	                                   body "tenant" field → X-UCAD-Tenant header →
+//	                                   ?tenant= → default
 //	GET    /v1/tenants                 list tenants (id, model source, stats)
 //	POST   /v1/tenants                 create a tenant from a JSON Spec
 //	DELETE /v1/tenants/{id}            delete a tenant and its data dir
 //	POST   /v1/tenants/{id}/drain      quiesce a tenant (keeps it queryable)
 //	PUT    /v1/tenants/{id}/model      hot-replace the tenant's serving model
-//	GET    /v1/tenants/{id}/stats      that tenant's serving counters
-//	GET    /v1/tenants/{id}/sessions   that tenant's open sessions (/v1/sessions?tenant= works too)
-//	GET    /v1/tenants/{id}/alerts     that tenant's alerts (and .../alerts/{aid}/resolve)
-//	GET    /v1/alerts, /stats          default-tenant views (?tenant= overrides) —
-//	                                   the single-tenant API, unchanged
+//	POST   /v1/promote                 flip every replica tenant to serving
+//	GET    /v1/tenants/{id}/stats      serving counters            (/stats)
+//	GET    /v1/tenants/{id}/sessions   open sessions               (/v1/sessions)
+//	GET    /v1/tenants/{id}/alerts     alerts [?status=open|false_alarm|confirmed]
+//	                                                               (/v1/alerts)
+//	POST   /v1/tenants/{id}/alerts/{aid}/resolve
+//	                                   apply an expert verdict     (/v1/alerts/{aid}/resolve)
 //	GET    /healthz                    liveness
 //	GET    /metrics                    shared Prometheus exposition, tenant-labelled
 //
-// Every non-2xx response carries the unified error envelope
-// {"error":{"code","message","retryable"}}; the tenant layer extends
-// the serve taxonomy with unknown_tenant, tenant_exists,
-// tenant_draining and invalid_model. The legacy top-level "code" string
-// is still mirrored one release behind the migration.
+// The parenthesised top-level forms address the ?tenant= tenant,
+// defaulting to the default tenant. Every non-2xx response carries the
+// error envelope (see envelope.go). A full scoring queue answers 503
+// with Retry-After — the backpressure contract: the rejected events
+// were rolled back and are safe to resend.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/events", r.handleEvents)
@@ -65,27 +56,16 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/tenants", r.handleCreate)
 	mux.HandleFunc("DELETE /v1/tenants/{id}", r.handleDelete)
 	mux.HandleFunc("POST /v1/tenants/{id}/drain", r.handleDrain)
-	mux.HandleFunc("PUT /v1/tenants/{id}/model", r.handleModelSwap)
-	mux.HandleFunc("GET /v1/tenants/{id}/stats", r.handleTenantStats)
-	mux.HandleFunc("GET /v1/tenants/{id}/sessions", func(w http.ResponseWriter, req *http.Request) {
-		r.handleSessions(w, req.PathValue("id"))
-	})
-	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, req *http.Request) {
-		r.handleSessions(w, req.URL.Query().Get("tenant"))
-	})
+	mux.HandleFunc("PUT /v1/tenants/{id}/model", r.scoped(r.handleModelSwap))
 	mux.HandleFunc("POST /v1/promote", r.handlePromote)
-	mux.Handle("/v1/tenants/{id}/alerts", http.HandlerFunc(r.handleTenantScoped))
-	mux.Handle("/v1/tenants/{id}/alerts/", http.HandlerFunc(r.handleTenantScoped))
-	mux.HandleFunc("GET /v1/alerts", r.delegate)
-	mux.HandleFunc("POST /v1/alerts/{aid}/resolve", r.delegate)
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, req *http.Request) {
-		t, err := r.Get(req.URL.Query().Get("tenant"))
-		if err != nil {
-			writeTenantErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, r.tenantStats(t))
-	})
+	mux.HandleFunc("GET /v1/tenants/{id}/stats", r.scoped(r.handleStats))
+	mux.HandleFunc("GET /stats", r.scoped(r.handleStats))
+	mux.HandleFunc("GET /v1/tenants/{id}/sessions", r.scoped(handleSessions))
+	mux.HandleFunc("GET /v1/sessions", r.scoped(handleSessions))
+	mux.HandleFunc("GET /v1/tenants/{id}/alerts", r.scoped(handleAlerts))
+	mux.HandleFunc("GET /v1/alerts", r.scoped(handleAlerts))
+	mux.HandleFunc("POST /v1/tenants/{id}/alerts/{aid}/resolve", r.scoped(handleResolve))
+	mux.HandleFunc("POST /v1/alerts/{aid}/resolve", r.scoped(handleResolve))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -93,41 +73,52 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
-// eventStatus mirrors serve's per-event batch status: the legacy Error
-// string plus the envelope's code/retryable pair.
+// scoped resolves the tenant a per-tenant endpoint addresses — the {id}
+// path segment, else ?tenant=, else the default tenant — and answers
+// the routing error itself.
+func (r *Registry) scoped(h func(http.ResponseWriter, *http.Request, *Tenant)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		id := req.PathValue("id")
+		if id == "" {
+			id = req.URL.Query().Get("tenant")
+		}
+		t, err := r.Get(id)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		h(w, req, t)
+	}
+}
+
+// eventStatus is one event's outcome within a batched submission.
 type eventStatus struct {
 	Status string `json:"status"` // "accepted" or "rejected"
-	// Error is the legacy rejection-reason string.
-	//
-	// Deprecated: read Code/Retryable instead.
-	Error string `json:"error,omitempty"`
-	// Code is the envelope taxonomy code of the rejection.
+	// Code is the envelope code of the rejection (empty when accepted).
 	Code string `json:"code,omitempty"`
 	// Retryable reports whether resending this exact event can succeed.
 	Retryable bool `json:"retryable,omitempty"`
 }
 
-// eventsResponse mirrors serve's response shape. The top-level "error"
-// key carries the unified envelope object; "code" mirrors its code for
-// clients of the pre-envelope API.
+// eventsResponse reports how much of a submission was absorbed. Array
+// submissions carry one per-event status in submission order, so a
+// partially rejected batch tells the client exactly which events to
+// resend; single-object submissions carry no Events list.
 type eventsResponse struct {
-	Accepted int              `json:"accepted"`
-	Err      *serve.ErrorInfo `json:"error,omitempty"`
-	// Deprecated: Code mirrors Err.Code one release behind the envelope
-	// migration.
-	Code   string        `json:"code,omitempty"`
-	Events []eventStatus `json:"events,omitempty"`
+	Accepted int           `json:"accepted"`
+	Err      *ErrorInfo    `json:"error,omitempty"`
+	Events   []eventStatus `json:"events,omitempty"`
 }
 
-// handleEvents is the routed ingest path. Batches may mix tenants; each
-// event resolves independently so one bad tenant id rejects only its
-// own events.
+// handleEvents is the ingest path. Every event is attempted — a
+// rejection does not shadow the events after it — and batches may mix
+// tenants: each event resolves independently, so one bad tenant id
+// rejects only its own events.
 func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	events, isArray, err := serve.DecodeEvents(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, eventsResponse{
-			Err:  serve.Errf(serve.CodeInvalidBody, err.Error(), false),
-			Code: serve.CodeInvalidBody,
+			Err: &ErrorInfo{Code: CodeInvalidBody, Message: err.Error()},
 		})
 		return
 	}
@@ -136,94 +127,37 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	if fallback == "" {
 		fallback = req.URL.Query().Get("tenant")
 	}
-	route := func(ev serve.Event) error {
+	status := http.StatusAccepted
+	var resp eventsResponse
+	if isArray {
+		resp.Events = make([]eventStatus, len(events))
+	}
+	for i, ev := range events {
 		if ev.Tenant == "" {
 			ev.Tenant = fallback
 		}
-		return r.Ingest(ev)
-	}
-	if !isArray {
-		if err := route(events[0]); err != nil {
-			info := tenantErrorInfo(err)
-			writeJSON(w, routedStatusCode(w, err), eventsResponse{Err: info, Code: info.Code})
-			return
-		}
-		writeJSON(w, http.StatusAccepted, eventsResponse{Accepted: 1})
-		return
-	}
-	statuses := make([]eventStatus, len(events))
-	accepted := 0
-	var firstErr error
-	for i, ev := range events {
-		err := route(ev)
+		err := r.Ingest(ev)
 		if err == nil {
-			statuses[i] = eventStatus{Status: "accepted"}
-			accepted++
+			resp.Accepted++
+			if isArray {
+				resp.Events[i].Status = "accepted"
+			}
 			continue
 		}
-		info := tenantErrorInfo(err)
-		statuses[i] = eventStatus{
-			Status: "rejected", Error: err.Error(),
-			Code: info.Code, Retryable: info.Retryable,
+		st, info := classify(err)
+		if isArray {
+			resp.Events[i] = eventStatus{Status: "rejected", Code: info.Code, Retryable: info.Retryable}
 		}
-		// Backpressure outranks validation errors for the batch status
-		// code (same contract as the single-tenant handler): a 503 tells
-		// the client the rejected events are retryable.
-		if firstErr == nil || (errors.Is(err, serve.ErrBusy) || errors.Is(err, serve.ErrStopped)) &&
-			!(errors.Is(firstErr, serve.ErrBusy) || errors.Is(firstErr, serve.ErrStopped)) {
-			firstErr = err
+		// A retryable rejection outranks a permanent one for the batch
+		// status and envelope: senders drop the rejected events of a
+		// non-retryable batch, which is only safe when none of them could
+		// have succeeded on a resend.
+		if resp.Err == nil || info.Retryable && !resp.Err.Retryable {
+			status, resp.Err = st, info
 		}
 	}
-	resp := eventsResponse{Accepted: accepted, Events: statuses}
-	code := http.StatusAccepted
-	if firstErr != nil {
-		code = routedStatusCode(w, firstErr)
-		resp.Err = tenantErrorInfo(firstErr)
-		resp.Code = resp.Err.Code
-	}
-	writeJSON(w, code, resp)
-}
-
-// tenantErrorInfo extends serve's envelope classification with the
-// tenant lifecycle/routing errors.
-func tenantErrorInfo(err error) *serve.ErrorInfo {
-	if err == nil {
-		return nil
-	}
-	switch {
-	case errors.Is(err, ErrUnknownTenant), errors.Is(err, ErrInvalidID):
-		return serve.Errf(CodeUnknownTenant, err.Error(), false)
-	case errors.Is(err, ErrDraining):
-		return serve.Errf(CodeTenantDraining, err.Error(), true)
-	case errors.Is(err, ErrRegistryClosed):
-		return serve.Errf(serve.CodeShuttingDown, err.Error(), true)
-	case errors.Is(err, ErrTenantExists):
-		return serve.Errf(CodeTenantExists, err.Error(), false)
-	case errors.Is(err, ErrInvalidModel):
-		return serve.Errf(CodeInvalidModel, err.Error(), false)
-	case errors.Is(err, serve.ErrNotReplica):
-		return serve.Errf(CodeNotReplica, err.Error(), false)
-	default:
-		return serve.ErrorInfoFor(err)
-	}
-}
-
-// routedStatusCode extends serve.IngestStatusCode with the routing
-// errors: unknown tenant is a structured 404, draining a 503 (the
-// tenant may come back or be deleted — retry and find out).
-func routedStatusCode(w http.ResponseWriter, err error) int {
-	switch {
-	case errors.Is(err, ErrUnknownTenant), errors.Is(err, ErrInvalidID):
-		return http.StatusNotFound
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrRegistryClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrTenantExists), errors.Is(err, serve.ErrNotReplica):
-		return http.StatusConflict
-	case errors.Is(err, ErrInvalidModel):
-		return http.StatusBadRequest
-	default:
-		return serve.IngestStatusCode(w, err)
-	}
+	retryAfter(w, resp.Err)
+	writeJSON(w, status, resp)
 }
 
 // Info is the admin-API view of one tenant.
@@ -264,20 +198,13 @@ func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 
 func (r *Registry) handleCreate(w http.ResponseWriter, req *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, tenantErrBody{
-			Error: serve.Errf(serve.CodeInvalidBody, "invalid tenant spec", false),
-			Code:  serve.CodeInvalidBody,
-		})
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxAdminBody)).Decode(&spec); err != nil {
+		badRequest(w, CodeInvalidBody, "invalid tenant spec")
 		return
 	}
-	// The admin API never accepts a directory override: Spec.Dir exists
-	// for the CLI's legacy single-tenant layout, and honoring it here
-	// would let a request point a tenant at an arbitrary path.
-	spec.Dir = ""
 	t, err := r.Create(spec)
 	if err != nil {
-		writeTenantErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, t.info())
@@ -285,7 +212,7 @@ func (r *Registry) handleCreate(w http.ResponseWriter, req *http.Request) {
 
 func (r *Registry) handleDelete(w http.ResponseWriter, req *http.Request) {
 	if err := r.Delete(req.PathValue("id")); err != nil {
-		writeTenantErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
@@ -294,7 +221,7 @@ func (r *Registry) handleDelete(w http.ResponseWriter, req *http.Request) {
 func (r *Registry) handleDrain(w http.ResponseWriter, req *http.Request) {
 	t, err := r.Drain(req.PathValue("id"))
 	if err != nil {
-		writeTenantErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, t.info())
@@ -306,22 +233,17 @@ func (r *Registry) handleDrain(w http.ResponseWriter, req *http.Request) {
 // then atomically swapped into the tenant's serving pipeline and
 // checkpointed. Ingest keeps flowing throughout; a model that fails
 // validation answers 400 invalid_model and changes nothing.
-func (r *Registry) handleModelSwap(w http.ResponseWriter, req *http.Request) {
-	t, err := r.Get(req.PathValue("id"))
-	if err != nil {
-		writeTenantErr(w, err)
-		return
-	}
+func (r *Registry) handleModelSwap(w http.ResponseWriter, req *http.Request, t *Tenant) {
 	u, err := core.Load(http.MaxBytesReader(w, req.Body, maxModelUpload))
 	if err != nil {
-		writeTenantErr(w, errors.Join(ErrInvalidModel, err))
+		writeErr(w, errors.Join(ErrInvalidModel, err))
 		return
 	}
 	if r.opts.Tune != nil {
 		r.opts.Tune(u)
 	}
 	if err := t.SwapModel(u); err != nil {
-		writeTenantErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, t.info())
@@ -336,30 +258,16 @@ type tenantStats struct {
 	RetrainQueuePosition int `json:"retrain_queue_position"`
 }
 
-func (r *Registry) tenantStats(t *Tenant) tenantStats {
-	return tenantStats{Stats: t.Stats(), RetrainQueuePosition: r.gate.Position(t.id)}
-}
-
-func (r *Registry) handleTenantStats(w http.ResponseWriter, req *http.Request) {
-	t, err := r.Get(req.PathValue("id"))
-	if err != nil {
-		writeTenantErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, r.tenantStats(t))
+func (r *Registry) handleStats(w http.ResponseWriter, req *http.Request, t *Tenant) {
+	writeJSON(w, http.StatusOK, tenantStats{Stats: t.Stats(), RetrainQueuePosition: r.gate.Position(t.id)})
 }
 
 // handleSessions exposes the tenant's open sessions — the observable
 // state the failover contract promises is identical on a promoted
 // standby and an uninterrupted primary, and the surface the e2e suite
 // compares across the two.
-func (r *Registry) handleSessions(w http.ResponseWriter, id string) {
-	t, err := r.Get(id)
-	if err != nil {
-		writeTenantErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, t.Service().ExportSessions())
+func handleSessions(w http.ResponseWriter, req *http.Request, t *Tenant) {
+	writeJSON(w, http.StatusOK, t.svc.ExportSessions())
 }
 
 // handlePromote flips every replica tenant to serving — the failover
@@ -368,58 +276,42 @@ func (r *Registry) handleSessions(w http.ResponseWriter, id string) {
 func (r *Registry) handlePromote(w http.ResponseWriter, req *http.Request) {
 	promoted, err := r.Promote()
 	if err != nil {
-		writeTenantErr(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"promoted": promoted})
 }
 
-// handleTenantScoped rewrites /v1/tenants/{id}/alerts... onto the
-// tenant's own cached single-tenant handler, so the per-tenant alert
-// surface is exactly the single-tenant one.
-func (r *Registry) handleTenantScoped(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	t, err := r.Get(id)
-	if err != nil {
-		writeTenantErr(w, err)
+func handleAlerts(w http.ResponseWriter, req *http.Request, t *Tenant) {
+	status := req.URL.Query().Get("status")
+	switch status {
+	case "", serve.StatusOpen, serve.StatusFalseAlarm, serve.StatusConfirmed:
+	default:
+		badRequest(w, CodeInvalidBody, "unknown status filter")
 		return
 	}
-	rest := strings.TrimPrefix(req.URL.Path, "/v1/tenants/"+id)
-	r2 := req.Clone(req.Context())
-	r2.URL.Path = "/v1" + rest
-	t.handler.Load().h.ServeHTTP(w, r2)
+	writeJSON(w, http.StatusOK, map[string]any{"alerts": t.svc.Alerts(status)})
 }
 
-// delegate forwards a top-level single-tenant endpoint (alerts) to the
-// ?tenant= tenant, defaulting to the default tenant — the unchanged
-// single-tenant API.
-func (r *Registry) delegate(w http.ResponseWriter, req *http.Request) {
-	t, err := r.Get(req.URL.Query().Get("tenant"))
+func handleResolve(w http.ResponseWriter, req *http.Request, t *Tenant) {
+	id, err := strconv.ParseInt(req.PathValue("aid"), 10, 64)
 	if err != nil {
-		writeTenantErr(w, err)
+		badRequest(w, CodeInvalidBody, "invalid alert id")
 		return
 	}
-	t.handler.Load().h.ServeHTTP(w, req)
-}
-
-// tenantErrBody is the non-2xx response shape: the unified envelope
-// plus the legacy top-level code mirror.
-type tenantErrBody struct {
-	Error *serve.ErrorInfo `json:"error"`
-	// Deprecated: Code mirrors Error.Code one release behind the
-	// envelope migration.
-	Code string `json:"code,omitempty"`
-}
-
-// writeTenantErr renders a lifecycle/routing error as the unified
-// envelope with its mapped HTTP status.
-func writeTenantErr(w http.ResponseWriter, err error) {
-	info := tenantErrorInfo(err)
-	writeJSON(w, routedStatusCode(w, err), tenantErrBody{Error: info, Code: info.Code})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	var body struct {
+		Verdict string `json:"verdict"`
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxAdminBody)).Decode(&body); err != nil {
+		badRequest(w, CodeInvalidBody, "invalid JSON body")
+		return
+	}
+	switch err := t.svc.Resolve(id, body.Verdict); {
+	case err == nil:
+		writeJSON(w, http.StatusOK, map[string]string{"status": "resolved"})
+	case errors.Is(err, serve.ErrInvalid):
+		badRequest(w, CodeUnknownVerdict, "unknown verdict (use false_alarm or confirmed)")
+	default:
+		writeErr(w, err)
+	}
 }

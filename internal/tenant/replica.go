@@ -58,7 +58,7 @@ func (r *Registry) CreateReplica(id string) (*Tenant, error) {
 	if spec.ID != id {
 		return nil, fmt.Errorf("tenant %s: shipped %s names %q", id, specFile, spec.ID)
 	}
-	t := &Tenant{id: id, spec: spec, dir: dir}
+	t := &Tenant{id: id, dir: dir}
 	fail := func(err error) (*Tenant, error) {
 		r.hub.RemoveTenant(id)
 		return nil, err
@@ -91,8 +91,6 @@ func (r *Registry) CreateReplica(id string) (*Tenant, error) {
 		cfg.Shards = man.Shards
 	}
 	t.svc = serve.NewService(u, cfg)
-	h := tenantHandler{h: t.svc.Handler()}
-	t.handler.Store(&h)
 
 	r.mu.Lock()
 	r.tenants[id] = t

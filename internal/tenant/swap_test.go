@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/ucad/ucad/internal/serve"
 )
 
 func putBody(t *testing.T, url string, body []byte) (int, string) {
@@ -120,12 +118,8 @@ func TestHTTPModelHotSwap(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("garbage swap = %d: %s", code, body)
 	}
-	var eb tenantErrBody
-	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Error == nil {
-		t.Fatalf("garbage swap envelope: %s", body)
-	}
-	if eb.Error.Code != CodeInvalidModel || eb.Error.Retryable || eb.Code != CodeInvalidModel {
-		t.Fatalf("garbage swap envelope: %+v", eb)
+	if env := envelopeOf(t, body); env.Code != CodeInvalidModel || env.Retryable {
+		t.Fatalf("garbage swap envelope: %+v", env)
 	}
 	if resp, _ := postJSON(t, ts.URL+"/v1/events", ev("vb", 2)); resp.StatusCode != http.StatusAccepted {
 		t.Fatal("serving model was disturbed by a rejected upload")
@@ -149,7 +143,7 @@ func TestHTTPModelHotSwap(t *testing.T) {
 		t.Fatalf("drained ingest = %d", resp.StatusCode)
 	}
 	var er struct {
-		Err *serve.ErrorInfo `json:"error"`
+		Err *ErrorInfo `json:"error"`
 	}
 	if err := json.Unmarshal(ebody, &er); err != nil || er.Err == nil ||
 		er.Err.Code != CodeTenantDraining || !er.Err.Retryable {

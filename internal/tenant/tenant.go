@@ -22,8 +22,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,18 +59,12 @@ type Spec struct {
 	// newest loadable checkpoint from the tenant's manifest and falls
 	// back to this path.
 	ModelPath string `json:"model,omitempty"`
-	// Dir overrides the tenant's data directory (default
-	// <root>/tenants/<id>). The default tenant of a pre-multi-tenant
-	// deployment uses this to keep the legacy <data-dir>/wal +
-	// <data-dir>/checkpoints layout working unchanged.
-	Dir string `json:"dir,omitempty"`
 }
 
 // Options configures a Registry.
 type Options struct {
 	// Root is the durability root; per-tenant state lives under
-	// <Root>/tenants/<id>/ (unless Spec.Dir overrides). Empty disables
-	// durability for every tenant.
+	// <Root>/tenants/<id>/. Empty disables durability for every tenant.
 	Root string
 	// Serve is the per-tenant serving template: every tenant's Service
 	// is built from a copy of it. Metrics and Durability are managed per
@@ -78,7 +72,7 @@ type Options struct {
 	Serve serve.Config
 	// Durability is the durability template (fsync policy, intervals,
 	// segment cap). Dir and Checkpoints are derived per tenant and
-	// ignored here. Only consulted when Root (or Spec.Dir) is set.
+	// ignored here. Only consulted when Root is set.
 	Durability serve.DurabilityConfig
 	// Hub receives every tenant's metrics; nil creates a private hub
 	// (reachable via Registry.Hub).
@@ -115,13 +109,11 @@ type Registry struct {
 // Tenant is one running scenario pipeline.
 type Tenant struct {
 	id        string
-	spec      Spec
 	dir       string // "" when the tenant is not durable
 	modelFrom string // what loaded: checkpoint path, model path, or "(in-memory)"
 	svc       *serve.Service
 	ckpts     *wal.Checkpoints
 	restore   serve.RestoreStats
-	handler   atomic.Pointer[tenantHandler]
 	draining  atomic.Bool
 }
 
@@ -200,18 +192,15 @@ func (r *Registry) create(spec Spec, u *core.UCAD) (*Tenant, error) {
 		return nil, fmt.Errorf("%w: %s", ErrTenantExists, id)
 	}
 
-	t := &Tenant{id: id, spec: spec}
+	t := &Tenant{id: id}
 	fail := func(err error) (*Tenant, error) {
 		// Release whatever the partial boot claimed so the id is fully
 		// reusable (metric children included).
 		r.hub.RemoveTenant(id)
 		return nil, err
 	}
-	if r.opts.Root != "" || spec.Dir != "" {
-		t.dir = spec.Dir
-		if t.dir == "" {
-			t.dir = filepath.Join(r.opts.Root, "tenants", id)
-		}
+	if r.opts.Root != "" {
+		t.dir = filepath.Join(r.opts.Root, "tenants", id)
 		if err := os.MkdirAll(t.dir, 0o755); err != nil {
 			return fail(err)
 		}
@@ -265,8 +254,6 @@ func (r *Registry) create(spec Spec, u *core.UCAD) (*Tenant, error) {
 		}
 	}
 	t.svc.Start()
-	h := tenantHandler{h: t.svc.Handler()}
-	t.handler.Store(&h)
 
 	r.mu.Lock()
 	r.tenants[id] = t
@@ -318,27 +305,42 @@ func writeSpec(dir string, spec Spec) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, specFile+".tmp")
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, specFile))
+	return wal.WriteAtomic(filepath.Join(dir, specFile), func(w io.Writer) error {
+		_, werr := w.Write(append(b, '\n'))
+		return werr
+	})
 }
 
 // Boot creates every spec, then scans <Root>/tenants for persisted
 // tenant.json records the specs did not name — tenants created through
 // the admin API before the restart — and re-creates those too, each
 // restoring its own sessions from its own WAL.
+//
+// <Root>/tenants/<id>/ is the only layout. A root still holding the
+// pre-tenant flat one (wal/ and checkpoints/ directly under it) is
+// refused before anything is created: booting past it would serve a
+// fresh default tenant next to the stranded sessions.
 func (r *Registry) Boot(specs []Spec) error {
+	root := r.opts.Root
+	if root != "" {
+		for _, sub := range []string{"wal", "checkpoints"} {
+			if _, err := os.Stat(filepath.Join(root, sub)); err == nil {
+				dst := filepath.Join(root, "tenants", serve.DefaultTenant)
+				return fmt.Errorf("tenant: %[1]s is in the old flat single-tenant layout; move it once with: "+
+					"mkdir -p %[2]s && mv %[1]s/wal %[1]s/checkpoints %[1]s/%[3]s %[2]s/",
+					root, dst, specFile)
+			}
+		}
+	}
 	for _, sp := range specs {
 		if _, err := r.Create(sp); err != nil {
 			return err
 		}
 	}
-	if r.opts.Root == "" {
+	if root == "" {
 		return nil
 	}
-	ents, err := os.ReadDir(filepath.Join(r.opts.Root, "tenants"))
+	ents, err := os.ReadDir(filepath.Join(root, "tenants"))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
@@ -349,16 +351,12 @@ func (r *Registry) Boot(specs []Spec) error {
 		if !e.IsDir() {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(r.opts.Root, "tenants", e.Name(), specFile))
+		sp, err := readSpec(filepath.Join(root, "tenants", e.Name()))
 		if errors.Is(err, fs.ErrNotExist) {
 			continue // not a tenant dir (or a partially created one)
 		}
 		if err != nil {
-			return err
-		}
-		var sp Spec
-		if err := json.Unmarshal(b, &sp); err != nil {
-			return fmt.Errorf("tenant %s: corrupt %s: %w", e.Name(), specFile, err)
+			return fmt.Errorf("tenant %s: %w", e.Name(), err)
 		}
 		if sp.ID != e.Name() {
 			return fmt.Errorf("tenant %s: %s names %q", e.Name(), specFile, sp.ID)
@@ -536,7 +534,3 @@ func (t *Tenant) Ingest(ev serve.Event) error {
 	}
 	return t.svc.Ingest(ev)
 }
-
-// tenantHandler wraps the tenant's cached HTTP handler (built once at
-// create time — serve.Service.Handler constructs a fresh mux per call).
-type tenantHandler struct{ h http.Handler }

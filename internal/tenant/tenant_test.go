@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -466,3 +467,65 @@ func TestTenantLifecycleErrors(t *testing.T) {
 }
 
 func errorsIs(err, target error) bool { return errors.Is(err, target) }
+
+// TestBootRefusesFlatLayout: a data root still in the pre-tenant flat
+// layout (wal/ and checkpoints/ directly under it) is refused before
+// anything is created — never read, never shadowed by a fresh default
+// tenant — with an error spelling out the one-time move; after the move
+// the same root boots with its sessions. The spec record Create wrote
+// went through wal.WriteAtomic, so no staging file lingers.
+func TestBootRefusesFlatLayout(t *testing.T) {
+	clk := newFakeClock()
+	root := t.TempDir()
+	model := filepath.Join(t.TempDir(), "m.model")
+	saveModel(t, trainModel(t, "va"), model)
+	specs := []Spec{{ModelPath: model}}
+
+	reg := New(durableOptions(clk, root))
+	if err := reg.Boot(specs); err != nil {
+		t.Fatal(err)
+	}
+	ingestN(t, reg, "", "c1", "va", 4)
+	if err := reg.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "tenants", serve.DefaultTenant)
+	if _, err := os.Stat(filepath.Join(dir, specFile+".tmp")); err == nil {
+		t.Fatal("tenant.json staging file left behind")
+	}
+
+	// The flat layout held the same three entries one level up.
+	for _, sub := range []string{"wal", "checkpoints", specFile} {
+		if err := os.Rename(filepath.Join(dir, sub), filepath.Join(root, sub)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.RemoveAll(filepath.Join(root, "tenants")); err != nil {
+		t.Fatal(err)
+	}
+	err := New(durableOptions(clk, root)).Boot(specs)
+	if err == nil || !strings.Contains(err.Error(), "mv "+root+"/wal") || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("flat-layout Boot = %v, want a refusal naming the move into %s", err, dir)
+	}
+	if _, serr := os.Stat(filepath.Join(root, "tenants")); serr == nil {
+		t.Fatal("refused Boot created tenants/ next to the flat layout")
+	}
+
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"wal", "checkpoints", specFile} {
+		if err := os.Rename(filepath.Join(root, sub), filepath.Join(dir, sub)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg = New(durableOptions(clk, root))
+	if err := reg.Boot(specs); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close(context.Background())
+	tn, _ := reg.Get("")
+	if rst := tn.RestoreStats(); rst.Sessions != 1 || !rst.CleanSeal {
+		t.Fatalf("after the move: %+v, want 1 session from a clean seal", rst)
+	}
+}

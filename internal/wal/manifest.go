@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Layout manifest (schema v2). A WAL directory holding sharded streams
@@ -18,11 +19,10 @@ import (
 //	{"version":2,"shards":8,"remap":true,"from":4}
 //	                                    — a 4→8 resize is in flight
 //
-// A directory with no manifest is either empty (fresh: the opener
-// writes a v2 manifest for its configured shard count) or a v1
-// single-stream layout from before sharding (unprefixed wal-*.log /
-// snap-*.snap files): v1 is read once through the default prefixes and
-// migrated to v2 via the same remap path a resize uses.
+// A directory with no manifest must be empty (fresh: the opener writes
+// a manifest for its configured shard count). One that holds stream
+// files anyway (HasStreamFiles) has an unknown layout and is refused by
+// the opener.
 //
 // The remap protocol is crash-safe by staging, not by in-place
 // rewrite: the merged state of the old layout is first written to
@@ -52,8 +52,8 @@ type Manifest struct {
 	// merged state is durably staged in RemapFile and the stream files
 	// are being replaced. Recovery resumes from the staging file.
 	Remap bool `json:"remap,omitempty"`
-	// From is the shard count the migration started from (0 for a v1
-	// single-stream upgrade; informational).
+	// From is the shard count the migration started from
+	// (informational).
 	From int `json:"from,omitempty"`
 }
 
@@ -65,8 +65,7 @@ func ShardSegmentPrefix(shard int) string { return fmt.Sprintf("wal-shard-%02d-"
 // snap-shard-<i>-<seq>.snap.
 func ShardSnapshotPrefix(shard int) string { return fmt.Sprintf("snap-shard-%02d-", shard) }
 
-// LoadManifest reads dir's layout manifest; ok=false means none exists
-// (fresh or v1 directory).
+// LoadManifest reads dir's layout manifest; ok=false means none exists.
 func LoadManifest(dir string) (Manifest, bool, error) {
 	var m Manifest
 	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -102,34 +101,29 @@ func SaveManifest(dir string, m Manifest) error {
 	})
 }
 
-// HasLegacyStream reports whether dir holds a v1 single-stream layout:
-// default-prefixed segment or snapshot files with no manifest. (The
-// default prefixes never match shard streams — "wal-shard-…" fails the
-// numeric seq parse.)
-func HasLegacyStream(dir string) (bool, error) {
+// isStreamFile matches any stream's files by name: wal-*.log segments
+// and snap-*.snap snapshots regardless of shard prefix.
+func isStreamFile(name string) bool {
+	return strings.HasPrefix(name, defaultSegmentPrefix) && strings.HasSuffix(name, ".log") ||
+		strings.HasPrefix(name, defaultSnapshotPrefix) && strings.HasSuffix(name, ".snap")
+}
+
+// HasStreamFiles reports whether dir holds any stream file. Together
+// with a missing manifest it marks a directory whose layout is unknown.
+func HasStreamFiles(dir string) (bool, error) {
 	ents, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
 	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if _, ok := parseSegmentSeq(e.Name(), defaultSegmentPrefix); ok {
-			return true, nil
-		}
-		if _, ok := parseSnapshotSeq(e.Name(), defaultSnapshotPrefix); ok {
+		if !e.IsDir() && isStreamFile(e.Name()) {
 			return true, nil
 		}
 	}
-	return false, nil
+	return false, err
 }
 
-// RemoveAllStreams deletes every stream file in dir — any wal-*.log
-// segment and snap-*.snap snapshot regardless of prefix — leaving the
+// RemoveAllStreams deletes every stream file in dir, leaving the
 // manifest and the remap staging file alone. The destructive step of
 // the remap protocol, run only after the staged state is durable and
 // the manifest has flipped.
@@ -139,18 +133,10 @@ func RemoveAllStreams(dir string) error {
 		return err
 	}
 	for _, e := range ents {
-		if e.IsDir() {
+		if e.IsDir() || !isStreamFile(e.Name()) {
 			continue
 		}
-		name := e.Name()
-		isSeg := len(name) > len(".log") && name[len(name)-len(".log"):] == ".log" &&
-			len(name) >= len(defaultSegmentPrefix) && name[:len(defaultSegmentPrefix)] == defaultSegmentPrefix
-		isSnap := len(name) > len(".snap") && name[len(name)-len(".snap"):] == ".snap" &&
-			len(name) >= len(defaultSnapshotPrefix) && name[:len(defaultSnapshotPrefix)] == defaultSnapshotPrefix
-		if !isSeg && !isSnap {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
 			return err
 		}
 	}
