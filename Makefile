@@ -1,10 +1,6 @@
 GO ?= go
 
-# Where the bench/load smoke runs land their machine-readable results.
-BENCH_OUT ?= BENCH_PR10.json
-LOAD_OUT ?= BENCH_LOAD.json
-
-.PHONY: all build vet test race check equiv32 fuzz-smoke bench bench-check bench-smoke load-smoke serve-bench clean
+.PHONY: all build vet test race check equiv32 fuzz-smoke bench bench-check clean
 
 all: check
 
@@ -44,6 +40,8 @@ equiv32:
 # contract, and the WAL decoder fuzz smoke.
 check: vet build race equiv32 fuzz-smoke
 
+# The paper-reproduction sweep (one benchmark per table/figure plus the
+# training hot paths). Serving-side performance is bench-check's harness.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
@@ -55,37 +53,6 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -all -smoke
-
-# A fast scoring/training-benchmark pass (sub-minute) that CI runs on
-# every build: it does not gate on throughput numbers, but catches hot
-# paths that break outright or regress catastrophically. The combined
-# text output is converted to $(BENCH_OUT) (serve throughput across
-# the ingest-shard matrix shards={1,4,8} at workers=8, 4-tenant routed
-# ingest, feed front-door lines/sec, batch scoring in both precisions,
-# the memoized scoring sweep across hit rates — each sub-run reports
-# its measured hit% — and training windows/sec) for the CI artifact.
-bench-smoke:
-	{ \
-	  $(GO) test -bench='BenchmarkScoreBatch|BenchmarkScoreBatch32|BenchmarkScoreCached|BenchmarkDetectionScore|BenchmarkServeThroughput|BenchmarkFeedThroughput' -benchtime=100ms -run='^$$' . && \
-	  $(GO) test -bench=BenchmarkTrainEpoch -benchtime=1x -benchmem -run='^$$' . && \
-	  $(GO) test -bench=BenchmarkScoreSequentialTape -benchtime=100ms -run='^$$' ./internal/transdas/ ; \
-	} | tee bench-smoke.out
-	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench-smoke.out
-	@rm -f bench-smoke.out
-
-# A ~20s sustained-load smoke on the closed-loop harness: ucad-loadgen
-# drives the in-process serving plane at a fixed rate (token-bucket
-# paced, MultiGen traffic over 2 tenants) and reports throughput,
-# p50/p99 ingest latency and allocation rates as one go-bench-shaped
-# line, converted to $(LOAD_OUT). Like bench-smoke it does not gate on
-# numbers — it catches the load path breaking outright.
-load-smoke:
-	$(GO) run ./cmd/ucad-loadgen -rate 1500 -duration 15s | tee load-smoke.out
-	$(GO) run ./cmd/benchjson -o $(LOAD_OUT) < load-smoke.out
-	@rm -f load-smoke.out
-
-serve-bench:
-	$(GO) test -bench=BenchmarkServeThroughput -benchmem -run='^$$' .
 
 clean:
 	$(GO) clean ./...

@@ -1,35 +1,23 @@
 package ucad
 
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§6) at ScaleQuick, plus micro-benchmarks of the hot
-// paths (attention forward/backward, tokenization, detection scoring,
-// DBSCAN). Run `go test -bench=. -benchmem` for the full sweep or
+// evaluation (§6) at ScaleQuick, plus micro-benchmarks of the training
+// and preprocessing hot paths (attention forward/backward, one training
+// window, DBSCAN). Serving-side cost — scoring, tokenization, ingest,
+// the feed front door — is measured by bench/ucadbench (bench/README.md),
+// not here. Run `go test -bench=. -benchmem` for the full sweep or
 // `cmd/ucad-experiments -all -scale demo` for the larger printed runs.
 
 import (
-	"bufio"
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/experiments"
-	"github.com/ucad/ucad/internal/feed"
 	"github.com/ucad/ucad/internal/nn"
 	"github.com/ucad/ucad/internal/preprocess"
-	"github.com/ucad/ucad/internal/scorecache"
-	"github.com/ucad/ucad/internal/serve"
-	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/sqlnorm"
-	"github.com/ucad/ucad/internal/tenant"
 	"github.com/ucad/ucad/internal/tensor"
 	"github.com/ucad/ucad/internal/transdas"
 	"github.com/ucad/ucad/internal/workload"
@@ -187,212 +175,6 @@ func BenchmarkTrainingWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainEpoch measures one full training epoch of the
-// data-parallel trainer over a Scenario-I corpus across worker counts
-// and mini-batch sizes. windows/sec is the headline metric; the
-// workers=1/batch=1 cell is the paper's sequential SGD baseline the
-// speedup is measured against. Worker counts above runtime.NumCPU()
-// add no parallelism, so the sweep stops there.
-func BenchmarkTrainEpoch(b *testing.B) {
-	gen := workload.NewGenerator(workload.ScenarioI(), 1)
-	sessions := gen.GenerateSessions(40)
-	v := sqlnorm.NewVocabulary()
-	keySeqs := make([][]int, len(sessions))
-	for i, s := range sessions {
-		keys := make([]int, len(s.Ops))
-		for j := range s.Ops {
-			keys[j] = v.Learn(s.Ops[j].SQL)
-		}
-		keySeqs[i] = keys
-	}
-
-	workerCounts := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
-		for _, batch := range []int{1, 16} {
-			b.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(b *testing.B) {
-				cfg := transdas.DefaultConfig(v.Size())
-				cfg.Epochs = 1
-				cfg.TrainWorkers = workers
-				cfg.BatchSize = batch
-				m := transdas.New(cfg)
-				b.ReportAllocs()
-				b.ResetTimer()
-				var windows int
-				for i := 0; i < b.N; i++ {
-					res := m.Train(keySeqs, nil)
-					windows = res.Windows
-				}
-				if elapsed := b.Elapsed(); elapsed > 0 && windows > 0 {
-					b.ReportMetric(float64(b.N)*float64(windows)/elapsed.Seconds(), "windows/sec")
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkDetectionScore(b *testing.B) {
-	cfg := transdas.DefaultConfig(600)
-	cfg.Hidden, cfg.Heads = 64, 8
-	m := transdas.New(cfg)
-	ctx := make([]int, 30)
-	for i := range ctx {
-		ctx[i] = 1 + i
-	}
-	// The serving shape: one reused similarity buffer across the scan
-	// loop, so the steady state allocates nothing per scored operation.
-	var buf []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = m.ScoreNextInto(buf, ctx)
-	}
-}
-
-// BenchmarkScoreCached measures the memoized scoring path across target
-// hit rates on the BenchmarkScoreBatch model with the default cache
-// size. hit0 is the pure-overhead floor (every lookup misses and pays
-// hash + insert on top of the forward pass); hit95 approximates a
-// steady OLTP workload where most contexts repeat. Compare ns/op
-// against BenchmarkScoreBatch/batch1 for the memoization win.
-func BenchmarkScoreCached(b *testing.B) {
-	cfg := transdas.DefaultConfig(600)
-	cfg.Hidden, cfg.Heads = 64, 8
-	m := transdas.New(cfg)
-	rng := rand.New(rand.NewSource(1))
-	for _, hitPct := range []int{0, 50, 95} {
-		b.Run(fmt.Sprintf("hit%d", hitPct), func(b *testing.B) {
-			c := scorecache.New(4096)
-			m.SetScoreCache(c)
-			defer m.SetScoreCache(nil)
-			// Warm working set, scored once so it is resident; the hit
-			// schedule cycles over it (95% of traffic keeps it LRU-hot).
-			warm := make([][]int, 64)
-			for i := range warm {
-				warm[i] = make([]int, 30)
-				for j := range warm[i] {
-					warm[i][j] = 1 + rng.Intn(cfg.Vocab-1)
-				}
-			}
-			s := m.NewScorer()
-			s.ScoreBatch(warm)
-			// Misses replay one template mutated to a never-seen prefix, so
-			// every miss is a distinct context no matter how long the run.
-			missCtx := append([]int(nil), warm[0]...)
-			missSeq := 0
-			base := c.Stats()
-			one := make([][]int, 1)
-			var dst [][]float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%100 < hitPct {
-					one[0] = warm[i%len(warm)]
-				} else {
-					missSeq++
-					missCtx[0] = 1 + missSeq%(cfg.Vocab-1)
-					missCtx[1] = 1 + (missSeq/(cfg.Vocab-1))%(cfg.Vocab-1)
-					missCtx[2] = 1 + (missSeq/((cfg.Vocab-1)*(cfg.Vocab-1)))%(cfg.Vocab-1)
-					one[0] = missCtx
-				}
-				dst = s.ScoreBatchInto(dst, one)
-			}
-			b.StopTimer()
-			st := c.Stats()
-			if total := float64(st.Hits - base.Hits + st.Misses - base.Misses); total > 0 {
-				b.ReportMetric(100*float64(st.Hits-base.Hits)/total, "hit%")
-			}
-		})
-	}
-}
-
-// BenchmarkScoreBatch32 is BenchmarkScoreBatch on the float32 scoring
-// kernel (frozen single-precision weight snapshot, register-blocked
-// float32 matmuls). Compare ns/op-scored against BenchmarkScoreBatch at
-// the same batch size for the single-precision speedup.
-func BenchmarkScoreBatch32(b *testing.B) {
-	cfg := transdas.DefaultConfig(600)
-	cfg.Hidden, cfg.Heads = 64, 8
-	m := transdas.New(cfg)
-	m.SetScorePrecision(transdas.PrecisionFloat32)
-	rng := rand.New(rand.NewSource(1))
-	for _, size := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
-			ctxs := make([][]int, size)
-			for i := range ctxs {
-				ctxs[i] = make([]int, 30)
-				for j := range ctxs[i] {
-					ctxs[i][j] = 1 + rng.Intn(cfg.Vocab-1)
-				}
-			}
-			s := m.NewScorer()
-			var dst [][]float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = s.ScoreBatchInto(dst, ctxs)
-			}
-			elapsed := b.Elapsed()
-			if elapsed > 0 {
-				ops := float64(b.N) * float64(size)
-				b.ReportMetric(ops/elapsed.Seconds(), "ops/s")
-				b.ReportMetric(float64(elapsed.Nanoseconds())/ops, "ns/op-scored")
-			}
-		})
-	}
-}
-
-// BenchmarkScoreBatch measures the batch-first Scorer across micro-batch
-// sizes on the BenchmarkDetectionScore model. The ns/op-scored metric is
-// the per-operation cost; compare it against BenchmarkDetectionScore and
-// transdas's BenchmarkScoreSequentialTape (the tape-based per-op path
-// the Scorer replaces) to see the fused-batch win.
-func BenchmarkScoreBatch(b *testing.B) {
-	cfg := transdas.DefaultConfig(600)
-	cfg.Hidden, cfg.Heads = 64, 8
-	m := transdas.New(cfg)
-	rng := rand.New(rand.NewSource(1))
-	for _, size := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
-			ctxs := make([][]int, size)
-			for i := range ctxs {
-				ctxs[i] = make([]int, 30)
-				for j := range ctxs[i] {
-					ctxs[i][j] = 1 + rng.Intn(cfg.Vocab-1)
-				}
-			}
-			s := m.NewScorer()
-			var dst [][]float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = s.ScoreBatchInto(dst, ctxs)
-			}
-			elapsed := b.Elapsed()
-			if elapsed > 0 {
-				ops := float64(b.N) * float64(size)
-				b.ReportMetric(ops/elapsed.Seconds(), "ops/s")
-				b.ReportMetric(float64(elapsed.Nanoseconds())/ops, "ns/op-scored")
-			}
-		})
-	}
-}
-
-func BenchmarkTokenizeStatement(b *testing.B) {
-	const stmt = "SELECT * FROM t_cell_fp_3 WHERE pnci=12345 and gridId IN (17, 18, 19, 20, 21, 22)"
-	v := sqlnorm.NewVocabulary()
-	v.Learn(stmt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v.Key(stmt) == 0 {
-			b.Fatal("tokenization failed")
-		}
-	}
-}
-
 func BenchmarkDBSCANSessions(b *testing.B) {
 	gen := workload.NewGenerator(workload.ScenarioI(), 3)
 	sessions := gen.GenerateSessions(150)
@@ -410,228 +192,4 @@ func BenchmarkDBSCANSessions(b *testing.B) {
 			return preprocess.JaccardDistance(profiles[x], profiles[y])
 		}, 0.6, 3)
 	}
-}
-
-// benchServeModel trains the tiny detector the serving benchmarks
-// share, returning it with the statement pool it was trained on.
-func benchServeModel(b *testing.B) (*core.UCAD, []string) {
-	b.Helper()
-	stmts := make([]string, 20)
-	for i := range stmts {
-		stmts[i] = fmt.Sprintf("SELECT * FROM t_bench_%d WHERE id = %d", i%8, i)
-	}
-	train := make([]*session.Session, 16)
-	for i := range train {
-		s := &session.Session{ID: fmt.Sprintf("t%d", i), User: "app"}
-		for p := 0; p < 12; p++ {
-			s.Ops = append(s.Ops, session.Operation{SQL: stmts[(i+p)%len(stmts)]})
-		}
-		train[i] = s
-	}
-	cfg := core.DefaultConfig()
-	cfg.SkipClean = true
-	cfg.Model.Hidden = 4
-	cfg.Model.Heads = 2
-	cfg.Model.Blocks = 1
-	cfg.Model.Window = 8
-	cfg.Model.Epochs = 2
-	cfg.Model.Dropout = 0
-	u, err := core.Train(cfg, train, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return u, stmts
-}
-
-// BenchmarkServeThroughput pushes a raw event stream through the full
-// serving pipeline — per-client session assembly plus the concurrent
-// scoring pool — and reports events/sec across ingest shard counts
-// (the HTTP layer is bypassed). Ingest runs from GOMAXPROCS goroutines
-// with disjoint client sets, so the shards dimension measures real
-// cross-client parallelism: shards=1 serializes every append on one
-// session-map mutex and one scoring queue, while shards=8 spreads
-// clients across independent shard locks and queues.
-func BenchmarkServeThroughput(b *testing.B) {
-	u, stmts := benchServeModel(b)
-	// Production serving runs with memoization on; the small template
-	// pool here makes the cache hot, as a steady OLTP workload would.
-	u.Model.SetScoreCache(scorecache.New(4096))
-
-	const workers = 8
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-			svc := serve.NewService(u, serve.Config{
-				Workers:     workers,
-				Shards:      shards,
-				QueueSize:   8192,
-				Batch:       16,
-				IdleTimeout: time.Hour,
-			})
-			var nextG atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				g := nextG.Add(1)
-				const clients = 8
-				ids := make([]string, clients)
-				for c := range ids {
-					ids[c] = fmt.Sprintf("bench-%d-client-%d", g, c)
-				}
-				i := 0
-				for pb.Next() {
-					ev := serve.Event{ClientID: ids[i%clients], User: "app", SQL: stmts[i%len(stmts)]}
-					for svc.Ingest(ev) == serve.ErrBusy {
-						runtime.Gosched() // backpressure: wait for the pool
-					}
-					i++
-				}
-			})
-			svc.Drain()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-			svc.Stop()
-		})
-	}
-}
-
-// BenchmarkServeThroughputMultiTenant drives the same stream through a
-// tenant registry fanned across four tenants (each with its own model
-// copy, pipeline, and single scoring worker) — the routed-ingest
-// overhead on top of BenchmarkServeThroughput is the read-lock lookup
-// plus the per-tenant metrics view.
-func BenchmarkServeThroughputMultiTenant(b *testing.B) {
-	u, stmts := benchServeModel(b)
-	clone := func() *core.UCAD {
-		var buf bytes.Buffer
-		if err := u.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
-		c, err := core.Load(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-
-	const tenants = 4
-	b.Run(fmt.Sprintf("tenants=%d/workers=1", tenants), func(b *testing.B) {
-		reg := tenant.New(tenant.Options{Serve: serve.Config{
-			Workers:     1,
-			QueueSize:   4096,
-			Batch:       16,
-			IdleTimeout: time.Hour,
-		}})
-		defer reg.Close(context.Background())
-		names := make([]string, tenants)
-		ids := make([][]string, tenants)
-		const clients = 32
-		for i := range names {
-			names[i] = fmt.Sprintf("bench%d", i)
-			if _, err := reg.CreateFromModel(tenant.Spec{ID: names[i]}, clone()); err != nil {
-				b.Fatal(err)
-			}
-			ids[i] = make([]string, clients)
-			for c := range ids[i] {
-				ids[i][c] = fmt.Sprintf("%s-client-%d", names[i], c)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tn := i % tenants
-			ev := serve.Event{
-				Tenant:   names[tn],
-				ClientID: ids[tn][(i/tenants)%clients],
-				User:     "app",
-				SQL:      stmts[i%len(stmts)],
-			}
-			for reg.Ingest(ev) == serve.ErrBusy {
-				runtime.Gosched() // backpressure: wait for the pool
-			}
-		}
-		for _, tn := range reg.List() {
-			tn.Service().Drain()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-	})
-}
-
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gen := workload.NewGenerator(workload.ScenarioI(), int64(i))
-		gen.GenerateSessions(100)
-	}
-}
-
-// BenchmarkFeedThroughput drives the streaming front door end to end:
-// a pre-written JSONL audit log is tailed, parsed, sessionized, and
-// delivered in batches (with per-batch offset checkpoints) into the
-// full serving pipeline. Reports audit lines/sec through the whole
-// chain.
-func BenchmarkFeedThroughput(b *testing.B) {
-	u, stmts := benchServeModel(b)
-	dir := b.TempDir()
-	logPath := filepath.Join(dir, "audit.jsonl")
-
-	const clients = 32
-	f, err := os.Create(logPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	enc := json.NewEncoder(w)
-	for i := 0; i < b.N; i++ {
-		op := session.Operation{
-			User:      "app",
-			Addr:      "10.0.0.1",
-			SessionID: fmt.Sprintf("bench-client-%d", i%clients),
-			SQL:       stmts[i%len(stmts)],
-		}
-		if err := enc.Encode(op); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	f.Close()
-
-	svc := serve.NewService(u, serve.Config{
-		Workers:     4,
-		QueueSize:   4096,
-		Batch:       16,
-		IdleTimeout: time.Hour,
-	})
-	defer svc.Stop()
-
-	tailer, err := feed.NewTailer(feed.TailerConfig{Path: logPath, Poll: time.Millisecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	feeder, err := feed.NewFeeder(feed.FeederConfig{
-		Source:         tailer,
-		Deliver:        &feed.ServiceDeliverer{Svc: svc},
-		CheckpointPath: filepath.Join(dir, "feed.ckpt"),
-		BatchSize:      256,
-		FlushInterval:  time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- feeder.Run(ctx) }()
-	for svc.Stats().EventsAccepted < int64(b.N) {
-		runtime.Gosched()
-	}
-	cancel()
-	<-done
-	svc.Drain()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lines/sec")
 }

@@ -1,23 +1,13 @@
 // Command ucad-feed is the streaming front door: it tails a database
 // audit log (JSONL or CSV), normalizes and sessionizes the statements,
-// and delivers them in batches to a ucad-serve /v1/events endpoint — or,
-// with -model instead of -serve-url, scores them in-process against an
-// embedded serving pipeline (the single-binary wiring: no HTTP hop, the
-// feeder's batches ingest straight into a serve.Service).
+// and delivers them in batches to a ucad-serve /v1/events endpoint.
 //
 // Usage:
 //
 //	ucad-feed -source audit.jsonl -serve-url http://127.0.0.1:8844 \
 //	          [-format jsonl] [-tenant default] [-offset-dir DIR] \
 //	          [-batch 64] [-flush-interval 200ms] [-poll 50ms] \
-//	          [-session-idle 10m] [-metrics-addr :9144]
-//	ucad-feed -source audit.jsonl -model ucad.model \
-//	          [-score-precision float32] [-score-cache-size 4096] ...
-//
-// Embedded mode accepts the inference fast-path flags: -score-precision
-// selects the scoring kernel (float64 reference or float32 fast path)
-// and -score-cache-size memoizes similarity rows for repeated contexts;
-// shutdown prints the scored/flagged totals and the cache hit rate.
+//	          [-session-idle 10m] [-failover-rewind 30s] [-metrics-addr :9144]
 //
 // With -offset-dir the feeder is resumable: after every acknowledged
 // batch it atomically commits a checkpoint — the byte offset of the
@@ -55,11 +45,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/feed"
-	"github.com/ucad/ucad/internal/scorecache"
-	"github.com/ucad/ucad/internal/serve"
-	"github.com/ucad/ucad/internal/transdas"
 )
 
 func main() {
@@ -74,14 +60,10 @@ func main() {
 	poll := flag.Duration("poll", 50*time.Millisecond, "file poll period once caught up")
 	sessionIdle := flag.Duration("session-idle", 10*time.Minute, "sessionization idle cut-off (match the server's -idle-timeout)")
 	metricsAddr := flag.String("metrics-addr", "", "expose feeder /metrics and /healthz here; empty disables")
-	modelPath := flag.String("model", "", "embedded mode: score in-process against this trained model instead of delivering to -serve-url")
-	workers := flag.Int("workers", 2, "embedded mode: scoring worker-pool size")
-	cacheSize := flag.Int("score-cache-size", 4096, "embedded mode: similarity rows memoized (0 disables the score cache)")
-	precision := flag.String("score-precision", "float64", "embedded mode: scoring kernel, float64 (reference) or float32 (fast path)")
 	flag.Parse()
 
-	if *source == "" || (*serveURL == "") == (*modelPath == "") {
-		fmt.Fprintln(os.Stderr, "ucad-feed: -source and exactly one of -serve-url or -model are required")
+	if *source == "" || *serveURL == "" {
+		fmt.Fprintln(os.Stderr, "ucad-feed: -source and -serve-url are required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -105,44 +87,20 @@ func main() {
 		ckptPath = filepath.Join(*offsetDir, checkpointName(sourceName))
 	}
 
-	// Delivery target: a remote ucad-serve, or an embedded in-process
-	// serving pipeline scoring straight off the tail.
-	var deliver feed.Deliverer
-	var embedded *serve.Service
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		fatalIf(err)
-		u, err := core.Load(f)
-		f.Close()
-		fatalIf(err)
-		prec, err := transdas.ParsePrecision(*precision)
-		fatalIf(err)
-		u.Model.SetScorePrecision(prec)
-		if *cacheSize > 0 {
-			u.Model.SetScoreCache(scorecache.New(*cacheSize))
+	var urls []string
+	for _, u := range strings.Split(*serveURL, ",") {
+		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
+			urls = append(urls, u)
 		}
-		embedded = serve.NewService(u, serve.Config{
-			Workers:     *workers,
-			IdleTimeout: *sessionIdle,
-		})
-		embedded.Start()
-		deliver = &feed.ServiceDeliverer{Svc: embedded, Metrics: sm}
-	} else {
-		var urls []string
-		for _, u := range strings.Split(*serveURL, ",") {
-			if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
-				urls = append(urls, u)
-			}
-		}
-		if len(urls) == 0 {
-			fatalIf(fmt.Errorf("-serve-url %q contains no URLs", *serveURL))
-		}
-		deliver = &feed.HTTPDeliverer{
-			URL:     urls[0],
-			URLs:    urls,
-			Tenant:  *tenantID,
-			Metrics: sm,
-		}
+	}
+	if len(urls) == 0 {
+		fatalIf(fmt.Errorf("-serve-url %q contains no URLs", *serveURL))
+	}
+	deliver := &feed.HTTPDeliverer{
+		URL:     urls[0],
+		URLs:    urls,
+		Tenant:  *tenantID,
+		Metrics: sm,
 	}
 
 	feeder, err := feed.NewFeeder(feed.FeederConfig{
@@ -178,12 +136,8 @@ func main() {
 	if ckptPath != "" {
 		resume = "checkpoints in " + ckptPath
 	}
-	target := *serveURL
-	if embedded != nil {
-		target = fmt.Sprintf("embedded %s (%s kernel, score cache %d rows)", *modelPath, *precision, *cacheSize)
-	}
 	fmt.Printf("feeding %s (%s) -> %s tenant=%q batch=%d (%s)\n",
-		*source, *format, target, *tenantID, *batch, resume)
+		*source, *format, *serveURL, *tenantID, *batch, resume)
 
 	err = feeder.Run(ctx)
 	switch {
@@ -191,18 +145,6 @@ func main() {
 		fmt.Println("ucad-feed: drained, shutting down")
 	default:
 		fatalIf(err)
-	}
-	if embedded != nil {
-		embedded.Drain()
-		st := embedded.Stats()
-		fmt.Printf("embedded scoring: %d ops scored, %d mid-session flags, %d alerts; score cache %d hits / %d misses (hit rate %.1f%%)\n",
-			st.OpsScored, st.MidSessionFlags, st.AlertsRaised,
-			st.ScoreCacheHits, st.ScoreCacheMisses, 100*st.ScoreCacheHitRate)
-		shctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := embedded.Close(shctx); err != nil {
-			fmt.Fprintln(os.Stderr, "ucad-feed: embedded service close:", err)
-		}
-		cancel()
 	}
 }
 

@@ -221,7 +221,6 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 		"-workers", "2",
 		"-queue", "4096",
 		// Sessions must stay open across the crash: no idle close-outs.
-		"-sweep-every", "1h",
 		"-idle-timeout", "1h",
 		"-snapshot-interval", "0",
 	}

@@ -187,7 +187,6 @@ func TestE2EFailoverZeroLoss(t *testing.T) {
 		"-shards", "2",
 		"-queue", "4096",
 		// Sessions must stay open across the failover: no idle close-outs.
-		"-sweep-every", "1h",
 		"-idle-timeout", "1h",
 	}
 	// Tiny segments and a fast snapshot loop so the primary seals and

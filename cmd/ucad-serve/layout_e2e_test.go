@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -54,7 +55,7 @@ func TestE2ESingleTenantLayout(t *testing.T) {
 	args := []string{
 		"-model", model, "-data-dir", dataDir, "-addr", addr,
 		"-fsync", "always", "-workers", "2", "-shards", "2",
-		"-sweep-every", "1h", "-idle-timeout", "1h",
+		"-idle-timeout", "1h",
 		// Tiny segments and frequent snapshots seal state fast enough for
 		// the standby to have something to mirror.
 		"-segment-bytes", "512", "-snapshot-interval", "200ms",
@@ -186,4 +187,32 @@ func TestE2ESingleTenantLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	refused("manifest-less WAL", "MANIFEST.json", "move the stream files")
+}
+
+// TestE2EBindBeforeBoot: a second process on a taken port exits
+// non-zero before it opens (or creates) anything under its data dir —
+// no tenant WAL is left unsealed by a mistyped -addr.
+func TestE2EBindBeforeBoot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	root := t.TempDir()
+	model := filepath.Join(root, "m.model")
+	saveModel(t, trainOn(t, workload.NewScenarioSource(workload.ScenarioI(), 101, 0), 12), model)
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	dataDir := filepath.Join(root, "data")
+	c := startChild(t, "-model", model, "-data-dir", dataDir, "-addr", taken.Addr().String())
+	if err := c.cmd.Wait(); err == nil {
+		t.Fatalf("ucad-serve on a taken port exited zero; output:\n%s", c.log())
+	}
+	if !strings.Contains(c.log(), taken.Addr().String()) {
+		t.Fatalf("output does not name the address:\n%s", c.log())
+	}
+	if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
+		t.Fatalf("refused start touched the data dir (stat err %v): %v", err, tree(t, dataDir))
+	}
 }

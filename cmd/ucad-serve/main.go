@@ -6,9 +6,18 @@
 //
 // Usage:
 //
-//	ucad-serve -model ucad.model [-addr :8844] [-workers 4] [-shards N] [-data-dir DIR] [-fsync always] [-pprof]
-//	ucad-serve -tenants tenants.json -data-dir DIR [-addr :8844] ...
-//	ucad-serve -data-dir DIR -replicate-from http://primary:8844 [-auto-promote-after 30s]
+//	ucad-serve -model ucad.model [-addr :8844] [-pprof]
+//	           [-workers N] [-shards N] [-queue N] [-batch N] [-idle-timeout D]
+//	           [-score-precision float64|float32] [-score-cache-size ROWS]
+//	           [-retrain-after N] [-retrain-epochs N] [-train-workers N] [-batch-size N]
+//	           [-max-resolved-alerts N] [-resolved-alert-ttl D]
+//	           [-data-dir DIR] [-fsync always|interval|never] [-snapshot-interval D] [-segment-bytes N]
+//	ucad-serve -tenants tenants.json -data-dir DIR ...
+//	ucad-serve -data-dir DIR -replicate-from http://primary:8844 [-replica-poll D] [-auto-promote-after D] ...
+//
+// That is the whole flag surface (ucad-serve -h prints the defaults);
+// flags_test.go fails when a flag is added or removed without this
+// block and README following.
 //
 // Without -tenants the process serves exactly one tenant, "default",
 // from -model — the same registry, API and <data-dir>/tenants/default/
@@ -25,6 +34,9 @@
 // directly under -data-dir) is refused at boot; move it once:
 //
 //	mkdir -p DIR/tenants/default && mv DIR/wal DIR/checkpoints DIR/tenant.json DIR/tenants/default/
+//
+// A client's session closes after -idle-timeout of inactivity; the
+// close-out sweep runs every quarter of that, within 250ms..15s.
 //
 // Ingestion is sharded: sessions partition across -shards assembler
 // shards by client hash, each shard owning its own session map, WAL
@@ -71,6 +83,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -88,35 +101,35 @@ import (
 	"github.com/ucad/ucad/internal/wal"
 )
 
+// shutdownTimeout is the graceful shutdown budget on SIGTERM/SIGINT.
+const shutdownTimeout = 10 * time.Second
+
 func main() {
+	def := serve.DefaultConfig()
 	modelPath := flag.String("model", "ucad.model", "trained model file (ucad train); the default for tenants without one")
 	tenantsFile := flag.String("tenants", "", "JSON tenant specs ([{\"id\":...,\"model\":...}]); empty serves a single default tenant")
 	addr := flag.String("addr", ":8844", "HTTP listen address")
-	workers := flag.Int("workers", 4, "scoring worker-pool size per tenant")
+	workers := flag.Int("workers", def.Workers, "scoring worker-pool size per tenant")
 	shards := flag.Int("shards", 0, "ingest shards per tenant (sessions partitioned by client hash; <=0 uses all CPUs)")
-	queue := flag.Int("queue", 1024, "scoring queue capacity per tenant (backpressure bound)")
-	batch := flag.Int("batch", 16, "scoring micro-batch size per worker pass")
-	idle := flag.Duration("idle-timeout", 10*time.Minute, "close a client session after this inactivity")
-	sweep := flag.Duration("sweep-every", 15*time.Second, "idle close-out sweep period")
+	queue := flag.Int("queue", def.QueueSize, "scoring queue capacity per tenant (backpressure bound)")
+	batch := flag.Int("batch", def.Batch, "scoring micro-batch size per worker pass")
+	idle := flag.Duration("idle-timeout", def.IdleTimeout, "close a client session after this inactivity (swept every quarter of it, within 250ms..15s)")
 	retrainAfter := flag.Int("retrain-after", 0, "fine-tune a tenant when its verified pool reaches this many sessions (0 disables)")
-	retrainEpochs := flag.Int("retrain-epochs", 2, "epochs per fine-tune round")
+	retrainEpochs := flag.Int("retrain-epochs", def.RetrainEpochs, "epochs per fine-tune round")
 	trainWorkers := flag.Int("train-workers", 0, "data-parallel workers per fine-tune round (<=0 uses all CPUs)")
 	batchSize := flag.Int("batch-size", 16, "windows per SGD step during fine-tune (gradients summed across the mini-batch)")
-	maxResolved := flag.Int("max-resolved-alerts", 4096, "resolved alerts retained in memory per tenant (negative = unbounded)")
-	resolvedTTL := flag.Duration("resolved-alert-ttl", 24*time.Hour, "evict resolved alerts after this age (negative disables)")
+	maxResolved := flag.Int("max-resolved-alerts", def.MaxResolvedAlerts, "resolved alerts retained in memory per tenant (negative = unbounded)")
+	resolvedTTL := flag.Duration("resolved-alert-ttl", def.ResolvedAlertTTL, "evict resolved alerts after this age (negative disables)")
 	dataDir := flag.String("data-dir", "", "durability root (per-tenant WAL + snapshots + checkpoints); empty disables durability")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (durable per event), interval, never")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background WAL flush period under -fsync=interval")
 	snapshotEvery := flag.Duration("snapshot-interval", time.Minute, "open-session snapshot/compaction period (0 disables the loop)")
-	segmentBytes := flag.Int64("segment-bytes", 64<<20, "WAL segment rotation cap in bytes")
-	shutdownWait := flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM/SIGINT")
+	segmentBytes := flag.Int64("segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation cap in bytes")
 	pprofOn := flag.Bool("pprof", false, "expose Go profiling under /debug/pprof/")
 	cacheSize := flag.Int("score-cache-size", 4096, "similarity rows memoized per tenant (0 disables the score cache)")
 	precision := flag.String("score-precision", "float64", "scoring kernel: float64 (reference) or float32 (fast path, scores within 1e-4)")
 	replicateFrom := flag.String("replicate-from", "", "primary base URL to follow as a warm standby (requires -data-dir; tenants mirror from the primary and serve after POST /v1/promote)")
 	replicaPoll := flag.Duration("replica-poll", 2*time.Second, "standby sync period under -replicate-from")
 	autoPromote := flag.Duration("auto-promote-after", 0, "standby self-promotes after the primary has been unreachable this long (0 = manual promotion only)")
-	warmCache := flag.Bool("warm-score-cache", true, "pre-warm each replica tenant's score cache while replaying shipped WAL (standby mode)")
 	flag.Parse()
 
 	policy, err := wal.ParseSyncPolicy(*fsync)
@@ -146,6 +159,12 @@ func main() {
 		fatalIf(fmt.Errorf("-replicate-from requires -data-dir (the standby persists the mirrored WAL)"))
 	}
 
+	// Bind before boot: an occupied or mistyped -addr must fail before any
+	// tenant's WAL is opened, or the exit would leave every log unsealed
+	// and turn the next start into a crash recovery.
+	ln, err := net.Listen("tcp", *addr)
+	fatalIf(err)
+
 	var follower *replica.Follower
 	opts := tenant.Options{
 		Root: *dataDir,
@@ -166,7 +185,7 @@ func main() {
 			QueueSize:         *queue,
 			Batch:             *batch,
 			IdleTimeout:       *idle,
-			SweepEvery:        *sweep,
+			SweepEvery:        min(max(*idle/4, 250*time.Millisecond), def.SweepEvery),
 			RetrainAfter:      *retrainAfter,
 			RetrainEpochs:     *retrainEpochs,
 			MaxResolvedAlerts: *maxResolved,
@@ -174,7 +193,6 @@ func main() {
 		},
 		Durability: serve.DurabilityConfig{
 			Fsync:         policy,
-			FsyncInterval: *fsyncInterval,
 			SegmentBytes:  *segmentBytes,
 			SnapshotEvery: *snapshotEvery,
 		},
@@ -237,7 +255,6 @@ func main() {
 			PrimaryURL:       *replicateFrom,
 			Root:             *dataDir,
 			Interval:         *replicaPoll,
-			WarmScoreCache:   *warmCache,
 			AutoPromoteAfter: *autoPromote,
 			Metrics:          replMetrics,
 			OpenTarget: func(id, dir string) (replica.Target, error) {
@@ -278,9 +295,9 @@ func main() {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Handler: mux}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	fmt.Printf("serving %d tenant(s) on %s with %d workers each (queue %d, idle timeout %s)\n",
 		len(reg.List()), *addr, *workers, *queue, *idle)
 	fmt.Printf("observability: GET /metrics (Prometheus text, tenant-labelled)")
@@ -302,7 +319,7 @@ func main() {
 	// durable tenants drain their queues, snapshot their open sessions
 	// (they come back on the next boot) and seal their logs; non-durable
 	// ones flush open sessions through close-out detection instead.
-	ctx, cancel := context.WithTimeout(context.Background(), *shutdownWait)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	srv.Shutdown(ctx)
 	if err := reg.Close(ctx); err != nil {

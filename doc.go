@@ -6,7 +6,8 @@
 // the cmd/ binaries and examples/; see README.md for the architecture
 // and DESIGN.md for the per-experiment reproduction index. The
 // benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation at a CI-friendly scale.
+// paper's evaluation at a CI-friendly scale; the serving system is
+// measured by bench/ucadbench (see bench/README.md).
 package ucad
 
 // Version identifies the reproduction release.

@@ -62,42 +62,6 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// ServiceDeliverer ingests events directly into an in-process
-// serve.Service (the single-binary wiring). Backpressure (ErrBusy) is
-// retried with backoff; invalid events are skipped.
-type ServiceDeliverer struct {
-	Svc     *serve.Service
-	Backoff Backoff
-	Metrics *SourceMetrics
-}
-
-// Deliver implements Deliverer.
-func (d *ServiceDeliverer) Deliver(ctx context.Context, events []serve.Event) error {
-	for _, ev := range events {
-		for attempt := 0; ; attempt++ {
-			err := d.Svc.Ingest(ev)
-			switch {
-			case err == nil:
-				d.Metrics.delivered(1)
-			case errors.Is(err, serve.ErrInvalid):
-				// The server can never accept it; dropping beats wedging
-				// the stream.
-				d.Metrics.dropped(1)
-			case errors.Is(err, serve.ErrBusy):
-				d.Metrics.retried()
-				if serr := sleep(ctx, d.Backoff.delay(attempt)); serr != nil {
-					return serr
-				}
-				continue
-			default:
-				return fmt.Errorf("feed: ingest: %w", err)
-			}
-			break
-		}
-	}
-	return nil
-}
-
 // HTTPDeliverer posts event batches to a ucad-serve (or multi-tenant
 // router) /v1/events endpoint. Tenant routing follows the server's
 // precedence: each event's body tenant field wins, the X-UCAD-Tenant

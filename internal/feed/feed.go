@@ -1,12 +1,10 @@
 // Package feed is the streaming SQL front door: it closes the loop from
-// a raw DBMS audit trail to alerts. A pluggable Source yields executed
-// operations (an in-process minidb hook, or a JSONL/CSV file tailer
-// that follows log rotation), a Sessionizer groups them into
-// per-connection sessions with an event-time idle cut-off and stamps
-// each event with its 1-based sequence number and session epoch, and a
-// Deliverer hands batches to the
-// serving layer — direct serve.Service calls in-process, or an HTTP
-// client with retry/backoff and tenant routing against a remote
+// a raw DBMS audit trail to alerts. A Source yields executed operations
+// (the JSONL/CSV file tailer, which follows log rotation), a Sessionizer
+// groups them into per-connection sessions with an event-time idle
+// cut-off and stamps each event with its 1-based sequence number and
+// session epoch, and a Deliverer hands batches to the serving layer: an
+// HTTP client with retry/backoff and tenant routing against a remote
 // ucad-serve.
 //
 // Delivery is at-least-once: the Feeder commits its resume state (file

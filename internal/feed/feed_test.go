@@ -310,32 +310,6 @@ func TestParseCSVLine(t *testing.T) {
 	}
 }
 
-func TestDBSourceBuffersAndDrains(t *testing.T) {
-	src := NewDBSource(4)
-	for i := 0; i < 3; i++ {
-		if err := src.Append(session.Operation{SQL: fmt.Sprintf("SELECT %d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src.Close()
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		op, err := src.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if op.SQL != fmt.Sprintf("SELECT %d", i) {
-			t.Fatalf("op %d: %q", i, op.SQL)
-		}
-	}
-	if _, err := src.Next(ctx); !errors.Is(err, io.EOF) {
-		t.Fatalf("drained source: err = %v, want io.EOF", err)
-	}
-	if err := src.Append(session.Operation{SQL: "SELECT 9"}); !errors.Is(err, ErrSourceClosed) {
-		t.Fatalf("append after close: %v", err)
-	}
-}
-
 func TestSessionizerSeqAndIdleCut(t *testing.T) {
 	clk := newFakeClock()
 	z := NewSessionizer(time.Minute, clk.Now)
@@ -363,6 +337,43 @@ func TestSessionizerSeqAndIdleCut(t *testing.T) {
 	if ev := z2.Event("", session.Operation{SessionID: "c1", SQL: "SELECT 1", Time: base.Add(5*time.Minute + time.Second)}); ev.Seq != 2 {
 		t.Fatalf("restored Seq = %d, want 2", ev.Seq)
 	}
+}
+
+// ServiceDeliverer ingests events directly into an in-process
+// serve.Service: the tests' stand-in for a ucad-serve behind HTTP.
+// Backpressure (ErrBusy) is retried with backoff; invalid events are
+// skipped.
+type ServiceDeliverer struct {
+	Svc     *serve.Service
+	Backoff Backoff
+	Metrics *SourceMetrics
+}
+
+// Deliver implements Deliverer.
+func (d *ServiceDeliverer) Deliver(ctx context.Context, events []serve.Event) error {
+	for _, ev := range events {
+		for attempt := 0; ; attempt++ {
+			err := d.Svc.Ingest(ev)
+			switch {
+			case err == nil:
+				d.Metrics.delivered(1)
+			case errors.Is(err, serve.ErrInvalid):
+				// The server can never accept it; dropping beats wedging
+				// the stream.
+				d.Metrics.dropped(1)
+			case errors.Is(err, serve.ErrBusy):
+				d.Metrics.retried()
+				if serr := sleep(ctx, d.Backoff.delay(attempt)); serr != nil {
+					return serr
+				}
+				continue
+			default:
+				return fmt.Errorf("feed: ingest: %w", err)
+			}
+			break
+		}
+	}
+	return nil
 }
 
 // crashDeliverer delivers through the inner deliverer, then simulates a
@@ -570,14 +581,21 @@ func TestFeederReplayFromScratchIsIdempotent(t *testing.T) {
 	}
 }
 
+// unpositionedSource has no durable position: the feeder checkpoints it
+// with Pos.Kind "none".
+type unpositionedSource struct{}
+
+func (unpositionedSource) Next(context.Context) (session.Operation, error) {
+	return session.Operation{}, io.EOF
+}
+func (unpositionedSource) Close() error { return nil }
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "feed.ckpt")
 	if _, ok, err := LoadCheckpoint(path); err != nil || ok {
 		t.Fatalf("missing checkpoint: ok=%v err=%v", ok, err)
 	}
-	src := NewDBSource(1)
-	defer src.Close()
-	f, err := NewFeeder(FeederConfig{Source: src, Deliver: &ServiceDeliverer{}, CheckpointPath: path})
+	f, err := NewFeeder(FeederConfig{Source: unpositionedSource{}, Deliver: &ServiceDeliverer{}, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,14 @@
 package feed
 
-// Regression tests for the clock-domain, delivery-classification and
-// shutdown races around the front door: stream-clock sweeping, epoch
-// fencing, rotation-gap accounting and the DBSource Append/Close race.
+// Regression tests for the clock-domain and delivery-classification
+// fixes around the front door: stream-clock sweeping, epoch fencing and
+// rotation-gap accounting.
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,45 +140,6 @@ func TestFeederBacklogEventTimeGapNoLoss(t *testing.T) {
 	}
 	if st.DuplicateEvents != 0 {
 		t.Fatalf("DuplicateEvents = %d, want 0 (nothing was replayed)", st.DuplicateEvents)
-	}
-}
-
-// TestDBSourceCloseDoesNotLoseAckedAppends races Append against Close:
-// every Append that returned nil was acknowledged to the engine's audit
-// path, so its operation must be drained before Next reports io.EOF.
-func TestDBSourceCloseDoesNotLoseAckedAppends(t *testing.T) {
-	for iter := 0; iter < 100; iter++ {
-		s := NewDBSource(2)
-		var acked atomic.Int64
-		var wg sync.WaitGroup
-		for p := 0; p < 4; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := 0; i < 8; i++ {
-					if s.Append(session.Operation{SessionID: fmt.Sprintf("p%d", p), SQL: "q"}) == nil {
-						acked.Add(1)
-					}
-				}
-			}(p)
-		}
-		go s.Close()
-
-		received := int64(0)
-		for {
-			_, err := s.Next(context.Background())
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			received++
-		}
-		wg.Wait()
-		if received != acked.Load() {
-			t.Fatalf("iter %d: received %d ops but %d appends were acknowledged", iter, received, acked.Load())
-		}
 	}
 }
 

@@ -35,9 +35,6 @@ type FollowerConfig struct {
 	// provides the model, the WAL manifest the shard count). Returning
 	// an error defers the tenant to the next round.
 	OpenTarget func(id, dir string) (Target, error)
-	// WarmScoreCache pre-warms each target's score cache after replay
-	// rounds that changed state.
-	WarmScoreCache bool
 	// AutoPromoteAfter invokes OnPrimaryDown once the primary has been
 	// continuously unreachable for this long (0 disables the probe).
 	AutoPromoteAfter time.Duration
@@ -305,7 +302,7 @@ func (f *Follower) syncTenant(ctx context.Context, id string) error {
 		if err != nil {
 			return err
 		}
-		ts = &tenantSync{dir: dir, target: target, replayer: NewReplayer(dir, target, f.cfg.WarmScoreCache)}
+		ts = &tenantSync{dir: dir, target: target, replayer: NewReplayer(dir, target)}
 		f.mu.Lock()
 		f.tenants[id] = ts
 		f.mu.Unlock()

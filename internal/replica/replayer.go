@@ -55,7 +55,6 @@ func (t ServiceTarget) WarmScoreCache(limit int) int          { return t.Svc.War
 type Replayer struct {
 	dir    string // tenant directory (holds wal/, checkpoints/)
 	target Target
-	warm   bool
 
 	booted  bool
 	shards  int
@@ -72,11 +71,9 @@ type Applied struct {
 	Warmed  int
 }
 
-// NewReplayer returns a replayer over a synced tenant directory. warm
-// pre-populates the target's score cache after rounds that changed
-// state.
-func NewReplayer(dir string, target Target, warm bool) *Replayer {
-	return &Replayer{dir: dir, target: target, warm: warm}
+// NewReplayer returns a replayer over a synced tenant directory.
+func NewReplayer(dir string, target Target) *Replayer {
+	return &Replayer{dir: dir, target: target}
 }
 
 // AppliedRecords reports the lifetime count of replayed WAL records.
@@ -112,7 +109,9 @@ func (rp *Replayer) Apply() (Applied, error) {
 	} else if err := rp.catchUp(&out); err != nil {
 		return out, err
 	}
-	if rp.warm && (out.Records > 0 || out.Rebuilt || out.Swapped) {
+	// Keep the standby's score cache hot: the first scoring passes after
+	// promotion hit instead of recomputing.
+	if out.Records > 0 || out.Rebuilt || out.Swapped {
 		out.Warmed = rp.target.WarmScoreCache(0)
 	}
 	return out, nil

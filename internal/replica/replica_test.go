@@ -355,7 +355,7 @@ func TestReplayerGapRebuild(t *testing.T) {
 	writeTenant(t, root, "t1", 12, 5)
 	dir := filepath.Join(root, "t1")
 	ft := &fakeTarget{}
-	rp := NewReplayer(dir, ft, false)
+	rp := NewReplayer(dir, ft)
 	if _, err := rp.Apply(); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestReplayerSwapsCheckpoint(t *testing.T) {
 	}
 
 	ft := &fakeTarget{}
-	rp := NewReplayer(dir, ft, false)
+	rp := NewReplayer(dir, ft)
 	ap, err := rp.Apply()
 	if err != nil {
 		t.Fatal(err)

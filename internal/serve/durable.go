@@ -34,9 +34,6 @@ type DurabilityConfig struct {
 	// wal.SyncPolicy). Under SyncAlways an acknowledged event is
 	// guaranteed to be restored after any crash.
 	Fsync wal.SyncPolicy
-	// FsyncInterval is the background flush period under SyncInterval
-	// (0 means the wal default of 100ms).
-	FsyncInterval time.Duration
 	// SegmentBytes caps a WAL segment before rotation (0 means 64 MiB).
 	SegmentBytes int64
 	// SnapshotEvery is the background snapshot/compaction period
@@ -47,11 +44,6 @@ type DurabilityConfig struct {
 	// every fine-tune round; a checkpoint that fails validation is
 	// rolled back to the last good one.
 	Checkpoints *wal.Checkpoints
-	// WarmScoreCache pre-populates the model's score cache from the
-	// restored sessions at the end of Restore (see
-	// Service.WarmScoreCache), so a restarted node's first scoring
-	// passes hit instead of recomputing. No-op without a score cache.
-	WarmScoreCache bool
 }
 
 // RestoreStats summarizes one Service.Restore.
@@ -70,9 +62,6 @@ type RestoreStats struct {
 	CleanSeal bool
 	// TornTail reports whether a crash tail was truncated on any stream.
 	TornTail bool
-	// CacheWarmed is the number of score-cache rows pre-populated from
-	// the restored sessions (0 unless DurabilityConfig.WarmScoreCache).
-	CacheWarmed int
 }
 
 // WAL record types. Records are JSON with a one-letter type tag; the
@@ -187,9 +176,6 @@ func (s *Service) Restore() (RestoreStats, error) {
 	st.Sessions = s.openCount()
 	s.recovered.Store(int64(st.Sessions))
 	s.ckpts = d.Checkpoints
-	if d.WarmScoreCache {
-		st.CacheWarmed = s.WarmScoreCache(0)
-	}
 	s.ready.Store(true)
 	if d.SnapshotEvery > 0 {
 		s.snapStop = make(chan struct{})
@@ -205,7 +191,6 @@ func (s *Service) walOptions(d *DurabilityConfig, i int) wal.Options {
 	return wal.Options{
 		SegmentBytes:   d.SegmentBytes,
 		Sync:           d.Fsync,
-		SyncInterval:   d.FsyncInterval,
 		OnAppend:       func(int) { m.walAppends.Inc() },
 		OnSync:         func(took time.Duration) { m.walFsyncSeconds.Observe(took.Seconds()) },
 		SegmentPrefix:  wal.ShardSegmentPrefix(i),

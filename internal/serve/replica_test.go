@@ -178,7 +178,7 @@ func TestReplicaGuards(t *testing.T) {
 	}
 }
 
-// TestWarmScoreCacheFromRestore: a restart with WarmScoreCache
+// TestWarmScoreCacheFromRestore: WarmScoreCache after a restore
 // pre-populates the score cache from the restored sessions and exports
 // the count.
 func TestWarmScoreCacheFromRestore(t *testing.T) {
@@ -198,15 +198,14 @@ func TestWarmScoreCacheFromRestore(t *testing.T) {
 
 	u2 := testUCAD(t)
 	u2.Model.SetScoreCache(scorecache.New(1024))
-	s2, rst := durableService(t, u2, dir, clock.Now, func(c *Config) {
-		c.Durability.WarmScoreCache = true
-	})
+	s2, _ := durableService(t, u2, dir, clock.Now, nil)
 	defer s2.Close(context.Background())
-	if rst.CacheWarmed == 0 {
+	warmed := s2.WarmScoreCache(0)
+	if warmed == 0 {
 		t.Fatal("restore warmed nothing")
 	}
-	if got := s2.Stats().ScoreCacheWarmed; got != int64(rst.CacheWarmed) {
-		t.Fatalf("stats warmed %d, restore reported %d", got, rst.CacheWarmed)
+	if got := s2.Stats().ScoreCacheWarmed; got != int64(warmed) {
+		t.Fatalf("stats warmed %d, WarmScoreCache reported %d", got, warmed)
 	}
 	// Warming again is self-limiting: every context is already cached.
 	if again := s2.WarmScoreCache(0); again != 0 {

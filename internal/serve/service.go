@@ -582,8 +582,8 @@ type Stats struct {
 	ScoreCacheEvictions int64   `json:"score_cache_evictions"`
 	ScoreCacheEntries   int64   `json:"score_cache_entries"`
 	ScoreCacheHitRate   float64 `json:"score_cache_hit_rate"`
-	// ScoreCacheWarmed counts rows pre-populated from restored sessions
-	// (restart warm-up or standby replay; see WarmScoreCache).
+	// ScoreCacheWarmed counts rows pre-populated from open sessions by
+	// standby replay (see WarmScoreCache).
 	ScoreCacheWarmed int64 `json:"score_cache_warmed"`
 }
 

@@ -160,8 +160,8 @@ func TestTopKeysIntoMatchesTopKeys(t *testing.T) {
 	}
 }
 
-// benchModel mirrors the root-level BenchmarkDetectionScore
-// configuration (Scenario-II-sized vocabulary and width).
+// benchModel is the Scenario-II-sized model (vocabulary 600, h=64, m=8)
+// at an L=30 context.
 func benchModel() (*Model, []int) {
 	cfg := DefaultConfig(600)
 	cfg.Hidden, cfg.Heads = 64, 8
@@ -174,8 +174,8 @@ func benchModel() (*Model, []int) {
 }
 
 // BenchmarkScoreSequentialTape measures the tape-based per-op reference
-// path the batch-first Scorer replaces; compare against the root-level
-// BenchmarkScoreBatch to see the fused-batch win.
+// path the batch-first Scorer replaces; compare against ucadbench's
+// transdas.rank_f64_us_per_op_b{1,16} rows to see the fused-batch win.
 func BenchmarkScoreSequentialTape(b *testing.B) {
 	m, ctx := benchModel()
 	buf := make([]float64, m.cfg.Vocab)

@@ -92,8 +92,11 @@ type Options struct {
 	SnapshotPrefix string
 }
 
+// DefaultSegmentBytes is the segment rotation cap when
+// Options.SegmentBytes is zero.
+const DefaultSegmentBytes = 64 << 20
+
 const (
-	defaultSegmentBytes   = 64 << 20
 	defaultSyncInterval   = 100 * time.Millisecond
 	defaultSegmentPrefix  = "wal-"
 	defaultSnapshotPrefix = "snap-"
@@ -101,7 +104,7 @@ const (
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = defaultSegmentBytes
+		o.SegmentBytes = DefaultSegmentBytes
 	}
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = defaultSyncInterval
