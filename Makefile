@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check equiv32 fuzz-smoke bench bench-check clean
+.PHONY: all build vet test race check equiv32 fuzz-smoke bench bench-check size clean
 
 all: check
 
@@ -22,9 +22,11 @@ race:
 
 # A short coverage-guided pass over the WAL record decoder — the one
 # parser that must never panic on arbitrary bytes (it reads crash
-# debris on every recovery).
+# debris on every recovery) — and over the recovery loop built on it
+# (snapshot decode + segment scan, as a restart and as a standby run it).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s -run='^$$' ./internal/wal/
+	$(GO) test -fuzz=FuzzRecoverStream -fuzztime=10s -run='^$$' ./internal/wal/
 
 # The float32 scoring kernel's contract: similarity scores within 1e-4
 # of the float64 reference with stable ranks/verdicts, plus bitwise
@@ -53,6 +55,15 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -all -smoke
+
+# The simplicity numbers CHANGES.md quotes, from a committed command:
+# non-test Go lines under internal/ + cmd/, and the flag counts of the
+# two serving binaries (the sets flags_test.go pins to the docs).
+size:
+	@printf 'non-test Go lines (internal/ + cmd/): '
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'ucad-serve flags: '; grep -c '^	[a-zA-Z]* := flag\.' cmd/ucad-serve/main.go
+	@printf 'ucad-feed flags: '; grep -c '^	[a-zA-Z]* := flag\.' cmd/ucad-feed/main.go
 
 clean:
 	$(GO) clean ./...

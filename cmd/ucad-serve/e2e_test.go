@@ -143,6 +143,7 @@ func freeAddr(t *testing.T) string {
 
 type tenantInfo struct {
 	ID          string `json:"id"`
+	Replica     bool   `json:"replica"`
 	Recovered   int    `json:"recovered_sessions"`
 	CleanSeal   bool   `json:"clean_seal"`
 	WALReplayed int    `json:"wal_records_replayed"`

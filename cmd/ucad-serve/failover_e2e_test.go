@@ -417,3 +417,107 @@ func TestE2EFailoverZeroLoss(t *testing.T) {
 	control.cmd.Process.Kill()
 	control.cmd.Wait()
 }
+
+// TestE2EAutoPromote: a standby started with -auto-promote-after takes
+// itself live once its primary has been dead that long — real processes,
+// kill -9, nobody calls /v1/promote. The trigger runs inside the
+// follower's own loop and promotion's first step is stopping that loop;
+// when the two waited on each other the standby never promoted and a
+// later manual promote hung on the same wait.
+func TestE2EAutoPromote(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	root := t.TempDir()
+	model := filepath.Join(root, "ucad.model")
+	saveModel(t, trainOn(t, workload.NewScenarioSource(workload.ScenarioI(), 201, 0), 12), model)
+
+	primaryAddr, standbyAddr := freeAddr(t), freeAddr(t)
+	primaryBase, standbyBase := "http://"+primaryAddr, "http://"+standbyAddr
+	common := []string{"-workers", "2", "-shards", "2", "-idle-timeout", "1h",
+		"-fsync", "always", "-segment-bytes", "1024", "-snapshot-interval", "200ms"}
+	primary := startChild(t, append([]string{
+		"-model", model, "-data-dir", filepath.Join(root, "primary"), "-addr", primaryAddr,
+	}, common...)...)
+	defer primary.cmd.Process.Kill()
+	standby := startChild(t, append([]string{
+		"-data-dir", filepath.Join(root, "standby"), "-addr", standbyAddr,
+		"-replicate-from", primaryBase, "-replica-poll", "100ms", "-auto-promote-after", "1s",
+	}, common...)...)
+	defer standby.cmd.Process.Kill()
+	waitHealthy(t, primary, primaryBase)
+	waitHealthy(t, standby, standbyBase)
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	postEvent := func(base, clientID string, i int) int {
+		t.Helper()
+		b, _ := json.Marshal(map[string]string{
+			"client_id": clientID, "user": "app", "sql": fmt.Sprintf("SELECT * FROM t_report WHERE state = %d", i),
+		})
+		resp, err := client.Post(base+"/v1/events", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("POST %s/v1/events: %v\n--- standby ---\n%s", base, err, standby.log())
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s\n--- primary ---\n%s\n--- standby ---\n%s", what, primary.log(), standby.log())
+			}
+			time.Sleep(25 * time.Millisecond)
+		}
+	}
+
+	for i := 0; i < 12; i++ {
+		for _, c := range []string{"c1", "c2"} {
+			if code := postEvent(primaryBase, c, i); code != http.StatusAccepted {
+				t.Fatalf("primary ingest = %d", code)
+			}
+		}
+	}
+	// The next snapshot seals all 24 operations into shipped files.
+	waitFor("the standby to mirror both sessions", func() bool {
+		got, err := fetchSessions(standbyBase, "default")
+		return err == nil && len(got["c1"]) == 12 && len(got["c2"]) == 12
+	})
+	if !listTenants(t, standbyBase)["default"].Replica {
+		t.Fatal("standby tenant not listed replica:true before the failover")
+	}
+	if code := postEvent(standbyBase, "c1", 12); code != http.StatusServiceUnavailable {
+		t.Fatalf("unpromoted standby ingest = %d, want 503", code)
+	}
+
+	if err := primary.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	primary.cmd.Wait()
+
+	waitFor("the standby to promote itself", func() bool {
+		return !listTenants(t, standbyBase)["default"].Replica
+	})
+	if code := postEvent(standbyBase, "c1", 12); code != http.StatusAccepted {
+		t.Fatalf("self-promoted standby ingest = %d, want 202\n--- standby ---\n%s", code, standby.log())
+	}
+	got, err := fetchSessions(standbyBase, "default")
+	if err != nil || len(got["c1"]) != 13 || len(got["c2"]) != 12 {
+		t.Fatalf("sessions after self-promotion: %v (err %v), want c1:13 c2:12", sizes(got), err)
+	}
+	// A manual promote now is a refused state change, not a hang.
+	resp, err := client.Post(standbyBase+"/v1/promote", "application/json", nil)
+	if err != nil {
+		t.Fatalf("manual promote after self-promotion: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "not_replica") {
+		t.Fatalf("manual promote after self-promotion = %d %s, want 409 not_replica", resp.StatusCode, body)
+	}
+
+	standby.cmd.Process.Signal(os.Interrupt)
+	standby.cmd.Wait()
+}

@@ -55,11 +55,12 @@
 // With -data-dir the process is also a replication primary: sealed WAL
 // segments, snapshots, model checkpoints and tenant specs are served
 // read-only under /v1/replica/. A second process started with
-// -replicate-from pointed at it runs as a warm standby:
-// it mirrors every tenant into its own -data-dir, continuously replays
-// the shipped stream into live non-serving pipelines, and flips to
-// serving on POST /v1/promote (or on its own after -auto-promote-after
-// of primary unreachability). GET /v1/replication reports standby lag.
+// -replicate-from pointed at it runs as a warm standby: it mirrors every
+// tenant into its own -data-dir and keeps replaying the shipped stream
+// into tenants that are durable but not yet live (the restart recovery
+// path, fed over HTTP). POST /v1/promote — or -auto-promote-after of
+// primary unreachability — stops following, syncs once more and takes
+// them live. GET /v1/replication reports standby lag.
 //
 // API:
 //
@@ -89,6 +90,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"time"
 
@@ -165,20 +167,8 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	fatalIf(err)
 
-	var follower *replica.Follower
 	opts := tenant.Options{
 		Root: *dataDir,
-		// Promotion seals the replication era before flipping replicas
-		// live: stop the follower loop, then pull one final sync so the
-		// standby holds everything the primary had sealed. Runs outside
-		// the registry's admin lock (a mid-flight sync may be creating a
-		// replica tenant, which needs that lock).
-		PrePromote: func() {
-			if follower != nil {
-				follower.Stop()
-				follower.SyncOnce(context.Background())
-			}
-		},
 		Serve: serve.Config{
 			Workers:           *workers,
 			Shards:            *shards,
@@ -234,8 +224,9 @@ func main() {
 		}
 	}
 
+	front := reg.Handler()
 	mux := http.NewServeMux()
-	mux.Handle("/", reg.Handler())
+	mux.Handle("/", front)
 	// One shared replication metrics family: a standby is both a
 	// follower and (post-promotion) a shippable primary, and the obs
 	// registry rejects double registration.
@@ -251,6 +242,17 @@ func main() {
 		mux.Handle("/v1/replica/", shipper.Handler("/v1/replica"))
 	}
 	if *replicateFrom != "" {
+		var follower *replica.Follower
+		// quiesce is the first half of going live, straight-line and once
+		// per process: stop the follower loop, then pull one final sync so
+		// the standby holds everything the primary had sealed. reg.Promote
+		// is the second half. Once, because after promotion the tenants'
+		// wal/ directories are this process's own logs — a later sync
+		// would mirror the primary over them.
+		quiesce := sync.OnceFunc(func() {
+			follower.Stop()
+			follower.SyncOnce(context.Background())
+		})
 		f, err := replica.NewFollower(replica.FollowerConfig{
 			PrimaryURL:       *replicateFrom,
 			Root:             *dataDir,
@@ -263,14 +265,14 @@ func main() {
 					return nil, err
 				}
 				fmt.Printf("tenant %s: replicating from %s\n", id, *replicateFrom)
-				return replica.ServiceTarget{Svc: tn.Service()}, nil
+				return tn.Service(), nil
 			},
 			OnPrimaryDown: func() {
 				fmt.Printf("primary unreachable for %s: promoting standby\n", *autoPromote)
+				quiesce()
 				promoted, err := reg.Promote()
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "ucad-serve: auto-promote:", err)
-					return
 				}
 				fmt.Printf("promoted tenants: %v\n", promoted)
 			},
@@ -279,6 +281,13 @@ func main() {
 		follower = f
 		go follower.Run(context.Background())
 		defer follower.Stop()
+		// Manual promotion is the same two steps: quiesce here, then the
+		// registry's own handler (a primary, with no follower to quiesce,
+		// reaches that handler directly and answers 409 not_replica).
+		mux.HandleFunc("POST /v1/promote", func(w http.ResponseWriter, r *http.Request) {
+			quiesce()
+			front.ServeHTTP(w, r)
+		})
 		mux.HandleFunc("GET /v1/replication", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(follower.Status())

@@ -38,7 +38,9 @@ type FollowerConfig struct {
 	// AutoPromoteAfter invokes OnPrimaryDown once the primary has been
 	// continuously unreachable for this long (0 disables the probe).
 	AutoPromoteAfter time.Duration
-	// OnPrimaryDown fires at most once, from the sync loop.
+	// OnPrimaryDown fires at most once, after the sync round that
+	// crossed AutoPromoteAfter and never after Stop. Run has left its
+	// loop by then, so the callback may call Stop (promotion does).
 	OnPrimaryDown func()
 	// Client is the HTTP client (default http.DefaultClient with a 30s
 	// timeout clone).
@@ -90,8 +92,6 @@ type Follower struct {
 }
 
 type tenantSync struct {
-	dir      string
-	target   Target
 	replayer *Replayer
 	rebuilds int64
 }
@@ -130,38 +130,54 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	}, nil
 }
 
-// Run polls until Stop or ctx cancellation. Sync errors are absorbed
-// (counted, surfaced via Status) — a dead primary is the expected
-// condition this subsystem exists for.
+// Run polls until Stop, ctx cancellation, or the round that declares the
+// primary down. Sync errors are absorbed (counted, surfaced via Status)
+// — a dead primary is the expected condition this subsystem exists for.
 func (f *Follower) Run(ctx context.Context) {
 	f.mu.Lock()
 	f.running = true
 	f.mu.Unlock()
-	defer close(f.done)
+	down := f.poll(ctx)
+	// The loop is over before the callback runs: OnPrimaryDown promotes,
+	// promotion's first step is Stop, and Stop waits for done.
+	close(f.done)
+	if down {
+		f.cfg.OnPrimaryDown()
+	}
+}
+
+// poll runs sync rounds every Interval; it returns true when a round
+// declared the primary down, false on Stop or cancellation.
+func (f *Follower) poll(ctx context.Context) bool {
 	t := time.NewTicker(f.cfg.Interval)
 	defer t.Stop()
-	f.SyncOnce(ctx)
 	for {
+		if down, _ := f.syncRound(ctx); down {
+			return true
+		}
 		select {
 		case <-ctx.Done():
-			return
+			return false
 		case <-f.stop:
-			return
+			return false
 		case <-t.C:
-			f.SyncOnce(ctx)
 		}
 	}
 }
 
 // Stop halts Run and waits for it to exit (a no-op wait when Run was
-// never started — SyncOnce-driven tests and promotion drains).
+// never started — SyncOnce-driven tests and promotion drains). A stopped
+// follower no longer decides the primary is down: the caller that
+// stopped it (promotion, shutdown) already has, and its own final
+// SyncOnce must not re-enter it through OnPrimaryDown.
 func (f *Follower) Stop() {
+	f.mu.Lock()
 	select {
 	case <-f.stop:
 	default:
 		close(f.stop)
 	}
-	f.mu.Lock()
+	f.autoFired = true
 	started := f.running
 	f.mu.Unlock()
 	if started {
@@ -184,35 +200,29 @@ func (f *Follower) Status() Status {
 		st.LagSeconds = f.cfg.Clock().Sub(f.lastSync).Seconds()
 	}
 	for id, ts := range f.tenants {
-		rec := int64(0)
-		if ts.replayer != nil {
-			rec = ts.replayer.AppliedRecords()
-		}
-		st.Tenants = append(st.Tenants, TenantStatus{ID: id, AppliedRecords: rec, Rebuilds: ts.rebuilds})
+		st.Tenants = append(st.Tenants, TenantStatus{ID: id, AppliedRecords: ts.replayer.AppliedRecords(), Rebuilds: ts.rebuilds})
 	}
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].ID < st.Tenants[j].ID })
 	return st
 }
 
-// Targets snapshots the per-tenant targets built so far (promotion
-// iterates them).
-func (f *Follower) Targets() map[string]Target {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]Target, len(f.tenants))
-	for id, ts := range f.tenants {
-		if ts.target != nil {
-			out[id] = ts.target
-		}
-	}
-	return out
-}
-
 // SyncOnce runs one full round: list tenants, sync each tenant's files,
 // replay. Returns the first error (the round may have partially
-// progressed — every step is idempotent).
+// progressed — every step is idempotent). It invokes OnPrimaryDown when
+// this round is the one that crossed AutoPromoteAfter.
 func (f *Follower) SyncOnce(ctx context.Context) error {
-	err := f.syncOnce(ctx)
+	down, err := f.syncRound(ctx)
+	if down {
+		f.cfg.OnPrimaryDown()
+	}
+	return err
+}
+
+// syncRound is one round plus the health bookkeeping; down reports that
+// the primary has now been unreachable for AutoPromoteAfter (true at
+// most once per follower).
+func (f *Follower) syncRound(ctx context.Context) (down bool, err error) {
+	err = f.syncOnce(ctx)
 	now := f.cfg.Clock()
 	f.mu.Lock()
 	f.rounds++
@@ -222,19 +232,16 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 			f.downSince = now
 		}
 		f.healthy = false
-		fire := f.cfg.AutoPromoteAfter > 0 && !f.autoFired &&
+		down = f.cfg.AutoPromoteAfter > 0 && !f.autoFired &&
 			now.Sub(f.downSince) >= f.cfg.AutoPromoteAfter && f.cfg.OnPrimaryDown != nil
-		if fire {
+		if down {
 			f.autoFired = true
 		}
 		f.mu.Unlock()
 		if f.cfg.Metrics != nil {
 			f.cfg.Metrics.syncErrors.Inc()
 		}
-		if fire {
-			f.cfg.OnPrimaryDown()
-		}
-		return err
+		return down, err
 	}
 	f.healthy = true
 	f.downSince = time.Time{}
@@ -244,7 +251,7 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 		f.cfg.Metrics.syncRounds.Inc()
 		f.cfg.Metrics.markSynced(now)
 	}
-	return nil
+	return false, nil
 }
 
 func (f *Follower) syncOnce(ctx context.Context) error {
@@ -302,7 +309,7 @@ func (f *Follower) syncTenant(ctx context.Context, id string) error {
 		if err != nil {
 			return err
 		}
-		ts = &tenantSync{dir: dir, target: target, replayer: NewReplayer(dir, target)}
+		ts = &tenantSync{replayer: NewReplayer(dir, target)}
 		f.mu.Lock()
 		f.tenants[id] = ts
 		f.mu.Unlock()
@@ -385,18 +392,10 @@ func verifyShipped(rel, tmp string) error {
 	base := path.Base(rel)
 	switch {
 	case strings.HasPrefix(rel, walSubdir+"/"):
-		if _, _, ok := wal.SplitSegmentName(base); ok {
-			return wal.VerifySegmentFile(tmp)
-		}
-		if _, _, ok := wal.SplitSnapshotName(base); ok {
-			return wal.VerifySnapshotFile(tmp)
-		}
-		if base == wal.RemapFile {
-			return wal.VerifySnapshotFile(tmp)
-		}
 		if base == wal.ManifestName {
 			return verifyJSONFile(tmp)
 		}
+		return wal.VerifyStreamFile(base, tmp)
 	case rel == specFile, base == "MANIFEST":
 		return verifyJSONFile(tmp)
 	}

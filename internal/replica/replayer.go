@@ -6,23 +6,24 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"github.com/ucad/ucad/internal/core"
-	"github.com/ucad/ucad/internal/serve"
 	"github.com/ucad/ucad/internal/wal"
 )
 
 // Target is one tenant's warm standby: the surface the replayer drives.
-// serve.Service implements it through ServiceTarget; tests substitute
-// recorders.
+// The method set is *serve.Service's own (a durable service that has
+// not gone live), so the follower hands the replayer the service
+// itself; tests substitute recorders.
 type Target interface {
-	// Reset drops all session state ahead of a full rebuild (id
+	// ReplicaReset drops all session state ahead of a full rebuild (id
 	// counters survive so promoted ids never move backwards).
-	Reset() error
-	// RestoreSnapshot applies one shipped snapshot payload.
-	RestoreSnapshot(payload []byte) error
-	// ApplyRecord replays one shipped WAL record.
-	ApplyRecord(payload []byte) error
+	ReplicaReset() error
+	// ReplicaRestoreSnapshot applies one shipped snapshot payload.
+	ReplicaRestoreSnapshot(payload []byte) error
+	// ReplicaApplyRecord replays one shipped WAL record.
+	ReplicaApplyRecord(payload []byte) error
 	// SwapModel hot-replaces the scoring model (a newer shipped
 	// checkpoint became current).
 	SwapModel(u *core.UCAD) error
@@ -31,15 +32,6 @@ type Target interface {
 	WarmScoreCache(limit int) int
 }
 
-// ServiceTarget adapts a replica-mode serve.Service to Target.
-type ServiceTarget struct{ Svc *serve.Service }
-
-func (t ServiceTarget) Reset() error                          { return t.Svc.ReplicaReset() }
-func (t ServiceTarget) RestoreSnapshot(payload []byte) error  { return t.Svc.ReplicaRestoreSnapshot(payload) }
-func (t ServiceTarget) ApplyRecord(payload []byte) error      { return t.Svc.ReplicaApplyRecord(payload) }
-func (t ServiceTarget) SwapModel(u *core.UCAD) error          { return t.Svc.SwapModel(u) }
-func (t ServiceTarget) WarmScoreCache(limit int) int          { return t.Svc.WarmScoreCache(limit) }
-
 // Replayer incrementally folds one tenant's synced directory into its
 // Target. Each Apply round replays exactly the sealed segments that
 // arrived since the last round, in per-stream seq order; because every
@@ -47,8 +39,9 @@ func (t ServiceTarget) WarmScoreCache(limit int) int          { return t.Svc.War
 // idempotent, per-client order — the only order session assembly
 // depends on — is preserved even though streams replay independently.
 //
-// Two conditions force a full rebuild (Reset, then newest snapshot +
-// replay, i.e. a restart recovery against the shipped files): a seq gap
+// Two conditions force a full rebuild (ReplicaReset, then
+// wal.RestoreStream — the recovery loop a restart runs, pointed at the
+// shipped files): a seq gap
 // in a stream (the primary pruned a segment before we fetched it — we
 // fell behind by more than the primary's retention), and a shard-layout
 // change in the manifest.
@@ -56,11 +49,12 @@ type Replayer struct {
 	dir    string // tenant directory (holds wal/, checkpoints/)
 	target Target
 
-	booted  bool
-	shards  int
-	next    []uint64 // per-stream next segment seq to replay
-	ckpt    string   // checkpoint file name last swapped in
-	applied int64
+	booted bool
+	shards int
+	next   []uint64 // per-stream next segment seq to replay
+	ckpt   string   // checkpoint file name last swapped in
+	// applied is read by Follower.Status while a round replays.
+	applied atomic.Int64
 }
 
 // Applied summarizes one Apply round.
@@ -77,7 +71,7 @@ func NewReplayer(dir string, target Target) *Replayer {
 }
 
 // AppliedRecords reports the lifetime count of replayed WAL records.
-func (rp *Replayer) AppliedRecords() int64 { return rp.applied }
+func (rp *Replayer) AppliedRecords() int64 { return rp.applied.Load() }
 
 // Apply folds everything new in the synced directory into the target.
 // Safe to call repeatedly; an error leaves the replayer consistent
@@ -152,7 +146,7 @@ func (rp *Replayer) swapCheckpoint(out *Applied) error {
 // rebuild drops the target and re-restores from the shipped files.
 func (rp *Replayer) rebuild(shards int, out *Applied) error {
 	if rp.booted {
-		if err := rp.target.Reset(); err != nil {
+		if err := rp.target.ReplicaReset(); err != nil {
 			return err
 		}
 	}
@@ -166,11 +160,9 @@ func (rp *Replayer) rebuild(shards int, out *Applied) error {
 			return err
 		}
 		st, err := wal.RestoreStream(walDir, wal.ShardSegmentPrefix(i), wal.ShardSnapshotPrefix(i),
-			rp.target.RestoreSnapshot, func(payload []byte) error {
-				out.Records++
-				rp.applied++
-				return rp.target.ApplyRecord(payload)
-			})
+			rp.target.ReplicaRestoreSnapshot, rp.target.ReplicaApplyRecord)
+		out.Records += st.Records
+		rp.applied.Add(int64(st.Records))
 		if err != nil {
 			return err
 		}
@@ -211,12 +203,12 @@ func (rp *Replayer) catchUp(out *Applied) error {
 				return rp.rebuild(rp.shards, out)
 			}
 			path := filepath.Join(walDir, wal.SegmentFileName(prefix, seq))
-			n, err := wal.ReplaySegmentFile(path, rp.target.ApplyRecord)
+			n, err := wal.ReplaySegmentFile(path, rp.target.ReplicaApplyRecord)
 			if err != nil {
 				return err
 			}
 			out.Records += n
-			rp.applied += int64(n)
+			rp.applied.Add(int64(n))
 			rp.next[i] = seq + 1
 		}
 	}

@@ -4,8 +4,8 @@
 // manifest, model checkpoints, the tenant spec — and a standby-side
 // Follower that pulls continuously, verifies the CRC32C record framing
 // of everything it receives, persists an identical on-disk layout, and
-// replays the shipped history into live but non-serving serve.Services
-// (sessions warm, model current, caches optionally pre-warmed).
+// replays the shipped history into Targets — durable serve.Services that
+// have not gone live (sessions warm, model current, score cache warmed).
 //
 // The correctness contract is ship-sealed-only: the active WAL segment
 // — the only file the primary ever mutates in place — never ships, so

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/core"
+	"github.com/ucad/ucad/internal/serve"
 	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/wal"
 )
@@ -28,15 +29,21 @@ type fakeTarget struct {
 	warms     int
 }
 
-func (t *fakeTarget) Reset() error {
+func (t *fakeTarget) ReplicaReset() error {
 	t.resets++
 	t.snapshots, t.records = nil, nil
 	return nil
 }
-func (t *fakeTarget) RestoreSnapshot(p []byte) error { t.snapshots = append(t.snapshots, string(p)); return nil }
-func (t *fakeTarget) ApplyRecord(p []byte) error     { t.records = append(t.records, string(p)); return nil }
-func (t *fakeTarget) SwapModel(u *core.UCAD) error   { t.swaps++; return nil }
-func (t *fakeTarget) WarmScoreCache(limit int) int   { t.warms++; return 0 }
+func (t *fakeTarget) ReplicaRestoreSnapshot(p []byte) error {
+	t.snapshots = append(t.snapshots, string(p))
+	return nil
+}
+func (t *fakeTarget) ReplicaApplyRecord(p []byte) error {
+	t.records = append(t.records, string(p))
+	return nil
+}
+func (t *fakeTarget) SwapModel(u *core.UCAD) error { t.swaps++; return nil }
+func (t *fakeTarget) WarmScoreCache(limit int) int { t.warms++; return 0 }
 
 // writeTenant builds a primary-side tenant directory under root: a
 // spec, a one-shard WAL stream with n records (snapshot at snapAt, tiny
@@ -107,7 +114,7 @@ func sealedExpectation(t *testing.T, root, id string) (snaps, recs []string) {
 	start := uint64(0)
 	if len(snapSeqs) > 0 {
 		newest := snapSeqs[len(snapSeqs)-1]
-		b, err := wal.ReadSnapshotFile(filepath.Join(walDir, wal.SnapshotFileName(wal.ShardSnapshotPrefix(0), newest)))
+		b, err := wal.ReadStateFile(filepath.Join(walDir, wal.SnapshotFileName(wal.ShardSnapshotPrefix(0), newest)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,6 +394,152 @@ func TestReplayerGapRebuild(t *testing.T) {
 	}
 }
 
+// TestReplayerMatchesRestore is the differential check on the one
+// recovery path: a WAL directory holding a snapshot plus a suffix of
+// event, close and rollback records is recovered once the way a
+// restarting primary does (serve.Service.Restore) and once the way a
+// standby does (Replayer.Apply into a durable service that has not gone
+// live, then promotion). Open sessions and the session-id floor must be
+// identical.
+func TestReplayerMatchesRestore(t *testing.T) {
+	u := trainTinyModel(t)
+	now := time.Unix(1754000000, 0)
+	clock := func() time.Time { return now }
+	walOpt := func(dir string) *serve.DurabilityConfig {
+		return &serve.DurabilityConfig{Dir: dir, Fsync: wal.SyncNever, SegmentBytes: 512}
+	}
+	cfg := func(walDir string) serve.Config {
+		return serve.Config{Shards: 1, Workers: 1, SweepEvery: -1, IdleTimeout: time.Minute, Clock: clock, Durability: walOpt(walDir)}
+	}
+	ingest := func(s *serve.Service, client string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.Ingest(serve.Event{ClientID: client, User: "app", SQL: fmt.Sprintf("SELECT * FROM t%d WHERE id = %d", i%4, i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// The writer: a snapshot mid-stream, then a suffix with appends to
+	// old and new sessions and one idle close-out. It is abandoned
+	// unclosed (a crash), so recovery has a real suffix to replay.
+	src := filepath.Join(t.TempDir(), walSubdir)
+	w := serve.NewService(u, cfg(src))
+	if _, err := w.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(w, "c1", 5)
+	ingest(w, "c2", 4)
+	w.Drain()
+	if err := w.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(2 * time.Minute)
+	ingest(w, "c1", 2)
+	ingest(w, "c3", 3)
+	w.Drain()
+	if n := w.CloseIdleNow(); n != 1 { // c2 went idle: a "cl" record
+		t.Fatalf("closed %d idle sessions, want 1", n)
+	}
+	ingest(w, "c4", 1)
+	w.Drain()
+	defer w.Stop()
+	// Each copy then gets the suffix's last two records: a backpressure
+	// rollback undid c3's last operation and c4's only one (which deletes
+	// the session) — "rb" records, in the wire form serve logs them.
+	copyDir := func(dst string) {
+		t.Helper()
+		if err := os.MkdirAll(dst, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tail, err := wal.OpenStore(dst, wal.Options{
+			Sync:           wal.SyncNever,
+			SegmentPrefix:  wal.ShardSegmentPrefix(0),
+			SnapshotPrefix: wal.ShardSnapshotPrefix(0),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rb := range []string{
+			`{"t":"rb","c":"c3","s":"c3#3","p":2,"ts":"0001-01-01T00:00:00Z"}`,
+			`{"t":"rb","c":"c4","s":"c4#4","p":0,"ts":"0001-01-01T00:00:00Z"}`,
+		} {
+			if err := tail.Append([]byte(rb)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tail.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seqs, _ := wal.ListSnapshotSeqs(src, wal.ShardSnapshotPrefix(0)); len(seqs) == 0 {
+		t.Fatal("the writer left no snapshot to recover from")
+	}
+
+	// The id a brand-new client is given exposes the session-id floor.
+	nextID := func(s *serve.Service) string {
+		t.Helper()
+		ingest(s, "fresh", 1)
+		for _, ss := range s.ExportSessions() {
+			if ss.Client == "fresh" {
+				return ss.ID
+			}
+		}
+		t.Fatal("fresh session not open")
+		return ""
+	}
+
+	restartDir := filepath.Join(t.TempDir(), walSubdir)
+	copyDir(restartDir)
+	restarted := serve.NewService(u, cfg(restartDir))
+	rst, err := restarted.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close(context.Background())
+	want := restarted.ExportSessions()
+
+	tenantDir := t.TempDir()
+	copyDir(filepath.Join(tenantDir, walSubdir))
+	standby := serve.NewService(u, cfg(filepath.Join(tenantDir, walSubdir)))
+	defer standby.Close(context.Background())
+	ap, err := NewReplayer(tenantDir, standby).Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := standby.ExportSessions()
+
+	if len(want) != 2 || len(want[0].Ops) != 7 || len(want[1].Ops) != 2 || rst.SnapshotSeq == 0 {
+		t.Fatalf("restart recovered %+v from snapshot %d + %d records; the fixture should leave c1 with 7 operations and c3 with 2",
+			want, rst.SnapshotSeq, rst.Records)
+	}
+	if ap.Records != rst.Records {
+		t.Fatalf("standby replayed %d records, restart %d", ap.Records, rst.Records)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("standby replay diverges from restart recovery:\n got %+v\nwant %+v", got, want)
+	}
+	if err := standby.PromoteToServing(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := nextID(standby), nextID(restarted); a != b {
+		t.Fatalf("session-id floors differ: promoted standby opens %q, restarted primary %q", a, b)
+	}
+}
+
 // TestReplayerSwapsCheckpoint: a new current checkpoint swaps the model
 // exactly once; an unchanged manifest swaps nothing.
 func TestReplayerSwapsCheckpoint(t *testing.T) {
@@ -459,6 +612,45 @@ func TestFollowerAutoPromote(t *testing.T) {
 	}
 	if st := f.Status(); st.PrimaryHealthy || st.Errors != 3 {
 		t.Fatalf("status: %+v", st)
+	}
+}
+
+// TestFollowerRunCallbackMayStop: OnPrimaryDown's job is promotion,
+// whose first steps are Stop and one final SyncOnce — from inside the
+// callback Run itself invoked. Run must have left its loop by then (Stop
+// waits for it), and the final sync must not fire the callback again.
+func TestFollowerRunCallbackMayStop(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	srv.Close() // dead from the start
+
+	var f *Follower
+	fired := make(chan struct{}, 2) // room for the double fire this guards against
+	f, err := NewFollower(FollowerConfig{
+		PrimaryURL:       srv.URL,
+		Root:             t.TempDir(),
+		Interval:         time.Millisecond,
+		OpenTarget:       func(id, dir string) (Target, error) { return &fakeTarget{}, nil },
+		AutoPromoteAfter: time.Nanosecond,
+		OnPrimaryDown: func() {
+			f.Stop()
+			f.SyncOnce(context.Background())
+			fired <- struct{}{}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan struct{})
+	go func() { f.Run(context.Background()); close(ran) }()
+	for _, ch := range []chan struct{}{fired, ran} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatal("deadlock: Stop from OnPrimaryDown waits on the Run that is calling it")
+		}
+	}
+	if len(fired) != 0 {
+		t.Fatal("the callback's own final sync fired it again")
 	}
 }
 

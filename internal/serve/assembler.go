@@ -145,10 +145,16 @@ func (os *openSession) isDupLocked(ev Event) bool {
 // actually removed (a concurrent append for the same client after pos
 // prevents the rollback; the event then simply stays unscored).
 func (a *Assembler) Rollback(client string, pos int) bool {
+	return a.rollback(client, "", pos)
+}
+
+// rollback is Rollback, additionally guarded on the session id when one
+// is given (the replay form: the record names the session it undid).
+func (a *Assembler) rollback(client, sessionID string, pos int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	os := a.open[client]
-	if os == nil || len(os.keys) != pos+1 {
+	if os == nil || sessionID != "" && os.sess.ID != sessionID || len(os.keys) != pos+1 {
 		return false
 	}
 	os.sess.Ops = os.sess.Ops[:pos]
@@ -374,17 +380,5 @@ func (a *Assembler) ReplayClose(client, sessionID string) bool {
 // ReplayRollback undoes the tail operation of the identified session
 // during recovery — the logged image of a backpressure rollback.
 func (a *Assembler) ReplayRollback(client, sessionID string, pos int) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	os := a.open[client]
-	if os == nil || os.sess.ID != sessionID || len(os.keys) != pos+1 {
-		return false
-	}
-	os.sess.Ops = os.sess.Ops[:pos]
-	os.keys = os.keys[:pos]
-	if pos == 0 {
-		delete(a.open, client)
-		a.opened--
-	}
-	return true
+	return a.rollback(client, sessionID, pos)
 }

@@ -99,12 +99,13 @@ type snapState struct {
 	Sessions []SessionState `json:"sessions"`
 }
 
-// Restore opens the durability layer and rebuilds the assemblers from
-// each shard stream's newest valid snapshot plus its WAL suffix,
-// replaying the streams in parallel. It must be called (once) before
-// Start and before the first Ingest; without it a durability-configured
-// Service rejects events with ErrNotReady so no accepted event can ever
-// bypass the log. With Config.Durability nil it is a no-op.
+// Restore opens the durability layer, rebuilds the assemblers from each
+// shard stream's newest valid snapshot plus its WAL suffix (replaying
+// the streams in parallel), and goes live. It must be called (once)
+// before Start and before the first Ingest; without it a
+// durability-configured Service rejects events with ErrNotReady so no
+// accepted event can ever bypass the log. With Config.Durability nil it
+// is a no-op.
 //
 // When the manifest's shard count differs from the configured one,
 // Restore recovers the old layout first, then migrates it with the
@@ -123,8 +124,8 @@ func (s *Service) Restore() (RestoreStats, error) {
 	if d == nil {
 		return st, nil
 	}
-	if !s.restoreOnce.CompareAndSwap(false, true) {
-		return st, fmt.Errorf("serve: Restore called twice")
+	if s.ready.Load() || !s.restoreOnce.CompareAndSwap(false, true) {
+		return st, fmt.Errorf("serve: Restore called twice (or on a promoted standby)")
 	}
 	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
 		return st, err
@@ -175,6 +176,18 @@ func (s *Service) Restore() (RestoreStats, error) {
 	}
 	st.Sessions = s.openCount()
 	s.recovered.Store(int64(st.Sessions))
+	s.goLive(d)
+	return st, nil
+}
+
+// goLive is the one step that turns a durable service into a serving
+// one, shared by Restore and PromoteToServing: the shard stores are
+// open and hold everything the assemblers do. It installs the
+// checkpoint store (a standby must not write checkpoints into the
+// directory it mirrors), publishes ready — the store the Ingest path
+// loads before it touches a shard's stream — and starts the snapshot
+// loop.
+func (s *Service) goLive(d *DurabilityConfig) {
 	s.ckpts = d.Checkpoints
 	s.ready.Store(true)
 	if d.SnapshotEvery > 0 {
@@ -182,7 +195,31 @@ func (s *Service) Restore() (RestoreStats, error) {
 		s.snapDone = make(chan struct{})
 		go s.snapshotLoop(d.SnapshotEvery)
 	}
-	return st, nil
+}
+
+// openStores opens every shard's stream on the WAL directory, or none:
+// on error the ones already opened are closed again.
+func (s *Service) openStores(d *DurabilityConfig) error {
+	for i, sh := range s.shards {
+		store, err := wal.OpenStore(d.Dir, s.walOptions(d, i))
+		if err != nil {
+			s.closeStores()
+			return err
+		}
+		sh.store = store
+	}
+	return nil
+}
+
+// closeStores closes and uninstalls whatever shard streams are open
+// (the undo of openStores; only reachable before goLive).
+func (s *Service) closeStores() {
+	for _, sh := range s.shards {
+		if sh.store != nil {
+			sh.store.Close()
+			sh.store = nil
+		}
+	}
 }
 
 // walOptions builds shard i's stream open options.
@@ -223,14 +260,7 @@ func (s *Service) recoverStreams(d *DurabilityConfig, m int, keep bool, st *Rest
 			}
 			stores[i] = store
 			recs[i], errs[i] = store.Recover(s.restoreSnapshot, func(b []byte) error {
-				var r walRecord
-				if err := json.Unmarshal(b, &r); err != nil {
-					// An undecodable-but-checksummed record is a version
-					// skew bug, not a torn tail; surface it.
-					return fmt.Errorf("serve: undecodable wal record: %w", err)
-				}
-				s.replayRecord(r, &stats[i])
-				return nil
+				return s.replayPayload(b, &stats[i])
 			})
 		}(i)
 	}
@@ -311,44 +341,32 @@ func (s *Service) resumeRemap(d *DurabilityConfig, man wal.Manifest) error {
 }
 
 // finishRemap runs the post-commit steps of a migration: delete every
-// old stream file, open fresh per-shard streams, seed each with its
-// shard's snapshot, clear the manifest's remap flag and drop the
-// staging file. Idempotent — a crash anywhere here re-runs it from the
-// staging file on the next boot.
+// old stream file, then seed fresh per-shard streams (seedStores).
+// Idempotent — a crash anywhere here re-runs it from the staging file
+// on the next boot.
 func (s *Service) finishRemap(d *DurabilityConfig) error {
-	closeOpened := func() {
-		for _, sh := range s.shards {
-			if sh.store != nil {
-				sh.store.Close()
-				sh.store = nil
-			}
-		}
-	}
 	if err := wal.RemoveAllStreams(d.Dir); err != nil {
 		return err
 	}
-	for i, sh := range s.shards {
-		store, err := wal.OpenStore(d.Dir, s.walOptions(d, i))
-		if err != nil {
-			closeOpened()
-			return err
-		}
-		sh.store = store
+	return s.seedStores(d)
+}
+
+// seedStores makes d.Dir the durable home of exactly what the
+// assemblers hold: it opens every shard's stream, anchors each on a
+// snapshot of that shard's sessions, names the layout in the manifest
+// (clearing any remap flag) and drops the remap staging file. The tail
+// of a shard remap and the whole of a standby's promotion; on error the
+// streams are closed again and nothing was published.
+func (s *Service) seedStores(d *DurabilityConfig) error {
+	if err := s.openStores(d); err != nil {
+		return err
 	}
-	for _, sh := range s.shards {
-		seq, sessions := sh.asm.Export()
-		b, err := json.Marshal(snapState{Seq: seq, Sessions: sessions})
-		if err != nil {
-			closeOpened()
-			return err
-		}
-		if err := sh.store.Snapshot(b); err != nil {
-			closeOpened()
-			return err
-		}
+	err := s.snapshotShards()
+	if err == nil {
+		err = wal.SaveManifest(d.Dir, wal.Manifest{Version: wal.ManifestVersion, Shards: len(s.shards)})
 	}
-	if err := wal.SaveManifest(d.Dir, wal.Manifest{Version: wal.ManifestVersion, Shards: len(s.shards)}); err != nil {
-		closeOpened()
+	if err != nil {
+		s.closeStores()
 		return err
 	}
 	os.Remove(filepath.Join(d.Dir, wal.RemapFile))
@@ -381,11 +399,18 @@ func (s *Service) restoreSnapshot(b []byte) error {
 	return nil
 }
 
-// replayRecord applies one WAL record on top of the restored snapshot,
-// routed by client hash. Application is idempotent (see
-// Assembler.ReplayAppend), so records the snapshot already covers are
-// dropped, never duplicated.
-func (s *Service) replayRecord(r walRecord, st *RestoreStats) {
+// replayPayload decodes and applies one WAL record on top of the
+// restored snapshot, routed by client hash — the replay half of both
+// Restore and a standby's ReplicaApplyRecord. Application is idempotent
+// (see Assembler.ReplayAppend), so records the snapshot already covers
+// are dropped, never duplicated.
+func (s *Service) replayPayload(b []byte, st *RestoreStats) error {
+	var r walRecord
+	if err := json.Unmarshal(b, &r); err != nil {
+		// An undecodable-but-checksummed record is a version skew bug,
+		// not a torn tail; surface it.
+		return fmt.Errorf("serve: undecodable wal record: %w", err)
+	}
 	switch r.T {
 	case recEvent:
 		key := s.model.Load().ucad.Vocab.Key(r.SQL)
@@ -399,6 +424,7 @@ func (s *Service) replayRecord(r walRecord, st *RestoreStats) {
 	case recSeal:
 		st.CleanSeal = true
 	}
+	return nil
 }
 
 // appendWAL marshals and appends one record; the caller holds the
@@ -486,11 +512,18 @@ func (s *Service) closeAllLogged(idleOnly bool) []Closed {
 // and commits one durable snapshot per stream, pruning the WAL segments
 // each snapshot supersedes. Only the capture and segment rotation
 // happen inside the barrier; serialization and the commit fsyncs run
-// off the ingest path. No-op without durability.
+// off the ingest path. No-op on a service that is not live (without
+// durability, or before Restore/promotion).
 func (s *Service) SnapshotNow() error {
 	if !s.ready.Load() {
 		return nil
 	}
+	return s.snapshotShards()
+}
+
+// snapshotShards is SnapshotNow on whatever stores are open; promotion
+// calls it before goLive to seal the replication era.
+func (s *Service) snapshotShards() error {
 	t := obs.StartTimer(s.metrics.snapshotSeconds)
 	defer t.Stop()
 	type cut struct {

@@ -1,42 +1,39 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"github.com/ucad/ucad/internal/wal"
 )
 
-// Warm-standby support. A Service built with Config.Replica is a live
-// scoring pipeline that never serves: a replication follower
-// (internal/replica) feeds it the primary's shipped snapshots and WAL
-// records through the Replica* entry points below, so its assemblers
-// track the primary with sealed-segment granularity and its model stays
-// current via shipped checkpoints. PromoteToServing is the failover
-// flip: it opens the standby's own WAL streams on the replicated
-// directory, seals the replication stream with a fresh snapshot, and
-// starts accepting traffic — the same "newest snapshot + idempotent
-// replay" contract a restart relies on, applied across machines.
+// Warm-standby support. A warm standby is a durable Service that has not
+// gone live yet: it is built over its own synced WAL directory
+// (Config.Durability names it from the start) and, where a restarting
+// primary calls Restore once, a replication follower (internal/replica)
+// keeps feeding it the primary's shipped snapshots and WAL records
+// through the Replica* entry points below — the same restoreSnapshot
+// and replayPayload Restore drives, fed by the same wal recovery loop —
+// so its assemblers track the primary with sealed-segment granularity.
+// PromoteToServing is the step Restore ends on, taken later: seed the
+// shard streams on the directory from what was replayed, goLive.
 
-// Replica-mode errors. ErrNotReplica maps to HTTP 409 in the admin API:
-// promoting twice (or promoting a primary) is a refused state change,
-// not a retryable fault.
-var (
-	ErrNotReplica = errors.New("serve: not an unpromoted replica")
-)
+// ErrNotReplica maps to HTTP 409 in the admin API: promoting twice (or
+// promoting a primary) is a refused state change, not a retryable
+// fault.
+var ErrNotReplica = errors.New("serve: not an unpromoted replica")
 
-// IsReplica reports whether the service is a warm standby that has not
-// been promoted yet.
-func (s *Service) IsReplica() bool { return s.replica.Load() }
+// IsReplica reports whether the service is durable but not live: a warm
+// standby that has not been promoted (or a primary whose Restore has not
+// run). It is exactly the state in which Ingest answers ErrNotReady.
+func (s *Service) IsReplica() bool { return s.cfg.Durability != nil && !s.ready.Load() }
 
 // replicaGuard rejects replica-only operations on a non-replica.
 func (s *Service) replicaGuard() error {
 	if s.stopped.Load() {
 		return ErrStopped
 	}
-	if !s.replica.Load() {
+	if !s.IsReplica() {
 		return ErrNotReplica
 	}
 	return nil
@@ -79,41 +76,27 @@ func (s *Service) ReplicaApplyRecord(payload []byte) error {
 	if err := s.replicaGuard(); err != nil {
 		return err
 	}
-	var r walRecord
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return fmt.Errorf("serve: undecodable wal record: %w", err)
-	}
-	s.replayRecord(r, &RestoreStats{})
-	return nil
+	return s.replayPayload(payload, &RestoreStats{})
 }
 
-// PromoteToServing flips a warm standby live. Under the all-shard durMu
-// barrier it opens one WAL stream per shard on the replicated directory
-// (whose manifest must name the same shard count the replica was built
-// with), installs the durability config, and clears the replica flag;
-// then it seals the replication era with a fresh snapshot of the
-// replayed state, so the standby's own WAL anchors on everything it
-// absorbed and the shipped history it rode in on becomes prunable.
+// PromoteToServing takes a warm standby live, all or nothing. It opens
+// one WAL stream per shard on the synced directory (whose manifest must
+// name the shard count the standby was built with), seals the
+// replication era with a snapshot of the replayed state — so the
+// standby's own WAL anchors on everything it absorbed and the shipped
+// history it rode in on becomes prunable — and only then goes live. Any
+// failure closes the streams again and leaves a promotable replica.
 // Session-id floors were maintained throughout replay, so sessions
 // opened after promotion never reuse a pre-failover id.
 //
-// d may be nil for a non-durable promotion (tests, throwaway standbys).
-// The caller starts the idle sweeper afterwards (Service.Start) and
-// re-routes traffic; a second promotion fails with ErrNotReplica.
-func (s *Service) PromoteToServing(d *DurabilityConfig) error {
+// Quiesce replay first (stop the follower). The caller starts the idle
+// sweeper afterwards (Service.Start) and re-routes traffic; a second
+// promotion fails with ErrNotReplica.
+func (s *Service) PromoteToServing() error {
 	if err := s.replicaGuard(); err != nil {
 		return err
 	}
-	if d == nil {
-		s.cfg.Durability = nil
-		s.promotions.Add(1)
-		s.replica.Store(false)
-		return nil
-	}
-	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
-		return err
-	}
-	n := len(s.shards)
+	d, n := s.cfg.Durability, len(s.shards)
 	man, ok, err := wal.LoadManifest(d.Dir)
 	if err != nil {
 		return err
@@ -121,56 +104,11 @@ func (s *Service) PromoteToServing(d *DurabilityConfig) error {
 	if ok && man.Shards != n {
 		return fmt.Errorf("serve: promote: replicated layout has %d shards, replica was built with %d", man.Shards, n)
 	}
-	if !ok {
-		if err := wal.SaveManifest(d.Dir, wal.Manifest{Version: wal.ManifestVersion, Shards: n}); err != nil {
-			return err
-		}
-	}
-	for _, sh := range s.shards {
-		sh.durMu.Lock()
-	}
-	for i, sh := range s.shards {
-		store, oerr := wal.OpenStore(d.Dir, s.walOptions(d, i))
-		if oerr != nil {
-			err = oerr
-			break
-		}
-		sh.store = store
-	}
-	if err != nil {
-		for _, sh := range s.shards {
-			if sh.store != nil {
-				sh.store.Close()
-				sh.store = nil
-			}
-		}
-		for i := n - 1; i >= 0; i-- {
-			s.shards[i].durMu.Unlock()
-		}
+	if err := s.seedStores(d); err != nil {
 		return err
 	}
-	s.cfg.Durability = d
-	s.ckpts = d.Checkpoints
-	s.restoreOnce.Store(true) // the replicated state IS the restore
-	s.ready.Store(true)
 	s.promotions.Add(1)
-	// The replica-flag store publishes the config writes above: an
-	// Ingest that observes replica==false also observes the durability
-	// wiring (see the load in Ingest).
-	s.replica.Store(false)
-	for i := n - 1; i >= 0; i-- {
-		s.shards[i].durMu.Unlock()
-	}
-	// Seal the replication era: anchor every stream on the state just
-	// replayed. New appends land after this snapshot's cut.
-	if err := s.SnapshotNow(); err != nil {
-		return err
-	}
-	if d.SnapshotEvery > 0 {
-		s.snapStop = make(chan struct{})
-		s.snapDone = make(chan struct{})
-		go s.snapshotLoop(d.SnapshotEvery)
-	}
+	s.goLive(d)
 	return nil
 }
 

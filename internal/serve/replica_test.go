@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/ucad/ucad/internal/scorecache"
 	"github.com/ucad/ucad/internal/wal"
@@ -35,6 +36,23 @@ func shipSealed(t *testing.T, src, dst string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// standbyService builds a warm standby over its synced WAL directory: a
+// durable service that never calls Restore.
+func standbyService(t *testing.T, dir string, clock func() time.Time, mutate func(*Config)) *Service {
+	t.Helper()
+	cfg := Config{
+		Shards:     2,
+		Workers:    2,
+		SweepEvery: -1,
+		Clock:      clock,
+		Durability: &DurabilityConfig{Dir: dir, Fsync: wal.SyncAlways},
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return NewService(testUCAD(t), cfg)
 }
 
 // replayShipped replays a shipped directory into a replica service,
@@ -71,7 +89,7 @@ func TestReplicaPromoteServesRestoredState(t *testing.T) {
 
 	shipSealed(t, dirA, dirB)
 
-	r := NewService(testUCAD(t), Config{Replica: true, Shards: 2, Workers: 2, SweepEvery: -1, Clock: clock.Now})
+	r := standbyService(t, dirB, clock.Now, nil)
 	if !r.IsReplica() {
 		t.Fatal("not a replica")
 	}
@@ -89,14 +107,14 @@ func TestReplicaPromoteServesRestoredState(t *testing.T) {
 		t.Fatalf("replica session-id floor %d below primary %d", gotSeq, wantSeq)
 	}
 
-	if err := r.PromoteToServing(&DurabilityConfig{Dir: dirB, Fsync: wal.SyncAlways}); err != nil {
+	if err := r.PromoteToServing(); err != nil {
 		t.Fatal(err)
 	}
 	r.Start()
 	if r.IsReplica() {
 		t.Fatal("still a replica after promotion")
 	}
-	if err := r.PromoteToServing(nil); err != ErrNotReplica {
+	if err := r.PromoteToServing(); err != ErrNotReplica {
 		t.Fatalf("second promotion: %v, want ErrNotReplica", err)
 	}
 	if got := r.Stats().Promotions; got != 1 {
@@ -141,7 +159,8 @@ func TestReplicaResetRebuildConverges(t *testing.T) {
 	}
 	shipSealed(t, dirA, dirB)
 
-	r := NewService(testUCAD(t), Config{Replica: true, Shards: 2, Workers: 2, SweepEvery: -1, Clock: clock.Now})
+	r := standbyService(t, dirB, clock.Now, nil)
+	defer r.Close(context.Background())
 	replayShipped(t, r, dirB, 2)
 	_, first := exportedState(r)
 	if len(first) != 3 {
@@ -160,21 +179,72 @@ func TestReplicaResetRebuildConverges(t *testing.T) {
 	}
 }
 
-// TestReplicaGuards: the replica entry points refuse a non-replica.
+// TestStandbyCloseRunsNoDetection: shutting a standby down must not
+// judge the primary's sessions. With auto-retraining armed
+// (RetrainAfter 1) Close processes nothing, starts no fine-tune round,
+// and leaves the synced directory able to rebuild the same sessions.
+func TestStandbyCloseRunsNoDetection(t *testing.T) {
+	clock := newFakeClock()
+	dirA, dirB := t.TempDir(), t.TempDir()
+
+	s1, _ := durableService(t, testUCAD(t), dirA, clock.Now, func(c *Config) { c.Shards = 2 })
+	for i, client := range []string{"c1", "c2", "c3"} {
+		ingestN(t, s1, client, 5+i, 0)
+	}
+	s1.Drain()
+	if err := s1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	shipSealed(t, dirA, dirB)
+
+	armed := func(c *Config) { c.RetrainAfter = 1 }
+	r := standbyService(t, dirB, clock.Now, armed)
+	replayShipped(t, r, dirB, 2)
+	_, want := exportedState(r)
+	if len(want) != 3 {
+		t.Fatalf("standby replayed %d sessions, want 3", len(want))
+	}
+	if err := r.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.SessionsProcessed != 0 || st.Retrains != 0 || st.AlertsRaised != 0 {
+		t.Fatalf("closing a standby ran detection on the primary's sessions: %+v", st)
+	}
+	if err := r.ReplicaReset(); err != ErrStopped {
+		t.Fatalf("replay into a closed standby: %v, want ErrStopped", err)
+	}
+
+	r2 := standbyService(t, dirB, clock.Now, armed)
+	defer r2.Close(context.Background())
+	replayShipped(t, r2, dirB, 2)
+	if _, got := exportedState(r2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a fresh standby over the same directory diverges:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReplicaGuards: the replica entry points refuse a non-replica —
+// a service with no durability, and a durable one that is live.
 func TestReplicaGuards(t *testing.T) {
-	s := NewService(testUCAD(t), Config{Workers: 1, SweepEvery: -1})
-	defer s.Stop()
-	if err := s.ReplicaReset(); err != ErrNotReplica {
-		t.Fatalf("ReplicaReset on primary: %v", err)
-	}
-	if err := s.ReplicaApplyRecord([]byte(`{"t":"ev"}`)); err != ErrNotReplica {
-		t.Fatalf("ReplicaApplyRecord on primary: %v", err)
-	}
-	if err := s.ReplicaRestoreSnapshot([]byte(`{}`)); err != ErrNotReplica {
-		t.Fatalf("ReplicaRestoreSnapshot on primary: %v", err)
-	}
-	if err := s.PromoteToServing(nil); err != ErrNotReplica {
-		t.Fatalf("PromoteToServing on primary: %v", err)
+	plain := NewService(testUCAD(t), Config{Workers: 1, SweepEvery: -1})
+	defer plain.Stop()
+	live, _ := durableService(t, testUCAD(t), t.TempDir(), nil, nil)
+	defer live.Close(context.Background())
+	for name, s := range map[string]*Service{"non-durable": plain, "live durable": live} {
+		if s.IsReplica() {
+			t.Fatalf("%s: IsReplica", name)
+		}
+		if err := s.ReplicaReset(); err != ErrNotReplica {
+			t.Fatalf("%s: ReplicaReset: %v", name, err)
+		}
+		if err := s.ReplicaApplyRecord([]byte(`{"t":"ev"}`)); err != ErrNotReplica {
+			t.Fatalf("%s: ReplicaApplyRecord: %v", name, err)
+		}
+		if err := s.ReplicaRestoreSnapshot([]byte(`{}`)); err != ErrNotReplica {
+			t.Fatalf("%s: ReplicaRestoreSnapshot: %v", name, err)
+		}
+		if err := s.PromoteToServing(); err != ErrNotReplica {
+			t.Fatalf("%s: PromoteToServing: %v", name, err)
+		}
 	}
 }
 

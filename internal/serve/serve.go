@@ -78,7 +78,8 @@ var (
 	ErrSessionOpen = errors.New("serve: session still open")
 	ErrNoAlert     = errors.New("serve: no such alert")
 	// ErrNotReady rejects events on a durability-configured Service
-	// before Restore has opened the write-ahead log: an accepted event
-	// must never bypass the log.
-	ErrNotReady = errors.New("serve: durable service not restored (call Restore first)")
+	// that has not gone live: a primary before Restore has opened the
+	// write-ahead log, or a warm standby awaiting promotion. An accepted
+	// event must never bypass the log.
+	ErrNotReady = errors.New("serve: durable service not live yet (restore pending, or a standby awaiting promotion)")
 )

@@ -65,13 +65,10 @@ type Config struct {
 	// Durability, when non-nil, makes the service crash-safe: accepted
 	// events are WAL-logged before ack, open sessions are snapshotted,
 	// and Restore rebuilds them after a restart (see DurabilityConfig).
+	// Until Restore — or, for a warm standby built over its synced
+	// directory, PromoteToServing (see replica.go) — takes the service
+	// live, Ingest rejects with ErrNotReady.
 	Durability *DurabilityConfig
-	// Replica starts the service as a warm standby: it never serves —
-	// Ingest rejects with ErrNotReady — while a replication follower
-	// drives its state through ReplicaRestoreSnapshot/ReplicaApplyRecord
-	// until PromoteToServing flips it live (see replica.go). Leave
-	// Durability nil for a replica; promotion supplies it.
-	Replica bool
 	// Metrics receives the serving instrumentation; nil creates a
 	// private registry (reachable via Service.Metrics). A Metrics value
 	// binds to exactly one Service.
@@ -137,11 +134,9 @@ type Service struct {
 	retraining atomic.Bool
 	retrainWG  sync.WaitGroup
 
-	// replica marks a warm standby (Config.Replica) that has not been
-	// promoted yet; cacheWarmed counts score-cache rows pre-populated
-	// from restored sessions (WarmScoreCache); promotions counts
-	// PromoteToServing flips (0 or 1 per process today).
-	replica     atomic.Bool
+	// cacheWarmed counts score-cache rows pre-populated from restored
+	// sessions (WarmScoreCache); promotions counts PromoteToServing flips
+	// (0 or 1 per process today).
 	cacheWarmed atomic.Int64
 	promotions  atomic.Int64
 
@@ -150,9 +145,11 @@ type Service struct {
 	startOnce sync.Once
 
 	// Durability state (zero without Config.Durability; see durable.go).
-	// ready publishes the shard stores after Restore: a
-	// durability-configured service rejects ingest with ErrNotReady
-	// until it is set, so no accepted event can bypass the log.
+	// ready publishes the shard stores and ckpts (goLive sets it, at the
+	// end of Restore or PromoteToServing): a durability-configured
+	// service rejects ingest with ErrNotReady until then, so no accepted
+	// event can bypass the log — and "durable, not ready" is all a warm
+	// standby is (IsReplica).
 	ready       atomic.Bool
 	restoreOnce atomic.Bool
 	ckpts       *wal.Checkpoints
@@ -211,7 +208,6 @@ func NewService(u *core.UCAD, cfg Config) *Service {
 		minContext: mcfg.MinContext,
 		topP:       mcfg.TopP,
 	})
-	s.replica.Store(cfg.Replica)
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i, asm: NewAssembler(cfg.IdleTimeout, cfg.Clock)}
@@ -286,8 +282,14 @@ func (s *Service) Stop() {
 // back exactly where it was. Without durability it behaves like Stop
 // (nothing would preserve the sessions, so they are flushed through
 // detection instead).
+//
+// A durable service that never went live — a warm standby, or a failed
+// Restore — acknowledged nothing: its sessions are a replay of files
+// that are still on disk, and on a standby they are the primary's, not
+// ours to judge. Close only stops the scoring pool; no verdicts, no
+// verified-pool feed, no fine-tune round.
 func (s *Service) Close(ctx context.Context) error {
-	if !s.ready.Load() {
+	if s.cfg.Durability == nil {
 		s.Stop()
 		return nil
 	}
@@ -295,6 +297,10 @@ func (s *Service) Close(ctx context.Context) error {
 		return nil
 	}
 	s.stopBackground()
+	if !s.ready.Load() {
+		s.engine.Stop()
+		return nil
+	}
 	var err error
 	drained := make(chan struct{})
 	go func() { s.engine.Drain(); close(drained) }()
@@ -344,12 +350,6 @@ func (s *Service) stopBackground() {
 func (s *Service) Ingest(ev Event) error {
 	if s.stopped.Load() {
 		return ErrStopped
-	}
-	// A warm standby never serves: clients get the retryable not-ready
-	// signal until promotion. (The atomic load also orders the config
-	// writes PromoteToServing makes before it clears the flag.)
-	if s.replica.Load() {
-		return ErrNotReady
 	}
 	if ev.SQL == "" || ev.Seq > 0 && ev.Epoch <= 0 {
 		return ErrInvalid
@@ -619,7 +619,7 @@ func (s *Service) Stats() Stats {
 		RecoveredSessions: s.recovered.Load(),
 		UnknownKeys:       s.unknownKeys.Load(),
 		DuplicateEvents:   s.dupEvents.Load(),
-		Replica:           s.replica.Load(),
+		Replica:           s.IsReplica(),
 		Promotions:        s.promotions.Load(),
 
 		ScoreCacheHits:      int64(cs.Hits),

@@ -23,8 +23,8 @@ type shard struct {
 	// durMu in index order; no other path holds two at once.
 	durMu sync.Mutex
 	// store is the shard's own WAL segment stream (wal-shard-NN-*.log
-	// under the tenant's WAL dir); nil without durability, written once
-	// by Restore before the ready flag is published.
+	// under the tenant's WAL dir); nil without durability, installed by
+	// Restore or PromoteToServing before goLive publishes the ready flag.
 	store *wal.Store
 }
 

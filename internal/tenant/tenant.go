@@ -81,11 +81,6 @@ type Options struct {
 	// handed, before its pipeline is built — the hook for host-local
 	// settings a persisted model cannot know (fine-tune parallelism).
 	Tune func(*core.UCAD)
-	// PrePromote runs before Promote flips replica tenants live —
-	// outside the admin lock, so a standby can stop its replication
-	// follower and drain the last shipped files (which may itself still
-	// be creating tenants) without deadlocking.
-	PrePromote func()
 }
 
 // Registry is the concurrent tenant table: id → running pipeline.
@@ -158,7 +153,7 @@ func ValidateID(id string) error {
 // own WAL, and publish it for routing. The spec is persisted to
 // <dir>/tenant.json so a restart's Boot re-creates it.
 func (r *Registry) Create(spec Spec) (*Tenant, error) {
-	return r.create(spec, nil)
+	return r.create(spec, nil, false)
 }
 
 // CreateFromModel is Create with an already-loaded model — the test and
@@ -168,10 +163,14 @@ func (r *Registry) CreateFromModel(spec Spec, u *core.UCAD) (*Tenant, error) {
 	if u == nil {
 		return nil, errors.New("tenant: CreateFromModel needs a model")
 	}
-	return r.create(spec, u)
+	return r.create(spec, u, false)
 }
 
-func (r *Registry) create(spec Spec, u *core.UCAD) (*Tenant, error) {
+// create is the one tenant constructor. A standby tenant (see
+// CreateReplica) is the same boot stopped one step early: its synced
+// directory supplies the spec and the shard count, and Restore, the
+// spec write and the idle sweeper wait for Promote.
+func (r *Registry) create(spec Spec, u *core.UCAD, standby bool) (*Tenant, error) {
 	if spec.ID == "" {
 		spec.ID = serve.DefaultTenant
 	}
@@ -199,9 +198,21 @@ func (r *Registry) create(spec Spec, u *core.UCAD) (*Tenant, error) {
 		r.hub.RemoveTenant(id)
 		return nil, err
 	}
+	if standby && r.opts.Root == "" {
+		return fail(errors.New("tenant: replica registry needs a data root"))
+	}
 	if r.opts.Root != "" {
 		t.dir = filepath.Join(r.opts.Root, "tenants", id)
-		if err := os.MkdirAll(t.dir, 0o755); err != nil {
+		if standby {
+			shipped, err := readSpec(t.dir)
+			if err != nil {
+				return fail(fmt.Errorf("tenant %s: %w", id, err))
+			}
+			if shipped.ID != id {
+				return fail(fmt.Errorf("tenant %s: shipped %s names %q", id, specFile, shipped.ID))
+			}
+			spec = shipped
+		} else if err := os.MkdirAll(t.dir, 0o755); err != nil {
 			return fail(err)
 		}
 		ckpts, err := wal.OpenCheckpoints(filepath.Join(t.dir, "checkpoints"), 0)
@@ -232,17 +243,27 @@ func (r *Registry) create(spec Spec, u *core.UCAD) (*Tenant, error) {
 		d.Dir = filepath.Join(t.dir, "wal")
 		d.Checkpoints = t.ckpts
 		cfg.Durability = &d
+		if standby {
+			// The shipped stream layout dictates the shard count: the
+			// replayer routes by the same hash, and promotion opens
+			// exactly these streams.
+			if man, ok, err := wal.LoadManifest(d.Dir); err != nil {
+				return fail(fmt.Errorf("tenant %s: %w", id, err))
+			} else if ok {
+				cfg.Shards = man.Shards
+			}
+		}
 	}
 	t.svc = serve.NewService(u, cfg)
-	if t.dir != "" {
+	if t.dir != "" && !standby {
 		st, err := t.svc.Restore()
 		if err != nil {
-			t.svc.Stop()
+			t.svc.Close(context.Background())
 			return fail(fmt.Errorf("tenant %s: restore: %w", id, err))
 		}
 		t.restore = st
 		if err := writeSpec(t.dir, spec); err != nil {
-			t.svc.Stop()
+			t.svc.Close(context.Background())
 			return fail(fmt.Errorf("tenant %s: %w", id, err))
 		}
 		// Seed the checkpoint manifest so the tenant's directory is
@@ -253,7 +274,9 @@ func (r *Registry) create(spec Spec, u *core.UCAD) (*Tenant, error) {
 			t.svc.CheckpointModel()
 		}
 	}
-	t.svc.Start()
+	if !standby {
+		t.svc.Start()
+	}
 
 	r.mu.Lock()
 	r.tenants[id] = t

@@ -57,28 +57,27 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, err == nil && seq > 0
 }
 
-// parseSegmentSeq extracts the sequence number from a segment filename,
-// reporting ok=false for files that are not this stream's segments.
-func parseSegmentSeq(name, prefix string) (uint64, bool) {
-	return parseSeq(name, prefix, ".log")
-}
-
-// listSegments returns the directory's segment sequence numbers for one
-// stream prefix in ascending order.
-func listSegments(dir, prefix string) ([]uint64, error) {
+// listSeqs returns, in ascending order, the sequence numbers of dir's
+// <prefix><seq><suffix> files: one stream's segments (".log") or
+// snapshots (".snap").
+func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var seqs []uint64
 	for _, e := range ents {
-		if seq, ok := parseSegmentSeq(e.Name(), prefix); ok && !e.IsDir() {
+		if seq, ok := parseSeq(e.Name(), prefix, suffix); ok && !e.IsDir() {
 			seqs = append(seqs, seq)
 		}
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return seqs, nil
 }
+
+// listSegments returns the directory's segment sequence numbers for one
+// stream prefix in ascending order.
+func listSegments(dir, prefix string) ([]uint64, error) { return listSeqs(dir, prefix, ".log") }
 
 // scanValidPrefix reads a segment and returns the byte offset where its
 // valid record prefix ends (the start of the first torn record, or the

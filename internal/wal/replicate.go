@@ -78,20 +78,7 @@ func ListSegmentSeqs(dir, prefix string) ([]uint64, error) { return listSegments
 
 // ListSnapshotSeqs returns the stream's snapshot sequence numbers in
 // ascending order.
-func ListSnapshotSeqs(dir, prefix string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range ents {
-		if seq, ok := parseSnapshotSeq(e.Name(), prefix); ok && !e.IsDir() {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
+func ListSnapshotSeqs(dir, prefix string) ([]uint64, error) { return listSeqs(dir, prefix, ".snap") }
 
 // SealedStreamFiles lists the replicable files of a WAL directory: every
 // snapshot, the layout manifest and remap staging file when present,
@@ -153,19 +140,8 @@ func SealedStreamFiles(dir string) ([]StreamFile, error) {
 // segment, a torn tail here is an error — sealed segments were closed
 // on a record boundary, so any tear means a corrupt or truncated ship.
 func VerifySegmentFile(path string) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	off := 0
-	for off < len(b) {
-		_, n, err := decodeRecord(b[off:])
-		if err != nil {
-			return fmt.Errorf("wal: %s: torn record at offset %d", filepath.Base(path), off)
-		}
-		off += n
-	}
-	return nil
+	_, err := ReplaySegmentFile(path, func([]byte) error { return nil })
+	return err
 }
 
 // VerifySnapshotFile validates a snapshot (or remap staging) file: one
@@ -177,26 +153,24 @@ func VerifySnapshotFile(path string) error {
 	return nil
 }
 
-// VerifyStreamFile dispatches verification by file name: segments get
-// the full record-chain scan, snapshot-framed files the single-record
-// check. Names with no framed format (MANIFEST.json) verify trivially.
-func VerifyStreamFile(path string) error {
-	name := filepath.Base(path)
+// VerifyStreamFile checks the file at path against the framing rules of
+// the stream-file name it has or (a fetched temp file) is about to
+// assume: segments get the full record-chain scan, snapshot-framed files
+// the single-record check. Names with no framed format (MANIFEST.json)
+// verify trivially.
+func VerifyStreamFile(name, path string) error {
 	if _, _, ok := SplitSegmentName(name); ok {
 		return VerifySegmentFile(path)
 	}
-	if _, _, ok := SplitSnapshotName(name); ok {
-		return VerifySnapshotFile(path)
-	}
-	if name == RemapFile {
+	if _, _, ok := SplitSnapshotName(name); ok || name == RemapFile {
 		return VerifySnapshotFile(path)
 	}
 	return nil
 }
 
 // ReplaySegmentFile streams a sealed segment's records through fn in
-// append order, read-only. A torn record is an error (see
-// VerifySegmentFile); fn's payload is only valid during the call.
+// append order, read-only. A torn record is an error; fn's payload is
+// only valid during the call.
 func ReplaySegmentFile(path string, fn func(payload []byte) error) (int, error) {
 	n, torn, err := replaySegment(path, fn)
 	if err != nil {
@@ -208,50 +182,12 @@ func ReplaySegmentFile(path string, fn func(payload []byte) error) (int, error) 
 	return n, nil
 }
 
-// ReadSnapshotFile loads and checksum-validates one snapshot file's
-// payload without going through a Store.
-func ReadSnapshotFile(path string) ([]byte, error) { return ReadStateFile(path) }
-
-// RestoreStream rebuilds one stream's state read-only: restore is
-// called at most once with the newest valid snapshot's payload, then
-// replay is called for every record of each segment with sequence >=
-// the snapshot's, in append order. Unlike Store.Recover it never
-// mutates the directory (no torn-tail truncation, no pruning) and a
-// torn record anywhere is an error — a replicated directory holds only
-// sealed, complete files. A standby uses this to rebuild from shipped
-// files after a replication gap, converging on the same state a
-// primary restart would.
+// RestoreStream rebuilds one stream's state from a shipped directory
+// through recoverStream — the loop Store.Recover runs on a restart —
+// without ever mutating it (no torn-tail truncation, no pruning), and
+// with every tear an error: a replicated directory holds only sealed,
+// complete files. A standby uses this to rebuild after a replication
+// gap, converging on the same state a primary restart would.
 func RestoreStream(dir, segPrefix, snapPrefix string, restore func(snapshot []byte) error, replay func(record []byte) error) (RecoverStats, error) {
-	var st RecoverStats
-	snaps, err := ListSnapshotSeqs(dir, snapPrefix)
-	if err != nil {
-		return st, err
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		payload, err := ReadSnapshotFile(filepath.Join(dir, snapshotName(snapPrefix, snaps[i])))
-		if err != nil {
-			continue // corrupt: fall back to an older snapshot
-		}
-		if err := restore(payload); err != nil {
-			return st, err
-		}
-		st.SnapshotSeq = snaps[i]
-		break
-	}
-	seqs, err := listSegments(dir, segPrefix)
-	if err != nil {
-		return st, err
-	}
-	for _, seq := range seqs {
-		if seq < st.SnapshotSeq {
-			continue
-		}
-		n, err := ReplaySegmentFile(filepath.Join(dir, segmentName(segPrefix, seq)), replay)
-		st.Records += n
-		st.Segments++
-		if err != nil {
-			return st, err
-		}
-	}
-	return st, nil
+	return recoverStream(dir, segPrefix, snapPrefix, false, restore, replay)
 }

@@ -99,7 +99,7 @@ func TestVerifyStreamFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if err := VerifyStreamFile(filepath.Join(dir, f.Name)); err != nil {
+		if err := VerifyStreamFile(f.Name, filepath.Join(dir, f.Name)); err != nil {
 			t.Fatalf("verify %s: %v", f.Name, err)
 		}
 	}

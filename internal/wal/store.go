@@ -2,10 +2,8 @@ package wal
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Store layers snapshot/compaction on a Log. A snapshot captures the
@@ -16,10 +14,7 @@ import (
 // the snapshot-then-truncate invariant: bytes leave the log only after
 // the state they rebuilt is safely on disk.
 //
-// Recovery (Recover) is the inverse: load the newest snapshot that
-// passes its checksum, replay every record in segments >= its sequence,
-// and ignore anything older. With no valid snapshot, replay starts from
-// the oldest segment and empty state.
+// Recovery (Recover) is the inverse; see recoverStream.
 type Store struct {
 	dir string
 	log *Log
@@ -52,7 +47,7 @@ func OpenStore(dir string, opt Options) (*Store, error) {
 	// directory can carry a shipped snapshot ahead of every local
 	// segment, and records written under it would be invisible to
 	// Recover (and pruned with the history the snapshot replaced).
-	snaps, err := s.listSnapshots()
+	snaps, err := ListSnapshotSeqs(dir, l.opt.SnapshotPrefix)
 	if err != nil {
 		l.Close()
 		return nil, err
@@ -68,55 +63,25 @@ func OpenStore(dir string, opt Options) (*Store, error) {
 
 func snapshotName(prefix string, seq uint64) string { return fmt.Sprintf("%s%016d.snap", prefix, seq) }
 
-func parseSnapshotSeq(name, prefix string) (uint64, bool) {
-	return parseSeq(name, prefix, ".snap")
-}
-
-// listSnapshots returns the stream's snapshot sequence numbers in
-// ascending order.
-func (s *Store) listSnapshots() ([]uint64, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range ents {
-		if seq, ok := parseSnapshotSeq(e.Name(), s.log.opt.SnapshotPrefix); ok && !e.IsDir() {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
-// readSnapshot loads and checksum-validates one snapshot file.
-func (s *Store) readSnapshot(seq uint64) ([]byte, error) {
-	b, err := os.ReadFile(filepath.Join(s.dir, snapshotName(s.log.opt.SnapshotPrefix, seq)))
-	if err != nil {
-		return nil, err
-	}
-	payload, n, err := decodeRecord(b)
-	if err != nil || n != len(b) {
-		return nil, ErrTornRecord
-	}
-	return payload, nil
-}
-
-// Recover rebuilds state: restore is called at most once with the
-// newest valid snapshot's payload, then replay is called for every WAL
-// record after it, in append order. Snapshots that fail their checksum
-// fall back to the next older one (replaying a longer WAL suffix).
-// A torn record ends replay of the final segment silently — the torn
-// tail was never acknowledged under SyncAlways — while a short segment
-// anywhere earlier is real corruption and fails.
-func (s *Store) Recover(restore func(snapshot []byte) error, replay func(record []byte) error) (RecoverStats, error) {
+// recoverStream is the one recovery loop: restore is called at most
+// once with the newest snapshot that passes its checksum (a corrupt one
+// falls back to the next older, replaying a longer suffix), then replay
+// is called for every record of each segment at or after that
+// snapshot's anchor, in append order — from the oldest segment and
+// empty state when no snapshot is valid. It reads only. tornTailOK is the
+// single difference between its two callers: a restart tolerates a torn
+// record at the very end of the last segment (the crash tail, never
+// acknowledged under SyncAlways) and reports it as TornTail; a shipped
+// directory holds sealed files only, so there any tear is an error. A
+// tear anywhere earlier is corruption for both.
+func recoverStream(dir, segPrefix, snapPrefix string, tornTailOK bool, restore func(snapshot []byte) error, replay func(record []byte) error) (RecoverStats, error) {
 	var st RecoverStats
-	snaps, err := s.listSnapshots()
+	snaps, err := ListSnapshotSeqs(dir, snapPrefix)
 	if err != nil {
 		return st, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		payload, err := s.readSnapshot(snaps[i])
+		payload, err := ReadStateFile(filepath.Join(dir, snapshotName(snapPrefix, snaps[i])))
 		if err != nil {
 			continue // corrupt or unreadable: fall back to an older one
 		}
@@ -126,7 +91,7 @@ func (s *Store) Recover(restore func(snapshot []byte) error, replay func(record 
 		st.SnapshotSeq = snaps[i]
 		break
 	}
-	seqs, err := listSegments(s.dir, s.log.opt.SegmentPrefix)
+	seqs, err := listSegments(dir, segPrefix)
 	if err != nil {
 		return st, err
 	}
@@ -134,18 +99,30 @@ func (s *Store) Recover(restore func(snapshot []byte) error, replay func(record 
 		if seq < st.SnapshotSeq {
 			continue
 		}
-		n, torn, err := replaySegment(filepath.Join(s.dir, segmentName(s.log.opt.SegmentPrefix, seq)), replay)
+		name := segmentName(segPrefix, seq)
+		n, torn, err := replaySegment(filepath.Join(dir, name), replay)
 		st.Records += n
 		st.Segments++
 		if err != nil {
 			return st, err
 		}
 		if torn {
-			if i != len(seqs)-1 {
-				return st, fmt.Errorf("wal: segment %d corrupt before the log tail", seq)
+			if !tornTailOK || i != len(seqs)-1 {
+				return st, fmt.Errorf("wal: %s: torn record in sealed segment", name)
 			}
 			st.TornTail = true
 		}
+	}
+	return st, nil
+}
+
+// Recover rebuilds state after a restart through recoverStream,
+// tolerating the crash tail, then prunes what the restored snapshot
+// superseded.
+func (s *Store) Recover(restore func(snapshot []byte) error, replay func(record []byte) error) (RecoverStats, error) {
+	st, err := recoverStream(s.dir, s.log.opt.SegmentPrefix, s.log.opt.SnapshotPrefix, true, restore, replay)
+	if err != nil {
+		return st, err
 	}
 	// Open already truncated the crash tail before this replay ran;
 	// surface it as the torn-tail signal.
@@ -176,12 +153,7 @@ func (s *Store) BeginSnapshot() (uint64, error) { return s.log.Rotate() }
 // prunes the segments and snapshots it supersedes. A crash before the
 // atomic rename leaves the previous snapshot and the full WAL intact.
 func (s *Store) CommitSnapshot(seq uint64, state []byte) error {
-	framed := appendRecord(make([]byte, 0, recordHeaderSize+len(state)), state)
-	err := WriteAtomic(filepath.Join(s.dir, snapshotName(s.log.opt.SnapshotPrefix, seq)), func(w io.Writer) error {
-		_, werr := w.Write(framed)
-		return werr
-	})
-	if err != nil {
+	if err := WriteStateFile(filepath.Join(s.dir, snapshotName(s.log.opt.SnapshotPrefix, seq)), state); err != nil {
 		return err
 	}
 	s.prune()
@@ -206,7 +178,7 @@ func (s *Store) Snapshot(state []byte) error {
 // older one. Best-effort: a failed remove is retried by the next
 // snapshot or recovery.
 func (s *Store) prune() {
-	snaps, err := s.listSnapshots()
+	snaps, err := ListSnapshotSeqs(s.dir, s.log.opt.SnapshotPrefix)
 	if err != nil || len(snaps) == 0 {
 		return
 	}
