@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check equiv32 fuzz-smoke bench bench-check size clean
+.PHONY: all build vet test race race-e2e check equiv32 fuzz-smoke bench bench-check size clean
 
 all: check
 
@@ -20,6 +20,13 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# The real-process e2e suites under the race detector: `race` runs
+# -short, which skips every test that spawns ucad-serve / ucad-feed
+# children (the children are built with -race too, so their slower start
+# shifts every timing the tests wait on).
+race-e2e:
+	$(GO) test -race -run 'TestE2E' ./cmd/...
+
 # A short coverage-guided pass over the WAL record decoder — the one
 # parser that must never panic on arbitrary bytes (it reads crash
 # debris on every recovery) — and over the recovery loop built on it
@@ -28,13 +35,15 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s -run='^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzRecoverStream -fuzztime=10s -run='^$$' ./internal/wal/
 
-# The float32 scoring kernel's contract: similarity scores within 1e-4
-# of the float64 reference with stable ranks/verdicts, plus bitwise
-# parity of the packed-SSE kernels against the portable ones. Run
-# without -short so the Scenario-II shape (the paper model's h=64 m=8
-# head width, which exercises the packed attention kernels) is covered.
+# The scoring kernel's contract: float32 similarity scores within 1e-4
+# of the float64 instantiation with stable ranks/verdicts, both
+# instantiations held to their pinned similarity bits (amd64), plus
+# bitwise parity of the packed-SSE kernels against the portable ones.
+# Run without -short so the Scenario-II shape (the paper model's h=64
+# m=8 head width, which exercises the packed attention kernels) is
+# covered.
 equiv32:
-	$(GO) test -count=1 -run 'TestFloat32' ./internal/transdas/
+	$(GO) test -count=1 -run 'TestFloat32|TestScoreBitsPinned' ./internal/transdas/
 	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestAttnKernels8' ./internal/tensor/
 
 # The CI gate: static checks plus the suite under the race detector

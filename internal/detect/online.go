@@ -24,13 +24,13 @@ type Alert struct {
 }
 
 // Online is the streaming detection loop. It is safe for concurrent
-// use: Process and RankAt score under a read-lock while Retrain
+// use: Process and RankBatch score under a read-lock while Retrain
 // fine-tunes under the write-lock, so scoring and retraining may be
 // issued from independent goroutines.
 type Online struct {
 	mu sync.Mutex
 	// modelMu serializes model mutation (Retrain's fine-tune) against
-	// model reads (Process, RankAt). Inference is read-only on the
+	// model reads (Process, RankBatch). Inference is read-only on the
 	// weights, so concurrent readers are safe with each other.
 	modelMu sync.RWMutex
 
@@ -107,7 +107,7 @@ func scorerPool(u *core.UCAD) *sync.Pool {
 
 // SwapModel hot-replaces the wrapped detector under the model
 // write-lock: in-flight scoring batches finish against the old model
-// first, then every later read — Process, RankAt, RankBatch, Save —
+// first, then every later read — Process, RankBatch, Save —
 // sees the new one. The scorer pool is replaced too, so no pooled
 // scorer built on the old model can rank for the new one. The pending
 // verified pool and alerts carry over — sessions already judged keep
@@ -206,7 +206,7 @@ func (o *Online) VerifiedCount() int {
 
 // Retrain fine-tunes the model on the verified pool and clears it —
 // one round of the paper's periodic training (§3). It returns the
-// number of sessions absorbed. Concurrent Process/RankAt calls block
+// number of sessions absorbed. Concurrent Process/RankBatch calls block
 // for the duration of the fine-tune and resume on the updated model.
 // The fine-tune runs with the model's configured data-parallel
 // training (TrainWorkers/BatchSize), shortening the write-locked
@@ -246,16 +246,6 @@ func (o *Online) Retrain(epochs int) int {
 		hooks.Done(st)
 	}
 	return len(pool)
-}
-
-// RankAt scores one operation incrementally: the 1-based similarity
-// rank of key given the preceding statement keys, read-locked against
-// Retrain. buf is an optional reusable similarity buffer (see
-// transdas.Model.ScoreNextInto); pass nil to allocate.
-func (o *Online) RankAt(buf []float64, preceding []int, key int) int {
-	o.modelMu.RLock()
-	defer o.modelMu.RUnlock()
-	return o.ucad.Model.RankOfInto(buf, preceding, key)
 }
 
 // RankBatch scores a micro-batch of operations in one stacked forward

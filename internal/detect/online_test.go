@@ -155,7 +155,6 @@ func TestOnlineConcurrentProcessRetrain(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			buf := make([]float64, u.Model.Config().Vocab)
 			for i := w; i < len(sessions); i += 4 {
 				o.Process(sessions[i])
 				keys := make([]int, len(sessions[i].Ops))
@@ -163,7 +162,6 @@ func TestOnlineConcurrentProcessRetrain(t *testing.T) {
 					keys[j] = u.Vocab.Key(op.SQL)
 				}
 				if len(keys) > 4 {
-					o.RankAt(buf, keys[:3], keys[3])
 					o.RankBatch(nil, [][]int{keys[:3], keys[:4]}, keys[3:5])
 				}
 			}
@@ -182,11 +180,11 @@ func TestOnlineConcurrentProcessRetrain(t *testing.T) {
 	}
 }
 
-// TestRankBatchMatchesRankAt pins the batched rank surface to the
+// TestRankBatchMatchesRankOf pins the batched rank surface to the
 // per-operation one: one stacked forward pass over a micro-batch must
-// produce the same ranks as sequential RankAt calls, and the returned
-// slice must reuse the caller's buffer when large enough.
-func TestRankBatchMatchesRankAt(t *testing.T) {
+// produce the same ranks as sequential Model.RankOf calls, and the
+// returned slice must reuse the caller's buffer when large enough.
+func TestRankBatchMatchesRankOf(t *testing.T) {
 	u, g := trainedUCAD(t)
 	o := NewOnline(u)
 	s := g.NewSession()
@@ -208,10 +206,9 @@ func TestRankBatchMatchesRankAt(t *testing.T) {
 	if &got[0] != &dst[:1][0] {
 		t.Fatal("RankBatch did not reuse the caller's buffer")
 	}
-	buf := make([]float64, u.Model.Config().Vocab)
 	for i := range ctxs {
-		if want := o.RankAt(buf, ctxs[i], targets[i]); got[i] != want {
-			t.Fatalf("position %d: RankBatch %d vs RankAt %d", i, got[i], want)
+		if want := u.Model.RankOf(ctxs[i], targets[i]); got[i] != want {
+			t.Fatalf("position %d: RankBatch %d vs RankOf %d", i, got[i], want)
 		}
 	}
 }

@@ -65,9 +65,6 @@ func (e *Embedding) Lookup(tp *tensor.Tape, keys []int) *tensor.Node {
 // Vocab returns the number of keys the table can embed.
 func (e *Embedding) Vocab() int { return e.Table.Value.Rows }
 
-// Dim returns the embedding dimension h.
-func (e *Embedding) Dim() int { return e.Table.Value.Cols }
-
 // Params implements Module.
 func (e *Embedding) Params() []*tensor.Param { return []*tensor.Param{e.Table} }
 

@@ -1,5 +1,7 @@
-// Package tensor provides a dense float64 matrix type and a tape-based
-// reverse-mode automatic differentiation engine.
+// Package tensor provides a dense matrix type — float64 for training
+// and reference scoring, float32 for the inference fast path — and a
+// tape-based reverse-mode automatic differentiation engine over the
+// float64 one.
 //
 // It is the numeric substrate for the Trans-DAS transformer and the
 // deep-learning baselines (DeepLog, USAD). The design favors clarity and
@@ -14,19 +16,41 @@ import (
 	"math/rand"
 )
 
-// Matrix is a dense, row-major float64 matrix.
-type Matrix struct {
+// Float is the element-type set of Mat.
+type Float interface{ ~float32 | ~float64 }
+
+// Mat is a dense, row-major matrix over element type T. It has exactly
+// two instantiations, Matrix and Matrix32; code written once for both
+// (the tape-free scoring kernel) is generic over T.
+type Mat[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// NewMatrix returns a zero-initialized Rows x Cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
+// Matrix is the float64 matrix: the type of every parameter, gradient
+// and tape value, and of the reference scoring kernel.
+type Matrix = Mat[float64]
+
+// Matrix32 is the float32 matrix — the storage type of the
+// single-precision scoring fast path. It is inference-only: no tape, no
+// gradients. It halves the memory traffic of the scoring matmuls, which
+// are bandwidth-bound at serving batch sizes (the weights stream from
+// L2/L3 while the activation blocks are revisited per k-quartet).
+type Matrix32 = Mat[float32]
+
+// NewMat returns a zero-initialized Rows x Cols matrix.
+func NewMat[T Float](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
+
+// NewMatrix returns a zero-initialized Rows x Cols float64 matrix.
+func NewMatrix(rows, cols int) *Matrix { return NewMat[float64](rows, cols) }
+
+// NewMatrix32 returns a zero-initialized Rows x Cols float32 matrix.
+func NewMatrix32(rows, cols int) *Matrix32 { return NewMat[float32](rows, cols) }
 
 // FromSlice builds a Rows x Cols matrix that takes ownership of data.
 func FromSlice(rows, cols int, data []float64) *Matrix {
@@ -57,37 +81,37 @@ func NewRandN(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 }
 
 // At returns the element at row r, column c.
-func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
+func (m *Mat[T]) At(r, c int) T { return m.Data[r*m.Cols+c] }
 
 // Set assigns the element at row r, column c.
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
+func (m *Mat[T]) Set(r, c int, v T) { m.Data[r*m.Cols+c] = v }
 
 // Row returns a view (shared backing array) of row r.
-func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
+func (m *Mat[T]) Row(r int) []T { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
+func (m *Mat[T]) Clone() *Mat[T] {
+	c := NewMat[T](m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // Zero sets all elements to zero.
-func (m *Matrix) Zero() {
+func (m *Mat[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // Fill sets all elements to v.
-func (m *Matrix) Fill(v float64) {
+func (m *Mat[T]) Fill(v T) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
 }
 
 // SameShape reports whether m and o have identical dimensions.
-func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
+func (m *Mat[T]) SameShape(o *Mat[T]) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
 // AddInto accumulates dst += src element-wise. It is the gradient
 // reduction primitive of the data-parallel trainer: per-worker
@@ -103,30 +127,18 @@ func AddInto(dst, src *Matrix) {
 	}
 }
 
-// ScaleInto writes dst = s·src element-wise (dst may alias src for an
-// in-place scale).
-func ScaleInto(dst, src *Matrix, s float64) {
-	if !dst.SameShape(src) {
-		panic(fmt.Sprintf("tensor: scaleinto shape mismatch %dx%d = s*%dx%d",
-			dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = s * v
-	}
-}
-
 // RowsView returns rows [from, to) as a matrix sharing m's backing
 // array. Writes through the view are visible in m; the view must not
 // outlive reshapes of m.
-func (m *Matrix) RowsView(from, to int) *Matrix {
+func (m *Mat[T]) RowsView(from, to int) *Mat[T] {
 	if from < 0 || from > to || to > m.Rows {
 		panic(fmt.Sprintf("tensor: rows view [%d:%d) of %d rows", from, to, m.Rows))
 	}
-	return &Matrix{Rows: to - from, Cols: m.Cols, Data: m.Data[from*m.Cols : to*m.Cols]}
+	return &Mat[T]{Rows: to - from, Cols: m.Cols, Data: m.Data[from*m.Cols : to*m.Cols]}
 }
 
 // String renders the matrix for debugging.
-func (m *Matrix) String() string {
+func (m *Mat[T]) String() string {
 	s := fmt.Sprintf("Matrix(%dx%d)[", m.Rows, m.Cols)
 	for r := 0; r < m.Rows; r++ {
 		if r > 0 {

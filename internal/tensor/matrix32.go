@@ -2,25 +2,6 @@ package tensor
 
 import "fmt"
 
-// Matrix32 is a dense, row-major float32 matrix — the storage type of
-// the single-precision scoring fast path. It is inference-only: no
-// tape, no gradients. float64 Matrix remains the training and reference
-// type; Matrix32 halves the memory traffic of the scoring matmuls,
-// which are bandwidth-bound at serving batch sizes (the weights stream
-// from L2/L3 while the activation blocks are revisited per k-quartet).
-type Matrix32 struct {
-	Rows, Cols int
-	Data       []float32
-}
-
-// NewMatrix32 returns a zero-initialized Rows x Cols float32 matrix.
-func NewMatrix32(rows, cols int) *Matrix32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
-	}
-	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
 // Matrix32From converts a float64 matrix by value truncation — the
 // once-per-checkpoint weight conversion of the float32 scoring path.
 func Matrix32From(m *Matrix) *Matrix32 {
@@ -29,28 +10,6 @@ func Matrix32From(m *Matrix) *Matrix32 {
 		out.Data[i] = float32(v)
 	}
 	return out
-}
-
-// Row returns a view (shared backing array) of row r.
-func (m *Matrix32) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
-// At returns the element at row r, column c.
-func (m *Matrix32) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
-// Zero sets all elements to zero.
-func (m *Matrix32) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// RowsView returns rows [from, to) as a matrix sharing m's backing
-// array.
-func (m *Matrix32) RowsView(from, to int) *Matrix32 {
-	if from < 0 || from > to || to > m.Rows {
-		panic(fmt.Sprintf("tensor: rows view [%d:%d) of %d rows", from, to, m.Rows))
-	}
-	return &Matrix32{Rows: to - from, Cols: m.Cols, Data: m.Data[from*m.Cols : to*m.Cols]}
 }
 
 // MatMulInto32 computes dst = a·b in float32. dst must not alias a or
@@ -148,38 +107,6 @@ func matMul32Generic(dst, a, b *Matrix32) {
 			brow := b.Data[k*bc : (k+1)*bc]
 			for j, bv := range brow {
 				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// BatchMatMulNT32 computes, per block i, out_i = A_i·B_iᵀ in float32 —
-// the grad-free single-precision variant of the tape's BatchMatMulNT
-// (batched attention-score product Q·Kᵀ without materializing
-// transposes). A stacks batch ra×c blocks, B stacks batch rb×c blocks,
-// dst stacks batch ra×rb blocks; all three must be pre-shaped.
-func BatchMatMulNT32(dst, a, b *Matrix32, batch int) {
-	if batch < 1 || a.Rows%batch != 0 || b.Rows%batch != 0 || dst.Rows%batch != 0 {
-		panic(fmt.Sprintf("tensor: batched NT32 rows %d/%d/%d not divisible by batch %d",
-			dst.Rows, a.Rows, b.Rows, batch))
-	}
-	ra, rb := a.Rows/batch, b.Rows/batch
-	if a.Cols != b.Cols || dst.Rows/batch != ra || dst.Cols != rb {
-		panic(fmt.Sprintf("tensor: batched NT32 shape mismatch (%dx%d)·(%dx%d)ᵀ->(%dx%d) batch %d",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, batch))
-	}
-	c := a.Cols
-	for blk := 0; blk < batch; blk++ {
-		for i := 0; i < ra; i++ {
-			arow := a.Data[(blk*ra+i)*c : (blk*ra+i+1)*c]
-			drow := dst.Data[(blk*ra+i)*rb : (blk*ra+i+1)*rb]
-			for j := 0; j < rb; j++ {
-				brow := b.Data[(blk*rb+j)*c : (blk*rb+j+1)*c]
-				var s float32
-				for k, av := range arow {
-					s += av * brow[k]
-				}
-				drow[j] = s
 			}
 		}
 	}

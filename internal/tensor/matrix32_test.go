@@ -100,22 +100,6 @@ func TestMatMulInto32OverwritesDst(t *testing.T) {
 	}
 }
 
-func TestBatchMatMulNT32MatchesTape(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const batch, ra, rb, c = 3, 4, 5, 6
-	a := randMat(batch*ra, c, rng)
-	b := randMat(batch*rb, c, rng)
-
-	tp := NewTape()
-	ref := tp.BatchMatMulNT(tp.Const(a), tp.Const(b), batch)
-
-	got := NewMatrix32(batch*ra, rb)
-	BatchMatMulNT32(got, Matrix32From(a), Matrix32From(b), batch)
-	if d := maxRelDiff64v32(ref.Value, got); d > 1e-5 {
-		t.Fatalf("batched NT rel diff %g", d)
-	}
-}
-
 func TestMatMul32ShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -123,15 +107,6 @@ func TestMatMul32ShapePanics(t *testing.T) {
 		}
 	}()
 	MatMulInto32(NewMatrix32(2, 2), NewMatrix32(2, 3), NewMatrix32(2, 2))
-}
-
-func TestBatchMatMulNT32ShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("batch mismatch did not panic")
-		}
-	}()
-	BatchMatMulNT32(NewMatrix32(3, 2), NewMatrix32(3, 4), NewMatrix32(2, 4), 2)
 }
 
 func TestRowsView32(t *testing.T) {

@@ -74,7 +74,7 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 	checkSameTape(t, a)
 	out := NewMatrix(a.Value.Rows, a.Value.Cols)
 	for r := 0; r < a.Value.Rows; r++ {
-		softmaxInto(out.Row(r), a.Value.Row(r))
+		SoftmaxInto(out.Row(r), a.Value.Row(r))
 	}
 	n := t.node(out, a.requiresGrad, nil)
 	n.back = func() {
@@ -99,21 +99,20 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 }
 
 // SoftmaxInto writes a numerically-stable softmax(src) into dst (which
-// may alias src). It is the tape-free counterpart of SoftmaxRows for
-// inference kernels that manage their own buffers.
-func SoftmaxInto(dst, src []float64) { softmaxInto(dst, src) }
-
-// softmaxInto writes softmax(src) into dst (may alias).
-func softmaxInto(dst, src []float64) {
-	maxv := math.Inf(-1)
+// may alias src): the tape's SoftmaxRows row by row, and the tape-free
+// scoring kernel's at either element type. The exponential runs in
+// float64 whatever T is (one libm call either way), so a masked term's
+// exp(-1e9 - max) underflows to exactly 0 in float32 too.
+func SoftmaxInto[T Float](dst, src []T) {
+	maxv := T(math.Inf(-1))
 	for _, x := range src {
 		if x > maxv {
 			maxv = x
 		}
 	}
-	var sum float64
+	var sum T
 	for i, x := range src {
-		e := math.Exp(x - maxv)
+		e := T(math.Exp(float64(x - maxv)))
 		dst[i] = e
 		sum += e
 	}
@@ -186,7 +185,7 @@ func (t *Tape) CrossEntropyMean(logits *Node, targets []int) *Node {
 	var loss float64
 	count := 0
 	for r, tgt := range targets {
-		softmaxInto(probs.Row(r), logits.Value.Row(r))
+		SoftmaxInto(probs.Row(r), logits.Value.Row(r))
 		if tgt < 0 {
 			continue
 		}

@@ -31,9 +31,6 @@ type Node struct {
 	back         func()
 }
 
-// RequiresGrad reports whether gradients flow through this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // Tape records operations of one forward pass so they can be replayed in
 // reverse for backpropagation. A Tape is single-goroutine; build a fresh
 // Tape per training step.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/ucad/ucad/internal/nn"
+	"github.com/ucad/ucad/internal/tensor"
 )
 
 // batchVariants covers the kernel-relevant configuration axes: the
@@ -31,6 +32,43 @@ func randomContext(rng *rand.Rand, vocab, length int) []int {
 		ctx[i] = rng.Intn(vocab+3) - 1 // [-1, vocab+1]
 	}
 	return ctx
+}
+
+// scoreNextTape is the tape-based reference implementation of
+// ScoreNext: it builds a fresh autodiff graph per call, exactly as
+// training does. The property tests pin the Scorer kernel to this path,
+// and the in-package benchmark measures the per-op cost the batch-first
+// API replaces.
+func (m *Model) scoreNextTape(buf []float64, preceding []int) []float64 {
+	var sims []float64
+	if cap(buf) >= m.cfg.Vocab {
+		sims = buf[:m.cfg.Vocab]
+		for i := range sims {
+			sims[i] = 0
+		}
+	} else {
+		sims = make([]float64, m.cfg.Vocab)
+	}
+	if len(preceding) == 0 {
+		return sims
+	}
+	if len(preceding) > m.cfg.Window {
+		preceding = preceding[len(preceding)-m.cfg.Window:]
+	}
+	tp := tensor.NewTape()
+	out := m.forward(tp, preceding, false)
+	last := out.Value.Row(out.Value.Rows - 1)
+
+	table := m.emb.Table.Value
+	for k := 1; k < m.cfg.Vocab; k++ {
+		row := table.Row(k)
+		var dot float64
+		for j, v := range last {
+			dot += v * row[j]
+		}
+		sims[k] = 1 / (1 + math.Exp(-dot))
+	}
+	return sims
 }
 
 // TestScoreBatchMatchesSequential is the batched-vs-sequential
@@ -137,26 +175,6 @@ func TestRankBatchMatchesRankOf(t *testing.T) {
 	}
 	if ranks[2] != cfg.Vocab || ranks[3] != cfg.Vocab || ranks[4] != cfg.Vocab {
 		t.Fatalf("invalid keys ranked %v, want worst rank %d", ranks[2:], cfg.Vocab)
-	}
-}
-
-// TestTopKeysIntoMatchesTopKeys checks the buffer-reusing variant
-// returns identical keys without allocating once buffers are warm.
-func TestTopKeysIntoMatchesTopKeys(t *testing.T) {
-	cfg := testConfig()
-	m := New(cfg)
-	ctx := []int{1, 2, 3, 4}
-	want := m.TopKeys(ctx, 5)
-	keyBuf := make([]int, 0, cfg.Vocab)
-	simBuf := make([]float64, cfg.Vocab)
-	got := m.TopKeysInto(keyBuf, simBuf, ctx, 5)
-	if len(got) != len(want) {
-		t.Fatalf("TopKeysInto returned %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopKeysInto[%d] = %d, want %d", i, got[i], want[i])
-		}
 	}
 }
 

@@ -142,17 +142,6 @@ func DefaultConfig(vocab int) Config {
 	}
 }
 
-// ScenarioIIConfig returns the paper's Scenario-II defaults:
-// L=100, p=10, g=0.5, h=64, m=8, B=6.
-func ScenarioIIConfig(vocab int) Config {
-	c := DefaultConfig(vocab)
-	c.Hidden = 64
-	c.Heads = 8
-	c.Window = 100
-	c.TopP = 10
-	return c
-}
-
 // Validate reports configuration errors before any allocation happens.
 func (c Config) Validate() error {
 	switch {

@@ -1,11 +1,6 @@
 package transdas
 
-import (
-	"math"
-	"sort"
-
-	"github.com/ucad/ucad/internal/tensor"
-)
+import "sort"
 
 // The single-item API below is a thin wrapper family over the
 // batch-first Scorer: every call borrows a pooled Scorer and runs a
@@ -21,99 +16,36 @@ const detectChunk = 32
 // ScoreNext feeds the (up to L most recent) preceding keys through the
 // model and returns sim[k] = sigmoid(O_last · M(k)) for every statement
 // key (Eq. 10); sim[0] (the k0 slot) is always 0. The returned slice has
-// cfg.Vocab entries. An empty context yields all-zero similarities: with
-// no preceding operations there is no contextual intent to compare
-// against. It is a batch-of-one wrapper over Scorer.ScoreBatch.
+// cfg.Vocab entries and is the caller's. An empty context yields
+// all-zero similarities: with no preceding operations there is no
+// contextual intent to compare against.
 func (m *Model) ScoreNext(preceding []int) []float64 {
-	return m.ScoreNextInto(nil, preceding)
-}
-
-// ScoreNextInto is ScoreNext writing into buf when cap(buf) >= cfg.Vocab,
-// allocating only otherwise. Serving hot paths call it in a loop with one
-// reused buffer so scoring an operation costs zero heap allocations for
-// the similarity vector.
-func (m *Model) ScoreNextInto(buf []float64, preceding []int) []float64 {
 	s := m.scorer()
-	s.oneCtx[0] = preceding
-	s.oneOut[0] = buf
-	out := s.ScoreBatchInto(s.oneOut[:1], s.oneCtx[:1])[0]
-	s.oneCtx[0], s.oneOut[0] = nil, nil
-	m.scorers.Put(s)
-	return out
-}
-
-// scoreNextTape is the tape-based reference implementation of
-// ScoreNext: it builds a fresh autodiff graph per call, exactly as
-// training does. The property tests pin the Scorer kernel to this path,
-// and the in-package benchmark measures the per-op cost the batch-first
-// API replaces.
-func (m *Model) scoreNextTape(buf []float64, preceding []int) []float64 {
-	var sims []float64
-	if cap(buf) >= m.cfg.Vocab {
-		sims = buf[:m.cfg.Vocab]
-		for i := range sims {
-			sims[i] = 0
-		}
-	} else {
-		sims = make([]float64, m.cfg.Vocab)
-	}
-	if len(preceding) == 0 {
-		return sims
-	}
-	if len(preceding) > m.cfg.Window {
-		preceding = preceding[len(preceding)-m.cfg.Window:]
-	}
-	tp := tensor.NewTape()
-	out := m.forward(tp, preceding, false)
-	last := out.Value.Row(out.Value.Rows - 1)
-
-	table := m.emb.Table.Value
-	for k := 1; k < m.cfg.Vocab; k++ {
-		row := table.Row(k)
-		var dot float64
-		for j, v := range last {
-			dot += v * row[j]
-		}
-		sims[k] = 1 / (1 + math.Exp(-dot))
-	}
-	return sims
+	defer m.scorers.Put(s)
+	return s.ScoreBatchInto(nil, [][]int{preceding})[0]
 }
 
 // RankOf returns the 1-based similarity rank of key among all keys given
 // the preceding context (rank 1 = most similar to the predicted intent).
 // A PadKey or out-of-vocabulary key ranks last (Vocab). With an empty
-// context every in-vocabulary key ranks 1 (no evidence of anomaly). It
-// is a batch-of-one wrapper over Scorer.RankBatch.
+// context every in-vocabulary key ranks 1 (no evidence of anomaly).
 func (m *Model) RankOf(preceding []int, key int) int {
-	return m.RankOfInto(nil, preceding, key)
-}
-
-// RankOfInto is RankOf with a caller-supplied similarity buffer (see
-// ScoreNextInto).
-func (m *Model) RankOfInto(buf []float64, preceding []int, key int) int {
-	return rankIn(m.ScoreNextInto(buf, preceding), key)
+	s := m.scorer()
+	defer m.scorers.Put(s)
+	s.ranks = s.RankBatchInto(s.ranks, [][]int{preceding}, []int{key})
+	return s.ranks[0]
 }
 
 // TopKeys returns the p statement keys most similar to the predicted
 // contextual intent, in descending similarity order.
 func (m *Model) TopKeys(preceding []int, p int) []int {
-	return m.TopKeysInto(nil, nil, preceding, p)
-}
-
-// TopKeysInto is TopKeys with caller-reusable buffers: simBuf backs the
-// similarity vector (see ScoreNextInto) and keyBuf the returned key
-// slice, so a scan loop allocates nothing once both are warm.
-func (m *Model) TopKeysInto(keyBuf []int, simBuf []float64, preceding []int, p int) []int {
-	sims := m.ScoreNextInto(simBuf, preceding)
-	keys := keyBuf[:0]
+	sims := m.ScoreNext(preceding)
+	keys := make([]int, 0, len(sims))
 	for k := 1; k < len(sims); k++ {
 		keys = append(keys, k)
 	}
 	sort.SliceStable(keys, func(i, j int) bool { return sims[keys[i]] > sims[keys[j]] })
-	if p > len(keys) {
-		p = len(keys)
-	}
-	return keys[:p]
+	return keys[:min(p, len(keys))]
 }
 
 // DetectSession applies the top-p strategy (§5.3) to every operation of

@@ -1,9 +1,6 @@
 package transdas
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // Edge cases of the detection API: empty preceding context, p beyond the
 // vocabulary, out-of-vocabulary keys and sessions shorter than
@@ -85,35 +82,5 @@ func TestDetectSessionZeroMinContext(t *testing.T) {
 	got := m.DetectSession([]int{0, 1})
 	if len(got) == 0 || got[0] != 0 {
 		t.Fatalf("OOV first op not flagged: %v", got)
-	}
-}
-
-func TestScoreNextIntoReusesBuffer(t *testing.T) {
-	m := trainToy(t)
-	rng := rand.New(rand.NewSource(3))
-	buf := make([]float64, m.cfg.Vocab)
-	for trial := 0; trial < 5; trial++ {
-		ctx := make([]int, 3+rng.Intn(6))
-		for i := range ctx {
-			ctx[i] = 1 + rng.Intn(m.cfg.Vocab-1)
-		}
-		want := m.ScoreNext(ctx)
-		got := m.ScoreNextInto(buf, ctx)
-		if &got[0] != &buf[0] {
-			t.Fatal("ScoreNextInto did not reuse the supplied buffer")
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d: sim[%d] = %v via buffer, %v allocating", trial, k, got[k], want[k])
-			}
-		}
-		if m.RankOfInto(buf, ctx, 1) != m.RankOf(ctx, 1) {
-			t.Fatal("RankOfInto disagrees with RankOf")
-		}
-	}
-	// A too-small buffer must still work (allocating path).
-	small := make([]float64, 1)
-	if got := m.ScoreNextInto(small, []int{1, 2}); len(got) != m.cfg.Vocab {
-		t.Fatalf("small-buffer path returned %d sims", len(got))
 	}
 }

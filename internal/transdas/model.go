@@ -49,7 +49,7 @@ type Model struct {
 	negWarn         sync.Once
 	degenerateVocab atomic.Bool
 
-	// Inference fast-path state (see scorer32.go and scorecache):
+	// Inference fast-path state (see precision.go and scorecache):
 	// scoreCache memoizes similarity rows by context (nil = disabled),
 	// prec32 selects the float32 scoring kernel, weightGen counts weight
 	// mutations (every train/fine-tune round bumps it), and snap32 holds
@@ -58,7 +58,7 @@ type Model struct {
 	scoreCache atomic.Pointer[scorecache.Cache]
 	prec32     atomic.Bool
 	weightGen  atomic.Uint64
-	snap32     atomic.Pointer[snapshot32]
+	snap32     atomic.Pointer[weights[float32]]
 	snapMu     sync.Mutex
 }
 

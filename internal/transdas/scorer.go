@@ -1,25 +1,17 @@
 package transdas
 
 import (
-	"math"
-
 	"github.com/ucad/ucad/internal/nn"
 	"github.com/ucad/ucad/internal/tensor"
 )
 
 // Scorer is the batch-first scoring surface of Trans-DAS: it pads a
 // micro-batch of variable-length contexts to the batch maximum with the
-// PadKey, runs one masked forward pass through stacked matrices, and
-// reads out one similarity row per context (Eq. 10).
-//
-// The kernel is tape-free: it records no autodiff graph and reuses a
-// set of scratch matrices across calls, so a warm Scorer performs zero
-// heap allocations per batch beyond result rows the caller did not
-// provide. Padded positions embed to the zero vector and are excluded
-// from attention by an additive -1e9 mask, whose softmax terms
-// underflow to exactly 0.0 in float64 — so every context's scores are
-// bit-independent of batch composition and padding length, and agree
-// with the tape-based reference forward to float64 round-off.
+// PadKey, runs one masked forward pass through stacked matrices (the
+// fused kernel of kernel.go, at the model's scoring precision), and
+// reads out one similarity row per context (Eq. 10). A warm Scorer
+// performs zero heap allocations per batch beyond result rows the
+// caller did not provide.
 //
 // A Scorer is not safe for concurrent use; create one per goroutine
 // (they share the model's parameters, which the Scorer reads on every
@@ -32,8 +24,8 @@ type Scorer struct {
 	// kind mask, cached per padded length: session scans score growing
 	// prefixes whose padded length changes chunk to chunk, so a
 	// single-length cache would rebuild the mask almost every pass.
-	// Bounded by cfg.Window distinct lengths.
-	mask  *tensor.Matrix
+	// Bounded by cfg.Window distinct lengths. Both precisions share it
+	// (it is only consulted as zero/nonzero).
 	masks map[int]*tensor.Matrix
 
 	// Per-pass geometry: kernel slot -> batch index, and each slot's
@@ -42,43 +34,25 @@ type Scorer struct {
 	ctxs  [][]int
 	lens  []int
 
-	// Scratch matrices, grown on demand and reused across calls.
-	x      *tensor.Matrix // activations, (B·L) x h
-	wqkv   *tensor.Matrix // fused projection weights, h x 3h
-	qkv    *tensor.Matrix // fused Q|K|V projections, (B·L) x 3h
-	att    *tensor.Matrix // concatenated head outputs, (B·L) x h
-	sub    *tensor.Matrix // sub-layer output (attention proj / FFN), (B·L) x h
-	ffnH   *tensor.Matrix // FFN inner activations, (B·L) x h
-	scores []float64      // one L x L attention-score block
+	// The kernel's two instantiations, each with its own scratch (the
+	// one the model never selects stays empty); a precision flip between
+	// calls just switches which one runs.
+	k64 kernel[float64]
+	k32 kernel[float32]
 
-	// Compact last-block scratch, one row per sequence (B x h): the
-	// read-out consumes only each sequence's final position, so the last
-	// block computes queries, FFN and norms for those rows alone.
-	attL *tensor.Matrix
-	subL *tensor.Matrix
-	ffnL *tensor.Matrix
-	outL *tensor.Matrix
-
-	// Single-precision scratch, allocated only when the model scores
-	// through the float32 kernel (see scorer32.go).
-	x32, qkv32, att32, sub32, ffnH32 *tensor.Matrix32
-	scores32                         []float32
-	attL32, subL32, ffnL32, outL32   *tensor.Matrix32
-
-	// rank scratch and single-item wrapper headers. sims rows are carved
-	// from simsSlab — one arena the rank paths reuse call over call, so
-	// a warm RankBatch allocates nothing for its similarity rows.
+	// rank scratch. sims rows are carved from simsSlab — one arena the
+	// rank paths reuse call over call, so a warm RankBatch allocates
+	// nothing for its similarity rows.
 	sims     [][]float64
 	simsSlab []float64
 	ranks    []int
-	oneCtx   [1][]int
-	oneOut   [1][]float64
 }
 
 // NewScorer returns a Scorer over the model's current parameters.
 func (m *Model) NewScorer() *Scorer { return &Scorer{m: m} }
 
-// scorer fetches a pooled Scorer for the single-item wrapper API.
+// scorer fetches a pooled Scorer for the single-item wrappers and the
+// session scan.
 func (m *Model) scorer() *Scorer { return m.scorers.Get().(*Scorer) }
 
 // ScoreBatch scores every context in one batched forward pass and
@@ -98,9 +72,9 @@ func (s *Scorer) ScoreBatch(contexts [][]int) [][]float64 {
 // arenaSims sizes s.sims to n rows of cfg.Vocab floats carved from the
 // Scorer's flat arena slab, reusing it call over call. Rows handed out
 // this way are owned by the Scorer — safe for the rank paths and for
-// ScoreBatch, whose results are consumed before the next call; the
-// pooled single-item wrappers (ScoreNextInto with a nil buffer) must
-// keep allocating because their row outlives the pooled Scorer.
+// ScoreBatch, whose results are consumed before the next call;
+// Model.ScoreNext must allocate because its row outlives the pooled
+// Scorer.
 func (s *Scorer) arenaSims(n int) [][]float64 {
 	vocab := s.m.cfg.Vocab
 	need := n * vocab
@@ -192,41 +166,12 @@ func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 		}
 	}
 
-	// Cache misses run the forward pass — double or single precision
-	// per the model's scoring-kernel setting.
+	// Cache misses run the forward pass and the Eq. 10 read-out, at the
+	// model's scoring precision.
 	if s.m.prec32.Load() {
-		sn := s.m.snapshot32()
-		out := s.forward32(sn, maxLen)
-		for i, b := range s.slots {
-			last := out.Row(i)
-			sims := dst[b]
-			for k := 1; k < vocab; k++ {
-				row := sn.emb.Row(k)
-				var dot float32
-				for j, v := range last {
-					dot += v * row[j]
-				}
-				sims[k] = 1 / (1 + math.Exp(-float64(dot)))
-			}
-		}
+		s.kernel32().score(s, maxLen, dst)
 	} else {
-		out := s.forward(maxLen)
-
-		// Eq. 10 read-out: one row per context (forward returns each
-		// sequence's last real position, already compacted).
-		table := s.m.emb.Table.Value
-		for i, b := range s.slots {
-			last := out.Row(i)
-			sims := dst[b]
-			for k := 1; k < vocab; k++ {
-				row := table.Row(k)
-				var dot float64
-				for j, v := range last {
-					dot += v * row[j]
-				}
-				sims[k] = 1 / (1 + math.Exp(-dot))
-			}
-		}
+		s.kernel64().score(s, maxLen, dst)
 	}
 	if cache != nil {
 		for i, b := range s.slots {
@@ -276,194 +221,6 @@ func rankIn(sims []float64, key int) int {
 	return rank
 }
 
-// forward runs the tape-free stacked forward pass over the slotted
-// contexts padded to L keys each and returns a compact B x h matrix
-// whose row i is the final block's output at sequence i's last real
-// position — the only row Eq. 10's read-out consumes.
-func (s *Scorer) forward(L int) *tensor.Matrix {
-	m := s.m
-	h := m.cfg.Hidden
-	B := len(s.slots)
-	rows := B * L
-
-	s.x = ensureMat(s.x, rows, h)
-	s.wqkv = ensureMat(s.wqkv, h, 3*h)
-	s.qkv = ensureMat(s.qkv, rows, 3*h)
-	s.att = ensureMat(s.att, rows, h)
-	s.sub = ensureMat(s.sub, rows, h)
-	s.ffnH = ensureMat(s.ffnH, rows, h)
-	if cap(s.scores) < L*L {
-		s.scores = make([]float64, L*L)
-	}
-	s.scores = s.scores[:L*L]
-	s.mask = s.maskFor(L)
-
-	// Embedding (Eq. 1): PadKey, negative and out-of-vocabulary keys map
-	// to the zero vector, exactly as nn.Embedding.Lookup; padded tail
-	// positions are zero too.
-	table := m.emb.Table.Value
-	pad := m.emb.PadKey
-	for i, ctx := range s.ctxs {
-		for t := 0; t < L; t++ {
-			row := s.x.Row(i*L + t)
-			if t >= len(ctx) {
-				zeroRow(row)
-				continue
-			}
-			key := ctx[t]
-			if key == pad || key < 0 || key >= table.Rows {
-				zeroRow(row)
-			} else {
-				copy(row, table.Row(key))
-			}
-		}
-	}
-	if m.pos != nil {
-		// Positional ablation variant: add position t's embedding to
-		// every sequence's row t.
-		for i := 0; i < B; i++ {
-			for t := 0; t < L; t++ {
-				row := s.x.Row(i*L + t)
-				for c, p := range m.pos.Value.Row(t) {
-					row[c] += p
-				}
-			}
-		}
-	}
-
-	for _, blk := range m.blocks[:len(m.blocks)-1] {
-		s.attention(blk.att, B, L, false)
-		// Eq. 5 around attention: x = LN1(x + MH(x)); dropout is the
-		// identity at inference.
-		addInPlace(s.x, s.sub)
-		layerNormInPlace(s.x, blk.ln1)
-		// Eq. 7 FFN, then Eq. 5 again: x = LN2(x + FFN(x)).
-		tensor.MatMulInto(s.ffnH, s.x, blk.ffn.L1.W.Value)
-		biasReLUInPlace(s.ffnH, blk.ffn.L1.B.Value)
-		tensor.MatMulInto(s.sub, s.ffnH, blk.ffn.L2.W.Value)
-		addBiasInPlace(s.sub, blk.ffn.L2.B.Value)
-		addInPlace(s.x, s.sub)
-		layerNormInPlace(s.x, blk.ln2)
-	}
-
-	// Last block, compact: every position still contributes keys and
-	// values, but only each sequence's last real position is queried,
-	// normalized and fed through the FFN — the rest would be discarded
-	// by the read-out.
-	blk := m.blocks[len(m.blocks)-1]
-	s.attL = ensureMat(s.attL, B, h)
-	s.subL = ensureMat(s.subL, B, h)
-	s.ffnL = ensureMat(s.ffnL, B, h)
-	s.outL = ensureMat(s.outL, B, h)
-	s.attention(blk.att, B, L, true)
-	for i := 0; i < B; i++ {
-		lastRow := s.x.Row(i*L + s.lens[i] - 1)
-		out := s.outL.Row(i)
-		sub := s.subL.Row(i)
-		for c := range out {
-			out[c] = lastRow[c] + sub[c]
-		}
-	}
-	layerNormInPlace(s.outL, blk.ln1)
-	tensor.MatMulInto(s.ffnL, s.outL, blk.ffn.L1.W.Value)
-	biasReLUInPlace(s.ffnL, blk.ffn.L1.B.Value)
-	tensor.MatMulInto(s.subL, s.ffnL, blk.ffn.L2.W.Value)
-	addBiasInPlace(s.subL, blk.ffn.L2.B.Value)
-	addInPlace(s.outL, s.subL)
-	layerNormInPlace(s.outL, blk.ln2)
-	return s.outL
-}
-
-// attention computes one masked multi-head attention layer (Eqs. 2–4)
-// over the B stacked L-row sequences in s.x, leaving the projected
-// output in s.sub. Scores never cross sequence boundaries, and key
-// columns beyond a sequence's real length get exactly zero weight.
-// With last set, only each sequence's final real position is queried
-// (all positions still serve as keys and values) and the projected
-// B x h output lands in s.subL instead.
-func (s *Scorer) attention(a *nn.MultiHeadAttention, B, L int, last bool) {
-	h := a.WQ.Value.Rows
-	dk := h / a.Heads
-	scale := 1 / math.Sqrt(float64(h))
-
-	// One fused projection pass: Q, K and V share the input, so
-	// concatenating their weights column-wise computes all three with a
-	// single sweep over the activations. Each output element is the same
-	// k-ascending dot product as three separate matmuls.
-	for r := 0; r < h; r++ {
-		row := s.wqkv.Row(r)
-		copy(row[:h], a.WQ.Value.Row(r))
-		copy(row[h:2*h], a.WK.Value.Row(r))
-		copy(row[2*h:], a.WV.Value.Row(r))
-	}
-	tensor.MatMulInto(s.qkv, s.x, s.wqkv)
-	heads := s.att
-	if last {
-		heads = s.attL
-	}
-	heads.Zero()
-
-	for head := 0; head < a.Heads; head++ {
-		qlo := head * dk
-		klo, vlo := h+qlo, 2*h+qlo
-		for b := 0; b < B; b++ {
-			base := b * L
-			n := s.lens[b]
-			// Score block: scaled dot products plus the kind mask, with
-			// padded key columns forced to -1e9. Kind-masked pairs skip
-			// the dot entirely: their softmax term underflows to zero
-			// either way.
-			lo := 0
-			if last {
-				lo = n - 1
-			}
-			for i := lo; i < n || (!last && i < L); i++ {
-				qrow := s.qkv.Row(base + i)[qlo : qlo+dk]
-				srow := s.scores[i*L : (i+1)*L]
-				mrow := s.mask.Row(i)
-				for j := 0; j < n; j++ {
-					if mrow[j] != 0 {
-						srow[j] = nn.MaskedScore
-						continue
-					}
-					krow := s.qkv.Row(base+j)[klo : klo+dk]
-					var dot float64
-					for c, qv := range qrow {
-						dot += qv * krow[c]
-					}
-					srow[j] = dot * scale
-				}
-				for j := n; j < L; j++ {
-					srow[j] = nn.MaskedScore
-				}
-				tensor.SoftmaxInto(srow, srow)
-				// Weighted read-out into this head's output stripe; the
-				// masked weights are exactly zero and skipped.
-				var out []float64
-				if last {
-					out = heads.Row(b)[qlo : qlo+dk]
-				} else {
-					out = heads.Row(base + i)[qlo : qlo+dk]
-				}
-				for j, w := range srow {
-					if w == 0 {
-						continue
-					}
-					vrow := s.qkv.Row(base+j)[vlo : vlo+dk]
-					for c, vv := range vrow {
-						out[c] += w * vv
-					}
-				}
-			}
-		}
-	}
-	if last {
-		tensor.MatMulInto(s.subL, heads, a.WO.Value)
-	} else {
-		tensor.MatMulInto(s.sub, heads, a.WO.Value)
-	}
-}
-
 // maskFor returns the kind mask for padded length L, built once per
 // distinct length and cached: session scans alternate padded lengths
 // chunk to chunk, and the masks are pure functions of (kind, L).
@@ -477,76 +234,4 @@ func (s *Scorer) maskFor(L int) *tensor.Matrix {
 	m := nn.BuildMask(s.m.cfg.Mask, L)
 	s.masks[L] = m
 	return m
-}
-
-// ensureMat resizes m to rows x cols, reusing its backing array when
-// large enough. Contents are unspecified; callers overwrite fully.
-func ensureMat(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
-	need := rows * cols
-	if m == nil || cap(m.Data) < need {
-		return tensor.NewMatrix(rows, cols)
-	}
-	m.Data = m.Data[:need]
-	m.Rows, m.Cols = rows, cols
-	return m
-}
-
-func zeroRow(row []float64) {
-	for i := range row {
-		row[i] = 0
-	}
-}
-
-// addInPlace accumulates dst += src elementwise.
-func addInPlace(dst, src *tensor.Matrix) {
-	for i, v := range src.Data {
-		dst.Data[i] += v
-	}
-}
-
-// layerNormInPlace applies Eq. 6 row-wise: x = g ⊙ (x-μ)/√(σ²+ε) + b,
-// with the same operation order as the tape path (NormalizeRows, gain,
-// bias) so results match to the bit.
-func layerNormInPlace(x *tensor.Matrix, ln *nn.LayerNorm) {
-	gain, bias := ln.Gain.Value.Data, ln.Bias.Value.Data
-	nf := float64(x.Cols)
-	for r := 0; r < x.Rows; r++ {
-		row := x.Row(r)
-		var mu float64
-		for _, v := range row {
-			mu += v
-		}
-		mu /= nf
-		var va float64
-		for _, v := range row {
-			d := v - mu
-			va += d * d
-		}
-		va /= nf
-		inv := 1 / math.Sqrt(va+ln.Eps)
-		for c, v := range row {
-			row[c] = (v-mu)*inv*gain[c] + bias[c]
-		}
-	}
-}
-
-// biasReLUInPlace applies x = max(0, x + b) row-wise (Eq. 7's first
-// stage after the matmul).
-func biasReLUInPlace(x *tensor.Matrix, b *tensor.Matrix) {
-	for r := 0; r < x.Rows; r++ {
-		row := x.Row(r)
-		for c := range row {
-			row[c] = math.Max(0, row[c]+b.Data[c])
-		}
-	}
-}
-
-// addBiasInPlace applies x = x + b row-wise.
-func addBiasInPlace(x *tensor.Matrix, b *tensor.Matrix) {
-	for r := 0; r < x.Rows; r++ {
-		row := x.Row(r)
-		for c := range row {
-			row[c] += b.Data[c]
-		}
-	}
 }

@@ -245,51 +245,6 @@ func (m *Model) collectWindows(sessions [][]int) []window {
 	return windows
 }
 
-// trainSequential is the pre-parallel reference trajectory: one window,
-// one tape, one SGD step, all randomness from the model's own stream.
-// The data-parallel trainer with TrainWorkers=1 and BatchSize=1 is
-// bit-identical to it (asserted by the equivalence tests); it is kept
-// as the executable specification the tests compare against.
-func (m *Model) trainSequential(windows []window, epochs int, lr float64, progress func(int, float64)) TrainResult {
-	res := TrainResult{Windows: len(windows)}
-	if len(windows) == 0 {
-		return res
-	}
-	opt := nn.NewSGD(lr, m.cfg.Momentum)
-	order := make([]int, len(windows))
-	for i := range order {
-		order[i] = i
-	}
-	var negBuf []int
-	for epoch := 0; epoch < epochs; epoch++ {
-		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var total float64
-		var count int
-		for _, wi := range order {
-			tp := tensor.NewTape()
-			var loss *tensor.Node
-			var valid int
-			loss, valid, negBuf = m.windowLoss(tp, windows[wi], true, m.rng, negBuf)
-			if loss == nil {
-				continue
-			}
-			tp.Backward(loss)
-			m.applyStep(opt)
-			total += loss.Value.Data[0] * float64(valid)
-			count += valid
-		}
-		mean := 0.0
-		if count > 0 {
-			mean = total / float64(count)
-		}
-		res.EpochLoss = append(res.EpochLoss, mean)
-		if progress != nil {
-			progress(epoch, mean)
-		}
-	}
-	return res
-}
-
 // applyStep finishes one optimizer step from the gradients accumulated
 // in m.params: decoupled weight decay, global-norm clipping, SGD update.
 func (m *Model) applyStep(opt *nn.SGD) {

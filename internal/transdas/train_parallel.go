@@ -26,7 +26,7 @@ import (
 // fixed, so a given (Seed, BatchSize, TrainWorkers) is bit-reproducible
 // across runs. With W=1 the single worker *is* the model's own RNG
 // stream, so TrainWorkers=1, BatchSize=1 replays the sequential
-// trajectory bit-for-bit (see trainSequential and the equivalence
+// trajectory bit-for-bit (see trainSequential beside the equivalence
 // tests).
 
 // trainWorker owns one worker's private training state: an RNG stream,
