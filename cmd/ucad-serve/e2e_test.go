@@ -10,8 +10,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,13 +173,22 @@ func listTenants(t *testing.T, base string) map[string]tenantInfo {
 	return out
 }
 
+// ledger is the sender's view of one tenant's traffic: per client, every
+// statement put on the wire in order, and how many of them a 202 covers.
+type ledger struct {
+	sent  map[string][]string
+	acked map[string]int
+}
+
 // TestE2EMultiTenantCrashRestart boots one real ucad-serve process with
 // three tenants — Scenario-I, Scenario-II, and an HDFS-like syslog
-// stream — ingests interleaved traffic across all three, kill -9s the
-// process, restarts it on the same data directory, and verifies each
-// tenant recovered exactly its own sessions with its own metric labels
-// and kept serving. A final SIGTERM restart confirms the clean-seal
-// path through the real binary.
+// stream — ingests interleaved traffic across all three, first as
+// single events and then as a stream of 32-event batches, kill -9s the
+// process in the middle of that stream, restarts it on the same data
+// directory, and verifies each tenant recovered its own sessions —
+// every event of every acknowledged request, nothing that was never
+// sent — with its own metric labels and kept serving. A final SIGTERM
+// restart confirms the clean-seal path through the real binary.
 func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real server processes")
@@ -242,12 +253,17 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 		workload.TenantStream{Tenant: "logs", Source: hdfsLive},
 	)
 	events := gen.Take(300)
-	sent := map[string]int{}
-	clients := map[string]map[string]bool{}
-	for _, ev := range events {
-		b, _ := json.Marshal(map[string]string{
+	ledgers := map[string]*ledger{}
+	for _, id := range []string{"s1", "s2", "logs"} {
+		ledgers[id] = &ledger{sent: map[string][]string{}, acked: map[string]int{}}
+	}
+	wire := func(ev workload.TenantEvent) map[string]string {
+		return map[string]string{
 			"tenant": ev.Tenant, "client_id": ev.ClientID, "user": ev.User, "addr": ev.Addr, "sql": ev.SQL,
-		})
+		}
+	}
+	for _, ev := range events {
+		b, _ := json.Marshal(wire(ev))
 		resp, err := http.Post(base+"/v1/events", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
@@ -257,24 +273,66 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("ingest %s = %d; child output:\n%s", ev.Tenant, resp.StatusCode, c1.log())
 		}
-		sent[ev.Tenant]++
-		if clients[ev.Tenant] == nil {
-			clients[ev.Tenant] = map[string]bool{}
-		}
-		clients[ev.Tenant][ev.ClientID] = true
+		l := ledgers[ev.Tenant]
+		l.sent[ev.ClientID] = append(l.sent[ev.ClientID], ev.SQL)
+		l.acked[ev.ClientID]++
 	}
-	for _, id := range []string{"s1", "s2", "logs"} {
-		if sent[id] == 0 {
+	for id, l := range ledgers {
+		if len(l.sent) == 0 {
 			t.Fatalf("stream never reached tenant %s", id)
 		}
 	}
 
-	// kill -9: with fsync=always every acknowledged event is already in
-	// the owning tenant's WAL.
+	// Then 32-event batches, back to back, until the server dies under
+	// them: a request is one commit group, acknowledged only after every
+	// WAL stream it touched was fsynced.
+	var ackedBatches atomic.Int64
+	streamErr := make(chan error, 1)
+	go func() {
+		for {
+			batch := gen.Take(32)
+			body := make([]map[string]string, len(batch))
+			for i, ev := range batch {
+				body[i] = wire(ev)
+				l := ledgers[ev.Tenant]
+				l.sent[ev.ClientID] = append(l.sent[ev.ClientID], ev.SQL)
+			}
+			b, _ := json.Marshal(body)
+			resp, err := http.Post(base+"/v1/events", "application/json", bytes.NewReader(b))
+			if err == nil {
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			if err != nil {
+				streamErr <- nil // the kill: this batch was never acknowledged
+				return
+			}
+			if resp.StatusCode != http.StatusAccepted {
+				streamErr <- fmt.Errorf("batch ingest = %d", resp.StatusCode)
+				return
+			}
+			for _, ev := range batch {
+				ledgers[ev.Tenant].acked[ev.ClientID]++
+			}
+			ackedBatches.Add(1)
+		}
+	}()
+	for deadline := time.Now().Add(20 * time.Second); ackedBatches.Load() < 4; {
+		if time.Now().After(deadline) {
+			t.Fatalf("batch stream stalled at %d acknowledged; child output:\n%s", ackedBatches.Load(), c1.log())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// kill -9 mid-stream: with fsync=always every acknowledged event is
+	// already in the owning tenant's WAL.
 	if err := c1.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	c1.cmd.Wait()
+	if err := <-streamErr; err != nil {
+		t.Fatalf("%v; child output:\n%s", err, c1.log())
+	}
 
 	// Restart on the same directory: the tenants file names the same
 	// specs; each tenant replays its own WAL.
@@ -286,7 +344,7 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	if len(infos) != 3 {
 		t.Fatalf("restart lists %d tenants: %+v", len(infos), infos)
 	}
-	for _, id := range []string{"s1", "s2", "logs"} {
+	for id, l := range ledgers {
 		in, ok := infos[id]
 		if !ok {
 			t.Fatalf("tenant %s missing after restart: %+v", id, infos)
@@ -294,12 +352,33 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 		if in.CleanSeal {
 			t.Fatalf("tenant %s reports a clean seal after kill -9", id)
 		}
-		if in.Recovered != len(clients[id]) {
-			t.Fatalf("tenant %s recovered %d sessions, want %d (no more, no fewer — cross-tenant leakage otherwise)",
-				id, in.Recovered, len(clients[id]))
+		// Every acknowledged event is back at its position, and a session
+		// holds nothing beyond what its client sent, in the order it was
+		// sent (cross-tenant leakage or a phantom record otherwise). The
+		// batch in flight at the kill may be there in part: never
+		// acknowledged, so not required, but a whole-record prefix.
+		restored, err := fetchSessions(base, id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if in.WALReplayed < sent[id] {
-			t.Fatalf("tenant %s replayed %d WAL records for %d events", id, in.WALReplayed, sent[id])
+		if in.Recovered != len(restored) {
+			t.Fatalf("tenant %s reports %d recovered sessions, serves %d", id, in.Recovered, len(restored))
+		}
+		ackedEvents := 0
+		for client, n := range l.acked {
+			ackedEvents += n
+			if len(restored[client]) < n {
+				t.Fatalf("tenant %s client %s: %d events acknowledged, %d restored", id, client, n, len(restored[client]))
+			}
+		}
+		for client, ops := range restored {
+			sent := l.sent[client]
+			if len(ops) > len(sent) || !reflect.DeepEqual(ops, sent[:len(ops)]) {
+				t.Fatalf("tenant %s client %s restored %d ops that are no prefix of the %d sent", id, client, len(ops), len(sent))
+			}
+		}
+		if in.WALReplayed < ackedEvents {
+			t.Fatalf("tenant %s replayed %d WAL records for %d acknowledged events", id, in.WALReplayed, ackedEvents)
 		}
 		// Each tenant's durable state lives in its own directory.
 		for _, sub := range []string{"wal", "checkpoints", "tenant.json"} {
@@ -336,7 +415,7 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	mresp.Body.Close()
 	for _, id := range []string{"s1", "s2", "logs"} {
 		for _, series := range []string{
-			fmt.Sprintf(`ucad_wal_recovered_sessions{tenant=%q} %d`, id, len(clients[id])),
+			fmt.Sprintf(`ucad_wal_recovered_sessions{tenant=%q} %d`, id, infos[id].Recovered),
 			fmt.Sprintf(`ucad_events_accepted_total{tenant=%q}`, id),
 		} {
 			if !strings.Contains(string(mbody), series) {
@@ -369,9 +448,9 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	waitHealthy(t, c3, base)
 	for _, id := range []string{"s1", "s2", "logs"} {
 		in := listTenants(t, base)[id]
-		if !in.CleanSeal || in.Recovered != len(clients[id]) {
+		if !in.CleanSeal || in.Recovered != infos[id].Recovered {
 			t.Fatalf("tenant %s after clean shutdown: %+v, want clean seal and %d sessions",
-				id, in, len(clients[id]))
+				id, in, infos[id].Recovered)
 		}
 	}
 	c3.cmd.Process.Signal(os.Interrupt)

@@ -15,11 +15,11 @@ import (
 )
 
 // DurabilityConfig enables crash-safe serving: every accepted event is
-// appended to a write-ahead log before the ingest call returns, open
-// sessions are periodically snapshotted, and a restarted Service
-// rebuilds the assemblers from "newest snapshot + WAL suffix" — the
-// long-lived streaming state the paper's whole-session detector depends
-// on survives a deploy or a kill -9.
+// written to a write-ahead log and the log committed before the ingest
+// call returns, open sessions are periodically snapshotted, and a
+// restarted Service rebuilds the assemblers from "newest snapshot + WAL
+// suffix" — the long-lived streaming state the paper's whole-session
+// detector depends on survives a deploy or a kill -9.
 //
 // The WAL directory holds one stream per ingest shard
 // (wal-shard-NN-*.log / snap-shard-NN-*.snap) named by a layout
@@ -32,7 +32,9 @@ type DurabilityConfig struct {
 	Dir string
 	// Fsync selects when appended records reach stable storage (see
 	// wal.SyncPolicy). Under SyncAlways an acknowledged event is
-	// guaranteed to be restored after any crash.
+	// guaranteed to be restored after any crash: IngestBatch fsyncs each
+	// shard stream its request touched once, before it returns — one
+	// fsync per touched stream per request, not one per event.
 	Fsync wal.SyncPolicy
 	// SegmentBytes caps a WAL segment before rotation (0 means 64 MiB).
 	SegmentBytes int64
@@ -427,31 +429,33 @@ func (s *Service) replayPayload(b []byte, st *RestoreStats) error {
 	return nil
 }
 
-// appendWAL marshals and appends one record; the caller holds the
-// shard's durMu when the record must stay ordered with an assembler
+// appendWAL marshals one record and writes it to the stream without
+// forcing it to disk: its durability point is the caller's next
+// store.Commit (or the Close that seals the stream). The caller holds
+// the shard's durMu when the record must stay ordered with an assembler
 // mutation.
 func (s *Service) appendWAL(store *wal.Store, r walRecord) error {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	return store.Append(b)
+	return store.AppendDeferred(b)
 }
 
-// ingestDurable is Ingest's assemble-and-log step when durability is
-// on: the assembler mutation and its WAL record happen atomically with
-// respect to snapshot capture (the shard's durMu), and the record is
-// durable per the fsync policy before the event is acknowledged. A WAL
-// write failure undoes the append and rejects the event — nothing
-// enters a session that the log cannot replay.
+// ingestDurable is the assemble-and-log step when durability is on: the
+// assembler mutation and the write of its WAL record happen atomically
+// with respect to snapshot capture (the shard's durMu). The record is
+// not durable yet — IngestBatch commits the stream before the event is
+// acknowledged. A WAL write failure undoes the append and rejects the
+// event — nothing enters a session that the log cannot replay.
 func (s *Service) ingestDurable(sh *shard, ev Event, key, window int) (Appended, error) {
 	client := ev.Client()
 	sh.durMu.Lock()
+	defer sh.durMu.Unlock()
 	ap := sh.asm.Append(ev, key, window+1)
 	if ap.Dup {
 		// A redelivery mutated nothing, so there is nothing to log: the
 		// original append's WAL record already covers this position.
-		sh.durMu.Unlock()
 		return ap, nil
 	}
 	err := s.appendWAL(sh.store, walRecord{
@@ -461,15 +465,59 @@ func (s *Service) ingestDurable(sh *shard, ev Event, key, window int) (Appended,
 	})
 	if err != nil {
 		sh.asm.Rollback(client, ap.Pos)
-		sh.durMu.Unlock()
 		return ap, fmt.Errorf("serve: wal append: %w", err)
 	}
-	sh.durMu.Unlock()
 	return ap, nil
 }
 
+// commitBatch is the durability point of one request: every shard
+// stream the request touched is committed once (concurrently when more
+// than one — the fsyncs of different files overlap), and only then are
+// its pending events counted accepted. A stream whose commit fails
+// rejects every event of the request on it, newest first so each is
+// still its session's tail when it is rolled back.
+func (s *Service) commitBatch(b *batch, errs []error) {
+	cerrs := make([]error, len(s.shards))
+	commit := func(i int) { cerrs[i] = s.shards[i].store.Commit() }
+	var wg sync.WaitGroup
+	first := -1 // committed on this goroutine, the others beside it
+	for i, touched := range b.touched {
+		switch {
+		case !touched:
+		case first < 0:
+			first = i
+		default:
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				commit(i)
+			}(i)
+		}
+	}
+	if first >= 0 {
+		commit(first)
+	}
+	wg.Wait()
+	for k := len(b.pend) - 1; k >= 0; k-- {
+		p := b.pend[k]
+		err := cerrs[p.sh.idx]
+		switch {
+		case err != nil:
+			if !p.dup {
+				s.rollbackLogged(p.sh, p.client, p.sessionID, p.pos)
+			}
+			s.rejected.Add(1)
+			errs[p.i] = fmt.Errorf("serve: wal commit: %w", err)
+		case !p.dup:
+			s.accepted.Add(1)
+		}
+	}
+}
+
 // rollbackLogged undoes the tail operation after a scoring-queue
-// rejection, logging the rollback so recovery replays the undo too.
+// rejection or a failed commit, logging the rollback so recovery
+// replays the undo too. The record is written, not committed: the
+// request's commitBatch covers it before the rejection is answered.
 func (s *Service) rollbackLogged(sh *shard, client, sessionID string, pos int) {
 	if sh.store == nil {
 		sh.asm.Rollback(client, pos)
@@ -485,7 +533,9 @@ func (s *Service) rollbackLogged(sh *shard, client, sessionID string, pos int) {
 // closeAllLogged closes sessions shard by shard — all of them, or only
 // those idle past the timeout — logging one close record per closed
 // session under the shard's durMu, so recovery never resurrects a
-// session that already received its authoritative verdict.
+// session that already received its authoritative verdict. The records
+// of one shard share one commit: a sweep that closes N sessions holds
+// that shard's ingest for one fsync, not N.
 func (s *Service) closeAllLogged(idleOnly bool) []Closed {
 	var all []Closed
 	for _, sh := range s.shards {
@@ -496,10 +546,14 @@ func (s *Service) closeAllLogged(idleOnly bool) []Closed {
 		} else {
 			closed = sh.asm.CloseAll()
 		}
-		if sh.store != nil {
+		if sh.store != nil && len(closed) > 0 {
 			for _, c := range closed {
 				s.appendWAL(sh.store, walRecord{T: recClose, Client: c.Client, SID: c.Session.ID})
 			}
+			// Best effort, like the writes: the verdicts are already out, and
+			// a lost close record only makes recovery reopen a session that
+			// idles out again.
+			_ = sh.store.Commit()
 		}
 		sh.durMu.Unlock()
 		all = append(all, closed...)
@@ -576,7 +630,8 @@ func (s *Service) snapshotLoop(every time.Duration) {
 }
 
 // sealAndCloseStore takes the final snapshot, appends each stream's
-// clean-seal record and closes the logs (shutdown tail of Close/Stop).
+// clean-seal record and closes the logs, whose final fsync is the
+// seal's commit (shutdown tail of Close/Stop).
 func (s *Service) sealAndCloseStore() error {
 	if !s.ready.Load() {
 		return nil

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +190,162 @@ func TestDurableRestartHardKill(t *testing.T) {
 	if s2.midFlags.Load() == 0 {
 		t.Fatal("restored session did not flag the anomaly")
 	}
+}
+
+// twoShardClients returns one client id hashing to each shard of a
+// two-shard service.
+func twoShardClients() [2]string {
+	var out [2]string
+	for i := 0; out[0] == "" || out[1] == ""; i++ {
+		c := fmt.Sprintf("c%d", i)
+		out[shardIndex(c, 2)] = c
+	}
+	return out
+}
+
+// TestDurableBatchCommitsPerStream: a request is the commit group. A
+// 32-event batch spanning both shards is acknowledged after exactly one
+// fsync per touched stream, and a hard kill right after IngestBatch
+// returns restores all 32 events at their positions.
+func TestDurableBatchCommitsPerStream(t *testing.T) {
+	u := testUCAD(t)
+	dir := t.TempDir()
+	clock := newFakeClock()
+	s1, _ := durableService(t, u, dir, clock.Now, func(c *Config) { c.Shards = 2 })
+	clients := twoShardClients()
+
+	evs := make([]Event, 32)
+	for i := range evs {
+		evs[i] = Event{ClientID: clients[i%2], User: "app", SQL: normalStatement(i / 2)}
+	}
+	errs := make([]error, len(evs))
+	before := s1.metrics.walFsyncSeconds.Count()
+	s1.IngestBatch(evs, errs)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+	if got := s1.metrics.walFsyncSeconds.Count() - before; got != 2 {
+		t.Fatalf("32-event batch over 2 streams took %d fsyncs, want 2", got)
+	}
+	// A batch on one shard touches one stream.
+	before = s1.metrics.walFsyncSeconds.Count()
+	s1.IngestBatch(evs[:1], errs[:1])
+	if got := s1.metrics.walFsyncSeconds.Count() - before; got != 1 || errs[0] != nil {
+		t.Fatalf("one-stream batch: %d fsyncs (want 1), err %v", got, errs[0])
+	}
+	if got := s1.Stats().EventsAccepted; got != 33 {
+		t.Fatalf("events_accepted = %d, want 33", got)
+	}
+	s1.Drain()
+	_, want := exportedState(s1)
+	// Hard kill: no Close, no Stop.
+
+	s2, rst := durableService(t, u, dir, clock.Now, func(c *Config) { c.Shards = 2 })
+	defer s2.Close(context.Background())
+	if rst.CleanSeal || rst.Records != 33 {
+		t.Fatalf("restore after hard kill: %+v, want 33 records and no seal", rst)
+	}
+	_, got := exportedState(s2)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("hard-kill restore of a batch diverges:\n got %+v\nwant %+v", got, want)
+	}
+	if n := len(got[0].Ops) + len(got[1].Ops); n != 33 {
+		t.Fatalf("restored %d operations, want 33", n)
+	}
+}
+
+// TestDurableBatchCommitFailure: a stream whose commit fails rejects
+// exactly its own events of the request — rolled back out of their
+// sessions, counted rejected — while the other stream's events are
+// accepted. The seam: the assembler clock closes shard 0's store once
+// the batch has written all of that shard's records, so the writes
+// succeed and only the commit fails.
+func TestDurableBatchCommitFailure(t *testing.T) {
+	u := testUCAD(t)
+	clock := newFakeClock()
+	clients := twoShardClients()
+	var s *Service
+	var armed atomic.Bool
+	s, _ = durableService(t, u, t.TempDir(), func() time.Time {
+		if armed.Load() && len(sessionOps(s, clients[0])) == 5 && armed.CompareAndSwap(true, false) {
+			s.shards[0].store.Close()
+		}
+		return clock.Now()
+	}, func(c *Config) { c.Shards = 2 })
+	defer s.Stop()
+
+	ingestN(t, s, clients[0], 2, 0)
+	ingestN(t, s, clients[1], 2, 0)
+	var evs []Event
+	for _, c := range clients {
+		for p := 2; p < 5; p++ {
+			evs = append(evs, Event{ClientID: c, User: "app", SQL: normalStatement(p)})
+		}
+	}
+	errs := make([]error, len(evs))
+	armed.Store(true)
+	s.IngestBatch(evs, errs)
+
+	for i, err := range errs {
+		if i < 3 && (!errors.Is(err, wal.ErrClosed) || !strings.Contains(err.Error(), "wal commit")) {
+			t.Fatalf("event %d on the failed stream: %v, want a commit failure wrapping wal.ErrClosed", i, err)
+		}
+		if i >= 3 && err != nil {
+			t.Fatalf("event %d on the healthy stream: %v", i, err)
+		}
+	}
+	if n := len(sessionOps(s, clients[0])); n != 2 {
+		t.Fatalf("failed stream's session holds %d ops, want the 2 from before the request", n)
+	}
+	if n := len(sessionOps(s, clients[1])); n != 5 {
+		t.Fatalf("healthy stream's session holds %d ops, want 5", n)
+	}
+	if st := s.Stats(); st.EventsAccepted != 4+3 || st.EventsRejected != 3 {
+		t.Fatalf("accepted %d rejected %d, want 7 and 3", st.EventsAccepted, st.EventsRejected)
+	}
+}
+
+// TestIdleSweepCommitsOncePerShard: a sweep that closes N sessions of a
+// shard logs N close records under one fsync — it holds that shard's
+// durMu for one commit, not N — and the records still keep recovery
+// from resurrecting the finalized sessions.
+func TestIdleSweepCommitsOncePerShard(t *testing.T) {
+	u := testUCAD(t)
+	dir := t.TempDir()
+	clock := newFakeClock()
+	cfg := func(c *Config) { c.Shards, c.IdleTimeout = 1, time.Minute }
+	s1, _ := durableService(t, u, dir, clock.Now, cfg)
+	for i := 0; i < 5; i++ {
+		ingestN(t, s1, fmt.Sprintf("c%d", i), 3, 0)
+	}
+	s1.Drain()
+	clock.Advance(2 * time.Minute)
+	before := s1.metrics.walFsyncSeconds.Count()
+	if n := s1.CloseIdleNow(); n != 5 {
+		t.Fatalf("closed %d sessions, want 5", n)
+	}
+	if got := s1.metrics.walFsyncSeconds.Count() - before; got != 1 {
+		t.Fatalf("closing 5 sessions on one shard took %d fsyncs, want 1", got)
+	}
+	// Hard kill; the close records were committed.
+	s2, rst := durableService(t, u, dir, clock.Now, cfg)
+	defer s2.Close(context.Background())
+	if rst.Sessions != 0 {
+		t.Fatalf("restart resurrected %d finalized sessions", rst.Sessions)
+	}
+}
+
+// sessionOps returns the operations of client's open session.
+func sessionOps(s *Service, client string) []session.Operation {
+	_, st := s.shardFor(client).asm.Export()
+	for _, ss := range st {
+		if ss.Client == client {
+			return ss.Ops
+		}
+	}
+	return nil
 }
 
 // TestDurableSnapshotCompactionRestart: snapshots + post-snapshot WAL

@@ -330,15 +330,54 @@ func (s *Service) stopBackground() {
 	}
 }
 
-// Ingest absorbs one event: the statement is tokenized with the trained
-// vocabulary, appended to the client's open session on the shard the
-// client hashes to, and queued for incremental scoring once the session
-// has MinContext history. A full shard scoring queue rejects the event
-// with ErrBusy — the operation is rolled back out of the session so a
-// client retry is not a duplicate. With durability enabled the event is
-// logged to the shard's own WAL stream (durable per the fsync policy)
-// before Ingest returns nil — the write-ahead contract: nothing is
-// acknowledged that a crash could forget.
+// Ingest absorbs one event: IngestBatch with a batch of one.
+func (s *Service) Ingest(ev Event) error {
+	var err [1]error
+	s.IngestBatch([]Event{ev}, err[:])
+	return err[0]
+}
+
+// batch is a durable request's state between its per-event steps and
+// its commit (see commitBatch).
+type batch struct {
+	// touched marks, by shard index, the streams the request must commit
+	// before it acknowledges anything on them: a record was written, or a
+	// redelivery matched an original whose own commit may still be in
+	// flight on another request.
+	touched []bool
+	// pend lists, in submission order, the events that passed their
+	// per-event steps and await their stream's commit.
+	pend []pendingEvent
+}
+
+type pendingEvent struct {
+	i         int // index within the batch
+	sh        *shard
+	client    string
+	sessionID string
+	pos       int
+	dup       bool
+}
+
+// IngestBatch absorbs the events of one request in order and leaves
+// event i's outcome in errs[i] (nil: accepted), which must be as long
+// as evs. Each statement is tokenized with the trained vocabulary,
+// appended to the client's open session on the shard the client hashes
+// to, and queued for incremental scoring once the session has
+// MinContext history. A full shard scoring queue rejects the event with
+// ErrBusy — the operation is rolled back out of the session so a client
+// retry is not a duplicate — and a rejection never shadows the events
+// after it.
+//
+// With durability enabled each event's record is written to its shard's
+// own WAL stream as the event is absorbed, and the request is the
+// commit group: once every event has been attempted, each touched
+// stream is committed once (one fsync per stream under SyncAlways) and
+// only then does IngestBatch return — the write-ahead contract: nothing
+// is acknowledged that a crash could forget. Scoring may start before
+// the commit; a verdict is advisory and in memory, only the
+// acknowledgement waits. A stream whose commit fails rejects every
+// event of the request on it, rolled back like a failed WAL write.
 //
 // A statement whose template is absent from the trained vocabulary maps
 // to the reserved UNK key (sqlnorm.UnknownKey): it is still assembled
@@ -347,15 +386,31 @@ func (s *Service) stopBackground() {
 // An event whose (Epoch, Seq) the open session already covers is a
 // redelivery: it is acknowledged without re-appending, re-logging or re-scoring
 // (counted in ucad_feed_duplicate_events_total).
-func (s *Service) Ingest(ev Event) error {
+func (s *Service) IngestBatch(evs []Event, errs []error) {
+	var b *batch
+	if s.cfg.Durability != nil {
+		b = &batch{touched: make([]bool, len(s.shards)), pend: make([]pendingEvent, 0, len(evs))}
+	}
+	for i, ev := range evs {
+		errs[i] = s.ingestEvent(i, ev, b)
+	}
+	if b != nil {
+		s.commitBatch(b, errs)
+	}
+}
+
+// ingestEvent runs one event's steps: tokenize, assemble (and write the
+// WAL record, under the shard's durMu), enqueue for scoring. Without
+// durability (b nil) a nil return is the acceptance; with it the event
+// joins b.pend and commitBatch decides.
+func (s *Service) ingestEvent(i int, ev Event, b *batch) error {
 	if s.stopped.Load() {
 		return ErrStopped
 	}
 	if ev.SQL == "" || ev.Seq > 0 && ev.Epoch <= 0 {
 		return ErrInvalid
 	}
-	durable := s.cfg.Durability != nil
-	if durable && !s.ready.Load() {
+	if b != nil && !s.ready.Load() {
 		return ErrNotReady
 	}
 	t := obs.StartTimer(s.metrics.ingestSeconds)
@@ -368,20 +423,19 @@ func (s *Service) Ingest(ev Event) error {
 	client := ev.Client()
 	sh := s.shardFor(client)
 	var ap Appended
-	if durable {
+	if b != nil {
 		var err error
 		if ap, err = s.ingestDurable(sh, ev, key, mb.window); err != nil {
 			s.rejected.Add(1)
 			return err
 		}
+		b.touched[sh.idx] = true
 	} else {
 		ap = sh.asm.Append(ev, key, mb.window+1)
 	}
 	if ap.Dup {
 		s.dupEvents.Add(1)
-		return nil
-	}
-	if ap.Pos >= mb.minContext {
+	} else if ap.Pos >= mb.minContext {
 		job := Job{
 			Client:    client,
 			User:      ev.User,
@@ -396,7 +450,11 @@ func (s *Service) Ingest(ev Event) error {
 			return err
 		}
 	}
-	s.accepted.Add(1)
+	if b != nil {
+		b.pend = append(b.pend, pendingEvent{i: i, sh: sh, client: client, sessionID: ap.SessionID, pos: ap.Pos, dup: ap.Dup})
+	} else if !ap.Dup {
+		s.accepted.Add(1)
+	}
 	return nil
 }
 

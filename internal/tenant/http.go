@@ -113,7 +113,10 @@ type eventsResponse struct {
 // handleEvents is the ingest path. Every event is attempted — a
 // rejection does not shadow the events after it — and batches may mix
 // tenants: each event resolves independently, so one bad tenant id
-// rejects only its own events.
+// rejects only its own events. The request is the commit group: no
+// status is written, accepted or not, until every WAL stream the
+// submission touched has been committed (Registry.IngestBatch), so a
+// 202 still means every accepted event is durable per -fsync.
 func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	events, isArray, err := serve.DecodeEvents(req)
 	if err != nil {
@@ -127,16 +130,17 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	if fallback == "" {
 		fallback = req.URL.Query().Get("tenant")
 	}
+	for i := range events {
+		if events[i].Tenant == "" {
+			events[i].Tenant = fallback
+		}
+	}
 	status := http.StatusAccepted
 	var resp eventsResponse
 	if isArray {
 		resp.Events = make([]eventStatus, len(events))
 	}
-	for i, ev := range events {
-		if ev.Tenant == "" {
-			ev.Tenant = fallback
-		}
-		err := r.Ingest(ev)
+	for i, err := range r.IngestBatch(events) {
 		if err == nil {
 			resp.Accepted++
 			if isArray {

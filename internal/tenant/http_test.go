@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -208,6 +210,107 @@ func TestHTTPRoutingAndAdmin(t *testing.T) {
 	}
 	if !strings.Contains(string(mbody), `tenant="default"`) {
 		t.Fatal("default tenant's series disappeared")
+	}
+}
+
+// seriesValue reads one series' value off a /metrics body.
+func seriesValue(t *testing.T, url, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
+}
+
+// TestHTTPMixedTenantBatchCommit: one array mixing two durable tenants,
+// an invalid event and an unknown tenant still answers one status per
+// event in submission order; each tenant's events keep their submission
+// order within its session and cost that tenant one fsync per touched
+// stream for the whole request; and everything the response accepted
+// survives a hard kill.
+func TestHTTPMixedTenantBatchCommit(t *testing.T) {
+	clk := newFakeClock()
+	root := t.TempDir()
+	opts := durableOptions(clk, root)
+	opts.Serve.Shards = 1 // one WAL stream per tenant: exact fsync counts
+	reg := New(opts)
+	prefixes := map[string]string{"alpha": "va", "beta": "vb"}
+	for id, prefix := range prefixes {
+		path := filepath.Join(root, id+".model")
+		saveModel(t, trainModel(t, prefix), path)
+		if _, err := reg.Create(Spec{ID: id, ModelPath: path}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(reg.Handler())
+	defer ts.Close()
+
+	ev := func(tenant, prefix string, pos int) map[string]string {
+		return map[string]string{"tenant": tenant, "client_id": "c1", "user": "app", "sql": normalStatement(prefix, pos)}
+	}
+	fsyncs := func(id string) float64 {
+		return seriesValue(t, ts.URL, `ucad_wal_fsync_seconds_count{tenant="`+id+`"}`)
+	}
+	alpha0, beta0 := fsyncs("alpha"), fsyncs("beta")
+	resp, body := postJSON(t, ts.URL+"/v1/events", []map[string]string{
+		ev("alpha", "va", 0),
+		ev("beta", "vb", 0),
+		ev("alpha", "va", 1),
+		{"tenant": "alpha", "client_id": "c1"}, // no sql
+		ev("ghost", "va", 0),
+		ev("beta", "vb", 1),
+		ev("alpha", "va", 2),
+	})
+	var er eventsResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	want := []eventStatus{
+		{Status: "accepted"}, {Status: "accepted"}, {Status: "accepted"},
+		{Status: "rejected", Code: CodeInvalidEvent},
+		{Status: "rejected", Code: CodeUnknownTenant},
+		{Status: "accepted"}, {Status: "accepted"},
+	}
+	if resp.StatusCode != http.StatusBadRequest || er.Accepted != 5 || !reflect.DeepEqual(er.Events, want) {
+		t.Fatalf("mixed batch = %d %s", resp.StatusCode, body)
+	}
+	if a, b := fsyncs("alpha")-alpha0, fsyncs("beta")-beta0; a != 1 || b != 1 {
+		t.Fatalf("request cost alpha %v and beta %v fsyncs, want 1 each", a, b)
+	}
+	// Hard kill: no Close. Everything the response accepted comes back,
+	// in submission order.
+	reg2 := New(opts)
+	if err := reg2.Boot(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close(context.Background())
+	for id, n := range map[string]int{"alpha": 3, "beta": 2} {
+		tn, err := reg2.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions := tn.Service().ExportSessions()
+		if len(sessions) != 1 || len(sessions[0].Ops) != n {
+			t.Fatalf("%s restored %+v, want one session of %d ops", id, sessions, n)
+		}
+		for pos, op := range sessions[0].Ops {
+			if op.SQL != normalStatement(prefixes[id], pos) {
+				t.Fatalf("%s op %d = %q: submission order lost", id, pos, op.SQL)
+			}
+		}
 	}
 }
 

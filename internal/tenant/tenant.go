@@ -423,6 +423,44 @@ func (r *Registry) Ingest(ev serve.Event) error {
 	return t.Ingest(ev)
 }
 
+// IngestBatch absorbs one submission: the events are grouped by their
+// Tenant field (empty → default tenant) and each group goes through its
+// tenant's pipeline as one batch, in submission order, so every tenant
+// commits its WAL streams once for the whole request. It returns one
+// outcome per event, in submission order; a routing failure rejects
+// only its own tenant's events.
+func (r *Registry) IngestBatch(evs []serve.Event) []error {
+	errs := make([]error, len(evs))
+	groups := make(map[string][]int) // tenant id → submission indices
+	var order []string
+	for i := range evs {
+		id := evs[i].Tenant
+		if _, seen := groups[id]; !seen {
+			order = append(order, id)
+		}
+		groups[id] = append(groups[id], i)
+	}
+	for _, id := range order {
+		idx := groups[id]
+		t, err := r.Get(id)
+		if err != nil {
+			for _, i := range idx {
+				errs[i] = err
+			}
+			continue
+		}
+		sub, subErrs := make([]serve.Event, len(idx)), make([]error, len(idx))
+		for k, i := range idx {
+			sub[k] = evs[i]
+		}
+		t.IngestBatch(sub, subErrs)
+		for k, i := range idx {
+			errs[i] = subErrs[k]
+		}
+	}
+	return errs
+}
+
 // List returns the live tenants sorted by id.
 func (r *Registry) List() []*Tenant {
 	r.mu.RLock()
@@ -556,4 +594,16 @@ func (t *Tenant) Ingest(ev serve.Event) error {
 		return ErrDraining
 	}
 	return t.svc.Ingest(ev)
+}
+
+// IngestBatch is Ingest for one request's events (see
+// serve.Service.IngestBatch): errs[i] receives event i's outcome.
+func (t *Tenant) IngestBatch(evs []serve.Event, errs []error) {
+	if t.draining.Load() {
+		for i := range errs {
+			errs[i] = ErrDraining
+		}
+		return
+	}
+	t.svc.IngestBatch(evs, errs)
 }

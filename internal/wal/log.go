@@ -186,15 +186,46 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Append frames payload and appends it to the active segment, fsyncing
-// per the sync policy and rotating past the segment cap. The payload is
-// durable per Options.Sync once Append returns nil.
+// Append is AppendDeferred followed by Commit under one hold of the log
+// mutex: the payload is durable per Options.Sync once Append returns
+// nil, at one fsync per call under SyncAlways.
 func (l *Log) Append(payload []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.appendLocked(payload); err != nil {
+		return err
+	}
+	return l.commitLocked()
+}
+
+// AppendDeferred frames payload and writes it to the active segment,
+// rotating past the segment cap, without forcing it to stable storage:
+// the record is durable under SyncAlways only once a later Commit (or
+// anything that seals the segment: rotation, Rotate, SkipTo, Close)
+// returns nil. It lets a caller that acknowledges a group of records
+// at once pay one fsync for the group. A crash before that Commit
+// leaves a whole-record prefix of the group, possibly with a torn tail.
+func (l *Log) AppendDeferred(payload []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLocked(payload)
+}
+
+// Commit is the durability point of the records written so far: under
+// SyncAlways it fsyncs the active segment if anything was written since
+// the last fsync — so a Commit that another caller's fsync (or a
+// rotation) already covered is free — and under SyncInterval/SyncNever
+// it does nothing, those policies never promising durability at ack.
+func (l *Log) Commit() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.commitLocked()
+}
+
+func (l *Log) appendLocked(payload []byte) error {
 	if len(payload) > MaxRecordSize {
 		return ErrRecordTooLarge
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
@@ -207,15 +238,20 @@ func (l *Log) Append(payload []byte) error {
 	if l.opt.OnAppend != nil {
 		l.opt.OnAppend(len(l.scratch))
 	}
-	if l.opt.Sync == SyncAlways {
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
-	}
 	if l.size >= l.opt.SegmentBytes {
 		return l.rotateLocked()
 	}
 	return nil
+}
+
+func (l *Log) commitLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if l.opt.Sync != SyncAlways || !l.dirty {
+		return nil
+	}
+	return l.syncLocked()
 }
 
 func (l *Log) syncLocked() error {

@@ -136,6 +136,13 @@ func (s *Store) Recover(restore func(snapshot []byte) error, replay func(record 
 // Append appends one record to the log (see Log.Append).
 func (s *Store) Append(payload []byte) error { return s.log.Append(payload) }
 
+// AppendDeferred writes one record without making it durable yet (see
+// Log.AppendDeferred); Commit is its durability point (see Log.Commit).
+func (s *Store) AppendDeferred(payload []byte) error { return s.log.AppendDeferred(payload) }
+
+// Commit makes every record written so far durable per the sync policy.
+func (s *Store) Commit() error { return s.log.Commit() }
+
 // Sync forces the log to stable storage (see Log.Sync).
 func (s *Store) Sync() error { return s.log.Sync() }
 

@@ -5,12 +5,12 @@
 // management (Checkpoints).
 //
 // The contract mirrors classic database recovery: every state change is
-// appended (and, under SyncAlways, fsynced) to the log before it is
-// acknowledged, a snapshot periodically captures the full state at a
-// segment boundary, and recovery is "load the newest valid snapshot,
-// then replay the WAL suffix". A crash mid-append leaves a torn tail
-// that recovery truncates instead of failing — the log never loses an
-// acknowledged record to repair an unacknowledged one.
+// appended (and, under SyncAlways, committed by an fsync) to the log
+// before it is acknowledged, a snapshot periodically captures the full
+// state at a segment boundary, and recovery is "load the newest valid
+// snapshot, then replay the WAL suffix". A crash mid-append leaves a
+// torn tail that recovery truncates instead of failing — the log never
+// loses an acknowledged record to repair an unacknowledged one.
 //
 // The package is dependency-free (standard library only) and knows
 // nothing about sessions or models; payloads are opaque bytes.
@@ -25,8 +25,11 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: an acknowledged record
-	// survives kill -9 and power loss. Appends serialize on the fsync.
+	// SyncAlways fsyncs at every Commit that has something to flush —
+	// after every record for Log.Append, once per group for a caller
+	// that writes with AppendDeferred and commits before it
+	// acknowledges: an acknowledged record survives kill -9 and power
+	// loss. Commits on one log serialize on the fsync.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on a background timer (Options.SyncInterval):
 	// a crash loses at most one interval of acknowledged records.

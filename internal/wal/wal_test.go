@@ -492,16 +492,142 @@ func TestLogInstrumentationHooks(t *testing.T) {
 	if err := l.Append(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if appends != 1 || appendBytes != recordHeaderSize+len(p) {
 		t.Fatalf("OnAppend saw %d appends / %d bytes", appends, appendBytes)
 	}
-	if syncs < 1 {
-		t.Fatal("OnSync never fired under SyncAlways")
+	if syncs != 1 {
+		t.Fatalf("Append under SyncAlways fsynced %d times, want 1", syncs)
 	}
-	if l.Append(p) != ErrClosed {
-		t.Fatal("append after Close did not fail with ErrClosed")
+	// The deferred path: writes alone never fsync, a dirty Commit fsyncs
+	// exactly once whatever the group size, a clean one not at all.
+	for i := 0; i < 3; i++ {
+		if err := l.AppendDeferred(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if appends != 4 || syncs != 1 {
+		t.Fatalf("after 3 deferred writes: %d appends, %d fsyncs; want 4, 1", appends, syncs)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 2 {
+		t.Fatalf("dirty Commit fsynced %d times in total, want 2", syncs)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 2 {
+		t.Fatalf("clean Commit fsynced (total %d, want 2)", syncs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 2 {
+		t.Fatalf("Close of a clean log fsynced (total %d, want 2)", syncs)
+	}
+	if l.Append(p) != ErrClosed || l.AppendDeferred(p) != ErrClosed || l.Commit() != ErrClosed {
+		t.Fatal("append/commit after Close did not fail with ErrClosed")
+	}
+
+	// Commit is SyncAlways's durability point only: the other policies
+	// never fsync there (the interval is far beyond the test's lifetime).
+	for _, pol := range []SyncPolicy{SyncInterval, SyncNever} {
+		syncs = 0
+		l, err := Open(t.TempDir(), Options{Sync: pol, SyncInterval: time.Hour, OnSync: opt.OnSync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendDeferred(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if syncs != 0 {
+			t.Fatalf("%v: Commit fsynced %d times, want 0", pol, syncs)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCrashMatrixDeferredBatch is the crash matrix of a commit group: a
+// log holding committed records followed by a batch written through
+// AppendDeferred and never committed is cut at EVERY byte offset inside
+// the batch. Recovery must yield the committed records plus a
+// whole-record prefix of the batch — never an error, never a partial or
+// phantom record — and report a torn tail exactly when the cut falls
+// inside a record. Nothing of the batch is required to survive: no
+// fsync covered it, and the cut at its first byte recovers none of it.
+func TestCrashMatrixDeferredBatch(t *testing.T) {
+	src := t.TempDir()
+	syncs := 0
+	opt := Options{Sync: SyncAlways, OnSync: func(time.Duration) { syncs++ }}
+	l, err := Open(src, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	want := payloads(8)
+	const committed = 3
+	for _, p := range want[:committed] {
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range want[committed:] {
+		if err := l.AppendDeferred(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if syncs != committed {
+		t.Fatalf("%d fsyncs after %d committed + %d deferred records: the batch must not be durable yet",
+			syncs, committed, len(want)-committed)
+	}
+	seg, err := os.ReadFile(filepath.Join(src, segmentName(defaultSegmentPrefix, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[i] is the offset just past record i.
+	ends := make([]int, len(want))
+	off := 0
+	for i, p := range want {
+		off += recordHeaderSize + len(p)
+		ends[i] = off
+	}
+	if off != len(seg) {
+		t.Fatalf("segment holds %d bytes, records add up to %d", len(seg), off)
+	}
+
+	opt.OnSync = nil
+	for cut := ends[committed-1]; cut <= len(seg); cut++ {
+		intact, boundary := 0, false
+		for _, e := range ends {
+			if e <= cut {
+				intact++
+			}
+			boundary = boundary || e == cut
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segmentName(defaultSegmentPrefix, 1)), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, got, st := replayAll(t, dir, opt)
+		if len(got) != intact {
+			t.Fatalf("cut=%d: recovered %d records, want the %d whole ones", cut, len(got), intact)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("cut=%d: record %d is not the record written at that position", cut, i)
+			}
+		}
+		if st.TornTail == boundary {
+			t.Fatalf("cut=%d (record boundary: %v): TornTail=%v", cut, boundary, st.TornTail)
+		}
 	}
 }
