@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-e2e check equiv32 fuzz-smoke bench bench-build bench-check size clean
+.PHONY: all build vet test race race-e2e check equiv32 fuzz-smoke bench bench-build bench-check surface size clean
 
 all: check
 
@@ -53,11 +53,18 @@ equiv32:
 bench-build:
 	cd bench && $(GO) vet ./...
 
-# The CI gate: static checks (the nested benchmark module included) plus
-# the suite under the race detector (the serving layer is heavily
-# concurrent), the float32 equivalence contract, and the WAL decoder
-# fuzz smoke.
-check: vet build bench-build race equiv32 fuzz-smoke
+# No capability without a production caller: type-checks the module and
+# bench/ucadbench and fails on an exported identifier under internal/
+# that no non-test code references (surface_test.go holds the rule and
+# its short allow-list). `race` runs -short, which skips it.
+surface:
+	$(GO) test -count=1 -run TestExportedSurfaceIsExercised .
+
+# The CI gate: static checks (the nested benchmark module and the
+# exported-surface rule included) plus the suite under the race detector
+# (the serving layer is heavily concurrent), the float32 equivalence
+# contract, and the WAL decoder fuzz smoke.
+check: vet build bench-build surface race equiv32 fuzz-smoke
 
 # The paper-reproduction sweep (one benchmark per table/figure plus the
 # training hot paths). Serving-side performance is bench-check's harness.

@@ -153,8 +153,8 @@ func BenchmarkAttentionForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nn.ZeroGrads(params)
 		tp := tensor.NewTape()
-		out := att.Forward(tp, tp.Param(x))
-		loss := tp.SumSquares(out)
+		out := att.ForwardBatch(tp, tp.Param(x), 1, nil)
+		loss := tp.Sum(tp.Square(out))
 		tp.Backward(loss)
 	}
 }

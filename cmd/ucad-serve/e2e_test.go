@@ -181,8 +181,8 @@ type ledger struct {
 }
 
 // TestE2EMultiTenantCrashRestart boots one real ucad-serve process with
-// three tenants — Scenario-I, Scenario-II, and an HDFS-like syslog
-// stream — ingests interleaved traffic across all three, first as
+// three tenants — Scenario-I, Scenario-II, and a wider Scenario-II
+// grammar — ingests interleaved traffic across all three, first as
 // single events and then as a stream of 32-event batches, kill -9s the
 // process in the middle of that stream, restarts it on the same data
 // directory, and verifies each tenant recovered its own sessions —
@@ -195,23 +195,20 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	}
 	root := t.TempDir()
 
-	// One model per tenant, each trained on its own scenario so the
-	// vocabularies are genuinely disjoint.
+	// One model per tenant, each trained on its own scenario so every
+	// tenant has a vocabulary of its own.
 	s1Train := workload.NewScenarioSource(workload.ScenarioI(), 101, 0)
 	s2Train := workload.NewScenarioSource(workload.ScenarioII(0.5), 102, 0)
-	logTrain, err := workload.NewLogSource("hdfs", 103, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3Train := workload.NewScenarioSource(workload.ScenarioII(1), 103, 0)
 	for id, src := range map[string]workload.SessionSource{
-		"s1": s1Train, "s2": s2Train, "logs": logTrain,
+		"s1": s1Train, "s2": s2Train, "s3": s3Train,
 	} {
 		saveModel(t, trainOn(t, src, 12), filepath.Join(root, id+".model"))
 	}
 	specs := []map[string]string{
 		{"id": "s1", "model": filepath.Join(root, "s1.model")},
 		{"id": "s2", "model": filepath.Join(root, "s2.model")},
-		{"id": "logs", "model": filepath.Join(root, "logs.model")},
+		{"id": "s3", "model": filepath.Join(root, "s3.model")},
 	}
 	sb, err := json.Marshal(specs)
 	if err != nil {
@@ -243,18 +240,17 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 
 	// Interleave the three tenants' live traffic into one stream, the
 	// shape a shared frontend would produce.
-	hdfsLive, err := workload.NewLogSource("hdfs", 7, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gen := workload.NewMultiGen(99,
 		workload.TenantStream{Tenant: "s1", Source: workload.NewScenarioSource(workload.ScenarioI(), 1, 0)},
 		workload.TenantStream{Tenant: "s2", Source: workload.NewScenarioSource(workload.ScenarioII(0.5), 2, 0)},
-		workload.TenantStream{Tenant: "logs", Source: hdfsLive},
+		workload.TenantStream{Tenant: "s3", Source: workload.NewScenarioSource(workload.ScenarioII(1), 7, 0.2)},
 	)
-	events := gen.Take(300)
+	events := make([]workload.TenantEvent, 300)
+	for i := range events {
+		events[i] = gen.Next()
+	}
 	ledgers := map[string]*ledger{}
-	for _, id := range []string{"s1", "s2", "logs"} {
+	for _, id := range []string{"s1", "s2", "s3"} {
 		ledgers[id] = &ledger{sent: map[string][]string{}, acked: map[string]int{}}
 	}
 	wire := func(ev workload.TenantEvent) map[string]string {
@@ -290,7 +286,10 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	streamErr := make(chan error, 1)
 	go func() {
 		for {
-			batch := gen.Take(32)
+			batch := make([]workload.TenantEvent, 32)
+			for i := range batch {
+				batch[i] = gen.Next()
+			}
 			body := make([]map[string]string, len(batch))
 			for i, ev := range batch {
 				body[i] = wire(ev)
@@ -413,7 +412,7 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	for _, id := range []string{"s1", "s2", "logs"} {
+	for _, id := range []string{"s1", "s2", "s3"} {
 		for _, series := range []string{
 			fmt.Sprintf(`ucad_wal_recovered_sessions{tenant=%q} %d`, id, infos[id].Recovered),
 			fmt.Sprintf(`ucad_events_accepted_total{tenant=%q}`, id),
@@ -446,7 +445,7 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	c3 := startChild(t, args...)
 	defer c3.cmd.Process.Kill()
 	waitHealthy(t, c3, base)
-	for _, id := range []string{"s1", "s2", "logs"} {
+	for _, id := range []string{"s1", "s2", "s3"} {
 		in := listTenants(t, base)[id]
 		if !in.CleanSeal || in.Recovered != infos[id].Recovered {
 			t.Fatalf("tenant %s after clean shutdown: %+v, want clean seal and %d sessions",

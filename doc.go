@@ -9,6 +9,3 @@
 // paper's evaluation at a CI-friendly scale; the serving system is
 // measured by bench/ucadbench (see bench/README.md).
 package ucad
-
-// Version identifies the reproduction release.
-const Version = "1.0.0"

@@ -42,7 +42,7 @@ func refSims(u *core.UCAD, ctxs [][]int) [][]float64 {
 	defer u.Model.SetScoreCache(c)
 	out := make([][]float64, len(ctxs))
 	for i, ctx := range ctxs {
-		out[i] = append([]float64(nil), u.Model.ScoreNext(ctx)...)
+		out[i] = append([]float64(nil), u.Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]...)
 	}
 	return out
 }
@@ -86,7 +86,7 @@ func TestSwapModelCarriesAndInvalidatesCache(t *testing.T) {
 	}
 
 	// Warm the cache under model A.
-	if got := o.Detector().Model.ScoreNext(ctx); !rowsEqual(got, refA) {
+	if got := o.Detector().Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]; !rowsEqual(got, refA) {
 		t.Fatal("pre-swap score does not match model A reference")
 	}
 	preStats := c.Stats()
@@ -103,7 +103,7 @@ func TestSwapModelCarriesAndInvalidatesCache(t *testing.T) {
 	if c.Gen() == gen {
 		t.Fatal("swap did not advance the cache generation")
 	}
-	if got := o.Detector().Model.ScoreNext(ctx); !rowsEqual(got, refB) {
+	if got := o.Detector().Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]; !rowsEqual(got, refB) {
 		t.Fatal("post-swap score served a stale (model A) row")
 	}
 	post := c.Stats()
@@ -197,7 +197,7 @@ func TestCachedScoringSwapRetrainRace(t *testing.T) {
 				if d == uB {
 					want = refB
 				}
-				sims := d.Model.ScoreNext(ctxs[i%len(ctxs)])
+				sims := d.Model.NewScorer().ScoreBatchInto(nil, [][]int{ctxs[i%len(ctxs)]})[0]
 				if !rowsEqual(sims, want[i%len(ctxs)]) {
 					select {
 					case errCh <- "scored row does not match the serving model's reference":
@@ -255,7 +255,7 @@ func TestCachedScoringSwapRetrainRace(t *testing.T) {
 	final := o.Detector()
 	gotCached := make([][]float64, len(ctxs))
 	for i, ctx := range ctxs {
-		gotCached[i] = append([]float64(nil), final.Model.ScoreNext(ctx)...)
+		gotCached[i] = append([]float64(nil), final.Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]...)
 	}
 	ref := refSims(final, ctxs)
 	for i := range ctxs {

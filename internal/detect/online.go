@@ -1,8 +1,8 @@
 // Package detect implements the online detection stage (§5.3 and
 // Figure 5): active sessions stream through the trained detector,
-// flagged sessions queue for expert diagnosis, and verified-normal
-// sessions (including false alarms) feed the next fine-tuning round —
-// the concept-drift loop of §5.2.
+// flagged sessions go to the caller for expert diagnosis, and
+// verified-normal sessions (including false alarms) feed the next
+// fine-tuning round — the concept-drift loop of §5.2.
 package detect
 
 import (
@@ -44,7 +44,6 @@ type Online struct {
 	// verified accumulates sessions confirmed normal since the last
 	// retraining round.
 	verified []*session.Session
-	pending  []*Alert
 
 	processed int
 	flagged   int
@@ -109,9 +108,9 @@ func scorerPool(u *core.UCAD) *sync.Pool {
 // write-lock: in-flight scoring batches finish against the old model
 // first, then every later read — Process, RankBatch, Save —
 // sees the new one. The scorer pool is replaced too, so no pooled
-// scorer built on the old model can rank for the new one. The pending
-// verified pool and alerts carry over — sessions already judged keep
-// their verdicts and still feed the next fine-tune round.
+// scorer built on the old model can rank for the new one. The verified
+// pool carries over — sessions already judged keep their verdicts and
+// still feed the next fine-tune round.
 //
 // The old model's score cache (if any) is bumped and carried onto the
 // replacement: the new weights are a new generation, so every cached
@@ -138,8 +137,9 @@ func (o *Online) SwapModel(u *core.UCAD) {
 }
 
 // Process evaluates one active session. Normal sessions join the
-// verified pool immediately; anomalous ones return an Alert and wait in
-// the pending queue for expert review.
+// verified pool immediately; anomalous ones return an Alert, which the
+// caller keeps until the expert resolves it (Online holds no alert
+// ledger of its own).
 func (o *Online) Process(s *session.Session) *Alert {
 	o.modelMu.RLock()
 	positions := o.ucad.DetectSession(s)
@@ -152,9 +152,7 @@ func (o *Online) Process(s *session.Session) *Alert {
 		return nil
 	}
 	o.flagged++
-	a := &Alert{Session: s, Positions: positions}
-	o.pending = append(o.pending, a)
-	return a
+	return &Alert{Session: s, Positions: positions}
 }
 
 // ResolveFalseAlarm records the expert verdict that an alert was
@@ -163,31 +161,6 @@ func (o *Online) ResolveFalseAlarm(a *Alert) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.verified = append(o.verified, a.Session)
-	o.removePending(a)
-}
-
-// ResolveConfirmed records the expert verdict that an alert was a true
-// anomaly (it never enters the training pool).
-func (o *Online) ResolveConfirmed(a *Alert) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.removePending(a)
-}
-
-func (o *Online) removePending(a *Alert) {
-	for i, p := range o.pending {
-		if p == a {
-			o.pending = append(o.pending[:i], o.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-// Pending returns a snapshot of unresolved alerts.
-func (o *Online) Pending() []*Alert {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]*Alert(nil), o.pending...)
 }
 
 // Stats reports processed and flagged session counts.

@@ -261,35 +261,24 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// errorInfo mirrors the unified error envelope's payload
-// (tenant.ErrorInfo): code names the rejection, retryable tells the
-// deliverer whether resending the identical batch can ever succeed.
-type errorInfo struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	Retryable bool   `json:"retryable"`
-}
-
-// eventsResponse mirrors internal/tenant's /v1/events response shape.
-// The top-level "error" key is captured raw: a proxy's JSON error page
-// may put anything there, and only a well-formed envelope counts.
+// eventsResponse is the server's /v1/events response with the top-level
+// "error" key captured raw (the shallower field wins the key, so the
+// embedded Err stays nil): a proxy's JSON error page may put anything
+// there, and only a well-formed envelope counts — its retryable bit
+// tells the deliverer whether resending the identical batch can ever
+// succeed.
 type eventsResponse struct {
-	Accepted int             `json:"accepted"`
+	tenant.EventsResponse
 	RawError json.RawMessage `json:"error,omitempty"`
-	Events   []struct {
-		Status    string `json:"status"`
-		Code      string `json:"code,omitempty"`
-		Retryable bool   `json:"retryable,omitempty"`
-	} `json:"events,omitempty"`
 }
 
 // envelope decodes the structured error envelope, nil when the response
 // carries none (2xx, or a proxy error page).
-func (er *eventsResponse) envelope() *errorInfo {
+func (er *eventsResponse) envelope() *tenant.ErrorInfo {
 	if len(er.RawError) == 0 {
 		return nil
 	}
-	var e errorInfo
+	var e tenant.ErrorInfo
 	if json.Unmarshal(er.RawError, &e) != nil || e.Code == "" {
 		return nil
 	}

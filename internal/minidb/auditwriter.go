@@ -134,6 +134,3 @@ func (a *AuditWriter) Close() error {
 	}
 	return err
 }
-
-// Path returns the audit file path.
-func (a *AuditWriter) Path() string { return a.f.Name() }

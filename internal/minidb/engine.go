@@ -129,17 +129,6 @@ func (db *DB) ResetAudit() {
 	db.audit = nil
 }
 
-// TableNames lists the tables in the database.
-func (db *DB) TableNames() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	return names
-}
-
 func (db *DB) exec(st *Statement) (*Result, error) {
 	switch st.Kind {
 	case "CREATE":

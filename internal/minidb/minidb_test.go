@@ -246,11 +246,3 @@ func TestParseTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTableNames(t *testing.T) {
-	db, _ := testDB(t)
-	names := db.TableNames()
-	if len(names) != 1 || names[0] != "t_rm_mac" {
-		t.Fatalf("tables = %v", names)
-	}
-}

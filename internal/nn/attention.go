@@ -131,12 +131,6 @@ func BuildBatchMask(kind MaskKind, batch, L int, lengths []int) *tensor.Matrix {
 	return m
 }
 
-// Forward computes MH(E) for an L x dim input. The mask is rebuilt for
-// the actual sequence length, so shorter-than-L sequences work.
-func (a *MultiHeadAttention) Forward(tp *tensor.Tape, e *tensor.Node) *tensor.Node {
-	return a.ForwardBatch(tp, e, 1, nil)
-}
-
 // ForwardBatch computes MH(E) independently for batch stacked L x dim
 // sequences in one pass over stacked matrices. e holds the sequences
 // concatenated along the row axis ((batch·L) x dim); mask is a
@@ -179,7 +173,7 @@ func (a *MultiHeadAttention) ForwardBatch(tp *tensor.Tape, e *tensor.Node, batch
 }
 
 // LastWeights returns the attention weights (one L x L matrix per head)
-// from the most recent Forward call with Capture enabled; nil otherwise.
+// from the most recent ForwardBatch call with Capture enabled; nil otherwise.
 func (a *MultiHeadAttention) LastWeights() []*tensor.Matrix { return a.lastWeights }
 
 // Params implements Module.

@@ -10,7 +10,7 @@ import (
 
 // TestForwardBatchMatchesSequential stacks several sequences, pads them
 // to a common length, and checks that every real output row of one
-// ForwardBatch pass equals the row produced by an independent Forward
+// ForwardBatch pass equals the row produced by an independent batch-of-one pass
 // over that sequence alone. This is the core guarantee behind the
 // batch-first scoring API: padding and batching change nothing about
 // Eq. 2–4's per-sequence results.
@@ -39,7 +39,7 @@ func TestForwardBatchMatchesSequential(t *testing.T) {
 
 		for b, n := range lengths {
 			tps := tensor.NewTape()
-			want := att.Forward(tps, tps.Const(seqs[b])).Value
+			want := att.ForwardBatch(tps, tps.Const(seqs[b]), 1, nil).Value
 			for i := 0; i < n; i++ {
 				got, ref := out.Row(b*L+i), want.Row(i)
 				for c := range ref {

@@ -62,9 +62,6 @@ func (e *Embedding) Lookup(tp *tensor.Tape, keys []int) *tensor.Node {
 	return tp.GatherRows(tp.Param(e.Table), idx)
 }
 
-// Vocab returns the number of keys the table can embed.
-func (e *Embedding) Vocab() int { return e.Table.Value.Rows }
-
 // Params implements Module.
 func (e *Embedding) Params() []*tensor.Param { return []*tensor.Param{e.Table} }
 

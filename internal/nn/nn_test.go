@@ -32,7 +32,7 @@ func TestEmbeddingPadIsZeroAndUngradded(t *testing.T) {
 			}
 		}
 	}
-	loss := tp.SumSquares(out)
+	loss := tp.Sum(tp.Square(out))
 	tp.Backward(loss)
 	for c := 0; c < 3; c++ {
 		if e.Table.Grad.At(0, c) != 0 {
@@ -83,7 +83,7 @@ func TestMaskBlocksTargetLeakage(t *testing.T) {
 
 	outAt := func(m *tensor.Matrix, r int) []float64 {
 		tp := tensor.NewTape()
-		out := att.Forward(tp, tp.Const(m))
+		out := att.ForwardBatch(tp, tp.Const(m), 1, nil)
 		return append([]float64(nil), out.Value.Row(r)...)
 	}
 	for i := 0; i < L-1; i++ {
@@ -120,7 +120,7 @@ func TestFutureMaskBlocksFuture(t *testing.T) {
 	base := tensor.NewRandN(L, 4, 1, rng)
 	outRow := func(m *tensor.Matrix, r int) []float64 {
 		tp := tensor.NewTape()
-		out := att.Forward(tp, tp.Const(m))
+		out := att.ForwardBatch(tp, tp.Const(m), 1, nil)
 		return append([]float64(nil), out.Value.Row(r)...)
 	}
 	perturbed := base.Clone()
@@ -141,8 +141,8 @@ func TestAttentionGradCheck(t *testing.T) {
 	run := func() float64 {
 		ZeroGrads(params)
 		tp := tensor.NewTape()
-		out := att.Forward(tp, tp.Param(x))
-		loss := tp.SumSquares(out)
+		out := att.ForwardBatch(tp, tp.Param(x), 1, nil)
+		loss := tp.Sum(tp.Square(out))
 		tp.Backward(loss)
 		return loss.Value.Data[0]
 	}
@@ -176,7 +176,7 @@ func TestLayerNormFFNGradCheck(t *testing.T) {
 		tp := tensor.NewTape()
 		xn := tp.Param(x)
 		out := Residual(tp, ln, xn, ffn.Forward(tp, xn), 0, false, rng)
-		loss := tp.SumSquares(out)
+		loss := tp.Sum(tp.Square(out))
 		tp.Backward(loss)
 		return loss.Value.Data[0]
 	}
@@ -238,19 +238,20 @@ func TestLSTMLearnsAlternation(t *testing.T) {
 }
 
 func TestSGDAndAdamConverge(t *testing.T) {
+	type optimizer interface{ Step([]*tensor.Param) }
 	for _, tc := range []struct {
 		name string
-		mk   func() Optimizer
+		mk   func() optimizer
 	}{
-		{"sgd", func() Optimizer { return NewSGD(0.1, 0) }},
-		{"sgd-momentum", func() Optimizer { return NewSGD(0.05, 0.9) }},
-		{"adam", func() Optimizer { return NewAdam(0.1) }},
+		{"sgd", func() optimizer { return NewSGD(0.1, 0) }},
+		{"sgd-momentum", func() optimizer { return NewSGD(0.05, 0.9) }},
+		{"adam", func() optimizer { return NewAdam(0.1) }},
 	} {
 		p := tensor.NewParam("p", tensor.FromSlice(1, 2, []float64{5, -3}))
 		opt := tc.mk()
 		for i := 0; i < 300; i++ {
 			tp := tensor.NewTape()
-			loss := tp.SumSquares(tp.Param(p))
+			loss := tp.Sum(tp.Square(tp.Param(p)))
 			tp.Backward(loss)
 			opt.Step([]*tensor.Param{p})
 		}
@@ -341,13 +342,13 @@ func TestAttentionWeightsCaptured(t *testing.T) {
 	att := NewMultiHeadAttention("att", 4, 2, MaskBidirectionalExceptSelf, rng)
 	input := tensor.NewRandN(3, 4, 1, rng)
 	tp := tensor.NewTape()
-	att.Forward(tp, tp.Const(input))
+	att.ForwardBatch(tp, tp.Const(input), 1, nil)
 	if att.LastWeights() != nil {
 		t.Fatal("weights captured without Capture enabled")
 	}
 	att.Capture = true
 	tp = tensor.NewTape()
-	att.Forward(tp, tp.Const(input))
+	att.ForwardBatch(tp, tp.Const(input), 1, nil)
 	ws := att.LastWeights()
 	if len(ws) != 2 {
 		t.Fatalf("weights for %d heads, want 2", len(ws))

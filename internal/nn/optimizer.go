@@ -6,20 +6,14 @@ import (
 	"github.com/ucad/ucad/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
+// SGD is stochastic gradient descent with optional momentum, the
+// optimizer the paper names for training Trans-DAS (§5.2).
 //
 // Step is agnostic to how p.Grad was produced: a single tape backward
 // pass (sequential SGD) or an externally reduced sum over data-parallel
 // workers (see AccumulateGrads) — it consumes whatever gradient is
 // accumulated and zeroes it. Callers that shard a mini-batch across
 // workers therefore reduce first and call Step exactly once per batch.
-type Optimizer interface {
-	// Step applies one update and zeroes the gradients.
-	Step(params []*tensor.Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum, the
-// optimizer the paper names for training Trans-DAS (§5.2).
 type SGD struct {
 	LR       float64
 	Momentum float64
@@ -32,7 +26,7 @@ func NewSGD(lr, momentum float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*tensor.Param][]float64)}
 }
 
-// Step implements Optimizer.
+// Step applies one update and zeroes the gradients.
 func (o *SGD) Step(params []*tensor.Param) {
 	for _, p := range params {
 		if o.Momentum == 0 {
@@ -73,7 +67,7 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update and zeroes the gradients.
 func (o *Adam) Step(params []*tensor.Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))

@@ -31,7 +31,6 @@ func goldenRegistry() *Registry {
 	gv.With("scoring", "0").Set(4)
 	gv.With("scoring", "1").Set(8)
 
-	r.CounterFunc("app_derived_total", "Externally maintained counter.", func() int64 { return 77 })
 	r.GaugeFunc("app_uptime_seconds", "Seconds since start.", func() float64 { return 12.5 })
 
 	h := r.Histogram("app_latency_seconds", "Latency with a backslash \\ and\nnewline in help.", []float64{0.025, 0.1, 0.5})

@@ -5,9 +5,9 @@ import (
 	"io"
 )
 
-// Func-backed vec families: the labelled counterpart of CounterFunc and
-// GaugeFunc. The family is registered once at wiring time; each child
-// is a read-at-scrape-time callback bound to one label-value tuple.
+// Func-backed vec families: the labelled counterpart of GaugeFunc. The
+// family is registered once at wiring time; each child is a
+// read-at-scrape-time callback bound to one label-value tuple.
 // This is the multi-tenant bridge: a subsystem instantiated once per
 // tenant exports its live counters under a shared family, one child per
 // tenant, without per-tenant metric names.
@@ -34,13 +34,13 @@ func (r *Registry) CounterFuncVec(name, help string, labels ...string) *CounterF
 // subsystem's series, the same failure registration-time panics guard
 // against for family names.
 func (cv *CounterFuncVec) Bind(fn func() int64, values ...string) {
-	cv.bind(values, counterFunc(fn))
+	cv.bind(values, fn)
 }
 
 func (cv *CounterFuncVec) writeTo(w io.Writer, name string) {
 	for _, key := range cv.sortedKeys() {
 		cv.mu.RLock()
-		f := cv.kids[key].(counterFunc)
+		f := cv.kids[key].(func() int64)
 		cv.mu.RUnlock()
 		fmt.Fprintf(w, "%s{%s} %d\n", name, key, f())
 	}

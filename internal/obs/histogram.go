@@ -8,28 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// DefBuckets are general-purpose latency buckets in seconds (5ms–10s),
-// matching the conventional Prometheus defaults.
-var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
 // LatencyBuckets resolve sub-millisecond stage latencies (10µs–2.5s) —
-// the scoring hot path sits well under DefBuckets' first bound.
+// the scoring hot path sits well under the conventional 5ms first bound.
 var LatencyBuckets = []float64{
 	10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1, 2.5,
-}
-
-// LinearBuckets returns count buckets starting at start, each width
-// apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if count < 1 {
-		panic("obs: LinearBuckets needs count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
 }
 
 // ExponentialBuckets returns count buckets starting at start (> 0),

@@ -16,10 +16,10 @@
 //   - Owned instruments (Counter, Gauge, Histogram and their *Vec
 //     label variants) are incremented by the instrumented code itself —
 //     use these for new measurements such as latency histograms.
-//   - Func-backed metrics (CounterFunc, GaugeFunc) read an existing
-//     value at scrape time — use these to export counters a subsystem
-//     already maintains, so the scrape and the subsystem's own stats
-//     report one source of truth.
+//   - Func-backed metrics (GaugeFunc, CounterFuncVec, GaugeFuncVec)
+//     read an existing value at scrape time — use these to export
+//     counters a subsystem already maintains, so the scrape and the
+//     subsystem's own stats report one source of truth.
 //
 // All instrument operations (Inc, Add, Set, Observe, With) are safe for
 // concurrent use and allocation-free on the hot path; registration is
@@ -139,20 +139,6 @@ func (c *Counter) writeTo(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s %d\n", name, c.v.Load())
 }
 
-// counterFunc exports an externally maintained monotonic value, read at
-// scrape time.
-type counterFunc func() int64
-
-func (f counterFunc) writeTo(w io.Writer, name string) {
-	fmt.Fprintf(w, "%s %d\n", name, f())
-}
-
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for counters a subsystem already maintains.
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.register(name, help, "counter", counterFunc(fn))
-}
-
 // Gauge is a float metric that can go up and down.
 type Gauge struct {
 	bits atomic.Uint64
@@ -178,12 +164,6 @@ func (g *Gauge) Add(d float64) {
 		}
 	}
 }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -2,8 +2,7 @@ package obs
 
 import "time"
 
-// Observer receives one measured value; *Histogram implements it, and a
-// Gauge can be adapted with GaugeObserver.
+// Observer receives one measured value; *Histogram implements it.
 type Observer interface {
 	Observe(float64)
 }
@@ -32,11 +31,3 @@ func (t Timer) Stop() time.Duration {
 	}
 	return d
 }
-
-// GaugeObserver adapts a Gauge to the Observer interface (each
-// observation overwrites the value — "most recent measurement" gauges
-// such as last epoch loss).
-type GaugeObserver struct{ G *Gauge }
-
-// Observe sets the wrapped gauge.
-func (o GaugeObserver) Observe(v float64) { o.G.Set(v) }

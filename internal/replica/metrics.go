@@ -81,13 +81,3 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // markSynced stamps a fully successful sync round.
 func (m *Metrics) markSynced(now time.Time) { m.lastSync.Store(now.UnixNano()) }
-
-// Lag returns the current replication lag (time since the last fully
-// successful sync round), or 0 if no round has completed yet.
-func (m *Metrics) Lag(now time.Time) time.Duration {
-	ns := m.lastSync.Load()
-	if ns == 0 {
-		return 0
-	}
-	return now.Sub(time.Unix(0, ns))
-}

@@ -141,16 +141,19 @@ func (os *openSession) isDupLocked(ev Event) bool {
 // Rollback removes the operation at position pos from the client's open
 // session, provided it is still the most recent one — the undo path
 // when the scoring queue rejects an event and the caller bounces it
-// back to the client for retry. It reports whether the operation was
-// actually removed (a concurrent append for the same client after pos
-// prevents the rollback; the event then simply stays unscored).
-func (a *Assembler) Rollback(client string, pos int) bool {
-	return a.rollback(client, "", pos)
+// back to the client for retry. epoch/seq are the undone event's dedupe
+// coordinates (zero for an unsequenced one): the mark that operation set
+// is undone with it, so the sender's retry is fresh, not a duplicate. It
+// reports whether the operation was actually removed (a concurrent
+// append for the same client after pos prevents the rollback; the event
+// then simply stays unscored).
+func (a *Assembler) Rollback(client string, pos int, epoch, seq int64) bool {
+	return a.rollback(client, "", pos, epoch, seq)
 }
 
 // rollback is Rollback, additionally guarded on the session id when one
 // is given (the replay form: the record names the session it undid).
-func (a *Assembler) rollback(client, sessionID string, pos int) bool {
+func (a *Assembler) rollback(client, sessionID string, pos int, epoch, seq int64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	os := a.open[client]
@@ -162,6 +165,12 @@ func (a *Assembler) rollback(client, sessionID string, pos int) bool {
 	if pos == 0 {
 		delete(a.open, client)
 		a.opened--
+	}
+	// Sequence numbers are contiguous within an epoch, so the mark before
+	// this operation was seq-1; an epoch's first operation leaves
+	// (epoch, 0): older epochs stay duplicates, seq 1 is fresh again.
+	if epoch > 0 && os.epoch == epoch && os.lastSeq == seq {
+		os.lastSeq = seq - 1
 	}
 	return true
 }
@@ -378,7 +387,9 @@ func (a *Assembler) ReplayClose(client, sessionID string) bool {
 }
 
 // ReplayRollback undoes the tail operation of the identified session
-// during recovery — the logged image of a backpressure rollback.
-func (a *Assembler) ReplayRollback(client, sessionID string, pos int) bool {
-	return a.rollback(client, sessionID, pos)
+// during recovery — the logged image of a backpressure rollback, dedupe
+// mark included (epoch/seq are zero on records written before they were
+// logged: the mark then stays, as it did live).
+func (a *Assembler) ReplayRollback(client, sessionID string, pos int, epoch, seq int64) bool {
+	return a.rollback(client, sessionID, pos, epoch, seq)
 }

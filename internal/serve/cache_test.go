@@ -64,7 +64,7 @@ func TestCachedServingVerdictsMatchUncached(t *testing.T) {
 
 	// The cache must survive the /metrics path too, with the same
 	// numbers /stats reports.
-	srv := httptest.NewServer(svc.Metrics().Registry.Handler())
+	srv := httptest.NewServer(svc.metrics.Registry.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {

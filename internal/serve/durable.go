@@ -86,7 +86,8 @@ type walRecord struct {
 	TS     time.Time `json:"ts"`
 	// Epoch/Seq are the event's sender-side dedupe coordinates
 	// (Event.Epoch/Event.Seq), replayed so redelivery fencing survives
-	// recovery. Absent on pre-epoch logs and on epoch-less events.
+	// recovery; on a rollback record, those of the event it undid. Absent
+	// on pre-epoch logs and on epoch-less events.
 	Epoch int64 `json:"e,omitempty"`
 	Seq   int64 `json:"n,omitempty"`
 }
@@ -422,7 +423,7 @@ func (s *Service) replayPayload(b []byte, st *RestoreStats) error {
 	case recClose:
 		s.shardFor(r.Client).asm.ReplayClose(r.Client, r.SID)
 	case recRollback:
-		s.shardFor(r.Client).asm.ReplayRollback(r.Client, r.SID, r.Pos)
+		s.shardFor(r.Client).asm.ReplayRollback(r.Client, r.SID, r.Pos, r.Epoch, r.Seq)
 	case recSeal:
 		st.CleanSeal = true
 	}
@@ -464,7 +465,7 @@ func (s *Service) ingestDurable(sh *shard, ev Event, key, window int) (Appended,
 		Epoch: ev.Epoch, Seq: ev.Seq,
 	})
 	if err != nil {
-		sh.asm.Rollback(client, ap.Pos)
+		sh.asm.Rollback(client, ap.Pos, ev.Epoch, ev.Seq)
 		return ap, fmt.Errorf("serve: wal append: %w", err)
 	}
 	return ap, nil
@@ -504,7 +505,7 @@ func (s *Service) commitBatch(b *batch, errs []error) {
 		switch {
 		case err != nil:
 			if !p.dup {
-				s.rollbackLogged(p.sh, p.client, p.sessionID, p.pos)
+				s.rollbackLogged(p.sh, p.client, p.sessionID, p.pos, p.epoch, p.seq)
 			}
 			s.rejected.Add(1)
 			errs[p.i] = fmt.Errorf("serve: wal commit: %w", err)
@@ -518,14 +519,14 @@ func (s *Service) commitBatch(b *batch, errs []error) {
 // rejection or a failed commit, logging the rollback so recovery
 // replays the undo too. The record is written, not committed: the
 // request's commitBatch covers it before the rejection is answered.
-func (s *Service) rollbackLogged(sh *shard, client, sessionID string, pos int) {
+func (s *Service) rollbackLogged(sh *shard, client, sessionID string, pos int, epoch, seq int64) {
 	if sh.store == nil {
-		sh.asm.Rollback(client, pos)
+		sh.asm.Rollback(client, pos, epoch, seq)
 		return
 	}
 	sh.durMu.Lock()
-	if sh.asm.Rollback(client, pos) {
-		s.appendWAL(sh.store, walRecord{T: recRollback, Client: client, SID: sessionID, Pos: pos})
+	if sh.asm.Rollback(client, pos, epoch, seq) {
+		s.appendWAL(sh.store, walRecord{T: recRollback, Client: client, SID: sessionID, Pos: pos, Epoch: epoch, Seq: seq})
 	}
 	sh.durMu.Unlock()
 }

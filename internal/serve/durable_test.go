@@ -422,10 +422,10 @@ func TestDurableReplayIdempotence(t *testing.T) {
 		t.Fatalf("session has %d ops, want 2", len(st[0].Ops))
 	}
 	// Rollback replay undoes only the matching tail.
-	if a.ReplayRollback("c1", "c1#1", 0) {
+	if a.ReplayRollback("c1", "c1#1", 0, 0, 0) {
 		t.Fatal("non-tail rollback applied")
 	}
-	if !a.ReplayRollback("c1", "c1#1", 1) {
+	if !a.ReplayRollback("c1", "c1#1", 1, 0, 0) {
 		t.Fatal("tail rollback rejected")
 	}
 	// Close replay removes the session; a second close is a no-op.

@@ -206,9 +206,6 @@ func (e *Engine) QueueDepth() int {
 // ShardQueueDepth reports one shard queue's queued-but-unstarted jobs.
 func (e *Engine) ShardQueueDepth(shard int) int { return len(e.queues[shard%len(e.queues)]) }
 
-// Shards reports the number of shard queues.
-func (e *Engine) Shards() int { return len(e.queues) }
-
 // Counts reports lifetime scored and rejected job counts.
 func (e *Engine) Counts() (scored, rejected int64) {
 	return e.scored.Load(), e.rejected.Load()

@@ -294,9 +294,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return NewMetricsHub(reg).Tenant(DefaultTenant)
 }
 
-// Hub returns the hub this view belongs to.
-func (m *Metrics) Hub() *MetricsHub { return m.hub }
-
 // TenantID returns the tenant label this view exports under.
 func (m *Metrics) TenantID() string { return m.tenant }
 

@@ -134,7 +134,7 @@ func TestServiceRetrainMetrics(t *testing.T) {
 	svc.CloseIdleNow()
 	svc.Stop() // waits for the background fine-tune
 
-	m := svc.Metrics()
+	m := svc.metrics
 	if got := m.retrainSeconds.Count(); got < 1 {
 		t.Fatalf("retrain histogram count = %d, want >= 1", got)
 	}

@@ -292,7 +292,7 @@ func TestWarmScoreCacheFromRestore(t *testing.T) {
 func httptestBody(t *testing.T, s *Service) string {
 	t.Helper()
 	w := httptest.NewRecorder()
-	s.Metrics().Registry.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	s.metrics.Registry.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
 	res := w.Result()
 	defer res.Body.Close()
 	b, err := io.ReadAll(res.Body)

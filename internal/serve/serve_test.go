@@ -166,10 +166,10 @@ func TestAssemblerRollback(t *testing.T) {
 	a.Append(Event{ClientID: "c", SQL: "s"}, 2, 0)
 	ap := a.Append(Event{ClientID: "c", SQL: "s"}, 3, 0)
 
-	if a.Rollback("c", ap.Pos-1) {
+	if a.Rollback("c", ap.Pos-1, 0, 0) {
 		t.Fatal("rollback of a non-last position must fail")
 	}
-	if !a.Rollback("c", ap.Pos) {
+	if !a.Rollback("c", ap.Pos, 0, 0) {
 		t.Fatal("rollback of the last position must succeed")
 	}
 	if next := a.Append(Event{ClientID: "c", SQL: "s"}, 4, 0); next.Pos != 2 {
@@ -178,11 +178,84 @@ func TestAssemblerRollback(t *testing.T) {
 
 	// Rolling back the only operation removes the session entirely.
 	first := a.Append(Event{ClientID: "d", SQL: "s"}, 1, 0)
-	if !a.Rollback("d", first.Pos) {
+	if !a.Rollback("d", first.Pos, 0, 0) {
 		t.Fatal("rollback of sole op must succeed")
 	}
 	if a.OpenCount() != 1 {
 		t.Fatalf("open = %d, want 1 (d removed)", a.OpenCount())
+	}
+}
+
+// TestAssemblerRollbackUndoesDedupeMark: a rolled-back sequenced
+// operation takes its (epoch, seq) mark with it, so the sender's retry
+// of the same event is appended, not acknowledged as a duplicate and
+// lost. The first regression cases of the fault layer (ROADMAP).
+func TestAssemblerRollbackUndoesDedupeMark(t *testing.T) {
+	ev := func(epoch, seq int64) Event {
+		return Event{ClientID: "c", SQL: "s", Epoch: epoch, Seq: seq}
+	}
+
+	// The four-step repro: append 1, append 2, roll 2 back, redeliver 2.
+	a := NewAssembler(time.Minute, nil)
+	a.Append(ev(1, 1), 1, 0)
+	ap := a.Append(ev(1, 2), 2, 0)
+	if !a.Rollback("c", ap.Pos, 1, 2) {
+		t.Fatal("tail rollback refused")
+	}
+	if re := a.Append(ev(1, 2), 2, 0); re.Dup || re.Pos != 1 {
+		t.Fatalf("retry after rollback = %+v, want a fresh append at pos 1", re)
+	}
+	if re := a.Append(ev(1, 2), 2, 0); !re.Dup {
+		t.Fatal("second delivery of an absorbed event must still be a duplicate")
+	}
+
+	// A run of three rolled back newest-first, as commitBatch does: each
+	// step re-exposes exactly the event it undid.
+	a = NewAssembler(time.Minute, nil)
+	a.Append(ev(1, 1), 1, 0)
+	for seq := int64(2); seq <= 4; seq++ {
+		a.Append(ev(1, seq), int(seq), 0)
+	}
+	for seq := int64(4); seq >= 2; seq-- {
+		if !a.Rollback("c", int(seq)-1, 1, seq) {
+			t.Fatalf("rollback of seq %d refused", seq)
+		}
+	}
+	if re := a.Append(ev(1, 1), 1, 0); !re.Dup {
+		t.Fatal("the surviving op's redelivery must stay a duplicate")
+	}
+	for seq := int64(2); seq <= 4; seq++ {
+		if re := a.Append(ev(1, seq), int(seq), 0); re.Dup || re.Pos != int(seq)-1 {
+			t.Fatalf("redelivered seq %d = %+v, want fresh at pos %d", seq, re, seq-1)
+		}
+	}
+
+	// An operation that opened a new epoch: undoing it leaves (2, 0), so
+	// epoch 1 stays fenced off and (2, 1) is fresh again.
+	a = NewAssembler(time.Minute, nil)
+	a.Append(ev(1, 1), 1, 0)
+	a.Append(ev(1, 2), 2, 0)
+	ap = a.Append(ev(2, 1), 3, 0)
+	if !a.Rollback("c", ap.Pos, 2, 1) {
+		t.Fatal("rollback of the epoch-opening op refused")
+	}
+	if re := a.Append(ev(1, 2), 2, 0); !re.Dup {
+		t.Fatal("an older epoch's redelivery must stay a duplicate")
+	}
+	if re := a.Append(ev(2, 1), 3, 0); re.Dup || re.Pos != 2 {
+		t.Fatalf("retry of the epoch-opening op = %+v, want fresh at pos 2", re)
+	}
+
+	// An unsequenced rollback (and an rb record from before the fields
+	// were logged) leaves the mark alone.
+	a = NewAssembler(time.Minute, nil)
+	a.Append(ev(1, 1), 1, 0)
+	ap = a.Append(Event{ClientID: "c", SQL: "s"}, 2, 0)
+	if !a.Rollback("c", ap.Pos, 0, 0) {
+		t.Fatal("unsequenced rollback refused")
+	}
+	if re := a.Append(ev(1, 1), 1, 0); !re.Dup {
+		t.Fatal("unsequenced rollback moved the dedupe mark")
 	}
 }
 
@@ -409,7 +482,7 @@ func TestServiceMidSessionFlagAndCloseout(t *testing.T) {
 	if err := svc.Resolve(alerts[0].ID, StatusConfirmed); err != nil {
 		t.Fatal(err)
 	}
-	if len(svc.Online().Pending()) != 0 {
+	if len(svc.Alerts(StatusOpen)) != 0 {
 		t.Fatal("pending queue not drained after confirm")
 	}
 	svc.Stop()

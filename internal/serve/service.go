@@ -17,7 +17,7 @@ import (
 
 // RetrainGate schedules background fine-tune rounds across services
 // sharing one training budget (multi-tenant deployments install a
-// weighted-fair gate so a busy tenant cannot starve its siblings).
+// fair gate so a busy tenant cannot starve its siblings).
 type RetrainGate interface {
 	// Acquire blocks until the caller may start a fine-tune round; the
 	// returned release must be called when the round ends.
@@ -356,7 +356,10 @@ type pendingEvent struct {
 	client    string
 	sessionID string
 	pos       int
-	dup       bool
+	// epoch/seq are the event's dedupe coordinates: a rollback undoes
+	// the mark they set along with the operation.
+	epoch, seq int64
+	dup        bool
 }
 
 // IngestBatch absorbs the events of one request in order and leaves
@@ -365,9 +368,12 @@ type pendingEvent struct {
 // appended to the client's open session on the shard the client hashes
 // to, and queued for incremental scoring once the session has
 // MinContext history. A full shard scoring queue rejects the event with
-// ErrBusy — the operation is rolled back out of the session so a client
-// retry is not a duplicate — and a rejection never shadows the events
-// after it.
+// ErrBusy — the operation is rolled back out of the session, dedupe
+// mark included, so a client retry is not a duplicate. A rejection never
+// shadows another client's events, nor — when it is permanent
+// (ErrInvalid) — its own client's; a retryable one rejects the rest of
+// that client's events in the request the same way, so the sender's
+// resend finds them in order, with no later event absorbed past the gap.
 //
 // With durability enabled each event's record is written to its shard's
 // own WAL stream as the event is absorbed, and the request is the
@@ -391,8 +397,22 @@ func (s *Service) IngestBatch(evs []Event, errs []error) {
 	if s.cfg.Durability != nil {
 		b = &batch{touched: make([]bool, len(s.shards)), pend: make([]pendingEvent, 0, len(evs))}
 	}
+	var refused map[string]error // clients with a retryable rejection in this request
 	for i, ev := range evs {
+		if refused != nil {
+			if err, ok := refused[ev.Client()]; ok {
+				s.rejected.Add(1)
+				errs[i] = err
+				continue
+			}
+		}
 		errs[i] = s.ingestEvent(i, ev, b)
+		if errs[i] != nil && errs[i] != ErrInvalid { // ingestEvent returns it bare
+			if refused == nil {
+				refused = make(map[string]error)
+			}
+			refused[ev.Client()] = errs[i]
+		}
 	}
 	if b != nil {
 		s.commitBatch(b, errs)
@@ -445,13 +465,16 @@ func (s *Service) ingestEvent(i int, ev Event, b *batch) error {
 			SQL:       ev.SQL,
 		}
 		if err := s.engine.Submit(sh.idx, job); err != nil {
-			s.rollbackLogged(sh, client, ap.SessionID, ap.Pos)
+			s.rollbackLogged(sh, client, ap.SessionID, ap.Pos, ev.Epoch, ev.Seq)
 			s.rejected.Add(1)
 			return err
 		}
 	}
 	if b != nil {
-		b.pend = append(b.pend, pendingEvent{i: i, sh: sh, client: client, sessionID: ap.SessionID, pos: ap.Pos, dup: ap.Dup})
+		b.pend = append(b.pend, pendingEvent{
+			i: i, sh: sh, client: client, sessionID: ap.SessionID, pos: ap.Pos,
+			epoch: ev.Epoch, seq: ev.Seq, dup: ap.Dup,
+		})
 	} else if !ap.Dup {
 		s.accepted.Add(1)
 	}
@@ -558,9 +581,6 @@ func (s *Service) SwapModel(u *core.UCAD) error {
 	return nil
 }
 
-// ModelSwaps reports how many hot model replacements have been applied.
-func (s *Service) ModelSwaps() int64 { return s.modelSwaps.Load() }
-
 // Resolve applies an expert verdict to a final alert: false alarms
 // rejoin the training pool (§5.2), confirmed anomalies never do.
 func (s *Service) Resolve(id int64, verdict string) error {
@@ -578,12 +598,8 @@ func (s *Service) Resolve(id int64, verdict string) error {
 		return err
 	}
 	s.metrics.alertsResolved.With(status).Inc()
-	if da != nil {
-		if status == StatusFalseAlarm {
-			s.online.ResolveFalseAlarm(da)
-		} else {
-			s.online.ResolveConfirmed(da)
-		}
+	if da != nil && status == StatusFalseAlarm {
+		s.online.ResolveFalseAlarm(da)
 	}
 	s.maybeRetrain()
 	return nil
@@ -595,13 +611,6 @@ func (s *Service) Alerts(status string) []Alert { return s.alerts.list(status) }
 // Drain blocks until every accepted scoring job has completed (test and
 // benchmark aid; quiesce ingestion first).
 func (s *Service) Drain() { s.engine.Drain() }
-
-// Online exposes the wrapped detection loop (expert tooling, tests).
-func (s *Service) Online() *detect.Online { return s.online }
-
-// Metrics exposes the serving instrumentation (scrape it with
-// Metrics().Registry.Handler()).
-func (s *Service) Metrics() *Metrics { return s.metrics }
 
 // Stats is a point-in-time snapshot of the serving counters. Every
 // field reads the same underlying counter the /metrics exposition

@@ -84,16 +84,6 @@ func TokenizeLearn(v *sqlnorm.Vocabulary, sessions []*Session) {
 	}
 }
 
-// Tokenize assigns statement keys using the fixed vocabulary; unseen
-// templates get sqlnorm.PadKey (detection stage).
-func Tokenize(v *sqlnorm.Vocabulary, sessions []*Session) {
-	for _, s := range sessions {
-		for i := range s.Ops {
-			s.Ops[i].Key = v.Key(s.Ops[i].SQL)
-		}
-	}
-}
-
 // WriteLog serializes operations as JSON lines, the audit-log format the
 // CLI tools exchange.
 func WriteLog(w io.Writer, ops []Operation) error {

@@ -1,7 +1,6 @@
 package sqlnorm
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,11 +249,7 @@ func TestVocabularySaveLoad(t *testing.T) {
 	v := NewVocabulary()
 	v.Learn("SELECT * FROM a WHERE x=1")
 	v.Learn("DELETE FROM b WHERE y=2")
-	var buf bytes.Buffer
-	if err := v.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadVocabulary(&buf)
+	loaded, err := FromTemplates(v.Templates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +267,7 @@ func TestDynamicVocabularySaveLoadKeepsMode(t *testing.T) {
 		t.Fatal("NewDynamicVocabulary not dynamic")
 	}
 	k := v.Learn("SELECT * FROM t WHERE x IN (1, 2, 3)")
-	var buf bytes.Buffer
-	if err := v.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadVocabulary(&buf)
+	loaded, err := FromTemplates(v.Templates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +284,7 @@ func TestDynamicVocabularySaveLoadKeepsMode(t *testing.T) {
 }
 
 func TestLoadVocabularyRejectsGarbage(t *testing.T) {
-	if _, err := LoadVocabulary(strings.NewReader("not json")); err == nil {
-		t.Fatal("expected decode error")
-	}
-	if _, err := LoadVocabulary(strings.NewReader(`["SELECT"]`)); err == nil {
+	if _, err := FromTemplates([]string{"SELECT"}); err == nil {
 		t.Fatal("expected missing-k0 error")
 	}
 }

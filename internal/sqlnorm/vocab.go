@@ -1,9 +1,7 @@
 package sqlnorm
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -120,26 +118,8 @@ func (v *Vocabulary) Templates() []string {
 	return append([]string(nil), v.templates...)
 }
 
-// Save serializes the vocabulary as JSON.
-func (v *Vocabulary) Save(w io.Writer) error {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return json.NewEncoder(w).Encode(v.templates)
-}
-
-// LoadVocabulary reads a vocabulary saved by Save. The abstraction mode
-// travels in the reserved k0 slot, so a dynamic vocabulary round-trips
-// as dynamic.
-func LoadVocabulary(r io.Reader) (*Vocabulary, error) {
-	var templates []string
-	if err := json.NewDecoder(r).Decode(&templates); err != nil {
-		return nil, fmt.Errorf("sqlnorm: decode vocabulary: %w", err)
-	}
-	return FromTemplates(templates)
-}
-
 // FromTemplates rebuilds a vocabulary from a Templates() slice (as
-// persisted by Save or a model checkpoint).
+// persisted in a model checkpoint).
 func FromTemplates(templates []string) (*Vocabulary, error) {
 	if len(templates) == 0 || (templates[0] != "" && templates[0] != dynamicMarker) {
 		return nil, fmt.Errorf("sqlnorm: vocabulary missing reserved k0 slot")

@@ -195,7 +195,7 @@ func TestServeHTTPIntegration(t *testing.T) {
 	if code, _ := resolve(t, ts.URL, alert.ID, `{"verdict":"confirmed"}`); code != http.StatusNotFound {
 		t.Fatal("double resolve must 404")
 	}
-	if len(svc.Online().Pending()) != 0 {
+	if len(svc.Alerts(serve.StatusOpen)) != 0 {
 		t.Fatal("pending queue not drained")
 	}
 	getJSON(t, ts.URL+"/v1/alerts?status=confirmed", &alertsResp)
@@ -214,7 +214,7 @@ func TestServeHTTPEventArrayAndValidation(t *testing.T) {
 		events[i] = serve.Event{ClientID: "batch", User: "app", SQL: normalStatement("va", i)}
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/events", events)
-	var er eventsResponse
+	var er EventsResponse
 	json.Unmarshal(body, &er)
 	if resp.StatusCode != http.StatusAccepted || er.Accepted != 5 {
 		t.Fatalf("batch ingest: %d accepted=%d", resp.StatusCode, er.Accepted)
@@ -256,7 +256,7 @@ func TestServeHTTPBatchPerEventStatuses(t *testing.T) {
 	// A mixed batch: two valid events around one with no SQL.
 	code, body := postBody(t, ts.URL+"/v1/events",
 		`[{"client_id":"c","user":"app","sql":"SELECT 1"},{"client_id":"c"},{"client_id":"c","user":"app","sql":"SELECT 2"}]`)
-	var er eventsResponse
+	var er EventsResponse
 	json.Unmarshal([]byte(body), &er)
 	if code != http.StatusBadRequest {
 		t.Fatalf("mixed batch status = %d, want 400", code)
@@ -295,7 +295,7 @@ func TestServeHTTPBatchPerEventStatuses(t *testing.T) {
 	// every event rejected.
 	svc.Stop()
 	code, body = postBody(t, ts.URL+"/v1/events", `[{"client_id":"c","user":"app","sql":"SELECT 4"}]`)
-	er = eventsResponse{}
+	er = EventsResponse{}
 	json.Unmarshal([]byte(body), &er)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("stopped batch status = %d, want 503", code)
@@ -460,7 +460,7 @@ func TestEnvelopeGoldenEndpoints(t *testing.T) {
 	// Batch shape: the envelope rides the batch response alongside the
 	// per-event codes.
 	code, body := postBody(t, ts.URL+"/v1/events", `[{"client_id":"x","user":"u","sql":"SELECT 1"}]`)
-	var er eventsResponse
+	var er EventsResponse
 	json.Unmarshal([]byte(body), &er)
 	if env := envelopeOf(t, body); code != http.StatusServiceUnavailable || env.Code != CodeShuttingDown || !env.Retryable {
 		t.Fatalf("stopped batch envelope: %d %+v", code, env)

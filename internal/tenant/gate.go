@@ -5,16 +5,16 @@ import (
 	"time"
 )
 
-// FairGate is the registry's weighted-fair admission gate for
+// FairGate is the registry's fair admission gate for
 // background fine-tune rounds. Every tenant's Service shares one
 // process-wide training budget (the data-parallel TrainWorkers pool
 // saturates the host's cores); without a gate, N tenants crossing their
 // retrain thresholds together would run N fine-tunes concurrently and
 // oversubscribe every core. The gate admits one round at a time and
-// picks the next round by lowest weighted service time — the tenant
-// that has consumed the least training wall-clock per unit of weight
-// goes first — so a tenant retraining constantly cannot starve one that
-// retrains rarely.
+// picks the next round least-served-first — the tenant that has
+// consumed the least training wall-clock goes first, ties by arrival —
+// so a tenant retraining constantly cannot starve one that retrains
+// rarely.
 //
 // It implements serve.RetrainGate.
 type FairGate struct {
@@ -23,11 +23,9 @@ type FairGate struct {
 	busy bool
 	// running is the tenant currently holding the gate ("" when idle).
 	running string
-	// served is each tenant's accumulated training wall-clock.
+	// served is each tenant's accumulated training wall-clock — the
+	// fair-queueing priority key (lower runs first).
 	served map[string]time.Duration
-	// weight scales a tenant's fair share (unset means 1; a weight of 2
-	// lets a tenant consume twice the training time before yielding).
-	weight map[string]float64
 	seq    uint64
 	queue  []*gateWaiter
 }
@@ -39,42 +37,18 @@ type gateWaiter struct {
 
 // NewFairGate returns an idle gate.
 func NewFairGate() *FairGate {
-	g := &FairGate{
-		served: make(map[string]time.Duration),
-		weight: make(map[string]float64),
-	}
+	g := &FairGate{served: make(map[string]time.Duration)}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// SetWeight scales tenant's fair share (values <= 0 reset to 1).
-func (g *FairGate) SetWeight(tenant string, w float64) {
-	g.mu.Lock()
-	if w <= 0 {
-		delete(g.weight, tenant)
-	} else {
-		g.weight[tenant] = w
-	}
-	g.mu.Unlock()
-}
-
-// vtimeLocked is the tenant's weighted service time — the fair-queueing
-// priority key (lower runs first).
-func (g *FairGate) vtimeLocked(tenant string) float64 {
-	w := g.weight[tenant]
-	if w <= 0 {
-		w = 1
-	}
-	return float64(g.served[tenant]) / w
-}
-
-// pickLocked returns the waiter that should run next: minimum weighted
-// service time, ties broken by arrival order. nil when nobody waits.
+// pickLocked returns the waiter that should run next: minimum service
+// time, ties broken by arrival order. nil when nobody waits.
 func (g *FairGate) pickLocked() *gateWaiter {
 	var best *gateWaiter
-	var bestV float64
+	var bestV time.Duration
 	for _, w := range g.queue {
-		v := g.vtimeLocked(w.tenant)
+		v := g.served[w.tenant]
 		if best == nil || v < bestV || (v == bestV && w.seq < best.seq) {
 			best, bestV = w, v
 		}
@@ -131,14 +105,14 @@ func (g *FairGate) Position(tenant string) int {
 	if mine == nil {
 		return 0
 	}
-	myV := g.vtimeLocked(tenant)
+	myV := g.served[tenant]
 	pos := 1
 	seen := map[string]bool{tenant: true}
 	for _, w := range g.queue {
 		if seen[w.tenant] {
 			continue
 		}
-		v := g.vtimeLocked(w.tenant)
+		v := g.served[w.tenant]
 		if v < myV || (v == myV && w.seq < mine.seq) {
 			seen[w.tenant] = true
 			pos++

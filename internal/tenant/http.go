@@ -91,8 +91,8 @@ func (r *Registry) scoped(h func(http.ResponseWriter, *http.Request, *Tenant)) h
 	}
 }
 
-// eventStatus is one event's outcome within a batched submission.
-type eventStatus struct {
+// EventStatus is one event's outcome within a batched submission.
+type EventStatus struct {
 	Status string `json:"status"` // "accepted" or "rejected"
 	// Code is the envelope code of the rejection (empty when accepted).
 	Code string `json:"code,omitempty"`
@@ -100,14 +100,14 @@ type eventStatus struct {
 	Retryable bool `json:"retryable,omitempty"`
 }
 
-// eventsResponse reports how much of a submission was absorbed. Array
+// EventsResponse reports how much of a submission was absorbed. Array
 // submissions carry one per-event status in submission order, so a
 // partially rejected batch tells the client exactly which events to
 // resend; single-object submissions carry no Events list.
-type eventsResponse struct {
+type EventsResponse struct {
 	Accepted int           `json:"accepted"`
 	Err      *ErrorInfo    `json:"error,omitempty"`
-	Events   []eventStatus `json:"events,omitempty"`
+	Events   []EventStatus `json:"events,omitempty"`
 }
 
 // handleEvents is the ingest path. Every event is attempted — a
@@ -120,7 +120,7 @@ type eventsResponse struct {
 func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	events, isArray, err := serve.DecodeEvents(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, eventsResponse{
+		writeJSON(w, http.StatusBadRequest, EventsResponse{
 			Err: &ErrorInfo{Code: CodeInvalidBody, Message: err.Error()},
 		})
 		return
@@ -136,9 +136,9 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	status := http.StatusAccepted
-	var resp eventsResponse
+	var resp EventsResponse
 	if isArray {
-		resp.Events = make([]eventStatus, len(events))
+		resp.Events = make([]EventStatus, len(events))
 	}
 	for i, err := range r.IngestBatch(events) {
 		if err == nil {
@@ -150,7 +150,7 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 		}
 		st, info := classify(err)
 		if isArray {
-			resp.Events[i] = eventStatus{Status: "rejected", Code: info.Code, Retryable: info.Retryable}
+			resp.Events[i] = EventStatus{Status: "rejected", Code: info.Code, Retryable: info.Retryable}
 		}
 		// A retryable rejection outranks a permanent one for the batch
 		// status and envelope: senders drop the rejected events of a
@@ -257,7 +257,7 @@ func (r *Registry) handleModelSwap(w http.ResponseWriter, req *http.Request, t *
 // where the tenant sits in the shared fine-tune queue.
 type tenantStats struct {
 	serve.Stats
-	// RetrainQueuePosition is the tenant's place in the weighted-fair
+	// RetrainQueuePosition is the tenant's place in the least-served-first
 	// retrain queue (0 = idle or retraining now, 1 = next).
 	RetrainQueuePosition int `json:"retrain_queue_position"`
 }

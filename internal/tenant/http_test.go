@@ -100,7 +100,7 @@ func TestHTTPRoutingAndAdmin(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown tenant = %d, want 404", resp.StatusCode)
 	}
-	var er eventsResponse
+	var er EventsResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +274,11 @@ func TestHTTPMixedTenantBatchCommit(t *testing.T) {
 		ev("beta", "vb", 1),
 		ev("alpha", "va", 2),
 	})
-	var er eventsResponse
+	var er EventsResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	want := []eventStatus{
+	want := []EventStatus{
 		{Status: "accepted"}, {Status: "accepted"}, {Status: "accepted"},
 		{Status: "rejected", Code: CodeInvalidEvent},
 		{Status: "rejected", Code: CodeUnknownTenant},

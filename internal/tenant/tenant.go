@@ -88,7 +88,7 @@ type Registry struct {
 	opts Options
 	hub  *serve.MetricsHub
 	// gate admits one background fine-tune round at a time across every
-	// tenant (they share one TrainWorkers budget), weighted-fair so a
+	// tenant (they share one TrainWorkers budget), least-served-first so a
 	// retrain-heavy tenant cannot starve its siblings.
 	gate *FairGate
 
@@ -121,10 +121,6 @@ func New(opts Options) *Registry {
 	}
 	return &Registry{opts: opts, hub: hub, gate: NewFairGate(), tenants: make(map[string]*Tenant)}
 }
-
-// Gate exposes the registry's fine-tune admission gate (weight tuning,
-// queue-position queries).
-func (r *Registry) Gate() *FairGate { return r.gate }
 
 // Hub exposes the shared metrics hub (mount Hub().Registry.Handler() at
 // GET /metrics; Registry.Handler already does).

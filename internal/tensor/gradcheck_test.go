@@ -57,16 +57,6 @@ func TestMatMulGrad(t *testing.T) {
 	numericalCheck(t, "matmul/b", b, loss, gb)
 }
 
-func TestTransposeGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randParam("a", 3, 5, rng)
-	w := NewRandN(5, 3, 1, rng)
-	build := func(tp *Tape) *Node { return tp.Sum(tp.Mul(tp.Transpose(tp.Param(a)), tp.Const(w))) }
-	runScalar(build, a)
-	ga := a.Grad.Clone()
-	numericalCheck(t, "transpose", a, func() float64 { return runScalar(build, a) }, ga)
-}
-
 func TestElementwiseGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cases := []struct {
@@ -225,7 +215,6 @@ func TestReduceGrads(t *testing.T) {
 	}{
 		{"mean", func(tp *Tape, x *Node) *Node { return tp.Mean(tp.Square(x)) }},
 		{"sumrows", func(tp *Tape, x *Node) *Node { return tp.Sum(tp.Square(tp.SumRows(x))) }},
-		{"sumsquares", func(tp *Tape, x *Node) *Node { return tp.SumSquares(x) }},
 		{"rowdot", func(tp *Tape, x *Node) *Node { return tp.Sum(tp.RowDot(x, x)) }},
 	} {
 		build := func(tp *Tape) *Node { return tc.f(tp, tp.Param(a)) }

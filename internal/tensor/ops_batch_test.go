@@ -39,31 +39,43 @@ func TestBatchMatMulNNGrad(t *testing.T) {
 	numericalCheck(t, "batchNN/v", v, loss, gv)
 }
 
-// TestBatchMatMulMatchesUnbatched pins the batched ops to the composed
-// single-sequence graph they replace: per block, NT equals
-// MatMul(a, Transpose(b)) and NN equals MatMul(w, v), in both values and
-// parameter gradients.
+// TestBatchMatMulMatchesUnbatched pins the batched ops to the
+// single-sequence graph they stand for: block i of a batch of four
+// equals the same two products run on block i alone (a batch of one,
+// whose NT values are checked against the plain a·bᵀ sum below), in
+// both values and parameter gradients.
 func TestBatchMatMulMatchesUnbatched(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const batch, L, d = 4, 3, 5
 	a := randParam("a", batch*L, d, rng)
 	b := randParam("b", batch*L, d, rng)
 
-	batched := runAttnProduct(t, a, b, func(tp *Tape, an, bn *Node) *Node {
+	batched := runAttnProduct(a, b, func(tp *Tape, an, bn *Node) []*Node {
 		s := tp.BatchMatMulNT(an, bn, batch)
-		return tp.BatchMatMulNN(tp.SoftmaxRows(s), bn, batch)
+		return []*Node{tp.BatchMatMulNN(tp.SoftmaxRows(s), bn, batch)}
 	})
 	gaB, gbB := a.Grad.Clone(), b.Grad.Clone()
 
-	sequential := runAttnProduct(t, a, b, func(tp *Tape, an, bn *Node) *Node {
+	sequential := runAttnProduct(a, b, func(tp *Tape, an, bn *Node) []*Node {
 		parts := make([]*Node, 0, batch)
 		for i := 0; i < batch; i++ {
 			ai := tp.SliceRows(an, i*L, (i+1)*L)
 			bi := tp.SliceRows(bn, i*L, (i+1)*L)
-			s := tp.MatMul(ai, tp.Transpose(bi))
+			s := tp.BatchMatMulNT(ai, bi, 1)
+			for r := 0; r < L; r++ {
+				for c := 0; c < L; c++ {
+					var want float64
+					for k := 0; k < d; k++ {
+						want += ai.Value.At(r, k) * bi.Value.At(c, k)
+					}
+					if got := s.Value.At(r, c); math.Abs(got-want) > 1e-12 {
+						t.Fatalf("block %d: NT[%d,%d] = %g, want a·bᵀ = %g", i, r, c, got, want)
+					}
+				}
+			}
 			parts = append(parts, tp.MatMul(tp.SoftmaxRows(s), bi))
 		}
-		return stackRows(tp, parts)
+		return parts
 	})
 	gaS, gbS := a.Grad.Clone(), b.Grad.Clone()
 
@@ -79,27 +91,27 @@ func TestBatchMatMulMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// runAttnProduct runs forward+backward over f's output summed to a
-// scalar and returns the forward value.
-func runAttnProduct(t *testing.T, a, b *Param, f func(tp *Tape, an, bn *Node) *Node) *Matrix {
-	t.Helper()
+// runAttnProduct runs forward+backward over the sum of every part f
+// returns and hands back the parts' values stacked by rows.
+func runAttnProduct(a, b *Param, f func(tp *Tape, an, bn *Node) []*Node) *Matrix {
 	a.ZeroGrad()
 	b.ZeroGrad()
 	tp := NewTape()
-	out := f(tp, tp.Param(a), tp.Param(b))
-	tp.Backward(tp.Sum(out))
-	return out.Value.Clone()
-}
-
-// stackRows vertically concatenates equal-width nodes.
-func stackRows(tp *Tape, parts []*Node) *Node {
-	cols := parts[0].Value.Cols
-	transposed := make([]*Node, len(parts))
-	for i, p := range parts {
-		transposed[i] = tp.Transpose(p)
+	parts := f(tp, tp.Param(a), tp.Param(b))
+	loss := tp.Sum(parts[0])
+	rows := parts[0].Value.Rows
+	for _, p := range parts[1:] {
+		loss = tp.Add(loss, tp.Sum(p))
+		rows += p.Value.Rows
 	}
-	_ = cols
-	return tp.Transpose(tp.ConcatCols(transposed...))
+	tp.Backward(loss)
+	out := NewMatrix(rows, parts[0].Value.Cols)
+	at := 0
+	for _, p := range parts {
+		copy(out.Data[at:], p.Value.Data)
+		at += len(p.Value.Data)
+	}
+	return out
 }
 
 func maxAbsDiff(a, b *Matrix) float64 {

@@ -21,31 +21,6 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	return n
 }
 
-// Transpose returns aᵀ.
-func (t *Tape) Transpose(a *Node) *Node {
-	checkSameTape(t, a)
-	av := a.Value
-	out := NewMatrix(av.Cols, av.Rows)
-	for r := 0; r < av.Rows; r++ {
-		for c := 0; c < av.Cols; c++ {
-			out.Set(c, r, av.At(r, c))
-		}
-	}
-	n := t.node(out, a.requiresGrad, nil)
-	n.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		ensureGrad(a)
-		for r := 0; r < out.Rows; r++ {
-			for c := 0; c < out.Cols; c++ {
-				a.Grad.Data[c*a.Grad.Cols+r] += n.Grad.At(r, c)
-			}
-		}
-	}
-	return n
-}
-
 // GatherRows selects rows idx[i] of a into row i of the output. Used for
 // embedding lookup; gradients scatter-add back into the gathered rows.
 // Negative indices produce a zero row with no gradient (the paper's k0

@@ -63,11 +63,6 @@ func (t *Tape) RowDot(a, b *Node) *Node {
 	return t.SumRows(t.Mul(a, b))
 }
 
-// SumSquares returns sum(a²) as a 1x1 node; the L2 term of Eq. 11.
-func (t *Tape) SumSquares(a *Node) *Node {
-	return t.Sum(t.Square(a))
-}
-
 // SoftmaxRows applies a numerically-stable softmax along each row
 // (Eq. 3's weight normalization).
 func (t *Tape) SoftmaxRows(a *Node) *Node {

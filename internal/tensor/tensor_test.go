@@ -100,25 +100,6 @@ func TestSoftmaxRowsIsDistribution(t *testing.T) {
 	}
 }
 
-// Property: transpose is an involution.
-func TestTransposeInvolution(t *testing.T) {
-	f := func(vals [6]float64) bool {
-		data := vals[:]
-		tp := NewTape()
-		a := tp.Const(FromSlice(2, 3, append([]float64(nil), data...)))
-		back := tp.Transpose(tp.Transpose(a)).Value
-		for i := range data {
-			if back.Data[i] != data[i] && !(math.IsNaN(back.Data[i]) && math.IsNaN(data[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: NormalizeRows output has ~zero mean and ~unit variance per row.
 func TestNormalizeRowsMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -34,8 +34,8 @@ func randomContext(rng *rand.Rand, vocab, length int) []int {
 	return ctx
 }
 
-// scoreNextTape is the tape-based reference implementation of
-// ScoreNext: it builds a fresh autodiff graph per call, exactly as
+// scoreNextTape is the tape-based reference implementation of a
+// batch-of-one score: it builds a fresh autodiff graph per call, exactly as
 // training does. The property tests pin the Scorer kernel to this path,
 // and the in-package benchmark measures the per-op cost the batch-first
 // API replaces.
@@ -72,8 +72,8 @@ func (m *Model) scoreNextTape(buf []float64, preceding []int) []float64 {
 }
 
 // TestScoreBatchMatchesSequential is the batched-vs-sequential
-// equivalence property (the PR's acceptance criterion): ScoreBatch over
-// N random variable-length contexts must equal N sequential ScoreNext
+// equivalence property (the PR's acceptance criterion): one batch over
+// N random variable-length contexts must equal N batch-of-one
 // calls — and the tape-based reference forward — within 1e-9, including
 // an empty context inside a batch, a context longer than Window, and a
 // batch of one.
@@ -99,9 +99,9 @@ func TestScoreBatchMatchesSequential(t *testing.T) {
 						ctxs[i] = randomContext(rng, cfg.Vocab, rng.Intn(cfg.Window+4))
 					}
 				}
-				got := s.ScoreBatch(ctxs)
+				got := s.ScoreBatchInto(nil, ctxs)
 				for b, ctx := range ctxs {
-					seq := m.ScoreNext(ctx)
+					seq := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
 					ref := m.scoreNextTape(nil, ctx)
 					for k := range seq {
 						if d := math.Abs(got[b][k] - seq[k]); d > 1e-9 {
@@ -134,8 +134,8 @@ func TestScorerScratchReuse(t *testing.T) {
 		for i := range ctxs {
 			ctxs[i] = randomContext(rng, cfg.Vocab, sh.l)
 		}
-		got := warm.ScoreBatch(ctxs)
-		want := m.NewScorer().ScoreBatch(ctxs)
+		got := warm.ScoreBatchInto(nil, ctxs)
+		want := m.NewScorer().ScoreBatchInto(nil, ctxs)
 		for b := range ctxs {
 			for k := range want[b] {
 				if got[b][k] != want[b][k] {
@@ -163,7 +163,7 @@ func TestRankBatchMatchesRankOf(t *testing.T) {
 		randomContext(rng, cfg.Vocab, 8),
 	}
 	keys := []int{3, 2, 0, cfg.Vocab + 5, -1}
-	ranks := s.RankBatch(ctxs, keys)
+	ranks := s.RankBatchInto(nil, ctxs, keys)
 	for b := range ctxs {
 		want := m.RankOf(ctxs[b], keys[b])
 		if ranks[b] != want {

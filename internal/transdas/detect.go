@@ -1,29 +1,16 @@
 package transdas
 
-import "sort"
-
 // The single-item API below is a thin wrapper family over the
 // batch-first Scorer: every call borrows a pooled Scorer and runs a
 // batch of one. Callers scoring more than one context at a time should
-// hold a Scorer and use ScoreBatch / RankBatch directly — one stacked
-// forward pass amortizes far better than a loop over these wrappers.
+// hold a Scorer and use ScoreBatchInto / RankBatchInto directly — one
+// stacked forward pass amortizes far better than a loop over these
+// wrappers.
 
 // detectChunk bounds how many contexts a session scan stacks into one
 // forward pass: large enough to amortize the pass, small enough to keep
 // the padded (chunk·Window) x Hidden scratch modest.
 const detectChunk = 32
-
-// ScoreNext feeds the (up to L most recent) preceding keys through the
-// model and returns sim[k] = sigmoid(O_last · M(k)) for every statement
-// key (Eq. 10); sim[0] (the k0 slot) is always 0. The returned slice has
-// cfg.Vocab entries and is the caller's. An empty context yields
-// all-zero similarities: with no preceding operations there is no
-// contextual intent to compare against.
-func (m *Model) ScoreNext(preceding []int) []float64 {
-	s := m.scorer()
-	defer m.scorers.Put(s)
-	return s.ScoreBatchInto(nil, [][]int{preceding})[0]
-}
 
 // RankOf returns the 1-based similarity rank of key among all keys given
 // the preceding context (rank 1 = most similar to the predicted intent).
@@ -34,18 +21,6 @@ func (m *Model) RankOf(preceding []int, key int) int {
 	defer m.scorers.Put(s)
 	s.ranks = s.RankBatchInto(s.ranks, [][]int{preceding}, []int{key})
 	return s.ranks[0]
-}
-
-// TopKeys returns the p statement keys most similar to the predicted
-// contextual intent, in descending similarity order.
-func (m *Model) TopKeys(preceding []int, p int) []int {
-	sims := m.ScoreNext(preceding)
-	keys := make([]int, 0, len(sims))
-	for k := 1; k < len(sims); k++ {
-		keys = append(keys, k)
-	}
-	sort.SliceStable(keys, func(i, j int) bool { return sims[keys[i]] > sims[keys[j]] })
-	return keys[:min(p, len(keys))]
 }
 
 // DetectSession applies the top-p strategy (§5.3) to every operation of

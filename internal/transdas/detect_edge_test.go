@@ -9,7 +9,7 @@ import "testing"
 
 func TestScoreNextEmptyContext(t *testing.T) {
 	m := New(testConfig())
-	sims := m.ScoreNext(nil)
+	sims := m.NewScorer().ScoreBatchInto(nil, [][]int{nil})[0]
 	if len(sims) != m.cfg.Vocab {
 		t.Fatalf("sims length = %d, want %d", len(sims), m.cfg.Vocab)
 	}
@@ -37,23 +37,6 @@ func TestRankOfOutOfVocabulary(t *testing.T) {
 		if got := m.RankOf(ctx, key); got != m.cfg.Vocab {
 			t.Fatalf("RankOf(ctx, %d) = %d, want last rank %d", key, got, m.cfg.Vocab)
 		}
-	}
-}
-
-func TestTopKeysPBeyondVocab(t *testing.T) {
-	m := trainToy(t)
-	ctx := []int{1, 2, 3}
-	keys := m.TopKeys(ctx, m.cfg.Vocab+10)
-	// All valid statement keys, each exactly once.
-	if len(keys) != m.cfg.Vocab-1 {
-		t.Fatalf("got %d keys, want all %d", len(keys), m.cfg.Vocab-1)
-	}
-	seen := make(map[int]bool)
-	for _, k := range keys {
-		if k < 1 || k >= m.cfg.Vocab || seen[k] {
-			t.Fatalf("invalid or duplicate key %d in %v", k, keys)
-		}
-		seen[k] = true
 	}
 }
 

@@ -42,7 +42,7 @@ func rankBand(sims []float64, key int, tol float64) (low, high int) {
 // verdict agreement.
 func assertFloat32Equivalence(t *testing.T, m *Model, ctxs [][]int, keys []int) {
 	t.Helper()
-	if m.ScorePrecision() != PrecisionFloat64 {
+	if m.prec32.Load() {
 		t.Fatal("model must start on the float64 reference path")
 	}
 	s64 := m.NewScorer()
@@ -60,7 +60,7 @@ func assertFloat32Equivalence(t *testing.T, m *Model, ctxs [][]int, keys []int) 
 		got[i] = make([]float64, m.cfg.Vocab)
 	}
 	got = s32.ScoreBatchInto(got, ctxs)
-	ranks32 := s32.RankBatch(ctxs, keys)
+	ranks32 := s32.RankBatchInto(nil, ctxs, keys)
 
 	for b := range ctxs {
 		for k := range ref[b] {
@@ -170,14 +170,14 @@ func TestFloat32SnapshotTracksFineTune(t *testing.T) {
 	ctx := toySessions(1, rng)[0][:6]
 
 	m.SetScorePrecision(PrecisionFloat32)
-	before := append([]float64(nil), m.ScoreNext(ctx)...)
+	before := append([]float64(nil), m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]...)
 
 	m.SetScorePrecision(PrecisionFloat64)
 	m.FineTune(toySessions(10, rng), 3, nil)
-	after64 := append([]float64(nil), m.ScoreNext(ctx)...)
+	after64 := append([]float64(nil), m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]...)
 
 	m.SetScorePrecision(PrecisionFloat32)
-	after32 := m.ScoreNext(ctx)
+	after32 := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
 	m.SetScorePrecision(PrecisionFloat64)
 
 	for k := range after64 {

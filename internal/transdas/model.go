@@ -39,7 +39,7 @@ type Model struct {
 	rng    *rand.Rand
 
 	// scorers pools tape-free Scorers for the single-item wrapper API
-	// (ScoreNext, RankOf, DetectSession, ...), so concurrent detection
+	// (RankOf, DetectSession, ...), so concurrent detection
 	// reuses warm scratch buffers instead of allocating per call.
 	scorers sync.Pool
 
@@ -110,9 +110,6 @@ func (m *Model) SetTrainParallelism(workers, batchSize int) {
 	m.cfg.BatchSize = batchSize
 }
 
-// Params returns the trainable parameters (implements nn.Module).
-func (m *Model) Params() []*tensor.Param { return m.params }
-
 // SetScoreCache attaches (or, with nil, detaches) a similarity-row
 // cache consulted by every Scorer before the forward pass. The cache
 // must be bumped on every weight change; Train/FineTune do so
@@ -130,14 +127,6 @@ func (m *Model) ScoreCache() *scorecache.Cache { return m.scoreCache.Load() }
 // 1e-4 of the reference and rank-stable on the paper's workloads).
 // Training always runs in float64 regardless of this setting.
 func (m *Model) SetScorePrecision(p Precision) { m.prec32.Store(p == PrecisionFloat32) }
-
-// ScorePrecision reports the active scoring kernel precision.
-func (m *Model) ScorePrecision() Precision {
-	if m.prec32.Load() {
-		return PrecisionFloat32
-	}
-	return PrecisionFloat64
-}
 
 // bumpWeightGen records a weight mutation: the float32 snapshot is
 // invalidated (rebuilt lazily on the next float32 score) and every

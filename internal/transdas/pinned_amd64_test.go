@@ -15,7 +15,7 @@ import (
 func pinnedModel(cfg Config) *Model {
 	m := New(cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000))
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		for i := range p.Value.Data {
 			p.Value.Data[i] += 0.05 * rng.NormFloat64()
 		}
@@ -50,9 +50,9 @@ func scoreFingerprint(m *Model, ctxs [][]int) uint64 {
 			}
 		}
 	}
-	hashRows(s.ScoreBatch(ctxs))
+	hashRows(s.ScoreBatchInto(nil, ctxs))
 	for _, ctx := range ctxs {
-		hashRows(s.ScoreBatch([][]int{ctx}))
+		hashRows(s.ScoreBatchInto(nil, [][]int{ctx}))
 	}
 	return h.Sum64()
 }

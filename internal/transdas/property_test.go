@@ -31,7 +31,7 @@ func TestScoreNextBounds(t *testing.T) {
 		if len(keys) == 0 {
 			keys = []int{1}
 		}
-		sims := m.ScoreNext(keys)
+		sims := m.NewScorer().ScoreBatchInto(nil, [][]int{keys})[0]
 		if len(sims) != m.cfg.Vocab || sims[0] != 0 {
 			return false
 		}
@@ -47,7 +47,7 @@ func TestScoreNextBounds(t *testing.T) {
 	}
 }
 
-// Property: RankOf is consistent with ScoreNext's ordering and ranks
+// Property: RankOf is consistent with the similarity row's ordering and ranks
 // form a permutation prefix (1..V-1 for valid keys).
 func TestRankOfConsistency(t *testing.T) {
 	m := propModel()
@@ -58,7 +58,7 @@ func TestRankOfConsistency(t *testing.T) {
 		for i := range ctx {
 			ctx[i] = 1 + rng.Intn(m.cfg.Vocab-1)
 		}
-		sims := m.ScoreNext(ctx)
+		sims := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
 		type kv struct {
 			k int
 			s float64
@@ -191,7 +191,7 @@ func TestSampleNegativesInvariant(t *testing.T) {
 	}
 }
 
-// Detection must be safe for concurrent use: ScoreNext and
+// Detection must be safe for concurrent use: scoring and
 // DetectSession are read-only after training.
 func TestConcurrentDetection(t *testing.T) {
 	m := trainToy(t)
@@ -202,7 +202,7 @@ func TestConcurrentDetection(t *testing.T) {
 			ok := true
 			for i := 0; i < 10; i++ {
 				s := sessions[(w+i)%len(sessions)]
-				m.ScoreNext(s[:3])
+				m.NewScorer().ScoreBatchInto(nil, [][]int{s[:3]})
 				m.DetectSession(s)
 			}
 			done <- ok

@@ -41,7 +41,7 @@ type Scorer struct {
 	k32 kernel[float32]
 
 	// rank scratch. sims rows are carved from simsSlab — one arena the
-	// rank paths reuse call over call, so a warm RankBatch allocates
+	// rank paths reuse call over call, so a warm RankBatchInto allocates
 	// nothing for its similarity rows.
 	sims     [][]float64
 	simsSlab []float64
@@ -55,26 +55,10 @@ func (m *Model) NewScorer() *Scorer { return &Scorer{m: m} }
 // session scan.
 func (m *Model) scorer() *Scorer { return m.scorers.Get().(*Scorer) }
 
-// ScoreBatch scores every context in one batched forward pass and
-// returns one cfg.Vocab-length similarity row per context, in order:
-// row b holds sim[k] = sigmoid(O_last · M(k)) for context b (Eq. 10),
-// with sim[0] (the k0 slot) always 0. Contexts longer than cfg.Window
-// are truncated to their most recent Window keys; an empty context
-// yields an all-zero row (no contextual intent to compare against).
-//
-// The returned rows are carved from the Scorer's scratch arena: they
-// are valid until the next call on this Scorer. Callers that retain
-// rows across calls must use ScoreBatchInto with their own buffers.
-func (s *Scorer) ScoreBatch(contexts [][]int) [][]float64 {
-	return s.ScoreBatchInto(s.arenaSims(len(contexts)), contexts)
-}
-
 // arenaSims sizes s.sims to n rows of cfg.Vocab floats carved from the
 // Scorer's flat arena slab, reusing it call over call. Rows handed out
-// this way are owned by the Scorer — safe for the rank paths and for
-// ScoreBatch, whose results are consumed before the next call;
-// Model.ScoreNext must allocate because its row outlives the pooled
-// Scorer.
+// this way are owned by the Scorer — safe for the rank paths, whose
+// rows are consumed before the next call.
 func (s *Scorer) arenaSims(n int) [][]float64 {
 	vocab := s.m.cfg.Vocab
 	need := n * vocab
@@ -93,9 +77,16 @@ func (s *Scorer) arenaSims(n int) [][]float64 {
 	return s.sims
 }
 
-// ScoreBatchInto is ScoreBatch writing into dst: it reuses dst's
-// backing array and any row with capacity >= cfg.Vocab, allocating only
-// what is missing, and returns dst resized to len(contexts).
+// ScoreBatchInto scores every context in one batched forward pass and
+// returns one cfg.Vocab-length similarity row per context, in order:
+// row b holds sim[k] = sigmoid(O_last · M(k)) for context b (Eq. 10),
+// with sim[0] (the k0 slot) always 0. Contexts longer than cfg.Window
+// are truncated to their most recent Window keys; an empty context
+// yields an all-zero row (no contextual intent to compare against).
+//
+// It writes into dst: it reuses dst's backing array and any row with
+// capacity >= cfg.Vocab, allocating only what is missing, and returns
+// dst resized to len(contexts).
 func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 	vocab := s.m.cfg.Vocab
 	if cap(dst) >= len(contexts) {
@@ -181,18 +172,14 @@ func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 	return dst
 }
 
-// RankBatch returns, for each (contexts[b], keys[b]) pair, the 1-based
-// similarity rank of keys[b] given its context — the batched RankOf. A
-// PadKey or out-of-vocabulary key ranks last (Vocab).
-func (s *Scorer) RankBatch(contexts [][]int, keys []int) []int {
-	return s.RankBatchInto(nil, contexts, keys)
-}
-
-// RankBatchInto is RankBatch writing ranks into dst (grown as needed).
-// len(keys) must equal len(contexts).
+// RankBatchInto returns, for each (contexts[b], keys[b]) pair, the
+// 1-based similarity rank of keys[b] given its context — the batched
+// RankOf — written into dst (grown as needed). A PadKey or
+// out-of-vocabulary key ranks last (Vocab). len(keys) must equal
+// len(contexts).
 func (s *Scorer) RankBatchInto(dst []int, contexts [][]int, keys []int) []int {
 	if len(keys) != len(contexts) {
-		panic("transdas: RankBatch contexts and keys length mismatch")
+		panic("transdas: RankBatchInto contexts and keys length mismatch")
 	}
 	if cap(dst) >= len(contexts) {
 		dst = dst[:len(contexts)]

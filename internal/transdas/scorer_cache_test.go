@@ -29,7 +29,7 @@ func TestScoreCacheHitReturnsIdenticalRows(t *testing.T) {
 	ctxs := cacheTestContexts(rng, m, 12)
 
 	s := m.NewScorer()
-	cold := s.ScoreBatch(ctxs)
+	cold := s.ScoreBatchInto(nil, ctxs)
 	coldCopy := make([][]float64, len(cold))
 	for i, row := range cold {
 		coldCopy[i] = append([]float64(nil), row...)
@@ -40,7 +40,7 @@ func TestScoreCacheHitReturnsIdenticalRows(t *testing.T) {
 	}
 
 	// A different scorer on the same model must hit the shared cache.
-	warm := m.NewScorer().ScoreBatch(ctxs)
+	warm := m.NewScorer().ScoreBatchInto(nil, ctxs)
 	for i := range warm {
 		for k := range warm[i] {
 			if warm[i][k] != coldCopy[i][k] {
@@ -67,7 +67,7 @@ func TestScoreCacheMixedHitMissBatch(t *testing.T) {
 
 	// Reference: no cache attached.
 	ref := make([][]float64, len(all))
-	for i, row := range m.NewScorer().ScoreBatch(all) {
+	for i, row := range m.NewScorer().ScoreBatchInto(nil, all) {
 		ref[i] = append([]float64(nil), row...)
 	}
 
@@ -79,9 +79,9 @@ func TestScoreCacheMixedHitMissBatch(t *testing.T) {
 	for i := 0; i < len(all); i += 2 {
 		even = append(even, all[i])
 	}
-	m.NewScorer().ScoreBatch(even)
+	m.NewScorer().ScoreBatchInto(nil, even)
 
-	got := m.NewScorer().ScoreBatch(all)
+	got := m.NewScorer().ScoreBatchInto(nil, all)
 	for i := range all {
 		for k := range got[i] {
 			if math.Abs(got[i][k]-ref[i][k]) > 1e-12 {
@@ -106,7 +106,7 @@ func TestScoreCacheInvalidatedByFineTune(t *testing.T) {
 	ctxs := cacheTestContexts(rng, m, 8)
 
 	stale := make([][]float64, len(ctxs))
-	for i, row := range m.NewScorer().ScoreBatch(ctxs) {
+	for i, row := range m.NewScorer().ScoreBatchInto(nil, ctxs) {
 		stale[i] = append([]float64(nil), row...)
 	}
 	gen := c.Gen()
@@ -115,9 +115,9 @@ func TestScoreCacheInvalidatedByFineTune(t *testing.T) {
 		t.Fatal("FineTune did not bump the attached cache generation")
 	}
 
-	got := m.NewScorer().ScoreBatch(ctxs)
+	got := m.NewScorer().ScoreBatchInto(nil, ctxs)
 	m.SetScoreCache(nil)
-	ref := m.NewScorer().ScoreBatch(ctxs)
+	ref := m.NewScorer().ScoreBatchInto(nil, ctxs)
 	changed := false
 	for i := range ctxs {
 		for k := range got[i] {
@@ -144,14 +144,14 @@ func TestScoreCacheComposesWithFloat32(t *testing.T) {
 	m.SetScorePrecision(PrecisionFloat32)
 	defer m.SetScorePrecision(PrecisionFloat64)
 	ref := make([][]float64, len(ctxs))
-	for i, row := range m.NewScorer().ScoreBatch(ctxs) {
+	for i, row := range m.NewScorer().ScoreBatchInto(nil, ctxs) {
 		ref[i] = append([]float64(nil), row...)
 	}
 
 	c := scorecache.New(64)
 	m.SetScoreCache(c)
 	defer m.SetScoreCache(nil)
-	cold := m.NewScorer().ScoreBatch(ctxs)
+	cold := m.NewScorer().ScoreBatchInto(nil, ctxs)
 	for i := range cold {
 		for k := range cold[i] {
 			if cold[i][k] != ref[i][k] {
@@ -159,7 +159,7 @@ func TestScoreCacheComposesWithFloat32(t *testing.T) {
 			}
 		}
 	}
-	warm := m.NewScorer().ScoreBatch(ctxs)
+	warm := m.NewScorer().ScoreBatchInto(nil, ctxs)
 	for i := range warm {
 		for k := range warm[i] {
 			if warm[i][k] != ref[i][k] {
@@ -186,8 +186,8 @@ func TestRankBatchUsesCache(t *testing.T) {
 		keys[i] = 1 + rng.Intn(m.cfg.Vocab-1)
 	}
 	s := m.NewScorer()
-	r1 := append([]int(nil), s.RankBatch(ctxs, keys)...)
-	r2 := s.RankBatch(ctxs, keys)
+	r1 := append([]int(nil), s.RankBatchInto(nil, ctxs, keys)...)
+	r2 := s.RankBatchInto(nil, ctxs, keys)
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Fatalf("rank %d changed across cached calls: %d vs %d", i, r1[i], r2[i])
@@ -200,8 +200,8 @@ func TestRankBatchUsesCache(t *testing.T) {
 }
 
 // TestScoreBatchWarmCacheAllocFree: with every context cached, the
-// batch scoring path must not allocate — rows come from the scorer's
-// arena and sims from the cache.
+// batch scoring path must not allocate — rows are the caller's reused
+// buffers and sims come from the cache.
 func TestScoreBatchWarmCacheAllocFree(t *testing.T) {
 	m := trainToy(t)
 	c := scorecache.New(64)
@@ -210,11 +210,11 @@ func TestScoreBatchWarmCacheAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	ctxs := cacheTestContexts(rng, m, 4)
 	s := m.NewScorer()
-	s.ScoreBatch(ctxs) // populate cache and arena
+	dst := s.ScoreBatchInto(nil, ctxs) // populate cache and rows
 	avg := testing.AllocsPerRun(50, func() {
-		s.ScoreBatch(ctxs)
+		dst = s.ScoreBatchInto(dst, ctxs)
 	})
 	if avg > 0 {
-		t.Fatalf("warm cached ScoreBatch allocates %.1f times per call, want 0", avg)
+		t.Fatalf("warm cached ScoreBatchInto allocates %.1f times per call, want 0", avg)
 	}
 }

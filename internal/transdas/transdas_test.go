@@ -194,7 +194,7 @@ func TestUnknownStatementIsAnomalous(t *testing.T) {
 
 func TestScoreNextShapeAndRange(t *testing.T) {
 	m := New(testConfig())
-	sims := m.ScoreNext([]int{1, 2, 3})
+	sims := m.NewScorer().ScoreBatchInto(nil, [][]int{[]int{1, 2, 3}})[0]
 	if len(sims) != m.cfg.Vocab {
 		t.Fatalf("len(sims) = %d, want %d", len(sims), m.cfg.Vocab)
 	}
@@ -215,8 +215,8 @@ func TestScoreNextTruncatesLongContext(t *testing.T) {
 		long[i] = 1 + i%5
 	}
 	short := long[len(long)-m.cfg.Window:]
-	a := m.ScoreNext(long)
-	b := m.ScoreNext(short)
+	a := m.NewScorer().ScoreBatchInto(nil, [][]int{long})[0]
+	b := m.NewScorer().ScoreBatchInto(nil, [][]int{short})[0]
 	for k := range a {
 		if math.Abs(a[k]-b[k]) > 1e-12 {
 			t.Fatal("context beyond the window must be ignored")
@@ -224,20 +224,17 @@ func TestScoreNextTruncatesLongContext(t *testing.T) {
 	}
 }
 
-func TestTopKeysOrderedAndRankConsistent(t *testing.T) {
+func TestBestKeyRanksFirst(t *testing.T) {
 	m := trainToy(t)
 	ctx := []int{1, 2, 3, 4}
-	sims := m.ScoreNext(ctx)
-	top := m.TopKeys(ctx, 3)
-	if len(top) != 3 {
-		t.Fatalf("TopKeys returned %d keys", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if sims[top[i-1]] < sims[top[i]] {
-			t.Fatal("TopKeys not in descending similarity order")
+	sims := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
+	best := 1
+	for k := 2; k < len(sims); k++ {
+		if sims[k] > sims[best] {
+			best = k
 		}
 	}
-	if r := m.RankOf(ctx, top[0]); r != 1 {
+	if r := m.RankOf(ctx, best); r != 1 {
 		t.Fatalf("best key rank = %d, want 1", r)
 	}
 }
@@ -247,7 +244,7 @@ func TestDeterministicTraining(t *testing.T) {
 		m := New(testConfig())
 		rng := rand.New(rand.NewSource(7))
 		m.Train(toySessions(10, rng), nil)
-		return m.ScoreNext([]int{1, 2, 3})
+		return m.NewScorer().ScoreBatchInto(nil, [][]int{[]int{1, 2, 3}})[0]
 	}
 	a, b := build(), build()
 	for i := range a {
@@ -268,7 +265,7 @@ func TestSaveLoadPreservesScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := []int{1, 2, 3, 4, 5}
-	a, b := m.ScoreNext(ctx), loaded.ScoreNext(ctx)
+	a, b := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0], loaded.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatal("loaded model scores differ")
@@ -297,10 +294,10 @@ func TestFineTuneAdaptsToNewPattern(t *testing.T) {
 	// sessions: a type-A prefix followed by the new statement.
 	ctx := append(toySessions(1, rand.New(rand.NewSource(11)))[0], 13, 13)
 	beforeRank := m.RankOf(ctx, 13)
-	beforeSim := m.ScoreNext(ctx)[13]
+	beforeSim := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0][13]
 	m.FineTune(drift, 15, nil)
 	afterRank := m.RankOf(ctx, 13)
-	afterSim := m.ScoreNext(ctx)[13]
+	afterSim := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0][13]
 	if afterRank > beforeRank {
 		t.Fatalf("fine-tuning should not worsen the drifted key's rank: %d -> %d", beforeRank, afterRank)
 	}

@@ -324,16 +324,6 @@ func (l *Log) SkipTo(seq uint64) error {
 	return l.openSegment(seq)
 }
 
-// Sync forces buffered appends to stable storage regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.syncLocked()
-}
-
 // Close seals the log: a final fsync (unless SyncNever) and file close.
 // Further appends fail with ErrClosed.
 func (l *Log) Close() error {

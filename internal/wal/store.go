@@ -143,9 +143,6 @@ func (s *Store) AppendDeferred(payload []byte) error { return s.log.AppendDeferr
 // Commit makes every record written so far durable per the sync policy.
 func (s *Store) Commit() error { return s.log.Commit() }
 
-// Sync forces the log to stable storage (see Log.Sync).
-func (s *Store) Sync() error { return s.log.Sync() }
-
 // SegmentBytes reports the active segment's size.
 func (s *Store) SegmentBytes() int64 { return s.log.SegmentBytes() }
 

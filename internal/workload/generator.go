@@ -112,9 +112,6 @@ func NewGenerator(spec Spec, seed int64) *Generator {
 	}
 }
 
-// Spec returns the generator's scenario specification.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // pickWeighted selects an index from weights (uniform when empty).
 func pickWeighted(rng *rand.Rand, n int, weights []float64) int {
 	if len(weights) != n {

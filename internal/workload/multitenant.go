@@ -1,16 +1,12 @@
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-	"strings"
-)
+import "math/rand"
 
 // This file adapts the batch dataset builders to *streaming* multi-tenant
-// serving: each tenant runs its own scenario (a database workload or a
-// sessionized system log), and a MultiGen riffles their sessions into one
-// event stream the way a shared ingest frontend would see them. The
-// single-tenant generators stay untouched — sources wrap them.
+// serving: each tenant runs its own scenario, and a MultiGen riffles
+// their sessions into one event stream the way a shared ingest frontend
+// would see them. The single-tenant generators stay untouched — sources
+// wrap them.
 
 // StreamSession is one session rendered for streaming ingest: the
 // assembly key, the acting principal, and the ordered statement texts.
@@ -72,70 +68,6 @@ func (s *ScenarioSource) NextSession() StreamSession {
 		ClientID:   sess.ID,
 		User:       sess.User,
 		Addr:       sess.Addr,
-		Statements: stmts,
-		Anomalous:  anomalous,
-	}
-}
-
-// LogSource streams sessions from one of the §6.6 system-log grammars,
-// rendering template ids as SQL so a log tenant flows through the same
-// normalization pipeline as a database tenant (the transfer experiment's
-// premise: log keys and statement templates are the same abstraction).
-type LogSource struct {
-	grammar     *logGrammar
-	rng         *rand.Rand
-	anomalyProb float64
-	seq         int
-}
-
-// NewLogSource returns a streaming source for corpus "hdfs", "bgl", or
-// "thunderbird". anomalyProb is the per-session chance of a grammar
-// violation (error burst, truncation, foreign interleaving).
-func NewLogSource(corpus string, seed int64, anomalyProb float64) (*LogSource, error) {
-	var g *logGrammar
-	switch strings.ToLower(corpus) {
-	case "hdfs":
-		g = hdfsGrammar()
-	case "bgl":
-		g = bglGrammar()
-	case "thunderbird":
-		g = thunderbirdGrammar()
-	default:
-		return nil, fmt.Errorf("workload: unknown log corpus %q (want hdfs, bgl, or thunderbird)", corpus)
-	}
-	return &LogSource{
-		grammar:     g,
-		rng:         rand.New(rand.NewSource(seed)),
-		anomalyProb: anomalyProb,
-	}, nil
-}
-
-// SQL renders one log-template id as a statement. The template id lands
-// in the table position, so sqlnorm keys each id distinctly — the
-// identifier lexer keeps digits, making LOG_HDFS_EVT_7 one token.
-func (s *LogSource) SQL(key int) string {
-	return fmt.Sprintf("SELECT event FROM LOG_%s_EVT_%d", strings.ToUpper(s.grammar.name), key)
-}
-
-// NextSession returns the next sessionized log trace rendered as SQL.
-func (s *LogSource) NextSession() StreamSession {
-	s.seq++
-	anomalous := s.rng.Float64() < s.anomalyProb
-	var keys []int
-	if anomalous {
-		keys = s.grammar.abnormalSession(s.rng)
-	} else {
-		keys = s.grammar.normalSession(s.rng)
-	}
-	stmts := make([]string, len(keys))
-	for i, k := range keys {
-		stmts[i] = s.SQL(k)
-	}
-	lower := strings.ToLower(s.grammar.name)
-	return StreamSession{
-		ClientID:   fmt.Sprintf("%s-%06d", lower, s.seq),
-		User:       lower + "-agent",
-		Addr:       "10.9.0.1",
 		Statements: stmts,
 		Anomalous:  anomalous,
 	}
@@ -242,13 +174,4 @@ func (m *MultiGen) Next() TenantEvent {
 		st.open = append(st.open[:i], st.open[i+1:]...)
 	}
 	return ev
-}
-
-// Take emits the next n events.
-func (m *MultiGen) Take(n int) []TenantEvent {
-	out := make([]TenantEvent, n)
-	for i := range out {
-		out[i] = m.Next()
-	}
-	return out
 }

@@ -2,81 +2,8 @@ package workload
 
 import (
 	"reflect"
-	"strings"
 	"testing"
-
-	"github.com/ucad/ucad/internal/sqlnorm"
 )
-
-// TestLogSourceRendering: log-template ids render as SQL whose
-// normalized templates are distinct per id, anomalous sessions use the
-// grammar's anomaly-only keys, and a fixed seed reproduces the stream.
-func TestLogSourceRendering(t *testing.T) {
-	src, err := NewLogSource("hdfs", 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewLogSource("nonesuch", 1, 0); err == nil {
-		t.Fatal("unknown corpus accepted")
-	}
-
-	// Distinct template ids → distinct vocabulary keys: the identifier
-	// lexer keeps digits, so LOG_HDFS_EVT_7 is one token.
-	v := sqlnorm.NewVocabulary()
-	keys := map[int]bool{}
-	for id := 1; id < 14; id++ {
-		keys[v.Learn(src.SQL(id))] = true
-	}
-	if len(keys) != 13 {
-		t.Fatalf("13 template ids map to %d vocabulary keys", len(keys))
-	}
-
-	normal := src.NextSession()
-	if normal.Anomalous || len(normal.Statements) == 0 || normal.ClientID == "" || normal.User == "" {
-		t.Fatalf("normal session: %+v", normal)
-	}
-	for _, sql := range normal.Statements {
-		if !strings.Contains(sql, "LOG_HDFS_EVT_") {
-			t.Fatalf("statement %q not a rendered log key", sql)
-		}
-		for _, bad := range []string{"LOG_HDFS_EVT_10", "LOG_HDFS_EVT_11", "LOG_HDFS_EVT_12"} {
-			if strings.Contains(sql, bad) {
-				t.Fatalf("normal session used anomaly-only key: %q", sql)
-			}
-		}
-	}
-
-	// With anomalyProb=1 every session is anomalous, and the grammar's
-	// recipes guarantee at least one anomaly-only key per session.
-	asrc, err := NewLogSource("hdfs", 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		s := asrc.NextSession()
-		if !s.Anomalous {
-			t.Fatal("anomalyProb=1 produced a normal session")
-		}
-		found := false
-		for _, sql := range s.Statements {
-			for _, k := range []string{"LOG_HDFS_EVT_10", "LOG_HDFS_EVT_11", "LOG_HDFS_EVT_12"} {
-				found = found || strings.Contains(sql, k)
-			}
-		}
-		if !found {
-			t.Fatalf("anomalous session carries no anomaly key: %v", s.Statements)
-		}
-	}
-
-	// Determinism: same corpus + seed → identical sessions.
-	a, _ := NewLogSource("bgl", 42, 0.3)
-	b, _ := NewLogSource("bgl", 42, 0.3)
-	for i := 0; i < 10; i++ {
-		if sa, sb := a.NextSession(), b.NextSession(); !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("session %d diverged:\n%+v\n%+v", i, sa, sb)
-		}
-	}
-}
 
 // TestScenarioSourceAnomalies: the scenario source honors the anomaly
 // rate and produces complete sessions.
@@ -103,18 +30,23 @@ func TestScenarioSourceAnomalies(t *testing.T) {
 // interleaves them, keeps each client id on one tenant with its events
 // in session order, and is deterministic for a fixed seed.
 func TestMultiGenInterleaving(t *testing.T) {
-	build := func() *MultiGen {
-		hdfs, err := NewLogSource("hdfs", 3, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewMultiGen(99,
+	stream := func() []TenantEvent {
+		// Session ids derive from the spec name: the third tenant's must
+		// differ from s2's for the one-tenant-per-client check below.
+		wide := ScenarioII(1)
+		wide.Name = "scenario-ii-wide"
+		m := NewMultiGen(99,
 			TenantStream{Tenant: "s1", Source: NewScenarioSource(ScenarioI(), 1, 0.1)},
 			TenantStream{Tenant: "s2", Source: NewScenarioSource(ScenarioII(0.5), 2, 0.1)},
-			TenantStream{Tenant: "logs", Source: hdfs, Weight: 2},
+			TenantStream{Tenant: "s3", Source: NewScenarioSource(wide, 3, 0.1), Weight: 2},
 		)
+		events := make([]TenantEvent, 600)
+		for i := range events {
+			events[i] = m.Next()
+		}
+		return events
 	}
-	events := build().Take(600)
+	events := stream()
 
 	seen := map[string]int{}
 	switches := 0
@@ -134,13 +66,13 @@ func TestMultiGenInterleaving(t *testing.T) {
 			t.Fatalf("event %d incomplete: %+v", i, ev)
 		}
 	}
-	for _, tenant := range []string{"s1", "s2", "logs"} {
+	for _, tenant := range []string{"s1", "s2", "s3"} {
 		if seen[tenant] == 0 {
 			t.Fatalf("tenant %q never emitted (%v)", tenant, seen)
 		}
 	}
-	if seen["logs"] <= seen["s1"] {
-		t.Fatalf("weight 2 tenant emitted %d <= unit-weight %d", seen["logs"], seen["s1"])
+	if seen["s3"] <= seen["s1"] {
+		t.Fatalf("weight 2 tenant emitted %d <= unit-weight %d", seen["s3"], seen["s1"])
 	}
 	if switches < 50 {
 		t.Fatalf("stream barely interleaves: %d tenant switches in 600 events", switches)
@@ -158,7 +90,7 @@ func TestMultiGenInterleaving(t *testing.T) {
 	}
 
 	// Determinism: an identically seeded generator replays the stream.
-	if again := build().Take(600); !reflect.DeepEqual(events, again) {
+	if again := stream(); !reflect.DeepEqual(events, again) {
 		t.Fatal("identically seeded MultiGen diverged")
 	}
 }

@@ -131,8 +131,7 @@ func (g *logGrammar) build(nTrain, nTestNormal, nTestAbnormal int, seed int64) *
 	return d
 }
 
-// hdfsGrammar is the HDFS block-lifecycle grammar shared by the batch
-// dataset builder (HDFSLike) and the streaming source (NewLogSource).
+// hdfsGrammar is the HDFS block-lifecycle grammar behind HDFSLike.
 func hdfsGrammar() *logGrammar {
 	return &logGrammar{
 		name: "HDFS",
