@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-e2e check equiv32 fuzz-smoke bench bench-build bench-check surface size clean
+.PHONY: all build vet test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-build bench-check surface size clean
 
 all: check
 
@@ -37,14 +37,22 @@ fuzz-smoke:
 
 # The scoring kernel's contract: float32 similarity scores within 1e-4
 # of the float64 instantiation with stable ranks/verdicts, both
-# instantiations held to their pinned similarity bits (amd64), plus
-# bitwise parity of the packed-SSE kernels against the portable ones.
+# instantiations held to their pinned similarity bits (amd64), the
+# first-block table bit-identical to the matmul it replaces, plus
+# bitwise parity of the packed-SSE kernels (matmul, attention, softmax)
+# against the portable ones and the float32 exponential's accuracy.
 # Run without -short so the Scenario-II shape (the paper model's h=64
 # m=8 head width, which exercises the packed attention kernels) is
 # covered.
 equiv32:
-	$(GO) test -count=1 -run 'TestFloat32|TestScoreBitsPinned' ./internal/transdas/
-	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestAttnKernels8' ./internal/tensor/
+	$(GO) test -count=1 -run 'TestFloat32|TestScoreBitsPinned|TestFirstBlockTable' ./internal/transdas/
+	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestAttnKernels8|TestSoftmax32' ./internal/tensor/
+
+# The !amd64 fallbacks of the assembly kernels run on no CI machine;
+# type-check them for another architecture (a cross-vet downloads and
+# links nothing) so a signature drift fails here, not on a user's arm64.
+portable:
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/transdas/
 
 # bench/ is a nested module that imports internal/... directly, so
 # `go build ./...` and `go vet ./...` never compile it: type-check it
@@ -61,15 +69,22 @@ surface:
 	$(GO) test -count=1 -run TestExportedSurfaceIsExercised .
 
 # The CI gate: static checks (the nested benchmark module and the
-# exported-surface rule included) plus the suite under the race detector
-# (the serving layer is heavily concurrent), the float32 equivalence
-# contract, and the WAL decoder fuzz smoke.
-check: vet build bench-build surface race equiv32 fuzz-smoke
+# exported-surface rule and the portable-fallback cross-vet included)
+# plus the suite under the race detector (the serving layer is heavily
+# concurrent), the float32 equivalence contract, and the WAL decoder
+# fuzz smoke.
+check: vet build portable bench-build surface race equiv32 fuzz-smoke
 
 # The paper-reproduction sweep (one benchmark per table/figure plus the
 # training hot paths). Serving-side performance is bench-check's harness.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
+
+# A five-second before/after for a scoring-kernel change: ns and allocs
+# per context at the paper shape, both precisions, batch 1 and 16 — the
+# in-module twin of ucadbench's transdas.rank_*_us_per_op_* rows.
+bench-kernel:
+	$(GO) test -run='^$$' -bench=BenchmarkScoreBatch -benchmem ./internal/transdas/
 
 # The benchmark's own gate: bench-build, the module's tests, then a
 # smoke run of every workload (run.sh exits non-zero when a verdict set

@@ -94,10 +94,10 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 }
 
 // SoftmaxInto writes a numerically-stable softmax(src) into dst (which
-// may alias src): the tape's SoftmaxRows row by row, and the tape-free
-// scoring kernel's at either element type. The exponential runs in
-// float64 whatever T is (one libm call either way), so a masked term's
-// exp(-1e9 - max) underflows to exactly 0 in float32 too.
+// may alias src): the tape's SoftmaxRows row by row, and the float64
+// scoring kernel's attention rows (the float32 kernel's is
+// SoftmaxInto32). The exponential runs in float64 whatever T is, so a
+// masked term's exp(-1e9 - max) underflows to exactly 0.
 func SoftmaxInto[T Float](dst, src []T) {
 	maxv := T(math.Inf(-1))
 	for _, x := range src {

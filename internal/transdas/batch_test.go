@@ -120,27 +120,35 @@ func TestScoreBatchMatchesSequential(t *testing.T) {
 }
 
 // TestScorerScratchReuse drives one Scorer through changing batch
-// geometries (growing, shrinking, longer and shorter contexts) and
-// checks each result against a fresh Scorer: stale scratch contents
-// must never leak into a later batch.
+// geometries (growing, shrinking, longer and shorter contexts) at both
+// precisions and checks each result against a fresh Scorer: stale
+// scratch contents must never leak into a later batch, and a geometry
+// the Scorer has scored once costs no allocation the next time.
 func TestScorerScratchReuse(t *testing.T) {
 	cfg := testConfig()
 	m := New(cfg)
 	warm := m.NewScorer()
 	rng := rand.New(rand.NewSource(5))
 	shapes := []struct{ n, l int }{{8, 3}, {2, 10}, {5, 1}, {1, 7}, {16, 10}, {3, 2}}
-	for _, sh := range shapes {
-		ctxs := make([][]int, sh.n)
-		for i := range ctxs {
-			ctxs[i] = randomContext(rng, cfg.Vocab, sh.l)
-		}
-		got := warm.ScoreBatchInto(nil, ctxs)
-		want := m.NewScorer().ScoreBatchInto(nil, ctxs)
-		for b := range ctxs {
-			for k := range want[b] {
-				if got[b][k] != want[b][k] {
-					t.Fatalf("shape %+v ctx %d key %d: warm %g vs fresh %g", sh, b, k, got[b][k], want[b][k])
+	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+		m.SetScorePrecision(prec)
+		var dst [][]float64
+		for _, sh := range shapes {
+			ctxs := make([][]int, sh.n)
+			for i := range ctxs {
+				ctxs[i] = randomContext(rng, cfg.Vocab, sh.l)
+			}
+			dst = warm.ScoreBatchInto(dst, ctxs)
+			want := m.NewScorer().ScoreBatchInto(nil, ctxs)
+			for b := range ctxs {
+				for k := range want[b] {
+					if dst[b][k] != want[b][k] {
+						t.Fatalf("%v shape %+v ctx %d key %d: warm %g vs fresh %g", prec, sh, b, k, dst[b][k], want[b][k])
+					}
 				}
+			}
+			if avg := testing.AllocsPerRun(10, func() { dst = warm.ScoreBatchInto(dst, ctxs) }); avg > 0 {
+				t.Fatalf("%v shape %+v: warm ScoreBatchInto allocates %.1f times per call, want 0", prec, sh, avg)
 			}
 		}
 	}
@@ -201,5 +209,43 @@ func BenchmarkScoreSequentialTape(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.scoreNextTape(buf, ctx)
+	}
+}
+
+// BenchmarkScoreBatch is the in-module twin of ucadbench's
+// transdas.rank_{f32,f64}_us_per_op_b{1,16} rows, for a five-second
+// before/after of a kernel change (make bench-kernel): the paper shape
+// (h=64, m=8, B=2, L=30) over inproc-cold's vocabulary size, distinct
+// full-window contexts, no cache attached. One op is one context, so
+// ns/op and allocs/op read per context at either batch size.
+func BenchmarkScoreBatch(b *testing.B) {
+	cfg := paperShape(44)
+	m := New(cfg)
+	rng := rand.New(rand.NewSource(3))
+	ctxs := make([][]int, 16)
+	for i := range ctxs {
+		ctxs[i] = make([]int, cfg.Window)
+		for t := range ctxs[i] {
+			ctxs[i][t] = 1 + rng.Intn(cfg.Vocab-1)
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		prec  Precision
+		batch int
+	}{
+		{"f32/b1", PrecisionFloat32, 1}, {"f32/b16", PrecisionFloat32, 16},
+		{"f64/b1", PrecisionFloat64, 1}, {"f64/b16", PrecisionFloat64, 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m.SetScorePrecision(bc.prec)
+			s := m.NewScorer()
+			dst := s.ScoreBatchInto(nil, ctxs[:bc.batch])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += bc.batch {
+				dst = s.ScoreBatchInto(dst, ctxs[:bc.batch])
+			}
+		})
 	}
 }

@@ -53,8 +53,9 @@ type Model struct {
 	// scoreCache memoizes similarity rows by context (nil = disabled),
 	// prec32 selects the float32 scoring kernel, weightGen counts weight
 	// mutations (every train/fine-tune round bumps it), and snap32 holds
-	// the frozen single-precision weight snapshot for the current
-	// generation, rebuilt lazily under snapMu after a weight change.
+	// the frozen single-precision weight snapshot — the first block's
+	// per-key projection table included — for the current generation,
+	// rebuilt lazily under snapMu after a weight change.
 	scoreCache atomic.Pointer[scorecache.Cache]
 	prec32     atomic.Bool
 	weightGen  atomic.Uint64
@@ -125,8 +126,18 @@ func (m *Model) ScoreCache() *scorecache.Cache { return m.scoreCache.Load() }
 // default — the training/reference path, exact to 1e-9 against the tape
 // forward) or PrecisionFloat32 (the single-precision fast path, within
 // 1e-4 of the reference and rank-stable on the paper's workloads).
-// Training always runs in float64 regardless of this setting.
-func (m *Model) SetScorePrecision(p Precision) { m.prec32.Store(p == PrecisionFloat32) }
+// Training always runs in float64 regardless of this setting. A change
+// of precision bumps the attached score cache, whose rows were scored
+// at the old one; setting the precision already in force keeps them.
+func (m *Model) SetScorePrecision(p Precision) {
+	f32 := p == PrecisionFloat32
+	if m.prec32.Swap(f32) == f32 {
+		return
+	}
+	if c := m.scoreCache.Load(); c != nil {
+		c.Bump()
+	}
+}
 
 // bumpWeightGen records a weight mutation: the float32 snapshot is
 // invalidated (rebuilt lazily on the next float32 score) and every

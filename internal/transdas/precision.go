@@ -45,10 +45,11 @@ func ParsePrecision(s string) (Precision, error) {
 	return PrecisionFloat64, fmt.Errorf("transdas: unknown score precision %q (want float64 or float32)", s)
 }
 
-// The fused scoring kernel (kernel.go) is one implementation; the two
+// The fused scoring kernel (kernel.go) is one implementation; the
 // methods below are everything that differs between its instantiations:
-// where the weights come from, which matmul runs, and whether the packed
-// dk=8 attention kernels exist.
+// where the weights come from (and whether the first block's projection
+// is a per-key table), which matmul and row softmax run, and whether the
+// packed dk=8 attention kernels exist.
 
 // kernel64 readies the float64 kernel over the model's live parameters.
 // The weight view aliases their storage and is re-taken on every pass
@@ -57,18 +58,19 @@ func ParsePrecision(s string) (Precision, error) {
 func (s *Scorer) kernel64() *kernel[float64] {
 	k := &s.k64
 	if k.w == nil {
-		k.w, k.matmul = new(weights[float64]), tensor.MatMulInto
+		k.w, k.matmul, k.softmax = new(weights[float64]), tensor.MatMulInto, tensor.SoftmaxInto[float64]
 	}
 	k.w.load(s.m, func(v []float64) []float64 { return v })
 	return k
 }
 
 // kernel32 readies the float32 kernel over the frozen single-precision
-// weight snapshot, with the packed-SSE matmul and dk=8 attention
-// kernels (portable fallbacks off amd64).
+// weight snapshot, with the packed-SSE matmul, row softmax and dk=8
+// attention kernels (portable fallbacks off amd64).
 func (s *Scorer) kernel32() *kernel[float32] {
 	k := &s.k32
-	k.w, k.matmul, k.qk8, k.av8 = s.m.snapshot32(), tensor.MatMulInto32, tensor.QKScores8, tensor.AttnV8
+	k.w, k.matmul, k.softmax = s.m.snapshot32(), tensor.MatMulInto32, tensor.SoftmaxInto32
+	k.qk8, k.av8 = tensor.QKScores8, tensor.AttnV8
 	return k
 }
 
@@ -76,7 +78,10 @@ func (s *Scorer) kernel32() *kernel[float32] {
 // for the current weight generation, converting at most once per
 // generation (checkpoint load, fine-tune round, hot swap;
 // double-checked under snapMu) and shared read-only by every Scorer,
-// which keeps the per-batch conversion cost at zero. Safe for
+// which keeps the per-batch conversion cost at zero. Without a
+// positional embedding it also carries the first block's projection as
+// a per-key table (weights.qkv0), which lives and dies with the
+// snapshot: a weight change retires both together. Safe for
 // concurrent scorers; callers must externally serialize against weight
 // mutation exactly as float64 scoring already is.
 func (m *Model) snapshot32() *weights[float32] {
@@ -98,6 +103,13 @@ func (m *Model) snapshot32() *weights[float32] {
 		}
 		return out
 	})
+	if m.pos == nil {
+		// By MatMulInto32 itself, so a table row is bit for bit what the
+		// kernel's matmul computes for that key in any batch.
+		w.qkv0 = tensor.NewMatrix32(w.emb.Rows, w.blocks[0].wqkv.Cols)
+		tensor.MatMulInto32(w.qkv0, &w.emb, w.blocks[0].wqkv)
+		clear(w.qkv0.Row(m.emb.PadKey))
+	}
 	m.snap32.Store(w)
 	return w
 }

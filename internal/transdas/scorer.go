@@ -5,13 +5,12 @@ import (
 	"github.com/ucad/ucad/internal/tensor"
 )
 
-// Scorer is the batch-first scoring surface of Trans-DAS: it pads a
-// micro-batch of variable-length contexts to the batch maximum with the
-// PadKey, runs one masked forward pass through stacked matrices (the
-// fused kernel of kernel.go, at the model's scoring precision), and
-// reads out one similarity row per context (Eq. 10). A warm Scorer
-// performs zero heap allocations per batch beyond result rows the
-// caller did not provide.
+// Scorer is the batch-first scoring surface of Trans-DAS: it stacks a
+// micro-batch of variable-length contexts row after row, runs one
+// masked forward pass over the stack (the fused kernel of kernel.go, at
+// the model's scoring precision), and reads out one similarity row per
+// context (Eq. 10). A warm Scorer performs zero heap allocations per
+// batch beyond result rows the caller did not provide.
 //
 // A Scorer is not safe for concurrent use; create one per goroutine
 // (they share the model's parameters, which the Scorer reads on every
@@ -21,18 +20,18 @@ import (
 type Scorer struct {
 	m *Model
 
-	// kind mask, cached per padded length: session scans score growing
-	// prefixes whose padded length changes chunk to chunk, so a
-	// single-length cache would rebuild the mask almost every pass.
-	// Bounded by cfg.Window distinct lengths. Both precisions share it
-	// (it is only consulted as zero/nonzero).
-	masks map[int]*tensor.Matrix
+	// The kind mask at cfg.Window, built on first use: a shorter
+	// sequence's mask is its top-left corner, and both precisions share
+	// it (it is only consulted as zero/nonzero).
+	mask *tensor.Matrix
 
-	// Per-pass geometry: kernel slot -> batch index, and each slot's
-	// real (truncated) context.
+	// Per-pass geometry: kernel slot -> batch index, each slot's real
+	// (truncated) context and its length, and the slot's first row in the
+	// kernel's stacked matrices.
 	slots []int
 	ctxs  [][]int
 	lens  []int
+	offs  []int
 
 	// The kernel's two instantiations, each with its own scratch (the
 	// one the model never selects stays empty); a precision flip between
@@ -105,11 +104,10 @@ func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 		}
 	}
 
-	// Truncate to the window, drop empty contexts from the kernel (their
-	// rows stay all-zero) and find the padded length.
+	// Truncate to the window and drop empty contexts from the kernel
+	// (their rows stay all-zero).
 	window := s.m.cfg.Window
 	s.slots, s.ctxs, s.lens = s.slots[:0], s.ctxs[:0], s.lens[:0]
-	maxLen := 0
 	for b, ctx := range contexts {
 		if len(ctx) > window {
 			ctx = ctx[len(ctx)-window:]
@@ -120,35 +118,27 @@ func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 		s.slots = append(s.slots, b)
 		s.ctxs = append(s.ctxs, ctx)
 		s.lens = append(s.lens, len(ctx))
-		if len(ctx) > maxLen {
-			maxLen = len(ctx)
-		}
 	}
 	if len(s.slots) == 0 {
 		return dst
 	}
 
 	// Score-cache lookup: hits copy their memoized row straight into dst
-	// and leave the kernel; the remaining misses are compacted in place
-	// so the forward pass pads only to the widest *miss*. The generation
-	// is captured before scoring — if a weight change lands mid-batch
-	// (impossible under detect.Online's lock, but cheap to defend
-	// against), the insertions below are stamped already-stale and can
-	// never be served.
+	// and leave the kernel; the remaining misses are compacted in place.
+	// The generation is captured before scoring — if a weight change
+	// lands mid-batch (impossible under detect.Online's lock, but cheap
+	// to defend against), the insertions below are stamped already-stale
+	// and can never be served.
 	cache := s.m.scoreCache.Load()
 	var cacheGen uint64
 	if cache != nil {
 		cacheGen = cache.Gen()
 		w := 0
-		maxLen = 0
 		for i := range s.slots {
 			if cache.GetInto(dst[s.slots[i]], s.ctxs[i]) {
 				continue
 			}
 			s.slots[w], s.ctxs[w], s.lens[w] = s.slots[i], s.ctxs[i], s.lens[i]
-			if s.lens[w] > maxLen {
-				maxLen = s.lens[w]
-			}
 			w++
 		}
 		s.slots, s.ctxs, s.lens = s.slots[:w], s.ctxs[:w], s.lens[:w]
@@ -160,9 +150,9 @@ func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 	// Cache misses run the forward pass and the Eq. 10 read-out, at the
 	// model's scoring precision.
 	if s.m.prec32.Load() {
-		s.kernel32().score(s, maxLen, dst)
+		s.kernel32().score(s, dst)
 	} else {
-		s.kernel64().score(s, maxLen, dst)
+		s.kernel64().score(s, dst)
 	}
 	if cache != nil {
 		for i, b := range s.slots {
@@ -208,17 +198,16 @@ func rankIn(sims []float64, key int) int {
 	return rank
 }
 
-// maskFor returns the kind mask for padded length L, built once per
-// distinct length and cached: session scans alternate padded lengths
-// chunk to chunk, and the masks are pure functions of (kind, L).
-func (s *Scorer) maskFor(L int) *tensor.Matrix {
-	if m, ok := s.masks[L]; ok {
-		return m
+// kindMask returns the model's attention mask at cfg.Window.
+func (s *Scorer) kindMask() *tensor.Matrix {
+	if s.mask == nil {
+		s.mask = nn.BuildMask(s.m.cfg.Mask, s.m.cfg.Window)
 	}
-	if s.masks == nil {
-		s.masks = make(map[int]*tensor.Matrix)
-	}
-	m := nn.BuildMask(s.m.cfg.Mask, L)
-	s.masks[L] = m
-	return m
+	return s.mask
+}
+
+// inVocab reports whether key has an embedding row: PadKey, negative
+// and out-of-vocabulary keys embed to the zero vector.
+func (s *Scorer) inVocab(key int) bool {
+	return key != s.m.emb.PadKey && key >= 0 && key < s.m.cfg.Vocab
 }
