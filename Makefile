@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-build bench-check surface size clean
+.PHONY: all build vet test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-feed bench-build bench-check surface size clean
 
 all: check
 
@@ -30,10 +30,15 @@ race-e2e:
 # A short coverage-guided pass over the WAL record decoder — the one
 # parser that must never panic on arbitrary bytes (it reads crash
 # debris on every recovery) — and over the recovery loop built on it
-# (snapshot decode + segment scan, as a restart and as a standby run it).
+# (snapshot decode + segment scan, as a restart and as a standby run it);
+# then the feed's untrusted-input parsers (audit-log JSONL and CSV lines)
+# and the feeder's checkpoint load over a torn delta segment.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s -run='^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzRecoverStream -fuzztime=10s -run='^$$' ./internal/wal/
+	$(GO) test -fuzz=FuzzParseJSONLine -fuzztime=5s -run='^$$' ./internal/feed/
+	$(GO) test -fuzz=FuzzParseCSVLine -fuzztime=5s -run='^$$' ./internal/feed/
+	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=5s -run='^$$' ./internal/feed/
 
 # The scoring kernel's contract: float32 similarity scores within 1e-4
 # of the float64 instantiation with stable ranks/verdicts, both
@@ -71,8 +76,8 @@ surface:
 # The CI gate: static checks (the nested benchmark module and the
 # exported-surface rule and the portable-fallback cross-vet included)
 # plus the suite under the race detector (the serving layer is heavily
-# concurrent), the float32 equivalence contract, and the WAL decoder
-# fuzz smoke.
+# concurrent), the float32 equivalence contract, and the fuzz smoke
+# (WAL decoder and recovery, feed parsers and checkpoint load).
 check: vet build portable bench-build surface race equiv32 fuzz-smoke
 
 # The paper-reproduction sweep (one benchmark per table/figure plus the
@@ -85,6 +90,13 @@ bench:
 # in-module twin of ucadbench's transdas.rank_*_us_per_op_* rows.
 bench-kernel:
 	$(GO) test -run='^$$' -bench=BenchmarkScoreBatch -benchmem ./internal/transdas/
+
+# A five-second before/after for a feeder commit change: one 64-event
+# batch plus its checkpoint commit at 100 and 10 000 open sessions, in
+# ns, allocated bytes and bytes written per commit. It calls only
+# NewFeeder, sess.Event and commit, so the file also runs on a parent.
+bench-feed:
+	$(GO) test -run='^$$' -bench=BenchmarkFeederCommit -benchmem ./internal/feed/
 
 # The benchmark's own gate: bench-build, the module's tests, then a
 # smoke run of every workload (run.sh exits non-zero when a verdict set

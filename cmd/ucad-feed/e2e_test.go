@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/core"
+	"github.com/ucad/ucad/internal/feed"
 	"github.com/ucad/ucad/internal/minidb"
 	"github.com/ucad/ucad/internal/serve"
 	"github.com/ucad/ucad/internal/session"
@@ -258,8 +259,12 @@ func TestFeedE2EKillResume(t *testing.T) {
 	// kill -9 mid-stream: whatever was delivered but not checkpointed
 	// will be replayed by the restart.
 	feeder.kill9(t)
-	if _, err := os.Stat(filepath.Join(offsetDir, filepath.Base(auditPath)+".ckpt")); err != nil {
-		t.Fatalf("no offset checkpoint on disk after kill: %v", err)
+	name, err := checkpointName(auditPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp, ok, err := feed.LoadCheckpoint(filepath.Join(offsetDir, name)); err != nil || !ok || cp.Pos.File.Offset == 0 {
+		t.Fatalf("no offset checkpoint on disk after kill: ok=%v err=%v pos=%+v", ok, err, cp.Pos)
 	}
 
 	// Phase 2: traffic continues while the feeder is down; client 1

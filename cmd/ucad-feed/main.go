@@ -10,13 +10,20 @@
 //	          [-session-idle 10m] [-failover-rewind 30s] [-metrics-addr :9144]
 //
 // With -offset-dir the feeder is resumable: after every acknowledged
-// batch it atomically commits a checkpoint — the byte offset of the
-// tailed file (pinned to its inode, so log rotation in between is
-// handled) plus the sessionizer's per-client sequence counters. A
+// batch it commits a checkpoint — the byte offset of the tailed file
+// (pinned to its inode, so log rotation in between is handled) plus the
+// sessionizer's per-client sequence counters. Each source has its own
+// checkpoint store under the offset dir, <base>-<hash>.ckpt (the hash
+// is of the source's absolute path, so two logs sharing a base name do
+// not share resume state): a write-ahead log with one small fsynced
+// record per batch, holding only the sessions that batch touched, and
+// a full snapshot whenever that log has grown past the last one. A
 // feeder killed at any instant and restarted on the same offset dir
-// re-reads only the uncommitted suffix; replayed events carry the same
-// sequence numbers and the server deduplicates them, so every session
-// is scored exactly once.
+// re-reads only the uncommitted suffix, at most one batch; replayed
+// events carry the same sequence numbers and the server deduplicates
+// them, so every session is scored exactly once. A single-file
+// checkpoint left by an older ucad-feed (<base>.ckpt) is refused rather
+// than silently replaced by a restart from offset 0.
 //
 // The source file may rotate (rename-and-recreate is followed to the
 // last byte, copytruncate restarts at the head) and may not exist yet
@@ -37,6 +44,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"os"
 	"os/signal"
@@ -84,7 +92,13 @@ func main() {
 	ckptPath := ""
 	if *offsetDir != "" {
 		fatalIf(os.MkdirAll(*offsetDir, 0o755))
-		ckptPath = filepath.Join(*offsetDir, checkpointName(sourceName))
+		legacy := filepath.Join(*offsetDir, sourceName+".ckpt")
+		if fi, err := os.Stat(legacy); err == nil && !fi.IsDir() {
+			fatalIf(fmt.Errorf("%s is a single-file checkpoint from an older ucad-feed; its resume state is not read, and starting over beside it could re-score closed sessions: move it out of -offset-dir to accept a restart from offset 0", legacy))
+		}
+		name, err := checkpointName(*source)
+		fatalIf(err)
+		ckptPath = filepath.Join(*offsetDir, name)
 	}
 
 	var urls []string
@@ -148,10 +162,18 @@ func main() {
 	}
 }
 
-// checkpointName derives a stable checkpoint filename from the source's
-// base name.
-func checkpointName(sourceName string) string {
-	return sourceName + ".ckpt"
+// checkpointName derives the source's checkpoint store name from its
+// absolute path: the base name, for the operator, plus 8 hex digits of
+// the path's FNV-1a hash, so /db1/audit.jsonl and /db2/audit.jsonl in
+// one -offset-dir keep separate resume state.
+func checkpointName(source string) (string, error) {
+	abs, err := filepath.Abs(source)
+	if err != nil {
+		return "", fmt.Errorf("checkpoint name for %s: %w", source, err)
+	}
+	h := fnv.New32a()
+	h.Write([]byte(abs))
+	return fmt.Sprintf("%s-%08x.ckpt", filepath.Base(abs), h.Sum32()), nil
 }
 
 func fatalIf(err error) {

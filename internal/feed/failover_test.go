@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -321,15 +320,11 @@ func TestFeederFailoverRewindExactlyOnce(t *testing.T) {
 	// The rewind was committed: the checkpoint carries the retained
 	// failover state so a crash mid-redelivery resumes behind the
 	// window too.
-	b, err := os.ReadFile(ckptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cp Checkpoint
-	if err := json.Unmarshal(b, &cp); err != nil {
-		t.Fatal(err)
+	cp, ok, err := LoadCheckpoint(ckptPath)
+	if err != nil || !ok {
+		t.Fatalf("load checkpoint: ok=%v err=%v", ok, err)
 	}
 	if cp.Failover == nil || cp.Failover.Active == nil {
-		t.Fatalf("checkpoint lacks failover state: %s", b)
+		t.Fatalf("checkpoint lacks failover state: %+v", cp)
 	}
 }

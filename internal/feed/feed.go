@@ -8,9 +8,10 @@
 // ucad-serve.
 //
 // Delivery is at-least-once: the Feeder commits its resume state (file
-// position plus the sessionizer's sequence counters and epoch)
-// atomically only after a batch is acknowledged, so a crash between
-// read and commit replays the tail. The serving layer deduplicates
+// position plus the sessionizer's sequence counters and epoch) only
+// after a batch is acknowledged, as one fsynced record of what the
+// batch changed in a wal.Store, so a crash between read and commit
+// replays the tail. The serving layer deduplicates
 // replayed events by their (epoch, sequence) coordinates
 // (serve.Event.Epoch, serve.Event.Seq), which turns at-least-once
 // delivery into exactly-once sessions — the invariant the kill -9

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"time"
 
@@ -15,11 +16,18 @@ import (
 
 // Checkpoint is the feeder's durable resume state: the source position
 // of the last acknowledged batch plus the sessionizer's sequence
-// counters at that point. Both halves commit atomically in one file, so
+// counters at that point. Both halves commit in one fsynced record, so
 // a restart replays the uncommitted suffix with the same sequence
 // numbers it carried before the crash and the serving layer's dedupe
 // absorbs the overlap — exactly-once sessions on top of at-least-once
 // delivery.
+//
+// On disk the state is a wal.Store stream in the CheckpointPath
+// directory, and this one type is both of its payloads. A snapshot
+// holds the full state. A delta record, one per acknowledged batch,
+// holds the position and epoch with only the sessions the batch
+// stamped, and Failover only when the retained points rotated;
+// LoadCheckpoint folds the deltas over the snapshot in commit order.
 type Checkpoint struct {
 	Pos      Position              `json:"pos"`
 	Sessions map[string]SessionSeq `json:"sessions,omitempty"`
@@ -70,21 +78,45 @@ type Position struct {
 	File FilePos `json:"file,omitempty"`
 }
 
-// LoadCheckpoint reads a checkpoint file; a missing file returns the
-// zero checkpoint (fresh start) with ok=false.
-func LoadCheckpoint(path string) (Checkpoint, bool, error) {
+// LoadCheckpoint reads the resume state committed in the checkpoint
+// store at dir: the newest valid snapshot with every later delta folded
+// in. It is read-only — a torn record at the end of the log (a crash
+// mid-commit, never counted as committed) ends the replay as it does
+// for wal.Store.Recover — and a missing store returns the zero
+// checkpoint (fresh start) with ok=false.
+func LoadCheckpoint(dir string) (Checkpoint, bool, error) {
 	var cp Checkpoint
-	b, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(dir); errors.Is(err, fs.ErrNotExist) {
 		return cp, false, nil
 	}
+	st, err := wal.ReadStore(dir, func(snap []byte) error {
+		return json.Unmarshal(snap, &cp)
+	}, func(rec []byte) error {
+		var d Checkpoint
+		if err := json.Unmarshal(rec, &d); err != nil {
+			return err
+		}
+		cp.apply(d)
+		return nil
+	})
 	if err != nil {
-		return cp, false, fmt.Errorf("feed: read checkpoint: %w", err)
+		return Checkpoint{}, false, fmt.Errorf("feed: load checkpoint %s: %w", dir, err)
 	}
-	if err := json.Unmarshal(b, &cp); err != nil {
-		return cp, false, fmt.Errorf("feed: decode checkpoint %s: %w", path, err)
+	return cp, st.SnapshotSeq != 0 || st.Records > 0, nil
+}
+
+// apply folds one delta record into cp.
+func (cp *Checkpoint) apply(d Checkpoint) {
+	cp.Pos, cp.Epoch = d.Pos, d.Epoch
+	if cp.Sessions == nil {
+		cp.Sessions = make(map[string]SessionSeq, len(d.Sessions))
 	}
-	return cp, true, nil
+	for client, st := range d.Sessions {
+		cp.Sessions[client] = st
+	}
+	if d.Failover != nil {
+		cp.Failover = d.Failover
+	}
 }
 
 // FeederConfig wires one source to one deliverer.
@@ -96,8 +128,9 @@ type FeederConfig struct {
 	// Tenant stamps every event (optional; the deliverer may also
 	// route by header).
 	Tenant string
-	// CheckpointPath is where resume state commits after each
-	// acknowledged batch ("" disables checkpointing).
+	// CheckpointPath is the directory of the wal.Store the resume state
+	// commits to after each acknowledged batch ("" disables
+	// checkpointing). A regular file there is refused.
 	CheckpointPath string
 	// BatchSize caps events per delivery (<= 0 means 64).
 	BatchSize int
@@ -135,6 +168,16 @@ type FeederConfig struct {
 type Feeder struct {
 	cfg  FeederConfig
 	sess *Sessionizer
+
+	// The checkpoint store (open from restore or the first commit until
+	// Run returns) and where it stands against the snapshot rule: the
+	// last snapshot's bytes and the delta bytes logged since.
+	store     *wal.Store
+	snapBytes int64
+	logBytes  int64
+	// stamped counts the clients recorded since the last sweep when
+	// there is no store to snapshot (CheckpointPath "").
+	stamped int
 
 	// Failover-rewind state (used only when canRewind).
 	canRewind bool
@@ -187,6 +230,7 @@ func NewFeeder(cfg FeederConfig) (*Feeder, error) {
 // nil). On cancellation the in-flight batch is abandoned undelivered —
 // it was never checkpointed, so the next run re-reads it.
 func (f *Feeder) Run(ctx context.Context) error {
+	defer f.closeStore()
 	if err := f.restore(); err != nil {
 		return err
 	}
@@ -238,15 +282,23 @@ func (f *Feeder) Run(ctx context.Context) error {
 	}
 }
 
-// restore loads the checkpoint and rewinds the source to it.
+// restore opens the checkpoint store, loads the state it holds and
+// rewinds the source to it.
 func (f *Feeder) restore() error {
 	if f.cfg.CheckpointPath == "" {
 		return nil
+	}
+	if err := f.openStore(); err != nil {
+		return err
 	}
 	cp, ok, err := LoadCheckpoint(f.cfg.CheckpointPath)
 	if err != nil || !ok {
 		return err
 	}
+	// The deltas since the last snapshot are the active segment. That
+	// snapshot's size is not kept, so until the next one the floor alone
+	// decides: at most one early snapshot per restart.
+	f.logBytes = f.store.SegmentBytes()
 	f.sess.Restore(cp.Sessions)
 	f.sess.SetEpoch(cp.Epoch)
 	if p, isPos := f.cfg.Source.(positioned); isPos && cp.Pos.Kind == "file" {
@@ -260,21 +312,50 @@ func (f *Feeder) restore() error {
 	return nil
 }
 
+// openStore opens the checkpoint store unless it is open already. A
+// regular file at CheckpointPath (an older feeder's single-file
+// checkpoint) fails wal.Open's MkdirAll, and that error names the path.
+func (f *Feeder) openStore() error {
+	if f.store != nil {
+		return nil
+	}
+	st, err := wal.OpenStore(f.cfg.CheckpointPath, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		return fmt.Errorf("feed: open checkpoint store: %w", err)
+	}
+	f.store = st
+	return nil
+}
+
+func (f *Feeder) closeStore() {
+	if f.store != nil {
+		// Every commit was fsynced before it returned: Close has
+		// nothing acknowledged left to make durable.
+		f.store.Close()
+		f.store = nil
+	}
+}
+
 // point captures the current source position with the given sessionizer
 // counters as a failover point.
 func (f *Feeder) point(sessions map[string]SessionSeq, epoch int64) *FailoverPoint {
-	pt := &FailoverPoint{Pos: Position{Kind: "none"}, Sessions: sessions, Epoch: epoch, At: f.cfg.now()}
+	return &FailoverPoint{Pos: f.position(), Sessions: sessions, Epoch: epoch, At: f.cfg.now()}
+}
+
+// position is the source position a checkpoint commits.
+func (f *Feeder) position() Position {
 	if p, isPos := f.cfg.Source.(positioned); isPos {
-		pt.Pos = Position{Kind: "file", File: p.Pos()}
+		return Position{Kind: "file", File: p.Pos()}
 	}
-	return pt
+	return Position{Kind: "none"}
 }
 
 // rewind rolls the stream back to the active failover point after
 // delivery switched servers: the sessionizer counters are restored so
 // re-sessionizing the replayed suffix reissues identical (epoch, seq)
-// labels, the source re-seeks, and the point is committed as the new
-// checkpoint so a crash mid-redelivery resumes behind the window too.
+// labels, the source re-seeks, and the point is committed as a snapshot
+// (it replaces counters, which no delta can express) so a crash
+// mid-redelivery resumes behind the window too.
 func (f *Feeder) rewind() error {
 	pt := f.active
 	f.sess = NewSessionizer(f.cfg.Idle, f.cfg.now)
@@ -287,7 +368,7 @@ func (f *Feeder) rewind() error {
 	}
 	f.pending = nil
 	f.cfg.Metrics.rewound()
-	return f.writeCheckpoint(Checkpoint{
+	return f.snapshot(Checkpoint{
 		Pos:      pt.Pos,
 		Sessions: pt.Sessions,
 		Epoch:    pt.Epoch,
@@ -333,33 +414,92 @@ func (f *Feeder) flush(ctx context.Context, batch []serve.Event) error {
 	return f.commit()
 }
 
-// commit writes the checkpoint atomically (write-then-rename with
-// fsync) so a crash leaves either the old state or the new one, never a
-// torn file.
+// snapshotFloor is the delta-log size below which no snapshot is
+// taken, however small the last one was: under it, a snapshot's fixed
+// cost (a rotation, a temp file, a rename and their fsyncs) buys no
+// noticeably shorter load.
+const snapshotFloor = 64 << 10
+
+// commit makes the acknowledged batch's resume state durable before it
+// counts it. Normally that is one delta record (position, epoch and
+// only the clients the batch stamped) appended with one fsync. Once the
+// deltas logged since the last snapshot hold at least as many bytes as
+// that snapshot (and snapshotFloor), the commit writes a full snapshot
+// instead, after the sweep that bounds the sessionizer's memory: the
+// full-state work is amortised O(1) per event. A crash at any byte
+// leaves the previous commit's state loadable.
 func (f *Feeder) commit() error {
-	f.sess.Sweep()
-	cp := Checkpoint{Pos: Position{Kind: "none"}, Sessions: f.sess.Export(), Epoch: f.sess.Epoch()}
-	if p, isPos := f.cfg.Source.(positioned); isPos {
-		cp.Pos = Position{Kind: "file", File: p.Pos()}
+	cp := Checkpoint{Pos: f.position(), Sessions: f.sess.Delta(), Epoch: f.sess.Epoch()}
+	if f.canRewind && f.agePoints() {
+		cp.Failover = f.failover()
 	}
-	if f.canRewind {
-		// Two-bucket aging: the pending point replaces the active one
-		// once it is a full rewind window old, then the fresh state
-		// becomes the new pending candidate.
-		cur := &FailoverPoint{Pos: cp.Pos, Sessions: cp.Sessions, Epoch: cp.Epoch, At: f.cfg.now()}
-		switch {
-		case f.pending == nil:
-			f.pending = cur
-		case cur.At.Sub(f.pending.At) >= f.cfg.FailoverRewind:
-			f.active, f.pending = f.pending, cur
+	if f.cfg.CheckpointPath == "" {
+		// Nothing to persist; the sweep is amortised the same way, once
+		// the batches since the last one stamped as many clients as the
+		// sessionizer holds.
+		if f.stamped += len(cp.Sessions); f.stamped >= len(f.sess.state) {
+			f.sess.Sweep()
+			f.stamped = 0
 		}
-		cp.Failover = &FailoverState{Active: f.active, Pending: f.pending}
+		return nil
 	}
-	return f.writeCheckpoint(cp)
+	if err := f.openStore(); err != nil { // a no-op once Run has restored
+		return err
+	}
+	if f.logBytes < max(f.snapBytes, snapshotFloor) {
+		err := f.logDelta(cp)
+		if !errors.Is(err, wal.ErrRecordTooLarge) {
+			return err
+		}
+		// A delta past the record cap (a huge batch, or a rotation of
+		// huge failover points) commits as the snapshot below.
+	}
+	f.sess.Sweep()
+	cp.Sessions, cp.Failover = f.sess.Export(), f.failover()
+	return f.snapshot(cp)
 }
 
-// writeCheckpoint persists one resume state ("" path disables).
-func (f *Feeder) writeCheckpoint(cp Checkpoint) error {
+// agePoints is the two-bucket aging of the failover points at a commit:
+// the pending point replaces the active one once it is a full rewind
+// window old, and the committed state becomes the new pending
+// candidate. It reports whether the points rotated, the only commits
+// whose delta record carries them.
+func (f *Feeder) agePoints() bool {
+	if f.pending != nil && f.cfg.now().Sub(f.pending.At) < f.cfg.FailoverRewind {
+		return false
+	}
+	if f.pending != nil {
+		f.active = f.pending
+	}
+	f.pending = f.point(f.sess.Export(), f.sess.Epoch())
+	return true
+}
+
+// failover is the retained-points state a snapshot carries (nil without
+// rewind support).
+func (f *Feeder) failover() *FailoverState {
+	if !f.canRewind {
+		return nil
+	}
+	return &FailoverState{Active: f.active, Pending: f.pending}
+}
+
+// logDelta appends one commit's delta record, fsynced before it returns.
+func (f *Feeder) logDelta(cp Checkpoint) error {
+	b, err := json.Marshal(cp)
+	if err != nil {
+		return fmt.Errorf("feed: encode checkpoint: %w", err)
+	}
+	if err := f.store.Append(b); err != nil {
+		return fmt.Errorf("feed: commit checkpoint: %w", err)
+	}
+	f.logBytes += int64(len(b))
+	f.cfg.Metrics.checkpointed()
+	return nil
+}
+
+// snapshot commits cp as the store's full state ("" path disables).
+func (f *Feeder) snapshot(cp Checkpoint) error {
 	if f.cfg.CheckpointPath == "" {
 		return nil
 	}
@@ -367,12 +507,10 @@ func (f *Feeder) writeCheckpoint(cp Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("feed: encode checkpoint: %w", err)
 	}
-	if err := wal.WriteAtomic(f.cfg.CheckpointPath, func(w io.Writer) error {
-		_, werr := w.Write(b)
-		return werr
-	}); err != nil {
-		return fmt.Errorf("feed: commit checkpoint: %w", err)
+	if err := f.store.Snapshot(b); err != nil {
+		return fmt.Errorf("feed: snapshot checkpoint: %w", err)
 	}
+	f.snapBytes, f.logBytes = int64(len(b)), 0
 	f.cfg.Metrics.checkpointed()
 	return nil
 }

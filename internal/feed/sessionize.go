@@ -24,10 +24,19 @@ import (
 // epochs keep counting from the committed prefix after a restart and a
 // replayed operation carries the same (Epoch, Seq) it did the first
 // time — the property the serving layer's deduplication relies on.
+// Delta hands out only the counters stamped since the previous Delta,
+// which is what one commit records.
+//
+// A stale entry (Last more than the idle cut-off behind the stream
+// clock) stamps exactly as an absent one: both start a new epoch. That
+// is why Sweep is only a memory bound and may run at any time, and why
+// a checkpoint never needs to record a deletion.
 type Sessionizer struct {
 	idle  time.Duration
 	now   func() time.Time
 	state map[string]*SessionSeq
+	// dirty holds the clients stamped since the last Delta.
+	dirty map[string]struct{}
 	// epoch is the last assigned session epoch: a monotonic counter
 	// persisted in the checkpoint, so a session started after a restart
 	// (or after its predecessor's counters were swept) never reuses an
@@ -43,7 +52,9 @@ type SessionSeq struct {
 	Epoch int64 `json:"epoch,omitempty"`
 	// Seq is the sequence number of the session's last operation.
 	Seq int64 `json:"seq"`
-	// Last is the timestamp of the session's last operation.
+	// Last is the latest timestamp among the session's operations (an
+	// out-of-order record never moves it back, so the stream clock is
+	// always some live entry's Last and a restore recovers it exactly).
 	Last time.Time `json:"last"`
 }
 
@@ -57,7 +68,7 @@ func NewSessionizer(idle time.Duration, now func() time.Time) *Sessionizer {
 	if now == nil {
 		now = time.Now
 	}
-	return &Sessionizer{idle: idle, now: now, state: make(map[string]*SessionSeq)}
+	return &Sessionizer{idle: idle, now: now, state: make(map[string]*SessionSeq), dirty: make(map[string]struct{})}
 }
 
 // clientOf mirrors serve.Event.Client: the connection id when the log
@@ -80,13 +91,16 @@ func (z *Sessionizer) Event(tenant string, op session.Operation) serve.Event {
 	}
 	client := clientOf(op)
 	st := z.state[client]
-	if st == nil || ts.Sub(st.Last) > z.idle {
+	if st == nil || ts.Sub(st.Last) > z.idle || z.stale(st) {
 		z.epoch++
 		st = &SessionSeq{Epoch: z.epoch}
 		z.state[client] = st
 	}
 	st.Seq++
-	st.Last = ts
+	if ts.After(st.Last) {
+		st.Last = ts
+	}
+	z.dirty[client] = struct{}{}
 	return serve.Event{
 		Tenant:   tenant,
 		ClientID: client,
@@ -105,15 +119,18 @@ func (z *Sessionizer) Event(tenant string, op session.Operation) serve.Event {
 // never the wall clock, so replaying a backlog of old records cannot
 // sweep counters that are live in stream time.
 func (z *Sessionizer) Sweep() {
-	if z.stream.IsZero() {
-		return
-	}
-	cutoff := z.stream.Add(-z.idle)
 	for client, st := range z.state {
-		if st.Last.Before(cutoff) {
+		if z.stale(st) {
 			delete(z.state, client)
+			delete(z.dirty, client)
 		}
 	}
+}
+
+// stale reports whether st is idle past the cut-off in stream time: the
+// entries Sweep drops and Event treats as absent.
+func (z *Sessionizer) stale(st *SessionSeq) bool {
+	return st.Last.Before(z.stream.Add(-z.idle))
 }
 
 // Export snapshots the sequence counters for the checkpoint.
@@ -122,6 +139,17 @@ func (z *Sessionizer) Export() map[string]SessionSeq {
 	for client, st := range z.state {
 		out[client] = *st
 	}
+	return out
+}
+
+// Delta returns the counters of the clients stamped since the previous
+// Delta and starts a new dirty set: one commit's change to Export.
+func (z *Sessionizer) Delta() map[string]SessionSeq {
+	out := make(map[string]SessionSeq, len(z.dirty))
+	for client := range z.dirty {
+		out[client] = *z.state[client]
+	}
+	clear(z.dirty)
 	return out
 }
 

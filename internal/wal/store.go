@@ -133,6 +133,14 @@ func (s *Store) Recover(restore func(snapshot []byte) error, replay func(record 
 	return st, nil
 }
 
+// ReadStore is Recover for a reader that does not own the store in dir
+// (default segment and snapshot prefixes): the same recoverStream pass,
+// tolerating the crash tail the same way, but it truncates, prunes and
+// creates nothing, so it may run beside a live writer or on a copy.
+func ReadStore(dir string, restore func(snapshot []byte) error, replay func(record []byte) error) (RecoverStats, error) {
+	return recoverStream(dir, defaultSegmentPrefix, defaultSnapshotPrefix, true, restore, replay)
+}
+
 // Append appends one record to the log (see Log.Append).
 func (s *Store) Append(payload []byte) error { return s.log.Append(payload) }
 

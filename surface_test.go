@@ -30,9 +30,7 @@ var surfaceAllow = map[string]string{
 	"internal/minidb.NewAuditWriter":      "TestFeedE2EKillResume tails a live audit file written through it: the fsync-per-record producer of the kill/resume safety test",
 	"internal/minidb.(*DB).SetAuditSink":  "as NewAuditWriter: how that test attaches the writer to the engine",
 	"internal/preprocess.Deny":            "the deny value of the §5.1 rule enum: Evaluate reaches it as the not-Allow branch, only configuration names it",
-	"internal/wal.(*Store).Append":        "the crash-matrix, recovery-table and replayer suites are written in it; safety tests are not a simplicity target",
-	"internal/wal.(*Store).Snapshot":      "as Store.Append: the one-call snapshot form the recovery suites use",
-	"internal/wal.SnapshotFileName":       "as Store.Append: recovery tests name the snapshot files they damage",
+	"internal/wal.SnapshotFileName":       "recovery tests name the snapshot files they damage; safety tests are not a simplicity target",
 }
 
 // surfaceRoots are the directories whose non-test code counts as a
