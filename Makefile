@@ -107,12 +107,14 @@ bench-check: bench-build
 
 # The simplicity numbers CHANGES.md quotes, from a committed command:
 # non-test Go lines under internal/ + cmd/, and the flag counts of the
-# two serving binaries (the sets flags_test.go pins to the docs).
+# five binaries (the sets each flags_test.go pins to its docs).
 size:
 	@printf 'non-test Go lines (internal/ + cmd/): '
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
-	@printf 'ucad-serve flags: '; grep -c '^	[a-zA-Z]* := flag\.' cmd/ucad-serve/main.go
-	@printf 'ucad-feed flags: '; grep -c '^	[a-zA-Z]* := flag\.' cmd/ucad-feed/main.go
+	@for b in ucad-serve ucad-feed ucad-experiments tracegen; do \
+		printf '%s flags: ' $$b; grep -c '^	[a-zA-Z]* := flag\.' cmd/$$b/main.go; done
+	@printf 'ucad train flags: '; awk '/^func runTrain/,/^}/' cmd/ucad/main.go | grep -c ':= fs\.'
+	@printf 'ucad detect flags: '; awk '/^func runDetect/,/^}/' cmd/ucad/main.go | grep -c ':= fs\.'
 
 clean:
 	$(GO) clean ./...

@@ -4,7 +4,10 @@
 // Usage:
 //
 //	tracegen -scenario 1 -sessions 354 -out train.jsonl
-//	tracegen -scenario 2 -sessions 100 -anomalies a2 -out mixed.jsonl
+//	tracegen -scenario 2 -sessions 100 -anomalies a2 -richness 0.2 -seed 7 -out mixed.jsonl
+//
+// That is the whole flag surface (-h prints the defaults); flags_test.go
+// fails when a flag is added or removed without this block following.
 package main
 
 import (

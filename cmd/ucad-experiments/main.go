@@ -1,11 +1,15 @@
 // Command ucad-experiments regenerates the paper's tables and figures
-// on the synthetic workloads.
+// on the synthetic workloads. Every UCAD detector scores through the
+// float64 reference kernel with no score cache.
 //
 // Usage:
 //
 //	ucad-experiments -all                 # everything at demo scale
 //	ucad-experiments -table 2 -scale quick
 //	ucad-experiments -figure 8 -scale paper -seed 7
+//
+// That is the whole flag surface; flags_test.go fails when a flag is
+// added or removed without this block following.
 package main
 
 import (
@@ -15,7 +19,6 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/experiments"
-	"github.com/ucad/ucad/internal/transdas"
 )
 
 func main() {
@@ -24,8 +27,6 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate one figure (6-8)")
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	seed := flag.Int64("seed", 1, "random seed")
-	precision := flag.String("score-precision", "float64", "scoring kernel for UCAD detectors: float64 (reference) or float32 (fast path)")
-	cacheSize := flag.Int("score-cache-size", 0, "similarity rows memoized per fitted detector (0 disables; evaluation contexts rarely repeat)")
 	flag.Parse()
 
 	opt := experiments.DefaultOptions()
@@ -40,16 +41,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
-	}
-	prec, err := transdas.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	opt.ScorePrecision = prec
-	opt.ScoreCacheSize = *cacheSize
-	if prec != transdas.PrecisionFloat64 || *cacheSize > 0 {
-		fmt.Printf("scoring path: %s kernel, score cache %d rows\n\n", prec, *cacheSize)
 	}
 
 	w := os.Stdout

@@ -57,8 +57,8 @@ func TestFlagSurfaceMatchesDocs(t *testing.T) {
 	c := startChild(t, "-h")
 	c.cmd.Wait()
 	defined := flagNames(flagDefined, c.log())
-	if len(defined) != 24 {
-		t.Fatalf("ucad-serve -h defines %d flags, want 24: %v", len(defined), defined)
+	if len(defined) != 23 {
+		t.Fatalf("ucad-serve -h defines %d flags, want 23: %v", len(defined), defined)
 	}
 	usage := between(t, "main.go", "// Usage:\n", "\n// ")
 	if got := flagNames(flagMention, usage); !reflect.DeepEqual(got, defined) {

@@ -8,7 +8,7 @@
 //
 //	ucad-serve -model ucad.model [-addr :8844] [-pprof]
 //	           [-workers N] [-shards N] [-queue N] [-batch N] [-idle-timeout D]
-//	           [-score-precision float64|float32] [-score-cache-size ROWS]
+//	           [-score-cache-size ROWS]
 //	           [-retrain-after N] [-retrain-epochs N] [-train-workers N] [-batch-size N]
 //	           [-max-resolved-alerts N] [-resolved-alert-ttl D]
 //	           [-data-dir DIR] [-fsync always|interval|never] [-snapshot-interval D] [-segment-bytes N]
@@ -128,15 +128,12 @@ func main() {
 	segmentBytes := flag.Int64("segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation cap in bytes")
 	pprofOn := flag.Bool("pprof", false, "expose Go profiling under /debug/pprof/")
 	cacheSize := flag.Int("score-cache-size", 4096, "similarity rows memoized per tenant (0 disables the score cache)")
-	precision := flag.String("score-precision", "float64", "scoring kernel: float64 (reference) or float32 (fast path, scores within 1e-4)")
 	replicateFrom := flag.String("replicate-from", "", "primary base URL to follow as a warm standby (requires -data-dir; tenants mirror from the primary and serve after POST /v1/promote)")
 	replicaPoll := flag.Duration("replica-poll", 2*time.Second, "standby sync period under -replicate-from")
 	autoPromote := flag.Duration("auto-promote-after", 0, "standby self-promotes after the primary has been unreachable this long (0 = manual promotion only)")
 	flag.Parse()
 
 	policy, err := wal.ParseSyncPolicy(*fsync)
-	fatalIf(err)
-	prec, err := transdas.ParsePrecision(*precision)
 	fatalIf(err)
 
 	// Resolve the boot-time tenant set: the -tenants file, or the one
@@ -186,23 +183,25 @@ func main() {
 			SegmentBytes:  *segmentBytes,
 			SnapshotEvery: *snapshotEvery,
 		},
-		// The persisted config keeps whatever parallelism a model was
-		// trained with; the serving flags decide what fine-tune rounds use
-		// on this host. The same hook arms the inference fast path on
-		// every loaded model (boot, create, hot swap): scoring precision
-		// and a fresh score cache — detect.Online carries the running
-		// tenant's cache (and its counters) onto a hot-swapped model in
-		// place of the fresh one.
+		// The one place a serving model is configured: every model a
+		// tenant serves passes through it (boot, admin create, hot swap,
+		// and each checkpoint a standby's replayer installs). The persisted
+		// config keeps whatever parallelism a model was trained with; the
+		// serving flags decide what fine-tune rounds use on this host.
+		// Scoring is always the float32 kernel (float64 stays the training
+		// and reference path), with a fresh score cache — detect.Online
+		// carries the running tenant's cache (and its counters) onto a
+		// hot-swapped model in place of the fresh one.
 		Tune: func(u *core.UCAD) {
 			u.Model.SetTrainParallelism(*trainWorkers, *batchSize)
-			u.Model.SetScorePrecision(prec)
+			u.Model.SetScorePrecision(transdas.PrecisionFloat32)
 			if *cacheSize > 0 {
 				u.Model.SetScoreCache(scorecache.New(*cacheSize))
 			}
 		},
 	}
 	reg := tenant.New(opts)
-	fmt.Printf("scoring: %s kernel, score cache %d rows per tenant\n", prec, *cacheSize)
+	fmt.Printf("scoring: %s kernel, score cache %d rows per tenant\n", transdas.PrecisionFloat32, *cacheSize)
 	if *replicateFrom == "" {
 		fatalIf(reg.Boot(specs))
 		for _, t := range reg.List() {
@@ -265,7 +264,7 @@ func main() {
 					return nil, err
 				}
 				fmt.Printf("tenant %s: replicating from %s\n", id, *replicateFrom)
-				return tn.Service(), nil
+				return tn, nil
 			},
 			OnPrimaryDown: func() {
 				fmt.Printf("primary unreachable for %s: promoting standby\n", *autoPromote)

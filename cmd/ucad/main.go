@@ -3,8 +3,18 @@
 //
 // Usage:
 //
-//	ucad train  -log normal.jsonl -model ucad.model [-epochs 20] [-train-workers N] [-batch-size B]
-//	ucad detect -log active.jsonl -model ucad.model
+//	ucad train  -log normal.jsonl [-model ucad.model] [-epochs N] [-window L] [-p P] [-hidden H]
+//	            [-skip-clean] [-seed S] [-train-workers N] [-batch-size B] [-metrics-out FILE]
+//	ucad detect -log active.jsonl [-model ucad.model] [-v]
+//
+// That is the whole flag surface of each subcommand (-h prints the
+// defaults); flags_test.go fails when a flag is added or removed without
+// this block following.
+//
+// Both subcommands split logs into sessions at the same idle gap
+// (core.DefaultConfig().IdleGap) where records carry no session id: the
+// model file does not record the gap, so detecting at another one would
+// rank windows unlike those the model was trained on.
 //
 // Audit logs are JSON lines with fields ts, user, addr, session_id and
 // sql (see internal/session). cmd/tracegen produces compatible logs.
@@ -133,7 +143,6 @@ func runDetect(args []string) {
 	fs := flag.NewFlagSet("detect", flag.ExitOnError)
 	logPath := fs.String("log", "", "audit log (JSON lines) of active sessions")
 	modelPath := fs.String("model", "ucad.model", "trained model file")
-	idleGap := fs.Duration("idle-gap", 10*time.Minute, "session split gap for logs without session ids")
 	verbose := fs.Bool("v", false, "print every session verdict")
 	fs.Parse(args)
 	if *logPath == "" {
@@ -152,7 +161,7 @@ func runDetect(args []string) {
 	defer lf.Close()
 	ops, err := session.ReadLog(lf)
 	fatalIf(err)
-	sessions := session.Sessionize(ops, *idleGap)
+	sessions := session.Sessionize(ops, core.DefaultConfig().IdleGap)
 
 	flagged := 0
 	for _, s := range sessions {

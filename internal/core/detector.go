@@ -2,26 +2,19 @@ package core
 
 import (
 	"github.com/ucad/ucad/internal/metrics"
-	"github.com/ucad/ucad/internal/scorecache"
 	"github.com/ucad/ucad/internal/transdas"
 )
 
 // Detector adapts Trans-DAS to the metrics.Detector interface so the
 // experiment harness evaluates UCAD alongside the baselines on
-// already-tokenized key sequences.
+// already-tokenized key sequences. It scores through the float64
+// reference kernel with no score cache: the paper's numbers.
 type Detector struct {
 	// Config is the Trans-DAS configuration; Vocab is derived from the
 	// training data at Fit time.
 	Config transdas.Config
 	// DisplayName overrides Name() (used by ablation variants).
 	DisplayName string
-
-	// ScorePrecision selects the scoring kernel applied after Fit
-	// (training always runs float64); ScoreCacheSize, when positive,
-	// attaches a similarity-row cache of that capacity. Both default to
-	// the reference path (float64, no cache).
-	ScorePrecision transdas.Precision
-	ScoreCacheSize int
 
 	model *transdas.Model
 }
@@ -63,10 +56,6 @@ func (d *Detector) Fit(train [][]int) {
 	}
 	d.model = transdas.New(cfg)
 	d.model.Train(train, nil)
-	d.model.SetScorePrecision(d.ScorePrecision)
-	if d.ScoreCacheSize > 0 {
-		d.model.SetScoreCache(scorecache.New(d.ScoreCacheSize))
-	}
 }
 
 // Flag implements metrics.Detector.

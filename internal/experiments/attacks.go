@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func TableAttacks(opt Options, w io.Writer) []AttackRow {
 	var out []AttackRow
 	for _, data := range Scenarios(opt) {
 		extendAttackSets(data)
-		ev := evaluate(opt.newDetector(data.Cfg), data)
+		ev := evaluate(core.NewDetector(data.Cfg), data)
 		fp := ev.Confusion.FP
 
 		var fams []string

@@ -30,7 +30,7 @@ type Figure6Result struct {
 // consecutive related queries) attend to each other.
 func Figure6(opt Options, w io.Writer) Figure6Result {
 	data := PrepareScenarioII(opt)
-	d := opt.newDetector(data.Cfg)
+	d := core.NewDetector(data.Cfg)
 	d.Fit(data.Train)
 
 	// Pick the most template-diverse session for a readable heatmap
@@ -133,7 +133,7 @@ func Figure7(opt Options, w io.Writer) []Figure7Result {
 		// p varies at detection time only: train once, sweep the rank
 		// threshold.
 		data := prepareFn(opt)
-		base := opt.newDetector(data.Cfg)
+		base := core.NewDetector(data.Cfg)
 		base.Fit(data.Train)
 		pGrid := []int{1, 2, 3, 5, 8, 10, 12}
 		if opt.Scale == ScaleQuick {
@@ -148,7 +148,7 @@ func Figure7(opt Options, w io.Writer) []Figure7Result {
 		retrain := func(mutate func(d *ScenarioData)) float64 {
 			data := prepareFn(opt)
 			mutate(data)
-			d := opt.newDetector(data.Cfg)
+			d := core.NewDetector(data.Cfg)
 			d.Fit(data.Train)
 			return metrics.EvaluateParallel(d, data.Normal, data.Abnormal, 0).F1
 		}
@@ -272,7 +272,7 @@ func Figure8(opt Options, w io.Writer) []Figure8Result {
 			dirty := data.Gen.Contaminate(data.Suite.Train, ratio)
 			dirtyKeys := workload.Keyed(data.Vocab, dirty)
 
-			detectors := append(baselineSet(opt), opt.newDetector(data.Cfg))
+			detectors := append(baselineSet(opt), core.NewDetector(data.Cfg))
 			for _, d := range detectors {
 				d.Fit(dirtyKeys)
 				ev := metrics.EvaluateParallel(d, data.Normal, data.Abnormal, 0)
@@ -280,7 +280,7 @@ func Figure8(opt Options, w io.Writer) []Figure8Result {
 			}
 			// UCAD with the preprocessing module's noise removal.
 			cleaned, _ := preprocess.Clean(dirty, cleanConfigFor(opt), rand.New(rand.NewSource(opt.Seed)))
-			cleanDet := opt.newDetector(data.Cfg)
+			cleanDet := core.NewDetector(data.Cfg)
 			cleanDet.DisplayName = "UCAD+clean"
 			cleanDet.Fit(workload.Keyed(data.Vocab, cleaned))
 			record(cleanDet.Name(), ratio, metrics.EvaluateParallel(cleanDet, data.Normal, data.Abnormal, 0).F1)

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/nn"
 	"github.com/ucad/ucad/internal/transdas"
 )
@@ -43,28 +42,10 @@ func (s Scale) String() string {
 type Options struct {
 	Scale Scale
 	Seed  int64
-
-	// ScorePrecision selects the inference kernel every UCAD detector
-	// scores with (training is always float64); the zero value is the
-	// float64 reference path. ScoreCacheSize, when positive, attaches a
-	// similarity-row cache of that capacity to each fitted detector.
-	// Both exist to rerun the evaluation over the serving fast path and
-	// confirm the paper's numbers are precision- and cache-insensitive.
-	ScorePrecision transdas.Precision
-	ScoreCacheSize int
 }
 
 // DefaultOptions returns the demo scale.
 func DefaultOptions() Options { return Options{Scale: ScaleDemo, Seed: 1} }
-
-// newDetector builds a UCAD detector with the run's scoring options
-// applied — the single construction funnel for every table and figure.
-func (o Options) newDetector(cfg transdas.Config) *core.Detector {
-	d := core.NewDetector(cfg)
-	d.ScorePrecision = o.ScorePrecision
-	d.ScoreCacheSize = o.ScoreCacheSize
-	return d
-}
 
 // scenarioParams holds the per-scenario workload and model sizes for a
 // scale.

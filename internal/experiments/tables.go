@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/baselines"
+	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/metrics"
 	"github.com/ucad/ucad/internal/transdas"
 	"github.com/ucad/ucad/internal/workload"
@@ -93,7 +94,7 @@ type Table2Result struct {
 func Table2(opt Options, w io.Writer) []Table2Result {
 	var out []Table2Result
 	for _, data := range Scenarios(opt) {
-		detectors := append(baselineSet(opt), opt.newDetector(data.Cfg))
+		detectors := append(baselineSet(opt), core.NewDetector(data.Cfg))
 		res := Table2Result{Scenario: data.Name}
 		for _, d := range detectors {
 			res.Rows = append(res.Rows, evaluate(d, data))
@@ -119,7 +120,7 @@ func Table3(opt Options, w io.Writer) []Table3Result {
 	for _, data := range Scenarios(opt) {
 		res := Table3Result{Scenario: data.Name}
 		for _, name := range ablationOrder {
-			d := opt.newDetector(ablationVariant(data.Cfg, name))
+			d := core.NewDetector(ablationVariant(data.Cfg, name))
 			d.DisplayName = name
 			res.Rows = append(res.Rows, evaluate(d, data))
 		}
@@ -165,7 +166,7 @@ func (o Options) lGrid() []int {
 // measures per-epoch training time and F1 on Scenario-II data.
 func runSweepPoint(opt Options, data *ScenarioData, mutate func(cfg *ScenarioData) (label int)) SweepPoint {
 	label := mutate(data)
-	d := opt.newDetector(data.Cfg)
+	d := core.NewDetector(data.Cfg)
 	start := time.Now()
 	d.Fit(data.Train)
 	perEpoch := time.Duration(int64(time.Since(start)) / int64(data.Cfg.Epochs))
@@ -242,7 +243,7 @@ func Table6(opt Options, w io.Writer) []Table6Result {
 		}
 		cfg := logTaskConfig(opt)
 		cfg.TopP = cutoff + 1
-		ucad := opt.newDetector(cfg)
+		ucad := core.NewDetector(cfg)
 		dl := baselines.NewDeepLog(opt.Seed)
 		dl.TopG = cutoff
 		if opt.Scale == ScaleQuick {

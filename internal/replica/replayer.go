@@ -29,7 +29,7 @@ type Target interface {
 	SwapModel(u *core.UCAD) error
 	// WarmScoreCache pre-computes similarity rows for the open
 	// sessions' scoring windows; returns rows actually computed.
-	WarmScoreCache(limit int) int
+	WarmScoreCache() int
 }
 
 // Replayer incrementally folds one tenant's synced directory into its
@@ -106,7 +106,7 @@ func (rp *Replayer) Apply() (Applied, error) {
 	// Keep the standby's score cache hot: the first scoring passes after
 	// promotion hit instead of recomputing.
 	if out.Records > 0 || out.Rebuilt || out.Swapped {
-		out.Warmed = rp.target.WarmScoreCache(0)
+		out.Warmed = rp.target.WarmScoreCache()
 	}
 	return out, nil
 }

@@ -43,7 +43,7 @@ func (t *fakeTarget) ReplicaApplyRecord(p []byte) error {
 	return nil
 }
 func (t *fakeTarget) SwapModel(u *core.UCAD) error { t.swaps++; return nil }
-func (t *fakeTarget) WarmScoreCache(limit int) int { t.warms++; return 0 }
+func (t *fakeTarget) WarmScoreCache() int          { t.warms++; return 0 }
 
 // writeTenant builds a primary-side tenant directory under root: a
 // spec, a one-shard WAL stream with n records (snapshot at snapAt, tiny

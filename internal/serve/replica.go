@@ -114,14 +114,14 @@ func (s *Service) PromoteToServing() error {
 
 // WarmScoreCache pre-populates the model's score cache with the
 // similarity rows live traffic will ask for first: every scoring-window
-// context of the currently open sessions (the same windows the engine
-// scores on the next append). It returns how many rows were actually
-// computed — contexts already cached count as hits, so warming after an
-// incremental replay round is cheap and self-limiting. limit bounds the
-// contexts scored (<= 0 means all). Call it while quiesced (after
-// Restore, or on a standby between replay rounds); a nil score cache
-// returns 0.
-func (s *Service) WarmScoreCache(limit int) int {
+// context of the currently open sessions, up to and including the one
+// the next appended event is ranked against (rows are keyed by context
+// alone; the key passed only ranks the row). It returns how many rows
+// were actually computed — contexts already cached count as hits, so
+// warming after an incremental replay round is cheap and self-limiting.
+// Call it while quiesced (after Restore, or on a standby between replay
+// rounds); a nil score cache returns 0.
+func (s *Service) WarmScoreCache() int {
 	cache := s.online.Detector().Model.ScoreCache()
 	if cache == nil {
 		return 0
@@ -140,24 +140,16 @@ func (s *Service) WarmScoreCache(limit int) int {
 			ctxs, keys = ctxs[:0], keys[:0]
 		}
 	}
-	total := 0
-warm:
 	for _, ss := range sessions {
-		ks := make([]int, len(ss.Ops))
+		// One slot past the last op for the next event's key: it only
+		// ranks the row, never enters a context.
+		ks := make([]int, len(ss.Ops)+1)
 		for i := range ss.Ops {
 			ks[i] = ss.Ops[i].Key
 		}
 		for i := mb.minContext; i < len(ks); i++ {
-			if limit > 0 && total >= limit {
-				break warm
-			}
-			lo := i - mb.window
-			if lo < 0 {
-				lo = 0
-			}
-			ctxs = append(ctxs, ks[lo:i])
+			ctxs = append(ctxs, ks[max(0, i-mb.window):i])
 			keys = append(keys, ks[i])
-			total++
 			if len(ctxs) >= 256 {
 				flush()
 			}

@@ -250,7 +250,8 @@ func TestReplicaGuards(t *testing.T) {
 
 // TestWarmScoreCacheFromRestore: WarmScoreCache after a restore
 // pre-populates the score cache from the restored sessions and exports
-// the count.
+// the count, and the context the next event of each restored session is
+// ranked against is among the rows it warmed.
 func TestWarmScoreCacheFromRestore(t *testing.T) {
 	u := testUCAD(t)
 	u.Model.SetScoreCache(scorecache.New(1024))
@@ -270,7 +271,7 @@ func TestWarmScoreCacheFromRestore(t *testing.T) {
 	u2.Model.SetScoreCache(scorecache.New(1024))
 	s2, _ := durableService(t, u2, dir, clock.Now, nil)
 	defer s2.Close(context.Background())
-	warmed := s2.WarmScoreCache(0)
+	warmed := s2.WarmScoreCache()
 	if warmed == 0 {
 		t.Fatal("restore warmed nothing")
 	}
@@ -278,8 +279,18 @@ func TestWarmScoreCacheFromRestore(t *testing.T) {
 		t.Fatalf("stats warmed %d, WarmScoreCache reported %d", got, warmed)
 	}
 	// Warming again is self-limiting: every context is already cached.
-	if again := s2.WarmScoreCache(0); again != 0 {
+	if again := s2.WarmScoreCache(); again != 0 {
 		t.Fatalf("second warm recomputed %d rows", again)
+	}
+	// Live traffic's first scoring pass hits: one more event into each
+	// restored session is ranked on a context the warm already cached.
+	misses := s2.Stats().ScoreCacheMisses
+	for i, client := range []string{"c1", "c2"} {
+		ingestN(t, s2, client, 1, 6+i)
+	}
+	s2.Drain()
+	if st := s2.Stats(); st.OpsScored == 0 || st.ScoreCacheMisses != misses {
+		t.Fatalf("next event after the warm: %d ops scored, misses %d -> %d", st.OpsScored, misses, st.ScoreCacheMisses)
 	}
 	// The counter reaches the exposition.
 	rec := httptestBody(t, s2)

@@ -14,9 +14,10 @@ import "strings"
 //
 // Abstract keeps one placeholder per literal position, so IN lists of
 // different lengths are distinct templates — the paper's Figure 6
-// semantics, which Scenario-II's Table 1 key counts depend on. The
-// streaming front door uses AbstractDynamic instead, which collapses
-// those variants.
+// semantics, which Scenario-II's Table 1 key counts depend on, and the
+// abstraction every production path trains and serves with.
+// AbstractDynamic, which collapses those variants, is opt-in
+// (core.Config.DynamicVocab).
 func Abstract(sql string) string {
 	return render(lex(sql))
 }

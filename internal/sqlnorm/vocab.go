@@ -42,8 +42,7 @@ func NewVocabulary() *Vocabulary {
 
 // NewDynamicVocabulary returns an empty vocabulary that abstracts with
 // AbstractDynamic: variable-length IN lists collapse to one template,
-// so the streaming front door keys them identically however many
-// literals a client sends.
+// so they key identically however many literals a client sends.
 func NewDynamicVocabulary() *Vocabulary {
 	return &Vocabulary{
 		keyOf:     make(map[string]int),

@@ -56,7 +56,7 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/tenants", r.handleCreate)
 	mux.HandleFunc("DELETE /v1/tenants/{id}", r.handleDelete)
 	mux.HandleFunc("POST /v1/tenants/{id}/drain", r.handleDrain)
-	mux.HandleFunc("PUT /v1/tenants/{id}/model", r.scoped(r.handleModelSwap))
+	mux.HandleFunc("PUT /v1/tenants/{id}/model", r.scoped(handleModelSwap))
 	mux.HandleFunc("POST /v1/promote", r.handlePromote)
 	mux.HandleFunc("GET /v1/tenants/{id}/stats", r.scoped(r.handleStats))
 	mux.HandleFunc("GET /stats", r.scoped(r.handleStats))
@@ -233,18 +233,15 @@ func (r *Registry) handleDrain(w http.ResponseWriter, req *http.Request) {
 
 // handleModelSwap is the hot model replacement path: the uploaded model
 // is staged and validated off the ingest path (core.Load proves it
-// decodes into a working detector), tuned like any other loaded model,
-// then atomically swapped into the tenant's serving pipeline and
-// checkpointed. Ingest keeps flowing throughout; a model that fails
+// decodes into a working detector), then Tenant.SwapModel tunes it,
+// atomically swaps it into the tenant's serving pipeline and
+// checkpoints it. Ingest keeps flowing throughout; a model that fails
 // validation answers 400 invalid_model and changes nothing.
-func (r *Registry) handleModelSwap(w http.ResponseWriter, req *http.Request, t *Tenant) {
+func handleModelSwap(w http.ResponseWriter, req *http.Request, t *Tenant) {
 	u, err := core.Load(http.MaxBytesReader(w, req.Body, maxModelUpload))
 	if err != nil {
 		writeErr(w, errors.Join(ErrInvalidModel, err))
 		return
-	}
-	if r.opts.Tune != nil {
-		r.opts.Tune(u)
 	}
 	if err := t.SwapModel(u); err != nil {
 		writeErr(w, err)

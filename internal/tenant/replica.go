@@ -49,6 +49,26 @@ func readSpec(dir string) (Spec, error) {
 // Replica reports whether the tenant is an unpromoted warm standby.
 func (t *Tenant) Replica() bool { return t.svc.IsReplica() }
 
+// A standby tenant is the replica.Target its follower's replayer drives:
+// the replay entry points below forward to the tenant's service, and the
+// replayer installs each shipped checkpoint through Tenant.SwapModel, so
+// the model a standby serves — and goes live with — is tuned like every
+// other.
+
+// ReplicaReset forwards to serve.Service.ReplicaReset.
+func (t *Tenant) ReplicaReset() error { return t.svc.ReplicaReset() }
+
+// ReplicaRestoreSnapshot forwards to serve.Service.ReplicaRestoreSnapshot.
+func (t *Tenant) ReplicaRestoreSnapshot(payload []byte) error {
+	return t.svc.ReplicaRestoreSnapshot(payload)
+}
+
+// ReplicaApplyRecord forwards to serve.Service.ReplicaApplyRecord.
+func (t *Tenant) ReplicaApplyRecord(payload []byte) error { return t.svc.ReplicaApplyRecord(payload) }
+
+// WarmScoreCache forwards to serve.Service.WarmScoreCache.
+func (t *Tenant) WarmScoreCache() int { return t.svc.WarmScoreCache() }
+
 // Promote takes every replica tenant in the registry live: each opens
 // its own WAL streams on its synced directory, seals the replication
 // era with a fresh snapshot, starts accepting traffic and starts its

@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/replica"
 	"github.com/ucad/ucad/internal/serve"
+	"github.com/ucad/ucad/internal/transdas"
 	"github.com/ucad/ucad/internal/wal"
 )
 
@@ -240,6 +242,65 @@ func TestPromoteFailureLeavesReplica(t *testing.T) {
 	}
 }
 
+// TestStandbyModelsPassThroughTune: every model a standby serves goes
+// through its registry's Tune hook — the one it loads at creation, each
+// shipped checkpoint its replayer installs, and so the one it goes live
+// with. The primary has no hook, so its seeded checkpoint keeps the
+// model's own TrainWorkers (1); the standby's hook sets 3 workers and the
+// float32 kernel together, so the train-workers gauge reading 3 shows
+// the served model carries the hook's scoring precision too.
+func TestStandbyModelsPassThroughTune(t *testing.T) {
+	clk := newFakeClock()
+	rootA, rootB := t.TempDir(), t.TempDir()
+
+	regA := New(durableOptions(clk, rootA))
+	defer regA.Close(context.Background())
+	model := filepath.Join(rootA, "a.model")
+	saveModel(t, trainModel(t, "va"), model)
+	if err := regA.Boot([]Spec{{ID: "alpha", ModelPath: model}}); err != nil {
+		t.Fatal(err)
+	}
+	ingestN(t, regA, "alpha", "a-c1", "va", 4)
+	alphaA := tenantByID(t, regA, "alpha")
+	alphaA.Service().Drain()
+	if err := alphaA.Service().SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	sh := &replica.Shipper{Root: filepath.Join(rootA, "tenants")}
+	primary := httptest.NewServer(sh.Handler(""))
+	defer primary.Close()
+
+	optsB := durableOptions(clk, rootB)
+	optsB.Tune = func(u *core.UCAD) {
+		u.Model.SetTrainParallelism(3, 16)
+		u.Model.SetScorePrecision(transdas.PrecisionFloat32)
+	}
+	regB := New(optsB)
+	defer regB.Close(context.Background())
+	follower := followInto(t, regB, primary.URL, rootB)
+	adminB := httptest.NewServer(regB.Handler())
+	defer adminB.Close()
+	const gauge = `ucad_train_workers{tenant="alpha"}`
+	if got := seriesValue(t, adminB.URL, gauge); got != 3 {
+		t.Fatalf("standby after its first replay round: %s = %v, want 3", gauge, got)
+	}
+
+	follower.Stop()
+	follower.SyncOnce(context.Background())
+	if promoted, err := regB.Promote(); err != nil || !reflect.DeepEqual(promoted, []string{"alpha"}) {
+		t.Fatalf("promote: %v %v", promoted, err)
+	}
+	if got := seriesValue(t, adminB.URL, gauge); got != 3 {
+		t.Fatalf("promoted standby: %s = %v, want 3", gauge, got)
+	}
+	ingestN(t, regB, "alpha", "a-c1", "va", 2)
+	alphaB := tenantByID(t, regB, "alpha")
+	alphaB.Service().Drain()
+	if st := alphaB.Stats(); st.OpsScored == 0 {
+		t.Fatalf("promoted standby scored nothing: %+v", st)
+	}
+}
+
 // followInto wires a follower of primaryURL that builds its standby
 // tenants in reg (the cmd/ucad-serve OpenTarget) and runs one sync
 // round.
@@ -253,7 +314,7 @@ func followInto(t *testing.T, reg *Registry, primaryURL, root string) *replica.F
 			if err != nil {
 				return nil, err
 			}
-			return tn.Service(), nil
+			return tn, nil
 		},
 	})
 	if err != nil {

@@ -77,9 +77,11 @@ type Options struct {
 	// Hub receives every tenant's metrics; nil creates a private hub
 	// (reachable via Registry.Hub).
 	Hub *serve.MetricsHub
-	// Tune, when set, is applied to every model the registry loads or is
-	// handed, before its pipeline is built — the hook for host-local
-	// settings a persisted model cannot know (fine-tune parallelism).
+	// Tune, when set, is applied to every model a tenant serves before it
+	// serves it — booted, admin-created, hot-swapped, and each shipped
+	// checkpoint a standby's replayer installs — the hook for host-local
+	// settings a persisted model cannot know (fine-tune parallelism,
+	// scoring precision, score cache).
 	Tune func(*core.UCAD)
 }
 
@@ -110,6 +112,7 @@ type Tenant struct {
 	ckpts     *wal.Checkpoints
 	restore   serve.RestoreStats
 	draining  atomic.Bool
+	tune      func(*core.UCAD) // Options.Tune; see tuned
 }
 
 // New returns an empty registry. Create or Boot tenants into it; Close
@@ -187,7 +190,7 @@ func (r *Registry) create(spec Spec, u *core.UCAD, standby bool) (*Tenant, error
 		return nil, fmt.Errorf("%w: %s", ErrTenantExists, id)
 	}
 
-	t := &Tenant{id: id}
+	t := &Tenant{id: id, tune: r.opts.Tune}
 	fail := func(err error) (*Tenant, error) {
 		// Release whatever the partial boot claimed so the id is fully
 		// reusable (metric children included).
@@ -226,9 +229,6 @@ func (r *Registry) create(spec Spec, u *core.UCAD, standby bool) (*Tenant, error
 	} else {
 		t.modelFrom = "(in-memory)"
 	}
-	if r.opts.Tune != nil {
-		r.opts.Tune(u)
-	}
 
 	cfg := r.opts.Serve
 	cfg.Metrics = r.hub.Tenant(id)
@@ -250,7 +250,7 @@ func (r *Registry) create(spec Spec, u *core.UCAD, standby bool) (*Tenant, error
 			}
 		}
 	}
-	t.svc = serve.NewService(u, cfg)
+	t.svc = serve.NewService(t.tuned(u), cfg)
 	if t.dir != "" && !standby {
 		st, err := t.svc.Restore()
 		if err != nil {
@@ -565,17 +565,31 @@ func (t *Tenant) Draining() bool { return t.draining.Load() }
 // Stats snapshots the tenant's serving counters.
 func (t *Tenant) Stats() serve.Stats { return t.svc.Stats() }
 
+// tuned applies the registry's Tune hook to u and returns it. It is the
+// one place a serving model is configured: create and SwapModel, the
+// only two ways a model reaches the tenant's pipeline, both go through
+// it.
+func (t *Tenant) tuned(u *core.UCAD) *core.UCAD {
+	if t.tune != nil {
+		t.tune(u)
+	}
+	return u
+}
+
 // SwapModel hot-replaces the tenant's serving model with an
-// already-validated one: scoring switches atomically (in-flight batches
-// finish on the old model), open sessions are re-tokenized against the
-// new vocabulary, and the new model is checkpointed through the
-// tenant's manifest so the replacement survives a restart. Ingest keeps
-// flowing throughout — no drain, no dropped events.
+// already-validated one, tuned like every model the tenant serves:
+// scoring switches atomically (in-flight batches finish on the old
+// model), open sessions are re-tokenized against the new vocabulary,
+// and the new model is checkpointed through the tenant's manifest so
+// the replacement survives a restart. Ingest keeps flowing throughout —
+// no drain, no dropped events. A standby's replayer installs each
+// shipped checkpoint here too; its service has no checkpoint store until
+// it goes live, so those swaps write nothing.
 func (t *Tenant) SwapModel(u *core.UCAD) error {
 	if t.draining.Load() {
 		return ErrDraining
 	}
-	if err := t.svc.SwapModel(u); err != nil {
+	if err := t.svc.SwapModel(t.tuned(u)); err != nil {
 		return err
 	}
 	t.svc.CheckpointModel()

@@ -200,21 +200,8 @@ func TestFloat32SnapshotTracksFineTune(t *testing.T) {
 	}
 }
 
-// TestParsePrecision covers the flag surface.
-func TestParsePrecision(t *testing.T) {
-	for _, in := range []string{"", "float64", "f64", "64"} {
-		if p, err := ParsePrecision(in); err != nil || p != PrecisionFloat64 {
-			t.Fatalf("ParsePrecision(%q) = %v, %v", in, p, err)
-		}
-	}
-	for _, in := range []string{"float32", "f32", "32"} {
-		if p, err := ParsePrecision(in); err != nil || p != PrecisionFloat32 {
-			t.Fatalf("ParsePrecision(%q) = %v, %v", in, p, err)
-		}
-	}
-	if _, err := ParsePrecision("bf16"); err == nil {
-		t.Fatal("unknown precision accepted")
-	}
+// TestPrecisionString covers the names boot lines and probes print.
+func TestPrecisionString(t *testing.T) {
 	if PrecisionFloat32.String() != "float32" || PrecisionFloat64.String() != "float64" {
 		t.Fatal("Precision.String mismatch")
 	}

@@ -1,17 +1,13 @@
 package transdas
 
-import (
-	"fmt"
-
-	"github.com/ucad/ucad/internal/tensor"
-)
+import "github.com/ucad/ucad/internal/tensor"
 
 // Precision selects the element type the scoring kernel runs at.
-// Training and the property-tested reference path are always float64;
-// float32 is an opt-in inference fast path that halves the memory
-// traffic of the scoring matmuls and, on amd64, runs them four lanes
-// per instruction through packed-SSE kernels the scalar float64 path
-// cannot use.
+// Training and the property-tested reference path are always float64,
+// and so is what the paper reproduction scores with; ucad-serve always
+// scores at float32, which halves the memory traffic of the scoring
+// matmuls and, on amd64, runs them four lanes per instruction through
+// packed-SSE kernels the scalar float64 path cannot use.
 type Precision int
 
 const (
@@ -31,18 +27,6 @@ func (p Precision) String() string {
 		return "float32"
 	}
 	return "float64"
-}
-
-// ParsePrecision parses a -score-precision flag value. The empty
-// string means the float64 default.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "float64", "f64", "64":
-		return PrecisionFloat64, nil
-	case "float32", "f32", "32":
-		return PrecisionFloat32, nil
-	}
-	return PrecisionFloat64, fmt.Errorf("transdas: unknown score precision %q (want float64 or float32)", s)
 }
 
 // The fused scoring kernel (kernel.go) is one implementation; the
