@@ -32,13 +32,17 @@ race-e2e:
 # debris on every recovery) — and over the recovery loop built on it
 # (snapshot decode + segment scan, as a restart and as a standby run it);
 # then the feed's untrusted-input parsers (audit-log JSONL and CSV lines)
-# and the feeder's checkpoint load over a torn delta segment.
+# and the feeder's checkpoint load over a torn delta segment; then the
+# ingest path's two parsers of untrusted input (the /v1/events body and
+# the statement abstraction every event's SQL goes through).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s -run='^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzRecoverStream -fuzztime=10s -run='^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzParseJSONLine -fuzztime=5s -run='^$$' ./internal/feed/
 	$(GO) test -fuzz=FuzzParseCSVLine -fuzztime=5s -run='^$$' ./internal/feed/
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=5s -run='^$$' ./internal/feed/
+	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=5s -run='^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzAbstract -fuzztime=5s -run='^$$' ./internal/sqlnorm/
 
 # The scoring kernel's contract: float32 similarity scores within 1e-4
 # of the float64 instantiation with stable ranks/verdicts, both
@@ -68,16 +72,19 @@ bench-build:
 
 # No capability without a production caller: type-checks the module and
 # bench/ucadbench and fails on an exported identifier under internal/
-# that no non-test code references (surface_test.go holds the rule and
-# its short allow-list). `race` runs -short, which skips it.
+# that no non-test code references, or an exported field it reads but
+# never writes (surface_test.go holds both rules, the write detector's
+# self-test and the short allow-list). `race` runs -short, which skips
+# the gate.
 surface:
-	$(GO) test -count=1 -run TestExportedSurfaceIsExercised .
+	$(GO) test -count=1 -run 'TestExportedSurfaceIsExercised|TestFieldWritesSelfTest' .
 
 # The CI gate: static checks (the nested benchmark module and the
 # exported-surface rule and the portable-fallback cross-vet included)
 # plus the suite under the race detector (the serving layer is heavily
 # concurrent), the float32 equivalence contract, and the fuzz smoke
-# (WAL decoder and recovery, feed parsers and checkpoint load).
+# (WAL decoder and recovery, feed parsers and checkpoint load, ingest
+# body and statement abstraction).
 check: vet build portable bench-build surface race equiv32 fuzz-smoke
 
 # The paper-reproduction sweep (one benchmark per table/figure plus the

@@ -148,12 +148,13 @@ func BenchmarkAttentionForwardBackward(b *testing.B) {
 	att := nn.NewMultiHeadAttention("att", 64, 8, nn.MaskBidirectionalExceptSelf, rng)
 	x := tensor.NewParam("x", tensor.NewRandN(100, 64, 1, rng))
 	params := append(att.Params(), x)
+	mask := nn.BuildMask(att.Mask, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nn.ZeroGrads(params)
 		tp := tensor.NewTape()
-		out := att.ForwardBatch(tp, tp.Param(x), 1, nil)
+		out := att.Forward(tp, tp.Param(x), mask)
 		loss := tp.Sum(tp.Square(out))
 		tp.Backward(loss)
 	}

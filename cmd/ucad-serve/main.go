@@ -238,7 +238,7 @@ func main() {
 			Root:    filepath.Join(*dataDir, "tenants"),
 			Metrics: replMetrics,
 		}
-		mux.Handle("/v1/replica/", shipper.Handler("/v1/replica"))
+		mux.Handle("/v1/replica/", shipper.Handler())
 	}
 	if *replicateFrom != "" {
 		var follower *replica.Follower

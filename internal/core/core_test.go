@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/nn"
-	"github.com/ucad/ucad/internal/preprocess"
 	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/transdas"
 	"github.com/ucad/ucad/internal/workload"
@@ -68,40 +67,11 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train(smallConfig(), nil, nil); err == nil {
 		t.Fatal("expected error for empty training set")
 	}
-	cfg := smallConfig()
-	cfg.Policy = &preprocess.Policy{Rules: []preprocess.Rule{
-		{Name: "deny-all", Effect: preprocess.Deny},
-	}}
 	g := workload.NewGenerator(workload.ScenarioI(), 4)
-	if _, err := Train(cfg, g.GenerateSessions(5), nil); err == nil {
-		t.Fatal("expected error when policy filters everything")
-	}
 	bad := smallConfig()
 	bad.Model.Heads = 3 // 10 % 3 != 0
 	if _, err := Train(bad, g.GenerateSessions(5), nil); err == nil {
 		t.Fatal("expected model validation error")
-	}
-}
-
-func TestPolicyViolationFlagsSession(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Model.Epochs = 1
-	cfg.Policy = &preprocess.Policy{Rules: []preprocess.Rule{
-		{Name: "deny-evil-addr", Effect: preprocess.Deny, Addrs: []string{"6.6.6.6"}},
-	}}
-	g := workload.NewGenerator(workload.ScenarioI(), 5)
-	u, err := Train(cfg, g.GenerateSessions(20), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := g.NewSession()
-	bad.Addr = "6.6.6.6"
-	for i := range bad.Ops {
-		bad.Ops[i].Addr = bad.Addr
-	}
-	got := u.DetectSession(bad)
-	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("policy violation should flag index 0, got %v", got)
 	}
 }
 

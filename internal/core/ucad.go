@@ -1,7 +1,7 @@
 // Package core assembles UCAD (Figure 2): the preprocessing module
-// (tokenization, access-control filtering, clustering-based noise
-// removal) feeding the anomaly detection module (a Trans-DAS instance
-// with top-p contextual-intent comparison).
+// (tokenization, clustering-based noise removal) feeding the anomaly
+// detection module (a Trans-DAS instance with top-p contextual-intent
+// comparison).
 package core
 
 import (
@@ -28,18 +28,9 @@ type Config struct {
 	Model transdas.Config
 	// Clean configures the clustering-based noise removal.
 	Clean preprocess.CleanConfig
-	// Policy optionally filters known attack patterns before training
-	// and flags them outright during detection.
-	Policy *preprocess.Policy
 	// SkipClean disables noise removal (used by the preprocessing
 	// ablation).
 	SkipClean bool
-	// DynamicVocab learns ADALog-style dynamic templates (variable-length
-	// IN lists collapse to one key) instead of the paper's classic
-	// one-placeholder-per-literal abstraction. The mode is persisted with
-	// the vocabulary, so detection after Load keys statements the same
-	// way training did.
-	DynamicVocab bool
 	// IdleGap splits raw logs into sessions when no session id is
 	// recorded.
 	IdleGap time.Duration
@@ -59,28 +50,18 @@ func DefaultConfig() Config {
 
 // UCAD is a trained detector.
 type UCAD struct {
-	cfg    Config
 	Vocab  *sqlnorm.Vocabulary
 	Model  *transdas.Model
 	Report preprocess.CleanReport
 }
 
-// Train runs the offline stage (Figure 4): policy filtering, vocabulary
-// building, tokenization, noise removal and Trans-DAS training.
+// Train runs the offline stage (Figure 4): vocabulary building,
+// tokenization, noise removal and Trans-DAS training.
 func Train(cfg Config, sessions []*session.Session, progress func(epoch int, loss float64)) (*UCAD, error) {
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("core: no training sessions")
 	}
-	if cfg.Policy != nil {
-		sessions, _ = cfg.Policy.Filter(sessions)
-		if len(sessions) == 0 {
-			return nil, fmt.Errorf("core: access-control policy filtered out every session")
-		}
-	}
 	vocab := sqlnorm.NewVocabulary()
-	if cfg.DynamicVocab {
-		vocab = sqlnorm.NewDynamicVocabulary()
-	}
 	session.TokenizeLearn(vocab, sessions)
 
 	var report preprocess.CleanReport
@@ -103,7 +84,7 @@ func Train(cfg Config, sessions []*session.Session, progress func(epoch int, los
 		keySeqs[i] = s.Keys()
 	}
 	model.Train(keySeqs, progress)
-	return &UCAD{cfg: cfg, Vocab: vocab, Model: model, Report: report}, nil
+	return &UCAD{Vocab: vocab, Model: model, Report: report}, nil
 }
 
 // TrainFromLog reads a JSON-lines audit log, sessionizes it and trains.
@@ -116,14 +97,8 @@ func TrainFromLog(cfg Config, r io.Reader, progress func(int, float64)) (*UCAD, 
 }
 
 // DetectSession tokenizes an active session with the trained vocabulary
-// and returns the indices of operations violating the top-p test. A
-// policy violation flags the whole session (index 0 by convention).
+// and returns the indices of operations violating the top-p test.
 func (u *UCAD) DetectSession(s *session.Session) []int {
-	if u.cfg.Policy != nil {
-		if ok, _ := u.cfg.Policy.Evaluate(s); !ok {
-			return []int{0}
-		}
-	}
 	keys := make([]int, len(s.Ops))
 	for i := range s.Ops {
 		keys[i] = u.Vocab.Key(s.Ops[i].SQL)

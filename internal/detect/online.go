@@ -19,7 +19,7 @@ import (
 type Alert struct {
 	Session *session.Session
 	// Positions are the indices of the operations that violated the
-	// top-p test (0 alone means a policy violation).
+	// top-p test.
 	Positions []int
 }
 

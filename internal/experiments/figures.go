@@ -53,7 +53,7 @@ func Figure6(opt Options, w io.Writer) Figure6Result {
 	if len(keys) > 13 {
 		keys = keys[:13]
 	}
-	heads := d.Model().AttentionWeights(keys, 0)
+	heads := d.Model().AttentionWeights(keys)
 	avg := tensor.NewMatrix(len(keys), len(keys))
 	for _, h := range heads {
 		for i := range avg.Data {
@@ -141,7 +141,7 @@ func Figure7(opt Options, w io.Writer) []Figure7Result {
 		}
 		for _, p := range pGrid {
 			d := detectorWithTopP(base, p)
-			ev := metrics.EvaluateParallel(d, data.Normal, data.Abnormal, 0)
+			ev := metrics.Evaluate(d, data.Normal, data.Abnormal)
 			res.P = append(res.P, FigurePoint{X: float64(p), F1: ev.F1})
 		}
 
@@ -150,7 +150,7 @@ func Figure7(opt Options, w io.Writer) []Figure7Result {
 			mutate(data)
 			d := core.NewDetector(data.Cfg)
 			d.Fit(data.Train)
-			return metrics.EvaluateParallel(d, data.Normal, data.Abnormal, 0).F1
+			return metrics.Evaluate(d, data.Normal, data.Abnormal).F1
 		}
 
 		lGrid := opt.lGrid()
@@ -275,7 +275,7 @@ func Figure8(opt Options, w io.Writer) []Figure8Result {
 			detectors := append(baselineSet(opt), core.NewDetector(data.Cfg))
 			for _, d := range detectors {
 				d.Fit(dirtyKeys)
-				ev := metrics.EvaluateParallel(d, data.Normal, data.Abnormal, 0)
+				ev := metrics.Evaluate(d, data.Normal, data.Abnormal)
 				record(d.Name(), ratio, ev.F1)
 			}
 			// UCAD with the preprocessing module's noise removal.
@@ -283,7 +283,7 @@ func Figure8(opt Options, w io.Writer) []Figure8Result {
 			cleanDet := core.NewDetector(data.Cfg)
 			cleanDet.DisplayName = "UCAD+clean"
 			cleanDet.Fit(workload.Keyed(data.Vocab, cleaned))
-			record(cleanDet.Name(), ratio, metrics.EvaluateParallel(cleanDet, data.Normal, data.Abnormal, 0).F1)
+			record(cleanDet.Name(), ratio, metrics.Evaluate(cleanDet, data.Normal, data.Abnormal).F1)
 		}
 		for _, name := range order {
 			res.Rows = append(res.Rows, *rows[name])

@@ -39,7 +39,7 @@ func baselineSet(opt Options) []metrics.Detector {
 // detector's inference is read-only after Fit).
 func evaluate(d metrics.Detector, data *ScenarioData) metrics.Evaluation {
 	d.Fit(data.Train)
-	return metrics.EvaluateParallel(d, data.Normal, data.Abnormal, 0)
+	return metrics.Evaluate(d, data.Normal, data.Abnormal)
 }
 
 // Table1Result reproduces one row of Table 1.

@@ -67,61 +67,12 @@ type Evaluation struct {
 
 // Evaluate runs a fitted detector over named normal and abnormal
 // testing sets and aggregates the confusion counts across all of them.
+// Session flagging fans out over GOMAXPROCS goroutines, so the
+// detector's Flag must be safe for concurrent use after Fit (true for
+// every detector in this module: inference is read-only); the counts do
+// not depend on the fan-out.
 func Evaluate(d Detector, normal, abnormal map[string][][]int) Evaluation {
-	ev := Evaluation{
-		Method: d.Name(),
-		FPR:    make(map[string]float64, len(normal)),
-		FNR:    make(map[string]float64, len(abnormal)),
-	}
-	for _, name := range sortedKeys(normal) {
-		var c Confusion
-		for _, s := range normal[name] {
-			if d.Flag(s) {
-				c.FP++
-			} else {
-				c.TN++
-			}
-		}
-		ev.FPR[name] = c.FPR()
-		ev.Confusion.FP += c.FP
-		ev.Confusion.TN += c.TN
-	}
-	for _, name := range sortedKeys(abnormal) {
-		var c Confusion
-		for _, s := range abnormal[name] {
-			if d.Flag(s) {
-				c.TP++
-			} else {
-				c.FN++
-			}
-		}
-		ev.FNR[name] = c.FNR()
-		ev.Confusion.TP += c.TP
-		ev.Confusion.FN += c.FN
-	}
-	ev.Precision = ev.Confusion.Precision()
-	ev.Recall = ev.Confusion.Recall()
-	ev.F1 = ev.Confusion.F1()
-	return ev
-}
-
-func sortedKeys(m map[string][][]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// EvaluateParallel is Evaluate with session flagging fanned out over
-// workers goroutines. The detector's Flag method must be safe for
-// concurrent use after Fit (true for every detector in this module:
-// inference is read-only). workers <= 0 selects GOMAXPROCS.
-func EvaluateParallel(d Detector, normal, abnormal map[string][][]int, workers int) Evaluation {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	flagAll := func(sessions [][]int) []bool {
 		out := make([]bool, len(sessions))
 		var wg sync.WaitGroup
@@ -177,4 +128,13 @@ func EvaluateParallel(d Detector, normal, abnormal map[string][][]int, workers i
 	ev.Recall = ev.Confusion.Recall()
 	ev.F1 = ev.Confusion.F1()
 	return ev
+}
+
+func sortedKeys(m map[string][][]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

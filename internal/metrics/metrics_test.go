@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -107,8 +108,11 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	abnormal := map[string][][]int{
 		"A1": {{50, 1}, {2, 3}, {11}, {4}},
 	}
+	// GOMAXPROCS(1) flags on one worker, in order; 4 fans out.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	seq := Evaluate(d, normal, abnormal)
-	par := EvaluateParallel(d, normal, abnormal, 4)
+	runtime.GOMAXPROCS(4)
+	par := Evaluate(d, normal, abnormal)
 	if seq.Confusion != par.Confusion {
 		t.Fatalf("confusion differs: %+v vs %+v", seq.Confusion, par.Confusion)
 	}

@@ -84,8 +84,8 @@ type MultiHeadAttention struct {
 	// each forward pass (the paper's Figure 6 introspection). It is off
 	// by default so concurrent inference shares the layer safely.
 	Capture bool
-	// lastWeights stores the captured weights, one (batch·L) x L matrix
-	// per head (L x L for unbatched Forward).
+	// lastWeights stores the captured weights, one L x L matrix per
+	// head.
 	lastWeights []*tensor.Matrix
 }
 
@@ -103,47 +103,12 @@ func NewMultiHeadAttention(name string, dim, heads int, mask MaskKind, rng *rand
 	}
 }
 
-// BuildBatchMask returns the (batch·L) x L additive attention mask for a
-// stack of batch right-padded sequences: block b holds the kind's L x L
-// pattern with every column j >= lengths[b] additionally forbidden, so
-// padded key positions receive exactly zero attention weight (their
-// softmax terms underflow to 0). lengths == nil means no padding (every
-// sequence fills all L positions); with batch == 1 and nil lengths the
-// result equals BuildMask.
-func BuildBatchMask(kind MaskKind, batch, L int, lengths []int) *tensor.Matrix {
-	base := BuildMask(kind, L)
-	if batch == 1 && lengths == nil {
-		return base
-	}
-	m := tensor.NewMatrix(batch*L, L)
-	for b := 0; b < batch; b++ {
-		copy(m.Data[b*L*L:(b+1)*L*L], base.Data)
-		if lengths == nil {
-			continue
-		}
-		for i := 0; i < L; i++ {
-			row := m.Row(b*L + i)
-			for j := lengths[b]; j < L; j++ {
-				row[j] = maskNegInf
-			}
-		}
-	}
-	return m
-}
-
-// ForwardBatch computes MH(E) independently for batch stacked L x dim
-// sequences in one pass over stacked matrices. e holds the sequences
-// concatenated along the row axis ((batch·L) x dim); mask is a
-// (batch·L) x L additive mask from BuildBatchMask, or nil to build the
-// layer's kind mask with no padding. Attention never crosses sequence
-// boundaries: scores and read-outs use block-diagonal batched products.
-func (a *MultiHeadAttention) ForwardBatch(tp *tensor.Tape, e *tensor.Node, batch int, mask *tensor.Matrix) *tensor.Node {
+// Forward computes MH(E) over one L x dim sequence under mask, the
+// L x L additive mask BuildMask(a.Mask, L) returns (built once by the
+// caller and shared by every block).
+func (a *MultiHeadAttention) Forward(tp *tensor.Tape, e *tensor.Node, mask *tensor.Matrix) *tensor.Node {
 	dim := a.WQ.Value.Rows
-	L := e.Value.Rows / batch
 	dk := dim / a.Heads
-	if mask == nil {
-		mask = BuildBatchMask(a.Mask, batch, L, nil)
-	}
 	maskN := tp.Const(mask)
 
 	q := tp.MatMul(e, tp.Param(a.WQ))
@@ -162,18 +127,18 @@ func (a *MultiHeadAttention) ForwardBatch(tp *tensor.Tape, e *tensor.Node, batch
 		qh := tp.SliceCols(q, lo, hi)
 		kh := tp.SliceCols(k, lo, hi)
 		vh := tp.SliceCols(v, lo, hi)
-		scores := tp.Add(tp.Scale(tp.BatchMatMulNT(qh, kh, batch), scale), maskN)
+		scores := tp.Add(tp.Scale(tp.MatMulNT(qh, kh), scale), maskN)
 		weights := tp.SoftmaxRows(scores)
 		if a.Capture {
 			a.lastWeights = append(a.lastWeights, weights.Value.Clone())
 		}
-		headsOut[hIdx] = tp.BatchMatMulNN(weights, vh, batch)
+		headsOut[hIdx] = tp.MatMul(weights, vh)
 	}
 	return tp.MatMul(tp.ConcatCols(headsOut...), tp.Param(a.WO))
 }
 
 // LastWeights returns the attention weights (one L x L matrix per head)
-// from the most recent ForwardBatch call with Capture enabled; nil otherwise.
+// from the most recent Forward call with Capture enabled; nil otherwise.
 func (a *MultiHeadAttention) LastWeights() []*tensor.Matrix { return a.lastWeights }
 
 // Params implements Module.

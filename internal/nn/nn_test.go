@@ -83,7 +83,7 @@ func TestMaskBlocksTargetLeakage(t *testing.T) {
 
 	outAt := func(m *tensor.Matrix, r int) []float64 {
 		tp := tensor.NewTape()
-		out := att.ForwardBatch(tp, tp.Const(m), 1, nil)
+		out := forwardAtt(att, tp, tp.Const(m))
 		return append([]float64(nil), out.Value.Row(r)...)
 	}
 	for i := 0; i < L-1; i++ {
@@ -120,7 +120,7 @@ func TestFutureMaskBlocksFuture(t *testing.T) {
 	base := tensor.NewRandN(L, 4, 1, rng)
 	outRow := func(m *tensor.Matrix, r int) []float64 {
 		tp := tensor.NewTape()
-		out := att.ForwardBatch(tp, tp.Const(m), 1, nil)
+		out := forwardAtt(att, tp, tp.Const(m))
 		return append([]float64(nil), out.Value.Row(r)...)
 	}
 	perturbed := base.Clone()
@@ -141,7 +141,7 @@ func TestAttentionGradCheck(t *testing.T) {
 	run := func() float64 {
 		ZeroGrads(params)
 		tp := tensor.NewTape()
-		out := att.ForwardBatch(tp, tp.Param(x), 1, nil)
+		out := forwardAtt(att, tp, tp.Param(x))
 		loss := tp.Sum(tp.Square(out))
 		tp.Backward(loss)
 		return loss.Value.Data[0]
@@ -342,13 +342,13 @@ func TestAttentionWeightsCaptured(t *testing.T) {
 	att := NewMultiHeadAttention("att", 4, 2, MaskBidirectionalExceptSelf, rng)
 	input := tensor.NewRandN(3, 4, 1, rng)
 	tp := tensor.NewTape()
-	att.ForwardBatch(tp, tp.Const(input), 1, nil)
+	forwardAtt(att, tp, tp.Const(input))
 	if att.LastWeights() != nil {
 		t.Fatal("weights captured without Capture enabled")
 	}
 	att.Capture = true
 	tp = tensor.NewTape()
-	att.ForwardBatch(tp, tp.Const(input), 1, nil)
+	forwardAtt(att, tp, tp.Const(input))
 	ws := att.LastWeights()
 	if len(ws) != 2 {
 		t.Fatalf("weights for %d heads, want 2", len(ws))
@@ -371,4 +371,9 @@ func TestAttentionWeightsCaptured(t *testing.T) {
 			t.Fatalf("masked cell has weight %v", w.At(0, 1))
 		}
 	}
+}
+
+// forwardAtt runs att over e under the layer's own mask kind.
+func forwardAtt(att *MultiHeadAttention, tp *tensor.Tape, e *tensor.Node) *tensor.Node {
+	return att.Forward(tp, e, BuildMask(att.Mask, e.Value.Rows))
 }

@@ -5,105 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/ucad/ucad/internal/session"
 )
-
-func opAt(hour int, table string) session.Operation {
-	return session.Operation{
-		Time: time.Date(2022, 6, 12, hour, 0, 0, 0, time.UTC),
-		SQL:  "SELECT * FROM " + table + " WHERE x = 1",
-	}
-}
-
-func TestPolicyDenyByAddr(t *testing.T) {
-	p := &Policy{Rules: []Rule{
-		{Name: "deny-unknown-addr", Effect: Deny, Addrs: []string{"6.6.6.6"}},
-	}}
-	good := &session.Session{User: "u", Addr: "10.0.0.1", Ops: []session.Operation{opAt(10, "t")}}
-	bad := &session.Session{User: "u", Addr: "6.6.6.6", Ops: []session.Operation{opAt(10, "t")}}
-	if ok, _ := p.Evaluate(good); !ok {
-		t.Fatal("good session denied")
-	}
-	if ok, reason := p.Evaluate(bad); ok || reason != "deny-unknown-addr" {
-		t.Fatalf("bad session ok=%v reason=%q", ok, reason)
-	}
-}
-
-func TestPolicyAllowCoverage(t *testing.T) {
-	p := &Policy{Rules: []Rule{
-		{Name: "office-hours", Effect: Allow, Users: []string{"u1"}, HourFrom: 9, HourTo: 18},
-	}}
-	in := &session.Session{User: "u1", Ops: []session.Operation{opAt(10, "t"), opAt(17, "t")}}
-	out := &session.Session{User: "u1", Ops: []session.Operation{opAt(10, "t"), opAt(23, "t")}}
-	other := &session.Session{User: "u2", Ops: []session.Operation{opAt(10, "t")}}
-	if ok, _ := p.Evaluate(in); !ok {
-		t.Fatal("in-hours session denied")
-	}
-	if ok, reason := p.Evaluate(out); ok || reason != "uncovered-operation" {
-		t.Fatalf("out-of-hours session ok=%v reason=%q", ok, reason)
-	}
-	if ok, _ := p.Evaluate(other); ok {
-		t.Fatal("unknown user should not be covered by user-scoped allow")
-	}
-}
-
-func TestPolicyHourWrapsMidnight(t *testing.T) {
-	r := Rule{HourFrom: 22, HourTo: 6}
-	if !r.matchHour(time.Date(2022, 1, 1, 23, 0, 0, 0, time.UTC)) {
-		t.Fatal("23:00 should match 22-06 window")
-	}
-	if !r.matchHour(time.Date(2022, 1, 1, 3, 0, 0, 0, time.UTC)) {
-		t.Fatal("03:00 should match 22-06 window")
-	}
-	if r.matchHour(time.Date(2022, 1, 1, 12, 0, 0, 0, time.UTC)) {
-		t.Fatal("12:00 should not match 22-06 window")
-	}
-}
-
-func TestPolicyGapBelowCatchesBots(t *testing.T) {
-	p := &Policy{Rules: []Rule{
-		{Name: "machine-speed", Effect: Deny, GapBelow: 100 * time.Millisecond},
-	}}
-	base := time.Date(2022, 6, 12, 10, 0, 0, 0, time.UTC)
-	human := &session.Session{Ops: []session.Operation{
-		{Time: base, SQL: "SELECT 1 FROM t"},
-		{Time: base.Add(2 * time.Second), SQL: "SELECT 1 FROM t"},
-	}}
-	bot := &session.Session{Ops: []session.Operation{
-		{Time: base, SQL: "SELECT 1 FROM t"},
-		{Time: base.Add(time.Millisecond), SQL: "SELECT 1 FROM t"},
-	}}
-	if ok, _ := p.Evaluate(human); !ok {
-		t.Fatal("human-paced session denied")
-	}
-	if ok, _ := p.Evaluate(bot); ok {
-		t.Fatal("machine-paced session passed")
-	}
-}
-
-func TestPolicyDenyByTable(t *testing.T) {
-	p := &Policy{Rules: []Rule{
-		{Name: "no-secrets", Effect: Deny, Tables: []string{"secrets"}},
-	}}
-	s := &session.Session{Ops: []session.Operation{opAt(10, "public"), opAt(11, "secrets")}}
-	if ok, _ := p.Evaluate(s); ok {
-		t.Fatal("session touching denied table passed")
-	}
-}
-
-func TestPolicyFilterPartitions(t *testing.T) {
-	p := &Policy{Rules: []Rule{{Name: "d", Effect: Deny, Users: []string{"evil"}}}}
-	ss := []*session.Session{
-		{User: "ok", Ops: []session.Operation{opAt(10, "t")}},
-		{User: "evil", Ops: []session.Operation{opAt(10, "t")}},
-	}
-	kept, dropped := p.Filter(ss)
-	if len(kept) != 1 || len(dropped) != 1 || kept[0].User != "ok" {
-		t.Fatalf("kept=%v dropped=%v", kept, dropped)
-	}
-}
 
 func TestNGramSet(t *testing.T) {
 	set := NGramSet([]int{1, 2, 3, 1, 2}, 2)
@@ -301,31 +205,6 @@ func TestCleanEmptyInput(t *testing.T) {
 	kept, rep := Clean(nil, DefaultCleanConfig(), rand.New(rand.NewSource(1)))
 	if kept != nil || rep.Input != 0 {
 		t.Fatalf("kept=%v rep=%+v", kept, rep)
-	}
-}
-
-func TestCleanKeepNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var sessions []*session.Session
-	for i := 0; i < 6; i++ {
-		sessions = append(sessions, mkSession(repeatKeys([]int{1, 2}, 10)...))
-	}
-	sessions = append(sessions, mkSession(repeatKeys([]int{30, 31, 32}, 10)...))
-	cfg := DefaultCleanConfig()
-	cfg.KeepNoise = true
-	cfg.SmallClusterRatio = 0 // keep singleton pseudo-clusters
-	kept, rep := Clean(sessions, cfg, rng)
-	if rep.NoiseDropped != 0 {
-		t.Fatalf("noise dropped = %d with KeepNoise", rep.NoiseDropped)
-	}
-	found := false
-	for _, s := range kept {
-		if s.Ops[0].Key == 30 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("noise session not retained")
 	}
 }
 

@@ -8,48 +8,6 @@ import (
 	"github.com/ucad/ucad/internal/session"
 )
 
-// Property: Filter partitions its input (kept + dropped = input, no
-// session lost or duplicated).
-func TestFilterPartitionProperty(t *testing.T) {
-	p := &Policy{Rules: []Rule{
-		{Name: "deny-evil", Effect: Deny, Users: []string{"evil"}},
-		{Name: "deny-fast", Effect: Deny, GapBelow: 1},
-	}}
-	f := func(users []uint8) bool {
-		var sessions []*session.Session
-		for _, u := range users {
-			name := "ok"
-			if u%3 == 0 {
-				name = "evil"
-			}
-			sessions = append(sessions, &session.Session{
-				User: name,
-				Ops:  []session.Operation{{SQL: "SELECT 1 FROM t"}},
-			})
-		}
-		kept, dropped := p.Filter(sessions)
-		if len(kept)+len(dropped) != len(sessions) {
-			return false
-		}
-		seen := map[*session.Session]bool{}
-		for _, s := range append(kept, dropped...) {
-			if seen[s] {
-				return false
-			}
-			seen[s] = true
-		}
-		for _, s := range kept {
-			if s.User == "evil" {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: DBSCAN labels are Noise or dense cluster ids 0..k-1, and
 // every non-noise cluster has at least one core point.
 func TestDBSCANLabelValidity(t *testing.T) {

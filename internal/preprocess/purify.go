@@ -1,3 +1,8 @@
+// Package preprocess implements the paper's data preprocessing module
+// (§5.1): n-gram session profiling with Jaccard similarity, DBSCAN
+// clustering, pattern balancing and short-session removal. The
+// attribute-based access-control filter of known attacks is not
+// reproduced (EXPERIMENTS.md, Known deviations, item 6).
 package preprocess
 
 import (
@@ -23,8 +28,6 @@ type CleanConfig struct {
 	// their cluster's average length ("too short to reveal the
 	// contextual intent").
 	ShortSessionRatio float64
-	// KeepNoise retains DBSCAN noise points instead of dropping them.
-	KeepNoise bool
 }
 
 // DefaultCleanConfig returns the defaults used throughout the
@@ -74,11 +77,7 @@ func Clean(sessions []*session.Session, cfg CleanConfig, rng *rand.Rand) ([]*ses
 	clusters := make(map[int][]int)
 	for i, l := range labels {
 		if l == Noise {
-			if cfg.KeepNoise {
-				clusters[len(sessions)+i] = []int{i} // singleton pseudo-cluster
-			} else {
-				rep.NoiseDropped++
-			}
+			rep.NoiseDropped++
 			continue
 		}
 		clusters[l] = append(clusters[l], i)

@@ -114,7 +114,7 @@ func (rp *Replayer) Apply() (Applied, error) {
 // swapCheckpoint installs the newest shipped model checkpoint when it
 // differs from the one the target is scoring with.
 func (rp *Replayer) swapCheckpoint(out *Applied) error {
-	ck, err := wal.OpenCheckpoints(filepath.Join(rp.dir, ckptSubdir), 0)
+	ck, err := wal.OpenCheckpoints(filepath.Join(rp.dir, ckptSubdir))
 	if err != nil {
 		return err
 	}

@@ -159,7 +159,7 @@ func TestShipperEndpoints(t *testing.T) {
 	root := t.TempDir()
 	writeTenant(t, root, "t1", 12, 5)
 	sh := &Shipper{Root: root, Metrics: NewMetrics(nil)}
-	srv := httptest.NewServer(sh.Handler(""))
+	srv := httptest.NewServer(sh.Handler())
 	defer srv.Close()
 
 	get := func(p string) (int, string) {
@@ -224,7 +224,7 @@ func TestShipperIgnoresFlatLayout(t *testing.T) {
 	parent := t.TempDir()
 	writeTenant(t, parent, "flatdata", 12, 5)
 	sh := &Shipper{Root: filepath.Join(parent, "flatdata", "tenants")} // does not exist
-	srv := httptest.NewServer(sh.Handler(""))
+	srv := httptest.NewServer(sh.Handler())
 	defer srv.Close()
 
 	res, err := http.Get(srv.URL + "/v1/replica/tenants")
@@ -253,7 +253,7 @@ func TestFollowerSyncReplayCatchUp(t *testing.T) {
 	root, standby := t.TempDir(), t.TempDir()
 	writeTenant(t, root, "t1", 12, 5)
 	sh := &Shipper{Root: root}
-	srv := httptest.NewServer(sh.Handler(""))
+	srv := httptest.NewServer(sh.Handler())
 	defer srv.Close()
 
 	targets := map[string]*fakeTarget{}
@@ -315,7 +315,7 @@ func TestFollowerRejectsCorruptShippedSegment(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if corrupt && r.URL.Path == "/v1/replica/file" && strings.HasSuffix(r.URL.Query().Get("path"), ".log") {
 			rec := httptest.NewRecorder()
-			sh.Handler("").ServeHTTP(rec, r)
+			sh.Handler().ServeHTTP(rec, r)
 			b := rec.Body.Bytes()
 			if len(b) > 5 {
 				b = b[:len(b)-5] // torn in transfer
@@ -324,7 +324,7 @@ func TestFollowerRejectsCorruptShippedSegment(t *testing.T) {
 			w.Write(b)
 			return
 		}
-		sh.Handler("").ServeHTTP(w, r)
+		sh.Handler().ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 
@@ -547,7 +547,7 @@ func TestReplayerSwapsCheckpoint(t *testing.T) {
 	writeTenant(t, root, "t1", 4, -1)
 	dir := filepath.Join(root, "t1")
 	u := trainTinyModel(t)
-	ck, err := wal.OpenCheckpoints(filepath.Join(dir, ckptSubdir), 0)
+	ck, err := wal.OpenCheckpoints(filepath.Join(dir, ckptSubdir))
 	if err != nil {
 		t.Fatal(err)
 	}

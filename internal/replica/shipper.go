@@ -25,9 +25,9 @@ import (
 //
 // Endpoints (mount under /v1/replica/):
 //
-//	GET {prefix}/tenants            -> {"tenants":[...]}
-//	GET {prefix}/files?tenant=ID    -> {"files":[{path,size,mutable}]}
-//	GET {prefix}/file?tenant=ID&path=REL -> raw bytes
+//	GET /v1/replica/tenants            -> {"tenants":[...]}
+//	GET /v1/replica/files?tenant=ID    -> {"files":[{path,size,mutable}]}
+//	GET /v1/replica/file?tenant=ID&path=REL -> raw bytes
 type Shipper struct {
 	// Root is the tenants root (<data-dir>/tenants): one subdirectory
 	// per tenant, each holding tenant.json, wal/, checkpoints/.
@@ -36,17 +36,12 @@ type Shipper struct {
 	Metrics *Metrics
 }
 
-// Handler returns the shipper's mux. Paths are rooted at prefix
-// (default "/v1/replica").
-func (sh *Shipper) Handler(prefix string) http.Handler {
-	if prefix == "" {
-		prefix = "/v1/replica"
-	}
-	prefix = strings.TrimSuffix(prefix, "/")
+// Handler returns the shipper's mux, rooted at /v1/replica.
+func (sh *Shipper) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(prefix+"/tenants", sh.handleTenants)
-	mux.HandleFunc(prefix+"/files", sh.handleFiles)
-	mux.HandleFunc(prefix+"/file", sh.handleFile)
+	mux.HandleFunc("/v1/replica/tenants", sh.handleTenants)
+	mux.HandleFunc("/v1/replica/files", sh.handleFiles)
+	mux.HandleFunc("/v1/replica/file", sh.handleFile)
 	return mux
 }
 

@@ -489,7 +489,7 @@ func TestDurableNotReadyAndMetrics(t *testing.T) {
 func TestDurableCheckpointHotSwap(t *testing.T) {
 	u := testUCAD(t)
 	dir := t.TempDir()
-	ck, err := wal.OpenCheckpoints(dir+"/checkpoints", 0)
+	ck, err := wal.OpenCheckpoints(dir + "/checkpoints")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,13 +69,9 @@ type MetricsHub struct {
 }
 
 // NewMetricsHub registers the serving layer's tenant-labelled families
-// on reg (nil means a fresh private registry). Call Tenant to carve
-// per-tenant views; a registry accepts exactly one hub (a second
-// registration panics on the duplicate family names).
-func NewMetricsHub(reg *obs.Registry) *MetricsHub {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+// on a fresh registry. Call Tenant to carve per-tenant views.
+func NewMetricsHub() *MetricsHub {
+	reg := obs.NewRegistry()
 	h := &MetricsHub{
 		Registry: reg,
 		tenants:  make(map[string]*Metrics),
@@ -286,12 +282,11 @@ type Metrics struct {
 	snapshotSeconds *obs.Histogram
 }
 
-// NewMetrics returns the default-tenant view of a fresh hub on reg (nil
-// means a private registry) — the single-tenant wiring path, unchanged
-// for existing callers. Multi-tenant deployments construct one
+// NewMetrics returns the default-tenant view of a fresh hub — the
+// single-tenant wiring path. Multi-tenant deployments construct one
 // MetricsHub and call Tenant per tenant instead.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	return NewMetricsHub(reg).Tenant(DefaultTenant)
+func NewMetrics() *Metrics {
+	return NewMetricsHub().Tenant(DefaultTenant)
 }
 
 // TenantID returns the tenant label this view exports under.

@@ -189,7 +189,7 @@ func NewService(u *core.UCAD, cfg Config) *Service {
 		cfg.ResolvedAlertTTL = def.ResolvedAlertTTL
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics(nil)
+		cfg.Metrics = NewMetrics()
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now

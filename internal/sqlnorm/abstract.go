@@ -14,22 +14,9 @@ import "strings"
 //
 // Abstract keeps one placeholder per literal position, so IN lists of
 // different lengths are distinct templates — the paper's Figure 6
-// semantics, which Scenario-II's Table 1 key counts depend on, and the
-// abstraction every production path trains and serves with.
-// AbstractDynamic, which collapses those variants, is opt-in
-// (core.Config.DynamicVocab).
+// semantics, which Scenario-II's Table 1 key counts depend on.
 func Abstract(sql string) string {
 	return render(lex(sql))
-}
-
-// AbstractDynamic is Abstract plus ADALog-style dynamic-template
-// collapsing: a variable-length IN list of literals becomes the single
-// form "IN (...)", so "x IN (1, 2)" and "x IN ('a', 'b', 'c')" share
-// one template key regardless of list length or literal kind. Subquery
-// and column-reference IN bodies are left alone — only pure
-// literal/placeholder lists collapse.
-func AbstractDynamic(sql string) string {
-	return render(collapseInLists(lex(sql)))
 }
 
 // render emits the normalized template text for a token stream.
@@ -55,71 +42,15 @@ func render(toks []token) string {
 	return b.String()
 }
 
-// collapseInLists rewrites every "IN ( lit [, lit]* )" token run into
-// "IN (...)". The body must consist solely of literal-like tokens
-// (numbers, strings, placeholders) separated by commas, with at least
-// one literal — anything else (subqueries, column references, empty
-// parens) is kept verbatim. The "..." marker lexes back to plain "."
-// symbols with no literals, so re-abstraction is a no-op and templates
-// stay idempotent.
-func collapseInLists(toks []token) []token {
-	out := toks[:0:0]
-	for i := 0; i < len(toks); i++ {
-		if !isInKeyword(toks[i]) || i+1 >= len(toks) || toks[i+1].text != "(" {
-			out = append(out, toks[i])
-			continue
-		}
-		j := i + 2 // first token inside the parens
-		lits, ok := 0, true
-		for ; j < len(toks) && toks[j].text != ")"; j++ {
-			switch {
-			case toks[j].kind == tokNumber || toks[j].kind == tokString || toks[j].kind == tokPlaceholder:
-				lits++
-			case toks[j].kind == tokSymbol && toks[j].text == ",":
-			default:
-				ok = false
-			}
-			if !ok {
-				break
-			}
-		}
-		if !ok || lits == 0 || j >= len(toks) {
-			out = append(out, toks[i])
-			continue
-		}
-		out = append(out,
-			toks[i],
-			token{tokSymbol, "("},
-			token{tokSymbol, "..."},
-			token{tokSymbol, ")"},
-		)
-		i = j // skip to the closing paren; loop increment moves past it
-	}
-	return out
-}
-
-// isInKeyword reports whether tok is the IN keyword (any case).
-func isInKeyword(tok token) bool {
-	return tok.kind == tokWord && strings.EqualFold(tok.text, "in")
-}
-
 // needsSpace decides whether to emit a separating space between two
 // tokens in the normalized rendering.
 func needsSpace(prev, cur token) bool {
-	tight := func(t token) bool {
-		switch t.text {
-		case "(", ")", ",", ".", ";":
-			return true
-		}
-		return false
-	}
 	if cur.text == "," || cur.text == ")" || cur.text == "." || cur.text == ";" {
 		return false
 	}
 	if prev.text == "(" || prev.text == "." {
 		return false
 	}
-	_ = tight
 	return true
 }
 

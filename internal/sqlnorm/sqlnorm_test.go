@@ -43,74 +43,6 @@ func TestAbstractLiterals(t *testing.T) {
 	}
 }
 
-func TestAbstractDynamicInListCollapse(t *testing.T) {
-	cases := []struct {
-		name, in, want string
-	}{
-		{"single", "SELECT * FROM t WHERE x IN (1)", "SELECT * FROM t WHERE x IN (...)"},
-		{"many", "SELECT * FROM t WHERE x IN (1, 2, 3, 4, 5)", "SELECT * FROM t WHERE x IN (...)"},
-		{"strings", "SELECT * FROM t WHERE x IN ('a', 'b')", "SELECT * FROM t WHERE x IN (...)"},
-		{"mixed", "SELECT * FROM t WHERE x IN (1, 'a', 2.5)", "SELECT * FROM t WHERE x IN (...)"},
-		{"placeholders", "SELECT * FROM t WHERE x IN (?, ?, $3)", "SELECT * FROM t WHERE x IN (...)"},
-		{"not in", "DELETE FROM t WHERE x NOT IN (1, 2)", "DELETE FROM t WHERE x NOT IN (...)"},
-		{"lowercase", "select * from t where x in (7, 8)", "SELECT * FROM t WHERE x IN (...)"},
-		{"tail literal renumbers", "SELECT * FROM t WHERE x IN (1, 2) AND y = 9", "SELECT * FROM t WHERE x IN (...) AND y = $1"},
-		{"subquery untouched", "SELECT * FROM t WHERE x IN (SELECT id FROM u)", "SELECT * FROM t WHERE x IN (SELECT id FROM u)"},
-		{"column list untouched", "SELECT * FROM t WHERE x IN (a, b)", "SELECT * FROM t WHERE x IN (a, b)"},
-		{"empty untouched", "SELECT * FROM t WHERE x IN ()", "SELECT * FROM t WHERE x IN ()"},
-		{"unclosed untouched", "SELECT * FROM t WHERE x IN (1, 2", "SELECT * FROM t WHERE x IN ($1, $2"},
-		{"in as column name", "SELECT in FROM t", "SELECT IN FROM t"},
-	}
-	for _, tc := range cases {
-		if got := AbstractDynamic(tc.in); got != tc.want {
-			t.Errorf("%s: AbstractDynamic(%q) = %q, want %q", tc.name, tc.in, got, tc.want)
-		}
-	}
-}
-
-// Dynamic abstraction must stay idempotent: the "(...)" marker re-lexes
-// to plain symbols, so re-abstracting a collapsed template is a no-op.
-func TestAbstractDynamicIdempotent(t *testing.T) {
-	stmts := []string{
-		"SELECT * FROM t WHERE x IN (1, 2, 3) AND y = 4",
-		"DELETE FROM t WHERE x NOT IN ('a', 'b')",
-		"SELECT * FROM t WHERE x IN (SELECT id FROM u WHERE v = 1)",
-	}
-	for _, s := range stmts {
-		once := AbstractDynamic(s)
-		twice := AbstractDynamic(once)
-		if once != twice {
-			t.Errorf("not idempotent: %q -> %q", once, twice)
-		}
-	}
-}
-
-// The ADALog-style dynamic-template property: list length and literal
-// kind never split templates, so every variant keys identically.
-func TestAbstractInListVariantsShareTemplate(t *testing.T) {
-	variants := []string{
-		"SELECT * FROM t WHERE x IN (1)",
-		"SELECT * FROM t WHERE x IN (1, 2, 3)",
-		"SELECT * FROM t WHERE x IN (1, 2, 3, 4, 5, 6, 7, 8)",
-		"SELECT * FROM t WHERE x IN ('a', 'bb', 'ccc')",
-		"SELECT * FROM t WHERE x IN (1, 'mixed', 2.71)",
-		"select * from t where x in (?, ?)",
-	}
-	base := AbstractDynamic(variants[0])
-	for _, v := range variants[1:] {
-		if got := AbstractDynamic(v); got != base {
-			t.Errorf("AbstractDynamic(%q) = %q, want shared template %q", v, got, base)
-		}
-	}
-	v := NewDynamicVocabulary()
-	k := v.Learn(variants[0])
-	for _, s := range variants[1:] {
-		if got := v.Key(s); got != k {
-			t.Errorf("Key(%q) = %d, want %d", s, got, k)
-		}
-	}
-}
-
 // Numeric and quoted literal variants of the same statement shape must
 // share one template key.
 func TestAbstractNumericVsQuotedShareTemplate(t *testing.T) {
@@ -122,12 +54,6 @@ func TestAbstractNumericVsQuotedShareTemplate(t *testing.T) {
 		if a, b := Abstract(p[0]), Abstract(p[1]); a != b {
 			t.Errorf("Abstract(%q) = %q but Abstract(%q) = %q; want identical", p[0], a, p[1], b)
 		}
-	}
-	// Under dynamic templates even different-length IN lists unify.
-	a := AbstractDynamic("DELETE FROM t WHERE x IN (1, 2)")
-	b := AbstractDynamic("DELETE FROM t WHERE x IN ('a', 'b', 'c')")
-	if a != b {
-		t.Errorf("dynamic templates differ: %q vs %q", a, b)
 	}
 }
 
@@ -261,31 +187,29 @@ func TestVocabularySaveLoad(t *testing.T) {
 	}
 }
 
+// Only the classic mode is left, so a save/load round trip keeps it;
+// a vocabulary saved in the removed dynamic mode (k0 slot "#dynamic",
+// IN lists collapsed) must be refused, not loaded as a classic one that
+// would split its collapsed templates by list length.
 func TestDynamicVocabularySaveLoadKeepsMode(t *testing.T) {
-	v := NewDynamicVocabulary()
-	if !v.Dynamic() {
-		t.Fatal("NewDynamicVocabulary not dynamic")
-	}
+	v := NewVocabulary()
 	k := v.Learn("SELECT * FROM t WHERE x IN (1, 2, 3)")
 	loaded, err := FromTemplates(v.Templates())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Dynamic() {
-		t.Fatal("dynamic mode lost in round-trip")
+	if got := loaded.Key("SELECT * FROM t WHERE x IN (9, 8, 7)"); got != k {
+		t.Fatalf("loaded key = %d, want %d", got, k)
 	}
-	if got := loaded.Key("SELECT * FROM t WHERE x IN (9, 8, 7, 6)"); got != k {
-		t.Fatalf("loaded key = %d, want %d (IN lengths must unify)", got, k)
-	}
-	classic := NewVocabulary()
-	if classic.Dynamic() {
-		t.Fatal("classic vocabulary reports dynamic")
+	if _, err := FromTemplates([]string{"#dynamic", "SELECT * FROM t WHERE x IN (...)"}); err == nil {
+		t.Fatal("dynamic-mode vocabulary accepted")
 	}
 }
 
 func TestLoadVocabularyRejectsGarbage(t *testing.T) {
-	if _, err := FromTemplates([]string{"SELECT"}); err == nil {
-		t.Fatal("expected missing-k0 error")
+	// The k0 slot is always "": no vocabulary is saved with anything else there.
+	if _, err := FromTemplates([]string{"SELECT", "SELECT * FROM t"}); err == nil {
+		t.Fatal("k0 slot \"SELECT\" accepted")
 	}
 }
 

@@ -16,23 +16,16 @@ const PadKey = 0
 // scored, never top-ranked, never an ingest error.
 const UnknownKey = PadKey
 
-// dynamicMarker occupies the reserved k0 slot of a serialized dynamic
-// vocabulary. The k0 template is never matched or returned to callers,
-// so the slot doubles as the mode flag without a format break: classic
-// saves carry "" there, dynamic saves carry this marker.
-const dynamicMarker = "#dynamic"
-
 // Vocabulary maps statement templates to unique integer keys starting at
 // k1. It is safe for concurrent use: training builds it, online
 // detection reads it from many sessions.
 type Vocabulary struct {
 	mu        sync.RWMutex
 	keyOf     map[string]int
-	templates []string // templates[0] is the k0 slot ("" or dynamicMarker)
+	templates []string // templates[0] is the reserved k0 slot, ""
 }
 
-// NewVocabulary returns an empty vocabulary with k0 reserved, using the
-// paper's classic abstraction (one placeholder per literal position).
+// NewVocabulary returns an empty vocabulary with k0 reserved.
 func NewVocabulary() *Vocabulary {
 	return &Vocabulary{
 		keyOf:     make(map[string]int),
@@ -40,35 +33,10 @@ func NewVocabulary() *Vocabulary {
 	}
 }
 
-// NewDynamicVocabulary returns an empty vocabulary that abstracts with
-// AbstractDynamic: variable-length IN lists collapse to one template,
-// so they key identically however many literals a client sends.
-func NewDynamicVocabulary() *Vocabulary {
-	return &Vocabulary{
-		keyOf:     make(map[string]int),
-		templates: []string{dynamicMarker},
-	}
-}
-
-// Dynamic reports whether the vocabulary uses dynamic templates.
-func (v *Vocabulary) Dynamic() bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.templates[0] == dynamicMarker
-}
-
-// abstract applies the vocabulary's abstraction mode.
-func (v *Vocabulary) abstract(sql string) string {
-	if v.Dynamic() {
-		return AbstractDynamic(sql)
-	}
-	return Abstract(sql)
-}
-
 // Learn abstracts the statement and returns its key, assigning the next
 // free key if the template is new.
 func (v *Vocabulary) Learn(sql string) int {
-	template := v.abstract(sql)
+	template := Abstract(sql)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if k, ok := v.keyOf[template]; ok {
@@ -84,7 +52,7 @@ func (v *Vocabulary) Learn(sql string) int {
 // template was never learned (a "newly appeared statement" in the
 // paper's terms).
 func (v *Vocabulary) Key(sql string) int {
-	template := v.abstract(sql)
+	template := Abstract(sql)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.keyOf[template]
@@ -110,7 +78,7 @@ func (v *Vocabulary) Size() int {
 }
 
 // Templates returns a copy of all learned templates indexed by key
-// (index 0 is the reserved k0 slot: "" classic, "#dynamic" dynamic).
+// (index 0 is the reserved k0 slot, "").
 func (v *Vocabulary) Templates() []string {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -120,7 +88,7 @@ func (v *Vocabulary) Templates() []string {
 // FromTemplates rebuilds a vocabulary from a Templates() slice (as
 // persisted in a model checkpoint).
 func FromTemplates(templates []string) (*Vocabulary, error) {
-	if len(templates) == 0 || (templates[0] != "" && templates[0] != dynamicMarker) {
+	if len(templates) == 0 || templates[0] != "" {
 		return nil, fmt.Errorf("sqlnorm: vocabulary missing reserved k0 slot")
 	}
 	templates = append([]string(nil), templates...)

@@ -228,6 +228,10 @@ func TestServeHTTPEventArrayAndValidation(t *testing.T) {
 		{`not json`, http.StatusBadRequest},
 		{``, http.StatusBadRequest},
 		{`[{"client_id":"x","sql":"SELECT 1"}`, http.StatusBadRequest},
+		// Exactly one JSON value: a second array or trailing garbage is
+		// refused whole, never half-ingested behind a 202.
+		{`[{"client_id":"x","user":"u","sql":"SELECT 1"}] [{"client_id":"x","user":"u","sql":"SELECT 2"}]`, http.StatusBadRequest},
+		{`{"client_id":"x","user":"u","sql":"SELECT 1"} garbage`, http.StatusBadRequest},
 	} {
 		if code, _ := postBody(t, ts.URL+"/v1/events", tc.body); code != tc.want {
 			t.Fatalf("body %q: status %d, want %d", tc.body, code, tc.want)
@@ -410,6 +414,7 @@ func TestEnvelopeGoldenEndpoints(t *testing.T) {
 
 	// POST /v1/events — body-level and event-level rejections.
 	check("POST", "/v1/events", `not json`, http.StatusBadRequest, CodeInvalidBody, false)
+	check("POST", "/v1/events", `{"client_id":"x","user":"u","sql":"SELECT 1"} garbage`, http.StatusBadRequest, CodeInvalidBody, false)
 	check("POST", "/v1/events", `{"client_id":"x"}`, http.StatusBadRequest, CodeInvalidEvent, false)
 	check("POST", "/v1/events", `[{"client_id":"x"}]`, http.StatusBadRequest, CodeInvalidEvent, false)
 	check("POST", "/v1/events", `{"client_id":"x","sql":"SELECT 1","seq":1}`, http.StatusBadRequest, CodeInvalidEvent, false)

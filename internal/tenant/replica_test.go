@@ -55,7 +55,7 @@ func TestReplicaFollowerPromoteFailover(t *testing.T) {
 	}
 
 	sh := &replica.Shipper{Root: filepath.Join(rootA, "tenants")}
-	primary := httptest.NewServer(sh.Handler(""))
+	primary := httptest.NewServer(sh.Handler())
 	defer primary.Close()
 
 	optsB := durableOptions(clk, rootB)
@@ -166,7 +166,7 @@ func TestPromoteFailureLeavesReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &replica.Shipper{Root: filepath.Join(rootA, "tenants")}
-	primary := httptest.NewServer(sh.Handler(""))
+	primary := httptest.NewServer(sh.Handler())
 	defer primary.Close()
 
 	optsB := durableOptions(clk, rootB)
@@ -267,7 +267,7 @@ func TestStandbyModelsPassThroughTune(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &replica.Shipper{Root: filepath.Join(rootA, "tenants")}
-	primary := httptest.NewServer(sh.Handler(""))
+	primary := httptest.NewServer(sh.Handler())
 	defer primary.Close()
 
 	optsB := durableOptions(clk, rootB)

@@ -74,9 +74,6 @@ type Options struct {
 	// segment cap). Dir and Checkpoints are derived per tenant and
 	// ignored here. Only consulted when Root is set.
 	Durability serve.DurabilityConfig
-	// Hub receives every tenant's metrics; nil creates a private hub
-	// (reachable via Registry.Hub).
-	Hub *serve.MetricsHub
 	// Tune, when set, is applied to every model a tenant serves before it
 	// serves it — booted, admin-created, hot-swapped, and each shipped
 	// checkpoint a standby's replayer installs — the hook for host-local
@@ -118,11 +115,7 @@ type Tenant struct {
 // New returns an empty registry. Create or Boot tenants into it; Close
 // shuts every tenant down.
 func New(opts Options) *Registry {
-	hub := opts.Hub
-	if hub == nil {
-		hub = serve.NewMetricsHub(nil)
-	}
-	return &Registry{opts: opts, hub: hub, gate: NewFairGate(), tenants: make(map[string]*Tenant)}
+	return &Registry{opts: opts, hub: serve.NewMetricsHub(), gate: NewFairGate(), tenants: make(map[string]*Tenant)}
 }
 
 // Hub exposes the shared metrics hub (mount Hub().Registry.Handler() at
@@ -214,7 +207,7 @@ func (r *Registry) create(spec Spec, u *core.UCAD, standby bool) (*Tenant, error
 		} else if err := os.MkdirAll(t.dir, 0o755); err != nil {
 			return fail(err)
 		}
-		ckpts, err := wal.OpenCheckpoints(filepath.Join(t.dir, "checkpoints"), 0)
+		ckpts, err := wal.OpenCheckpoints(filepath.Join(t.dir, "checkpoints"))
 		if err != nil {
 			return fail(err)
 		}

@@ -233,3 +233,33 @@ func TestCrossEntropyMeanGrad(t *testing.T) {
 	g := logits.Grad.Clone()
 	numericalCheck(t, "xent", logits, func() float64 { return runScalar(build, logits) }, g)
 }
+
+func TestMatMulNTGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const ra, rb, c = 4, 5, 3
+	a := randParam("a", ra, c, rng)
+	b := randParam("b", rb, c, rng)
+	// Weight the sum so every output element carries a distinct gradient.
+	w := NewRandN(ra, rb, 1, rng)
+	build := func(tp *Tape) *Node {
+		return tp.Sum(tp.Mul(tp.MatMulNT(tp.Param(a), tp.Param(b)), tp.Const(w)))
+	}
+	tp := NewTape()
+	out := tp.MatMulNT(tp.Param(a), tp.Param(b))
+	for r := 0; r < ra; r++ {
+		for col := 0; col < rb; col++ {
+			var want float64
+			for k := 0; k < c; k++ {
+				want += a.Value.At(r, k) * b.Value.At(col, k)
+			}
+			if got := out.Value.At(r, col); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("NT[%d,%d] = %g, want a·bᵀ = %g", r, col, got, want)
+			}
+		}
+	}
+	runScalar(build, a, b)
+	ga, gb := a.Grad.Clone(), b.Grad.Clone()
+	loss := func() float64 { return runScalar(build, a, b) }
+	numericalCheck(t, "matmulNT/a", a, loss, ga)
+	numericalCheck(t, "matmulNT/b", b, loss, gb)
+}

@@ -127,16 +127,6 @@ func AddInto(dst, src *Matrix) {
 	}
 }
 
-// RowsView returns rows [from, to) as a matrix sharing m's backing
-// array. Writes through the view are visible in m; the view must not
-// outlive reshapes of m.
-func (m *Mat[T]) RowsView(from, to int) *Mat[T] {
-	if from < 0 || from > to || to > m.Rows {
-		panic(fmt.Sprintf("tensor: rows view [%d:%d) of %d rows", from, to, m.Rows))
-	}
-	return &Mat[T]{Rows: to - from, Cols: m.Cols, Data: m.Data[from*m.Cols : to*m.Cols]}
-}
-
 // String renders the matrix for debugging.
 func (m *Mat[T]) String() string {
 	s := fmt.Sprintf("Matrix(%dx%d)[", m.Rows, m.Cols)

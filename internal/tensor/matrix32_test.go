@@ -109,21 +109,6 @@ func TestMatMul32ShapePanics(t *testing.T) {
 	MatMulInto32(NewMatrix32(2, 2), NewMatrix32(2, 3), NewMatrix32(2, 2))
 }
 
-func TestRowsView32(t *testing.T) {
-	m := NewMatrix32(4, 2)
-	for i := range m.Data {
-		m.Data[i] = float32(i)
-	}
-	v := m.RowsView(1, 3)
-	if v.Rows != 2 || v.Cols != 2 || v.At(0, 0) != 2 || v.At(1, 1) != 5 {
-		t.Fatalf("view contents wrong: %+v", v)
-	}
-	v.Data[0] = -1
-	if m.At(1, 0) != -1 {
-		t.Fatal("view does not share backing array")
-	}
-}
-
 // TestMatMul32AsmMatchesGeneric pins the build-tagged assembly path to
 // the portable kernel bitwise, across shapes that exercise the packed
 // loop, the scalar tail, and the zero-quartet skip.

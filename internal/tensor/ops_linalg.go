@@ -21,6 +21,27 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	return n
 }
 
+// MatMulNT computes A·Bᵀ without materializing the transpose: the
+// attention-score product Q·Kᵀ.
+func (t *Tape) MatMulNT(a, b *Node) *Node {
+	checkSameTape(t, a, b)
+	checkShape(a.Value.Cols == b.Value.Cols, "matmulNT inner dim %d vs %d", a.Value.Cols, b.Value.Cols)
+	out := NewMatrix(a.Value.Rows, b.Value.Rows)
+	AddMatMulTransposeB(out, a.Value, b.Value)
+	n := t.node(out, a.requiresGrad || b.requiresGrad, nil)
+	n.back = func() {
+		if a.requiresGrad {
+			ensureGrad(a)
+			AddMatMul(a.Grad, n.Grad, b.Value) // dA += dOut·B
+		}
+		if b.requiresGrad {
+			ensureGrad(b)
+			AddMatMulTransposeA(b.Grad, n.Grad, a.Value) // dB += dOutᵀ·A
+		}
+	}
+	return n
+}
+
 // GatherRows selects rows idx[i] of a into row i of the output. Used for
 // embedding lookup; gradients scatter-add back into the gathered rows.
 // Negative indices produce a zero row with no gradient (the paper's k0

@@ -19,8 +19,8 @@ type block struct {
 	ffn      *nn.FeedForward
 }
 
-func (b *block) forward(tp *tensor.Tape, x *tensor.Node, batch int, mask *tensor.Matrix, dropout float64, train bool, rng *rand.Rand) *tensor.Node {
-	x = nn.Residual(tp, b.ln1, x, b.att.ForwardBatch(tp, x, batch, mask), dropout, train, rng)
+func (b *block) forward(tp *tensor.Tape, x *tensor.Node, mask *tensor.Matrix, dropout float64, train bool, rng *rand.Rand) *tensor.Node {
+	x = nn.Residual(tp, b.ln1, x, b.att.Forward(tp, x, mask), dropout, train, rng)
 	x = nn.Residual(tp, b.ln2, x, b.ffn.Forward(tp, x), dropout, train, rng)
 	return x
 }
@@ -162,50 +162,26 @@ func (m *Model) forward(tp *tensor.Tape, keys []int, train bool) *tensor.Node {
 // training workers draw from private per-worker streams instead of
 // racing on the model's.
 func (m *Model) forwardRNG(tp *tensor.Tape, keys []int, train bool, rng *rand.Rand) *tensor.Node {
-	return m.forwardBatch(tp, keys, 1, nil, train, rng)
-}
-
-// forwardBatch runs the stacked attention blocks over batch key windows
-// right-padded to a common length L and concatenated into keys
-// (len(keys) == batch·L). lengths gives each window's real length (nil
-// means all windows fill L); padded positions carry PadKey and are
-// excluded from attention by the padding mask, so row b·L+i of the
-// output equals row i of an unbatched forward over window b alone.
-func (m *Model) forwardBatch(tp *tensor.Tape, keys []int, batch int, lengths []int, train bool, rng *rand.Rand) *tensor.Node {
-	L := len(keys) / batch
+	L := len(keys)
 	x := m.emb.Lookup(tp, keys)
 	if m.pos != nil {
-		// Learnable position embedding for the ablation variant; rows
-		// align with each window's positions 0..L-1.
-		var p *tensor.Node
-		if batch == 1 {
-			p = tp.SliceRows(tp.Param(m.pos), 0, L)
-		} else {
-			idx := make([]int, len(keys))
-			for i := range idx {
-				idx[i] = i % L
-			}
-			p = tp.GatherRows(tp.Param(m.pos), idx)
-		}
-		x = tp.Add(x, p)
+		// Learnable position embedding for the ablation variant.
+		x = tp.Add(x, tp.SliceRows(tp.Param(m.pos), 0, L))
 	}
-	mask := nn.BuildBatchMask(m.cfg.Mask, batch, L, lengths)
+	mask := nn.BuildMask(m.cfg.Mask, L)
 	for _, b := range m.blocks {
-		x = b.forward(tp, x, batch, mask, m.cfg.Dropout, train, rng)
+		x = b.forward(tp, x, mask, m.cfg.Dropout, train, rng)
 	}
 	return x
 }
 
 // AttentionWeights runs a forward pass over keys and returns the
-// post-softmax attention weights of attention block blockIdx, one
+// post-softmax attention weights of the first attention block, one
 // len(keys) x len(keys) matrix per head. This reproduces the paper's
 // Figure 6 introspection. It must not run concurrently with other
 // uses of the model (it temporarily enables weight capture).
-func (m *Model) AttentionWeights(keys []int, blockIdx int) []*tensor.Matrix {
-	if blockIdx < 0 || blockIdx >= len(m.blocks) {
-		return nil
-	}
-	att := m.blocks[blockIdx].att
+func (m *Model) AttentionWeights(keys []int) []*tensor.Matrix {
+	att := m.blocks[0].att
 	att.Capture = true
 	defer func() { att.Capture = false }()
 	tp := tensor.NewTape()

@@ -339,15 +339,12 @@ func TestVariantsConstruct(t *testing.T) {
 
 func TestAttentionWeightsShape(t *testing.T) {
 	m := New(testConfig())
-	ws := m.AttentionWeights([]int{1, 2, 3, 4}, 0)
+	ws := m.AttentionWeights([]int{1, 2, 3, 4})
 	if len(ws) != m.cfg.Heads {
 		t.Fatalf("got %d head matrices, want %d", len(ws), m.cfg.Heads)
 	}
 	if ws[0].Rows != 4 || ws[0].Cols != 4 {
 		t.Fatalf("weights shape %dx%d, want 4x4", ws[0].Rows, ws[0].Cols)
-	}
-	if m.AttentionWeights([]int{1, 2}, 99) != nil {
-		t.Fatal("out-of-range block index must return nil")
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 // before it — the escape hatch when a freshly written checkpoint fails
 // validation (core.Load rejecting it).
 type Checkpoints struct {
-	dir    string
-	retain int
+	dir string
 
 	mu sync.Mutex
 	m  manifest
@@ -37,17 +36,16 @@ type manifest struct {
 	History []string `json:"history"`
 }
 
+// checkpointRetain bounds how many checkpoints are kept: the current
+// one and a rollback target.
+const checkpointRetain = 2
+
 // OpenCheckpoints opens (creating if needed) a checkpoint directory.
-// retain bounds how many checkpoints are kept (minimum 2, so a rollback
-// target always exists; 0 means the default of 2).
-func OpenCheckpoints(dir string, retain int) (*Checkpoints, error) {
-	if retain < 2 {
-		retain = 2
-	}
+func OpenCheckpoints(dir string) (*Checkpoints, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	c := &Checkpoints{dir: dir, retain: retain}
+	c := &Checkpoints{dir: dir}
 	b, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case os.IsNotExist(err):
@@ -86,7 +84,7 @@ func checkpointSeq(name string) uint64 {
 }
 
 // Save writes a new checkpoint via the write callback and promotes it
-// to current, pruning history beyond the retain bound. On error nothing
+// to current, pruning history beyond checkpointRetain. On error nothing
 // is promoted and the previous current stays in effect.
 func (c *Checkpoints) Save(write func(io.Writer) error) (string, error) {
 	c.mu.Lock()
@@ -104,9 +102,9 @@ func (c *Checkpoints) Save(write func(io.Writer) error) (string, error) {
 	}
 	next := append(append([]string(nil), c.m.History...), name)
 	var evict []string
-	if len(next) > c.retain {
-		evict = next[:len(next)-c.retain]
-		next = next[len(next)-c.retain:]
+	if len(next) > checkpointRetain {
+		evict = next[:len(next)-checkpointRetain]
+		next = next[len(next)-checkpointRetain:]
 	}
 	if err := c.writeManifest(manifest{Version: 1, History: next}); err != nil {
 		os.Remove(path)

@@ -143,7 +143,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	if opt.Sync == SyncInterval {
 		l.stopSync = make(chan struct{})
 		l.syncDone = make(chan struct{})
-		go l.syncLoop()
+		go l.syncLoop(syncInterval)
 	}
 	return l, nil
 }
@@ -168,9 +168,9 @@ func (l *Log) openSegment(seq uint64) error {
 	return nil
 }
 
-func (l *Log) syncLoop() {
+func (l *Log) syncLoop(every time.Duration) {
 	defer close(l.syncDone)
-	t := time.NewTicker(l.opt.SyncInterval)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {

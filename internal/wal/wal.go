@@ -31,8 +31,8 @@ const (
 	// acknowledges: an acknowledged record survives kill -9 and power
 	// loss. Commits on one log serialize on the fsync.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer (Options.SyncInterval):
-	// a crash loses at most one interval of acknowledged records.
+	// SyncInterval fsyncs on a background timer (every 100ms): a
+	// crash loses at most one interval of acknowledged records.
 	SyncInterval
 	// SyncNever leaves flushing to the OS page cache: fastest, survives
 	// process crashes (the data reached the kernel) but not power loss.
@@ -74,9 +74,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync selects the fsync policy.
 	Sync SyncPolicy
-	// SyncInterval is the background fsync period under SyncInterval
-	// (0 means 100ms).
-	SyncInterval time.Duration
 
 	// OnAppend, if non-nil, observes every appended record's framed size
 	// in bytes (instrumentation hook; called under the log mutex — keep
@@ -100,17 +97,17 @@ type Options struct {
 const DefaultSegmentBytes = 64 << 20
 
 const (
-	defaultSyncInterval   = 100 * time.Millisecond
 	defaultSegmentPrefix  = "wal-"
 	defaultSnapshotPrefix = "snap-"
 )
 
+// syncInterval is the background fsync period under SyncInterval (a
+// variable so tests can stretch or shrink it before Open).
+var syncInterval = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = defaultSyncInterval
 	}
 	if o.SegmentPrefix == "" {
 		o.SegmentPrefix = defaultSegmentPrefix

@@ -37,11 +37,20 @@ func payloads(n int) [][]byte {
 	return out
 }
 
+// stretchSyncInterval sets the background fsync period for the rest of
+// the test.
+func stretchSyncInterval(t *testing.T, d time.Duration) {
+	old := syncInterval
+	syncInterval = d
+	t.Cleanup(func() { syncInterval = old })
+}
+
 func TestLogAppendReplayRoundtrip(t *testing.T) {
+	stretchSyncInterval(t, time.Millisecond)
 	for _, sync := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		t.Run(sync.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			opt := Options{Sync: sync, SyncInterval: time.Millisecond}
+			opt := Options{Sync: sync}
 			l, err := Open(dir, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -401,7 +410,7 @@ func TestWriteAtomic(t *testing.T) {
 
 func TestCheckpointsSaveRetainRollback(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCheckpoints(dir, 2)
+	c, err := OpenCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +442,7 @@ func TestCheckpointsSaveRetainRollback(t *testing.T) {
 	}
 
 	// Reopen reads the manifest back.
-	c2, err := OpenCheckpoints(dir, 2)
+	c2, err := OpenCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,9 +541,10 @@ func TestLogInstrumentationHooks(t *testing.T) {
 
 	// Commit is SyncAlways's durability point only: the other policies
 	// never fsync there (the interval is far beyond the test's lifetime).
+	stretchSyncInterval(t, time.Hour)
 	for _, pol := range []SyncPolicy{SyncInterval, SyncNever} {
 		syncs = 0
-		l, err := Open(t.TempDir(), Options{Sync: pol, SyncInterval: time.Hour, OnSync: opt.OnSync})
+		l, err := Open(t.TempDir(), Options{Sync: pol, OnSync: opt.OnSync})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,9 +92,6 @@ type TenantEvent struct {
 type TenantStream struct {
 	Tenant string
 	Source SessionSource
-	// Weight is the tenant's share of emitted events; zero counts as 1
-	// (uniform when no weights are set).
-	Weight float64
 	// Concurrency is how many of the tenant's sessions stream at once
 	// (default 2) — events of concurrent sessions interleave, as they
 	// would from independent connections.
@@ -102,13 +99,12 @@ type TenantStream struct {
 }
 
 // MultiGen riffles the sessions of several tenants into one event
-// stream: each Next draws a tenant by weight, then one of that tenant's
+// stream: each Next draws a tenant uniformly, then one of that tenant's
 // open sessions uniformly, and emits its next statement. Deterministic
 // for a fixed seed; not safe for concurrent use.
 type MultiGen struct {
 	rng     *rand.Rand
 	streams []*tenantState
-	weights []float64
 }
 
 type tenantState struct {
@@ -127,30 +123,18 @@ func NewMultiGen(seed int64, streams ...TenantStream) *MultiGen {
 		panic("workload: NewMultiGen needs at least one stream")
 	}
 	m := &MultiGen{rng: rand.New(rand.NewSource(seed))}
-	anyWeight := false
 	for _, ts := range streams {
 		if ts.Concurrency <= 0 {
 			ts.Concurrency = 2
 		}
 		m.streams = append(m.streams, &tenantState{TenantStream: ts})
-		m.weights = append(m.weights, ts.Weight)
-		anyWeight = anyWeight || ts.Weight > 0
-	}
-	if !anyWeight {
-		m.weights = nil
-	} else {
-		for i, w := range m.weights {
-			if w == 0 {
-				m.weights[i] = 1
-			}
-		}
 	}
 	return m
 }
 
 // Next emits the next event of the interleaved stream.
 func (m *MultiGen) Next() TenantEvent {
-	st := m.streams[pickWeighted(m.rng, len(m.streams), m.weights)]
+	st := m.streams[m.rng.Intn(len(m.streams))]
 	for len(st.open) < st.Concurrency {
 		s := st.Source.NextSession()
 		if len(s.Statements) == 0 {

@@ -38,7 +38,7 @@ func TestMultiGenInterleaving(t *testing.T) {
 		m := NewMultiGen(99,
 			TenantStream{Tenant: "s1", Source: NewScenarioSource(ScenarioI(), 1, 0.1)},
 			TenantStream{Tenant: "s2", Source: NewScenarioSource(ScenarioII(0.5), 2, 0.1)},
-			TenantStream{Tenant: "s3", Source: NewScenarioSource(wide, 3, 0.1), Weight: 2},
+			TenantStream{Tenant: "s3", Source: NewScenarioSource(wide, 3, 0.1)},
 		)
 		events := make([]TenantEvent, 600)
 		for i := range events {
@@ -70,9 +70,6 @@ func TestMultiGenInterleaving(t *testing.T) {
 		if seen[tenant] == 0 {
 			t.Fatalf("tenant %q never emitted (%v)", tenant, seen)
 		}
-	}
-	if seen["s3"] <= seen["s1"] {
-		t.Fatalf("weight 2 tenant emitted %d <= unit-weight %d", seen["s3"], seen["s1"])
 	}
 	if switches < 50 {
 		t.Fatalf("stream barely interleaves: %d tenant switches in 600 events", switches)

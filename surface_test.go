@@ -17,7 +17,8 @@ import (
 )
 
 // surfaceAllow lists the exported identifiers under internal/ that no
-// production code references and that stay anyway: one line, one reason.
+// production code references, or fields it reads but never writes, and
+// that stay anyway: one line, one reason.
 // An entry that is gone, or that production code has started to call,
 // fails the gate just like an unlisted dead identifier does.
 var surfaceAllow = map[string]string{
@@ -29,7 +30,9 @@ var surfaceAllow = map[string]string{
 	"internal/scorecache.(*Cache).Len":    "read-only seam: tests assert eviction and purge emptied the cache",
 	"internal/minidb.NewAuditWriter":      "TestFeedE2EKillResume tails a live audit file written through it: the fsync-per-record producer of the kill/resume safety test",
 	"internal/minidb.(*DB).SetAuditSink":  "as NewAuditWriter: how that test attaches the writer to the engine",
-	"internal/preprocess.Deny":            "the deny value of the §5.1 rule enum: Evaluate reaches it as the not-Allow branch, only configuration names it",
+	"internal/feed.HTTPDeliverer.Backoff": "test seam: the delivery tests retry in milliseconds instead of the 50ms..5s default",
+	"internal/feed.Backoff.Min":           "as HTTPDeliverer.Backoff: the tests' first retry delay",
+	"internal/feed.Backoff.Max":           "as HTTPDeliverer.Backoff: the tests' retry delay cap",
 	"internal/wal.SnapshotFileName":       "recovery tests name the snapshot files they damage; safety tests are not a simplicity target",
 }
 
@@ -43,9 +46,11 @@ const rootModule = "github.com/ucad/ucad"
 // and of bench/ucadbench (non-test files only) and fails on an exported
 // function, method, type, struct field, variable or constant under
 // internal/ that no such code references, unless it implements an
-// interface method that code calls through or is on surfaceAllow. No
-// capability without a production caller: tests alone do not keep code
-// alive.
+// interface method that code calls through or is on surfaceAllow. It
+// also fails on an exported field of an exported struct that such code
+// reads but never writes (fieldWrites says what a write is). No
+// capability without a production caller, and no setting without a
+// setter: tests alone do not keep code alive.
 func TestExportedSurfaceIsExercised(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree and the standard library from source")
@@ -83,13 +88,14 @@ func TestExportedSurfaceIsExercised(t *testing.T) {
 	// A reference counts unless it sits inside the declaration of the
 	// thing it names (a type's methods are part of its declaration): a
 	// recursive call or a receiver does not keep anything alive.
-	used := map[types.Object]bool{}
+	used, written := map[types.Object]bool{}, map[types.Object]bool{}
 	ifaces := []*types.Interface{
 		types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
 		unwrapper(), // errors.Is/As call it through an unnamed interface
 	}
 	for path, info := range l.infos {
 		for _, f := range l.files[path] {
+			fieldWrites(f, info, written)
 			for _, decl := range f.Decls {
 				for node, owners := range declOwners(decl, info) {
 					ast.Inspect(node, func(n ast.Node) bool {
@@ -146,7 +152,9 @@ func TestExportedSurfaceIsExercised(t *testing.T) {
 
 	var dead []string
 	seen := map[string]bool{}
-	check := func(obj types.Object, name string, ok bool) {
+	// check reports obj unless it is exercised; why, when set, says how
+	// it falls short of that.
+	check := func(obj types.Object, name, why string) {
 		if !obj.Exported() {
 			return
 		}
@@ -154,12 +162,18 @@ func TestExportedSurfaceIsExercised(t *testing.T) {
 		_, allowed := surfaceAllow[name]
 		seen[name] = true
 		switch {
-		case ok && allowed:
-			dead = append(dead, fmt.Sprintf("%s: %s is on the allow-list but production code references it: drop the entry",
+		case why == "" && allowed:
+			dead = append(dead, fmt.Sprintf("%s: %s is on the allow-list but production code exercises it: drop the entry",
 				l.fset.Position(obj.Pos()), name))
-		case !ok && !allowed:
-			dead = append(dead, fmt.Sprintf("%s: %s", l.fset.Position(obj.Pos()), name))
+		case why != "" && !allowed:
+			dead = append(dead, fmt.Sprintf("%s: %s%s", l.fset.Position(obj.Pos()), name, why))
 		}
+	}
+	unused := func(ok bool) string {
+		if ok {
+			return ""
+		}
+		return " is not referenced"
 	}
 	for path, pkg := range l.pkgs {
 		if !strings.HasPrefix(path, rootModule+"/internal/") {
@@ -168,7 +182,7 @@ func TestExportedSurfaceIsExercised(t *testing.T) {
 		scope := pkg.Scope()
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
-			check(obj, n, used[obj])
+			check(obj, n, unused(used[obj]))
 			tn, isType := obj.(*types.TypeName)
 			if !isType || tn.IsAlias() {
 				continue
@@ -180,8 +194,14 @@ func TestExportedSurfaceIsExercised(t *testing.T) {
 			if st, ok := named.Underlying().(*types.Struct); ok && obj.Exported() {
 				for i := 0; i < st.NumFields(); i++ {
 					// An embedded field is reached through what it promotes.
-					if f := st.Field(i); !f.Embedded() {
-						check(f, n+"."+f.Name(), used[f])
+					// A field is a setting only if something sets it.
+					f := st.Field(i)
+					switch {
+					case f.Embedded():
+					case used[f] && !written[f]:
+						check(f, n+"."+f.Name(), " is read but production code never writes it")
+					default:
+						check(f, n+"."+f.Name(), unused(used[f]))
 					}
 				}
 			}
@@ -191,7 +211,7 @@ func TestExportedSurfaceIsExercised(t *testing.T) {
 				if _, ptr := m.Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
 					recv = "(*" + n + ")"
 				}
-				check(m, recv+"."+m.Name(), used[m] || reached(named, m))
+				check(m, recv+"."+m.Name(), unused(used[m] || reached(named, m)))
 			}
 		}
 	}
@@ -206,6 +226,53 @@ func TestExportedSurfaceIsExercised(t *testing.T) {
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Error(d)
+	}
+}
+
+// TestFieldWritesSelfTest holds the write detector to one example of
+// each kind of write, so a detector that stopped seeing writes cannot
+// pass the gate by reporting nothing.
+func TestFieldWritesSelfTest(t *testing.T) {
+	const src = `package p
+
+type Outer struct {
+	Keyed, Addressed, ReadOnly int
+	Inner                Inner
+}
+
+type Inner struct{ Bumped int }
+
+func f() int {
+	o := Outer{Keyed: 1}
+	o.Inner.Bumped++
+	p := &o.Addressed
+	*p = 2
+	return o.ReadOnly
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	pkg, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := map[types.Object]bool{}
+	fieldWrites(f, info, written)
+	var unwritten []string
+	for _, typ := range []string{"Outer", "Inner"} {
+		st := pkg.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if !written[st.Field(i)] {
+				unwritten = append(unwritten, typ+"."+st.Field(i).Name())
+			}
+		}
+	}
+	if fmt.Sprint(unwritten) != "[Outer.ReadOnly]" {
+		t.Errorf("unwritten fields = %v, want [Outer.ReadOnly]", unwritten)
 	}
 }
 
@@ -243,6 +310,63 @@ func declOwners(decl ast.Decl, info *types.Info) map[ast.Node]map[types.Object]b
 		}
 	}
 	return out
+}
+
+// fieldWrites marks in written every struct field node writes: an
+// element of a keyed or positional composite literal, or a field on the
+// selector chain of an assignment's left side, a ++/-- operand or a &
+// operand (a.B.C++ writes both B and C).
+func fieldWrites(node ast.Node, info *types.Info, written map[types.Object]bool) {
+	chain := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+					written[origin(v)] = true
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					written[origin(info.Uses[kv.Key.(*ast.Ident)])] = true
+				} else {
+					written[origin(st.Field(i))] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				chain(lhs)
+			}
+		case *ast.IncDecStmt:
+			chain(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				chain(n.X)
+			}
+		}
+		return true
+	})
 }
 
 // unwrapper is interface{ Unwrap() error }.
