@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-feed bench-build bench-check surface size clean
+.PHONY: all build vet test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-feed bench-build bench-check surface size examples clean
 
 all: check
 
@@ -20,12 +20,12 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# The real-process e2e suites under the race detector: `race` runs
-# -short, which skips every test that spawns ucad-serve / ucad-feed
-# children (the children are built with -race too, so their slower start
-# shifts every timing the tests wait on).
+# Every test under cmd/ under the race detector, the real-process e2e
+# suites included: `race` runs -short, which skips every test that
+# spawns ucad-serve / ucad-feed children (the children are built with
+# -race too, so their slower start shifts every timing the tests wait on).
 race-e2e:
-	$(GO) test -race -run 'TestE2E' ./cmd/...
+	$(GO) test -race ./cmd/...
 
 # A short coverage-guided pass over the WAL record decoder — the one
 # parser that must never panic on arbitrary bytes (it reads crash
@@ -122,6 +122,17 @@ size:
 		printf '%s flags: ' $$b; grep -c '^	[a-zA-Z]* := flag\.' cmd/$$b/main.go; done
 	@printf 'ucad train flags: '; awk '/^func runTrain/,/^}/' cmd/ucad/main.go | grep -c ':= fs\.'
 	@printf 'ucad detect flags: '; awk '/^func runDetect/,/^}/' cmd/ucad/main.go | grep -c ':= fs\.'
+
+# The four examples end to end: run each and diff its stdout against
+# examples/<name>/testdata/stdout.golden (float output pinned on amd64).
+# Not part of check or CI: locationservice trains for about 13 minutes
+# on two vCPUs; quickstart, commenting and loganomaly take seconds.
+examples:
+	@for e in quickstart commenting loganomaly locationservice; do \
+		echo "examples/$$e"; \
+		out=$$($(GO) run ./examples/$$e) || exit 1; \
+		printf '%s\n' "$$out" | diff -u examples/$$e/testdata/stdout.golden - || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -16,11 +16,9 @@ import (
 
 	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/feed"
-	"github.com/ucad/ucad/internal/minidb"
 	"github.com/ucad/ucad/internal/serve"
 	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/tenant"
-	"github.com/ucad/ucad/internal/wal"
 )
 
 // The end-to-end test re-executes this test binary as the real
@@ -41,8 +39,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// appStatements is the application workload, phrased in SQL the minidb
-// engine actually executes. Literals vary per call and normalize away.
+// appStatements is the application workload as its audit log records
+// it. Literals vary per call and normalize away.
 var appStatements = []func(i int) string{
 	func(i int) string { return fmt.Sprintf("SELECT * FROM videos WHERE vid = %d", i) },
 	func(i int) string { return fmt.Sprintf("SELECT * FROM users WHERE uid = %d", i) },
@@ -53,7 +51,7 @@ var appStatements = []func(i int) string{
 }
 
 // anomalySQL reads a confidential table no training session ever
-// touched: valid SQL for the engine, out-of-vocabulary for the model.
+// touched: out-of-vocabulary for the model.
 const anomalySQL = "SELECT * FROM credit_cards WHERE uid = 7"
 
 func appStatement(pos int) string {
@@ -152,8 +150,8 @@ func (c *child) kill9(t *testing.T) {
 }
 
 // TestFeedE2EKillResume drives the full front door with real processes:
-// statements execute against the minidb engine, its durable audit
-// writer appends JSONL, a real ucad-feed process tails the file into a
+// the application's statements are appended to a JSONL audit file, each
+// fsynced before the next, a real ucad-feed process tails the file into a
 // live serving endpoint, gets kill -9'd mid-stream, restarts from its
 // offset checkpoint, and every session comes out scored exactly once —
 // including the anomalous one, which must raise an alert.
@@ -165,29 +163,30 @@ func TestFeedE2EKillResume(t *testing.T) {
 	auditPath := filepath.Join(dir, "audit.jsonl")
 	offsetDir := filepath.Join(dir, "offsets")
 
-	// Database with its schema set up BEFORE the audit writer attaches,
-	// so DDL from provisioning never reaches the detector.
-	db := minidb.NewDB()
-	admin := db.Connect("admin", "127.0.0.1", "setup")
-	for _, ddl := range []string{
-		"CREATE TABLE videos (vid INT, title TEXT)",
-		"CREATE TABLE users (uid INT, name TEXT)",
-		"CREATE TABLE stats (vid INT, views INT)",
-		"CREATE TABLE credit_cards (uid INT, pan TEXT)",
-		"INSERT INTO videos (vid, title) VALUES (1, 'a'), (2, 'b')",
-		"INSERT INTO users (uid, name) VALUES (1, 'u1'), (7, 'u7')",
-		"INSERT INTO credit_cards (uid, pan) VALUES (7, '4111')",
-	} {
-		if _, err := admin.Exec(ddl); err != nil {
-			t.Fatalf("setup %q: %v", ddl, err)
-		}
-	}
-	aw, err := minidb.NewAuditWriter(auditPath, wal.SyncAlways, 0)
+	auditFile, err := os.OpenFile(auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer aw.Close()
-	db.SetAuditSink(aw)
+	defer auditFile.Close()
+	// logStatement appends one statement of client c's connection to the
+	// audit file as a session.Operation JSON line, on stable storage
+	// before the next statement is written.
+	logStatement := func(c int, sql string) {
+		t.Helper()
+		op := session.Operation{
+			Time:      time.Now(),
+			User:      "app",
+			Addr:      fmt.Sprintf("10.0.0.%d", c+1),
+			SessionID: fmt.Sprintf("conn-%d", c),
+			SQL:       sql,
+		}
+		if err := session.WriteLog(auditFile, []session.Operation{op}); err != nil {
+			t.Fatal(err)
+		}
+		if err := auditFile.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Live serving endpoint on a real listener.
 	clk := &fakeClock{now: time.Now()}
@@ -239,16 +238,10 @@ func TestFeedE2EKillResume(t *testing.T) {
 
 	// Phase 1: three clients issue half their traffic.
 	const clients, phase1Ops, phase2Ops = 3, 6, 6
-	conns := make([]*minidb.Conn, clients)
-	for c := range conns {
-		conns[c] = db.Connect("app", fmt.Sprintf("10.0.0.%d", c+1), fmt.Sprintf("conn-%d", c))
-	}
 	total := 0
 	for p := 0; p < phase1Ops; p++ {
-		for c, conn := range conns {
-			if _, err := conn.Exec(appStatement(c + p)); err != nil {
-				t.Fatalf("phase 1 exec: %v", err)
-			}
+		for c := 0; c < clients; c++ {
+			logStatement(c, appStatement(c+p))
 			total++
 		}
 	}
@@ -270,14 +263,12 @@ func TestFeedE2EKillResume(t *testing.T) {
 	// Phase 2: traffic continues while the feeder is down; client 1
 	// slips in the confidential-table read.
 	for p := 0; p < phase2Ops; p++ {
-		for c, conn := range conns {
+		for c := 0; c < clients; c++ {
 			sql := appStatement(c + phase1Ops + p)
 			if c == 1 && p == 3 {
 				sql = anomalySQL
 			}
-			if _, err := conn.Exec(sql); err != nil {
-				t.Fatalf("phase 2 exec: %v", err)
-			}
+			logStatement(c, sql)
 			total++
 		}
 	}

@@ -1,8 +1,8 @@
 // Commenting reproduces the paper's first user-study case (§6.7,
-// Figure 9a): a live-video commenting application backed by the minidb
-// SQL engine. A bot impersonates a legitimate client and posts danmu
-// (bullet-screen comments) without ever opening the danmu panel; UCAD
-// flags the session from the audit log alone.
+// Figure 9a): a live-video commenting application whose database audit
+// log is UCAD's only input. A bot impersonates a legitimate client and
+// posts danmu (bullet-screen comments) without ever opening the danmu
+// panel; UCAD flags the session from the audit log alone.
 package main
 
 import (
@@ -11,48 +11,29 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/core"
-	"github.com/ucad/ucad/internal/minidb"
 	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/workload"
 )
 
-// schema creates the commenting application's seven tables.
-var schema = []string{
-	"CREATE TABLE danmu_display (vid INT, uid INT, text TEXT, danmuKey INT)",
-	"CREATE TABLE t_content (vid INT, danmuKey INT, count INT)",
-	"CREATE TABLE t_user (uid INT, last_seen INT)",
-	"CREATE TABLE t_like (danmuKey INT, uid INT)",
-	"CREATE TABLE t_report (id INT, danmuKey INT, uid INT, reason TEXT, state INT)",
-	"CREATE TABLE t_session (uid INT, token TEXT)",
-	"CREATE TABLE t_stat (vid INT, views INT)",
-}
-
 func main() {
-	db := minidb.NewDB()
+	// audit stamps one statement the way the database's audit log
+	// records it: account, client address, session and statement text,
+	// one second after the previous record.
 	clock := time.Date(2022, 6, 12, 9, 0, 0, 0, time.UTC)
-	db.Now = func() time.Time { clock = clock.Add(time.Second); return clock }
-
-	admin := db.Connect("dba", "127.0.0.1", "schema-setup")
-	for _, stmt := range schema {
-		if _, err := admin.Exec(stmt); err != nil {
-			log.Fatal(err)
-		}
+	audit := func(user, addr, sessionID, sql string) session.Operation {
+		clock = clock.Add(time.Second)
+		return session.Operation{Time: clock, User: user, Addr: addr, SessionID: sessionID, SQL: sql}
 	}
-	db.ResetAudit() // schema setup is not user activity
 
-	// Replay synthetic normal user activity through the real SQL engine;
-	// the audit log UCAD trains on is produced by actual execution.
+	// The audit log UCAD trains on: synthetic normal user activity.
 	gen := workload.NewGenerator(workload.ScenarioI(), 7)
+	var auditOps []session.Operation
 	for _, s := range gen.GenerateSessions(120) {
-		conn := db.Connect(s.User, s.Addr, s.ID)
 		for _, op := range s.Ops {
-			if _, err := conn.Exec(op.SQL); err != nil {
-				log.Fatalf("replay %q: %v", op.SQL, err)
-			}
+			auditOps = append(auditOps, audit(s.User, s.Addr, s.ID, op.SQL))
 		}
 	}
-	auditOps := db.AuditLog()
-	fmt.Printf("audit log: %d operations executed through minidb\n", len(auditOps))
+	fmt.Printf("audit log: %d operations\n", len(auditOps))
 
 	cfg := core.DefaultConfig()
 	cfg.SkipClean = true
@@ -70,16 +51,18 @@ func main() {
 	// The bot session (Figure 9a): it reads videos it never commented
 	// on, then immediately posts a danmu and likes it — without the
 	// select on danmu_display that the "open danmu" button generates.
-	db.ResetAudit()
-	bot := db.Connect("user1", "10.0.1.11", "bot-session")
+	var botLog []session.Operation
 	for i := 0; i < 6; i++ {
-		mustExec(bot, "SELECT * FROM t_content WHERE vid = 701")
-		mustExec(bot, "SELECT * FROM t_user WHERE uid = 42")
-		mustExec(bot, "INSERT INTO danmu_display (vid, uid, text) VALUES (701, 42, 'great!')")
-		mustExec(bot, "INSERT INTO t_like (danmuKey, uid) VALUES (88, 42)")
+		for _, sql := range []string{
+			"SELECT * FROM t_content WHERE vid = 701",
+			"SELECT * FROM t_user WHERE uid = 42",
+			"INSERT INTO danmu_display (vid, uid, text) VALUES (701, 42, 'great!')",
+			"INSERT INTO t_like (danmuKey, uid) VALUES (88, 42)",
+		} {
+			botLog = append(botLog, audit("user1", "10.0.1.11", "bot-session", sql))
+		}
 	}
-	botSessions := session.Sessionize(db.AuditLog(), time.Hour)
-	for _, s := range botSessions {
+	for _, s := range session.Sessionize(botLog, time.Hour) {
 		bad := detector.DetectSession(s)
 		fmt.Printf("session %s (%d ops): anomalous=%v\n", s.ID, len(s.Ops), len(bad) > 0)
 		for _, idx := range bad {
@@ -88,19 +71,12 @@ func main() {
 	}
 
 	// A genuine viewer doing the same volume of activity passes.
-	db.ResetAudit()
 	human := gen.NewSession()
-	conn := db.Connect(human.User, human.Addr, "human-session")
+	var humanLog []session.Operation
 	for _, op := range human.Ops {
-		mustExec(conn, op.SQL)
+		humanLog = append(humanLog, audit(human.User, human.Addr, "human-session", op.SQL))
 	}
-	for _, s := range session.Sessionize(db.AuditLog(), time.Hour) {
+	for _, s := range session.Sessionize(humanLog, time.Hour) {
 		fmt.Printf("session %s (%d ops): anomalous=%v\n", s.ID, len(s.Ops), detector.IsAnomalous(s))
-	}
-}
-
-func mustExec(c *minidb.Conn, sql string) {
-	if _, err := c.Exec(sql); err != nil {
-		log.Fatalf("%q: %v", sql, err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // ParseJSONLine decodes one session.Operation wire-format record (the
-// format session.ReadLog reads and minidb.AuditWriter writes).
+// format session.ReadLog reads and session.WriteLog writes).
 func ParseJSONLine(line []byte) (session.Operation, error) {
 	var op session.Operation
 	if err := json.Unmarshal(line, &op); err != nil {

@@ -91,7 +91,8 @@ func SaveParams(w io.Writer, params []*tensor.Param) error {
 }
 
 // LoadParams restores parameter values saved by SaveParams. Every stored
-// blob must match a parameter with the same name and shape.
+// blob must match a parameter with the same name and shape, carry exactly
+// Rows*Cols values, and every parameter must be stored exactly once.
 func LoadParams(r io.Reader, params []*tensor.Param) error {
 	// Keep reads byte-exact so this decoder cannot buffer past its own
 	// gob messages when the stream continues after the parameters.
@@ -115,11 +116,12 @@ func LoadParams(r io.Reader, params []*tensor.Param) error {
 	for _, b := range blobs {
 		p, ok := byName[b.Name]
 		if !ok {
-			return fmt.Errorf("nn: stored parameter %q not in model", b.Name)
+			return fmt.Errorf("nn: stored parameter %q not in model or stored twice", b.Name)
 		}
-		if p.Value.Rows != b.Rows || p.Value.Cols != b.Cols {
-			return fmt.Errorf("nn: parameter %q shape %dx%d, stored %dx%d",
-				b.Name, p.Value.Rows, p.Value.Cols, b.Rows, b.Cols)
+		delete(byName, b.Name) // with the count check, no parameter keeps its init
+		if p.Value.Rows != b.Rows || p.Value.Cols != b.Cols || len(b.Data) != b.Rows*b.Cols {
+			return fmt.Errorf("nn: parameter %q shape %dx%d, stored %dx%d with %d values",
+				b.Name, p.Value.Rows, p.Value.Cols, b.Rows, b.Cols, len(b.Data))
 		}
 		copy(p.Value.Data, b.Data)
 	}

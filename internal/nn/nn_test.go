@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -324,6 +325,31 @@ func TestLoadParamsRejectsMismatch(t *testing.T) {
 	wrongShape := NewLinear("a", 4, 4, rng)
 	if err := LoadParams(&buf2, wrongShape.Params()); err == nil {
 		t.Fatal("expected shape-mismatch error")
+	}
+
+	// Hand-built blob sets: a blob whose data disagrees with its declared
+	// shape, and one that stores a parameter twice and omits another
+	// (which would leave the omitted one at its random init).
+	good := src.Params()
+	blobs := func(edit func([]paramBlob)) *bytes.Buffer {
+		bs := make([]paramBlob, len(good))
+		for i, p := range good {
+			bs[i] = paramBlob{Name: p.Name, Rows: p.Value.Rows, Cols: p.Value.Cols, Data: p.Value.Data}
+		}
+		edit(bs)
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(bs); err != nil {
+			t.Fatal(err)
+		}
+		return &b
+	}
+	short := blobs(func(bs []paramBlob) { bs[0].Data = bs[0].Data[:len(bs[0].Data)-1] })
+	if err := LoadParams(short, NewLinear("a", 3, 4, rng).Params()); err == nil {
+		t.Fatal("expected data-length error for a blob shorter than its shape")
+	}
+	twice := blobs(func(bs []paramBlob) { bs[1] = bs[0] })
+	if err := LoadParams(twice, NewLinear("a", 3, 4, rng).Params()); err == nil {
+		t.Fatal("expected error for a parameter stored twice and another missing")
 	}
 }
 

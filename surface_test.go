@@ -28,8 +28,6 @@ var surfaceAllow = map[string]string{
 	"internal/scorecache.(*Cache).Cap":    "read-only seam: tests assert the configured capacity was applied",
 	"internal/scorecache.(*Cache).Shards": "read-only seam: tests assert the shard count rounding",
 	"internal/scorecache.(*Cache).Len":    "read-only seam: tests assert eviction and purge emptied the cache",
-	"internal/minidb.NewAuditWriter":      "TestFeedE2EKillResume tails a live audit file written through it: the fsync-per-record producer of the kill/resume safety test",
-	"internal/minidb.(*DB).SetAuditSink":  "as NewAuditWriter: how that test attaches the writer to the engine",
 	"internal/feed.HTTPDeliverer.Backoff": "test seam: the delivery tests retry in milliseconds instead of the 50ms..5s default",
 	"internal/feed.Backoff.Min":           "as HTTPDeliverer.Backoff: the tests' first retry delay",
 	"internal/feed.Backoff.Max":           "as HTTPDeliverer.Backoff: the tests' retry delay cap",
