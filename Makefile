@@ -34,7 +34,10 @@ race-e2e:
 # then the feed's untrusted-input parsers (audit-log JSONL and CSV lines)
 # and the feeder's checkpoint load over a torn delta segment; then the
 # ingest path's two parsers of untrusted input (the /v1/events body and
-# the statement abstraction every event's SQL goes through).
+# the statement abstraction every event's SQL goes through); then the
+# model-file loader every upload, checkpoint and shipped model goes
+# through (its seed is a 2 KiB saved model, whose default 60 s
+# minimization per new input would eat the whole pass, so it is capped).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s -run='^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzRecoverStream -fuzztime=10s -run='^$$' ./internal/wal/
@@ -43,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=5s -run='^$$' ./internal/feed/
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=5s -run='^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzAbstract -fuzztime=5s -run='^$$' ./internal/sqlnorm/
+	$(GO) test -fuzz=FuzzLoadModel -fuzztime=5s -fuzzminimizetime=100x -run='^$$' ./internal/core/
 
 # The scoring kernel's contract: float32 similarity scores within 1e-4
 # of the float64 instantiation with stable ranks/verdicts, both
@@ -84,7 +88,7 @@ surface:
 # plus the suite under the race detector (the serving layer is heavily
 # concurrent), the float32 equivalence contract, and the fuzz smoke
 # (WAL decoder and recovery, feed parsers and checkpoint load, ingest
-# body and statement abstraction).
+# body and statement abstraction, model-file load).
 check: vet build portable bench-build surface race equiv32 fuzz-smoke
 
 # The paper-reproduction sweep (one benchmark per table/figure plus the

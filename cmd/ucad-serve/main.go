@@ -27,8 +27,8 @@
 //	[{"id": "scenario1", "model": "s1.model"},
 //	 {"id": "syslog",    "model": "logs.model"}]
 //
-// and each tenant gets its own model, WAL, snapshots, and checkpoint
-// manifest under <data-dir>/tenants/<id>/. Tenants created later
+// and each tenant gets its own model, WAL, snapshots, and model
+// checkpoints under <data-dir>/tenants/<id>/. Tenants created later
 // through the admin API persist there too and come back on restart.
 // A data directory from before tenants existed (wal/ and checkpoints/
 // directly under -data-dir) is refused at boot; move it once:
@@ -50,7 +50,7 @@
 // independently (load newest snapshot + replay the WAL suffix,
 // truncating a torn tail). Fine-tune rounds additionally write atomic
 // model checkpoints; boot prefers the newest checkpoint that loads,
-// rolling back through the manifest past any that do not.
+// deleting any newer ones that do not.
 //
 // With -data-dir the process is also a replication primary: sealed WAL
 // segments, snapshots, model checkpoints and tenant specs are served

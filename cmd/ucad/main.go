@@ -150,10 +150,7 @@ func runDetect(args []string) {
 		os.Exit(2)
 	}
 
-	mf, err := os.Open(*modelPath)
-	fatalIf(err)
-	u, err := core.Load(mf)
-	mf.Close()
+	u, err := core.LoadFile(*modelPath)
 	fatalIf(err)
 
 	lf, err := os.Open(*logPath)

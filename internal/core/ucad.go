@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"time"
 
 	"github.com/ucad/ucad/internal/preprocess"
@@ -138,7 +139,10 @@ func (u *UCAD) Save(w io.Writer) error {
 // Load restores a detector saved by Save. The stream is a sequence of
 // gob messages (vocabulary, model config, parameters), each read by its
 // own decoder; a reader without byte-exact reads (io.ByteReader) must
-// be wrapped once so no decoder buffers into the next section.
+// be wrapped once so no decoder buffers into the next section. The
+// bytes are untrusted: every inconsistency is an error, including a
+// vocabulary whose size is not the model's and a top-p that admits
+// every key (no operation could ever be flagged).
 func Load(r io.Reader) (*UCAD, error) {
 	if _, ok := r.(io.ByteReader); !ok {
 		r = bufio.NewReader(r)
@@ -155,5 +159,22 @@ func Load(r io.Reader) (*UCAD, error) {
 	if err != nil {
 		return nil, err
 	}
+	switch cfg := model.Config(); {
+	case len(templates) != cfg.Vocab:
+		return nil, fmt.Errorf("core: vocabulary has %d templates, model %d keys", len(templates), cfg.Vocab)
+	case cfg.TopP >= cfg.Vocab:
+		return nil, fmt.Errorf("core: top-p %d admits all %d keys", cfg.TopP, cfg.Vocab)
+	}
 	return &UCAD{Vocab: vocab, Model: model}, nil
+}
+
+// LoadFile is Load on a file: the one way a model file on disk (a
+// trained model or a checkpoint) becomes a detector.
+func LoadFile(path string) (*UCAD, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Load(f)
 }

@@ -386,18 +386,15 @@ func (f *Follower) fetch(ctx context.Context, id string, info FileInfo, local st
 // the name it is about to assume. WAL segments must hold an intact
 // record chain (a torn shipped segment is a transfer fault, not a crash
 // artifact — reject it), snapshots and the remap file a framed state
-// payload, manifests valid JSON. Checkpoint payloads have no framing of
-// their own; the replayer's core.Load is their gate.
+// payload, the WAL manifest and the tenant spec valid JSON. Checkpoints
+// have no framing of their own; the replayer's core.LoadFile is their
+// gate.
 func verifyShipped(rel, tmp string) error {
-	base := path.Base(rel)
 	switch {
-	case strings.HasPrefix(rel, walSubdir+"/"):
-		if base == wal.ManifestName {
-			return verifyJSONFile(tmp)
-		}
-		return wal.VerifyStreamFile(base, tmp)
-	case rel == specFile, base == "MANIFEST":
+	case rel == specFile, rel == walSubdir+"/"+wal.ManifestName:
 		return verifyJSONFile(tmp)
+	case strings.HasPrefix(rel, walSubdir+"/"):
+		return wal.VerifyStreamFile(path.Base(rel), tmp)
 	}
 	return nil
 }
@@ -452,7 +449,7 @@ func immutableName(sub, name string) bool {
 		_, _, ok := wal.SplitSnapshotName(name)
 		return ok
 	case ckptSubdir:
-		return strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".model")
+		return wal.IsCheckpointName(name)
 	}
 	return false
 }

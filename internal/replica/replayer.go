@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 
@@ -13,9 +12,10 @@ import (
 )
 
 // Target is one tenant's warm standby: the surface the replayer drives.
-// The method set is *serve.Service's own (a durable service that has
-// not gone live), so the follower hands the replayer the service
-// itself; tests substitute recorders.
+// The follower hands the replayer a *tenant.Tenant, which forwards the
+// replay methods to its durable serve.Service that has not gone live
+// and tunes every swapped model like the ones it serves; tests
+// substitute recorders.
 type Target interface {
 	// ReplicaReset drops all session state ahead of a full rebuild (id
 	// counters survive so promoted ids never move backwards).
@@ -122,16 +122,7 @@ func (rp *Replayer) swapCheckpoint(out *Applied) error {
 	if cur == "" || filepath.Base(cur) == rp.ckpt {
 		return nil
 	}
-	f, err := os.Open(cur)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			// Manifest ahead of the payload fetch; next round.
-			return nil
-		}
-		return err
-	}
-	u, err := core.Load(f)
-	f.Close()
+	u, err := core.LoadFile(cur)
 	if err != nil {
 		return fmt.Errorf("replica: shipped checkpoint %s: %w", filepath.Base(cur), err)
 	}

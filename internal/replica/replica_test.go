@@ -675,6 +675,7 @@ func trainTinyModel(tb testing.TB) *core.UCAD {
 	cfg.Model.Epochs = 1
 	cfg.Model.Dropout = 0
 	cfg.Model.MinContext = 2
+	cfg.Model.TopP = 4 // = Vocab-1: a top-p admitting every key does not load
 	u, err := core.Train(cfg, sessions, nil)
 	if err != nil {
 		tb.Fatal(err)

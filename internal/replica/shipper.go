@@ -97,8 +97,8 @@ func (sh *Shipper) tenantDir(w http.ResponseWriter, r *http.Request) string {
 
 // handleFiles lists one tenant's replicable files: the spec, every
 // sealed WAL stream file (wal.SealedStreamFiles — snapshots, sealed
-// segments, the manifest, the remap staging file), and the checkpoint
-// directory (immutable ckpt-* payloads plus its mutable MANIFEST).
+// segments, the manifest, the remap staging file), and every model
+// checkpoint (wal.IsCheckpointName: written once, only ever deleted).
 func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		sh.refuse(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -126,21 +126,12 @@ func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !validBaseName(name) || strings.HasSuffix(name, ".tmp") {
+		if e.IsDir() || !wal.IsCheckpointName(e.Name()) {
 			continue
 		}
-		fi, err := e.Info()
-		if err != nil {
-			continue
+		if fi, err := e.Info(); err == nil {
+			files = append(files, FileInfo{Path: ckptSubdir + "/" + e.Name(), Size: fi.Size()})
 		}
-		// Checkpoint payloads are written once and only ever deleted;
-		// the checkpoint MANIFEST flips atomically but changes content.
-		files = append(files, FileInfo{
-			Path:    ckptSubdir + "/" + name,
-			Size:    fi.Size(),
-			Mutable: name == "MANIFEST",
-		})
 	}
 	if sh.Metrics != nil {
 		sh.Metrics.listRequests.Inc()

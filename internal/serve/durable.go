@@ -173,7 +173,7 @@ func (s *Service) Restore() (RestoreStats, error) {
 		if err := s.recoverStreams(d, man.Shards, false, &st); err != nil {
 			return st, err
 		}
-		if err := s.remapTo(d, man.Shards); err != nil {
+		if err := s.remapTo(d); err != nil {
 			return st, err
 		}
 	}
@@ -300,10 +300,10 @@ func (s *Service) recoverStreams(d *DurabilityConfig, m int, keep bool, st *Rest
 }
 
 // remapTo migrates the in-memory state (just recovered from an old
-// layout of `from` streams) onto the configured shard count.
+// layout) onto the configured shard count.
 // The staged state file plus the remap-flagged manifest form the commit
 // point; see the protocol notes in internal/wal/manifest.go.
-func (s *Service) remapTo(d *DurabilityConfig, from int) error {
+func (s *Service) remapTo(d *DurabilityConfig) error {
 	seq, sessions := s.exportAll()
 	b, err := json.Marshal(snapState{Seq: seq, Sessions: sessions})
 	if err != nil {
@@ -312,9 +312,7 @@ func (s *Service) remapTo(d *DurabilityConfig, from int) error {
 	if err := wal.WriteStateFile(filepath.Join(d.Dir, wal.RemapFile), b); err != nil {
 		return err
 	}
-	if err := wal.SaveManifest(d.Dir, wal.Manifest{
-		Version: wal.ManifestVersion, Shards: len(s.shards), Remap: true, From: from,
-	}); err != nil {
+	if err := wal.SaveManifest(d.Dir, wal.Manifest{Version: wal.ManifestVersion, Shards: len(s.shards), Remap: true}); err != nil {
 		return err
 	}
 	return s.finishRemap(d)
@@ -334,9 +332,7 @@ func (s *Service) resumeRemap(d *DurabilityConfig, man wal.Manifest) error {
 		return err
 	}
 	if n := len(s.shards); n != man.Shards {
-		if err := wal.SaveManifest(d.Dir, wal.Manifest{
-			Version: wal.ManifestVersion, Shards: n, Remap: true, From: man.From,
-		}); err != nil {
+		if err := wal.SaveManifest(d.Dir, wal.Manifest{Version: wal.ManifestVersion, Shards: n, Remap: true}); err != nil {
 			return err
 		}
 	}
@@ -650,13 +646,11 @@ func (s *Service) sealAndCloseStore() error {
 }
 
 // CheckpointModel writes an atomic model checkpoint and validates it by
-// loading it back; a checkpoint core.Load rejects is rolled back so the
-// manifest always points at a loadable model. Called after fine-tune
-// rounds and after an admin hot model swap. No-op without a configured
-// Checkpoints store.
-func (s *Service) CheckpointModel() { s.checkpointModel() }
-
-func (s *Service) checkpointModel() {
+// loading it back; a checkpoint core.LoadFile rejects is rolled back so
+// the newest checkpoint on disk is a loadable model. Called after
+// fine-tune rounds and after an admin hot model swap. No-op without a
+// configured Checkpoints store.
+func (s *Service) CheckpointModel() {
 	if s.ckpts == nil {
 		return
 	}
@@ -665,19 +659,8 @@ func (s *Service) checkpointModel() {
 		s.ckptErrors.Add(1)
 		return
 	}
-	if err := verifyCheckpoint(path); err != nil {
+	if _, err := core.LoadFile(path); err != nil {
 		s.ckptErrors.Add(1)
 		s.ckpts.Rollback()
 	}
-}
-
-// verifyCheckpoint proves a checkpoint file loads back into a detector.
-func verifyCheckpoint(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = core.Load(f)
-	return err
 }

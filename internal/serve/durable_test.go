@@ -515,7 +515,7 @@ func TestDurableCheckpointHotSwap(t *testing.T) {
 	if good == "" {
 		t.Fatal("fine-tune round left no checkpoint")
 	}
-	if err := verifyCheckpoint(good); err != nil {
+	if _, err := core.LoadFile(good); err != nil {
 		t.Fatalf("checkpoint does not load back: %v", err)
 	}
 
@@ -527,7 +527,7 @@ func TestDurableCheckpointHotSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := ck.Current()
-	if err := verifyCheckpoint(bad); err == nil {
+	if _, err := core.LoadFile(bad); err == nil {
 		t.Fatal("garbage checkpoint loaded")
 	} else if _, rerr := ck.Rollback(); rerr != nil {
 		t.Fatal(rerr)

@@ -542,7 +542,7 @@ func (s *Service) maybeRetrain() {
 		}
 		if s.online.Retrain(s.cfg.RetrainEpochs) > 0 {
 			s.retrains.Add(1)
-			s.checkpointModel()
+			s.CheckpointModel()
 		}
 	}()
 }

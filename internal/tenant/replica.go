@@ -13,7 +13,7 @@ import (
 // Warm-standby lifecycle. A standby process boots an ordinary Registry
 // over its own data root and creates each tenant with CreateReplica as
 // the replication follower syncs its files in: the tenant's model loads
-// from the shipped checkpoint manifest, its pipeline is a durable
+// from the newest shipped checkpoint, its pipeline is a durable
 // serve.Service over the synced wal/ that has not gone live — it refuses
 // traffic (serve.ErrNotReady) while the follower's replayer keeps its
 // sessions tracking the primary. Promote takes every such tenant live
@@ -22,8 +22,8 @@ import (
 
 // CreateReplica boots a warm-standby tenant over its synced directory
 // (<Root>/tenants/<id>, populated by a replication follower). The
-// shipped tenant.json provides the spec, the shipped checkpoint
-// manifest the model; the shipped WAL manifest fixes the shard count so
+// shipped tenant.json provides the spec, the newest shipped checkpoint
+// the model; the shipped WAL manifest fixes the shard count so
 // promotion can open the same streams. The tenant is registered for
 // routing (stats, alerts) but Ingest answers ErrNotReady until Promote.
 //

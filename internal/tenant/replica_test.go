@@ -348,3 +348,57 @@ func stripSessionTimes(ss []serve.SessionState) []serve.SessionState {
 	}
 	return out
 }
+
+// TestBootOldCheckpointManifest: a checkpoints/ directory an older
+// build wrote — ckpt-*.model files plus a JSON MANIFEST naming them —
+// boots from the checkpoint that MANIFEST named current, and the
+// shipper lists the checkpoint files but never the MANIFEST, which
+// nothing reads any more.
+func TestBootOldCheckpointManifest(t *testing.T) {
+	clk := newFakeClock()
+	root := t.TempDir()
+	model := filepath.Join(root, "m.model")
+	saveModel(t, trainModel(t, "va"), model)
+	ckptDir := filepath.Join(root, "tenants", serve.DefaultTenant, "checkpoints")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	saveModel(t, trainModel(t, "va"), filepath.Join(ckptDir, "ckpt-00000001.model"))
+	saveModel(t, trainModel(t, "vb"), filepath.Join(ckptDir, "ckpt-00000002.model"))
+	old := `{"version":1,"history":["ckpt-00000001.model","ckpt-00000002.model"]}` + "\n"
+	if err := os.WriteFile(filepath.Join(ckptDir, "MANIFEST"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := New(durableOptions(clk, root))
+	if err := reg.Boot([]Spec{{ModelPath: model}}); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close(context.Background())
+	tn, err := reg.Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tn.ModelSource(), filepath.Join(ckptDir, "ckpt-00000002.model"); got != want {
+		t.Fatalf("booted from %q, want the old MANIFEST's current %q", got, want)
+	}
+
+	sh := &replica.Shipper{Root: filepath.Join(root, "tenants")}
+	rec := httptest.NewRecorder()
+	sh.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/replica/files?tenant="+serve.DefaultTenant, nil))
+	var listing struct {
+		Files []replica.FileInfo `json:"files"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
+		t.Fatalf("files listing %q: %v", rec.Body.String(), err)
+	}
+	var shipped []string
+	for _, f := range listing.Files {
+		if filepath.Dir(f.Path) == "checkpoints" {
+			shipped = append(shipped, f.Path)
+		}
+	}
+	if want := []string{"checkpoints/ckpt-00000001.model", "checkpoints/ckpt-00000002.model"}; !reflect.DeepEqual(shipped, want) {
+		t.Fatalf("shipped checkpoints %v, want %v", shipped, want)
+	}
+}

@@ -3,7 +3,7 @@
 // Scenario-II location, syslog transfer) — into one serving process.
 // Each tenant owns a full vertical slice: a trained model + vocabulary,
 // an assembler/scoring pipeline (serve.Service), a WAL/snapshot
-// directory, a fine-tune schedule, and its own checkpoint manifest.
+// directory, a fine-tune schedule, and its own model checkpoints.
 // Tenants are the unit of horizontal scale (ROADMAP): nothing is shared
 // between them but the process, the HTTP listener, and the metrics
 // registry (where every family is partitioned by a tenant label).
@@ -56,7 +56,7 @@ type Spec struct {
 	// Empty means serve.DefaultTenant.
 	ID string `json:"id"`
 	// ModelPath is the trained model file (ucad train). Boot prefers the
-	// newest loadable checkpoint from the tenant's manifest and falls
+	// newest loadable checkpoint in the tenant's checkpoints/ and falls
 	// back to this path.
 	ModelPath string `json:"model,omitempty"`
 }
@@ -139,7 +139,7 @@ func ValidateID(id string) error {
 	return nil
 }
 
-// Create boots a tenant from its spec: open its checkpoint manifest,
+// Create boots a tenant from its spec: open its checkpoint directory,
 // load the newest loadable checkpoint (falling back to the spec's model
 // file), build its serving pipeline, restore its open sessions from its
 // own WAL, and publish it for routing. The spec is persisted to
@@ -150,7 +150,7 @@ func (r *Registry) Create(spec Spec) (*Tenant, error) {
 
 // CreateFromModel is Create with an already-loaded model — the test and
 // embedding path, skipping checkpoint/model-file resolution (checkpoint
-// writes still go through the tenant's manifest when durable).
+// writes still go to the tenant's checkpoints/ when durable).
 func (r *Registry) CreateFromModel(spec Spec, u *core.UCAD) (*Tenant, error) {
 	if u == nil {
 		return nil, errors.New("tenant: CreateFromModel needs a model")
@@ -255,7 +255,7 @@ func (r *Registry) create(spec Spec, u *core.UCAD, standby bool) (*Tenant, error
 			t.svc.Close(context.Background())
 			return fail(fmt.Errorf("tenant %s: %w", id, err))
 		}
-		// Seed the checkpoint manifest so the tenant's directory is
+		// Seed a first checkpoint so the tenant's directory is
 		// self-contained from birth: a replication follower syncing it
 		// gets a loadable model without access to the spec's model file
 		// (which lives on this machine, maybe outside the data root).
@@ -273,13 +273,13 @@ func (r *Registry) create(spec Spec, u *core.UCAD, standby bool) (*Tenant, error
 	return t, nil
 }
 
-// loadModel prefers the newest loadable checkpoint, rolling the
-// manifest back past any that a crash or bug left unloadable, and falls
-// back to the trained model file.
+// loadModel prefers the newest loadable checkpoint, rolling back past
+// (deleting) any that a crash or bug left unloadable, and falls back to
+// the trained model file.
 func loadModel(ckpts *wal.Checkpoints, modelPath string) (*core.UCAD, string, error) {
 	if ckpts != nil {
 		for path := ckpts.Current(); path != ""; {
-			u, err := loadModelFile(path)
+			u, err := core.LoadFile(path)
 			if err == nil {
 				return u, path, nil
 			}
@@ -293,20 +293,11 @@ func loadModel(ckpts *wal.Checkpoints, modelPath string) (*core.UCAD, string, er
 	if modelPath == "" {
 		return nil, "", errors.New("no loadable checkpoint and no model path")
 	}
-	u, err := loadModelFile(modelPath)
+	u, err := core.LoadFile(modelPath)
 	if err != nil {
 		return nil, "", err
 	}
 	return u, modelPath, nil
-}
-
-func loadModelFile(path string) (*core.UCAD, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.Load(f)
 }
 
 // specFile is the persisted per-tenant identity record.
@@ -573,7 +564,7 @@ func (t *Tenant) tuned(u *core.UCAD) *core.UCAD {
 // already-validated one, tuned like every model the tenant serves:
 // scoring switches atomically (in-flight batches finish on the old
 // model), open sessions are re-tokenized against the new vocabulary,
-// and the new model is checkpointed through the tenant's manifest so
+// and the new model is checkpointed into the tenant's checkpoints/ so
 // the replacement survives a restart. Ingest keeps flowing throughout —
 // no drain, no dropped events. A standby's replayer installs each
 // shipped checkpoint here too; its service has no checkpoint store until

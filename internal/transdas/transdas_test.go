@@ -279,6 +279,23 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParamBytesCountsNew: the size Load checks against its cap before
+// New allocates is exactly what New allocates, with and without the
+// position table.
+func TestParamBytesCountsNew(t *testing.T) {
+	for _, positional := range []bool{false, true} {
+		cfg := DefaultConfig(7)
+		cfg.Hidden, cfg.Blocks, cfg.Window, cfg.Positional = 6, 3, 5, positional
+		n := 0
+		for _, p := range New(cfg).params {
+			n += len(p.Value.Data)
+		}
+		if got := cfg.paramBytes(); got != float64(8*n) {
+			t.Fatalf("positional=%v: paramBytes %v, New allocates %d", positional, got, 8*n)
+		}
+	}
+}
+
 func TestFineTuneAdaptsToNewPattern(t *testing.T) {
 	m := trainToy(t)
 	// A new normal statement (key 13) appears after deployment

@@ -1,62 +1,64 @@
 package wal
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 )
 
-// Checkpoints manages versioned model checkpoints in one directory:
-// every Save writes ckpt-<n>.model through WriteAtomic and then flips a
-// MANIFEST (also written atomically) whose last history entry is the
-// current checkpoint. Because both writes are atomic, a crash at any
-// point leaves the manifest pointing at a complete, previously verified
-// file. Rollback drops the current checkpoint and re-points at the one
-// before it — the escape hatch when a freshly written checkpoint fails
-// validation (core.Load rejecting it).
+// Checkpoints manages versioned model checkpoints in one directory.
+// Every Save writes ckpt-<n>.model through WriteAtomic, so a name that
+// exists is a complete file and the directory listing is the history:
+// the highest n is the current checkpoint. Rollback deletes the current
+// file and falls back to the next newest — the escape hatch when a
+// freshly written checkpoint fails validation (core.Load rejecting it).
+// Any other file in the directory (a MANIFEST an older build wrote) is
+// neither read nor touched.
 type Checkpoints struct {
 	dir string
 
-	mu sync.Mutex
-	m  manifest
+	mu   sync.Mutex
+	seqs []uint64 // checkpoint numbers on disk, ascending
 }
 
-// manifestName is the checkpoint directory's index file.
-const manifestName = "MANIFEST"
-
-type manifest struct {
-	Version int `json:"version"`
-	// History holds checkpoint filenames oldest-first; the last entry is
-	// the current checkpoint.
-	History []string `json:"history"`
-}
+const checkpointPrefix, checkpointSuffix = "ckpt-", ".model"
 
 // checkpointRetain bounds how many checkpoints are kept: the current
 // one and a rollback target.
 const checkpointRetain = 2
+
+// IsCheckpointName reports whether name is a checkpoint file's
+// (ckpt-<n>.model): how a replica tells them from other files.
+func IsCheckpointName(name string) bool {
+	_, ok := parseSeq(name, checkpointPrefix, checkpointSuffix)
+	return ok
+}
 
 // OpenCheckpoints opens (creating if needed) a checkpoint directory.
 func OpenCheckpoints(dir string) (*Checkpoints, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	c := &Checkpoints{dir: dir}
-	b, err := os.ReadFile(filepath.Join(dir, manifestName))
-	switch {
-	case os.IsNotExist(err):
-		return c, nil
-	case err != nil:
+	seqs, err := listSeqs(dir, checkpointPrefix, checkpointSuffix)
+	if err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(b, &c.m); err != nil {
-		return nil, fmt.Errorf("wal: corrupt checkpoint manifest: %w", err)
+	return &Checkpoints{dir: dir, seqs: seqs}, nil
+}
+
+func (c *Checkpoints) path(seq uint64) string {
+	return filepath.Join(c.dir, fmt.Sprintf("%s%08d%s", checkpointPrefix, seq, checkpointSuffix))
+}
+
+// current returns the newest checkpoint's path, or "" when none exists.
+// c.mu must be held.
+func (c *Checkpoints) current() string {
+	if n := len(c.seqs); n > 0 {
+		return c.path(c.seqs[n-1])
 	}
-	return c, nil
+	return ""
 }
 
 // Current returns the absolute path of the current checkpoint, or ""
@@ -64,23 +66,14 @@ func OpenCheckpoints(dir string) (*Checkpoints, error) {
 func (c *Checkpoints) Current() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.m.History); n > 0 {
-		return filepath.Join(c.dir, c.m.History[n-1])
-	}
-	return ""
+	return c.current()
 }
 
-// Count reports how many checkpoints the manifest tracks.
+// Count reports how many checkpoints the directory holds.
 func (c *Checkpoints) Count() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m.History)
-}
-
-func checkpointSeq(name string) uint64 {
-	name = strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), ".model")
-	seq, _ := strconv.ParseUint(name, 10, 64)
-	return seq
+	return len(c.seqs)
 }
 
 // Save writes a new checkpoint via the write callback and promotes it
@@ -89,30 +82,18 @@ func checkpointSeq(name string) uint64 {
 func (c *Checkpoints) Save(write func(io.Writer) error) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var seq uint64
-	for _, name := range c.m.History {
-		if s := checkpointSeq(name); s > seq {
-			seq = s
-		}
+	seq := uint64(1)
+	if n := len(c.seqs); n > 0 {
+		seq = c.seqs[n-1] + 1
 	}
-	name := fmt.Sprintf("ckpt-%08d.model", seq+1)
-	path := filepath.Join(c.dir, name)
+	path := c.path(seq)
 	if err := WriteAtomic(path, write); err != nil {
 		return "", err
 	}
-	next := append(append([]string(nil), c.m.History...), name)
-	var evict []string
-	if len(next) > checkpointRetain {
-		evict = next[:len(next)-checkpointRetain]
-		next = next[len(next)-checkpointRetain:]
-	}
-	if err := c.writeManifest(manifest{Version: 1, History: next}); err != nil {
-		os.Remove(path)
-		return "", err
-	}
-	c.m = manifest{Version: 1, History: next}
-	for _, old := range evict {
-		os.Remove(filepath.Join(c.dir, old))
+	c.seqs = append(c.seqs, seq)
+	for len(c.seqs) > checkpointRetain {
+		os.Remove(c.path(c.seqs[0]))
+		c.seqs = c.seqs[1:]
 	}
 	return path, nil
 }
@@ -123,25 +104,13 @@ func (c *Checkpoints) Save(write func(io.Writer) error) (string, error) {
 func (c *Checkpoints) Rollback() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.m.History)
+	n := len(c.seqs)
 	if n == 0 {
 		return "", nil
 	}
-	bad := c.m.History[n-1]
-	next := append([]string(nil), c.m.History[:n-1]...)
-	if err := c.writeManifest(manifest{Version: 1, History: next}); err != nil {
+	if err := os.Remove(c.current()); err != nil && !os.IsNotExist(err) {
 		return "", err
 	}
-	c.m = manifest{Version: 1, History: next}
-	os.Remove(filepath.Join(c.dir, bad))
-	if len(next) == 0 {
-		return "", nil
-	}
-	return filepath.Join(c.dir, next[len(next)-1]), nil
-}
-
-func (c *Checkpoints) writeManifest(m manifest) error {
-	return WriteAtomic(filepath.Join(c.dir, manifestName), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(m)
-	})
+	c.seqs = c.seqs[:n-1]
+	return c.current(), nil
 }

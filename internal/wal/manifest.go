@@ -16,8 +16,8 @@ import (
 // the streams the writer used:
 //
 //	{"version":2,"shards":4}            — steady state, 4 streams
-//	{"version":2,"shards":8,"remap":true,"from":4}
-//	                                    — a 4→8 resize is in flight
+//	{"version":2,"shards":8,"remap":true}
+//	                                    — a resize to 8 is in flight
 //
 // A directory with no manifest must be empty (fresh: the opener writes
 // a manifest for its configured shard count). One that holds stream
@@ -52,9 +52,6 @@ type Manifest struct {
 	// merged state is durably staged in RemapFile and the stream files
 	// are being replaced. Recovery resumes from the staging file.
 	Remap bool `json:"remap,omitempty"`
-	// From is the shard count the migration started from
-	// (informational).
-	From int `json:"from,omitempty"`
 }
 
 // ShardSegmentPrefix names shard i's segment files

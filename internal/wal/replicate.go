@@ -12,13 +12,15 @@ import (
 // Replication export surface. A warm standby replicates a WAL directory
 // by copying files, and the only file a writer ever mutates in place is
 // the highest-sequence segment of each stream — the active segment.
-// Everything else (sealed segments, committed snapshots, checkpoint
-// files) is immutable by name: once a name exists its bytes never
-// change, so a follower can fetch it once and trust it forever. The
-// helpers here give a shipper the ship-sealed-only listing and give a
-// follower read-only verification and replay, without ever opening a
-// mutating Log (Open truncates torn tails; a follower must not rewrite
-// the primary's files).
+// Every other stream file (sealed segments, committed snapshots) is
+// immutable by name: once a name exists its bytes never change, so a
+// follower can fetch it once and trust it forever; only the layout
+// manifest and the remap staging file are replaced whole. The helpers
+// here give a shipper the ship-sealed-only listing and give a follower
+// read-only verification and replay, without ever opening a mutating
+// Log (Open truncates torn tails; a follower must not rewrite the
+// primary's files). Model checkpoints live in their own directory and
+// are not part of this listing (see Checkpoints, IsCheckpointName).
 
 // StreamFile describes one replicable file within a WAL directory.
 type StreamFile struct {
@@ -87,8 +89,8 @@ func ListSnapshotSeqs(dir, prefix string) ([]uint64, error) { return listSeqs(di
 // (ship-sealed-only: the standby's tail beyond the newest shipped
 // segment is recovered by feeder redelivery through dedupe, exactly as
 // a restart recovers it from the unreplicated active segment).
-// Temporary files (*.tmp staging of atomic writes) are skipped. The
-// listing is sorted by name.
+// Anything else — WriteAtomic's .<name>.tmp-* staging files included —
+// is not a stream file and is skipped. The listing is sorted by name.
 func SealedStreamFiles(dir string) ([]StreamFile, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -105,7 +107,7 @@ func SealedStreamFiles(dir string) ([]StreamFile, error) {
 	}
 	var out []StreamFile
 	for _, e := range ents {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
+		if e.IsDir() {
 			continue
 		}
 		name := e.Name()
