@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/ucad/ucad/internal/session"
@@ -88,6 +90,46 @@ func TestLoadRefusesInconsistentModel(t *testing.T) {
 				t.Fatalf("%d templates, vocab %d, top-p %d loaded", tc.templates, tc.vocab, tc.topP)
 			}
 		})
+	}
+}
+
+// TestLoadRefusesNonFiniteWeights: a model file whose weights hold a
+// NaN or an infinity is refused, naming the parameter. Loaded, such a
+// model ranks every key 1, so it would never flag anything. The file is
+// a real save with one value poisoned: its three gob sections
+// (vocabulary, config, parameters) are decoded and re-encoded.
+func TestLoadRefusesNonFiniteWeights(t *testing.T) {
+	type blob struct {
+		Name       string
+		Rows, Cols int
+		Data       []float64
+	}
+	model := tinyModelBytes(t)
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, victim := range []int{0, 1} {
+			r := bytes.NewReader(model)
+			var (
+				templates []string
+				cfg       transdas.Config
+				params    []blob
+			)
+			for _, v := range []any{&templates, &cfg, &params} {
+				if err := gob.NewDecoder(r).Decode(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			params[victim].Data[len(params[victim].Data)/2] = poison
+			var buf bytes.Buffer
+			for _, v := range []any{templates, cfg, params} {
+				if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := Load(&buf)
+			if err == nil || !strings.Contains(err.Error(), params[victim].Name) {
+				t.Fatalf("%v in %s: Load error %v, want one naming the parameter", poison, params[victim].Name, err)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -86,7 +87,7 @@ func TestSwapModelCarriesAndInvalidatesCache(t *testing.T) {
 	}
 
 	// Warm the cache under model A.
-	if got := o.Detector().Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]; !rowsEqual(got, refA) {
+	if got := uA.Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]; !rowsEqual(got, refA) {
 		t.Fatal("pre-swap score does not match model A reference")
 	}
 	preStats := c.Stats()
@@ -103,8 +104,18 @@ func TestSwapModelCarriesAndInvalidatesCache(t *testing.T) {
 	if c.Gen() == gen {
 		t.Fatal("swap did not advance the cache generation")
 	}
-	if got := o.Detector().Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]; !rowsEqual(got, refB) {
+	if got := uB.Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]; !rowsEqual(got, refB) {
 		t.Fatal("post-swap score served a stale (model A) row")
+	}
+	var served, wantB bytes.Buffer
+	if err := o.Save(&served); err != nil {
+		t.Fatal(err)
+	}
+	if err := uB.Save(&wantB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served.Bytes(), wantB.Bytes()) {
+		t.Fatal("Online does not serve the swapped-in model")
 	}
 	post := c.Stats()
 	if post.Hits < preStats.Hits || post.Misses <= preStats.Misses {
@@ -128,10 +139,10 @@ func TestSwapModelCarriesAndInvalidatesCache(t *testing.T) {
 
 // TestCachedScoringSwapRetrainRace hammers the cached scoring path from
 // 16 goroutines while the model is hot-swapped between two sentinel
-// builds and periodically fine-tuned. Every observed similarity row
-// must exactly match the uncached reference of one of the legitimate
-// weight states — a stale cached row from a previous generation fails
-// the test. Run under -race.
+// builds and then fine-tuned. Every observed similarity row must
+// exactly match the uncached reference of the model that scored it — a
+// stale cached row from a previous generation, or one carried across
+// models, fails the test. Run under -race.
 func TestCachedScoringSwapRetrainRace(t *testing.T) {
 	uA, g := sentinelUCAD(t, 11)
 	uB, _ := sentinelUCAD(t, 37)
@@ -188,16 +199,16 @@ func TestCachedScoringSwapRetrainRace(t *testing.T) {
 						return
 					}
 				}
-				// Between swaps (models frozen A/B), a scored row must be
-				// byte-identical to the reference of the model that served
-				// it — a stale or cross-model cached row fails here even if
-				// it matches the *other* sentinel.
-				d := o.Detector()
-				want := refA
-				if d == uB {
-					want = refB
+				// The weights are frozen (A/B) while they swap, so a row
+				// scored on either model — the serving one or a straggler
+				// on the one just swapped out — must be byte-identical to
+				// that model's reference: a stale or cross-model cached row
+				// fails here even if it matches the *other* sentinel.
+				m, want := uA, refA
+				if w%2 == 1 {
+					m, want = uB, refB
 				}
-				sims := d.Model.NewScorer().ScoreBatchInto(nil, [][]int{ctxs[i%len(ctxs)]})[0]
+				sims := m.Model.NewScorer().ScoreBatchInto(nil, [][]int{ctxs[i%len(ctxs)]})[0]
 				if !rowsEqual(sims, want[i%len(ctxs)]) {
 					select {
 					case errCh <- "scored row does not match the serving model's reference":
@@ -208,14 +219,14 @@ func TestCachedScoringSwapRetrainRace(t *testing.T) {
 			}
 		}(w)
 	}
-	cur := uB
+	serving := uA
 	for i := 0; i < 30; i++ {
-		o.SwapModel(cur)
-		if cur == uA {
-			cur = uB
+		if serving == uA {
+			serving = uB
 		} else {
-			cur = uA
+			serving = uA
 		}
+		o.SwapModel(serving)
 	}
 	close(stop)
 	wg.Wait()
@@ -225,12 +236,10 @@ func TestCachedScoringSwapRetrainRace(t *testing.T) {
 	default:
 	}
 
-	// Phase 2: retrain (fine-tune) under concurrent cached scoring. The
+	// Phase 2: a fine-tune round under concurrent cached scoring. The
 	// weights move, so rows are no longer pinnable mid-flight; afterwards
 	// the cached path must agree exactly with an uncached recomputation.
-	for _, s := range g.GenerateSessions(6) {
-		o.Process(s)
-	}
+	pool := g.GenerateSessions(6)
 	stop2 := make(chan struct{})
 	var wg2 sync.WaitGroup
 	for w := 0; w < 16; w++ {
@@ -248,11 +257,11 @@ func TestCachedScoringSwapRetrainRace(t *testing.T) {
 			}
 		}()
 	}
-	o.Retrain(1)
+	o.FineTune(pool, 1, nil)
 	close(stop2)
 	wg2.Wait()
 
-	final := o.Detector()
+	final := serving
 	gotCached := make([][]float64, len(ctxs))
 	for i, ctx := range ctxs {
 		gotCached[i] = append([]float64(nil), final.Model.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]...)

@@ -1,10 +1,13 @@
 package detect
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
-	"time"
 
 	"github.com/ucad/ucad/internal/core"
+	"github.com/ucad/ucad/internal/transdas"
 	"github.com/ucad/ucad/internal/workload"
 )
 
@@ -28,153 +31,53 @@ func trainedUCAD(t *testing.T) (*core.UCAD, *workload.Generator) {
 	return u, g
 }
 
-func TestOnlineLoop(t *testing.T) {
-	u, g := trainedUCAD(t)
-	o := NewOnline(u)
-
-	var alerts []*Alert
-	normals, flagged := 0, 0
-	for i := 0; i < 10; i++ {
-		s := g.NewSession()
-		if a := o.Process(s); a != nil {
-			alerts = append(alerts, a)
-			flagged++
-		} else {
-			normals++
-		}
-	}
-	// Inject an A2 anomaly: it should usually be flagged.
-	anom := g.StealCredential(g.NewSession())
-	anomAlert := o.Process(anom)
-
-	processed, flaggedCount := o.Stats()
-	if processed != 11 {
-		t.Fatalf("processed = %d", processed)
-	}
-	if anomAlert != nil && len(anomAlert.Positions) == 0 {
-		t.Fatal("alert without positions")
-	}
-	returned := len(alerts)
-	if anomAlert != nil {
-		returned++
-	}
-	if flaggedCount != returned {
-		t.Fatalf("flagged %d but %d alerts returned", flaggedCount, returned)
-	}
-
-	// Expert reviews: false alarms rejoin the training pool; the true
-	// anomaly (never resolved as one) does not.
-	before := o.VerifiedCount()
-	for _, a := range alerts {
-		o.ResolveFalseAlarm(a)
-	}
-	if o.VerifiedCount() != before+len(alerts) {
-		t.Fatalf("verified pool = %d, want %d", o.VerifiedCount(), before+len(alerts))
-	}
-	if normals+len(alerts) != o.VerifiedCount() {
-		t.Fatalf("verified pool %d != normals %d + false alarms %d",
-			o.VerifiedCount(), normals, len(alerts))
-	}
-
-	absorbed := o.Retrain(1)
-	if absorbed != normals+len(alerts) {
-		t.Fatalf("retrain absorbed %d, want %d", absorbed, normals+len(alerts))
-	}
-	if o.VerifiedCount() != 0 {
-		t.Fatal("verified pool must clear after retrain")
-	}
-	if o.Retrain(1) != 0 {
-		t.Fatal("retrain with empty pool must be a no-op")
-	}
-}
-
-// TestTrainHooksFireOnRetrain checks the training instrumentation
-// contract: Epoch fires once per fine-tune epoch with the epoch loss,
-// Done fires once per round with the absorbed pool size, window count
-// and a positive wall-clock duration.
-func TestTrainHooksFireOnRetrain(t *testing.T) {
-	u, g := trainedUCAD(t)
-	o := NewOnline(u)
-	var epochs []float64
-	var dones []RetrainStats
-	o.SetTrainHooks(TrainHooks{
-		Epoch: func(epoch int, loss float64, took time.Duration) { epochs = append(epochs, loss) },
-		Done:  func(st RetrainStats) { dones = append(dones, st) },
-	})
-
-	// An empty pool must not fire Done.
-	if o.Retrain(2) != 0 || len(dones) != 0 {
-		t.Fatal("empty-pool retrain fired hooks")
-	}
-
-	for _, s := range g.GenerateSessions(4) {
-		o.Process(s)
-	}
-	pool := o.VerifiedCount()
-	if pool == 0 {
-		t.Skip("every generated session was flagged; nothing to retrain")
-	}
-	if absorbed := o.Retrain(2); absorbed != pool {
-		t.Fatalf("absorbed %d, want %d", absorbed, pool)
-	}
-	if len(epochs) != 2 {
-		t.Fatalf("Epoch hook fired %d times, want 2", len(epochs))
-	}
-	if len(dones) != 1 {
-		t.Fatalf("Done hook fired %d times, want 1", len(dones))
-	}
-	st := dones[0]
-	if st.Sessions != pool || st.Epochs != 2 || st.Windows == 0 {
-		t.Fatalf("RetrainStats %+v, want sessions=%d epochs=2 windows>0", st, pool)
-	}
-	if st.Duration <= 0 {
-		t.Fatalf("duration %v, want > 0", st.Duration)
-	}
-	if st.FinalLoss != epochs[len(epochs)-1] {
-		t.Fatalf("FinalLoss %v != last epoch loss %v", st.FinalLoss, epochs[len(epochs)-1])
-	}
-	if st.WindowsPerSecond() <= 0 {
-		t.Fatalf("windows/sec %v, want > 0", st.WindowsPerSecond())
-	}
-}
-
-// TestOnlineConcurrentProcessRetrain interleaves scoring and
-// fine-tuning from independent goroutines; the model RWMutex must keep
-// this race-free (run under -race).
+// TestOnlineConcurrentProcessRetrain interleaves scoring (DetectSession
+// and RankBatch) with a FineTune round from independent goroutines; the
+// model RWMutex must keep this race-free (run under -race), and every
+// rank a batch returns stays within [1, Vocab].
 func TestOnlineConcurrentProcessRetrain(t *testing.T) {
 	u, g := trainedUCAD(t)
 	o := NewOnline(u)
-	// Seed the verified pool so the first Retrain has work.
-	for _, s := range g.GenerateSessions(6) {
-		o.Process(s)
-	}
+	vocab := u.Vocab.Size()
+	pool := g.GenerateSessions(6)
 	sessions := g.GenerateSessions(8)
-	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
 	for w := 0; w < 4; w++ {
+		wg.Add(1)
 		go func(w int) {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			for i := w; i < len(sessions); i += 4 {
-				o.Process(sessions[i])
+				o.DetectSession(sessions[i])
 				keys := make([]int, len(sessions[i].Ops))
 				for j, op := range sessions[i].Ops {
 					keys[j] = u.Vocab.Key(op.SQL)
 				}
-				if len(keys) > 4 {
-					o.RankBatch(nil, [][]int{keys[:3], keys[:4]}, keys[3:5])
+				if len(keys) <= 4 {
+					continue
+				}
+				for _, r := range o.RankBatch(nil, [][]int{keys[:3], keys[:4]}, keys[3:5]) {
+					if r < 1 || r > vocab {
+						errs <- fmt.Sprintf("rank %d outside [1, %d]", r, vocab)
+						return
+					}
 				}
 			}
 		}(w)
 	}
+	var res transdas.TrainResult
+	wg.Add(1)
 	go func() {
-		defer func() { done <- struct{}{} }()
-		o.Retrain(1)
+		defer wg.Done()
+		res = o.FineTune(pool, 1, nil)
 	}()
-	for w := 0; w < 5; w++ {
-		<-done
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
-	processed, _ := o.Stats()
-	if processed != 14 {
-		t.Fatalf("processed = %d, want 14", processed)
+	if len(res.EpochLoss) != 1 || res.Windows == 0 {
+		t.Fatalf("fine-tune round %+v, want one epoch over some windows", res)
 	}
 }
 
@@ -211,24 +114,30 @@ func TestRankBatchMatchesRankOf(t *testing.T) {
 	}
 }
 
+// TestOnlineConcurrentProcess runs close-out verdicts from four
+// goroutines through the read-locked DetectSession: every verdict must
+// equal the sequential one (run under -race).
 func TestOnlineConcurrentProcess(t *testing.T) {
 	u, g := trainedUCAD(t)
 	o := NewOnline(u)
 	sessions := g.GenerateSessions(12)
-	done := make(chan struct{})
+	want := make([][]int, len(sessions))
+	for i, s := range sessions {
+		want[i] = u.DetectSession(s)
+	}
+	got := make([][]int, len(sessions))
+	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
+		wg.Add(1)
 		go func(w int) {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			for i := w; i < len(sessions); i += 4 {
-				o.Process(sessions[i])
+				got[i] = o.DetectSession(sessions[i])
 			}
 		}(w)
 	}
-	for w := 0; w < 4; w++ {
-		<-done
-	}
-	processed, _ := o.Stats()
-	if processed != 12 {
-		t.Fatalf("processed = %d, want 12", processed)
+	wg.Wait()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent verdicts %v, sequential %v", got, want)
 	}
 }

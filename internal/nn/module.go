@@ -92,7 +92,8 @@ func SaveParams(w io.Writer, params []*tensor.Param) error {
 
 // LoadParams restores parameter values saved by SaveParams. Every stored
 // blob must match a parameter with the same name and shape, carry exactly
-// Rows*Cols values, and every parameter must be stored exactly once.
+// Rows*Cols finite values, and every parameter must be stored exactly
+// once.
 func LoadParams(r io.Reader, params []*tensor.Param) error {
 	// Keep reads byte-exact so this decoder cannot buffer past its own
 	// gob messages when the stream continues after the parameters.
@@ -122,6 +123,11 @@ func LoadParams(r io.Reader, params []*tensor.Param) error {
 		if p.Value.Rows != b.Rows || p.Value.Cols != b.Cols || len(b.Data) != b.Rows*b.Cols {
 			return fmt.Errorf("nn: parameter %q shape %dx%d, stored %dx%d with %d values",
 				b.Name, p.Value.Rows, p.Value.Cols, b.Rows, b.Cols, len(b.Data))
+		}
+		for i, v := range b.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: parameter %q value %d is %v", b.Name, i, v)
+			}
 		}
 		copy(p.Value.Data, b.Data)
 	}

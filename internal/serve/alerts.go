@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ucad/ucad/internal/detect"
+	"github.com/ucad/ucad/internal/session"
 )
 
 // Alert statuses.
@@ -26,7 +26,7 @@ type Alert struct {
 	User      string `json:"user"`
 	Positions []int  `json:"positions"`
 	// Statements holds the flagged statement texts aligned with
-	// Positions (empty string when only known from close-out detection).
+	// Positions.
 	Statements []string `json:"statements"`
 	Status     string   `json:"status"`
 	// Final reports whether the session has closed; only final alerts
@@ -35,9 +35,10 @@ type Alert struct {
 	CreatedAt time.Time `json:"created_at"`
 	UpdatedAt time.Time `json:"updated_at"`
 
-	// da is the detection-loop alert to forward expert verdicts to;
-	// nil when close-out detection judged the session normal.
-	da *detect.Alert
+	// sess is the closed session a false-alarm verdict returns to the
+	// verified pool; nil when close-out detection judged the session
+	// normal (it joined the pool then).
+	sess *session.Session
 }
 
 // alertStore indexes alerts by id and by open session. It also
@@ -106,50 +107,46 @@ func (st *alertStore) flag(r Result, user string) bool {
 	return true
 }
 
-// finalize marks the session closed. da carries the close-out detection
-// verdict (nil = session-level normal); when it flagged positions the
-// alert absorbs them, creating the alert if mid-session scoring never
-// fired (e.g. the flags raced the close-out).
-func (st *alertStore) finalize(sessionID, client, user string, stmts []string, da *detect.Alert) *Alert {
+// finalize marks the session closed. positions is the close-out
+// detection verdict (empty = session-level normal); when it flagged
+// positions the alert absorbs them, creating the alert if mid-session
+// scoring never fired (e.g. the flags raced the close-out).
+func (st *alertStore) finalize(sess *session.Session, client string, positions []int) *Alert {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.finalized.add(sessionID)
-	a := st.bySession[sessionID]
-	if a == nil && da == nil {
+	st.finalized.add(sess.ID)
+	a := st.bySession[sess.ID]
+	if a == nil && len(positions) == 0 {
 		return nil
 	}
 	if a == nil {
 		st.nextID++
 		a = &Alert{
 			ID:        st.nextID,
-			SessionID: sessionID,
+			SessionID: sess.ID,
 			Client:    client,
-			User:      user,
+			User:      sess.User,
 			Status:    StatusOpen,
 			CreatedAt: st.now(),
 		}
 		st.byID[a.ID] = a
 	}
-	delete(st.bySession, sessionID)
+	delete(st.bySession, sess.ID)
 	a.Final = true
-	a.da = da
-	if da != nil {
-		for _, pos := range da.Positions {
-			var sql string
-			if pos < len(stmts) {
-				sql = stmts[pos]
-			}
-			a.addPosition(pos, sql)
-		}
+	if len(positions) > 0 {
+		a.sess = sess
+	}
+	for _, pos := range positions {
+		a.addPosition(pos, sess.Ops[pos].SQL)
 	}
 	a.UpdatedAt = st.now()
 	return a
 }
 
 // resolve applies an expert verdict to a final alert and returns the
-// detection-loop alert to forward the verdict to (nil when close-out
-// detection had judged the session normal).
-func (st *alertStore) resolve(id int64, status string) (*detect.Alert, error) {
+// closed session it judged (nil when close-out detection had judged the
+// session normal).
+func (st *alertStore) resolve(id int64, status string) (*session.Session, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	a := st.byID[id]
@@ -164,11 +161,11 @@ func (st *alertStore) resolve(id int64, status string) (*detect.Alert, error) {
 	}
 	a.Status = status
 	a.UpdatedAt = st.now()
-	da := a.da
-	a.da = nil
+	sess := a.sess
+	a.sess = nil
 	st.resolvedIDs = append(st.resolvedIDs, a.ID)
 	st.evictLocked()
-	return da, nil
+	return sess, nil
 }
 
 // evictLocked enforces the resolved-alert retention bound: FIFO past
@@ -235,7 +232,7 @@ func (st *alertStore) list(status string) []Alert {
 		c := *a
 		c.Positions = append([]int(nil), a.Positions...)
 		c.Statements = append([]string(nil), a.Statements...)
-		c.da = nil
+		c.sess = nil
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -189,6 +190,53 @@ func TestDurableRestartHardKill(t *testing.T) {
 	s2.Drain()
 	if s2.midFlags.Load() == 0 {
 		t.Fatal("restored session did not flag the anomaly")
+	}
+}
+
+// TestDurableRestoredCloseoutVerdict: after a hard kill the alert store
+// is gone, so the close-out scan is the only verdict a restored session
+// gets. A restored session holding an out-of-vocabulary statement must
+// close into a final alert at that position; a restored all-normal one
+// must join the verified pool.
+func TestDurableRestoredCloseoutVerdict(t *testing.T) {
+	u := testUCAD(t)
+	dir := t.TempDir()
+	clock := newFakeClock()
+	const k = 4
+
+	s1, _ := durableService(t, u, dir, clock.Now, nil)
+	for pos := 0; pos < 7; pos++ {
+		sql := normalStatement(pos)
+		if pos == k {
+			sql = anomalySQL
+		}
+		if err := s1.Ingest(Event{ClientID: "attacker", User: "eve", SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingestN(t, s1, "victim", 6, 0)
+	s1.Drain()
+	// Hard kill: no Close, no Stop.
+
+	s2, rst := durableService(t, u, dir, clock.Now, nil)
+	defer s2.Close(context.Background())
+	if rst.Sessions != 2 {
+		t.Fatalf("restored %d sessions, want 2", rst.Sessions)
+	}
+	clock.Advance(11 * time.Minute)
+	if n := s2.CloseIdleNow(); n != 2 {
+		t.Fatalf("closed %d sessions, want 2", n)
+	}
+	alerts := s2.Alerts("")
+	if len(alerts) != 1 {
+		t.Fatalf("alerts %+v, want the attacker's only", alerts)
+	}
+	a := alerts[0]
+	if a.Client != "attacker" || !a.Final || !slices.Contains(a.Positions, k) {
+		t.Fatalf("close-out alert %+v, want a final attacker alert at position %d", a, k)
+	}
+	if st := s2.Stats(); st.SessionsProcessed != 2 || st.SessionsFlagged != 1 || st.VerifiedPool != 1 {
+		t.Fatalf("post-close stats %+v, want 2 processed, 1 flagged, pool 1", st)
 	}
 }
 

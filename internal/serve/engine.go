@@ -12,7 +12,7 @@ import (
 // pass: dst[b] receives the 1-based rank of keys[b] given contexts[b],
 // and the returned slice is dst grown as needed. The production
 // implementation is detect.Online.RankBatch (read-locked against
-// retraining as one unit).
+// fine-tuning and model swaps as one unit).
 type Ranker interface {
 	RankBatch(dst []int, contexts [][]int, keys []int) []int
 }

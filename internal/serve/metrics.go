@@ -266,7 +266,7 @@ type Metrics struct {
 	// alertsResolved counts expert verdicts by outcome.
 	alertsResolved tenantCounterVec
 
-	// Training instrumentation, fed from detect.Online's hooks.
+	// Training instrumentation, fed by Service.retrain.
 	trainEpochLoss     *obs.Gauge
 	trainWindowsPerSec *obs.Gauge
 	trainEpochs        *obs.Counter
@@ -311,10 +311,8 @@ func (m *Metrics) bind(s *Service) {
 		func() int64 { opened, _ := s.asmCounts(); return opened })
 	cf("ucad_sessions_closed_total",
 		func() int64 { _, closed := s.asmCounts(); return closed })
-	cf("ucad_sessions_processed_total",
-		func() int64 { processed, _ := s.online.Stats(); return int64(processed) })
-	cf("ucad_sessions_flagged_total",
-		func() int64 { _, flagged := s.online.Stats(); return int64(flagged) })
+	cf("ucad_sessions_processed_total", s.processed.Load)
+	cf("ucad_sessions_flagged_total", s.flagged.Load)
 	cf("ucad_alerts_raised_total", s.alerts.raisedCount)
 	cf("ucad_alerts_evicted_total", s.alerts.evictedCount)
 	cf("ucad_retrains_total", s.retrains.Load)
@@ -322,11 +320,11 @@ func (m *Metrics) bind(s *Service) {
 	cf("ucad_checkpoint_errors_total", s.ckptErrors.Load)
 	cf("ucad_feed_unknown_keys_total", s.unknownKeys.Load)
 	cf("ucad_feed_duplicate_events_total", s.dupEvents.Load)
-	// Score-cache families read through the online loop, which owns the
-	// cache hand-off across hot swaps (counters stay monotonic: SwapModel
-	// carries the cache object onto the replacement model).
+	// Score-cache families read the serving bundle's cache (counters stay
+	// monotonic: SwapModel carries the cache object onto the replacement
+	// model).
 	cacheStats := func() scorecache.Stats {
-		if c := s.online.Detector().Model.ScoreCache(); c != nil {
+		if c := s.model.Load().cache; c != nil {
 			return c.Stats()
 		}
 		return scorecache.Stats{}
@@ -341,8 +339,7 @@ func (m *Metrics) bind(s *Service) {
 	cf("ucad_promotions_total", s.promotions.Load)
 	gf("ucad_sessions_open", func() float64 { return float64(s.openCount()) })
 	gf("ucad_alerts_open", func() float64 { return float64(s.alerts.openCount()) })
-	gf("ucad_verified_pool",
-		func() float64 { return float64(s.online.VerifiedCount()) })
+	gf("ucad_verified_pool", func() float64 { return float64(s.verifiedCount()) })
 	gf("ucad_queue_depth",
 		func() float64 { return float64(s.engine.QueueDepth()) })
 	gf("ucad_scoring_workers", func() float64 { return float64(s.cfg.Workers) })

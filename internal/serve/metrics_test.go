@@ -15,7 +15,7 @@ func TestAlertRetentionBounds(t *testing.T) {
 	mk := func(i int) int64 {
 		sid := fmt.Sprintf("s%d", i)
 		st.flag(Result{Job: Job{Client: "c", User: "u", SessionID: sid, Pos: 3, SQL: "BAD"}, Rank: 99}, "u")
-		a := st.finalize(sid, "c", "u", nil, &mockDetectAlert)
+		a := st.finalize(closedSession(sid, make([]string, 11)...), "c", mockCloseout)
 		return a.ID
 	}
 
@@ -110,7 +110,7 @@ func TestServiceAlertRetention(t *testing.T) {
 
 // TestServiceRetrainMetrics confirms the training instrumentation path:
 // a background fine-tune populates the retrain histogram and epoch
-// gauges via detect.Online's hooks.
+// gauges (Service.retrain feeds them from the round's progress).
 func TestServiceRetrainMetrics(t *testing.T) {
 	u := testUCAD(t)
 	clk := newFakeClock()

@@ -122,11 +122,11 @@ func (s *Service) PromoteToServing() error {
 // Call it while quiesced (after Restore, or on a standby between replay
 // rounds); a nil score cache returns 0.
 func (s *Service) WarmScoreCache() int {
-	cache := s.online.Detector().Model.ScoreCache()
+	mb := s.model.Load()
+	cache := mb.cache
 	if cache == nil {
 		return 0
 	}
-	mb := s.model.Load()
 	_, sessions := s.exportAll()
 	before := cache.Stats().Misses
 	var (

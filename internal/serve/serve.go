@@ -10,7 +10,9 @@
 //
 //	Assembler  — per-client open-session state with idle-timeout close-out
 //	Engine     — micro-batched concurrent scoring with backpressure
-//	Service    — wires both to detect.Online's verified-pool/retrain loop
+//	Service    — wires both to the model (guarded by detect.Online) and
+//	             runs Figure 5's loop: close-out verdicts, the verified
+//	             pool, expert feedback and fine-tune rounds
 //
 // It is a library: the HTTP/JSON front over it is
 // internal/tenant's Registry.Handler, the only one.

@@ -8,13 +8,21 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/core"
-	"github.com/ucad/ucad/internal/detect"
 	"github.com/ucad/ucad/internal/session"
 )
 
-// mockDetectAlert stands in for a close-out detection verdict flagging
-// positions 6 and 10.
-var mockDetectAlert = detect.Alert{Positions: []int{6, 10}}
+// mockCloseout stands in for a close-out detection verdict flagging
+// positions 6 and 10 (of a session at least 11 operations long).
+var mockCloseout = []int{6, 10}
+
+// closedSession is a closed session whose operations carry stmts.
+func closedSession(id string, stmts ...string) *session.Session {
+	s := &session.Session{ID: id, User: "u"}
+	for _, sql := range stmts {
+		s.Ops = append(s.Ops, session.Operation{SQL: sql})
+	}
+	return s
+}
 
 // normalTemplates is a small application workload (8 statement
 // templates); literals vary per call and normalize away.
@@ -381,9 +389,12 @@ func TestAlertStoreLifecycle(t *testing.T) {
 	}
 
 	// Close-out confirms position 6 and adds 10.
-	fa := st.finalize("sess-1", "c", "u", []string{"", "", "", "", "", "", "BAD", "", "", "", "WORSE"}, &mockDetectAlert)
+	fa := st.finalize(closedSession("sess-1", "", "", "", "", "", "", "BAD", "", "", "", "WORSE"), "c", mockCloseout)
 	if fa == nil || !fa.Final {
 		t.Fatal("finalize did not finalize")
+	}
+	if len(fa.Statements) != 3 || fa.Statements[2] != "WORSE" {
+		t.Fatalf("statements %q, want the close-out position's text from the session", fa.Statements)
 	}
 	if _, err := st.resolve(fa.ID, StatusConfirmed); err != nil {
 		t.Fatal(err)
@@ -398,7 +409,7 @@ func TestAlertStoreLifecycle(t *testing.T) {
 	}
 
 	// A session that closes clean without prior flags yields no alert.
-	if a := st.finalize("sess-2", "c", "u", nil, nil); a != nil {
+	if a := st.finalize(closedSession("sess-2"), "c", nil); a != nil {
 		t.Fatalf("clean close produced alert %+v", a)
 	}
 }
@@ -517,6 +528,76 @@ func TestServiceAutoRetrainOnVerifiedPool(t *testing.T) {
 	}
 	if st.VerifiedPool >= 3 {
 		t.Fatalf("verified pool = %d, want drained by retrain", st.VerifiedPool)
+	}
+}
+
+// TestServiceVerifiedPoolLoop pins Figure 5's feedback loop end to end:
+// close-out verdicts count processed and flagged sessions, normal
+// sessions join the verified pool, a false alarm rejoins it and a
+// confirmed anomaly does not, and a fine-tune round absorbs and clears
+// the pool while feeding the training families; an empty pool runs no
+// round.
+func TestServiceVerifiedPoolLoop(t *testing.T) {
+	clk := newFakeClock()
+	svc := NewService(testUCAD(t), Config{
+		Workers:       1,
+		QueueSize:     64,
+		IdleTimeout:   time.Minute,
+		RetrainEpochs: 2,
+		Clock:         clk.Now,
+	})
+	defer svc.Stop()
+	for c := 0; c < 5; c++ {
+		for pos := 0; pos < 6; pos++ {
+			sql := normalStatement(pos)
+			if c >= 3 && pos == 4 {
+				sql = anomalySQL
+			}
+			if err := svc.Ingest(Event{ClientID: fmt.Sprintf("c%d", c), User: "app", SQL: sql}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	svc.Drain()
+	clk.Advance(2 * time.Minute)
+	svc.CloseIdleNow()
+	if st := svc.Stats(); st.SessionsProcessed != 5 || st.SessionsFlagged != 2 || st.VerifiedPool != 3 {
+		t.Fatalf("post-close stats %+v, want 5 processed, 2 flagged, pool 3", st)
+	}
+
+	alerts := svc.Alerts(StatusOpen)
+	if len(alerts) != 2 {
+		t.Fatalf("open alerts %+v, want 2", alerts)
+	}
+	if err := svc.Resolve(alerts[0].ID, StatusFalseAlarm); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Resolve(alerts[1].ID, StatusConfirmed); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Stats().VerifiedPool; got != 4 {
+		t.Fatalf("verified pool %d after one false alarm and one confirmation, want 4", got)
+	}
+
+	m := svc.metrics
+	epochs := m.trainEpochs.Value()
+	absorbed, res := svc.retrain()
+	if absorbed != 4 || svc.Stats().VerifiedPool != 0 {
+		t.Fatalf("round absorbed %d, pool %d after; want 4 then 0", absorbed, svc.Stats().VerifiedPool)
+	}
+	if got := m.trainEpochs.Value() - epochs; got != 2 || len(res.EpochLoss) != 2 {
+		t.Fatalf("epochs counted %d, run %d; want RetrainEpochs = 2", got, len(res.EpochLoss))
+	}
+	if got, want := m.trainEpochLoss.Value(), res.EpochLoss[1]; got != want {
+		t.Fatalf("epoch-loss gauge %v, want the round's last epoch loss %v", got, want)
+	}
+	if m.trainWindowsPerSec.Value() <= 0 || m.retrainSeconds.Count() != 1 {
+		t.Fatalf("windows/s %v, retrain rounds timed %d; want > 0 and 1",
+			m.trainWindowsPerSec.Value(), m.retrainSeconds.Count())
+	}
+
+	if absorbed, _ := svc.retrain(); absorbed != 0 || m.retrainSeconds.Count() != 1 || m.trainEpochs.Value()-epochs != 2 {
+		t.Fatal("an empty pool ran a fine-tune round")
 	}
 }
 

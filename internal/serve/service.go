@@ -11,7 +11,9 @@ import (
 	"github.com/ucad/ucad/internal/detect"
 	"github.com/ucad/ucad/internal/obs"
 	"github.com/ucad/ucad/internal/scorecache"
+	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/sqlnorm"
+	"github.com/ucad/ucad/internal/transdas"
 	"github.com/ucad/ucad/internal/wal"
 )
 
@@ -100,17 +102,34 @@ type modelBundle struct {
 	window     int
 	minContext int
 	topP       int
+	// cache is the score cache the model serves with once installed.
+	// SwapModel carries the same object onto the replacement, so a
+	// reader of the outgoing bundle (which detect.Online.SwapModel has
+	// already detached from its model) still sees live counters.
+	cache *scorecache.Cache
 }
 
-// Service is the full online detection loop of Figure 5 as a running
+func newBundle(u *core.UCAD) *modelBundle {
+	mcfg := u.Model.Config()
+	return &modelBundle{
+		ucad:       u,
+		window:     mcfg.Window,
+		minContext: mcfg.MinContext,
+		topP:       mcfg.TopP,
+		cache:      u.Model.ScoreCache(),
+	}
+}
+
+// Service is the online detection loop of Figure 5 as a running
 // system: events stream in, sessions assemble per client on the shard
 // the client hashes to, every operation is scored concurrently against
-// the trained model, flagged operations raise alerts mid-session,
-// closed sessions feed the verified-pool/retrain cycle via
-// detect.Online.
+// the trained model, flagged operations raise alerts mid-session, and
+// closed sessions get their full-session verdict: normal ones (and
+// false alarms, once an expert says so) join the verified pool that the
+// next fine-tune round absorbs.
 type Service struct {
 	cfg     Config
-	online  *detect.Online
+	online  *detect.Online // the model guard
 	shards  []*shard
 	engine  *Engine
 	alerts  *alertStore
@@ -129,6 +148,13 @@ type Service struct {
 	unknownKeys atomic.Int64
 	dupEvents   atomic.Int64
 	modelSwaps  atomic.Int64
+	processed   atomic.Int64 // sessions given a close-out verdict
+	flagged     atomic.Int64 // ... of which anomalous
+
+	// verified is the pool of verified-normal sessions the next
+	// fine-tune round absorbs.
+	verifiedMu sync.Mutex
+	verified   []*session.Session
 
 	stopped    atomic.Bool
 	retraining atomic.Bool
@@ -194,7 +220,6 @@ func NewService(u *core.UCAD, cfg Config) *Service {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	mcfg := u.Model.Config()
 	s := &Service{
 		cfg:     cfg,
 		online:  detect.NewOnline(u),
@@ -202,12 +227,7 @@ func NewService(u *core.UCAD, cfg Config) *Service {
 		metrics: cfg.Metrics,
 		start:   cfg.Clock(),
 	}
-	s.model.Store(&modelBundle{
-		ucad:       u,
-		window:     mcfg.Window,
-		minContext: mcfg.MinContext,
-		topP:       mcfg.TopP,
-	})
+	s.model.Store(newBundle(u))
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i, asm: NewAssembler(cfg.IdleTimeout, cfg.Clock)}
@@ -215,17 +235,6 @@ func NewService(u *core.UCAD, cfg Config) *Service {
 	s.engine = NewEngine(s.online, cfg.Shards, cfg.Workers, cfg.QueueSize, cfg.Batch, s.onResult)
 	m := s.metrics
 	s.engine.instrument(m.queueWaitSeconds, m.scoreSeconds, m.scoreBatchSize)
-	s.online.SetTrainHooks(detect.TrainHooks{
-		Epoch: func(epoch int, loss float64, took time.Duration) {
-			m.trainEpochLoss.Set(loss)
-			m.trainEpochs.Inc()
-			m.trainEpochSeconds.Observe(took.Seconds())
-		},
-		Done: func(st detect.RetrainStats) {
-			m.retrainSeconds.Observe(st.Duration.Seconds())
-			m.trainWindowsPerSec.Set(st.WindowsPerSecond())
-		},
-	})
 	m.bind(s)
 	return s
 }
@@ -509,24 +518,38 @@ func (s *Service) CloseIdleNow() int {
 func (s *Service) finalize(closed []Closed) {
 	for _, c := range closed {
 		t := obs.StartTimer(s.metrics.closeoutSeconds)
-		da := s.online.Process(c.Session)
+		positions := s.online.DetectSession(c.Session)
 		t.Stop()
-		stmts := make([]string, len(c.Session.Ops))
-		for i := range c.Session.Ops {
-			stmts[i] = c.Session.Ops[i].SQL
+		s.processed.Add(1)
+		if len(positions) == 0 {
+			s.addVerified(c.Session)
+		} else {
+			s.flagged.Add(1)
 		}
-		s.alerts.finalize(c.Session.ID, c.Client, c.Session.User, stmts, da)
+		s.alerts.finalize(c.Session, c.Client, positions)
 	}
 	s.maybeRetrain()
 }
 
+func (s *Service) addVerified(sess *session.Session) {
+	s.verifiedMu.Lock()
+	s.verified = append(s.verified, sess)
+	s.verifiedMu.Unlock()
+}
+
+func (s *Service) verifiedCount() int {
+	s.verifiedMu.Lock()
+	defer s.verifiedMu.Unlock()
+	return len(s.verified)
+}
+
 // maybeRetrain kicks one background fine-tune round when the verified
-// pool is large enough; scoring keeps running and blocks only for the
-// model-swap critical section inside detect.Online. A configured
-// RetrainGate is acquired first, so overlapping tenant rounds share the
-// training workers fairly instead of piling up.
+// pool is large enough; scoring keeps running and blocks only while
+// the round holds the model write-lock. A configured RetrainGate is
+// acquired first, so overlapping tenant rounds share the training
+// workers fairly instead of piling up.
 func (s *Service) maybeRetrain() {
-	if s.cfg.RetrainAfter <= 0 || s.online.VerifiedCount() < s.cfg.RetrainAfter {
+	if s.cfg.RetrainAfter <= 0 || s.verifiedCount() < s.cfg.RetrainAfter {
 		return
 	}
 	if !s.retraining.CompareAndSwap(false, true) {
@@ -540,11 +563,40 @@ func (s *Service) maybeRetrain() {
 			release := g.Acquire(s.metrics.TenantID())
 			defer release()
 		}
-		if s.online.Retrain(s.cfg.RetrainEpochs) > 0 {
+		if n, _ := s.retrain(); n > 0 {
 			s.retrains.Add(1)
 			s.CheckpointModel()
 		}
 	}()
+}
+
+// retrain fine-tunes the model on the verified pool and clears it — one
+// round of the paper's periodic training (§3) — feeding the ucad_train_*
+// and ucad_retrain_seconds families as it goes. It returns the number of
+// sessions absorbed (0: the pool was empty and no round ran) and the
+// round's result.
+func (s *Service) retrain() (int, transdas.TrainResult) {
+	s.verifiedMu.Lock()
+	pool := s.verified
+	s.verified = nil
+	s.verifiedMu.Unlock()
+	if len(pool) == 0 {
+		return 0, transdas.TrainResult{}
+	}
+	m := s.metrics
+	start := time.Now()
+	last := start
+	res := s.online.FineTune(pool, s.cfg.RetrainEpochs, func(_ int, loss float64) {
+		now := time.Now()
+		m.trainEpochLoss.Set(loss)
+		m.trainEpochs.Inc()
+		m.trainEpochSeconds.Observe(now.Sub(last).Seconds())
+		last = now
+	})
+	took := time.Since(start).Seconds()
+	m.retrainSeconds.Observe(took)
+	m.trainWindowsPerSec.Set(float64(res.Windows*len(res.EpochLoss)) / took)
+	return len(pool), res
 }
 
 // SwapModel hot-replaces the serving model without draining the
@@ -560,17 +612,11 @@ func (s *Service) SwapModel(u *core.UCAD) error {
 	if s.stopped.Load() {
 		return ErrStopped
 	}
-	mcfg := u.Model.Config()
 	for _, sh := range s.shards {
 		sh.durMu.Lock()
 	}
 	s.online.SwapModel(u)
-	s.model.Store(&modelBundle{
-		ucad:       u,
-		window:     mcfg.Window,
-		minContext: mcfg.MinContext,
-		topP:       mcfg.TopP,
-	})
+	s.model.Store(newBundle(u))
 	for _, sh := range s.shards {
 		sh.asm.Rekey(u.Vocab.Key)
 	}
@@ -584,22 +630,16 @@ func (s *Service) SwapModel(u *core.UCAD) error {
 // Resolve applies an expert verdict to a final alert: false alarms
 // rejoin the training pool (§5.2), confirmed anomalies never do.
 func (s *Service) Resolve(id int64, verdict string) error {
-	var status string
-	switch verdict {
-	case StatusFalseAlarm, "false-alarm":
-		status = StatusFalseAlarm
-	case StatusConfirmed:
-		status = StatusConfirmed
-	default:
+	if verdict != StatusFalseAlarm && verdict != StatusConfirmed {
 		return ErrInvalid
 	}
-	da, err := s.alerts.resolve(id, status)
+	sess, err := s.alerts.resolve(id, verdict)
 	if err != nil {
 		return err
 	}
-	s.metrics.alertsResolved.With(status).Inc()
-	if da != nil && status == StatusFalseAlarm {
-		s.online.ResolveFalseAlarm(da)
+	s.metrics.alertsResolved.With(verdict).Inc()
+	if sess != nil && verdict == StatusFalseAlarm {
+		s.addVerified(sess)
 	}
 	s.maybeRetrain()
 	return nil
@@ -658,9 +698,8 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	scored, opsRejected := s.engine.Counts()
 	_, closed := s.asmCounts()
-	processed, flagged := s.online.Stats()
 	var cs scorecache.Stats
-	if c := s.online.Detector().Model.ScoreCache(); c != nil {
+	if c := s.model.Load().cache; c != nil {
 		cs = c.Stats()
 	}
 	return Stats{
@@ -672,12 +711,12 @@ func (s *Service) Stats() Stats {
 		MidSessionFlags:   s.midFlags.Load(),
 		SessionsOpen:      s.openCount(),
 		SessionsClosed:    closed,
-		SessionsProcessed: processed,
-		SessionsFlagged:   flagged,
+		SessionsProcessed: int(s.processed.Load()),
+		SessionsFlagged:   int(s.flagged.Load()),
 		AlertsOpen:        s.alerts.openCount(),
 		AlertsRaised:      s.alerts.raisedCount(),
 		AlertsEvicted:     s.alerts.evictedCount(),
-		VerifiedPool:      s.online.VerifiedCount(),
+		VerifiedPool:      s.verifiedCount(),
 		Retrains:          s.retrains.Load(),
 		QueueDepth:        s.engine.QueueDepth(),
 		Workers:           s.cfg.Workers,

@@ -451,6 +451,7 @@ func TestEnvelopeGoldenEndpoints(t *testing.T) {
 	clk.Advance(11 * time.Minute)
 	svc.CloseIdleNow()
 	check("POST", resolvePath, `{"verdict":"maybe"}`, http.StatusBadRequest, CodeUnknownVerdict, false)
+	check("POST", resolvePath, `{"verdict":"false-alarm"}`, http.StatusBadRequest, CodeUnknownVerdict, false)
 	if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}

@@ -1,11 +1,10 @@
 package transdas
 
-// The single-item API below is a thin wrapper family over the
-// batch-first Scorer: every call borrows a pooled Scorer and runs a
-// batch of one. Callers scoring more than one context at a time should
-// hold a Scorer and use ScoreBatchInto / RankBatchInto directly — one
-// stacked forward pass amortizes far better than a loop over these
-// wrappers.
+// The API below is a thin wrapper family over the batch-first Scorer:
+// every call borrows a pooled Scorer. RankOf runs a batch of one;
+// callers scoring more than one context at a time should use RankBatch
+// (or hold a Scorer and use ScoreBatchInto / RankBatchInto) — one
+// stacked forward pass amortizes far better than a loop over RankOf.
 
 // detectChunk bounds how many contexts a session scan stacks into one
 // forward pass: large enough to amortize the pass, small enough to keep
@@ -21,6 +20,15 @@ func (m *Model) RankOf(preceding []int, key int) int {
 	defer m.scorers.Put(s)
 	s.ranks = s.RankBatchInto(s.ranks, [][]int{preceding}, []int{key})
 	return s.ranks[0]
+}
+
+// RankBatch is Scorer.RankBatchInto on a pooled Scorer: one stacked
+// forward pass ranking keys[b] given contexts[b] into dst (grown as
+// needed and returned).
+func (m *Model) RankBatch(dst []int, contexts [][]int, keys []int) []int {
+	s := m.scorer()
+	defer m.scorers.Put(s)
+	return s.RankBatchInto(dst, contexts, keys)
 }
 
 // DetectSession applies the top-p strategy (§5.3) to every operation of

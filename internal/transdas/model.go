@@ -38,9 +38,9 @@ type Model struct {
 	params []*tensor.Param
 	rng    *rand.Rand
 
-	// scorers pools tape-free Scorers for the single-item wrapper API
-	// (RankOf, DetectSession, ...), so concurrent detection
-	// reuses warm scratch buffers instead of allocating per call.
+	// scorers pools tape-free Scorers for the wrapper API (RankOf,
+	// RankBatch, DetectSession, ...), so concurrent detection reuses
+	// warm scratch buffers instead of allocating per call.
 	scorers sync.Pool
 
 	// negWarn fires the degenerate-vocabulary warning once per model;

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -144,6 +145,54 @@ func FuzzRecoverStream(f *testing.F) {
 		}
 		if tail := off != len(segs[0]); tail != st.TornTail || tail && !tornTailOK {
 			t.Fatalf("unscanned tail = %v, TornTail = %v, tornTailOK = %v", tail, st.TornTail, tornTailOK)
+		}
+	})
+}
+
+// FuzzLoadManifest: a WAL directory's layout manifest is read on every
+// restore and mirrored from a primary by every standby, so its bytes are
+// untrusted. LoadManifest must never panic, must accept exactly the
+// files whose JSON decodes to a version this binary understands and at
+// least one shard, and an accepted manifest must round-trip through
+// SaveManifest. The seeds are files SaveManifest wrote.
+func FuzzLoadManifest(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, ManifestName)
+	for _, m := range []Manifest{
+		{Version: ManifestVersion, Shards: 4},
+		{Version: ManifestVersion, Shards: 2, Remap: true},
+		{Version: 1, Shards: 1},
+	} {
+		if err := SaveManifest(dir, m); err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, ok, err := LoadManifest(dir)
+		var want Manifest
+		accept := json.Unmarshal(b, &want) == nil && want.Version <= ManifestVersion && want.Shards >= 1
+		if ok != accept || (err == nil) != accept {
+			t.Fatalf("LoadManifest(%q) = ok %v, err %v; want accept %v", b, ok, err, accept)
+		}
+		if !accept {
+			return
+		}
+		if m != want {
+			t.Fatalf("LoadManifest(%q) = %+v, want %+v", b, m, want)
+		}
+		if err := SaveManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if again, ok, err := LoadManifest(dir); !ok || err != nil || again != m {
+			t.Fatalf("saved %+v loads back as %+v (ok %v, err %v)", m, again, ok, err)
 		}
 	})
 }
