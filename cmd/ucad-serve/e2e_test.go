@@ -412,6 +412,7 @@ func TestE2EMultiTenantCrashRestart(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
+	checkMetricDocs(t, string(mbody))
 	for _, id := range []string{"s1", "s2", "s3"} {
 		for _, series := range []string{
 			fmt.Sprintf(`ucad_wal_recovered_sessions{tenant=%q} %d`, id, infos[id].Recovered),

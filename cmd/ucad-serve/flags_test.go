@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/ucad/ucad/internal/feed"
 )
 
 // A flag mention in prose: "-name" after whitespace, "[" or a backtick.
@@ -68,4 +70,44 @@ func TestFlagSurfaceMatchesDocs(t *testing.T) {
 	if got := flagNames(flagRow, table); !reflect.DeepEqual(got, defined) {
 		t.Errorf("README flag table names\n %v\nbut -h defines\n %v", got, defined)
 	}
+}
+
+// A family header in an exposition, and a family named in prose.
+var (
+	familyTyped   = regexp.MustCompile(`(?m)^# TYPE (ucad_[a-z0-9_]+) `)
+	familyMention = regexp.MustCompile(`(ucad_[a-z0-9_]+)`)
+)
+
+// checkMetricDocs pins the families README's Observability section
+// names to the families the binaries expose — the metrics twin of
+// TestFlagSurfaceMatchesDocs. serveExposition is a scrape of a durable
+// ucad-serve (hub, shard and replica families); ucad-feed's families
+// are read from its registry in process, wired as its main wires them.
+func checkMetricDocs(t *testing.T, serveExposition string) {
+	t.Helper()
+	fm := feed.NewMetrics(nil)
+	fm.Source("audit.jsonl")
+	var feedExposition strings.Builder
+	fm.Registry.WriteText(&feedExposition)
+	exposed := flagNames(familyTyped, serveExposition+feedExposition.String())
+	documented := flagNames(familyMention, between(t, "../../README.md", "## Observability\n", "\n## "))
+	missing, extra := difference(exposed, documented), difference(documented, exposed)
+	if len(missing) > 0 || len(extra) > 0 {
+		t.Errorf("README's Observability section omits %v and names %v, which no binary exposes", missing, extra)
+	}
+}
+
+// difference returns the names of a absent from b.
+func difference(a, b []string) []string {
+	in := map[string]bool{}
+	for _, n := range b {
+		in[n] = true
+	}
+	var out []string
+	for _, n := range a {
+		if !in[n] {
+			out = append(out, n)
+		}
+	}
+	return out
 }

@@ -16,6 +16,10 @@
 // (serve.Event.Epoch, serve.Event.Seq), which turns at-least-once
 // delivery into exactly-once sessions — the invariant the kill -9
 // end-to-end test in cmd/ucad-feed pins down.
+//
+// Instrumentation is per source: Metrics.Source declares the
+// ucad_feed_* families on first use and resolves the source's children
+// once, and the nil SourceMetrics drops every observation.
 package feed
 
 import (

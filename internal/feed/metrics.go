@@ -2,74 +2,55 @@ package feed
 
 import "github.com/ucad/ucad/internal/obs"
 
-// Metrics owns the feed subsystem's metric families, each partitioned
-// by a "source" label so one ucad-feed process tailing several logs
-// exports per-source series. Carve a source's view with Source.
+// Metrics carries the feed subsystem's metric families, each
+// partitioned by a "source" label so one ucad-feed process tailing
+// several logs exports per-source series. Source declares the families
+// and resolves a source's children in one step.
 type Metrics struct {
 	// Registry carries the families; expose it with Registry.Handler().
 	Registry *obs.Registry
-
-	linesRead       *obs.CounterVec
-	parseErrors     *obs.CounterVec
-	lagBytes        *obs.GaugeVec
-	deliveredEvents *obs.CounterVec
-	droppedEvents   *obs.CounterVec
-	deliveryRetries *obs.CounterVec
-	checkpoints     *obs.CounterVec
-	deliverySeconds *obs.HistogramVec
-	rotationGaps    *obs.CounterVec
-	failovers       *obs.CounterVec
-	rewinds         *obs.CounterVec
 }
 
-// NewMetrics registers the feed families on reg (nil means a fresh
+// NewMetrics returns the feed metrics over reg (nil means a fresh
 // private registry).
 func NewMetrics(reg *obs.Registry) *Metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Metrics{
-		Registry: reg,
-		linesRead: reg.CounterVec("ucad_feed_lines_read_total",
-			"Lines consumed from the source (including unparsable ones).", "source"),
-		parseErrors: reg.CounterVec("ucad_feed_parse_errors_total",
-			"Lines that failed to parse as audit records (skipped).", "source"),
-		lagBytes: reg.GaugeVec("ucad_feed_lag_bytes",
-			"Bytes in the live log file not yet returned to the feeder.", "source"),
-		deliveredEvents: reg.CounterVec("ucad_feed_delivered_events_total",
-			"Events acknowledged by the serving layer.", "source"),
-		droppedEvents: reg.CounterVec("ucad_feed_dropped_events_total",
-			"Events dropped as permanently undeliverable (rejected as invalid by the server, or oversized).", "source"),
-		deliveryRetries: reg.CounterVec("ucad_feed_delivery_retries_total",
-			"Delivery attempts that were retried after backpressure or transport errors.", "source"),
-		checkpoints: reg.CounterVec("ucad_feed_checkpoints_total",
-			"Resume checkpoints committed after acknowledged batches.", "source"),
-		deliverySeconds: reg.HistogramVec("ucad_feed_delivery_seconds",
-			"Latency of delivering one batch to the serving layer (including retries).",
-			obs.LatencyBuckets, "source"),
-		rotationGaps: reg.CounterVec("ucad_feed_rotation_gaps_total",
-			"Resume or rotation points where log data may have been skipped (multiple rotations between polls, or a checkpointed file no longer available).", "source"),
-		failovers: reg.CounterVec("ucad_feed_failovers_total",
-			"Deliveries acknowledged by a different server than the previous one (URL-list failover).", "source"),
-		rewinds: reg.CounterVec("ucad_feed_rewinds_total",
-			"Failover rewinds: the feeder re-read from a retained older position to redeliver the suffix a new server may be missing.", "source"),
-	}
+	return &Metrics{Registry: reg}
 }
 
-// Source carves the per-source child view for name.
+// Source carves the per-source child view for name, declaring the feed
+// families on first use.
 func (m *Metrics) Source(name string) *SourceMetrics {
+	reg := m.Registry
+	counter := func(family, help string) *obs.Counter {
+		return reg.CounterVec(family, help, "source").With(name)
+	}
 	return &SourceMetrics{
-		linesRead:       m.linesRead.With(name),
-		parseErrors:     m.parseErrors.With(name),
-		lagBytes:        m.lagBytes.With(name),
-		deliveredEvents: m.deliveredEvents.With(name),
-		droppedEvents:   m.droppedEvents.With(name),
-		deliveryRetries: m.deliveryRetries.With(name),
-		checkpoints:     m.checkpoints.With(name),
-		deliverySeconds: m.deliverySeconds.With(name),
-		rotationGaps:    m.rotationGaps.With(name),
-		failovers:       m.failovers.With(name),
-		rewinds:         m.rewinds.With(name),
+		linesRead: counter("ucad_feed_lines_read_total",
+			"Lines consumed from the source (including unparsable ones)."),
+		parseErrors: counter("ucad_feed_parse_errors_total",
+			"Lines that failed to parse as audit records (skipped)."),
+		lagBytes: reg.GaugeVec("ucad_feed_lag_bytes",
+			"Bytes in the live log file not yet returned to the feeder.", "source").With(name),
+		deliveredEvents: counter("ucad_feed_delivered_events_total",
+			"Events acknowledged by the serving layer."),
+		droppedEvents: counter("ucad_feed_dropped_events_total",
+			"Events dropped as permanently undeliverable (rejected as invalid by the server, or oversized)."),
+		deliveryRetries: counter("ucad_feed_delivery_retries_total",
+			"Delivery attempts that were retried after backpressure or transport errors."),
+		checkpoints: counter("ucad_feed_checkpoints_total",
+			"Resume checkpoints committed after acknowledged batches."),
+		deliverySeconds: reg.HistogramVec("ucad_feed_delivery_seconds",
+			"Latency of delivering one batch to the serving layer (including retries).",
+			obs.LatencyBuckets, "source").With(name),
+		rotationGaps: counter("ucad_feed_rotation_gaps_total",
+			"Resume or rotation points where log data may have been skipped (multiple rotations between polls, or a checkpointed file no longer available)."),
+		failovers: counter("ucad_feed_failovers_total",
+			"Deliveries acknowledged by a different server than the previous one (URL-list failover)."),
+		rewinds: counter("ucad_feed_rewinds_total",
+			"Failover rewinds: the feeder re-read from a retained older position to redeliver the suffix a new server may be missing."),
 	}
 }
 

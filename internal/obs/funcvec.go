@@ -14,7 +14,7 @@ import (
 //
 // Cardinality is whatever the caller binds — the registry never invents
 // children — so a bounded tenant set keeps the exposition bounded, and
-// Remove drops a decommissioned tenant's series entirely.
+// Registry.RemoveLabel drops a decommissioned tenant's series entirely.
 
 // CounterFuncVec is a counter family whose children are int64 callbacks
 // partitioned by label values.
@@ -22,11 +22,10 @@ type CounterFuncVec struct {
 	*vec
 }
 
-// CounterFuncVec registers a labelled func-backed counter family.
+// CounterFuncVec registers a labelled func-backed counter family, or
+// returns the one already declared identically under name.
 func (r *Registry) CounterFuncVec(name, help string, labels ...string) *CounterFuncVec {
-	v := &CounterFuncVec{vec: newVec(labels)}
-	r.register(name, help, "counter", v)
-	return v
+	return r.register(name, help, "counter", &CounterFuncVec{vec: newVec(labels)}).(*CounterFuncVec)
 }
 
 // Bind attaches fn as the child for the label values, panicking if the
@@ -38,11 +37,8 @@ func (cv *CounterFuncVec) Bind(fn func() int64, values ...string) {
 }
 
 func (cv *CounterFuncVec) writeTo(w io.Writer, name string) {
-	for _, key := range cv.sortedKeys() {
-		cv.mu.RLock()
-		f := cv.kids[key].(func() int64)
-		cv.mu.RUnlock()
-		fmt.Fprintf(w, "%s{%s} %d\n", name, key, f())
+	for _, k := range cv.sorted() {
+		fmt.Fprintf(w, "%s{%s} %d\n", name, k.key, k.m.(func() int64)())
 	}
 }
 
@@ -52,11 +48,10 @@ type GaugeFuncVec struct {
 	*vec
 }
 
-// GaugeFuncVec registers a labelled func-backed gauge family.
+// GaugeFuncVec registers a labelled func-backed gauge family, or
+// returns the one already declared identically under name.
 func (r *Registry) GaugeFuncVec(name, help string, labels ...string) *GaugeFuncVec {
-	v := &GaugeFuncVec{vec: newVec(labels)}
-	r.register(name, help, "gauge", v)
-	return v
+	return r.register(name, help, "gauge", &GaugeFuncVec{vec: newVec(labels)}).(*GaugeFuncVec)
 }
 
 // Bind attaches fn as the child for the label values, panicking on a
@@ -66,10 +61,7 @@ func (gv *GaugeFuncVec) Bind(fn func() float64, values ...string) {
 }
 
 func (gv *GaugeFuncVec) writeTo(w io.Writer, name string) {
-	for _, key := range gv.sortedKeys() {
-		gv.mu.RLock()
-		f := gv.kids[key].(gaugeFunc)
-		gv.mu.RUnlock()
-		fmt.Fprintf(w, "%s{%s} %s\n", name, key, formatFloat(f()))
+	for _, k := range gv.sorted() {
+		fmt.Fprintf(w, "%s{%s} %s\n", name, k.key, formatFloat(k.m.(gaugeFunc)()))
 	}
 }

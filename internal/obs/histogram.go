@@ -174,13 +174,15 @@ type HistogramVec struct {
 	buckets []float64
 }
 
-// HistogramVec registers a labelled histogram family.
+// HistogramVec registers a labelled histogram family, or returns the
+// one already declared identically (buckets included) under name.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	newHistogram(buckets) // validate the layout once, up front
 	hv := &HistogramVec{vec: newVec(labels), buckets: buckets}
-	r.register(name, help, "histogram", hv)
-	return hv
+	return r.register(name, help, "histogram", hv).(*HistogramVec)
 }
+
+func (hv *HistogramVec) shape() string { return fmt.Sprintf("%s %v", hv.vec.shape(), hv.buckets) }
 
 // With returns the child histogram for the label values, creating it on
 // first use.
@@ -189,10 +191,7 @@ func (hv *HistogramVec) With(values ...string) *Histogram {
 }
 
 func (hv *HistogramVec) writeTo(w io.Writer, name string) {
-	for _, key := range hv.sortedKeys() {
-		hv.mu.RLock()
-		h := hv.kids[key].(*Histogram)
-		hv.mu.RUnlock()
-		h.writeLabelled(w, name, key)
+	for _, k := range hv.sorted() {
+		k.m.(*Histogram).writeLabelled(w, name, k.key)
 	}
 }

@@ -21,9 +21,18 @@
 //     counters a subsystem already maintains, so the scrape and the
 //     subsystem's own stats report one source of truth.
 //
+// A labelled family is declared where it is used: calling a *Vec
+// constructor again with the same name, type, help, label names and
+// buckets returns the family already registered, so a per-entity view
+// declares and resolves its children in one step and no family table
+// is kept beside the registry. Any other duplicate name panics — a
+// mismatched re-declaration, an unlabelled instrument, GaugeFunc — as
+// does a second Bind of one label tuple. RemoveLabel drops an entity's
+// children from every family at once.
+//
 // All instrument operations (Inc, Add, Set, Observe, With) are safe for
 // concurrent use and allocation-free on the hot path; registration is
-// expected at wiring time and panics on misuse (duplicate or invalid
+// expected at wiring time and panics on misuse (conflicting or invalid
 // names), mirroring the fail-fast convention of metric libraries.
 package obs
 
@@ -31,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -46,7 +56,18 @@ type metric interface {
 // entry pairs a family's metadata with its samples.
 type entry struct {
 	name, help, typ string
-	m               metric
+	// shape identifies a labelled family's Go type (hence its exposition
+	// type), label names and buckets; "" marks an unlabelled family,
+	// which is never re-declarable.
+	shape string
+	m     metric
+}
+
+// labelled is implemented by every vec family.
+type labelled interface {
+	metric
+	shape() string
+	removeLabel(label, value string)
 }
 
 // Registry holds an independent set of metric families. The zero value
@@ -61,19 +82,44 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*entry)}
 }
 
-// register adds a family, panicking on duplicate or invalid names —
-// registration is wiring-time code where a silent collision would
-// corrupt the scrape.
-func (r *Registry) register(name, help, typ string, m metric) {
+// register adds a family and returns it, or — for a labelled family
+// declared again with the same type, help, labels and buckets — returns
+// the family already registered under name. Any other duplicate and any
+// invalid name panics: registration is wiring-time code where a silent
+// collision would corrupt the scrape.
+func (r *Registry) register(name, help, typ string, m metric) metric {
 	if !validName(name) {
 		panic("obs: invalid metric name " + name)
 	}
+	shape := ""
+	if l, ok := m.(labelled); ok {
+		shape = fmt.Sprintf("%T %s", m, l.shape())
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.byName[name]; ok {
-		panic("obs: duplicate metric name " + name)
+	if e, ok := r.byName[name]; ok {
+		if shape == "" || e.shape != shape || e.help != help {
+			panic("obs: duplicate metric name " + name)
+		}
+		return e.m
 	}
-	r.byName[name] = &entry{name: name, help: help, typ: typ, m: m}
+	r.byName[name] = &entry{name: name, help: help, typ: typ, shape: shape, m: m}
+	return m
+}
+
+// RemoveLabel drops every child whose label named label carries value,
+// in every family (families without that label are untouched) — the
+// cardinality release valve: when the entity a label value names is
+// decommissioned, its series leave the exposition instead of lingering
+// forever, whichever subsystem declared them.
+func (r *Registry) RemoveLabel(label, value string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.byName {
+		if l, ok := e.m.(labelled); ok {
+			l.removeLabel(label, value)
+		}
+	}
 }
 
 // snapshot returns the registered families sorted by name (stable
@@ -191,7 +237,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 type vec struct {
 	labels []string
 	mu     sync.RWMutex
-	kids   map[string]any
+	kids   map[string]*kid
+}
+
+// kid is one child of a vec with the label values it was created for.
+type kid struct {
+	key    string // rendered label string
+	values []string
+	m      any
 }
 
 func newVec(labels []string) *vec {
@@ -200,72 +253,78 @@ func newVec(labels []string) *vec {
 			panic("obs: invalid label name " + l)
 		}
 	}
-	return &vec{labels: labels, kids: make(map[string]any)}
+	return &vec{labels: labels, kids: make(map[string]*kid)}
+}
+
+func (v *vec) shape() string { return strings.Join(v.labels, ",") }
+
+// key renders the label values, panicking on an arity mismatch.
+func (v *vec) key(values []string) string {
+	if len(values) != len(v.labels) {
+		panic(fmt.Sprintf("obs: got %d label values, want %d", len(values), len(v.labels)))
+	}
+	return renderLabels(v.labels, values)
 }
 
 // child returns the child for the label values, creating it with mk on
 // first use. The common case (child exists) takes only the read lock.
 func (v *vec) child(values []string, mk func() any) any {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: got %d label values, want %d", len(values), len(v.labels)))
-	}
-	key := renderLabels(v.labels, values)
+	key := v.key(values)
 	v.mu.RLock()
-	c, ok := v.kids[key]
+	k, ok := v.kids[key]
 	v.mu.RUnlock()
 	if ok {
-		return c
+		return k.m
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c, ok := v.kids[key]; ok {
-		return c
+	if k, ok := v.kids[key]; ok {
+		return k.m
 	}
-	c = mk()
-	v.kids[key] = c
-	return c
+	k = &kid{key: key, values: append([]string(nil), values...), m: mk()}
+	v.kids[key] = k
+	return k.m
 }
 
 // bind installs c as the child for the label values, panicking if the
 // tuple already has one (func-backed children are exclusive bindings,
 // unlike the lazily created owned instruments).
 func (v *vec) bind(values []string, c any) {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: got %d label values, want %d", len(values), len(v.labels)))
-	}
-	key := renderLabels(v.labels, values)
+	key := v.key(values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if _, ok := v.kids[key]; ok {
 		panic("obs: duplicate binding for {" + key + "}")
 	}
-	v.kids[key] = c
+	v.kids[key] = &kid{key: key, values: append([]string(nil), values...), m: c}
 }
 
-// Remove drops the child for the label values from every vec type
-// (no-op when absent) — the cardinality release valve: when the entity
-// a label value names is decommissioned, its series leave the
-// exposition instead of lingering forever.
-func (v *vec) Remove(values ...string) {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: got %d label values, want %d", len(values), len(v.labels)))
+// removeLabel drops the children whose label named label carries value
+// (a no-op when the family has no such label).
+func (v *vec) removeLabel(label, value string) {
+	i := slices.Index(v.labels, label)
+	if i < 0 {
+		return
 	}
-	key := renderLabels(v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	delete(v.kids, key)
+	for key, k := range v.kids {
+		if k.values[i] == value {
+			delete(v.kids, key)
+		}
+	}
 }
 
-// sortedKeys returns the child keys in exposition order.
-func (v *vec) sortedKeys() []string {
+// sorted returns the children in exposition order.
+func (v *vec) sorted() []*kid {
 	v.mu.RLock()
-	defer v.mu.RUnlock()
-	keys := make([]string, 0, len(v.kids))
-	for k := range v.kids {
-		keys = append(keys, k)
+	out := make([]*kid, 0, len(v.kids))
+	for _, k := range v.kids {
+		out = append(out, k)
 	}
-	sort.Strings(keys)
-	return keys
+	v.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
 // renderLabels formats `l1="v1",l2="v2"` with exposition escaping.
@@ -296,11 +355,10 @@ type CounterVec struct {
 	*vec
 }
 
-// CounterVec registers a labelled counter family.
+// CounterVec registers a labelled counter family, or returns the one
+// already declared identically under name.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	cv := &CounterVec{vec: newVec(labels)}
-	r.register(name, help, "counter", cv)
-	return cv
+	return r.register(name, help, "counter", &CounterVec{vec: newVec(labels)}).(*CounterVec)
 }
 
 // With returns the child counter for the label values, creating it on
@@ -310,11 +368,8 @@ func (cv *CounterVec) With(values ...string) *Counter {
 }
 
 func (cv *CounterVec) writeTo(w io.Writer, name string) {
-	for _, key := range cv.sortedKeys() {
-		cv.mu.RLock()
-		c := cv.kids[key].(*Counter)
-		cv.mu.RUnlock()
-		fmt.Fprintf(w, "%s{%s} %d\n", name, key, c.Value())
+	for _, k := range cv.sorted() {
+		fmt.Fprintf(w, "%s{%s} %d\n", name, k.key, k.m.(*Counter).Value())
 	}
 }
 
@@ -323,11 +378,10 @@ type GaugeVec struct {
 	*vec
 }
 
-// GaugeVec registers a labelled gauge family.
+// GaugeVec registers a labelled gauge family, or returns the one
+// already declared identically under name.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	gv := &GaugeVec{vec: newVec(labels)}
-	r.register(name, help, "gauge", gv)
-	return gv
+	return r.register(name, help, "gauge", &GaugeVec{vec: newVec(labels)}).(*GaugeVec)
 }
 
 // With returns the child gauge for the label values, creating it on
@@ -337,10 +391,7 @@ func (gv *GaugeVec) With(values ...string) *Gauge {
 }
 
 func (gv *GaugeVec) writeTo(w io.Writer, name string) {
-	for _, key := range gv.sortedKeys() {
-		gv.mu.RLock()
-		g := gv.kids[key].(*Gauge)
-		gv.mu.RUnlock()
-		fmt.Fprintf(w, "%s{%s} %s\n", name, key, formatFloat(g.Value()))
+	for _, k := range gv.sorted() {
+		fmt.Fprintf(w, "%s{%s} %s\n", name, k.key, formatFloat(k.m.(*Gauge).Value()))
 	}
 }

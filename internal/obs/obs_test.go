@@ -38,9 +38,9 @@ func TestRegistryRejectsDuplicatesAndBadNames(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ok_total", "")
 	for _, fn := range []func(){
-		func() { r.Gauge("ok_total", "") },        // duplicate, different type
-		func() { r.Counter("1bad", "") },          // leading digit
-		func() { r.Counter("bad-name", "") },      // dash
+		func() { r.Gauge("ok_total", "") },                  // duplicate, different type
+		func() { r.Counter("1bad", "") },                    // leading digit
+		func() { r.Counter("bad-name", "") },                // dash
 		func() { r.CounterVec("v_total", "", "bad label") }, // invalid label
 	} {
 		func() {
@@ -273,9 +273,8 @@ func TestFuncVecsBindAndRemove(t *testing.T) {
 		cv.Bind(func() int64 { return 0 }, "t1")
 	}()
 
-	// Remove drops the series; the tuple becomes bindable again.
-	cv.Remove("t1")
-	gv.Remove("t1")
+	// RemoveLabel drops the series; the tuple becomes bindable again.
+	r.RemoveLabel("tenant", "t1")
 	sb.Reset()
 	r.WriteText(&sb)
 	if strings.Contains(sb.String(), `tenant="t1"`) {
@@ -294,8 +293,7 @@ func TestOwnedVecRemove(t *testing.T) {
 	cv.With("t1").Inc()
 	cv.With("t2").Add(2)
 	hv.With("t1").Observe(0.5)
-	cv.Remove("t1")
-	hv.Remove("t1")
+	r.RemoveLabel("tenant", "t1")
 	var sb strings.Builder
 	r.WriteText(&sb)
 	out := sb.String()
@@ -309,4 +307,174 @@ func TestOwnedVecRemove(t *testing.T) {
 	if got := cv.With("t1").Value(); got != 0 {
 		t.Fatalf("recreated child = %d, want 0", got)
 	}
+}
+
+// TestFamilyRedeclaration is the declaration contract: an identical
+// labelled re-declaration returns the registered family, every other
+// duplicate panics, and concurrent declarers get one family.
+func TestFamilyRedeclaration(t *testing.T) {
+	buckets := []float64{0.5, 1}
+	nop := func() float64 { return 0 }
+	for _, tc := range []struct {
+		name         string
+		first, again func(r *Registry) any
+		same         bool // false: the re-declaration must panic
+	}{
+		{"counter vec identical",
+			func(r *Registry) any { return r.CounterVec("f_total", "h", "tenant") },
+			func(r *Registry) any { return r.CounterVec("f_total", "h", "tenant") }, true},
+		{"gauge vec identical",
+			func(r *Registry) any { return r.GaugeVec("f", "h", "tenant") },
+			func(r *Registry) any { return r.GaugeVec("f", "h", "tenant") }, true},
+		{"histogram vec identical",
+			func(r *Registry) any { return r.HistogramVec("f", "h", buckets, "tenant") },
+			func(r *Registry) any { return r.HistogramVec("f", "h", []float64{0.5, 1}, "tenant") }, true},
+		{"counter func vec identical",
+			func(r *Registry) any { return r.CounterFuncVec("f_total", "h", "tenant") },
+			func(r *Registry) any { return r.CounterFuncVec("f_total", "h", "tenant") }, true},
+		{"gauge func vec identical",
+			func(r *Registry) any { return r.GaugeFuncVec("f", "h", "tenant") },
+			func(r *Registry) any { return r.GaugeFuncVec("f", "h", "tenant") }, true},
+		{"different help",
+			func(r *Registry) any { return r.CounterVec("f_total", "h", "tenant") },
+			func(r *Registry) any { return r.CounterVec("f_total", "other", "tenant") }, false},
+		{"different type",
+			func(r *Registry) any { return r.CounterVec("f", "h", "tenant") },
+			func(r *Registry) any { return r.GaugeVec("f", "h", "tenant") }, false},
+		{"owned vs func-backed",
+			func(r *Registry) any { return r.CounterVec("f_total", "h", "tenant") },
+			func(r *Registry) any { return r.CounterFuncVec("f_total", "h", "tenant") }, false},
+		{"different labels",
+			func(r *Registry) any { return r.CounterVec("f_total", "h", "tenant") },
+			func(r *Registry) any { return r.CounterVec("f_total", "h", "tenant", "shard") }, false},
+		{"different label order",
+			func(r *Registry) any { return r.CounterVec("f_total", "h", "tenant", "shard") },
+			func(r *Registry) any { return r.CounterVec("f_total", "h", "shard", "tenant") }, false},
+		{"different buckets",
+			func(r *Registry) any { return r.HistogramVec("f", "h", buckets, "tenant") },
+			func(r *Registry) any { return r.HistogramVec("f", "h", []float64{0.5, 2}, "tenant") }, false},
+		{"unlabelled counter",
+			func(r *Registry) any { return r.Counter("f_total", "h") },
+			func(r *Registry) any { return r.Counter("f_total", "h") }, false},
+		{"unlabelled histogram",
+			func(r *Registry) any { return r.Histogram("f", "h", buckets) },
+			func(r *Registry) any { return r.Histogram("f", "h", buckets) }, false},
+		{"gauge func",
+			func(r *Registry) any { r.GaugeFunc("f", "h", nop); return nil },
+			func(r *Registry) any { r.GaugeFunc("f", "h", nop); return nil }, false},
+		{"vec over unlabelled",
+			func(r *Registry) any { return r.Counter("f_total", "h") },
+			func(r *Registry) any { return r.CounterVec("f_total", "h") }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			first := tc.first(r)
+			var again any
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				again = tc.again(r)
+				return false
+			}()
+			switch {
+			case !tc.same && !panicked:
+				t.Fatal("conflicting re-declaration did not panic")
+			case tc.same && panicked:
+				t.Fatal("identical re-declaration panicked")
+			case tc.same && again != first:
+				t.Fatal("identical re-declaration returned a new family")
+			}
+		})
+	}
+
+	// The re-declared family carries the same children.
+	r := NewRegistry()
+	r.CounterVec("c_total", "h", "tenant").With("t1").Add(4)
+	if got := r.CounterVec("c_total", "h", "tenant").With("t1").Value(); got != 4 {
+		t.Fatalf("re-declared child = %d, want 4", got)
+	}
+	hv := r.HistogramVec("h", "h", []float64{1}, "tenant")
+	hv.With("t1").Observe(0.5)
+	if r.HistogramVec("h", "h", []float64{1}, "tenant").With("t1") != hv.With("t1") {
+		t.Fatal("re-declared histogram child differs")
+	}
+
+	// Re-binding a tuple of a re-declared func family still panics.
+	fv := r.CounterFuncVec("fn_total", "h", "tenant")
+	fv.Bind(func() int64 { return 1 }, "t1")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("re-Bind through a re-declared family did not panic")
+			}
+		}()
+		r.CounterFuncVec("fn_total", "h", "tenant").Bind(func() int64 { return 2 }, "t1")
+	}()
+
+	// Concurrent declarers of one family get one family.
+	const goroutines = 8
+	var wg sync.WaitGroup
+	got := make([]*GaugeVec, goroutines)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = r.GaugeVec("race_g", "h", "tenant")
+			got[i].With("t1").Add(1)
+		}(i)
+	}
+	wg.Wait()
+	for _, g := range got[1:] {
+		if g != got[0] {
+			t.Fatal("concurrent declarations returned different families")
+		}
+	}
+	if v := got[0].With("t1").Value(); v != goroutines {
+		t.Fatalf("shared child = %v, want %d", v, goroutines)
+	}
+}
+
+// TestRemoveLabelMultiLabel: RemoveLabel drops the removed tenant's
+// children from two-label families whichever position the label holds,
+// and leaves a sibling tenant's.
+func TestRemoveLabelMultiLabel(t *testing.T) {
+	r := NewRegistry()
+	shard := r.HistogramVec("shard_wait_seconds", "", []float64{1}, "tenant", "shard")
+	depth := r.GaugeFuncVec("shard_depth", "", "tenant", "shard")
+	verdict := r.CounterVec("resolved_total", "", "tenant", "verdict")
+	other := r.CounterVec("by_source_total", "", "source")
+	for _, tn := range []string{"t1", "t2"} {
+		for _, s := range []string{"0", "1"} {
+			shard.With(tn, s).Observe(0.5)
+			depth.Bind(func() float64 { return 1 }, tn, s)
+		}
+		verdict.With(tn, "confirmed").Inc()
+		verdict.With(tn, "false_alarm").Inc()
+	}
+	other.With("t1").Inc() // a "t1" value under another label stays
+	second := r.CounterVec("by_region_total", "", "region", "tenant")
+	second.With("x", "t1").Inc()
+	second.With("t1", "t2").Inc()
+
+	r.RemoveLabel("tenant", "t1")
+	var sb strings.Builder
+	r.WriteText(&sb)
+	out := sb.String()
+	if strings.Contains(out, `tenant="t1"`) {
+		t.Fatalf("removed tenant's children still exposed:\n%s", out)
+	}
+	for _, want := range []string{
+		`shard_wait_seconds_count{tenant="t2",shard="0"} 1`,
+		`shard_wait_seconds_count{tenant="t2",shard="1"} 1`,
+		`shard_depth{tenant="t2",shard="1"} 1`,
+		`resolved_total{tenant="t2",verdict="confirmed"} 1`,
+		`resolved_total{tenant="t2",verdict="false_alarm"} 1`,
+		`by_source_total{source="t1"} 1`,
+		`by_region_total{region="t1",tenant="t2"} 1`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	// The removed tuples are bindable again.
+	depth.Bind(func() float64 { return 2 }, "t1", "0")
 }

@@ -45,7 +45,7 @@ type FollowerConfig struct {
 	// Client is the HTTP client (default http.DefaultClient with a 30s
 	// timeout clone).
 	Client *http.Client
-	// Metrics is optional.
+	// Metrics defaults to a private NewMetrics(nil).
 	Metrics *Metrics
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
@@ -119,9 +119,10 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.clock = cfg.Clock
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics(nil)
 	}
+	cfg.Metrics.clock = cfg.Clock
 	return &Follower{
 		cfg:     cfg,
 		tenants: make(map[string]*tenantSync),
@@ -238,19 +239,15 @@ func (f *Follower) syncRound(ctx context.Context) (down bool, err error) {
 			f.autoFired = true
 		}
 		f.mu.Unlock()
-		if f.cfg.Metrics != nil {
-			f.cfg.Metrics.syncErrors.Inc()
-		}
+		f.cfg.Metrics.syncErrors.Inc()
 		return down, err
 	}
 	f.healthy = true
 	f.downSince = time.Time{}
 	f.lastSync = now
 	f.mu.Unlock()
-	if f.cfg.Metrics != nil {
-		f.cfg.Metrics.syncRounds.Inc()
-		f.cfg.Metrics.markSynced(now)
-	}
+	f.cfg.Metrics.syncRounds.Inc()
+	f.cfg.Metrics.markSynced(now)
 	return false, nil
 }
 
@@ -323,13 +320,11 @@ func (f *Follower) syncTenant(ctx context.Context, id string) error {
 		ts.rebuilds++
 	}
 	f.mu.Unlock()
-	if f.cfg.Metrics != nil {
-		if ap.Records > 0 {
-			f.cfg.Metrics.appliedRecords.With(id).Add(int64(ap.Records))
-		}
-		if ap.Rebuilt {
-			f.cfg.Metrics.rebuilds.With(id).Inc()
-		}
+	if ap.Records > 0 {
+		f.cfg.Metrics.appliedRecords.With(id).Add(int64(ap.Records))
+	}
+	if ap.Rebuilt {
+		f.cfg.Metrics.rebuilds.With(id).Inc()
 	}
 	return nil
 }
@@ -366,19 +361,15 @@ func (f *Follower) fetch(ctx context.Context, id string, info FileInfo, local st
 	}
 	if err := verifyShipped(info.Path, tmp); err != nil {
 		os.Remove(tmp)
-		if f.cfg.Metrics != nil {
-			f.cfg.Metrics.verifyFailures.With(id).Inc()
-		}
+		f.cfg.Metrics.verifyFailures.With(id).Inc()
 		return fmt.Errorf("replica: shipped %s failed verification: %w", info.Path, err)
 	}
 	if err := os.Rename(tmp, local); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if f.cfg.Metrics != nil {
-		f.cfg.Metrics.fetchedFiles.With(id).Inc()
-		f.cfg.Metrics.fetchedBytes.With(id).Add(n)
-	}
+	f.cfg.Metrics.fetchedFiles.With(id).Inc()
+	f.cfg.Metrics.fetchedBytes.With(id).Add(n)
 	return nil
 }
 

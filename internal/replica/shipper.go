@@ -32,12 +32,15 @@ type Shipper struct {
 	// Root is the tenants root (<data-dir>/tenants): one subdirectory
 	// per tenant, each holding tenant.json, wal/, checkpoints/.
 	Root string
-	// Metrics is optional.
+	// Metrics defaults to a private NewMetrics(nil) at Handler.
 	Metrics *Metrics
 }
 
 // Handler returns the shipper's mux, rooted at /v1/replica.
 func (sh *Shipper) Handler() http.Handler {
+	if sh.Metrics == nil {
+		sh.Metrics = NewMetrics(nil)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/replica/tenants", sh.handleTenants)
 	mux.HandleFunc("/v1/replica/files", sh.handleFiles)
@@ -46,9 +49,7 @@ func (sh *Shipper) Handler() http.Handler {
 }
 
 func (sh *Shipper) refuse(w http.ResponseWriter, msg string, code int) {
-	if sh.Metrics != nil {
-		sh.Metrics.shipErrors.Inc()
-	}
+	sh.Metrics.shipErrors.Inc()
 	http.Error(w, msg, code)
 }
 
@@ -73,9 +74,7 @@ func (sh *Shipper) handleTenants(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Strings(ids)
-	if sh.Metrics != nil {
-		sh.Metrics.listRequests.Inc()
-	}
+	sh.Metrics.listRequests.Inc()
 	writeJSON(w, tenantsReply{Tenants: ids})
 }
 
@@ -133,9 +132,7 @@ func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
 			files = append(files, FileInfo{Path: ckptSubdir + "/" + e.Name(), Size: fi.Size()})
 		}
 	}
-	if sh.Metrics != nil {
-		sh.Metrics.listRequests.Inc()
-	}
+	sh.Metrics.listRequests.Inc()
 	writeJSON(w, filesReply{Files: files})
 }
 
@@ -185,11 +182,9 @@ func (sh *Shipper) handleFile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	n, _ := io.Copy(w, f)
-	if sh.Metrics != nil {
-		id := r.URL.Query().Get("tenant")
-		sh.Metrics.shippedFiles.With(id).Inc()
-		sh.Metrics.shippedBytes.With(id).Add(n)
-	}
+	id := r.URL.Query().Get("tenant")
+	sh.Metrics.shippedFiles.With(id).Inc()
+	sh.Metrics.shippedBytes.With(id).Add(n)
 }
 
 // activeSegment returns the highest segment seq of prefix's stream (the

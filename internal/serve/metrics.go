@@ -22,11 +22,18 @@ const DefaultTenant = "default"
 // copies of the family — and the scrape answers "which tenant is
 // slow/anomalous" directly.
 //
+// The hub keeps no family table: a family is declared where its child
+// is resolved (Tenant for the owned instruments, Metrics.bind for the
+// func-backed ones), and obs returns the family already registered on
+// every later declaration. A family therefore exists once a tenant
+// does.
+//
 // Cardinality is bounded by construction: children exist only for
 // tenants a Service was bound to (tenant ids are validated, registered
 // entities — never request-supplied strings), and RemoveTenant drops a
-// decommissioned tenant's children from every family, so tenant churn
-// cannot grow the exposition without bound.
+// decommissioned tenant's children from every family on the registry
+// (the replication families ucad-serve shares it with included), so
+// tenant churn cannot grow the exposition without bound.
 //
 // It splits along the two obs registration styles: per-stage latency
 // histograms and training gauges are owned children updated on the hot
@@ -40,122 +47,17 @@ type MetricsHub struct {
 
 	mu      sync.Mutex
 	tenants map[string]*Metrics
-
-	// Owned families (hot-path instruments).
-	ingestSeconds      *obs.HistogramVec
-	queueWaitSeconds   *obs.HistogramVec
-	scoreSeconds       *obs.HistogramVec
-	closeoutSeconds    *obs.HistogramVec
-	retrainSeconds     *obs.HistogramVec
-	scoreBatchSize     *obs.HistogramVec
-	alertsResolved     *obs.CounterVec // labels: tenant, verdict
-	trainEpochLoss     *obs.GaugeVec
-	trainWindowsPerSec *obs.GaugeVec
-	trainEpochs        *obs.CounterVec
-	trainEpochSeconds  *obs.HistogramVec
-	walAppends         *obs.CounterVec
-	walFsyncSeconds    *obs.HistogramVec
-	snapshotSeconds    *obs.HistogramVec
-
-	// Per-shard families, labelled {tenant, shard}. Kept out of the
-	// single-label cfuncs/gfuncs maps — RemoveTenant walks those with
-	// one label value, which would never match a two-label child.
-	shardQueueWait  *obs.HistogramVec
-	shardQueueDepth *obs.GaugeFuncVec
-
-	// Func-backed families, bound per tenant by Metrics.bind.
-	cfuncs map[string]*obs.CounterFuncVec
-	gfuncs map[string]*obs.GaugeFuncVec
 }
 
-// NewMetricsHub registers the serving layer's tenant-labelled families
-// on a fresh registry. Call Tenant to carve per-tenant views.
+// NewMetricsHub returns a hub over a fresh registry. Call Tenant to
+// carve per-tenant views.
 func NewMetricsHub() *MetricsHub {
-	reg := obs.NewRegistry()
-	h := &MetricsHub{
-		Registry: reg,
-		tenants:  make(map[string]*Metrics),
-		cfuncs:   make(map[string]*obs.CounterFuncVec),
-		gfuncs:   make(map[string]*obs.GaugeFuncVec),
-		ingestSeconds: reg.HistogramVec("ucad_ingest_seconds",
-			"Latency of Service.Ingest: tokenize, assemble, enqueue for scoring.", obs.LatencyBuckets, "tenant"),
-		queueWaitSeconds: reg.HistogramVec("ucad_queue_wait_seconds",
-			"Time a scoring job waited in the queue before a worker picked it up.", obs.LatencyBuckets, "tenant"),
-		scoreSeconds: reg.HistogramVec("ucad_score_seconds",
-			"Latency of one fused micro-batch scoring pass (stacked model forward).", obs.LatencyBuckets, "tenant"),
-		closeoutSeconds: reg.HistogramVec("ucad_closeout_seconds",
-			"Latency of full-session close-out detection per closed session.", obs.LatencyBuckets, "tenant"),
-		retrainSeconds: reg.HistogramVec("ucad_retrain_seconds",
-			"Wall-clock duration of one background fine-tune round.",
-			obs.ExponentialBuckets(0.01, 4, 8), "tenant"),
-		scoreBatchSize: reg.HistogramVec("ucad_score_batch_size",
-			"Jobs fused into one stacked forward pass per scoring-worker drain.",
-			obs.ExponentialBuckets(1, 2, 8), "tenant"),
-		alertsResolved: reg.CounterVec("ucad_alerts_resolved_total",
-			"Expert verdicts applied to final alerts, by outcome.", "tenant", "verdict"),
-		trainEpochLoss: reg.GaugeVec("ucad_train_epoch_loss",
-			"Mean per-position loss of the most recent fine-tune epoch.", "tenant"),
-		trainWindowsPerSec: reg.GaugeVec("ucad_train_windows_per_second",
-			"Training throughput of the most recent fine-tune round.", "tenant"),
-		trainEpochs: reg.CounterVec("ucad_train_epochs_total",
-			"Fine-tune epochs completed since start.", "tenant"),
-		trainEpochSeconds: reg.HistogramVec("ucad_train_epoch_seconds",
-			"Wall-clock duration per fine-tune epoch.",
-			obs.ExponentialBuckets(0.01, 4, 8), "tenant"),
-		walAppends: reg.CounterVec("ucad_wal_appends_total",
-			"Records appended to the write-ahead log.", "tenant"),
-		walFsyncSeconds: reg.HistogramVec("ucad_wal_fsync_seconds",
-			"Latency of one WAL fsync (every append under -fsync=always).", obs.LatencyBuckets, "tenant"),
-		snapshotSeconds: reg.HistogramVec("ucad_snapshot_seconds",
-			"Wall-clock duration of one open-session snapshot (capture, serialize, commit, prune).",
-			obs.ExponentialBuckets(0.001, 4, 8), "tenant"),
-		shardQueueWait: reg.HistogramVec("ucad_shard_queue_wait_seconds",
-			"Time a scoring job waited in its shard's queue before a worker picked it up.",
-			obs.LatencyBuckets, "tenant", "shard"),
-		shardQueueDepth: reg.GaugeFuncVec("ucad_shard_queue_depth",
-			"Scoring jobs queued but not yet picked up, per ingest shard.", "tenant", "shard"),
-	}
-	cfv := func(name, help string) { h.cfuncs[name] = reg.CounterFuncVec(name, help, "tenant") }
-	gfv := func(name, help string) { h.gfuncs[name] = reg.GaugeFuncVec(name, help, "tenant") }
-	cfv("ucad_events_accepted_total", "Events absorbed into open sessions.")
-	cfv("ucad_events_rejected_total", "Events rejected with backpressure (scoring queue full).")
-	cfv("ucad_ops_scored_total", "Operations scored by the worker pool.")
-	cfv("ucad_ops_rejected_total", "Scoring jobs refused by a full queue.")
-	cfv("ucad_flags_mid_session_total", "Operations flagged while their session was still open.")
-	cfv("ucad_flags_late_total", "Flags that arrived after their session was finalized (dropped).")
-	cfv("ucad_sessions_opened_total", "Sessions opened by the assembler.")
-	cfv("ucad_sessions_closed_total", "Sessions closed by idle timeout or shutdown flush.")
-	cfv("ucad_sessions_processed_total", "Closed sessions run through full-session detection.")
-	cfv("ucad_sessions_flagged_total", "Closed sessions judged anomalous by close-out detection.")
-	cfv("ucad_alerts_raised_total", "Alerts ever created (mid-session or at close-out).")
-	cfv("ucad_alerts_evicted_total", "Resolved alerts evicted by the retention bound (max count or TTL).")
-	cfv("ucad_retrains_total", "Background fine-tune rounds completed.")
-	cfv("ucad_model_swaps_total", "Hot model replacements applied via the admin API.")
-	cfv("ucad_checkpoint_errors_total", "Model checkpoints that failed to write or validate (rolled back).")
-	cfv("ucad_feed_unknown_keys_total", "Ingested statements whose template is absent from the trained vocabulary (mapped to the reserved UNK key and always flagged).")
-	cfv("ucad_feed_duplicate_events_total", "Redelivered events acknowledged without re-scoring (sequence number already covered by the open session).")
-	cfv("ucad_score_cache_hits_total", "Similarity-row lookups served from the score cache (forward pass skipped).")
-	cfv("ucad_score_cache_misses_total", "Similarity-row lookups that fell through to the scoring kernel.")
-	cfv("ucad_score_cache_evictions_total", "Live score-cache entries displaced by LRU capacity pressure.")
-	cfv("ucad_score_cache_warmed_total", "Score-cache rows pre-populated from restored sessions (restart warm-up or standby replay).")
-	cfv("ucad_promotions_total", "Warm-standby promotions applied (replica flipped to serving).")
-	gfv("ucad_sessions_open", "Currently open sessions.")
-	gfv("ucad_alerts_open", "Alerts awaiting an expert verdict.")
-	gfv("ucad_verified_pool", "Verified-normal sessions awaiting the next fine-tune round.")
-	gfv("ucad_queue_depth", "Scoring jobs queued but not yet picked up.")
-	gfv("ucad_scoring_workers", "Size of the scoring worker pool.")
-	gfv("ucad_ingest_shards", "Number of ingest-plane shards (session partitions).")
-	gfv("ucad_train_workers", "Data-parallel training workers used by fine-tune rounds.")
-	gfv("ucad_uptime_seconds", "Seconds since the service was constructed.")
-	gfv("ucad_wal_recovered_sessions", "Open sessions rebuilt from the WAL/snapshot at the last Restore.")
-	gfv("ucad_wal_segment_bytes", "Size of the active WAL segment (rotates at the configured cap).")
-	gfv("ucad_score_cache_entries", "Similarity rows currently resident in the score cache.")
-	return h
+	return &MetricsHub{Registry: obs.NewRegistry(), tenants: make(map[string]*Metrics)}
 }
 
-// Tenant returns the per-tenant metrics view for id, creating its owned
-// children on first use. The view binds to exactly one Service
-// (NewService panics via the hub on a second bind, since the
+// Tenant returns the per-tenant metrics view for id, declaring the
+// owned families and creating the tenant's children on first use. The
+// view binds to exactly one Service (a second bind panics, since the
 // func-backed children would collide).
 func (h *MetricsHub) Tenant(id string) *Metrics {
 	h.mu.Lock()
@@ -163,80 +65,60 @@ func (h *MetricsHub) Tenant(id string) *Metrics {
 	if m, ok := h.tenants[id]; ok {
 		return m
 	}
+	reg := h.Registry
+	hist := func(name, help string, buckets []float64) *obs.Histogram {
+		return reg.HistogramVec(name, help, buckets, "tenant").With(id)
+	}
 	m := &Metrics{
-		Registry:           h.Registry,
-		hub:                h,
-		tenant:             id,
-		ingestSeconds:      h.ingestSeconds.With(id),
-		queueWaitSeconds:   h.queueWaitSeconds.With(id),
-		scoreSeconds:       h.scoreSeconds.With(id),
-		closeoutSeconds:    h.closeoutSeconds.With(id),
-		retrainSeconds:     h.retrainSeconds.With(id),
-		scoreBatchSize:     h.scoreBatchSize.With(id),
-		alertsResolved:     tenantCounterVec{cv: h.alertsResolved, tenant: id},
-		trainEpochLoss:     h.trainEpochLoss.With(id),
-		trainWindowsPerSec: h.trainWindowsPerSec.With(id),
-		trainEpochs:        h.trainEpochs.With(id),
-		trainEpochSeconds:  h.trainEpochSeconds.With(id),
-		walAppends:         h.walAppends.With(id),
-		walFsyncSeconds:    h.walFsyncSeconds.With(id),
-		snapshotSeconds:    h.snapshotSeconds.With(id),
+		Registry: reg,
+		tenant:   id,
+		ingestSeconds: hist("ucad_ingest_seconds",
+			"Latency of Service.Ingest: tokenize, assemble, enqueue for scoring.", obs.LatencyBuckets),
+		queueWaitSeconds: hist("ucad_queue_wait_seconds",
+			"Time a scoring job waited in the queue before a worker picked it up.", obs.LatencyBuckets),
+		scoreSeconds: hist("ucad_score_seconds",
+			"Latency of one fused micro-batch scoring pass (stacked model forward).", obs.LatencyBuckets),
+		closeoutSeconds: hist("ucad_closeout_seconds",
+			"Latency of full-session close-out detection per closed session.", obs.LatencyBuckets),
+		retrainSeconds: hist("ucad_retrain_seconds",
+			"Wall-clock duration of one background fine-tune round.",
+			obs.ExponentialBuckets(0.01, 4, 8)),
+		scoreBatchSize: hist("ucad_score_batch_size",
+			"Jobs fused into one stacked forward pass per scoring-worker drain.",
+			obs.ExponentialBuckets(1, 2, 8)),
+		alertsResolved: reg.CounterVec("ucad_alerts_resolved_total",
+			"Expert verdicts applied to final alerts, by outcome.", "tenant", "verdict"),
+		trainEpochLoss: reg.GaugeVec("ucad_train_epoch_loss",
+			"Mean per-position loss of the most recent fine-tune epoch.", "tenant").With(id),
+		trainWindowsPerSec: reg.GaugeVec("ucad_train_windows_per_second",
+			"Training throughput of the most recent fine-tune round.", "tenant").With(id),
+		trainEpochs: reg.CounterVec("ucad_train_epochs_total",
+			"Fine-tune epochs completed since start.", "tenant").With(id),
+		trainEpochSeconds: hist("ucad_train_epoch_seconds",
+			"Wall-clock duration per fine-tune epoch.",
+			obs.ExponentialBuckets(0.01, 4, 8)),
+		walAppends: reg.CounterVec("ucad_wal_appends_total",
+			"Records appended to the write-ahead log.", "tenant").With(id),
+		walFsyncSeconds: hist("ucad_wal_fsync_seconds",
+			"Latency of one WAL fsync (every append under -fsync=always).", obs.LatencyBuckets),
+		snapshotSeconds: hist("ucad_snapshot_seconds",
+			"Wall-clock duration of one open-session snapshot (capture, serialize, commit, prune).",
+			obs.ExponentialBuckets(0.001, 4, 8)),
 	}
 	h.tenants[id] = m
 	return m
 }
 
-// RemoveTenant drops every metric child labelled with the tenant id —
-// owned and func-backed — releasing the tenant's cardinality. Call it
-// only after the tenant's Service has stopped (a stopped Service no
-// longer touches its instruments); the id becomes bindable again, so a
-// recreated tenant starts from zero.
+// RemoveTenant drops every metric child labelled with the tenant id,
+// in every family on the registry, releasing the tenant's cardinality.
+// Call it only after the tenant's Service has stopped (a stopped
+// Service no longer touches its instruments); the id becomes bindable
+// again, so a recreated tenant starts from zero.
 func (h *MetricsHub) RemoveTenant(id string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if m, ok := h.tenants[id]; ok {
-		for i := 0; i < m.shardCount; i++ {
-			shard := strconv.Itoa(i)
-			h.shardQueueWait.Remove(id, shard)
-			h.shardQueueDepth.Remove(id, shard)
-		}
-	}
 	delete(h.tenants, id)
-	h.ingestSeconds.Remove(id)
-	h.queueWaitSeconds.Remove(id)
-	h.scoreSeconds.Remove(id)
-	h.closeoutSeconds.Remove(id)
-	h.retrainSeconds.Remove(id)
-	h.scoreBatchSize.Remove(id)
-	h.trainEpochLoss.Remove(id)
-	h.trainWindowsPerSec.Remove(id)
-	h.trainEpochs.Remove(id)
-	h.trainEpochSeconds.Remove(id)
-	h.walAppends.Remove(id)
-	h.walFsyncSeconds.Remove(id)
-	h.snapshotSeconds.Remove(id)
-	for _, v := range h.cfuncs {
-		v.Remove(id)
-	}
-	for _, v := range h.gfuncs {
-		v.Remove(id)
-	}
-	for _, verdict := range []string{StatusFalseAlarm, StatusConfirmed} {
-		h.alertsResolved.Remove(id, verdict)
-	}
-}
-
-// tenantCounterVec narrows a (tenant, verdict) counter family to one
-// tenant, so hot-path call sites keep the single-label With shape.
-type tenantCounterVec struct {
-	cv     *obs.CounterVec
-	tenant string
-}
-
-// With returns the child counter for the verdict under the bound
-// tenant.
-func (t tenantCounterVec) With(values ...string) *obs.Counter {
-	return t.cv.With(append([]string{t.tenant}, values...)...)
+	h.Registry.RemoveLabel("tenant", id)
 }
 
 // Metrics is one tenant's view of the serving instrumentation: the
@@ -248,11 +130,7 @@ type Metrics struct {
 	// Registry.Handler(), already mounted at GET /metrics).
 	Registry *obs.Registry
 
-	hub    *MetricsHub
 	tenant string
-	// shardCount records how many {tenant, shard} children bind created,
-	// so RemoveTenant can drop exactly those.
-	shardCount int
 
 	// Stage-latency histograms (seconds).
 	ingestSeconds    *obs.Histogram
@@ -263,8 +141,8 @@ type Metrics struct {
 	// scoreBatchSize distributes jobs drained per worker pass.
 	scoreBatchSize *obs.Histogram
 
-	// alertsResolved counts expert verdicts by outcome.
-	alertsResolved tenantCounterVec
+	// alertsResolved counts expert verdicts, labelled {tenant, verdict}.
+	alertsResolved *obs.CounterVec
 
 	// Training instrumentation, fed by Service.retrain.
 	trainEpochLoss     *obs.Gauge
@@ -292,34 +170,35 @@ func NewMetrics() *Metrics {
 // TenantID returns the tenant label this view exports under.
 func (m *Metrics) TenantID() string { return m.tenant }
 
-// bind attaches the func-backed children that read the service's live
-// counters at scrape time — the single-source-of-truth bridge between
-// /stats and /metrics, one labelled child per (family, tenant).
+// bind declares the func-backed families and attaches this tenant's
+// children, which read the service's live counters at scrape time — the
+// single-source-of-truth bridge between /stats and /metrics, one
+// labelled child per (family, tenant).
 func (m *Metrics) bind(s *Service) {
-	h, id := m.hub, m.tenant
-	cf := func(name string, fn func() int64) { h.cfuncs[name].Bind(fn, id) }
-	gf := func(name string, fn func() float64) { h.gfuncs[name].Bind(fn, id) }
-	cf("ucad_events_accepted_total", s.accepted.Load)
-	cf("ucad_events_rejected_total", s.rejected.Load)
-	cf("ucad_ops_scored_total",
+	reg, id := m.Registry, m.tenant
+	cf := func(name, help string, fn func() int64) { reg.CounterFuncVec(name, help, "tenant").Bind(fn, id) }
+	gf := func(name, help string, fn func() float64) { reg.GaugeFuncVec(name, help, "tenant").Bind(fn, id) }
+	cf("ucad_events_accepted_total", "Events absorbed into open sessions.", s.accepted.Load)
+	cf("ucad_events_rejected_total", "Events rejected with backpressure (scoring queue full).", s.rejected.Load)
+	cf("ucad_ops_scored_total", "Operations scored by the worker pool.",
 		func() int64 { scored, _ := s.engine.Counts(); return scored })
-	cf("ucad_ops_rejected_total",
+	cf("ucad_ops_rejected_total", "Scoring jobs refused by a full queue.",
 		func() int64 { _, rejected := s.engine.Counts(); return rejected })
-	cf("ucad_flags_mid_session_total", s.midFlags.Load)
-	cf("ucad_flags_late_total", s.lateFlags.Load)
-	cf("ucad_sessions_opened_total",
+	cf("ucad_flags_mid_session_total", "Operations flagged while their session was still open.", s.midFlags.Load)
+	cf("ucad_flags_late_total", "Flags that arrived after their session was finalized (dropped).", s.lateFlags.Load)
+	cf("ucad_sessions_opened_total", "Sessions opened by the assembler.",
 		func() int64 { opened, _ := s.asmCounts(); return opened })
-	cf("ucad_sessions_closed_total",
+	cf("ucad_sessions_closed_total", "Sessions closed by idle timeout or shutdown flush.",
 		func() int64 { _, closed := s.asmCounts(); return closed })
-	cf("ucad_sessions_processed_total", s.processed.Load)
-	cf("ucad_sessions_flagged_total", s.flagged.Load)
-	cf("ucad_alerts_raised_total", s.alerts.raisedCount)
-	cf("ucad_alerts_evicted_total", s.alerts.evictedCount)
-	cf("ucad_retrains_total", s.retrains.Load)
-	cf("ucad_model_swaps_total", s.modelSwaps.Load)
-	cf("ucad_checkpoint_errors_total", s.ckptErrors.Load)
-	cf("ucad_feed_unknown_keys_total", s.unknownKeys.Load)
-	cf("ucad_feed_duplicate_events_total", s.dupEvents.Load)
+	cf("ucad_sessions_processed_total", "Closed sessions run through full-session detection.", s.processed.Load)
+	cf("ucad_sessions_flagged_total", "Closed sessions judged anomalous by close-out detection.", s.flagged.Load)
+	cf("ucad_alerts_raised_total", "Alerts ever created (mid-session or at close-out).", s.alerts.raisedCount)
+	cf("ucad_alerts_evicted_total", "Resolved alerts evicted by the retention bound (max count or TTL).", s.alerts.evictedCount)
+	cf("ucad_retrains_total", "Background fine-tune rounds completed.", s.retrains.Load)
+	cf("ucad_model_swaps_total", "Hot model replacements applied via the admin API.", s.modelSwaps.Load)
+	cf("ucad_checkpoint_errors_total", "Model checkpoints that failed to write or validate (rolled back).", s.ckptErrors.Load)
+	cf("ucad_feed_unknown_keys_total", "Ingested statements whose template is absent from the trained vocabulary (mapped to the reserved UNK key and always flagged).", s.unknownKeys.Load)
+	cf("ucad_feed_duplicate_events_total", "Redelivered events acknowledged without re-scoring (sequence number already covered by the open session).", s.dupEvents.Load)
 	// Score-cache families read the serving bundle's cache (counters stay
 	// monotonic: SwapModel carries the cache object onto the replacement
 	// model).
@@ -329,30 +208,32 @@ func (m *Metrics) bind(s *Service) {
 		}
 		return scorecache.Stats{}
 	}
-	cf("ucad_score_cache_hits_total",
+	cf("ucad_score_cache_hits_total", "Similarity-row lookups served from the score cache (forward pass skipped).",
 		func() int64 { return int64(cacheStats().Hits) })
-	cf("ucad_score_cache_misses_total",
+	cf("ucad_score_cache_misses_total", "Similarity-row lookups that fell through to the scoring kernel.",
 		func() int64 { return int64(cacheStats().Misses) })
-	cf("ucad_score_cache_evictions_total",
+	cf("ucad_score_cache_evictions_total", "Live score-cache entries displaced by LRU capacity pressure.",
 		func() int64 { return int64(cacheStats().Evictions) })
-	cf("ucad_score_cache_warmed_total", s.cacheWarmed.Load)
-	cf("ucad_promotions_total", s.promotions.Load)
-	gf("ucad_sessions_open", func() float64 { return float64(s.openCount()) })
-	gf("ucad_alerts_open", func() float64 { return float64(s.alerts.openCount()) })
-	gf("ucad_verified_pool", func() float64 { return float64(s.verifiedCount()) })
-	gf("ucad_queue_depth",
+	cf("ucad_score_cache_warmed_total", "Score-cache rows pre-populated from restored sessions (restart warm-up or standby replay).", s.cacheWarmed.Load)
+	cf("ucad_promotions_total", "Warm-standby promotions applied (replica flipped to serving).", s.promotions.Load)
+	gf("ucad_sessions_open", "Currently open sessions.", func() float64 { return float64(s.openCount()) })
+	gf("ucad_alerts_open", "Alerts awaiting an expert verdict.", func() float64 { return float64(s.alerts.openCount()) })
+	gf("ucad_verified_pool", "Verified-normal sessions awaiting the next fine-tune round.",
+		func() float64 { return float64(s.verifiedCount()) })
+	gf("ucad_queue_depth", "Scoring jobs queued but not yet picked up.",
 		func() float64 { return float64(s.engine.QueueDepth()) })
-	gf("ucad_scoring_workers", func() float64 { return float64(s.cfg.Workers) })
-	gf("ucad_ingest_shards", func() float64 { return float64(len(s.shards)) })
-	gf("ucad_train_workers",
+	gf("ucad_scoring_workers", "Size of the scoring worker pool.", func() float64 { return float64(s.cfg.Workers) })
+	gf("ucad_ingest_shards", "Number of ingest-plane shards (session partitions).",
+		func() float64 { return float64(len(s.shards)) })
+	gf("ucad_train_workers", "Data-parallel training workers used by fine-tune rounds.",
 		func() float64 { return float64(s.model.Load().ucad.Model.Config().EffectiveTrainWorkers()) })
-	gf("ucad_uptime_seconds",
+	gf("ucad_uptime_seconds", "Seconds since the service was constructed.",
 		func() float64 { return s.cfg.Clock().Sub(s.start).Seconds() })
-	gf("ucad_wal_recovered_sessions",
+	gf("ucad_wal_recovered_sessions", "Open sessions rebuilt from the WAL/snapshot at the last Restore.",
 		func() float64 { return float64(s.recovered.Load()) })
-	gf("ucad_score_cache_entries",
+	gf("ucad_score_cache_entries", "Similarity rows currently resident in the score cache.",
 		func() float64 { return float64(cacheStats().Entries) })
-	gf("ucad_wal_segment_bytes",
+	gf("ucad_wal_segment_bytes", "Size of the active WAL segment (rotates at the configured cap).",
 		func() float64 {
 			if !s.ready.Load() {
 				return 0
@@ -364,13 +245,14 @@ func (m *Metrics) bind(s *Service) {
 			return float64(n)
 		})
 	// Per-shard children, labelled {tenant, shard}.
-	m.shardCount = len(s.shards)
 	waits := make([]*obs.Histogram, len(s.shards))
 	for i := range s.shards {
-		i := i
 		shard := strconv.Itoa(i)
-		waits[i] = h.shardQueueWait.With(id, shard)
-		h.shardQueueDepth.Bind(
+		waits[i] = reg.HistogramVec("ucad_shard_queue_wait_seconds",
+			"Time a scoring job waited in its shard's queue before a worker picked it up.",
+			obs.LatencyBuckets, "tenant", "shard").With(id, shard)
+		reg.GaugeFuncVec("ucad_shard_queue_depth",
+			"Scoring jobs queued but not yet picked up, per ingest shard.", "tenant", "shard").Bind(
 			func() float64 { return float64(s.engine.ShardQueueDepth(i)) }, id, shard)
 	}
 	s.engine.instrumentShards(waits)

@@ -14,6 +14,11 @@
 //	             runs Figure 5's loop: close-out verdicts, the verified
 //	             pool, expert feedback and fine-tune rounds
 //
+// Each Service exports its instrumentation through a per-tenant view
+// (Metrics) of a MetricsHub: one shared registry whose families are
+// declared where a tenant's children are resolved, so a family costs
+// one declaration and RemoveTenant drops every series of a tenant.
+//
 // It is a library: the HTTP/JSON front over it is
 // internal/tenant's Registry.Handler, the only one.
 package serve

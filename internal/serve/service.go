@@ -637,7 +637,7 @@ func (s *Service) Resolve(id int64, verdict string) error {
 	if err != nil {
 		return err
 	}
-	s.metrics.alertsResolved.With(verdict).Inc()
+	s.metrics.alertsResolved.With(s.metrics.tenant, verdict).Inc()
 	if sess != nil && verdict == StatusFalseAlarm {
 		s.addVerified(sess)
 	}
