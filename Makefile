@@ -57,12 +57,13 @@ fuzz-smoke:
 # instantiations held to their pinned similarity bits (amd64), the
 # first-block table bit-identical to the matmul it replaces, plus
 # bitwise parity of the packed-SSE kernels (matmul, attention, softmax)
-# against the portable ones and the float32 exponential's accuracy.
+# against the portable ones and the float32 exponential's accuracy,
+# and training held to its pinned weight and loss bits (amd64).
 # Run without -short so the Scenario-II shape (the paper model's h=64
 # m=8 head width, which exercises the packed attention kernels) is
 # covered.
 equiv32:
-	$(GO) test -count=1 -run 'TestFloat32|TestScoreBitsPinned|TestFirstBlockTable' ./internal/transdas/
+	$(GO) test -count=1 -run 'TestFloat32|TestScoreBitsPinned|TestTrainBitsPinned|TestFirstBlockTable' ./internal/transdas/
 	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestAttnKernels8|TestSoftmax32' ./internal/tensor/
 
 # The !amd64 fallbacks of the assembly kernels run on no CI machine;

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/ucad/ucad/internal/nn"
 )
 
 // pinnedModel builds a seeded model and perturbs every parameter with
@@ -94,6 +96,97 @@ func TestScoreBitsPinned(t *testing.T) {
 			m.SetScorePrecision(PrecisionFloat32)
 			if got := scoreFingerprint(m, ctxs); got != tc.want32 {
 				t.Errorf("float32 fingerprint %#x, want %#x", got, tc.want32)
+			}
+		})
+	}
+}
+
+// pinnedSessions is a seeded training corpus over keys 1..vocab-1 with
+// pad keys mixed in: lengths spread below and past the window, and a
+// leading session whose first windows have no valid target at all.
+func pinnedSessions(cfg Config, n int, seed int64) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	out := [][]int{{0, 0, 0, 1}}
+	for i := 0; i < n; i++ {
+		s := make([]int, 2+rng.Intn(cfg.Window+10))
+		for j := range s {
+			if rng.Intn(20) == 0 {
+				continue // PadKey
+			}
+			s[j] = 1 + rng.Intn(cfg.Vocab-1)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// trainFingerprint hashes the exact bits of every parameter and of each
+// epoch's mean loss.
+func trainFingerprint(m *Model, res TrainResult) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for _, p := range m.params {
+		for _, v := range p.Value.Data {
+			put(v)
+		}
+	}
+	for _, l := range res.EpochLoss {
+		put(l)
+	}
+	return h.Sum64()
+}
+
+// TestTrainBitsPinned holds training to the exact trajectory on file:
+// the weights and per-epoch losses after Train, then after one more
+// FineTune round, for the Scenario-I default (dropout, three negative
+// rounds, six blocks, sequential SGD), the benchmark's paper shape
+// (two workers, batch 16, stride 12), the positional + future-mask +
+// CE-only ablation, the full mask trained data-parallel with dropout,
+// and a two-key vocabulary (the CE fallback). The constants were taken
+// from the tape-based trainer, so they prove the fused training step
+// replays it bit for bit.
+// amd64 only: arm64 fuses multiply-adds, which moves the last bit.
+func TestTrainBitsPinned(t *testing.T) {
+	scenarioI := DefaultConfig(40)
+	scenarioI.Epochs = 3
+	paper := DefaultConfig(120)
+	paper.Hidden, paper.Heads, paper.Blocks, paper.Window = 64, 8, 2, 30
+	paper.Stride, paper.Dropout, paper.Epochs = 12, 0, 2
+	paper.TrainWorkers, paper.BatchSize = 2, 16
+	ablation := DefaultConfig(30)
+	ablation.Hidden, ablation.Blocks, ablation.Epochs = 8, 2, 3
+	ablation.Positional, ablation.Mask, ablation.Objective = true, nn.MaskFuture, ObjectiveCEOnly
+	full := DefaultConfig(30)
+	full.Hidden, full.Blocks, full.Epochs, full.Mask = 8, 2, 3, nn.MaskFull
+	full.TrainWorkers, full.BatchSize = 3, 4
+	tiny := DefaultConfig(2)
+	tiny.Hidden, tiny.Blocks, tiny.Window, tiny.Epochs = 4, 1, 6, 3
+
+	for _, tc := range []struct {
+		name            string
+		cfg             Config
+		sessions        int
+		wantTrain, want uint64
+	}{
+		{"scenario-I", scenarioI, 8, 0x7937fba3599209a2, 0x15ea5b071e865a45},
+		{"paper-shape", paper, 24, 0x9f016f3f01848e7d, 0xbf53647565d18dac},
+		{"positional-future-ce", ablation, 8, 0x2deda43562829ff9, 0xec01f9cea26c4acb},
+		{"full-mask-parallel", full, 8, 0xcf381fedb2d24ce9, 0x8a8b1e506bf28cd7},
+		{"vocab-2", tiny, 6, 0x8dbd5d0c1e37dafd, 0xdfa8b9bb4d75deca},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(tc.cfg)
+			res := m.Train(pinnedSessions(tc.cfg, tc.sessions, tc.cfg.Seed+1), nil)
+			if got := trainFingerprint(m, res); got != tc.wantTrain {
+				t.Errorf("after Train: fingerprint %#x, want %#x", got, tc.wantTrain)
+			}
+			res = m.FineTune(pinnedSessions(tc.cfg, tc.sessions/2, tc.cfg.Seed+2), 1, nil)
+			if got := trainFingerprint(m, res); got != tc.want {
+				t.Errorf("after FineTune: fingerprint %#x, want %#x", got, tc.want)
 			}
 		})
 	}
