@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-feed bench-build bench-check surface size examples clean
+.PHONY: all build vet test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-train bench-feed bench-build bench-check surface size examples clean
 
 all: check
 
@@ -56,15 +56,17 @@ fuzz-smoke:
 # of the float64 instantiation with stable ranks/verdicts, both
 # instantiations held to their pinned similarity bits (amd64), the
 # first-block table bit-identical to the matmul it replaces, plus
-# bitwise parity of the packed-SSE kernels (matmul, attention, softmax)
-# against the portable ones and the float32 exponential's accuracy,
-# and training held to its pinned weight and loss bits (amd64).
+# bitwise parity of the packed-SSE kernels (float32 matmul, attention,
+# softmax; the float64 matmul primitives training and the reference
+# scorer run on) against the portable ones, the float32 exponential's
+# accuracy, and training held to its pinned weight and loss bits
+# (amd64).
 # Run without -short so the Scenario-II shape (the paper model's h=64
 # m=8 head width, which exercises the packed attention kernels) is
 # covered.
 equiv32:
 	$(GO) test -count=1 -run 'TestFloat32|TestScoreBitsPinned|TestTrainBitsPinned|TestFirstBlockTable' ./internal/transdas/
-	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestAttnKernels8|TestSoftmax32' ./internal/tensor/
+	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestMatMul64AsmMatchesGeneric|TestAttnKernels8|TestSoftmax32' ./internal/tensor/
 
 # The !amd64 fallbacks of the assembly kernels run on no CI machine;
 # type-check them for another architecture (a cross-vet downloads and
@@ -108,6 +110,14 @@ bench:
 bench-kernel:
 	$(GO) test -run='^$$' -bench=BenchmarkScoreBatch -benchmem ./internal/transdas/
 
+# A five-second before/after for a training change: windows per second
+# and heap allocations per window at ucadbench's small and paper model
+# shapes (two workers, batch 16) — the in-module twin of ucadbench's
+# transdas.train_windows_per_s. It calls only transdas.New and Train, so
+# the file also runs on a parent.
+bench-train:
+	$(GO) test -run='^$$' -bench=BenchmarkTrainingWindow -benchmem .
+
 # A five-second before/after for a feeder commit change: one 64-event
 # batch plus its checkpoint commit at 100 and 10 000 open sessions, in
 # ns, allocated bytes and bytes written per commit. It calls only
@@ -135,8 +145,9 @@ size:
 
 # The four examples end to end: run each and diff its stdout against
 # examples/<name>/testdata/stdout.golden (float output pinned on amd64).
-# Not part of check or CI: locationservice trains for about 13 minutes
-# on two vCPUs; quickstart, commenting and loganomaly take seconds.
+# Not part of check or CI: the four take about 5 minutes on two vCPUs,
+# locationservice 4.7 of them; quickstart, commenting and loganomaly
+# take seconds.
 examples:
 	@for e in quickstart commenting loganomaly locationservice; do \
 		echo "examples/$$e"; \

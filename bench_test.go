@@ -10,15 +10,13 @@ package ucad
 
 import (
 	"fmt"
-	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/experiments"
-	"github.com/ucad/ucad/internal/nn"
 	"github.com/ucad/ucad/internal/preprocess"
 	"github.com/ucad/ucad/internal/sqlnorm"
-	"github.com/ucad/ucad/internal/tensor"
 	"github.com/ucad/ucad/internal/transdas"
 	"github.com/ucad/ucad/internal/workload"
 )
@@ -143,36 +141,49 @@ func BenchmarkAblationStride(b *testing.B) {
 
 // --- Micro-benchmarks of hot paths ---------------------------------------
 
-func BenchmarkAttentionForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	att := nn.NewMultiHeadAttention("att", 64, 8, nn.MaskBidirectionalExceptSelf, rng)
-	x := tensor.NewParam("x", tensor.NewRandN(100, 64, 1, rng))
-	params := append(att.Params(), x)
-	mask := nn.BuildMask(att.Mask, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nn.ZeroGrads(params)
-		tp := tensor.NewTape()
-		out := att.Forward(tp, tp.Param(x), mask)
-		loss := tp.Sum(tp.Square(out))
-		tp.Backward(loss)
-	}
-}
-
+// BenchmarkTrainingWindow measures Trans-DAS training at bench/ucadbench's
+// two model shapes — small (h=16 m=2 L=8 stride 1, Scenario-I sessions)
+// and paper (h=64 m=8 L=30 stride 12, Scenario-II sessions), B=2, two
+// workers, batch 16 — in windows per second and heap allocations per
+// window (each op is one epoch over 24 sessions, worker set-up
+// included). It calls only transdas.New and Train, so the same file
+// measures any revision: `make bench-train`.
 func BenchmarkTrainingWindow(b *testing.B) {
-	cfg := transdas.DefaultConfig(100)
-	cfg.Epochs = 1
-	m := transdas.New(cfg)
-	rng := rand.New(rand.NewSource(2))
-	session := make([]int, 31)
-	for i := range session {
-		session[i] = 1 + rng.Intn(99)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Train([][]int{session}, nil)
+	for _, tc := range []struct {
+		name                          string
+		spec                          workload.Spec
+		hidden, heads, window, stride int
+	}{
+		{"small", workload.ScenarioI(), 16, 2, 8, 1},
+		{"paper", workload.ScenarioII(0.5), 64, 8, 30, 12},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			v := sqlnorm.NewVocabulary()
+			var sessions [][]int
+			for _, s := range workload.NewGenerator(tc.spec, 1000).GenerateSessions(24) {
+				for j := range s.Ops {
+					s.Ops[j].Key = v.Learn(s.Ops[j].SQL)
+				}
+				sessions = append(sessions, s.Keys())
+			}
+			cfg := transdas.DefaultConfig(v.Size())
+			cfg.Hidden, cfg.Heads, cfg.Blocks, cfg.Window = tc.hidden, tc.heads, 2, tc.window
+			cfg.Stride, cfg.Epochs, cfg.Dropout = tc.stride, 1, 0
+			cfg.TrainWorkers, cfg.BatchSize = 2, 16
+			m := transdas.New(cfg)
+			windows := m.Train(sessions, nil).Windows // warm-up epoch
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Train(sessions, nil)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(windows * b.N)
+			b.ReportMetric(n/b.Elapsed().Seconds(), "windows/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/window")
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"github.com/ucad/ucad/internal/tensor"
@@ -43,7 +42,7 @@ const maskNegInf = -1e9
 
 // MaskedScore is the additive score for forbidden attention pairs: low
 // enough that its softmax term underflows to exactly 0.0 in float64.
-// Exported for tape-free inference kernels that apply masks inline.
+// Exported for the scoring kernel, which applies masks inline.
 const MaskedScore = maskNegInf
 
 // BuildMask returns the L x L additive attention mask for the kind:
@@ -72,74 +71,25 @@ func BuildMask(kind MaskKind, L int) *tensor.Matrix {
 	return m
 }
 
-// MultiHeadAttention implements Eqs. 2–4 with a pluggable mask. The m
-// heads project into h/m-dimensional subspaces; outputs are concatenated
-// and projected by W^O.
+// MultiHeadAttention holds the parameters of Eqs. 2–4: the m heads
+// project into h/m-dimensional subspaces through WQ, WK and WV, and the
+// concatenated head outputs are projected by W^O. The forward and
+// backward passes live in the model that owns the layer.
 type MultiHeadAttention struct {
 	WQ, WK, WV, WO *tensor.Param
-	Heads          int
-	Mask           MaskKind
-
-	// Capture enables recording of post-softmax attention weights on
-	// each forward pass (the paper's Figure 6 introspection). It is off
-	// by default so concurrent inference shares the layer safely.
-	Capture bool
-	// lastWeights stores the captured weights, one L x L matrix per
-	// head.
-	lastWeights []*tensor.Matrix
 }
 
-// NewMultiHeadAttention creates an attention layer of width dim with the
-// given number of heads and mask kind.
-func NewMultiHeadAttention(name string, dim, heads int, mask MaskKind, rng *rand.Rand) *MultiHeadAttention {
+// NewMultiHeadAttention creates the parameters of an attention layer of
+// width dim with the given number of heads, which must divide dim.
+func NewMultiHeadAttention(name string, dim, heads int, rng *rand.Rand) *MultiHeadAttention {
 	mustDivide(dim, heads)
 	return &MultiHeadAttention{
-		WQ:    tensor.NewParam(name+".WQ", tensor.NewXavier(dim, dim, rng)),
-		WK:    tensor.NewParam(name+".WK", tensor.NewXavier(dim, dim, rng)),
-		WV:    tensor.NewParam(name+".WV", tensor.NewXavier(dim, dim, rng)),
-		WO:    tensor.NewParam(name+".WO", tensor.NewXavier(dim, dim, rng)),
-		Heads: heads,
-		Mask:  mask,
+		WQ: tensor.NewParam(name+".WQ", tensor.NewXavier(dim, dim, rng)),
+		WK: tensor.NewParam(name+".WK", tensor.NewXavier(dim, dim, rng)),
+		WV: tensor.NewParam(name+".WV", tensor.NewXavier(dim, dim, rng)),
+		WO: tensor.NewParam(name+".WO", tensor.NewXavier(dim, dim, rng)),
 	}
 }
-
-// Forward computes MH(E) over one L x dim sequence under mask, the
-// L x L additive mask BuildMask(a.Mask, L) returns (built once by the
-// caller and shared by every block).
-func (a *MultiHeadAttention) Forward(tp *tensor.Tape, e *tensor.Node, mask *tensor.Matrix) *tensor.Node {
-	dim := a.WQ.Value.Rows
-	dk := dim / a.Heads
-	maskN := tp.Const(mask)
-
-	q := tp.MatMul(e, tp.Param(a.WQ))
-	k := tp.MatMul(e, tp.Param(a.WK))
-	v := tp.MatMul(e, tp.Param(a.WV))
-
-	// Eq. 3 scales by √h (the full hidden dimension), per the paper.
-	scale := 1 / math.Sqrt(float64(dim))
-
-	if a.Capture {
-		a.lastWeights = a.lastWeights[:0]
-	}
-	headsOut := make([]*tensor.Node, a.Heads)
-	for hIdx := 0; hIdx < a.Heads; hIdx++ {
-		lo, hi := hIdx*dk, (hIdx+1)*dk
-		qh := tp.SliceCols(q, lo, hi)
-		kh := tp.SliceCols(k, lo, hi)
-		vh := tp.SliceCols(v, lo, hi)
-		scores := tp.Add(tp.Scale(tp.MatMulNT(qh, kh), scale), maskN)
-		weights := tp.SoftmaxRows(scores)
-		if a.Capture {
-			a.lastWeights = append(a.lastWeights, weights.Value.Clone())
-		}
-		headsOut[hIdx] = tp.MatMul(weights, vh)
-	}
-	return tp.MatMul(tp.ConcatCols(headsOut...), tp.Param(a.WO))
-}
-
-// LastWeights returns the attention weights (one L x L matrix per head)
-// from the most recent Forward call with Capture enabled; nil otherwise.
-func (a *MultiHeadAttention) LastWeights() []*tensor.Matrix { return a.lastWeights }
 
 // Params implements Module.
 func (a *MultiHeadAttention) Params() []*tensor.Param {

@@ -65,7 +65,8 @@ func (e *Embedding) Lookup(tp *tensor.Tape, keys []int) *tensor.Node {
 // Params implements Module.
 func (e *Embedding) Params() []*tensor.Param { return []*tensor.Param{e.Table} }
 
-// LayerNorm implements Eq. 6: LN(x) = g/√(σ²+ε) ⊙ (x-μ) + b per row.
+// LayerNorm holds Eq. 6's parameters: LN(x) = g/√(σ²+ε) ⊙ (x-μ) + b
+// per row.
 type LayerNorm struct {
 	Gain, Bias *tensor.Param
 	Eps        float64
@@ -82,16 +83,11 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	}
 }
 
-// Forward normalizes each row of x.
-func (l *LayerNorm) Forward(tp *tensor.Tape, x *tensor.Node) *tensor.Node {
-	return tp.AddRowVec(tp.MulRowVec(tp.NormalizeRows(x, l.Eps), tp.Param(l.Gain)), tp.Param(l.Bias))
-}
-
 // Params implements Module.
 func (l *LayerNorm) Params() []*tensor.Param { return []*tensor.Param{l.Gain, l.Bias} }
 
-// FeedForward is Eq. 7: FFN(x) = max(0, x·W1 + b1)·W2 + b2, applied
-// point-wise to every position.
+// FeedForward holds Eq. 7's parameters: FFN(x) = max(0, x·W1 + b1)·W2 +
+// b2, applied point-wise to every position.
 type FeedForward struct {
 	L1, L2 *Linear
 }
@@ -105,19 +101,8 @@ func NewFeedForward(name string, dim, inner int, rng *rand.Rand) *FeedForward {
 	}
 }
 
-// Forward applies the MLP to every row of x.
-func (f *FeedForward) Forward(tp *tensor.Tape, x *tensor.Node) *tensor.Node {
-	return f.L2.Forward(tp, tp.ReLU(f.L1.Forward(tp, x)))
-}
-
 // Params implements Module.
 func (f *FeedForward) Params() []*tensor.Param { return CollectParams(f.L1, f.L2) }
-
-// Residual applies Eq. 5's regularization around a sub-layer output:
-// Reg(x) = LN(x + Dropout(f(x))).
-func Residual(tp *tensor.Tape, ln *LayerNorm, x, fx *tensor.Node, dropout float64, train bool, rng *rand.Rand) *tensor.Node {
-	return ln.Forward(tp, tp.Add(x, tp.Dropout(fx, dropout, train, rng)))
-}
 
 func mustDivide(h, m int) int {
 	if m <= 0 || h%m != 0 {

@@ -1,11 +1,12 @@
 // Package nn provides neural-network layers, optimizers and parameter
 // persistence on top of the tensor autodiff engine.
 //
-// The layers implement exactly the components of the paper's §4:
-// order-free embedding (Eq. 1), masked multi-head self-attention
-// (Eqs. 2–4), the regularized residual sub-layer (Eqs. 5–6) and the
-// point-wise feed-forward layer (Eq. 7). An LSTM cell is included for
-// the DeepLog baseline.
+// The layers hold the parameters of the paper's §4 — order-free
+// embedding (Eq. 1), masked multi-head self-attention (Eqs. 2–4), layer
+// norm (Eq. 6) and the point-wise feed-forward layer (Eq. 7) — plus the
+// attention masks; Trans-DAS runs their forward and backward passes in
+// its own fused training step. Linear, Embedding.Lookup and an LSTM
+// cell run on the tape for the DeepLog and USAD baselines.
 package nn
 
 import (

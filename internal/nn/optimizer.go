@@ -10,8 +10,8 @@ import (
 // optimizer the paper names for training Trans-DAS (§5.2).
 //
 // Step is agnostic to how p.Grad was produced: a single tape backward
-// pass (sequential SGD) or an externally reduced sum over data-parallel
-// workers (see AccumulateGrads) — it consumes whatever gradient is
+// pass or an externally reduced sum over data-parallel workers (see
+// AccumulateGrads) — it consumes whatever gradient is
 // accumulated and zeroes it. Callers that shard a mini-batch across
 // workers therefore reduce first and call Step exactly once per batch.
 type SGD struct {

@@ -62,22 +62,14 @@ func TestElementwiseGrads(t *testing.T) {
 	cases := []struct {
 		name string
 		f    func(tp *Tape, x *Node) *Node
-		pos  bool // restrict input to positive values (log)
 	}{
-		{"sigmoid", func(tp *Tape, x *Node) *Node { return tp.Sigmoid(x) }, false},
-		{"tanh", func(tp *Tape, x *Node) *Node { return tp.Tanh(x) }, false},
-		{"square", func(tp *Tape, x *Node) *Node { return tp.Square(x) }, false},
-		{"scale", func(tp *Tape, x *Node) *Node { return tp.Scale(x, -2.5) }, false},
-		{"addscalar", func(tp *Tape, x *Node) *Node { return tp.AddScalar(x, 3) }, false},
-		{"log", func(tp *Tape, x *Node) *Node { return tp.Log(x) }, true},
+		{"sigmoid", func(tp *Tape, x *Node) *Node { return tp.Sigmoid(x) }},
+		{"tanh", func(tp *Tape, x *Node) *Node { return tp.Tanh(x) }},
+		{"square", func(tp *Tape, x *Node) *Node { return tp.Square(x) }},
+		{"scale", func(tp *Tape, x *Node) *Node { return tp.Scale(x, -2.5) }},
 	}
 	for _, tc := range cases {
 		a := randParam(tc.name, 2, 3, rng)
-		if tc.pos {
-			for i := range a.Value.Data {
-				a.Value.Data[i] = math.Abs(a.Value.Data[i]) + 0.5
-			}
-		}
 		build := func(tp *Tape) *Node { return tp.Sum(tc.f(tp, tp.Param(a))) }
 		runScalar(build, a)
 		ga := a.Grad.Clone()
@@ -131,7 +123,6 @@ func TestRowVecGrads(t *testing.T) {
 		f    func(tp *Tape, a, v *Node) *Node
 	}{
 		{"addrowvec", func(tp *Tape, a, v *Node) *Node { return tp.AddRowVec(a, v) }},
-		{"mulrowvec", func(tp *Tape, a, v *Node) *Node { return tp.MulRowVec(a, v) }},
 	} {
 		build := func(tp *Tape) *Node { return tp.Sum(tp.Square(tc.f(tp, tp.Param(a), tp.Param(v)))) }
 		runScalar(build, a, v)
@@ -142,26 +133,55 @@ func TestRowVecGrads(t *testing.T) {
 	}
 }
 
+// TestSoftmaxRowsGrad: SoftmaxRowBackward is the gradient of a row
+// softmax (SoftmaxInto), checked by finite differences of Σ w ⊙ softmax.
 func TestSoftmaxRowsGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randParam("a", 3, 5, rng)
 	w := NewRandN(3, 5, 1, rng)
-	build := func(tp *Tape) *Node { return tp.Sum(tp.Mul(tp.SoftmaxRows(tp.Param(a)), tp.Const(w))) }
-	runScalar(build, a)
-	ga := a.Grad.Clone()
-	numericalCheck(t, "softmax", a, func() float64 { return runScalar(build, a) }, ga)
+	y := NewMatrix(3, 5)
+	loss := func() float64 {
+		var s float64
+		for r := 0; r < 3; r++ {
+			SoftmaxInto(y.Row(r), a.Value.Row(r))
+			for c, v := range y.Row(r) {
+				s += v * w.At(r, c)
+			}
+		}
+		return s
+	}
+	loss()
+	ga := NewMatrix(3, 5)
+	for r := 0; r < 3; r++ {
+		SoftmaxRowBackward(ga.Row(r), w.Row(r), y.Row(r))
+	}
+	numericalCheck(t, "softmax", a, loss, ga)
 }
 
+// TestNormalizeRowsGrad: StandardizeRowBackward is the gradient of
+// StandardizeRow, checked by finite differences of Σ w ⊙ x̂.
 func TestNormalizeRowsGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randParam("a", 3, 6, rng)
 	w := NewRandN(3, 6, 1, rng)
-	build := func(tp *Tape) *Node {
-		return tp.Sum(tp.Mul(tp.NormalizeRows(tp.Param(a), 1e-5), tp.Const(w)))
+	xhat := NewMatrix(3, 6)
+	inv := make([]float64, 3)
+	loss := func() float64 {
+		var s float64
+		for r := 0; r < 3; r++ {
+			inv[r] = StandardizeRow(xhat.Row(r), a.Value.Row(r), 1e-5)
+			for c, v := range xhat.Row(r) {
+				s += v * w.At(r, c)
+			}
+		}
+		return s
 	}
-	runScalar(build, a)
-	ga := a.Grad.Clone()
-	numericalCheck(t, "normalize", a, func() float64 { return runScalar(build, a) }, ga)
+	loss()
+	ga := NewMatrix(3, 6)
+	for r := 0; r < 3; r++ {
+		StandardizeRowBackward(ga.Row(r), w.Row(r), xhat.Row(r), inv[r])
+	}
+	numericalCheck(t, "normalize", a, loss, ga)
 }
 
 func TestGatherRowsGrad(t *testing.T) {
@@ -181,29 +201,19 @@ func TestGatherRowsGrad(t *testing.T) {
 	}
 }
 
+// TestConcatSliceGrads: overlapping column slices of one matrix,
+// recombined — the way the LSTM cell slices its four gates out of one
+// pre-activation — route their gradients back to the right columns.
 func TestConcatSliceGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	a := randParam("a", 3, 2, rng)
-	b := randParam("b", 3, 3, rng)
+	a := randParam("a", 3, 5, rng)
 	build := func(tp *Tape) *Node {
-		cat := tp.ConcatCols(tp.Param(a), tp.Param(b))
-		mid := tp.SliceCols(cat, 1, 4)
-		return tp.Sum(tp.Square(mid))
+		x := tp.Param(a)
+		return tp.Sum(tp.Square(tp.Mul(tp.SliceCols(x, 0, 3), tp.SliceCols(x, 2, 5))))
 	}
-	runScalar(build, a, b)
-	ga, gb := a.Grad.Clone(), b.Grad.Clone()
-	loss := func() float64 { return runScalar(build, a, b) }
-	numericalCheck(t, "concat-slice/a", a, loss, ga)
-	numericalCheck(t, "concat-slice/b", b, loss, gb)
-}
-
-func TestSliceRowsGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randParam("a", 5, 3, rng)
-	build := func(tp *Tape) *Node { return tp.Sum(tp.Square(tp.SliceRows(tp.Param(a), 1, 4))) }
 	runScalar(build, a)
 	ga := a.Grad.Clone()
-	numericalCheck(t, "slicerows", a, func() float64 { return runScalar(build, a) }, ga)
+	numericalCheck(t, "slice", a, func() float64 { return runScalar(build, a) }, ga)
 }
 
 func TestReduceGrads(t *testing.T) {
@@ -214,8 +224,6 @@ func TestReduceGrads(t *testing.T) {
 		f    func(tp *Tape, x *Node) *Node
 	}{
 		{"mean", func(tp *Tape, x *Node) *Node { return tp.Mean(tp.Square(x)) }},
-		{"sumrows", func(tp *Tape, x *Node) *Node { return tp.Sum(tp.Square(tp.SumRows(x))) }},
-		{"rowdot", func(tp *Tape, x *Node) *Node { return tp.Sum(tp.RowDot(x, x)) }},
 	} {
 		build := func(tp *Tape) *Node { return tc.f(tp, tp.Param(a)) }
 		runScalar(build, a)
@@ -234,32 +242,45 @@ func TestCrossEntropyMeanGrad(t *testing.T) {
 	numericalCheck(t, "xent", logits, func() float64 { return runScalar(build, logits) }, g)
 }
 
+// TestMatMulNTGrad checks the attention-score product a·bᵀ
+// (AddMatMulTransposeB) against its definition, and the two primitives
+// its gradient runs through — ∂/∂a = g·b (AddMatMul) and ∂/∂b = gᵀ·a
+// (AddMatMulTransposeA) — against finite differences of Σ w ⊙ (a·bᵀ).
+// The inner dimension 7 covers a k-quartet and the scalar tail.
 func TestMatMulNTGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const ra, rb, c = 4, 5, 3
+	const ra, rb, c = 5, 6, 7
 	a := randParam("a", ra, c, rng)
 	b := randParam("b", rb, c, rng)
 	// Weight the sum so every output element carries a distinct gradient.
 	w := NewRandN(ra, rb, 1, rng)
-	build := func(tp *Tape) *Node {
-		return tp.Sum(tp.Mul(tp.MatMulNT(tp.Param(a), tp.Param(b)), tp.Const(w)))
+	nt := func() *Matrix {
+		out := NewMatrix(ra, rb)
+		AddMatMulTransposeB(out, a.Value, b.Value)
+		return out
 	}
-	tp := NewTape()
-	out := tp.MatMulNT(tp.Param(a), tp.Param(b))
+	out := nt()
 	for r := 0; r < ra; r++ {
 		for col := 0; col < rb; col++ {
 			var want float64
 			for k := 0; k < c; k++ {
 				want += a.Value.At(r, k) * b.Value.At(col, k)
 			}
-			if got := out.Value.At(r, col); math.Abs(got-want) > 1e-12 {
+			if got := out.At(r, col); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("NT[%d,%d] = %g, want a·bᵀ = %g", r, col, got, want)
 			}
 		}
 	}
-	runScalar(build, a, b)
-	ga, gb := a.Grad.Clone(), b.Grad.Clone()
-	loss := func() float64 { return runScalar(build, a, b) }
+	loss := func() float64 {
+		var s float64
+		for i, v := range nt().Data {
+			s += v * w.Data[i]
+		}
+		return s
+	}
+	ga, gb := NewMatrix(ra, c), NewMatrix(rb, c)
+	AddMatMul(ga, w, b.Value)
+	AddMatMulTransposeA(gb, w, a.Value)
 	numericalCheck(t, "matmulNT/a", a, loss, ga)
 	numericalCheck(t, "matmulNT/b", b, loss, gb)
 }

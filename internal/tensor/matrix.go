@@ -1,13 +1,13 @@
 // Package tensor provides a dense matrix type — float64 for training
-// and reference scoring, float32 for the inference fast path — and a
-// tape-based reverse-mode automatic differentiation engine over the
-// float64 one.
+// and reference scoring, float32 for the inference fast path — the
+// matmul primitives both the Trans-DAS training step and the scoring
+// kernel are built from, and a tape-based reverse-mode automatic
+// differentiation engine over the float64 matrix for the deep-learning
+// baselines (DeepLog, USAD).
 //
-// It is the numeric substrate for the Trans-DAS transformer and the
-// deep-learning baselines (DeepLog, USAD). The design favors clarity and
-// determinism over raw speed: all state is explicit, no global RNG is
-// used, and every differentiable operation is validated against finite
-// differences in the test suite.
+// All state is explicit, no global RNG is used, and every
+// differentiable operation is validated against finite differences in
+// the test suite.
 package tensor
 
 import (
@@ -145,15 +145,25 @@ func (m *Mat[T]) String() string {
 }
 
 // MatMulInto computes dst = a·b without autodiff. dst must not alias a
-// or b. The inner loop processes four k-terms per pass over the output
-// row, quartering the store traffic of a plain axpy walk; all-zero
+// or b. Each output element is a sum over k-quartets, every quartet's
+// four products summed left to right before they are added in; all-zero
 // quartets (padded or masked inputs) are skipped.
+//
+// On amd64 the four float64 primitives (this one, AddMatMul and
+// AddMatMulTransposeA/B) run packed-SSE2 row kernels (gemv64_amd64.go),
+// bitwise identical to the portable loops here.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dst.Zero()
+	matMul64(dst, a, b)
+}
+
+// matMul64Generic processes two rows at a time, quartering the store
+// traffic of a plain axpy walk; dst is pre-zeroed by the caller.
+func matMul64Generic(dst, a, b *Matrix) {
 	n, bc := a.Cols, b.Cols
 	i := 0
 	for ; i+2 <= a.Rows; i += 2 {
@@ -222,13 +232,18 @@ func MatMulInto(dst, a, b *Matrix) {
 }
 
 // AddMatMul accumulates dst += a·b. Used by backward passes; each output
-// element is a k-ascending dot product, matching the accumulation order
-// of AddMatMulTransposeB so batched and unbatched backward passes agree.
+// element is a k-ascending dot product summed from zero and then added
+// to dst, matching the accumulation order of AddMatMulTransposeB so
+// batched and unbatched backward passes agree.
 func AddMatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: addmatmul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	addMatMul(dst, a, b)
+}
+
+func addMatMulGeneric(dst, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
@@ -242,11 +257,17 @@ func AddMatMul(dst, a, b *Matrix) {
 	}
 }
 
-// AddMatMulTransposeB accumulates dst += a·bᵀ. Used by backward passes.
+// AddMatMulTransposeB accumulates dst += a·bᵀ. Used by backward passes;
+// each output element is a k-ascending dot product summed from zero and
+// then added to dst.
 func AddMatMulTransposeB(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: addmatmulT shape mismatch")
 	}
+	addMatMulTB(dst, a, b)
+}
+
+func addMatMulTBGeneric(dst, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
@@ -261,11 +282,17 @@ func AddMatMulTransposeB(dst, a, b *Matrix) {
 	}
 }
 
-// AddMatMulTransposeA accumulates dst += aᵀ·b. Used by backward passes.
+// AddMatMulTransposeA accumulates dst += aᵀ·b. Used by backward passes;
+// each product is added into dst in k-ascending order (a zero term of a
+// may be skipped: it leaves a finite sum as it was).
 func AddMatMulTransposeA(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("tensor: addmatmulTA shape mismatch")
 	}
+	addMatMulTA(dst, a, b)
+}
+
+func addMatMulTAGeneric(dst, a, b *Matrix) {
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
 		brow := b.Data[k*b.Cols : (k+1)*b.Cols]

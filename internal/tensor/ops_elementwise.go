@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // binary applies an elementwise op with per-element partial derivatives.
 func (t *Tape) binary(a, b *Node, f func(x, y float64) float64,
@@ -85,13 +82,6 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 		func(x, y float64) float64 { return s })
 }
 
-// AddScalar returns a + s for a constant scalar s.
-func (t *Tape) AddScalar(a *Node, s float64) *Node {
-	return t.unary(a,
-		func(x float64) float64 { return x + s },
-		func(x, y float64) float64 { return 1 })
-}
-
 // ReLU returns max(0, a) elementwise (Eq. 7's activation).
 func (t *Tape) ReLU(a *Node) *Node {
 	return t.unary(a,
@@ -115,14 +105,6 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 func (t *Tape) Tanh(a *Node) *Node {
 	return t.unary(a, math.Tanh,
 		func(x, y float64) float64 { return 1 - y*y })
-}
-
-// Log returns ln(a) elementwise with a small clamp to avoid -Inf.
-func (t *Tape) Log(a *Node) *Node {
-	const eps = 1e-12
-	return t.unary(a,
-		func(x float64) float64 { return math.Log(math.Max(x, eps)) },
-		func(x, y float64) float64 { return 1 / math.Max(x, eps) })
 }
 
 // Square returns a² elementwise.
@@ -161,77 +143,6 @@ func (t *Tape) AddRowVec(a, v *Node) *Node {
 					v.Grad.Data[c] += g
 				}
 			}
-		}
-	}
-	return n
-}
-
-// MulRowVec broadcasts an elementwise multiply of the 1 x Cols vector v
-// over the rows of a (used by layer-norm gain).
-func (t *Tape) MulRowVec(a, v *Node) *Node {
-	checkSameTape(t, a, v)
-	checkShape(v.Value.Rows == 1 && v.Value.Cols == a.Value.Cols,
-		"row-vector broadcast %dx%d onto %dx%d", v.Value.Rows, v.Value.Cols, a.Value.Rows, a.Value.Cols)
-	out := NewMatrix(a.Value.Rows, a.Value.Cols)
-	for r := 0; r < a.Value.Rows; r++ {
-		ar := a.Value.Row(r)
-		or := out.Row(r)
-		for c, x := range ar {
-			or[c] = x * v.Value.Data[c]
-		}
-	}
-	n := t.node(out, a.requiresGrad || v.requiresGrad, nil)
-	n.back = func() {
-		if a.requiresGrad {
-			ensureGrad(a)
-			for r := 0; r < out.Rows; r++ {
-				gr := n.Grad.Row(r)
-				dst := a.Grad.Row(r)
-				for c, g := range gr {
-					dst[c] += g * v.Value.Data[c]
-				}
-			}
-		}
-		if v.requiresGrad {
-			ensureGrad(v)
-			for r := 0; r < out.Rows; r++ {
-				gr := n.Grad.Row(r)
-				ar := a.Value.Row(r)
-				for c, g := range gr {
-					v.Grad.Data[c] += g * ar[c]
-				}
-			}
-		}
-	}
-	return n
-}
-
-// Dropout zeroes each element with probability rate and scales the
-// survivors by 1/(1-rate) (inverted dropout). With train=false or
-// rate<=0 it is the identity.
-func (t *Tape) Dropout(a *Node, rate float64, train bool, rng *rand.Rand) *Node {
-	checkSameTape(t, a)
-	if !train || rate <= 0 {
-		return a
-	}
-	checkShape(rate < 1, "dropout rate %v must be < 1", rate)
-	scale := 1 / (1 - rate)
-	mask := make([]float64, len(a.Value.Data))
-	out := NewMatrix(a.Value.Rows, a.Value.Cols)
-	for i, x := range a.Value.Data {
-		if rng.Float64() >= rate {
-			mask[i] = scale
-			out.Data[i] = x * scale
-		}
-	}
-	n := t.node(out, a.requiresGrad, nil)
-	n.back = func() {
-		if !a.requiresGrad {
-			return
-		}
-		ensureGrad(a)
-		for i, g := range n.Grad.Data {
-			a.Grad.Data[i] += g * mask[i]
 		}
 	}
 	return n

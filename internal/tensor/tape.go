@@ -36,19 +36,10 @@ type Node struct {
 // Tape per training step.
 type Tape struct {
 	nodes []*Node
-	sink  func(*Param) *Matrix
 }
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
-
-// SetGradSink redirects parameter-gradient accumulation: when set,
-// Backward adds each parameter's gradient into sink(p) instead of
-// p.Grad (a nil return falls back to p.Grad). This is how data-parallel
-// training workers accumulate into private per-worker buffers while
-// sharing the parameter values — set it before the first Param call of
-// the forward pass.
-func (t *Tape) SetGradSink(sink func(*Param) *Matrix) { t.sink = sink }
 
 // node registers a new graph vertex on the tape.
 func (t *Tape) node(v *Matrix, requiresGrad bool, back func()) *Node {
@@ -60,19 +51,12 @@ func (t *Tape) node(v *Matrix, requiresGrad bool, back func()) *Node {
 // Const wraps a matrix as a non-differentiable leaf.
 func (t *Tape) Const(m *Matrix) *Node { return t.node(m, false, nil) }
 
-// Param wraps a trainable parameter; gradients accumulate into p.Grad,
-// or into the tape's gradient sink when one is set (see SetGradSink).
+// Param wraps a trainable parameter; gradients accumulate into p.Grad.
 func (t *Tape) Param(p *Param) *Node {
 	n := t.node(p.Value, true, nil)
 	n.back = func() {
-		dst := p.Grad
-		if t.sink != nil {
-			if s := t.sink(p); s != nil {
-				dst = s
-			}
-		}
 		for i, g := range n.Grad.Data {
-			dst.Data[i] += g
+			p.Grad.Data[i] += g
 		}
 	}
 	return n

@@ -69,7 +69,8 @@ func TestMatMulValues(t *testing.T) {
 	}
 }
 
-// Property: softmax rows are a probability distribution.
+// Property: a softmax row (SoftmaxInto, in place) is a probability
+// distribution.
 func TestSoftmaxRowsIsDistribution(t *testing.T) {
 	f := func(vals [12]float64) bool {
 		data := make([]float64, 12)
@@ -79,9 +80,9 @@ func TestSoftmaxRowsIsDistribution(t *testing.T) {
 				data[i] = 0
 			}
 		}
-		tp := NewTape()
-		out := tp.SoftmaxRows(tp.Const(FromSlice(3, 4, data))).Value
+		out := FromSlice(3, 4, data)
 		for r := 0; r < 3; r++ {
+			SoftmaxInto(out.Row(r), out.Row(r))
 			var sum float64
 			for _, p := range out.Row(r) {
 				if p < 0 || p > 1 {
@@ -100,14 +101,14 @@ func TestSoftmaxRowsIsDistribution(t *testing.T) {
 	}
 }
 
-// Property: NormalizeRows output has ~zero mean and ~unit variance per row.
+// Property: StandardizeRow output has ~zero mean and ~unit variance.
 func TestNormalizeRowsMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	out := NewMatrix(4, 8)
 	for trial := 0; trial < 50; trial++ {
-		tp := NewTape()
-		a := tp.Const(NewRandN(4, 8, 3, rng))
-		out := tp.NormalizeRows(a, 1e-8).Value
+		a := NewRandN(4, 8, 3, rng)
 		for r := 0; r < out.Rows; r++ {
+			StandardizeRow(out.Row(r), a.Row(r), 1e-8)
 			var mu, v float64
 			for _, x := range out.Row(r) {
 				mu += x
@@ -124,34 +125,35 @@ func TestNormalizeRowsMoments(t *testing.T) {
 	}
 }
 
+// TestDropoutEvalIsIdentity: at rate 0 every multiplier is exactly 1.
+// (Evaluation passes rate 0 and skips the mask altogether.)
 func TestDropoutEvalIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tp := NewTape()
-	a := tp.Const(NewRandN(3, 3, 1, rng))
-	out := tp.Dropout(a, 0.5, false, rng)
-	if out != a {
-		t.Fatal("eval-mode dropout must be identity")
+	mult := make([]float64, 9)
+	DropoutMask(mult, 0, rng)
+	for i, k := range mult {
+		if k != 1 {
+			t.Fatalf("rate-0 multiplier %d is %v", i, k)
+		}
 	}
 }
 
 func TestDropoutTrainScalesSurvivors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	tp := NewTape()
-	m := NewMatrix(100, 10)
-	m.Fill(1)
-	out := tp.Dropout(tp.Const(m), 0.3, true, rng).Value
+	mult := make([]float64, 1000)
+	DropoutMask(mult, 0.3, rng)
 	zeros, scaled := 0, 0
-	for _, v := range out.Data {
+	for _, v := range mult {
 		switch {
 		case v == 0:
 			zeros++
 		case math.Abs(v-1/0.7) < 1e-12:
 			scaled++
 		default:
-			t.Fatalf("unexpected dropout output %v", v)
+			t.Fatalf("unexpected dropout multiplier %v", v)
 		}
 	}
-	frac := float64(zeros) / float64(len(out.Data))
+	frac := float64(zeros) / float64(len(mult))
 	if frac < 0.2 || frac > 0.4 {
 		t.Fatalf("drop fraction %v far from rate 0.3", frac)
 	}
@@ -218,5 +220,65 @@ func TestCrossEntropyAllIgnored(t *testing.T) {
 	out := tp.CrossEntropyMean(logits, []int{-1, -1})
 	if out.Value.Data[0] != 0 {
 		t.Fatalf("loss = %v, want 0 for fully-masked targets", out.Value.Data[0])
+	}
+}
+
+// TestMatMul64AsmMatchesGeneric: the four float64 matmul primitives
+// (the packed-SSE2 row kernels on amd64) agree bit for bit with the
+// portable kernels, over ragged shapes (k- and lane-tails), inputs with
+// zero rows and scattered zeros (the quartet skips), shapes past the
+// stack scratch, and accumulation into a non-zero dst.
+func TestMatMul64AsmMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	randMat := func(r, c int) *Matrix {
+		m := NewRandN(r, c, 1, rng)
+		for i := range m.Data {
+			if rng.Intn(5) == 0 {
+				m.Data[i] = 0
+			}
+		}
+		if r > 1 {
+			clear(m.Row(rng.Intn(r)))
+		}
+		return m
+	}
+	same := func(what string, got, want *Matrix) {
+		t.Helper()
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: element %d is %x, generic kernel %x", what, i, math.Float64bits(got.Data[i]), math.Float64bits(v))
+			}
+		}
+	}
+	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {30, 64, 64}, {8, 30, 30}, {17, 9, 70}, {5, 300, 3}, {2, 3, 300}, {70, 70, 70}}
+	for trial := 0; trial < 40; trial++ {
+		s := shapes[trial%len(shapes)]
+		if trial >= len(shapes) {
+			s = [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(40)}
+		}
+		m, k, n := s[0], s[1], s[2]
+		a, b := randMat(m, k), randMat(k, n)
+		got, want := NewMatrix(m, n), NewMatrix(m, n)
+		MatMulInto(got, a, b)
+		matMul64Generic(want, a, b)
+		same("MatMulInto", got, want)
+
+		seed := NewRandN(m, n, 1, rng)
+		got, want = seed.Clone(), seed.Clone()
+		AddMatMul(got, a, b)
+		addMatMulGeneric(want, a, b)
+		same("AddMatMul", got, want)
+
+		bt := randMat(n, k) // a·btᵀ is m x n
+		got, want = seed.Clone(), seed.Clone()
+		AddMatMulTransposeB(got, a, bt)
+		addMatMulTBGeneric(want, a, bt)
+		same("AddMatMulTransposeB", got, want)
+
+		at := randMat(k, m) // atᵀ·b is m x n
+		got, want = seed.Clone(), seed.Clone()
+		AddMatMulTransposeA(got, at, b)
+		addMatMulTAGeneric(want, at, b)
+		same("AddMatMulTransposeA", got, want)
 	}
 }

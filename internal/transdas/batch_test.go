@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/ucad/ucad/internal/nn"
-	"github.com/ucad/ucad/internal/tensor"
 )
 
 // batchVariants covers the kernel-relevant configuration axes: the
@@ -34,31 +33,21 @@ func randomContext(rng *rand.Rand, vocab, length int) []int {
 	return ctx
 }
 
-// scoreNextTape is the tape-based reference implementation of a
-// batch-of-one score: it builds a fresh autodiff graph per call, exactly as
-// training does. The property tests pin the Scorer kernel to this path,
-// and the in-package benchmark measures the per-op cost the batch-first
-// API replaces.
-func (m *Model) scoreNextTape(buf []float64, preceding []int) []float64 {
-	var sims []float64
-	if cap(buf) >= m.cfg.Vocab {
-		sims = buf[:m.cfg.Vocab]
-		for i := range sims {
-			sims[i] = 0
-		}
-	} else {
-		sims = make([]float64, m.cfg.Vocab)
-	}
+// scoreNextFull is the reference batch-of-one score: the training
+// step's full forward pass (train=false) over the context, every row of
+// every block, read out at its last row. The property tests pin the
+// Scorer kernel — ragged stacking, last-block compaction, its own
+// attention accumulation order — to this path.
+func (m *Model) scoreNextFull(preceding []int) []float64 {
+	sims := make([]float64, m.cfg.Vocab)
 	if len(preceding) == 0 {
 		return sims
 	}
 	if len(preceding) > m.cfg.Window {
 		preceding = preceding[len(preceding)-m.cfg.Window:]
 	}
-	tp := tensor.NewTape()
-	out := m.forward(tp, preceding, false)
-	last := out.Value.Row(out.Value.Rows - 1)
-
+	out := m.newStep(nil).forward(preceding, false, nil)
+	last := out.Row(out.Rows - 1)
 	table := m.emb.Table.Value
 	for k := 1; k < m.cfg.Vocab; k++ {
 		row := table.Row(k)
@@ -74,7 +63,7 @@ func (m *Model) scoreNextTape(buf []float64, preceding []int) []float64 {
 // TestScoreBatchMatchesSequential is the batched-vs-sequential
 // equivalence property (the PR's acceptance criterion): one batch over
 // N random variable-length contexts must equal N batch-of-one
-// calls — and the tape-based reference forward — within 1e-9, including
+// calls — and the training step's full forward pass — within 1e-9, including
 // an empty context inside a batch, a context longer than Window, and a
 // batch of one.
 func TestScoreBatchMatchesSequential(t *testing.T) {
@@ -102,14 +91,14 @@ func TestScoreBatchMatchesSequential(t *testing.T) {
 				got := s.ScoreBatchInto(nil, ctxs)
 				for b, ctx := range ctxs {
 					seq := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
-					ref := m.scoreNextTape(nil, ctx)
+					ref := m.scoreNextFull(ctx)
 					for k := range seq {
 						if d := math.Abs(got[b][k] - seq[k]); d > 1e-9 {
 							t.Fatalf("trial %d ctx %d key %d: batched %g vs sequential %g (diff %g)",
 								trial, b, k, got[b][k], seq[k], d)
 						}
 						if d := math.Abs(got[b][k] - ref[k]); d > 1e-9 {
-							t.Fatalf("trial %d ctx %d key %d: batched %g vs tape reference %g (diff %g)",
+							t.Fatalf("trial %d ctx %d key %d: batched %g vs full forward %g (diff %g)",
 								trial, b, k, got[b][k], ref[k], d)
 						}
 					}
@@ -183,32 +172,6 @@ func TestRankBatchMatchesRankOf(t *testing.T) {
 	}
 	if ranks[2] != cfg.Vocab || ranks[3] != cfg.Vocab || ranks[4] != cfg.Vocab {
 		t.Fatalf("invalid keys ranked %v, want worst rank %d", ranks[2:], cfg.Vocab)
-	}
-}
-
-// benchModel is the Scenario-II-sized model (vocabulary 600, h=64, m=8)
-// at an L=30 context.
-func benchModel() (*Model, []int) {
-	cfg := DefaultConfig(600)
-	cfg.Hidden, cfg.Heads = 64, 8
-	m := New(cfg)
-	ctx := make([]int, 30)
-	for i := range ctx {
-		ctx[i] = 1 + i
-	}
-	return m, ctx
-}
-
-// BenchmarkScoreSequentialTape measures the tape-based per-op reference
-// path the batch-first Scorer replaces; compare against ucadbench's
-// transdas.rank_f64_us_per_op_b{1,16} rows to see the fused-batch win.
-func BenchmarkScoreSequentialTape(b *testing.B) {
-	m, ctx := benchModel()
-	buf := make([]float64, m.cfg.Vocab)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.scoreNextTape(buf, ctx)
 	}
 }
 

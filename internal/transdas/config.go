@@ -88,8 +88,8 @@ type Config struct {
 	BatchSize int
 	// TrainWorkers is the data-parallel training worker count: windows
 	// of each mini-batch are sharded across this many goroutines, each
-	// with a private tape, gradient accumulators and negative-sampling
-	// RNG stream, and the per-worker gradients are reduced in a fixed
+	// with private training-step scratch, gradient accumulators and a
+	// negative-sampling RNG stream, and the per-worker gradients are reduced in a fixed
 	// param/worker order before the step. ≤0 means GOMAXPROCS. A given
 	// (Seed, BatchSize, TrainWorkers) is bit-reproducible across runs;
 	// TrainWorkers=1 with BatchSize=1 reproduces the sequential

@@ -7,10 +7,11 @@ import (
 	"github.com/ucad/ucad/internal/tensor"
 )
 
-// kernel is the tape-free fused forward pass (Eqs. 1–7) with its Eq. 10
+// kernel is the fused scoring forward pass (Eqs. 1–7) with its Eq. 10
 // read-out, over element type T. There is one implementation; a Scorer
-// instantiates it at float64 (the reference, pinned to the tape forward
-// at 1e-9 and to the bit by TestScoreBitsPinned) and at float32 (the
+// instantiates it at float64 (the reference, pinned to the training
+// step's full forward pass at 1e-9 and to the bit by
+// TestScoreBitsPinned) and at float32 (the
 // fast path, within the equiv32 contract of the reference). The two
 // differ only in the fields precision.go fills in: where the weights
 // come from (and whether they carry the first block's per-key table),
@@ -390,8 +391,8 @@ func addInPlace[T tensor.Float](dst, src *tensor.Mat[T]) {
 }
 
 // layerNormInPlace applies Eq. 6 row-wise: x = g ⊙ (x-μ)/√(σ²+ε) + b,
-// with the same operation order as the tape path (NormalizeRows, gain,
-// bias) so float64 results match it to the bit. Mean and variance
+// with the same operation order as the training step's normForward
+// (standardize, gain, bias) so float64 results match it to the bit. Mean and variance
 // accumulate in float64 at either element type: the reductions are
 // where float32 error would compound, and O(h) is negligible next to
 // the matmuls.

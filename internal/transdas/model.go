@@ -19,12 +19,6 @@ type block struct {
 	ffn      *nn.FeedForward
 }
 
-func (b *block) forward(tp *tensor.Tape, x *tensor.Node, mask *tensor.Matrix, dropout float64, train bool, rng *rand.Rand) *tensor.Node {
-	x = nn.Residual(tp, b.ln1, x, b.att.Forward(tp, x, mask), dropout, train, rng)
-	x = nn.Residual(tp, b.ln2, x, b.ffn.Forward(tp, x), dropout, train, rng)
-	return x
-}
-
 func (b *block) params() []*tensor.Param {
 	return nn.CollectParams(b.att, b.ln1, b.ln2, b.ffn)
 }
@@ -38,9 +32,9 @@ type Model struct {
 	params []*tensor.Param
 	rng    *rand.Rand
 
-	// scorers pools tape-free Scorers for the wrapper API (RankOf,
-	// RankBatch, DetectSession, ...), so concurrent detection reuses
-	// warm scratch buffers instead of allocating per call.
+	// scorers pools Scorers for the wrapper API (RankOf, RankBatch,
+	// DetectSession, ...), so concurrent detection reuses warm scratch
+	// buffers instead of allocating per call.
 	scorers sync.Pool
 
 	// negWarn fires the degenerate-vocabulary warning once per model;
@@ -81,7 +75,7 @@ func New(cfg Config) *Model {
 	for i := 0; i < cfg.Blocks; i++ {
 		name := "transdas.block" + itoa(i)
 		m.blocks = append(m.blocks, &block{
-			att: nn.NewMultiHeadAttention(name+".att", cfg.Hidden, cfg.Heads, cfg.Mask, rng),
+			att: nn.NewMultiHeadAttention(name+".att", cfg.Hidden, cfg.Heads, rng),
 			ln1: nn.NewLayerNorm(name+".ln1", cfg.Hidden),
 			ln2: nn.NewLayerNorm(name+".ln2", cfg.Hidden),
 			ffn: nn.NewFeedForward(name+".ffn", cfg.Hidden, cfg.Hidden, rng),
@@ -123,9 +117,10 @@ func (m *Model) SetScoreCache(c *scorecache.Cache) { m.scoreCache.Store(c) }
 func (m *Model) ScoreCache() *scorecache.Cache { return m.scoreCache.Load() }
 
 // SetScorePrecision selects the scoring kernel: PrecisionFloat64 (the
-// default — the training/reference path, exact to 1e-9 against the tape
-// forward) or PrecisionFloat32 (the single-precision fast path, within
-// 1e-4 of the reference and rank-stable on the paper's workloads).
+// default — the training/reference path, exact to 1e-9 against the
+// training step's full forward pass) or PrecisionFloat32 (the
+// single-precision fast path, within 1e-4 of the reference and
+// rank-stable on the paper's workloads).
 // Training always runs in float64 regardless of this setting. A change
 // of precision bumps the attached score cache, whose rows were scored
 // at the old one; setting the precision already in force keeps them.
@@ -151,42 +146,19 @@ func (m *Model) bumpWeightGen() {
 	}
 }
 
-// forward runs the stacked attention blocks over a key window of length
-// ≤ cfg.Window and returns the L x h output O^(B) (Eqs. 8–9). Dropout
-// (train=true only) draws from the model's own RNG stream.
-func (m *Model) forward(tp *tensor.Tape, keys []int, train bool) *tensor.Node {
-	return m.forwardRNG(tp, keys, train, m.rng)
-}
-
-// forwardRNG is forward with an explicit dropout RNG, so data-parallel
-// training workers draw from private per-worker streams instead of
-// racing on the model's.
-func (m *Model) forwardRNG(tp *tensor.Tape, keys []int, train bool, rng *rand.Rand) *tensor.Node {
-	L := len(keys)
-	x := m.emb.Lookup(tp, keys)
-	if m.pos != nil {
-		// Learnable position embedding for the ablation variant.
-		x = tp.Add(x, tp.SliceRows(tp.Param(m.pos), 0, L))
-	}
-	mask := nn.BuildMask(m.cfg.Mask, L)
-	for _, b := range m.blocks {
-		x = b.forward(tp, x, mask, m.cfg.Dropout, train, rng)
-	}
-	return x
-}
-
 // AttentionWeights runs a forward pass over keys and returns the
 // post-softmax attention weights of the first attention block, one
-// len(keys) x len(keys) matrix per head. This reproduces the paper's
-// Figure 6 introspection. It must not run concurrently with other
-// uses of the model (it temporarily enables weight capture).
+// len(keys) x len(keys) matrix per head — the paper's Figure 6
+// introspection. It only reads the parameters, so it is safe beside
+// concurrent scoring.
 func (m *Model) AttentionWeights(keys []int) []*tensor.Matrix {
-	att := m.blocks[0].att
-	att.Capture = true
-	defer func() { att.Capture = false }()
-	tp := tensor.NewTape()
-	m.forward(tp, keys, false)
-	return att.LastWeights()
+	s := m.newStep(nil)
+	s.forward(keys, false, nil)
+	out := make([]*tensor.Matrix, len(s.blocks[0].probs))
+	for i, p := range s.blocks[0].probs {
+		out[i] = p.Clone()
+	}
+	return out
 }
 
 func itoa(n int) string {

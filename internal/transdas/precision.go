@@ -12,7 +12,8 @@ type Precision int
 
 const (
 	// PrecisionFloat64 scores through the kernel's float64 instantiation
-	// — the reference path, pinned to the tape forward within 1e-9.
+	// — the reference path, pinned to the training step's full forward
+	// pass within 1e-9.
 	PrecisionFloat64 Precision = iota
 	// PrecisionFloat32 scores through its float32 instantiation over a
 	// frozen weight snapshot; scores agree with the reference within

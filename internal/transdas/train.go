@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"github.com/ucad/ucad/internal/nn"
-	"github.com/ucad/ucad/internal/tensor"
 )
 
 // window is one training example extracted by the sliding window
@@ -100,72 +99,6 @@ func (m *Model) sampleNegativesInto(dst []int, w window, rng *rand.Rand) []int {
 	return neg
 }
 
-// windowLoss builds Eq. 11 for one window on the tape:
-//
-//	Σ_i max(z_i^- - z_i^+ + g, 0) - log(z_i^+)
-//
-// averaged over valid positions. z_i^± = sigmoid(O_i · M(x_±)) (Eq. 10).
-// The ‖θ‖₂ term is applied as decoupled weight decay in the SGD step.
-//
-// rng drives dropout and negative sampling (the caller's worker
-// stream); negBuf is an optional reusable negative-sample buffer,
-// returned (possibly grown) for the next call.
-func (m *Model) windowLoss(tp *tensor.Tape, w window, train bool, rng *rand.Rand, negBuf []int) (*tensor.Node, int, []int) {
-	out := m.forwardRNG(tp, w.keys, train, rng)
-
-	// A vocabulary of k0 plus one key cannot yield a negative sample:
-	// the 20-attempt loops would emit -1 for every position and the
-	// triplet term would train against the constant zero embedding.
-	// Fall back to the one-class CE objective for such windows.
-	useTriplet := m.cfg.Objective == ObjectiveTripletCE
-	if useTriplet && m.cfg.Vocab <= 2 {
-		useTriplet = false
-		m.warnDegenerateVocab()
-	} else {
-		// One round of negatives is drawn here regardless of objective
-		// (the CE-only ablation consumes but ignores it), preserving the
-		// exact RNG order of the pre-parallel trainer.
-		negBuf = m.sampleNegativesInto(negBuf, w, rng)
-	}
-
-	valid := 0
-	maskData := make([]float64, len(w.targets))
-	for i, tgt := range w.targets {
-		if tgt > 0 { // skip no-target and PadKey targets
-			maskData[i] = 1
-			valid++
-		}
-	}
-	if valid == 0 {
-		return nil, 0, negBuf
-	}
-	mask := tp.Const(tensor.FromSlice(len(w.targets), 1, maskData))
-
-	table := tp.Param(m.emb.Table)
-	posEmb := tp.GatherRows(table, clampIdx(w.targets, m.cfg.Vocab))
-	zpos := tp.Sigmoid(tp.RowDot(out, posEmb))
-
-	ce := tp.Scale(tp.Log(zpos), -1)
-	perPos := ce
-	if useTriplet {
-		negRounds := m.cfg.NegSamples
-		if negRounds <= 0 {
-			negRounds = 1
-		}
-		for r := 0; r < negRounds; r++ {
-			if r > 0 {
-				negBuf = m.sampleNegativesInto(negBuf, w, rng)
-			}
-			negEmb := tp.GatherRows(table, clampIdx(negBuf, m.cfg.Vocab))
-			zneg := tp.Sigmoid(tp.RowDot(out, negEmb))
-			hinge := tp.ReLU(tp.AddScalar(tp.Sub(zneg, zpos), m.cfg.Margin))
-			perPos = tp.Add(perPos, tp.Scale(hinge, 1/float64(negRounds)))
-		}
-	}
-	loss := tp.Scale(tp.Sum(tp.Mul(perPos, mask)), 1/float64(valid))
-	return loss, valid, negBuf
-}
-
 // warnDegenerateVocab records (once per model, with a log line) that the
 // triplet objective was disabled because the vocabulary has no key to
 // sample negatives from.
@@ -174,22 +107,6 @@ func (m *Model) warnDegenerateVocab() {
 		m.degenerateVocab.Store(true)
 		log.Printf("transdas: vocab %d has no negative-sample candidates; training with the CE-only objective", m.cfg.Vocab)
 	})
-}
-
-// clampIdx maps invalid or padding keys to -1 so GatherRows yields a
-// zero (gradient-free) row for them. It must copy: GatherRows retains
-// the index slice for the backward pass, while the caller's buffer is
-// reused across sampling rounds.
-func clampIdx(keys []int, vocab int) []int {
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		if k <= 0 || k >= vocab {
-			out[i] = -1
-		} else {
-			out[i] = k
-		}
-	}
-	return out
 }
 
 // TrainResult summarizes one training run.

@@ -13,9 +13,9 @@ import (
 // Each epoch partitions the shuffled window order into mini-batches of
 // cfg.BatchSize. The windows of one mini-batch are sharded across
 // cfg.TrainWorkers long-lived workers by stride (worker w takes batch
-// positions w, w+W, …), each worker replays its share on a private tape
-// whose parameter gradients are diverted into per-worker accumulators
-// (tensor.Tape.SetGradSink), and the accumulators are reduced into the
+// positions w, w+W, …), each worker runs its share through the training
+// step (step.go) over its own scratch, adding the gradients into
+// per-worker accumulators, and the accumulators are reduced into the
 // shared p.Grad in a fixed worker order before decoupled weight decay,
 // gradient clipping and a single SGD step — the synchronous
 // gradient-accumulation recipe of large-minibatch SGD.
@@ -30,15 +30,15 @@ import (
 // tests).
 
 // trainWorker owns one worker's private training state: an RNG stream,
-// one gradient accumulator per parameter (reused across batches), a
-// negative-sampling buffer, and the shard's running loss.
+// one gradient accumulator per parameter (reused across batches), the
+// training step's forward/backward scratch, and the shard's running
+// loss.
 type trainWorker struct {
-	rng    *rand.Rand
-	grads  []*tensor.Matrix
-	sinkFn func(*tensor.Param) *tensor.Matrix
-	neg    []int
-	loss   float64 // Σ loss·valid over the current mini-batch shard
-	valid  int
+	rng   *rand.Rand
+	grads []*tensor.Matrix
+	step  *step
+	loss  float64 // Σ loss·valid over the current mini-batch shard
+	valid int
 }
 
 // newTrainWorker builds worker id of a pool of `workers`. A pool of one
@@ -52,13 +52,10 @@ func (m *Model) newTrainWorker(id, workers int) *trainWorker {
 		w.rng = rand.New(rand.NewSource(workerSeed(m.cfg.Seed, id)))
 	}
 	w.grads = make([]*tensor.Matrix, len(m.params))
-	sink := make(map[*tensor.Param]*tensor.Matrix, len(m.params))
 	for i, p := range m.params {
-		g := tensor.NewMatrix(p.Grad.Rows, p.Grad.Cols)
-		w.grads[i] = g
-		sink[p] = g
+		w.grads[i] = tensor.NewMatrix(p.Grad.Rows, p.Grad.Cols)
 	}
-	w.sinkFn = func(p *tensor.Param) *tensor.Matrix { return sink[p] }
+	w.step = m.newStep(w.grads)
 	return w
 }
 
@@ -72,20 +69,12 @@ func workerSeed(seed int64, id int) int64 {
 }
 
 // runShard trains worker w's share of the mini-batch order[lo:hi]:
-// positions lo+offset, lo+offset+stride, … — one tape per window,
-// gradients accumulated into the worker's private buffers.
-func (m *Model) runShard(w *trainWorker, windows []window, order []int, lo, hi, stride, offset int) {
+// positions lo+offset, lo+offset+stride, … — one training step per
+// window, gradients accumulated into the worker's private buffers.
+func (w *trainWorker) runShard(windows []window, order []int, lo, hi, stride, offset int) {
 	for i := lo + offset; i < hi; i += stride {
-		tp := tensor.NewTape()
-		tp.SetGradSink(w.sinkFn)
-		var loss *tensor.Node
-		var valid int
-		loss, valid, w.neg = m.windowLoss(tp, windows[order[i]], true, w.rng, w.neg)
-		if loss == nil {
-			continue
-		}
-		tp.Backward(loss)
-		w.loss += loss.Value.Data[0] * float64(valid)
+		loss, valid := w.step.run(windows[order[i]], w.rng)
+		w.loss += loss * float64(valid)
 		w.valid += valid
 	}
 }
@@ -124,7 +113,7 @@ func (m *Model) trainWindows(windows []window, epochs int, lr float64, progress 
 			go func(offset int, ch chan shard) {
 				w := ws[offset]
 				for s := range ch {
-					m.runShard(w, windows, order, s.lo, s.hi, workers, offset)
+					w.runShard(windows, order, s.lo, s.hi, workers, offset)
 					wg.Done()
 				}
 			}(i+1, tasks[i])
@@ -146,13 +135,13 @@ func (m *Model) trainWindows(windows []window, epochs int, lr float64, progress 
 				hi = len(order)
 			}
 			if workers == 1 {
-				m.runShard(ws[0], windows, order, lo, hi, 1, 0)
+				ws[0].runShard(windows, order, lo, hi, 1, 0)
 			} else {
 				wg.Add(len(tasks))
 				for _, ch := range tasks {
 					ch <- shard{lo, hi}
 				}
-				m.runShard(ws[0], windows, order, lo, hi, workers, 0)
+				ws[0].runShard(windows, order, lo, hi, workers, 0)
 				wg.Wait()
 			}
 			batchValid := 0

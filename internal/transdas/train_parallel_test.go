@@ -10,9 +10,9 @@ import (
 )
 
 // trainSequential is the pre-parallel reference trajectory: one window,
-// one tape, one SGD step, all randomness from the model's own stream.
-// The data-parallel trainer with TrainWorkers=1 and BatchSize=1 is
-// bit-identical to it (asserted by the equivalence tests); it is kept
+// one training step, one SGD step, all randomness from the model's own
+// stream. The data-parallel trainer with TrainWorkers=1 and BatchSize=1
+// is bit-identical to it (asserted by the equivalence tests); it is kept
 // as the executable specification the tests compare against.
 func (m *Model) trainSequential(windows []window, epochs int, lr float64, progress func(int, float64)) TrainResult {
 	res := TrainResult{Windows: len(windows)}
@@ -24,22 +24,22 @@ func (m *Model) trainSequential(windows []window, epochs int, lr float64, progre
 	for i := range order {
 		order[i] = i
 	}
-	var negBuf []int
+	grads := make([]*tensor.Matrix, len(m.params))
+	for i, p := range m.params {
+		grads[i] = p.Grad
+	}
+	s := m.newStep(grads)
 	for epoch := 0; epoch < epochs; epoch++ {
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var total float64
 		var count int
 		for _, wi := range order {
-			tp := tensor.NewTape()
-			var loss *tensor.Node
-			var valid int
-			loss, valid, negBuf = m.windowLoss(tp, windows[wi], true, m.rng, negBuf)
-			if loss == nil {
+			loss, valid := s.run(windows[wi], m.rng)
+			if valid == 0 {
 				continue
 			}
-			tp.Backward(loss)
 			m.applyStep(opt)
-			total += loss.Value.Data[0] * float64(valid)
+			total += loss * float64(valid)
 			count += valid
 		}
 		mean := 0.0
@@ -132,7 +132,7 @@ func TestParallelTrainingReproducible(t *testing.T) {
 }
 
 // TestMiniBatchGradEquivalence: the reduced mini-batch gradient must
-// equal the sum of per-window tape gradients. The config pins every
+// equal the sum of per-window step gradients. The config pins every
 // source of randomness out of the gradients (CE-only objective so the
 // unused negative draws cannot matter, zero dropout) and strips decay,
 // clipping and momentum with LR=1, so after one single-batch epoch
@@ -156,18 +156,16 @@ func TestMiniBatchGradEquivalence(t *testing.T) {
 	trained := New(cfg)
 	trained.Train(sessions, nil)
 
-	// Sum of independent per-window tape gradients on the untouched
+	// Sum of independent per-window step gradients on the untouched
 	// reference weights (ref and trained start bit-identical).
-	var neg []int
+	grads := make([]*tensor.Matrix, len(ref.params))
+	for i, p := range ref.params {
+		grads[i] = p.Grad
+	}
+	s := ref.newStep(grads)
 	rng := rand.New(rand.NewSource(99))
 	for _, w := range windows {
-		tp := tensor.NewTape()
-		l, _, n := ref.windowLoss(tp, w, true, rng, neg)
-		neg = n
-		if l == nil {
-			continue
-		}
-		tp.Backward(l)
+		s.run(w, rng)
 	}
 
 	for i, p := range ref.params {
