@@ -4,9 +4,11 @@
 // The layers hold the parameters of the paper's §4 — order-free
 // embedding (Eq. 1), masked multi-head self-attention (Eqs. 2–4), layer
 // norm (Eq. 6) and the point-wise feed-forward layer (Eq. 7) — plus the
-// attention masks; Trans-DAS runs their forward and backward passes in
-// its own fused training step. Linear, Embedding.Lookup and an LSTM
-// cell run on the tape for the DeepLog and USAD baselines.
+// attention masks — and run those three layers' forward and backward
+// passes without a tape, over state the caller keeps and reuses, adding
+// parameter gradients into a Grads; Trans-DAS composes them into its
+// fused training step. Linear, Embedding.Lookup and an LSTM cell run on
+// the tape for the DeepLog and USAD baselines.
 package nn
 
 import (

@@ -73,27 +73,10 @@ func TestBuildMaskShapes(t *testing.T) {
 	}
 }
 
-// maskedAttention is single-head self-attention over x's rows (queries,
-// keys and values are the rows themselves) with the additive mask on the
-// scores: the computation a mask shapes.
-func maskedAttention(x, mask *tensor.Matrix) *tensor.Matrix {
+// forwardAtt runs att over x under mask and returns MH(x).
+func forwardAtt(att *MultiHeadAttention, x, mask *tensor.Matrix) *tensor.Matrix {
 	out := tensor.NewMatrix(x.Rows, x.Cols)
-	w := make([]float64, x.Rows)
-	for i := range w {
-		for j := range w {
-			var dot float64
-			for c, v := range x.Row(i) {
-				dot += v * x.At(j, c)
-			}
-			w[j] = dot + mask.At(i, j)
-		}
-		tensor.SoftmaxInto(w, w)
-		for j, wv := range w {
-			for c, v := range x.Row(j) {
-				out.Row(i)[c] += wv * v
-			}
-		}
-	}
+	att.Forward(new(AttentionState), out, x, mask)
 	return out
 }
 
@@ -102,11 +85,12 @@ func maskedAttention(x, mask *tensor.Matrix) *tensor.Matrix {
 // row i+1 must not change output row i.
 func TestMaskBlocksTargetLeakage(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	att := NewMultiHeadAttention("att", 8, 2, rng)
 	const L = 5
 	mask := BuildMask(MaskBidirectionalExceptSelf, L)
 	base := tensor.NewRandN(L, 8, 1, rng)
 
-	outAt := func(m *tensor.Matrix, r int) []float64 { return maskedAttention(m, mask).Row(r) }
+	outAt := func(m *tensor.Matrix, r int) []float64 { return forwardAtt(att, m, mask).Row(r) }
 	for i := 0; i < L-1; i++ {
 		perturbed := base.Clone()
 		for c := 0; c < 8; c++ {
@@ -136,10 +120,11 @@ func TestMaskBlocksTargetLeakage(t *testing.T) {
 
 func TestFutureMaskBlocksFuture(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	att := NewMultiHeadAttention("att", 4, 1, rng)
 	const L = 4
 	mask := BuildMask(MaskFuture, L)
 	base := tensor.NewRandN(L, 4, 1, rng)
-	outRow := func(m *tensor.Matrix, r int) []float64 { return maskedAttention(m, mask).Row(r) }
+	outRow := func(m *tensor.Matrix, r int) []float64 { return forwardAtt(att, m, mask).Row(r) }
 	perturbed := base.Clone()
 	perturbed.Set(3, 0, perturbed.At(3, 0)+5) // change the last input
 	a, b := outRow(base, 1), outRow(perturbed, 1)
@@ -148,6 +133,103 @@ func TestFutureMaskBlocksFuture(t *testing.T) {
 			t.Fatal("future mask leaked future input")
 		}
 	}
+}
+
+// checkGrads compares every parameter's buffer in gr, filled by a
+// backward pass, against central finite differences of loss.
+func checkGrads(t *testing.T, params []*tensor.Param, gr *Grads, loss func() float64) {
+	t.Helper()
+	const h = 1e-5
+	for _, p := range params {
+		analytic := gr.Of(p)
+		for i, orig := range p.Value.Data {
+			p.Value.Data[i] = orig + h
+			up := loss()
+			p.Value.Data[i] = orig - h
+			down := loss()
+			p.Value.Data[i] = orig
+			want := (up - down) / (2 * h)
+			if math.Abs(want-analytic.Data[i]) > 1e-3*(1+math.Abs(want)) {
+				t.Fatalf("%s grad[%d]=%g want %g", p.Name, i, analytic.Data[i], want)
+			}
+		}
+	}
+}
+
+// zeroGrads pairs every parameter with a zero gradient buffer.
+func zeroGrads(params []*tensor.Param) *Grads {
+	bufs := make([]*tensor.Matrix, len(params))
+	for i, p := range params {
+		bufs[i] = tensor.NewMatrix(p.Value.Rows, p.Value.Cols)
+	}
+	return NewGrads(params, bufs)
+}
+
+// TestAttentionGradCheck: MultiHeadAttention.Backward is the gradient of
+// Forward with respect to all four projections and the input, checked
+// by finite differences of Σ MH(x)² under the paper's mask.
+func TestAttentionGradCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	att := NewMultiHeadAttention("att", 6, 2, rng)
+	x := tensor.NewParam("x", tensor.NewRandN(4, 6, 1, rng))
+	mask := BuildMask(MaskBidirectionalExceptSelf, 4)
+	var st AttentionState
+	out := tensor.NewMatrix(4, 6)
+	loss := func() float64 {
+		att.Forward(&st, out, x.Value, mask)
+		var s float64
+		for _, v := range out.Data {
+			s += v * v
+		}
+		return s
+	}
+	params := append(att.Params(), x)
+	gr := zeroGrads(params)
+	loss()
+	gout := out.Clone()
+	for i, v := range gout.Data {
+		gout.Data[i] = 2 * v
+	}
+	att.Backward(&st, gr.Of(x), gout, gr)
+	checkGrads(t, params, gr, loss)
+}
+
+// TestLayerNormFFNGradCheck: LayerNorm.Backward and FeedForward.Backward
+// compose into the gradient of a residual sub-layer, LN(x + FFN(x)),
+// with respect to the gain, the bias, both FFN layers and the input,
+// checked by finite differences of Σ w ⊙ LN(x + FFN(x)).
+func TestLayerNormFFNGradCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ln := NewLayerNorm("ln", 5)
+	ffn := NewFeedForward("ffn", 5, 5, rng)
+	x := tensor.NewParam("x", tensor.NewRandN(3, 5, 1, rng))
+	w := tensor.NewRandN(3, 5, 1, rng)
+	params := append(CollectParams(ln, ffn), x)
+	for _, p := range params[:len(params)-1] { // move the gain, bias and FFN biases off their init
+		for i := range p.Value.Data {
+			p.Value.Data[i] += 0.1 * rng.NormFloat64()
+		}
+	}
+	var nst NormState
+	var fst FFNState
+	sum, out := tensor.NewMatrix(3, 5), tensor.NewMatrix(3, 5)
+	loss := func() float64 {
+		ffn.Forward(&fst, sum, x.Value)
+		tensor.AddInto(sum, x.Value)
+		ln.Forward(&nst, out, sum)
+		var s float64
+		for i, v := range out.Data {
+			s += v * w.Data[i]
+		}
+		return s
+	}
+	gr := zeroGrads(params)
+	loss()
+	da := tensor.NewMatrix(3, 5)
+	ln.Backward(&nst, da, w, gr)
+	tensor.AddInto(gr.Of(x), da) // the residual path
+	ffn.Backward(&fst, gr.Of(x), da, gr)
+	checkGrads(t, params, gr, loss)
 }
 
 func TestLSTMLearnsAlternation(t *testing.T) {

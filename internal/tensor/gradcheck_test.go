@@ -184,6 +184,29 @@ func TestNormalizeRowsGrad(t *testing.T) {
 	numericalCheck(t, "normalize", a, loss, ga)
 }
 
+// TestSliceRowsGrad: SliceRows is a view, so a gradient added into a
+// slice of a's gradient lands in rows [lo, hi) and nowhere else — the
+// positional embedding's read of a window's leading rows — checked by
+// finite differences of Σ a[1:4]².
+func TestSliceRowsGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := randParam("a", 5, 3, rng)
+	loss := func() float64 {
+		var s float64
+		for _, v := range SliceRows(a.Value, 1, 4).Data {
+			s += v * v
+		}
+		return s
+	}
+	g := SliceRows(a.Value, 1, 4).Clone()
+	for i, v := range g.Data {
+		g.Data[i] = 2 * v
+	}
+	ga := NewMatrix(5, 3)
+	AddInto(SliceRows(ga, 1, 4), g)
+	numericalCheck(t, "slicerows", a, loss, ga)
+}
+
 func TestGatherRowsGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	emb := randParam("emb", 6, 4, rng)

@@ -110,6 +110,29 @@ func (m *Mat[T]) Fill(v T) {
 	}
 }
 
+// SliceRows returns rows [lo, hi) of m as a view: the result shares
+// m's backing array, so a write through it — adding a gradient into a
+// parameter's rows, say — lands in m.
+func SliceRows[T Float](m *Mat[T], lo, hi int) *Mat[T] {
+	if lo < 0 || hi < lo || hi > m.Rows {
+		panic(fmt.Sprintf("tensor: row slice [%d, %d) of %d rows", lo, hi, m.Rows))
+	}
+	return &Mat[T]{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]}
+}
+
+// Resize returns m as a rows x cols matrix, reusing its backing array
+// when large enough (a nil m or a short array gets a new matrix).
+// Contents are unspecified; callers overwrite fully.
+func Resize[T Float](m *Mat[T], rows, cols int) *Mat[T] {
+	need := rows * cols
+	if m == nil || cap(m.Data) < need {
+		return NewMat[T](rows, cols)
+	}
+	m.Data = m.Data[:need]
+	m.Rows, m.Cols = rows, cols
+	return m
+}
+
 // SameShape reports whether m and o have identical dimensions.
 func (m *Mat[T]) SameShape(o *Mat[T]) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 

@@ -161,10 +161,10 @@ func (k *kernel[T]) forward(s *Scorer) *tensor.Mat[T] {
 		rows += n
 	}
 
-	k.x = ensureMat(k.x, rows, h)
-	k.att = ensureMat(k.att, rows, h)
-	k.sub = ensureMat(k.sub, rows, h)
-	k.ffnH = ensureMat(k.ffnH, rows, h)
+	k.x = tensor.Resize(k.x, rows, h)
+	k.att = tensor.Resize(k.att, rows, h)
+	k.sub = tensor.Resize(k.sub, rows, h)
+	k.ffnH = tensor.Resize(k.ffnH, rows, h)
 	if cap(k.scores) < s.m.cfg.Window {
 		k.scores = make([]T, s.m.cfg.Window)
 	}
@@ -209,11 +209,11 @@ func (k *kernel[T]) forward(s *Scorer) *tensor.Mat[T] {
 	// normalized and fed through the FFN — the rest would be discarded
 	// by the read-out.
 	blk := &w.blocks[last]
-	k.xL = ensureMat(k.xL, B, h)
-	k.qL = ensureMat(k.qL, B, h)
-	k.attL = ensureMat(k.attL, B, h)
-	k.subL = ensureMat(k.subL, B, h)
-	k.ffnL = ensureMat(k.ffnL, B, h)
+	k.xL = tensor.Resize(k.xL, B, h)
+	k.qL = tensor.Resize(k.qL, B, h)
+	k.attL = tensor.Resize(k.attL, B, h)
+	k.subL = tensor.Resize(k.subL, B, h)
+	k.ffnL = tensor.Resize(k.ffnL, B, h)
 	k.project(s, last)
 	for i := 0; i < B; i++ {
 		copy(k.xL.Row(i), k.x.Row(s.offs[i]+s.lens[i]-1))
@@ -235,7 +235,7 @@ func (k *kernel[T]) forward(s *Scorer) *tensor.Mat[T] {
 // embeds to the zero vector projects to the zero row either way.
 func (k *kernel[T]) project(s *Scorer, i int) {
 	wqkv := k.w.blocks[i].wqkv
-	k.qkv = ensureMat(k.qkv, k.x.Rows, wqkv.Cols)
+	k.qkv = tensor.Resize(k.qkv, k.x.Rows, wqkv.Cols)
 	if i > 0 || k.w.qkv0 == nil {
 		k.matmul(k.qkv, k.x, wqkv)
 		return
@@ -371,18 +371,6 @@ func (k *kernel[T]) attention(s *Scorer, blk *blockWeights[T], last bool) {
 	k.matmul(proj, heads, &blk.wo)
 }
 
-// ensureMat resizes m to rows x cols, reusing its backing array when
-// large enough. Contents are unspecified; callers overwrite fully.
-func ensureMat[T tensor.Float](m *tensor.Mat[T], rows, cols int) *tensor.Mat[T] {
-	need := rows * cols
-	if m == nil || cap(m.Data) < need {
-		return tensor.NewMat[T](rows, cols)
-	}
-	m.Data = m.Data[:need]
-	m.Rows, m.Cols = rows, cols
-	return m
-}
-
 // addInPlace accumulates dst += src elementwise.
 func addInPlace[T tensor.Float](dst, src *tensor.Mat[T]) {
 	for i, v := range src.Data {
@@ -391,7 +379,7 @@ func addInPlace[T tensor.Float](dst, src *tensor.Mat[T]) {
 }
 
 // layerNormInPlace applies Eq. 6 row-wise: x = g ⊙ (x-μ)/√(σ²+ε) + b,
-// with the same operation order as the training step's normForward
+// with the same operation order as nn.LayerNorm.Forward in training
 // (standardize, gain, bias) so float64 results match it to the bit. Mean and variance
 // accumulate in float64 at either element type: the reductions are
 // where float32 error would compound, and O(h) is negligible next to

@@ -154,9 +154,9 @@ func (m *Model) bumpWeightGen() {
 func (m *Model) AttentionWeights(keys []int) []*tensor.Matrix {
 	s := m.newStep(nil)
 	s.forward(keys, false, nil)
-	out := make([]*tensor.Matrix, len(s.blocks[0].probs))
-	for i, p := range s.blocks[0].probs {
-		out[i] = p.Clone()
+	out := make([]*tensor.Matrix, m.cfg.Heads)
+	for i := range out {
+		out[i] = s.blocks[0].att.Weights(i).Clone()
 	}
 	return out
 }

@@ -13,7 +13,9 @@ import (
 // block, then a hand-written backward pass through the Eq. 10 head, both
 // LayerNorms, the FFN, the residuals, attention and the embedding, over
 // scratch a trainWorker reuses window after window (a warm step
-// allocates nothing).
+// allocates nothing). The layers' passes are nn's (MultiHeadAttention,
+// LayerNorm and FeedForward Forward/Backward); the step owns the
+// embedding, the residuals and dropout, and the head.
 //
 // It replays the tape-based autodiff it replaced bit for bit
 // (TestTrainBitsPinned): every product runs through the primitive the
@@ -27,8 +29,9 @@ import (
 // conversion keeps that rounding on platforms that fuse multiply-adds.
 
 // step is one worker's forward and backward scratch, sized for windows
-// of up to cfg.Window rows (h = Hidden, dk = h/Heads, L the window's
-// length).
+// of up to cfg.Window rows (h = Hidden, L the window's length). The
+// layers' own passes (nn's Forward and Backward) keep their state in
+// each block's nn states.
 type step struct {
 	m      *Model
 	mask   *tensor.Matrix // the kind mask at cfg.Window; a shorter window reads its corner
@@ -36,13 +39,9 @@ type step struct {
 	blocks []stepBlock
 	out    *tensor.Matrix // the last block's output
 
-	// Per-head operands and their gradients (L x dk), the attention
-	// probabilities' gradient (L x L), and L x h temporaries: a
-	// sub-layer's output or pre-norm sum (tmp) and gradients.
-	qh, kh, vh, oh, dqh, dkh, dvh, dp   *tensor.Matrix
-	tmp, gy, gx, ga, g1, gs, gh, dq, dk *tensor.Matrix
-	dv, dw                              *tensor.Matrix // dw: one weight's gradient, h x h
-	db, gn                              []float64      // one bias or gain gradient; one row's x̂ gradient
+	// L x h temporaries: a sub-layer's output or pre-norm sum (tmp) and
+	// gradients.
+	tmp, gy, gx, ga, g1 *tensor.Matrix
 
 	// The Eq. 10 head: R rounds of L negatives, their read-out
 	// similarities then logit gradients, and the positives' logit
@@ -50,42 +49,31 @@ type step struct {
 	neg        []int
 	gneg, gpos []float64
 
-	grads map[*tensor.Param]*tensor.Matrix // the buffers gradients add into
-	table *tensor.Matrix                   // V x h, zero outside the rows a sum is landing in
+	grads *nn.Grads      // the buffers gradients add into
+	table *tensor.Matrix // V x h, zero outside the rows a sum is landing in
 }
 
 // stepBlock is the forward state one attention block's backward pass
 // reads.
 type stepBlock struct {
-	x            *tensor.Matrix   // block input
-	q, k, v      *tensor.Matrix   // projections
-	probs        []*tensor.Matrix // per-head softmax rows, L x L
-	cat          *tensor.Matrix   // concatenated head outputs
-	drop1, drop2 *tensor.Matrix   // dropout multipliers: 0 or 1/(1-rate)
-	xhat1, xhat2 *tensor.Matrix   // standardized residual sums
-	inv1, inv2   []float64        // their inverse standard deviations
-	x1           *tensor.Matrix   // LN1 output, the FFN's input
-	pre, hid     *tensor.Matrix   // FFN pre- and post-ReLU activations
+	x            *tensor.Matrix // block input
+	att          nn.AttentionState
+	ln1, ln2     nn.NormState
+	ffn          nn.FFNState
+	drop1, drop2 *tensor.Matrix // dropout multipliers: 0 or 1/(1-rate)
+	x1           *tensor.Matrix // LN1 output, the FFN's input
 }
 
 // newStep sizes a step for the model; grads are the buffers its
 // gradients add into, aligned with m.params (nil: a forward-only step).
 func (m *Model) newStep(grads []*tensor.Matrix) *step {
 	s := &step{m: m, mask: nn.BuildMask(m.cfg.Mask, m.cfg.Window), blocks: make([]stepBlock, len(m.blocks))}
-	for i := range s.blocks {
-		s.blocks[i].probs = make([]*tensor.Matrix, m.cfg.Heads)
-	}
 	if m.cfg.Objective == ObjectiveTripletCE {
 		s.rounds = max(m.cfg.NegSamples, 1)
 	}
 	if grads != nil {
-		h := m.cfg.Hidden
-		s.grads = make(map[*tensor.Param]*tensor.Matrix, len(m.params))
-		for i, p := range m.params {
-			s.grads[p] = grads[i]
-		}
-		s.table, s.dw = tensor.NewMatrix(m.cfg.Vocab, h), tensor.NewMatrix(h, h)
-		s.db, s.gn = make([]float64, h), make([]float64, h)
+		s.grads = nn.NewGrads(m.params, grads)
+		s.table = tensor.NewMatrix(m.cfg.Vocab, m.cfg.Hidden)
 	}
 	s.shape(m.cfg.Window)
 	return s
@@ -95,27 +83,18 @@ func (m *Model) newStep(grads []*tensor.Matrix) *step {
 // arrays (newStep sizes them for cfg.Window, the longest window).
 func (s *step) shape(L int) {
 	cfg := &s.m.cfg
-	h, dk := cfg.Hidden, cfg.Hidden/cfg.Heads
+	h := cfg.Hidden
 	if L > s.mask.Rows { // only AttentionWeights reads past the window
 		s.mask = nn.BuildMask(cfg.Mask, L)
 	}
 	for i := range s.blocks {
 		b := &s.blocks[i]
-		for _, p := range []**tensor.Matrix{&b.x, &b.q, &b.k, &b.v, &b.cat, &b.drop1, &b.drop2,
-			&b.xhat1, &b.xhat2, &b.x1, &b.pre, &b.hid} {
-			*p = ensureMat(*p, L, h)
+		for _, p := range []**tensor.Matrix{&b.x, &b.drop1, &b.drop2, &b.x1} {
+			*p = tensor.Resize(*p, L, h)
 		}
-		for j := range b.probs {
-			b.probs[j] = ensureMat(b.probs[j], L, L)
-		}
-		b.inv1, b.inv2 = ensureSlice(b.inv1, L), ensureSlice(b.inv2, L)
 	}
-	for _, p := range []**tensor.Matrix{&s.qh, &s.kh, &s.vh, &s.oh, &s.dqh, &s.dkh, &s.dvh} {
-		*p = ensureMat(*p, L, dk)
-	}
-	s.dp = ensureMat(s.dp, L, L)
-	for _, p := range []**tensor.Matrix{&s.out, &s.tmp, &s.gy, &s.gx, &s.ga, &s.g1, &s.gs, &s.gh, &s.dq, &s.dk, &s.dv} {
-		*p = ensureMat(*p, L, h)
+	for _, p := range []**tensor.Matrix{&s.out, &s.tmp, &s.gy, &s.gx, &s.ga, &s.g1} {
+		*p = tensor.Resize(*p, L, h)
 	}
 	s.neg, s.gneg = ensureSlice(s.neg, max(s.rounds, 1)*L), ensureSlice(s.gneg, s.rounds*L)
 	s.gpos = ensureSlice(s.gpos, L)
@@ -136,7 +115,8 @@ func ensureSlice[E any](v []E, n int) []E {
 // attention residual's then the FFN residual's, row-major.
 func (s *step) forward(keys []int, train bool, rng *rand.Rand) *tensor.Matrix {
 	m := s.m
-	s.shape(len(keys))
+	L := len(keys)
+	s.shape(L)
 	x := s.blocks[0].x
 	for i, key := range keys {
 		row := x.Row(i)
@@ -144,11 +124,9 @@ func (s *step) forward(keys []int, train bool, rng *rand.Rand) *tensor.Matrix {
 		if key != m.emb.PadKey && key >= 0 && key < m.cfg.Vocab {
 			copy(row, m.emb.Table.Value.Row(key))
 		}
-		if m.pos != nil {
-			for c, p := range m.pos.Value.Row(i) {
-				row[c] += p
-			}
-		}
+	}
+	if m.pos != nil {
+		tensor.AddInto(x, tensor.SliceRows(m.pos.Value, 0, L))
 	}
 	rate := 0.0
 	if train {
@@ -161,58 +139,14 @@ func (s *step) forward(keys []int, train bool, rng *rand.Rand) *tensor.Matrix {
 		}
 		// Eq. 5 around attention, x1 = LN1(x + Dropout(MH(x))), then
 		// around Eq. 7's FFN, out = LN2(x1 + Dropout(FFN(x1))).
-		s.attention(b, blk.att)
+		blk.att.Forward(&b.att, s.tmp, b.x, s.mask)
 		residual(s.tmp, b.x, b.drop1, rate, rng)
-		normForward(b.x1, b.xhat1, b.inv1, s.tmp, blk.ln1)
-		tensor.MatMulInto(b.pre, b.x1, blk.ffn.L1.W.Value)
-		b1, b2 := blk.ffn.L1.B.Value.Data, blk.ffn.L2.B.Value.Data
-		for r := 0; r < b.pre.Rows; r++ {
-			pre, hid := b.pre.Row(r), b.hid.Row(r)
-			for c := range pre {
-				pre[c] += b1[c]
-				hid[c] = math.Max(0, pre[c])
-			}
-		}
-		tensor.MatMulInto(s.tmp, b.hid, blk.ffn.L2.W.Value)
-		for i, v := range s.tmp.Data {
-			s.tmp.Data[i] = v + b2[i%len(b2)]
-		}
+		blk.ln1.Forward(&b.ln1, b.x1, s.tmp)
+		blk.ffn.Forward(&b.ffn, s.tmp, b.x1)
 		residual(s.tmp, b.x1, b.drop2, rate, rng)
-		normForward(out, b.xhat2, b.inv2, s.tmp, blk.ln2)
+		blk.ln2.Forward(&b.ln2, out, s.tmp)
 	}
 	return s.out
-}
-
-// attention computes MH(x) (Eqs. 2–4) for block b into s.tmp, keeping
-// the projections, every head's softmax rows and the concatenated head
-// outputs.
-func (s *step) attention(b *stepBlock, att *nn.MultiHeadAttention) {
-	L, h := b.x.Rows, b.x.Cols
-	dk := h / len(b.probs)
-	scale := 1 / math.Sqrt(float64(h)) // Eq. 3 scales by √h, the full hidden dimension
-	tensor.MatMulInto(b.q, b.x, att.WQ.Value)
-	tensor.MatMulInto(b.k, b.x, att.WK.Value)
-	tensor.MatMulInto(b.v, b.x, att.WV.Value)
-	for head, p := range b.probs {
-		lo := head * dk
-		sliceCols(s.qh, b.q, lo)
-		sliceCols(s.kh, b.k, lo)
-		sliceCols(s.vh, b.v, lo)
-		p.Zero()
-		tensor.AddMatMulTransposeB(p, s.qh, s.kh)
-		for i := 0; i < L; i++ {
-			row, mrow := p.Row(i), s.mask.Row(i)
-			for j, v := range row {
-				row[j] = float64(scale*v) + mrow[j]
-			}
-			tensor.SoftmaxInto(row, row)
-		}
-		tensor.MatMulInto(s.oh, p, s.vh)
-		for i := 0; i < L; i++ {
-			copy(b.cat.Row(i)[lo:lo+dk], s.oh.Row(i))
-		}
-	}
-	tensor.MatMulInto(s.tmp, b.cat, att.WO.Value)
 }
 
 // residual turns the sub-layer output fx into the pre-norm sum
@@ -230,19 +164,6 @@ func residual(fx, x, mult *tensor.Matrix, rate float64, rng *rand.Rand) {
 			}
 		}
 		fx.Data[i] = x.Data[i] + v
-	}
-}
-
-// normForward is Eq. 6 row by row, out = g ⊙ x̂ + b with
-// x̂ = (a-μ)/√(σ²+ε), keeping x̂ and 1/√(σ²+ε) for backward.
-func normForward(out, xhat *tensor.Matrix, inv []float64, a *tensor.Matrix, ln *nn.LayerNorm) {
-	gain, bias := ln.Gain.Value.Data, ln.Bias.Value.Data
-	for r := 0; r < a.Rows; r++ {
-		xr, or := xhat.Row(r), out.Row(r)
-		inv[r] = tensor.StandardizeRow(xr, a.Row(r), ln.Eps)
-		for c, xh := range xr {
-			or[c] = float64(xh*gain[c]) + bias[c]
-		}
 	}
 }
 
@@ -391,7 +312,7 @@ func (s *step) scatter(k int, a float64, o []float64) {
 // foldTable adds the table rows keys touched into the embedding buffer
 // and clears them; a row met twice adds +0 the second time.
 func (s *step) foldTable(keys []int) {
-	embG := s.grads[s.m.emb.Table]
+	embG := s.grads.Of(s.m.emb.Table)
 	for _, k := range keys {
 		if k = s.readKey(k); k >= 0 {
 			dst, src := embG.Row(k), s.table.Row(k)
@@ -411,107 +332,29 @@ func (s *step) backward(keys []int) {
 	rate := m.cfg.Dropout
 	for i := len(m.blocks) - 1; i >= 0; i-- {
 		blk, b := m.blocks[i], &s.blocks[i]
-		att, ffn := blk.att, blk.ffn
 		// LN2 and the FFN residual: x1 receives the residual's gradient
 		// first, then the FFN input's.
-		s.normBackward(s.ga, s.gy, b.xhat2, b.inv2, blk.ln2)
+		blk.ln2.Backward(&b.ln2, s.ga, s.gy, s.grads)
 		copy(s.g1.Data, s.ga.Data)
-		gf := dropBackward(s.ga, b.drop2, rate)
-		s.foldCols(ffn.L2.B, gf, nil)
-		s.gh.Zero()
-		tensor.AddMatMulTransposeB(s.gh, gf, ffn.L2.W.Value)
-		s.foldWeight(ffn.L2.W, b.hid, gf)
-		for c, v := range b.pre.Data {
-			if v <= 0 {
-				s.gh.Data[c] = 0
-			}
-		}
-		s.foldCols(ffn.L1.B, s.gh, nil)
-		tensor.AddMatMulTransposeB(s.g1, s.gh, ffn.L1.W.Value)
-		s.foldWeight(ffn.L1.W, b.x1, s.gh)
+		blk.ffn.Backward(&b.ffn, s.g1, dropBackward(s.ga, b.drop2, rate), s.grads)
 
 		// LN1 and the attention residual: x receives the residual's
-		// gradient, then V's, K's and Q's.
-		s.normBackward(s.ga, s.g1, b.xhat1, b.inv1, blk.ln1)
+		// gradient, then attention's.
+		blk.ln1.Backward(&b.ln1, s.ga, s.g1, s.grads)
 		copy(s.gx.Data, s.ga.Data)
-		gmh := dropBackward(s.ga, b.drop1, rate)
-		s.gs.Zero()
-		tensor.AddMatMulTransposeB(s.gs, gmh, att.WO.Value)
-		s.foldWeight(att.WO, b.cat, gmh)
-		s.attentionBackward(b)
-		for _, pg := range []struct {
-			w *tensor.Param
-			g *tensor.Matrix
-		}{{att.WV, s.dv}, {att.WK, s.dk}, {att.WQ, s.dq}} {
-			tensor.AddMatMulTransposeB(s.gx, pg.g, pg.w.Value)
-			s.foldWeight(pg.w, b.x, pg.g)
-		}
+		blk.att.Backward(&b.att, s.gx, dropBackward(s.ga, b.drop1, rate), s.grads)
 		s.gx, s.gy = s.gy, s.gx
 	}
 
-	// The embedding: the positional table's rows, then the lookup's
-	// touched rows as their own sum.
+	// The embedding: the positional table's rows (the window's lead),
+	// then the lookup's touched rows as their own sum.
 	if m.pos != nil {
-		pg := s.grads[m.pos].Data // Window x h; the window's rows lead
-		for i, v := range s.gy.Data {
-			pg[i] += v
-		}
+		tensor.AddInto(tensor.SliceRows(s.grads.Of(m.pos), 0, len(keys)), s.gy)
 	}
 	for i, key := range keys {
 		s.scatter(key, 1, s.gy.Row(i))
 	}
 	s.foldTable(keys)
-}
-
-// attentionBackward takes s.gs, the gradient of block b's concatenated
-// head outputs, through every head's value mix, softmax and scores into
-// the projections' gradients s.dq, s.dk and s.dv.
-func (s *step) attentionBackward(b *stepBlock) {
-	L, h := b.x.Rows, b.x.Cols
-	dk := h / len(b.probs)
-	scale := 1 / math.Sqrt(float64(h))
-	for head, p := range b.probs {
-		lo := head * dk
-		sliceCols(s.oh, s.gs, lo)
-		sliceCols(s.qh, b.q, lo)
-		sliceCols(s.kh, b.k, lo)
-		sliceCols(s.vh, b.v, lo)
-		s.dp.Zero()
-		tensor.AddMatMulTransposeB(s.dp, s.oh, s.vh)
-		s.dvh.Zero()
-		tensor.AddMatMulTransposeA(s.dvh, p, s.oh)
-		for r := 0; r < L; r++ {
-			g := s.dp.Row(r)
-			tensor.SoftmaxRowBackward(g, g, p.Row(r))
-			for c, v := range g {
-				g[c] = v * scale
-			}
-		}
-		s.dqh.Zero()
-		tensor.AddMatMul(s.dqh, s.dp, s.kh)
-		s.dkh.Zero()
-		tensor.AddMatMulTransposeA(s.dkh, s.dp, s.qh)
-		for i := 0; i < L; i++ {
-			copy(s.dq.Row(i)[lo:lo+dk], s.dqh.Row(i))
-			copy(s.dk.Row(i)[lo:lo+dk], s.dkh.Row(i))
-			copy(s.dv.Row(i)[lo:lo+dk], s.dvh.Row(i))
-		}
-	}
-}
-
-// normBackward is Eq. 6's backward pass: from the output gradient g it
-// folds the bias and gain gradients and writes the gradient of the
-// pre-norm sum into da.
-func (s *step) normBackward(da, g, xhat *tensor.Matrix, inv []float64, ln *nn.LayerNorm) {
-	s.foldCols(ln.Bias, g, nil)
-	s.foldCols(ln.Gain, g, xhat)
-	gain := ln.Gain.Value.Data
-	for r := 0; r < g.Rows; r++ {
-		for c, v := range g.Row(r) {
-			s.gn[c] = v * gain[c]
-		}
-		tensor.StandardizeRowBackward(da.Row(r), s.gn, xhat.Row(r), inv[r])
-	}
 }
 
 // dropBackward scales g in place by the dropout multipliers (a no-op
@@ -523,34 +366,4 @@ func dropBackward(g, mult *tensor.Matrix, rate float64) *tensor.Matrix {
 		}
 	}
 	return g
-}
-
-// foldCols adds Σ_r g[r] — a broadcast bias's gradient — or, given x,
-// Σ_r g[r] ⊙ x[r] — a gain's — into p's buffer.
-func (s *step) foldCols(p *tensor.Param, g, x *tensor.Matrix) {
-	clear(s.db)
-	for i, v := range g.Data {
-		if x != nil {
-			v *= x.Data[i]
-		}
-		s.db[i%g.Cols] += v
-	}
-	for c, v := range s.db {
-		s.grads[p].Data[c] += v
-	}
-}
-
-// foldWeight adds aᵀ·g — weight p's gradient from its input a and its
-// output's gradient g — into p's buffer.
-func (s *step) foldWeight(p *tensor.Param, a, g *tensor.Matrix) {
-	s.dw.Zero()
-	tensor.AddMatMulTransposeA(s.dw, a, g)
-	tensor.AddInto(s.grads[p], s.dw)
-}
-
-// sliceCols copies columns [lo, lo+dst.Cols) of src into dst.
-func sliceCols(dst, src *tensor.Matrix, lo int) {
-	for i := 0; i < dst.Rows; i++ {
-		copy(dst.Row(i), src.Row(i)[lo:lo+dst.Cols])
-	}
 }
