@@ -59,14 +59,16 @@ fuzz-smoke:
 # bitwise parity of the packed-SSE kernels (float32 matmul, attention,
 # softmax; the float64 matmul primitives training and the reference
 # scorer run on) against the portable ones, the float32 exponential's
-# accuracy, and training held to its pinned weight and loss bits
-# (amd64).
+# accuracy, training held to its pinned weight and loss bits (amd64),
+# and the DeepLog and USAD baselines held to their pinned weight, rank
+# and threshold bits after Fit (amd64).
 # Run without -short so the Scenario-II shape (the paper model's h=64
 # m=8 head width, which exercises the packed attention kernels) is
 # covered.
 equiv32:
 	$(GO) test -count=1 -run 'TestFloat32|TestScoreBitsPinned|TestTrainBitsPinned|TestFirstBlockTable' ./internal/transdas/
 	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestMatMul64AsmMatchesGeneric|TestAttnKernels8|TestSoftmax32' ./internal/tensor/
+	$(GO) test -count=1 -run 'TestBaselineBitsPinned' ./internal/baselines/
 
 # The !amd64 fallbacks of the assembly kernels run on no CI machine;
 # type-check them for another architecture (a cross-vet downloads and
@@ -113,10 +115,12 @@ bench-kernel:
 # A five-second before/after for a training change: windows per second
 # and heap allocations per window at ucadbench's small and paper model
 # shapes (two workers, batch 16) — the in-module twin of ucadbench's
-# transdas.train_windows_per_s. It calls only transdas.New and Train, so
-# the file also runs on a parent.
+# transdas.train_windows_per_s — plus one Fit of the DeepLog and USAD
+# baselines at Table 2's quick settings, in ns and bytes per Fit. It
+# calls only transdas.New, Train, NewDeepLog, NewUSAD and Fit, so the
+# file also runs on a parent.
 bench-train:
-	$(GO) test -run='^$$' -bench=BenchmarkTrainingWindow -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkTrainingWindow|BenchmarkBaselineFit' -benchmem .
 
 # A five-second before/after for a feeder commit change: one 64-event
 # batch plus its checkpoint commit at 100 and 10 000 open sessions, in

@@ -10,11 +10,14 @@ package ucad
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"github.com/ucad/ucad/internal/baselines"
 	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/experiments"
+	"github.com/ucad/ucad/internal/metrics"
 	"github.com/ucad/ucad/internal/preprocess"
 	"github.com/ucad/ucad/internal/sqlnorm"
 	"github.com/ucad/ucad/internal/transdas"
@@ -183,6 +186,45 @@ func BenchmarkTrainingWindow(b *testing.B) {
 			n := float64(windows * b.N)
 			b.ReportMetric(n/b.Elapsed().Seconds(), "windows/s")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/window")
+		})
+	}
+}
+
+// BenchmarkBaselineFit measures one Fit of each learned baseline at
+// Table 2's quick settings (DeepLog 3 epochs of at most 1500 windows,
+// USAD 6 epochs) on 300 seeded sessions over a 200-key vocabulary,
+// 10–40 keys long. It calls only NewDeepLog, NewUSAD and Fit, so the
+// same file measures any revision: `make bench-train`.
+func BenchmarkBaselineFit(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sessions := make([][]int, 300)
+	for i := range sessions {
+		s := make([]int, 10+rng.Intn(31))
+		for j := range s {
+			s[j] = 1 + rng.Intn(199)
+		}
+		sessions[i] = s
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func() metrics.Detector
+	}{
+		{"deeplog", func() metrics.Detector {
+			d := baselines.NewDeepLog(1)
+			d.Epochs, d.MaxWindows = 3, 1500
+			return d
+		}},
+		{"usad", func() metrics.Detector {
+			u := baselines.NewUSAD(1)
+			u.Epochs = 6
+			return u
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.mk().Fit(sessions)
+			}
 		})
 	}
 }

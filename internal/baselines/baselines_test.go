@@ -51,6 +51,10 @@ func holdout(rng *rand.Rand, n int) ([][]int, [][]int) {
 	return grammarSessions(n, 18, rng), grammarSessions(n/4, 18, rng)
 }
 
+// rank is the 1-based rank of key among d's next-key predictions after
+// ctx.
+func rank(d *DeepLog, ctx []int, key int) int { return d.rankOf(ctx, key) }
+
 func fprOn(d metrics.Detector, normals [][]int) float64 {
 	fp := 0
 	for _, s := range normals {
