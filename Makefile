@@ -149,9 +149,9 @@ size:
 
 # The four examples end to end: run each and diff its stdout against
 # examples/<name>/testdata/stdout.golden (float output pinned on amd64).
-# Not part of check or CI: the four take about 5 minutes on two vCPUs,
-# locationservice 4.7 of them; quickstart, commenting and loganomaly
-# take seconds.
+# Not part of check: CI runs it as its own job beside check, since the
+# four take about 5 minutes on two vCPUs, locationservice 4.7 of them;
+# quickstart, commenting and loganomaly take seconds.
 examples:
 	@for e in quickstart commenting loganomaly locationservice; do \
 		echo "examples/$$e"; \

@@ -2,8 +2,8 @@ package ucad
 
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§6) at ScaleQuick, plus micro-benchmarks of the training
-// and preprocessing hot paths (attention forward/backward, one training
-// window, DBSCAN). Serving-side cost — scoring, tokenization, ingest,
+// and preprocessing hot paths (Trans-DAS training windows, one Fit of
+// each learned baseline, DBSCAN). Serving-side cost — scoring, tokenization, ingest,
 // the feed front door — is measured by bench/ucadbench (bench/README.md),
 // not here. Run `go test -bench=. -benchmem` for the full sweep or
 // `cmd/ucad-experiments -all -scale demo` for the larger printed runs.

@@ -53,7 +53,7 @@ func holdout(rng *rand.Rand, n int) ([][]int, [][]int) {
 
 // rank is the 1-based rank of key among d's next-key predictions after
 // ctx.
-func rank(d *DeepLog, ctx []int, key int) int { return d.rankOf(ctx, key) }
+func rank(d *DeepLog, ctx []int, key int) int { return d.rankOf(new(dlScratch), ctx, key) }
 
 func fprOn(d metrics.Detector, normals [][]int) float64 {
 	fp := 0
@@ -226,6 +226,36 @@ func TestLogClusterFlagsForeignPatterns(t *testing.T) {
 	}
 	if fpr := fprOn(d, test); fpr > 0.25 {
 		t.Fatalf("LogCluster FPR = %v too high", fpr)
+	}
+}
+
+// TestBaselinesFlagConcurrently: metrics.Evaluate runs a fitted
+// DeepLog's and USAD's Flag on GOMAXPROCS goroutines, each call with
+// its own inference scratch (make race covers it), and counts what
+// sequential calls count.
+func TestBaselinesFlagConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	train, normal := holdout(rng, 40)
+	abnormal := [][]int{burstSession(20), {1, 2, 3, 2, 1, 3, 9, 7}, {4, 5, 6, 8, 7, 1, 2, 3}}
+	dl := NewDeepLog(3)
+	dl.Epochs, dl.MaxWindows, dl.TopG = 2, 300, 2
+	us := NewUSAD(3)
+	us.Epochs = 2
+	for _, d := range []metrics.Detector{dl, us} {
+		d.Fit(train)
+		ev := metrics.Evaluate(d, map[string][][]int{"normal": normal}, map[string][][]int{"abnormal": abnormal})
+		if fpr := fprOn(d, normal); ev.FPR["normal"] != fpr {
+			t.Errorf("%s: concurrent FPR %v, sequential %v", d.Name(), ev.FPR["normal"], fpr)
+		}
+		missed := 0
+		for _, s := range abnormal {
+			if !d.Flag(s) {
+				missed++
+			}
+		}
+		if fnr := float64(missed) / float64(len(abnormal)); ev.FNR["abnormal"] != fnr {
+			t.Errorf("%s: concurrent FNR %v, sequential %v", d.Name(), ev.FNR["abnormal"], fnr)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"math/rand"
-	"sort"
 
 	"github.com/ucad/ucad/internal/nn"
 	"github.com/ucad/ucad/internal/tensor"
@@ -58,11 +57,7 @@ func (d *DeepLog) Fit(train [][]int) {
 	var windows []dlWindow
 	for _, s := range train {
 		for t := 1; t < len(s); t++ {
-			start := t - d.Window
-			if start < 0 {
-				start = 0
-			}
-			windows = append(windows, dlWindow{ctx: s[start:t], next: s[t]})
+			windows = append(windows, dlWindow{ctx: s[max(t-d.Window, 0):t], next: s[t]})
 		}
 	}
 	if len(windows) == 0 {
@@ -76,6 +71,8 @@ func (d *DeepLog) Fit(train [][]int) {
 	d.head = nn.NewLinear("deeplog.head", d.Hidden, d.vocab, d.rng)
 	d.params = nn.CollectParams(d.emb, d.cell, d.head)
 	opt := nn.NewAdam(d.LR)
+	gr := nn.ParamGrads(d.params)
+	sc := new(dlScratch)
 	order := make([]int, len(windows))
 	for i := range order {
 		order[i] = i
@@ -88,47 +85,62 @@ func (d *DeepLog) Fit(train [][]int) {
 		}
 		for _, wi := range order[:limit] {
 			w := windows[wi]
-			tp := tensor.NewTape()
-			logits := d.logits(tp, w.ctx)
-			loss := tp.CrossEntropyMean(logits, []int{w.next})
-			tp.Backward(loss)
+			d.forward(sc, w.ctx)
+			d.backward(sc, w, gr)
 			opt.Step(d.params)
 		}
 	}
 }
 
-// logits runs the LSTM over ctx and returns the 1 x vocab next-key
-// scores.
-func (d *DeepLog) logits(tp *tensor.Tape, ctx []int) *tensor.Node {
-	var h, c *tensor.Node
-	for _, k := range ctx {
-		x := d.emb.Lookup(tp, []int{k})
-		h, c = d.cell.Step(tp, x, h, c)
-	}
-	if h == nil {
-		h = tp.Const(tensor.NewMatrix(1, d.Hidden))
-	}
-	return d.head.Forward(tp, h)
+// dlScratch is one context's forward and backward state. Fit keeps one
+// for all its windows; Flag, which metrics.Evaluate runs concurrently,
+// keeps one per call.
+type dlScratch struct {
+	x, gx     *tensor.Matrix // the embedded context and its gradient
+	lstm      nn.LSTMState
+	h, gh     *tensor.Matrix // the last hidden state and its gradient
+	logits, g *tensor.Matrix // 1 x vocab next-key scores and their gradient
 }
 
-// rankOf returns the 1-based rank of key in the next-key prediction.
-func (d *DeepLog) rankOf(ctx []int, key int) int {
-	tp := tensor.NewTape()
-	logits := d.logits(tp, ctx).Value.Row(0)
+// forward runs the LSTM over ctx and writes the 1 x vocab next-key
+// scores into sc.logits.
+func (d *DeepLog) forward(sc *dlScratch, ctx []int) {
+	sc.x = tensor.Resize(sc.x, len(ctx), d.Embed)
+	d.emb.Forward(sc.x, ctx)
+	sc.h = d.cell.Forward(&sc.lstm, sc.x)
+	sc.logits = tensor.Resize(sc.logits, 1, d.vocab)
+	d.head.Forward(sc.logits, sc.h)
+}
+
+// backward adds the gradient of w's next-key cross-entropy, for the
+// scores forward left in sc, to every parameter's buffer in gr.
+func (d *DeepLog) backward(sc *dlScratch, w dlWindow, gr *nn.Grads) {
+	sc.g = tensor.Resize(sc.g, 1, d.vocab)
+	tensor.CrossEntropyRow(sc.g.Data, sc.logits.Data, w.next)
+	sc.gh = tensor.Resize(sc.gh, 1, d.Hidden)
+	sc.gh.Zero()
+	d.head.Backward(sc.gh, sc.h, sc.g, gr)
+	sc.gx = tensor.Resize(sc.gx, len(w.ctx), d.Embed)
+	sc.gx.Zero()
+	d.cell.Backward(&sc.lstm, sc.gx, sc.gh, gr)
+	d.emb.Backward(gr, w.ctx, sc.gx)
+}
+
+// rankOf returns the 1-based rank of key in the next-key prediction:
+// one more than the number of keys scored strictly higher.
+func (d *DeepLog) rankOf(sc *dlScratch, ctx []int, key int) int {
+	d.forward(sc, ctx)
+	logits := sc.logits.Data
 	if key < 0 || key >= len(logits) {
 		return len(logits) + 1
 	}
-	order := make([]int, len(logits))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return logits[order[a]] > logits[order[b]] })
-	for rank, k := range order {
-		if k == key {
-			return rank + 1
+	rank := 1
+	for _, v := range logits {
+		if v > logits[key] {
+			rank++
 		}
 	}
-	return len(logits) + 1
+	return rank
 }
 
 // Flag implements metrics.Detector.
@@ -136,15 +148,12 @@ func (d *DeepLog) Flag(keys []int) bool {
 	if d.emb == nil {
 		return false
 	}
+	sc := new(dlScratch)
 	for t := 1; t < len(keys); t++ {
-		start := t - d.Window
-		if start < 0 {
-			start = 0
-		}
 		if keys[t] <= 0 || keys[t] >= d.vocab {
 			return true // unseen statement key
 		}
-		if d.rankOf(keys[start:t], keys[t]) > d.TopG {
+		if d.rankOf(sc, keys[max(t-d.Window, 0):t], keys[t]) > d.TopG {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"math/rand"
 
 	"github.com/ucad/ucad/internal/nn"
@@ -31,9 +32,9 @@ type USAD struct {
 	Seed int64
 
 	vocab     int
-	enc       *twoLayer
-	dec1      *twoLayer
-	dec2      *twoLayer
+	enc       *nn.FeedForward // the shared encoder
+	dec1      *nn.FeedForward // AE₁'s decoder
+	dec2      *nn.FeedForward // AE₂'s decoder
 	params    []*tensor.Param
 	threshold float64
 	scale     float64 // input normalization
@@ -51,47 +52,82 @@ func NewUSAD(seed int64) *USAD {
 // Name implements metrics.Detector.
 func (u *USAD) Name() string { return "USAD" }
 
-// twoLayer is a Linear-ReLU-Linear block; decoders add a sigmoid so
-// reconstructions stay in the input's [0,1] range, which bounds the
-// adversarial term of phase-2 training (inputs are count vectors scaled
-// by 1/Window).
-type twoLayer struct {
-	l1, l2  *nn.Linear
-	bounded bool
-}
-
-func newTwoLayer(name string, in, hidden, out int, bounded bool, rng *rand.Rand) *twoLayer {
-	return &twoLayer{
-		l1:      nn.NewLinear(name+".1", in, hidden, rng),
-		l2:      nn.NewLinear(name+".2", hidden, out, rng),
-		bounded: bounded,
+// newHalf is an autoencoder half, a Linear-ReLU-Linear block.
+func newHalf(name string, in, hidden, out int, rng *rand.Rand) *nn.FeedForward {
+	return &nn.FeedForward{
+		L1: nn.NewLinear(name+".1", in, hidden, rng),
+		L2: nn.NewLinear(name+".2", hidden, out, rng),
 	}
 }
 
-func (t2 *twoLayer) forward(tp *tensor.Tape, x *tensor.Node) *tensor.Node {
-	out := t2.l2.Forward(tp, tp.ReLU(t2.l1.Forward(tp, x)))
-	if t2.bounded {
-		out = tp.Sigmoid(out)
-	}
-	return out
+// usadPass is one autoencoder pass, sigmoid(dec(enc(x))): its forward
+// state, latent code and reconstruction, and their gradients. The
+// sigmoid keeps reconstructions in the input's [0,1] range, which
+// bounds the adversarial term of phase-2 training (inputs are count
+// vectors scaled by 1/Window).
+type usadPass struct {
+	enc, dec nn.FFNState
+	z, out   *tensor.Matrix
+	gz, gout *tensor.Matrix
 }
 
-func (t2 *twoLayer) params() []*tensor.Param { return nn.CollectParams(t2.l1, t2.l2) }
+// forward runs the pass through decoder dec and returns the
+// reconstruction.
+func (u *USAD) forward(p *usadPass, dec *nn.FeedForward, x *tensor.Matrix) *tensor.Matrix {
+	p.z, p.gz = tensor.Resize(p.z, 1, u.Latent), tensor.Resize(p.gz, 1, u.Latent)
+	p.out, p.gout = tensor.Resize(p.out, 1, x.Cols), tensor.Resize(p.gout, 1, x.Cols)
+	u.enc.Forward(&p.enc, p.z, x)
+	dec.Forward(&p.dec, p.out, p.z)
+	for i, v := range p.out.Data {
+		p.out.Data[i] = 1 / (1 + math.Exp(-v))
+	}
+	return p.out
+}
 
-// windowsOf slices a key sequence into count-vector windows.
-func (u *USAD) windowsOf(keys []int) [][]float64 {
-	var out [][]float64
+// backward takes p.gout (overwritten), the reconstruction's gradient,
+// back through the pass: the encoder's gradients go to gr, the
+// decoder's to decGr (none for a nil decGr) and, unless gx is nil, the
+// input's gradient into gx.
+func (u *USAD) backward(p *usadPass, dec *nn.FeedForward, gx *tensor.Matrix, gr, decGr *nn.Grads) {
+	for i, y := range p.out.Data {
+		p.gout.Data[i] *= y * (1 - y)
+	}
+	p.gz.Zero()
+	dec.Backward(&p.dec, p.gz, p.gout, decGr)
+	u.enc.Backward(&p.enc, gx, p.gz, gr)
+}
+
+// mse is ‖x−y‖²/n, the mean squared reconstruction error.
+func mse(x, y *tensor.Matrix) float64 {
+	var s float64
+	for i, v := range x.Data {
+		d := v - y.Data[i]
+		s += float64(d * d)
+	}
+	return 1 / float64(len(x.Data)) * s
+}
+
+// mseBackward writes into g the gradient of w·mse(x, y) with respect to
+// the reconstruction y.
+func mseBackward(g, x, y *tensor.Matrix, w float64) {
+	k := w * (1 / float64(len(x.Data)))
+	for i, v := range x.Data {
+		g.Data[i] = -(k * (2 * (v - y.Data[i])))
+	}
+}
+
+// windowsOf slices a key sequence into count-vector windows, each a
+// 1 x (vocab+1) row.
+func (u *USAD) windowsOf(keys []int) []*tensor.Matrix {
+	var out []*tensor.Matrix
 	step := u.Window
 	for s := 0; s < len(keys); s += step {
-		e := s + u.Window
-		if e > len(keys) {
-			e = len(keys)
-		}
+		e := min(s+u.Window, len(keys))
 		v := CountVector(keys[s:e], u.vocab)
 		for i := range v {
 			v[i] *= u.scale
 		}
-		out = append(out, v)
+		out = append(out, tensor.FromSlice(1, len(v), v))
 		if e == len(keys) {
 			break
 		}
@@ -105,12 +141,12 @@ func (u *USAD) Fit(train [][]int) {
 	u.rng = rand.New(rand.NewSource(u.Seed))
 	u.scale = 1 / float64(u.Window)
 	dim := u.vocab + 1
-	u.enc = newTwoLayer("usad.enc", dim, u.HiddenDim, u.Latent, false, u.rng)
-	u.dec1 = newTwoLayer("usad.dec1", u.Latent, u.HiddenDim, dim, true, u.rng)
-	u.dec2 = newTwoLayer("usad.dec2", u.Latent, u.HiddenDim, dim, true, u.rng)
-	u.params = append(append(u.enc.params(), u.dec1.params()...), u.dec2.params()...)
+	u.enc = newHalf("usad.enc", dim, u.HiddenDim, u.Latent, u.rng)
+	u.dec1 = newHalf("usad.dec1", u.Latent, u.HiddenDim, dim, u.rng)
+	u.dec2 = newHalf("usad.dec2", u.Latent, u.HiddenDim, dim, u.rng)
+	u.params = nn.CollectParams(u.enc, u.dec1, u.dec2)
 
-	var xs [][]float64
+	var xs []*tensor.Matrix
 	for _, s := range train {
 		xs = append(xs, u.windowsOf(s)...)
 	}
@@ -120,8 +156,12 @@ func (u *USAD) Fit(train [][]int) {
 	}
 	optAE1 := nn.NewAdam(u.LR)
 	optAE2 := nn.NewAdam(u.LR)
-	p1 := append(u.enc.params(), u.dec1.params()...)
-	p2 := append(u.enc.params(), u.dec2.params()...)
+	p1 := nn.CollectParams(u.enc, u.dec1)
+	p2 := nn.CollectParams(u.enc, u.dec2)
+	gr := nn.ParamGrads(u.params)
+	// The passes of one step: A = AE₁(x), B = AE₂(AE₁(x)) and, in phase
+	// 2, C = AE₂(x).
+	a, b, c := new(usadPass), new(usadPass), new(usadPass)
 	order := make([]int, len(xs))
 	for i := range order {
 		order[i] = i
@@ -132,31 +172,32 @@ func (u *USAD) Fit(train [][]int) {
 		u.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, xi := range order {
 			x := xs[xi]
-			// Phase 1: train AE1 to reconstruct x and to fool AE2.
-			tp := tensor.NewTape()
-			in := tp.Const(tensor.FromSlice(1, len(x), append([]float64(nil), x...)))
-			ae1 := u.dec1.forward(tp, u.enc.forward(tp, in))
-			ae21 := u.dec2.forward(tp, u.enc.forward(tp, ae1))
-			loss1 := tp.Add(
-				tp.Scale(tp.Mean(tp.Square(tp.Sub(in, ae1))), w1),
-				tp.Scale(tp.Mean(tp.Square(tp.Sub(in, ae21))), w2))
-			tp.Backward(loss1)
-			nn.ZeroGrads(u.dec2.params()) // phase 1 updates encoder+dec1 only
+			// Phase 1: train AE1 to reconstruct x and to fool AE2,
+			// minimizing w1·mse(x, AE₁) + w2·mse(x, AE₂(AE₁)). AE₁ gets
+			// its reconstruction term's gradient, then the second
+			// encoder pass's; dec2 is not updated, so its gradient is
+			// not taken.
+			ae1 := u.forward(a, u.dec1, x)
+			ae21 := u.forward(b, u.dec2, ae1)
+			mseBackward(a.gout, x, ae1, w1)
+			mseBackward(b.gout, x, ae21, w2)
+			u.backward(b, u.dec2, a.gout, gr, nil)
+			u.backward(a, u.dec1, nil, gr, gr)
 			nn.ClipGradNorm(p1, 1)
 			optAE1.Step(p1)
 
 			// Phase 2: train AE2 to reconstruct x but distinguish AE1's
-			// reconstructions (adversarial minus term).
-			tp2 := tensor.NewTape()
-			in2 := tp2.Const(tensor.FromSlice(1, len(x), append([]float64(nil), x...)))
-			ae1b := u.dec1.forward(tp2, u.enc.forward(tp2, in2))
-			ae21b := u.dec2.forward(tp2, u.enc.forward(tp2, ae1b))
-			ae2 := u.dec2.forward(tp2, u.enc.forward(tp2, in2))
-			loss2 := tp2.Sub(
-				tp2.Scale(tp2.Mean(tp2.Square(tp2.Sub(in2, ae2))), w1),
-				tp2.Scale(tp2.Mean(tp2.Square(tp2.Sub(in2, ae21b))), w2))
-			tp2.Backward(loss2)
-			nn.ZeroGrads(u.dec1.params()) // phase 2 updates encoder+dec2 only
+			// reconstructions (adversarial minus term), minimizing
+			// w1·mse(x, AE₂) − w2·mse(x, AE₂(AE₁)); dec1 is not updated.
+			ae1 = u.forward(a, u.dec1, x)
+			ae21 = u.forward(b, u.dec2, ae1)
+			ae2 := u.forward(c, u.dec2, x)
+			mseBackward(b.gout, x, ae21, -w2)
+			mseBackward(c.gout, x, ae2, w1)
+			a.gout.Zero()
+			u.backward(c, u.dec2, nil, gr, gr)
+			u.backward(b, u.dec2, a.gout, gr, gr)
+			u.backward(a, u.dec1, nil, gr, nil)
 			// The adversarial minus-term has an unbounded incentive;
 			// clipping keeps the two-player training stable (the original
 			// relies on batch averaging for the same effect).
@@ -166,20 +207,17 @@ func (u *USAD) Fit(train [][]int) {
 	}
 	scores := make([]float64, len(xs))
 	for i, x := range xs {
-		scores[i] = u.windowScore(x)
+		scores[i] = u.windowScore(a, b, x)
 	}
 	u.threshold = quantile(scores, u.ThresholdQ)
 }
 
-// windowScore is α‖x−AE₁‖² + β‖x−AE₂(AE₁)‖² (mean squared).
-func (u *USAD) windowScore(x []float64) float64 {
-	tp := tensor.NewTape()
-	in := tp.Const(tensor.FromSlice(1, len(x), append([]float64(nil), x...)))
-	ae1 := u.dec1.forward(tp, u.enc.forward(tp, in))
-	ae21 := u.dec2.forward(tp, u.enc.forward(tp, ae1))
-	r1 := tp.Mean(tp.Square(tp.Sub(in, ae1))).Value.Data[0]
-	r2 := tp.Mean(tp.Square(tp.Sub(in, ae21))).Value.Data[0]
-	return u.Alpha*r1 + u.Beta*r2
+// windowScore is α‖x−AE₁‖² + β‖x−AE₂(AE₁)‖² (mean squared), run
+// through passes a and b.
+func (u *USAD) windowScore(a, b *usadPass, x *tensor.Matrix) float64 {
+	ae1 := u.forward(a, u.dec1, x)
+	ae21 := u.forward(b, u.dec2, ae1)
+	return u.Alpha*mse(x, ae1) + u.Beta*mse(x, ae21)
 }
 
 // Flag implements metrics.Detector.
@@ -187,8 +225,9 @@ func (u *USAD) Flag(keys []int) bool {
 	if u.enc == nil {
 		return false
 	}
+	var a, b usadPass // per call: metrics.Evaluate runs Flag concurrently
 	for _, w := range u.windowsOf(keys) {
-		if u.windowScore(w) > u.threshold+1e-15 {
+		if u.windowScore(&a, &b, w) > u.threshold+1e-15 {
 			return true
 		}
 	}

@@ -6,11 +6,11 @@ import (
 	"github.com/ucad/ucad/internal/tensor"
 )
 
-// Grads is where the layers' tape-free backward passes add parameter
-// gradients: one buffer per parameter. Each weight, bias or gain
-// gradient is computed as its own fresh sum in Grads' scratch, then
-// added into the parameter's buffer, so what a pass adds does not
-// depend on what the buffer already holds.
+// Grads is where the layers' backward passes add parameter gradients:
+// one buffer per parameter. Each weight, bias or gain gradient is
+// computed as its own fresh sum in Grads' scratch, then added into the
+// parameter's buffer, so what a pass adds does not depend on what the
+// buffer already holds.
 type Grads struct {
 	bufs map[*tensor.Param]*tensor.Matrix
 	dw   *tensor.Matrix // one weight's gradient
@@ -24,6 +24,16 @@ func NewGrads(params []*tensor.Param, bufs []*tensor.Matrix) *Grads {
 		g.bufs[p] = bufs[i]
 	}
 	return g
+}
+
+// ParamGrads pairs every parameter with its own Grad, the buffer an
+// optimizer steps on.
+func ParamGrads(params []*tensor.Param) *Grads {
+	bufs := make([]*tensor.Matrix, len(params))
+	for i, p := range params {
+		bufs[i] = p.Grad
+	}
+	return NewGrads(params, bufs)
 }
 
 // Of returns p's buffer.

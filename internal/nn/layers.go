@@ -22,9 +22,26 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	}
 }
 
-// Forward applies the layer to x (rows are positions).
-func (l *Linear) Forward(tp *tensor.Tape, x *tensor.Node) *tensor.Node {
-	return tp.AddRowVec(tp.MatMul(x, tp.Param(l.W)), tp.Param(l.B))
+// Forward writes x·W + b into out, for every row (position) of x.
+func (l *Linear) Forward(out, x *tensor.Matrix) {
+	tensor.MatMulInto(out, x, l.W.Value)
+	b := l.B.Value.Data
+	for i, v := range out.Data {
+		out.Data[i] = v + b[i%len(b)]
+	}
+}
+
+// Backward takes gout, the gradient of Forward's output for input x:
+// it adds W's and b's gradients to gr (none for a nil gr: the layer is
+// held fixed) and, unless gx is nil, x's gradient into gx.
+func (l *Linear) Backward(gx, x, gout *tensor.Matrix, gr *Grads) {
+	if gr != nil {
+		gr.AddCols(l.B, gout, nil)
+		gr.AddWeight(l.W, x, gout)
+	}
+	if gx != nil {
+		tensor.AddMatMulTransposeB(gx, gout, l.W.Value)
+	}
 }
 
 // Params implements Module.
@@ -48,20 +65,38 @@ func NewEmbedding(name string, vocab, dim int, rng *rand.Rand) *Embedding {
 	}
 }
 
-// Lookup embeds a key sequence into an L x dim matrix. Keys equal to
-// PadKey or outside the vocabulary embed to the zero vector (no
-// gradient), matching the paper's treatment of new operations appearing
-// during detection.
-func (e *Embedding) Lookup(tp *tensor.Tape, keys []int) *tensor.Node {
-	idx := make([]int, len(keys))
+// Forward copies the embedding of keys[i] into row i of out. Keys
+// equal to PadKey or outside the vocabulary embed to the zero vector
+// (and take no gradient), matching the paper's treatment of new
+// operations appearing during detection.
+func (e *Embedding) Forward(out *tensor.Matrix, keys []int) {
 	for i, k := range keys {
-		if k == e.PadKey || k < 0 || k >= e.Table.Value.Rows {
-			idx[i] = -1
-		} else {
-			idx[i] = k
+		row := out.Row(i)
+		clear(row)
+		if e.known(k) {
+			copy(row, e.Table.Value.Row(k))
 		}
 	}
-	return tp.GatherRows(tp.Param(e.Table), idx)
+}
+
+// Backward adds row i of g, the gradient of Forward's output, into the
+// table row of keys[i], last row first: each read's gradient lands in
+// the row it touched and nowhere else.
+func (e *Embedding) Backward(gr *Grads, keys []int, g *tensor.Matrix) {
+	table := gr.Of(e.Table)
+	for i := len(keys) - 1; i >= 0; i-- {
+		if k := keys[i]; e.known(k) {
+			dst := table.Row(k)
+			for c, v := range g.Row(i) {
+				dst[c] += v
+			}
+		}
+	}
+}
+
+// known reports whether key k has a learned (non-zero) embedding row.
+func (e *Embedding) known(k int) bool {
+	return k != e.PadKey && k >= 0 && k < e.Table.Value.Rows
 }
 
 // Params implements Module.
@@ -130,7 +165,8 @@ func (l *LayerNorm) Backward(st *NormState, da, g *tensor.Matrix, gr *Grads) {
 }
 
 // FeedForward holds Eq. 7's parameters: FFN(x) = max(0, x·W1 + b1)·W2 +
-// b2, applied point-wise to every position.
+// b2, applied point-wise to every position. USAD's encoder and decoders
+// are the same Linear-ReLU-Linear block with widths of their own.
 type FeedForward struct {
 	L1, L2 *Linear
 }
@@ -162,37 +198,25 @@ func (f *FeedForward) Forward(st *FFNState, out, x *tensor.Matrix) {
 	st.x = x
 	st.pre, st.hid = tensor.Resize(st.pre, x.Rows, inner), tensor.Resize(st.hid, x.Rows, inner)
 	st.gh = tensor.Resize(st.gh, x.Rows, inner)
-	tensor.MatMulInto(st.pre, x, f.L1.W.Value)
-	b1, b2 := f.L1.B.Value.Data, f.L2.B.Value.Data
-	for r := 0; r < st.pre.Rows; r++ {
-		pre, hid := st.pre.Row(r), st.hid.Row(r)
-		for c := range pre {
-			pre[c] += b1[c]
-			hid[c] = math.Max(0, pre[c])
-		}
+	f.L1.Forward(st.pre, x)
+	for i, v := range st.pre.Data {
+		st.hid.Data[i] = math.Max(0, v)
 	}
-	tensor.MatMulInto(out, st.hid, f.L2.W.Value)
-	for i, v := range out.Data {
-		out.Data[i] = v + b2[i%len(b2)]
-	}
+	f.L2.Forward(out, st.hid)
 }
 
 // Backward takes gout, the gradient of Forward's output, through both
 // layers and the ReLU: it adds the weights' and biases' gradients to gr
-// and x's gradient into gx.
+// (none for a nil gr) and, unless gx is nil, x's gradient into gx.
 func (f *FeedForward) Backward(st *FFNState, gx, gout *tensor.Matrix, gr *Grads) {
-	gr.AddCols(f.L2.B, gout, nil)
 	st.gh.Zero()
-	tensor.AddMatMulTransposeB(st.gh, gout, f.L2.W.Value)
-	gr.AddWeight(f.L2.W, st.hid, gout)
+	f.L2.Backward(st.gh, st.hid, gout, gr)
 	for c, v := range st.pre.Data {
 		if v <= 0 {
 			st.gh.Data[c] = 0
 		}
 	}
-	gr.AddCols(f.L1.B, st.gh, nil)
-	tensor.AddMatMulTransposeB(gx, st.gh, f.L1.W.Value)
-	gr.AddWeight(f.L1.W, st.x, st.gh)
+	f.L1.Backward(gx, st.x, st.gh, gr)
 }
 
 func mustDivide(h, m int) int {

@@ -1,14 +1,14 @@
 // Package nn provides neural-network layers, optimizers and parameter
-// persistence on top of the tensor autodiff engine.
+// persistence on top of the tensor package's matrices and primitives.
 //
 // The layers hold the parameters of the paper's §4 — order-free
 // embedding (Eq. 1), masked multi-head self-attention (Eqs. 2–4), layer
 // norm (Eq. 6) and the point-wise feed-forward layer (Eq. 7) — plus the
-// attention masks — and run those three layers' forward and backward
-// passes without a tape, over state the caller keeps and reuses, adding
-// parameter gradients into a Grads; Trans-DAS composes them into its
-// fused training step. Linear, Embedding.Lookup and an LSTM cell run on
-// the tape for the DeepLog and USAD baselines.
+// attention masks, a fully-connected layer and the LSTM cell of the
+// DeepLog baseline. Every layer runs its forward and backward passes
+// over state the caller keeps and reuses, adding parameter gradients
+// into a Grads: Trans-DAS composes them into its fused training step,
+// and the DeepLog and USAD baselines into theirs.
 package nn
 
 import (
@@ -33,13 +33,6 @@ func CollectParams(ms ...Module) []*tensor.Param {
 		out = append(out, m.Params()...)
 	}
 	return out
-}
-
-// ZeroGrads clears the gradient of every parameter.
-func ZeroGrads(params []*tensor.Param) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
 }
 
 // AccumulateGrads folds externally held gradient buffers into the

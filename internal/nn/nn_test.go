@@ -13,34 +13,77 @@ import (
 func TestLinearForwardShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear("lin", 4, 3, rng)
-	tp := tensor.NewTape()
-	x := tp.Const(tensor.NewRandN(5, 4, 1, rng))
-	out := l.Forward(tp, x)
-	if out.Value.Rows != 5 || out.Value.Cols != 3 {
-		t.Fatalf("shape = %dx%d, want 5x3", out.Value.Rows, out.Value.Cols)
+	l.B.Value.Data[1] = 0.5
+	x := tensor.NewRandN(5, 4, 1, rng)
+	out := tensor.NewMatrix(5, 3)
+	l.Forward(out, x)
+	for r := 0; r < 5; r++ {
+		for c := 0; c < 3; c++ {
+			want := l.B.Value.Data[c]
+			for k := 0; k < 4; k++ {
+				want += x.At(r, k) * l.W.Value.At(k, c)
+			}
+			if math.Abs(out.At(r, c)-want) > 1e-12 {
+				t.Fatalf("out[%d,%d] = %v, want x·W + b = %v", r, c, out.At(r, c), want)
+			}
+		}
 	}
 }
 
 func TestEmbeddingPadIsZeroAndUngradded(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := NewEmbedding("emb", 5, 3, rng)
-	tp := tensor.NewTape()
-	out := e.Lookup(tp, []int{0, 2, 99, -3}) // pad, valid, out-of-vocab, negative
+	keys := []int{0, 2, 99, -3} // pad, valid, out-of-vocab, negative
+	out := tensor.NewMatrix(4, 3)
+	e.Forward(out, keys)
 	for _, r := range []int{0, 2, 3} {
 		for c := 0; c < 3; c++ {
-			if out.Value.At(r, c) != 0 {
-				t.Fatalf("row %d should be zero (pad/unknown), got %v", r, out.Value)
+			if out.At(r, c) != 0 {
+				t.Fatalf("row %d should be zero (pad/unknown), got %v", r, out)
 			}
 		}
 	}
-	loss := tp.Sum(tp.Square(out))
-	tp.Backward(loss)
+	g := tensor.NewMatrix(4, 3) // the gradient of Σ out²
+	for i, v := range out.Data {
+		g.Data[i] = 2 * v
+	}
+	g.Row(0)[0] = 1 // a pad row's gradient must not land anywhere
+	e.Backward(ParamGrads(e.Params()), keys, g)
 	for c := 0; c < 3; c++ {
 		if e.Table.Grad.At(0, c) != 0 {
 			t.Fatal("pad row must not receive gradient")
 		}
 		if e.Table.Grad.At(2, c) == 0 {
 			t.Fatal("looked-up row must receive gradient")
+		}
+	}
+}
+
+// TestEmbeddingGradCheck: Embedding.Backward scatters each read's
+// gradient into the row it read, over repeated and pad keys, checked by
+// finite differences of Σ w ⊙ out; rows no key read take no gradient.
+func TestEmbeddingGradCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	e := NewEmbedding("emb", 6, 4, rng)
+	keys := []int{2, 0, 2, 5, -1} // repeated and padding keys
+	w := tensor.NewRandN(5, 4, 1, rng)
+	out := tensor.NewMatrix(5, 4)
+	loss := func() float64 {
+		e.Forward(out, keys)
+		var s float64
+		for i, v := range out.Data {
+			s += v * w.Data[i]
+		}
+		return s
+	}
+	gr := zeroGrads(e.Params())
+	e.Backward(gr, keys, w)
+	checkGrads(t, e.Params(), gr, loss)
+	for _, r := range []int{0, 1, 3, 4} {
+		for _, v := range gr.Of(e.Table).Row(r) {
+			if v != 0 {
+				t.Fatalf("row %d no key read has gradient %v", r, gr.Of(e.Table).Row(r))
+			}
 		}
 	}
 }
@@ -232,38 +275,88 @@ func TestLayerNormFFNGradCheck(t *testing.T) {
 	checkGrads(t, params, gr, loss)
 }
 
+// TestLinearGradCheck: Linear.Backward is the gradient of Forward with
+// respect to W, b and the input, checked by finite differences of
+// Σ w ⊙ (x·W + b).
+func TestLinearGradCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	l := NewLinear("lin", 4, 3, rng)
+	x := tensor.NewParam("x", tensor.NewRandN(5, 4, 1, rng))
+	w := tensor.NewRandN(5, 3, 1, rng)
+	out := tensor.NewMatrix(5, 3)
+	loss := func() float64 {
+		l.Forward(out, x.Value)
+		var s float64
+		for i, v := range out.Data {
+			s += v * w.Data[i]
+		}
+		return s
+	}
+	params := append(l.Params(), x)
+	gr := zeroGrads(params)
+	loss()
+	l.Backward(gr.Of(x), x.Value, w, gr)
+	checkGrads(t, params, gr, loss)
+}
+
+// TestLSTMGradCheck: LSTMCell.Backward is the gradient through time of
+// Forward's last hidden state with respect to Wx, Wh, B and every input
+// row, checked by finite differences of Σ w ⊙ h_T over four steps.
+func TestLSTMGradCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	cell := NewLSTMCell("lstm", 3, 5, rng)
+	x := tensor.NewParam("x", tensor.NewRandN(4, 3, 1, rng))
+	w := tensor.NewRandN(1, 5, 1, rng)
+	for i := range cell.B.Value.Data { // move the gate biases off their init
+		cell.B.Value.Data[i] += 0.1 * rng.NormFloat64()
+	}
+	var st LSTMState
+	loss := func() float64 {
+		var s float64
+		for i, v := range cell.Forward(&st, x.Value).Data {
+			s += v * w.Data[i]
+		}
+		return s
+	}
+	params := append(cell.Params(), x)
+	gr := zeroGrads(params)
+	loss()
+	cell.Backward(&st, gr.Of(x), w, gr)
+	checkGrads(t, params, gr, loss)
+}
+
+// TestLSTMLearnsAlternation: the cell and a linear head, trained with
+// Adam on the next-key cross-entropy of every prefix of an alternating
+// sequence, learn to predict it.
 func TestLSTMLearnsAlternation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const vocab, hidden = 2, 8
 	cell := NewLSTMCell("lstm", vocab, hidden, rng)
 	head := NewLinear("head", hidden, vocab, rng)
 	params := CollectParams(cell, head)
+	gr := ParamGrads(params)
 	opt := NewAdam(0.05)
 
 	seq := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	oneHot := func(tp *tensor.Tape, k int) *tensor.Node {
-		m := tensor.NewMatrix(1, vocab)
-		m.Data[k] = 1
-		return tp.Const(m)
-	}
+	var st LSTMState
+	logits, g := tensor.NewMatrix(1, vocab), tensor.NewMatrix(1, vocab)
+	gh := tensor.NewMatrix(1, hidden)
 	var last float64
 	for epoch := 0; epoch < 150; epoch++ {
-		tp2 := tensor.NewTape()
-		var h2, c2 *tensor.Node
-		var loss *tensor.Node
-		for i, k := range seq[:len(seq)-1] {
-			h2, c2 = cell.Step(tp2, oneHot(tp2, k), h2, c2)
-			lg := head.Forward(tp2, h2)
-			l := tp2.CrossEntropyMean(lg, []int{seq[i+1]})
-			if loss == nil {
-				loss = l
-			} else {
-				loss = tp2.Add(loss, l)
+		last = 0
+		for n := 1; n < len(seq); n++ {
+			x := tensor.NewMatrix(n, vocab) // one-hot rows of seq[:n]
+			for i, k := range seq[:n] {
+				x.Set(i, k, 1)
 			}
+			h := cell.Forward(&st, x)
+			head.Forward(logits, h)
+			last += tensor.CrossEntropyRow(g.Data, logits.Data, seq[n])
+			gh.Zero()
+			head.Backward(gh, h, g, gr)
+			cell.Backward(&st, tensor.NewMatrix(n, vocab), gh, gr)
 		}
-		tp2.Backward(loss)
 		opt.Step(params)
-		last = loss.Value.Data[0]
 	}
 	if last > 0.5 {
 		t.Fatalf("LSTM failed to learn alternation, loss=%v", last)
@@ -283,9 +376,9 @@ func TestSGDAndAdamConverge(t *testing.T) {
 		p := tensor.NewParam("p", tensor.FromSlice(1, 2, []float64{5, -3}))
 		opt := tc.mk()
 		for i := 0; i < 300; i++ {
-			tp := tensor.NewTape()
-			loss := tp.Sum(tp.Square(tp.Param(p)))
-			tp.Backward(loss)
+			for j, v := range p.Value.Data { // the gradient of Σ p²
+				p.Grad.Data[j] = 2 * v
+			}
 			opt.Step([]*tensor.Param{p})
 		}
 		for _, v := range p.Value.Data {

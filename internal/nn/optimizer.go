@@ -9,10 +9,10 @@ import (
 // SGD is stochastic gradient descent with optional momentum, the
 // optimizer the paper names for training Trans-DAS (§5.2).
 //
-// Step is agnostic to how p.Grad was produced: a single tape backward
-// pass or an externally reduced sum over data-parallel workers (see
-// AccumulateGrads) — it consumes whatever gradient is
-// accumulated and zeroes it. Callers that shard a mini-batch across
+// Step is agnostic to how p.Grad was produced: one backward pass or an
+// externally reduced sum over data-parallel workers (see
+// AccumulateGrads) — it consumes whatever gradient is accumulated and
+// zeroes it. Callers that shard a mini-batch across
 // workers therefore reduce first and call Step exactly once per batch.
 type SGD struct {
 	LR       float64

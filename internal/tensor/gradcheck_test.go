@@ -26,111 +26,34 @@ func numericalCheck(t *testing.T, name string, p *Param, loss func() float64, an
 	}
 }
 
-// runScalar runs forward+backward for a scalar-producing graph and
-// returns the loss value with gradients accumulated into the params.
-func runScalar(build func(tp *Tape) *Node, params ...*Param) float64 {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-	tp := NewTape()
-	out := build(tp)
-	if out.Value.Rows != 1 || out.Value.Cols != 1 {
-		panic("runScalar: non-scalar output")
-	}
-	tp.Backward(out)
-	return out.Value.Data[0]
-}
-
 func randParam(name string, rows, cols int, rng *rand.Rand) *Param {
 	return NewParam(name, NewRandN(rows, cols, 1, rng))
 }
 
+// TestMatMulGrad: the gradients of Σ a·b that a layer's backward pass
+// takes through MatMulInto's product — ∂/∂a = 1·bᵀ
+// (AddMatMulTransposeB) and ∂/∂b = aᵀ·1 (AddMatMulTransposeA) — match
+// finite differences.
 func TestMatMulGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randParam("a", 3, 4, rng)
 	b := randParam("b", 4, 2, rng)
-	build := func(tp *Tape) *Node { return tp.Sum(tp.MatMul(tp.Param(a), tp.Param(b))) }
-	runScalar(build, a, b)
-	ga, gb := a.Grad.Clone(), b.Grad.Clone()
-	loss := func() float64 { return runScalar(build, a, b) }
+	out := NewMatrix(3, 2)
+	loss := func() float64 {
+		MatMulInto(out, a.Value, b.Value)
+		var s float64
+		for _, v := range out.Data {
+			s += v
+		}
+		return s
+	}
+	ones := NewMatrix(3, 2)
+	ones.Fill(1)
+	ga, gb := NewMatrix(3, 4), NewMatrix(4, 2)
+	AddMatMulTransposeB(ga, ones, b.Value)
+	AddMatMulTransposeA(gb, a.Value, ones)
 	numericalCheck(t, "matmul/a", a, loss, ga)
 	numericalCheck(t, "matmul/b", b, loss, gb)
-}
-
-func TestElementwiseGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cases := []struct {
-		name string
-		f    func(tp *Tape, x *Node) *Node
-	}{
-		{"sigmoid", func(tp *Tape, x *Node) *Node { return tp.Sigmoid(x) }},
-		{"tanh", func(tp *Tape, x *Node) *Node { return tp.Tanh(x) }},
-		{"square", func(tp *Tape, x *Node) *Node { return tp.Square(x) }},
-		{"scale", func(tp *Tape, x *Node) *Node { return tp.Scale(x, -2.5) }},
-	}
-	for _, tc := range cases {
-		a := randParam(tc.name, 2, 3, rng)
-		build := func(tp *Tape) *Node { return tp.Sum(tc.f(tp, tp.Param(a))) }
-		runScalar(build, a)
-		ga := a.Grad.Clone()
-		numericalCheck(t, tc.name, a, func() float64 { return runScalar(build, a) }, ga)
-	}
-}
-
-func TestReLUGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randParam("a", 2, 4, rng)
-	// Keep inputs away from the kink at 0 so finite differences are valid.
-	for i := range a.Value.Data {
-		if math.Abs(a.Value.Data[i]) < 0.1 {
-			a.Value.Data[i] = 0.5
-		}
-	}
-	build := func(tp *Tape) *Node { return tp.Sum(tp.ReLU(tp.Param(a))) }
-	runScalar(build, a)
-	ga := a.Grad.Clone()
-	numericalCheck(t, "relu", a, func() float64 { return runScalar(build, a) }, ga)
-}
-
-func TestBinaryGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ops := []struct {
-		name string
-		f    func(tp *Tape, a, b *Node) *Node
-	}{
-		{"add", func(tp *Tape, a, b *Node) *Node { return tp.Add(a, b) }},
-		{"sub", func(tp *Tape, a, b *Node) *Node { return tp.Sub(a, b) }},
-		{"mul", func(tp *Tape, a, b *Node) *Node { return tp.Mul(a, b) }},
-	}
-	for _, op := range ops {
-		a := randParam("a", 2, 3, rng)
-		b := randParam("b", 2, 3, rng)
-		build := func(tp *Tape) *Node { return tp.Sum(op.f(tp, tp.Param(a), tp.Param(b))) }
-		runScalar(build, a, b)
-		ga, gb := a.Grad.Clone(), b.Grad.Clone()
-		loss := func() float64 { return runScalar(build, a, b) }
-		numericalCheck(t, op.name+"/a", a, loss, ga)
-		numericalCheck(t, op.name+"/b", b, loss, gb)
-	}
-}
-
-func TestRowVecGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randParam("a", 3, 4, rng)
-	v := randParam("v", 1, 4, rng)
-	for _, tc := range []struct {
-		name string
-		f    func(tp *Tape, a, v *Node) *Node
-	}{
-		{"addrowvec", func(tp *Tape, a, v *Node) *Node { return tp.AddRowVec(a, v) }},
-	} {
-		build := func(tp *Tape) *Node { return tp.Sum(tp.Square(tc.f(tp, tp.Param(a), tp.Param(v)))) }
-		runScalar(build, a, v)
-		ga, gv := a.Grad.Clone(), v.Grad.Clone()
-		loss := func() float64 { return runScalar(build, a, v) }
-		numericalCheck(t, tc.name+"/a", a, loss, ga)
-		numericalCheck(t, tc.name+"/v", v, loss, gv)
-	}
 }
 
 // TestSoftmaxRowsGrad: SoftmaxRowBackward is the gradient of a row
@@ -207,62 +130,29 @@ func TestSliceRowsGrad(t *testing.T) {
 	numericalCheck(t, "slicerows", a, loss, ga)
 }
 
-func TestGatherRowsGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	emb := randParam("emb", 6, 4, rng)
-	idx := []int{2, 0, 2, 5, -1} // repeated and padding indices
-	build := func(tp *Tape) *Node { return tp.Sum(tp.Square(tp.GatherRows(tp.Param(emb), idx))) }
-	runScalar(build, emb)
-	g := emb.Grad.Clone()
-	numericalCheck(t, "gather", emb, func() float64 { return runScalar(build, emb) }, g)
-	// The padding row produced zeros and received no gradient anywhere.
-	for c := 0; c < 4; c++ {
-		if g.At(1, c) != 0 || g.At(3, c) != 0 || g.At(4, c) != 0 {
-			t.Errorf("unused embedding rows must have zero grad, got %v", g)
-			break
-		}
-	}
-}
-
-// TestConcatSliceGrads: overlapping column slices of one matrix,
-// recombined — the way the LSTM cell slices its four gates out of one
-// pre-activation — route their gradients back to the right columns.
-func TestConcatSliceGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randParam("a", 3, 5, rng)
-	build := func(tp *Tape) *Node {
-		x := tp.Param(a)
-		return tp.Sum(tp.Square(tp.Mul(tp.SliceCols(x, 0, 3), tp.SliceCols(x, 2, 5))))
-	}
-	runScalar(build, a)
-	ga := a.Grad.Clone()
-	numericalCheck(t, "slice", a, func() float64 { return runScalar(build, a) }, ga)
-}
-
-func TestReduceGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := randParam("a", 3, 4, rng)
-	for _, tc := range []struct {
-		name string
-		f    func(tp *Tape, x *Node) *Node
-	}{
-		{"mean", func(tp *Tape, x *Node) *Node { return tp.Mean(tp.Square(x)) }},
-	} {
-		build := func(tp *Tape) *Node { return tc.f(tp, tp.Param(a)) }
-		runScalar(build, a)
-		ga := a.Grad.Clone()
-		numericalCheck(t, tc.name, a, func() float64 { return runScalar(build, a) }, ga)
-	}
-}
-
+// TestCrossEntropyMeanGrad: CrossEntropyRow's gradient, averaged over
+// rows, is the gradient of the mean next-key loss, checked by finite
+// differences.
 func TestCrossEntropyMeanGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	logits := randParam("logits", 4, 5, rng)
-	targets := []int{1, 4, -1, 0} // includes an ignored position
-	build := func(tp *Tape) *Node { return tp.CrossEntropyMean(tp.Param(logits), targets) }
-	runScalar(build, logits)
-	g := logits.Grad.Clone()
-	numericalCheck(t, "xent", logits, func() float64 { return runScalar(build, logits) }, g)
+	targets := []int{1, 4, 2, 0}
+	scratch := make([]float64, 5)
+	loss := func() float64 {
+		var s float64
+		for r, tgt := range targets {
+			s += CrossEntropyRow(scratch, logits.Value.Row(r), tgt)
+		}
+		return s / 4
+	}
+	g := NewMatrix(4, 5)
+	for r, tgt := range targets {
+		CrossEntropyRow(g.Row(r), logits.Value.Row(r), tgt)
+	}
+	for i := range g.Data {
+		g.Data[i] /= 4
+	}
+	numericalCheck(t, "xent", logits, loss, g)
 }
 
 // TestMatMulNTGrad checks the attention-score product a·bᵀ

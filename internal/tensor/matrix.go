@@ -1,12 +1,11 @@
 // Package tensor provides a dense matrix type — float64 for training
 // and reference scoring, float32 for the inference fast path — the
-// matmul primitives both the Trans-DAS training step and the scoring
-// kernel are built from, and a tape-based reverse-mode automatic
-// differentiation engine over the float64 matrix for the deep-learning
-// baselines (DeepLog, USAD).
+// trainable parameter, and the matmul and row primitives that the
+// layers' forward and backward passes (package nn) and the scoring
+// kernel are built from.
 //
-// All state is explicit, no global RNG is used, and every
-// differentiable operation is validated against finite differences in
+// All state is explicit, no global RNG is used, and every primitive
+// that a backward pass uses is validated against finite differences in
 // the test suite.
 package tensor
 
@@ -21,18 +20,18 @@ type Float interface{ ~float32 | ~float64 }
 
 // Mat is a dense, row-major matrix over element type T. It has exactly
 // two instantiations, Matrix and Matrix32; code written once for both
-// (the tape-free scoring kernel) is generic over T.
+// (the scoring kernel) is generic over T.
 type Mat[T Float] struct {
 	Rows, Cols int
 	Data       []T
 }
 
 // Matrix is the float64 matrix: the type of every parameter, gradient
-// and tape value, and of the reference scoring kernel.
+// and training activation, and of the reference scoring kernel.
 type Matrix = Mat[float64]
 
 // Matrix32 is the float32 matrix — the storage type of the
-// single-precision scoring fast path. It is inference-only: no tape, no
+// single-precision scoring fast path. It is inference-only: no
 // gradients. It halves the memory traffic of the scoring matmuls, which
 // are bandwidth-bound at serving batch sizes (the weights stream from
 // L2/L3 while the activation blocks are revisited per k-quartet).
@@ -59,6 +58,23 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
+
+// Param is a trainable parameter: a value matrix plus an accumulated
+// gradient. Params persist across forward passes; optimizers consume
+// Grad and zero it between steps.
+type Param struct {
+	Name  string
+	Value *Matrix
+	Grad  *Matrix
+}
+
+// NewParam wraps value as a named trainable parameter.
+func NewParam(name string, value *Matrix) *Param {
+	return &Param{Name: name, Value: value, Grad: NewMatrix(value.Rows, value.Cols)}
+}
+
+// ZeroGrad clears the accumulated gradient.
+func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // NewXavier returns a matrix with entries drawn uniformly from
 // [-limit, limit] where limit = sqrt(6/(rows+cols)) (Glorot init).

@@ -5,10 +5,9 @@ import (
 	"math/rand"
 )
 
-// Row primitives the Trans-DAS training step composes, forward and
-// backward, outside any tape: Eq. 6's standardization, the softmax
-// row's backward pass (its forward is SoftmaxInto) and inverted-dropout
-// masks.
+// Row primitives the layers' forward and backward passes compose:
+// Eq. 6's standardization, the softmax row and its backward pass, the
+// next-key cross-entropy and inverted-dropout masks.
 
 // StandardizeRow writes x̂ = (x-μ)/√(σ²+ε) of src into dst — the core of
 // Eq. 6's layer norm, before gain and bias — and returns 1/√(σ²+ε),
@@ -59,6 +58,40 @@ func SoftmaxRowBackward(dst, g, y []float64) {
 	for c, v := range g {
 		dst[c] = y[c] * (v - dot)
 	}
+}
+
+// SoftmaxInto writes a numerically-stable softmax(src) into dst (which
+// may alias src): the attention rows of the float64 scoring kernel and
+// of the training step (the float32 kernel's is SoftmaxInto32). The
+// exponential runs in float64 whatever T is, so a masked term's
+// exp(-1e9 - max) underflows to exactly 0.
+func SoftmaxInto[T Float](dst, src []T) {
+	maxv := T(math.Inf(-1))
+	for _, x := range src {
+		if x > maxv {
+			maxv = x
+		}
+	}
+	var sum T
+	for i, x := range src {
+		e := T(math.Exp(float64(x - maxv)))
+		dst[i] = e
+		sum += e
+	}
+	for i := range dst {
+		dst[i] /= sum
+	}
+}
+
+// CrossEntropyRow returns -log softmax(logits)[target], one position's
+// next-key loss (the DeepLog objective), and writes its gradient with
+// respect to logits, softmax(logits) - onehot(target), into dst (which
+// may alias logits).
+func CrossEntropyRow(dst, logits []float64, target int) float64 {
+	SoftmaxInto(dst, logits)
+	loss := -math.Log(math.Max(dst[target], 1e-12))
+	dst[target]--
+	return loss
 }
 
 // DropoutMask fills mult with inverted-dropout multipliers, one rng

@@ -45,22 +45,20 @@ func TestFromSlicePanicsOnBadLength(t *testing.T) {
 }
 
 func TestMatMulShapePanic(t *testing.T) {
-	tp := NewTape()
-	a := tp.Const(NewMatrix(2, 3))
-	b := tp.Const(NewMatrix(2, 3))
+	a, b := NewMatrix(2, 3), NewMatrix(2, 3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for incompatible matmul shapes")
 		}
 	}()
-	tp.MatMul(a, b)
+	MatMulInto(NewMatrix(2, 3), a, b)
 }
 
 func TestMatMulValues(t *testing.T) {
-	tp := NewTape()
-	a := tp.Const(FromSlice(2, 2, []float64{1, 2, 3, 4}))
-	b := tp.Const(FromSlice(2, 2, []float64{5, 6, 7, 8}))
-	out := tp.MatMul(a, b).Value
+	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
+	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
+	out := NewMatrix(2, 2)
+	MatMulInto(out, a, b)
 	want := []float64{19, 22, 43, 50}
 	for i, w := range want {
 		if out.Data[i] != w {
@@ -162,47 +160,6 @@ func TestDropoutTrainScalesSurvivors(t *testing.T) {
 	}
 }
 
-func TestBackwardAccumulatesIntoParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := NewParam("p", NewRandN(2, 2, 1, rng))
-	// Two uses of the same param in one graph: grads must add.
-	tp := NewTape()
-	n := tp.Param(p)
-	out := tp.Sum(tp.Add(n, n))
-	tp.Backward(out)
-	for _, g := range p.Grad.Data {
-		if g != 2 {
-			t.Fatalf("grad = %v, want 2 (accumulated)", g)
-		}
-	}
-	// Second backward pass accumulates again unless ZeroGrad is called.
-	tp2 := NewTape()
-	out2 := tp2.Sum(tp2.Param(p))
-	tp2.Backward(out2)
-	for _, g := range p.Grad.Data {
-		if g != 3 {
-			t.Fatalf("grad = %v, want 3 after second pass", g)
-		}
-	}
-	p.ZeroGrad()
-	for _, g := range p.Grad.Data {
-		if g != 0 {
-			t.Fatal("ZeroGrad failed")
-		}
-	}
-}
-
-func TestBackwardRejectsForeignRoot(t *testing.T) {
-	tp1, tp2 := NewTape(), NewTape()
-	n := tp1.Const(NewMatrix(1, 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for foreign root")
-		}
-	}()
-	tp2.Backward(n)
-}
-
 func TestXavierRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewXavier(10, 20, rng)
@@ -211,15 +168,6 @@ func TestXavierRange(t *testing.T) {
 		if v < -limit || v > limit {
 			t.Fatalf("xavier value %v outside [-%v, %v]", v, limit, limit)
 		}
-	}
-}
-
-func TestCrossEntropyAllIgnored(t *testing.T) {
-	tp := NewTape()
-	logits := tp.Const(NewMatrix(2, 3))
-	out := tp.CrossEntropyMean(logits, []int{-1, -1})
-	if out.Value.Data[0] != 0 {
-		t.Fatalf("loss = %v, want 0 for fully-masked targets", out.Value.Data[0])
 	}
 }
 

@@ -146,12 +146,14 @@ func (m *Model) bumpWeightGen() {
 	}
 }
 
-// AttentionWeights runs a forward pass over keys and returns the
-// post-softmax attention weights of the first attention block, one
-// len(keys) x len(keys) matrix per head — the paper's Figure 6
-// introspection. It only reads the parameters, so it is safe beside
-// concurrent scoring.
+// AttentionWeights runs a forward pass over keys — the first
+// cfg.Window of them, a window being the longest input the model reads —
+// and returns the post-softmax attention weights of the first attention
+// block, one L x L matrix per head for the L keys read: the paper's
+// Figure 6 introspection. It only reads the parameters, so it is safe
+// beside concurrent scoring.
 func (m *Model) AttentionWeights(keys []int) []*tensor.Matrix {
+	keys = keys[:min(len(keys), m.cfg.Window)]
 	s := m.newStep(nil)
 	s.forward(keys, false, nil)
 	out := make([]*tensor.Matrix, m.cfg.Heads)

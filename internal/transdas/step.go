@@ -82,11 +82,7 @@ func (m *Model) newStep(grads []*tensor.Matrix) *step {
 // shape resizes the scratch to an L-row window, reusing its backing
 // arrays (newStep sizes them for cfg.Window, the longest window).
 func (s *step) shape(L int) {
-	cfg := &s.m.cfg
-	h := cfg.Hidden
-	if L > s.mask.Rows { // only AttentionWeights reads past the window
-		s.mask = nn.BuildMask(cfg.Mask, L)
-	}
+	h := s.m.cfg.Hidden
 	for i := range s.blocks {
 		b := &s.blocks[i]
 		for _, p := range []**tensor.Matrix{&b.x, &b.drop1, &b.drop2, &b.x1} {
@@ -118,13 +114,7 @@ func (s *step) forward(keys []int, train bool, rng *rand.Rand) *tensor.Matrix {
 	L := len(keys)
 	s.shape(L)
 	x := s.blocks[0].x
-	for i, key := range keys {
-		row := x.Row(i)
-		clear(row)
-		if key != m.emb.PadKey && key >= 0 && key < m.cfg.Vocab {
-			copy(row, m.emb.Table.Value.Row(key))
-		}
-	}
+	m.emb.Forward(x, keys)
 	if m.pos != nil {
 		tensor.AddInto(x, tensor.SliceRows(m.pos.Value, 0, L))
 	}

@@ -365,6 +365,33 @@ func TestAttentionWeightsShape(t *testing.T) {
 	}
 }
 
+// TestAttentionWeightsPastWindow: given more keys than a window holds,
+// AttentionWeights reads the first cfg.Window of them, for a
+// positional model (whose table has only Window rows) as for any other.
+func TestAttentionWeightsPastWindow(t *testing.T) {
+	for _, positional := range []bool{true, false} {
+		cfg := testConfig()
+		cfg.Positional = positional
+		m := New(cfg)
+		keys := make([]int, cfg.Window+3)
+		for i := range keys {
+			keys[i] = 1 + i%(cfg.Vocab-1)
+		}
+		ws := m.AttentionWeights(keys)
+		want := m.AttentionWeights(keys[:cfg.Window])
+		for h, w := range ws {
+			if w.Rows != cfg.Window || w.Cols != cfg.Window {
+				t.Fatalf("positional=%v: weights shape %dx%d, want %dx%d", positional, w.Rows, w.Cols, cfg.Window, cfg.Window)
+			}
+			for i, v := range w.Data {
+				if v != want[h].Data[i] {
+					t.Fatalf("positional=%v: head %d differs from the first window's weights", positional, h)
+				}
+			}
+		}
+	}
+}
+
 func TestProgressCallback(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epochs = 3
