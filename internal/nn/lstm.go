@@ -44,7 +44,7 @@ type LSTMState struct {
 	gates  *tensor.Matrix // T x 4·hidden: i, f, g, o
 	c, h   *tensor.Matrix // (T+1) x hidden, row 0 the zero initial state
 	tc     *tensor.Matrix // T x hidden: tanh(c)
-	hw     *tensor.Matrix // one step's h·Wh, then its gates' gradient
+	hw, dg *tensor.Matrix // one step's h·Wh and its gates' gradient
 	dh, dc *tensor.Matrix // the running gradients of h and c
 }
 
@@ -89,9 +89,10 @@ func (l *LSTMCell) Forward(st *LSTMState, x *tensor.Matrix) *tensor.Matrix {
 func (l *LSTMCell) Backward(st *LSTMState, gx, gh *tensor.Matrix, gr *Grads) {
 	hd := l.Hidden
 	st.dh, st.dc = tensor.Resize(st.dh, 1, hd), tensor.Resize(st.dc, 1, hd)
+	st.dg = tensor.Resize(st.dg, 1, 4*hd)
 	copy(st.dh.Data, gh.Data)
 	st.dc.Zero()
-	dg := st.hw // the gates' gradient
+	dg := st.dg
 	for t := st.x.Rows - 1; t >= 0; t-- {
 		gt, cPrev, tc := st.gates.Row(t), st.c.Row(t), st.tc.Row(t)
 		for j, dh := range st.dh.Data {

@@ -354,6 +354,10 @@ func TestVariantsConstruct(t *testing.T) {
 	}
 }
 
+// TestAttentionWeightsShape: AttentionWeights returns one L x L matrix
+// per head for L keys, and given more keys than a window holds it reads
+// the first cfg.Window of them, for a positional model (whose table has
+// only Window rows) as for any other.
 func TestAttentionWeightsShape(t *testing.T) {
 	m := New(testConfig())
 	ws := m.AttentionWeights([]int{1, 2, 3, 4})
@@ -363,12 +367,6 @@ func TestAttentionWeightsShape(t *testing.T) {
 	if ws[0].Rows != 4 || ws[0].Cols != 4 {
 		t.Fatalf("weights shape %dx%d, want 4x4", ws[0].Rows, ws[0].Cols)
 	}
-}
-
-// TestAttentionWeightsPastWindow: given more keys than a window holds,
-// AttentionWeights reads the first cfg.Window of them, for a
-// positional model (whose table has only Window rows) as for any other.
-func TestAttentionWeightsPastWindow(t *testing.T) {
 	for _, positional := range []bool{true, false} {
 		cfg := testConfig()
 		cfg.Positional = positional
