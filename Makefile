@@ -108,9 +108,13 @@ bench:
 
 # A five-second before/after for a scoring-kernel change: ns and allocs
 # per context at the paper shape, both precisions, batch 1 and 16 — the
-# in-module twin of ucadbench's transdas.rank_*_us_per_op_* rows.
+# in-module twin of ucadbench's transdas.rank_*_us_per_op_* rows — then
+# both matmuls alone at the models' projection shapes, in ns and Gflop/s
+# (the twin of tensor.matmul{32,64}_gflops; the file calls only
+# MatMulInto and MatMulInto32, so it also runs on a parent).
 bench-kernel:
 	$(GO) test -run='^$$' -bench=BenchmarkScoreBatch -benchmem ./internal/transdas/
+	$(GO) test -run='^$$' -bench=BenchmarkMatMul -benchmem ./internal/tensor/
 
 # A five-second before/after for a training change: windows per second
 # and heap allocations per window at ucadbench's small and paper model

@@ -2,32 +2,18 @@
 
 package tensor
 
-// The float64 matmul primitives on amd64: each output row is one pass
-// of a packed-SSE2 row kernel over k-quartets, then a scalar k-tail in
-// the same order. Scratch rows live on the stack (the kernels do not
-// let them escape), so the primitives allocate nothing; a shape past
-// the scratch takes the portable loop.
+// The row kernels on amd64. MatMulInto and MatMulInto32 run gemv4d and
+// gemv4 under their shared row driver; the other float64 matmul
+// primitives below pass each output row through a packed-SSE2 kernel
+// over k-quartets, then a scalar k-tail in the same order. Scratch rows
+// live on the stack (the kernels do not let them escape), so the
+// primitives allocate nothing; a shape past the scratch takes the
+// portable loop.
 
 // rowCap bounds a dot-product row's scratch; tCap the transposed
 // operand of AddMatMulTransposeB (small operands use a rowCap-sized
 // one, which is cheaper to clear).
 const rowCap, tCap = 256, 4096
-
-func matMul64(dst, a, b *Matrix) {
-	n, bc := a.Cols, b.Cols
-	kq := n &^ 3
-	for i := 0; i < a.Rows; i++ {
-		arow, drow := a.Data[i*n:(i+1)*n], dst.Data[i*bc:(i+1)*bc]
-		gemv4d(drow, arow[:kq], b.Data[:kq*bc])
-		for k := kq; k < n; k++ {
-			if av := arow[k]; av != 0 {
-				for j, bv := range b.Data[k*bc : (k+1)*bc] {
-					drow[j] += av * bv
-				}
-			}
-		}
-	}
-}
 
 func addMatMul(dst, a, b *Matrix) {
 	if b.Cols > rowCap {
@@ -108,13 +94,17 @@ func addMatMulTA(dst, a, b *Matrix) {
 	}
 }
 
-// gemv4d computes dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-// per quartet of a (the products summed left to right, then added to
-// dst), bk being row k of the len(a) x len(dst) block b; all-zero
-// quartets are skipped. Implemented in gemv64_amd64.s.
+// gemv4d is gemvGeneric for float64 in packed SSE2, two lanes per
+// register. Implemented in gemv64_amd64.s.
 //
 //go:noescape
 func gemv4d(dst, a, b []float64)
+
+// gemv4 is gemvGeneric for float32 in packed SSE, four lanes per
+// register. Implemented in gemv4_amd64.s.
+//
+//go:noescape
+func gemv4(dst, a, b []float32)
 
 // axpy4d computes dst[j] = (((dst[j] + a0*b0[j]) + a1*b1[j]) +
 // a2*b2[j]) + a3*b3[j] per quartet of a, as gemv4d otherwise.

@@ -183,89 +183,60 @@ func (m *Mat[T]) String() string {
 	return s + "]"
 }
 
-// MatMulInto computes dst = a·b without autodiff. dst must not alias a
-// or b. Each output element is a sum over k-quartets, every quartet's
-// four products summed left to right before they are added in; all-zero
+// MatMulInto computes dst = a·b. dst must not alias a or b. Each
+// output element is a sum over k-quartets, every quartet's four
+// products summed left to right before they are added in; all-zero
 // quartets (padded or masked inputs) are skipped.
 //
 // On amd64 the four float64 primitives (this one, AddMatMul and
-// AddMatMulTransposeA/B) run packed-SSE2 row kernels (gemv64_amd64.go),
+// AddMatMulTransposeA/B) run packed-SSE2 row kernels (gemv_amd64.go),
 // bitwise identical to the portable loops here.
-func MatMulInto(dst, a, b *Matrix) {
+func MatMulInto(dst, a, b *Matrix) { matMul(dst, a, b, gemv4d) }
+
+// matMul is the row driver behind MatMulInto and MatMulInto32: it
+// zeroes dst, then per output row gemv adds the row's k-quartets and
+// the scalar k-tail follows in the same left-to-right order, its zero
+// terms skipped. gemv is the platform's row kernel for T, or
+// gemvGeneric.
+func matMul[T Float](dst, a, b *Mat[T], gemv func(dst, a, b []T)) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dst.Zero()
-	matMul64(dst, a, b)
-}
-
-// matMul64Generic processes two rows at a time, quartering the store
-// traffic of a plain axpy walk; dst is pre-zeroed by the caller.
-func matMul64Generic(dst, a, b *Matrix) {
-	n, bc := a.Cols, b.Cols
-	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
-		ar0 := a.Data[i*n : (i+1)*n]
-		ar1 := a.Data[(i+1)*n : (i+2)*n]
-		dr0 := dst.Data[i*bc : (i+1)*bc]
-		dr1 := dst.Data[(i+1)*bc : (i+2)*bc]
-		k := 0
-		for ; k+4 <= n; k += 4 {
-			a00, a01, a02, a03 := ar0[k], ar0[k+1], ar0[k+2], ar0[k+3]
-			a10, a11, a12, a13 := ar1[k], ar1[k+1], ar1[k+2], ar1[k+3]
-			if a00 == 0 && a01 == 0 && a02 == 0 && a03 == 0 &&
-				a10 == 0 && a11 == 0 && a12 == 0 && a13 == 0 {
-				continue
-			}
-			b0 := b.Data[k*bc : (k+1)*bc]
-			b1 := b.Data[(k+1)*bc : (k+2)*bc]
-			b2 := b.Data[(k+2)*bc : (k+3)*bc]
-			b3 := b.Data[(k+3)*bc : (k+4)*bc : (k+4)*bc]
-			for j := range b3 {
-				v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
-				dr0[j] += a00*v0 + a01*v1 + a02*v2 + a03*v3
-				dr1[j] += a10*v0 + a11*v1 + a12*v2 + a13*v3
-			}
-		}
-		for ; k < n; k++ {
-			a0v, a1v := ar0[k], ar1[k]
-			if a0v == 0 && a1v == 0 {
-				continue
-			}
-			brow := b.Data[k*bc : (k+1)*bc]
-			for j, bv := range brow {
-				dr0[j] += a0v * bv
-				dr1[j] += a1v * bv
+	kq := a.Cols &^ 3
+	for i := 0; i < a.Rows; i++ {
+		arow, drow := a.Row(i), dst.Row(i)
+		gemv(drow, arow[:kq], b.Data[:kq*b.Cols])
+		for k := kq; k < a.Cols; k++ {
+			if av := arow[k]; av != 0 {
+				for j, bv := range b.Row(k) {
+					drow[j] += av * bv
+				}
 			}
 		}
 	}
-	for ; i < a.Rows; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		drow := dst.Data[i*bc : (i+1)*bc]
-		k := 0
-		for ; k+4 <= n; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := b.Data[k*bc : (k+1)*bc]
-			b1 := b.Data[(k+1)*bc : (k+2)*bc]
-			b2 := b.Data[(k+2)*bc : (k+3)*bc]
-			b3 := b.Data[(k+3)*bc : (k+4)*bc : (k+4)*bc]
-			for j := range b3 {
-				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+}
+
+// gemvGeneric is the portable row kernel: dst[j] += a0*b0[j] + a1*b1[j]
+// + a2*b2[j] + a3*b3[j] for each successive quartet of a, the products
+// summed left to right before they are added to dst, bk being row k of
+// the len(a) x len(dst) row-major block b. All-zero quartets are
+// skipped (-0 included). gemv4d and gemv4 are its packed-SSE forms on
+// amd64; elsewhere they call it.
+func gemvGeneric[T Float](dst, a, b []T) {
+	bc := len(dst)
+	for k := 0; k+4 <= len(a); k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
 		}
-		for ; k < n; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*bc : (k+1)*bc]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+		b0 := b[k*bc : (k+1)*bc]
+		b1 := b[(k+1)*bc : (k+2)*bc]
+		b2 := b[(k+2)*bc : (k+3)*bc]
+		b3 := b[(k+3)*bc : (k+4)*bc : (k+4)*bc]
+		for j := range b3 {
+			dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 		}
 	}
 }

@@ -109,23 +109,32 @@ func TestMatMul32ShapePanics(t *testing.T) {
 	MatMulInto32(NewMatrix32(2, 2), NewMatrix32(2, 3), NewMatrix32(2, 2))
 }
 
-// TestMatMul32AsmMatchesGeneric pins the build-tagged assembly path to
-// the portable kernel bitwise, across shapes that exercise the packed
-// loop, the scalar tail, and the zero-quartet skip.
+// TestMatMul32AsmMatchesGeneric pins the build-tagged row kernel to
+// the portable one under the shared row driver, bitwise, across shapes
+// that exercise the packed loop, the scalar tail and the zero-quartet
+// skip: whole zero quartets, -0 entries, and an all-zero middle row
+// beside rows that are not (the skip is per row).
 func TestMatMul32AsmMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, dims := range [][3]int{{1, 4, 8}, {3, 10, 30}, {5, 64, 192}, {7, 13, 9}, {16, 64, 64}, {2, 8, 1}} {
+	negZero := float32(math.Copysign(0, -1))
+	for _, dims := range [][3]int{{1, 4, 8}, {3, 10, 30}, {5, 64, 192}, {7, 13, 9}, {16, 64, 64}, {2, 8, 1}, {6, 23, 40}} {
 		ar, n, bc := dims[0], dims[1], dims[2]
 		a := NewMatrix32(ar, n)
 		b := NewMatrix32(n, bc)
 		for i := range a.Data {
 			a.Data[i] = float32(rng.NormFloat64())
+			if rng.Intn(4) == 0 {
+				a.Data[i] = negZero
+			}
 		}
 		// Zero a few full quartets to exercise the skip path.
 		for k := 0; k+4 <= n; k += 8 {
 			for _, row := range []int{0, ar - 1} {
-				copy(a.Row(row)[k:k+4], make([]float32, 4))
+				copy(a.Row(row)[k:k+4], []float32{0, negZero, 0, negZero})
 			}
+		}
+		if ar > 2 {
+			clear(a.Row(ar / 2))
 		}
 		for i := range b.Data {
 			b.Data[i] = float32(rng.NormFloat64())
@@ -133,9 +142,9 @@ func TestMatMul32AsmMatchesGeneric(t *testing.T) {
 		got := NewMatrix32(ar, bc)
 		MatMulInto32(got, a, b)
 		want := NewMatrix32(ar, bc)
-		matMul32Generic(want, a, b)
+		matMul(want, a, b, gemvGeneric[float32])
 		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 				t.Fatalf("%dx%dx%d: elem %d: asm %v != generic %v", ar, n, bc, i, got.Data[i], want.Data[i])
 			}
 		}

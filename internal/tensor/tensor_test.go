@@ -173,16 +173,20 @@ func TestXavierRange(t *testing.T) {
 
 // TestMatMul64AsmMatchesGeneric: the four float64 matmul primitives
 // (the packed-SSE2 row kernels on amd64) agree bit for bit with the
-// portable kernels, over ragged shapes (k- and lane-tails), inputs with
-// zero rows and scattered zeros (the quartet skips), shapes past the
+// portable kernels — MatMulInto with the row driver over gemvGeneric —
+// over ragged shapes (k- and lane-tails), inputs with all-zero rows and
+// scattered zeros and -0s (the per-row quartet skips), shapes past the
 // stack scratch, and accumulation into a non-zero dst.
 func TestMatMul64AsmMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	randMat := func(r, c int) *Matrix {
 		m := NewRandN(r, c, 1, rng)
 		for i := range m.Data {
-			if rng.Intn(5) == 0 {
+			switch rng.Intn(10) {
+			case 0:
 				m.Data[i] = 0
+			case 1:
+				m.Data[i] = math.Copysign(0, -1)
 			}
 		}
 		if r > 1 {
@@ -198,7 +202,7 @@ func TestMatMul64AsmMatchesGeneric(t *testing.T) {
 			}
 		}
 	}
-	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {30, 64, 64}, {8, 30, 30}, {17, 9, 70}, {5, 300, 3}, {2, 3, 300}, {70, 70, 70}}
+	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {30, 64, 64}, {8, 30, 30}, {17, 9, 70}, {5, 300, 3}, {2, 3, 300}, {70, 70, 70}, {9, 24, 33}}
 	for trial := 0; trial < 40; trial++ {
 		s := shapes[trial%len(shapes)]
 		if trial >= len(shapes) {
@@ -208,7 +212,7 @@ func TestMatMul64AsmMatchesGeneric(t *testing.T) {
 		a, b := randMat(m, k), randMat(k, n)
 		got, want := NewMatrix(m, n), NewMatrix(m, n)
 		MatMulInto(got, a, b)
-		matMul64Generic(want, a, b)
+		matMul(want, a, b, gemvGeneric[float64])
 		same("MatMulInto", got, want)
 
 		seed := NewRandN(m, n, 1, rng)
