@@ -1,20 +1,12 @@
 package nn
 
-import (
-	"slices"
-
-	"github.com/ucad/ucad/internal/tensor"
-)
+import "github.com/ucad/ucad/internal/tensor"
 
 // Grads is where the layers' backward passes add parameter gradients:
-// one buffer per parameter. Each weight, bias or gain gradient is
-// computed as its own fresh sum in Grads' scratch, then added into the
-// parameter's buffer, so what a pass adds does not depend on what the
-// buffer already holds.
+// one buffer per parameter. Each weight, bias or gain gradient is added
+// straight into the parameter's buffer, term by term in row order.
 type Grads struct {
 	bufs map[*tensor.Param]*tensor.Matrix
-	dw   *tensor.Matrix // one weight's gradient
-	db   []float64      // one bias's or gain's gradient
 }
 
 // NewGrads pairs params[i] with the buffer bufs[i].
@@ -42,24 +34,17 @@ func (g *Grads) Of(p *tensor.Param) *tensor.Matrix { return g.bufs[p] }
 // AddWeight adds aᵀ·gout — the gradient of weight p from its input a
 // and its output's gradient gout — into p's buffer.
 func (g *Grads) AddWeight(p *tensor.Param, a, gout *tensor.Matrix) {
-	g.dw = tensor.Resize(g.dw, p.Value.Rows, p.Value.Cols)
-	g.dw.Zero()
-	tensor.AddMatMulTransposeA(g.dw, a, gout)
-	tensor.AddInto(g.bufs[p], g.dw)
+	tensor.AddMatMulTransposeA(g.bufs[p], a, gout)
 }
 
 // AddCols adds Σ_r gout[r] — a row-broadcast bias's gradient — or,
 // given x, Σ_r gout[r] ⊙ x[r] — a gain's — into p's buffer.
 func (g *Grads) AddCols(p *tensor.Param, gout, x *tensor.Matrix) {
-	g.db = slices.Grow(g.db[:0], gout.Cols)[:gout.Cols]
-	clear(g.db)
+	buf := g.bufs[p].Data
 	for i, v := range gout.Data {
 		if x != nil {
 			v *= x.Data[i]
 		}
-		g.db[i%gout.Cols] += v
-	}
-	for c, v := range g.db {
-		g.bufs[p].Data[c] += v
+		buf[i%gout.Cols] += v
 	}
 }

@@ -148,7 +148,11 @@ func trainFingerprint(m *Model, res TrainResult) uint64 {
 // CE-only ablation, the full mask trained data-parallel with dropout,
 // and a two-key vocabulary (the CE fallback). The constants were taken
 // from the tape-based trainer, so they prove the fused training step
-// replays it bit for bit.
+// replays it bit for bit — except paper-shape and full-mask-parallel,
+// re-pinned when nn.Grads stopped summing each gradient in scratch
+// before adding it: where one worker sums several windows per step,
+// each window's terms now land in the worker's buffer one by one, so
+// the rounding of the sum moves. At one window per step it does not.
 // amd64 only: arm64 fuses multiply-adds, which moves the last bit.
 func TestTrainBitsPinned(t *testing.T) {
 	scenarioI := DefaultConfig(40)
@@ -173,9 +177,9 @@ func TestTrainBitsPinned(t *testing.T) {
 		wantTrain, want uint64
 	}{
 		{"scenario-I", scenarioI, 8, 0x7937fba3599209a2, 0x15ea5b071e865a45},
-		{"paper-shape", paper, 24, 0x9f016f3f01848e7d, 0xbf53647565d18dac},
+		{"paper-shape", paper, 24, 0x8605a7f3ecae8bfd, 0x37d3d1ecadbd3a54},
 		{"positional-future-ce", ablation, 8, 0x2deda43562829ff9, 0xec01f9cea26c4acb},
-		{"full-mask-parallel", full, 8, 0xcf381fedb2d24ce9, 0x8a8b1e506bf28cd7},
+		{"full-mask-parallel", full, 8, 0x20c7891825dacb78, 0x93da2be3c517cd4e},
 		{"vocab-2", tiny, 6, 0x8dbd5d0c1e37dafd, 0xdfa8b9bb4d75deca},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
