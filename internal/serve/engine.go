@@ -30,6 +30,10 @@ type Job struct {
 	// SQL is the scored statement text (carried into alerts).
 	SQL string
 
+	// model is the bundle whose vocabulary tokenized Keys; a result is
+	// acted on only while it is still the serving one.
+	model *modelBundle
+
 	// enqueuedAt is stamped by Submit; workers derive the queue-wait
 	// latency from it.
 	enqueuedAt time.Time

@@ -53,13 +53,16 @@ func normalStatement(pos int) string {
 // the top-p test and only out-of-vocabulary statements flag — the
 // serving pipeline's behavior becomes exactly predictable regardless of
 // how well the tiny model trained.
-func testUCAD(tb testing.TB) *core.UCAD {
+func testUCAD(tb testing.TB) *core.UCAD { return toyUCAD(tb, normalTemplates) }
+
+// toyUCAD is testUCAD over the given templates (TopP = len(templates)).
+func toyUCAD(tb testing.TB, templates []func(i int) string) *core.UCAD {
 	tb.Helper()
 	var sessions []*session.Session
 	for i := 0; i < 16; i++ {
 		s := &session.Session{ID: fmt.Sprintf("train-%d", i), User: "app"}
 		for p := 0; p < 12; p++ {
-			s.Ops = append(s.Ops, session.Operation{SQL: normalStatement(i + p)})
+			s.Ops = append(s.Ops, session.Operation{SQL: templates[(i+p)%len(templates)](i + p)})
 		}
 		sessions = append(sessions, s)
 	}
@@ -72,13 +75,13 @@ func testUCAD(tb testing.TB) *core.UCAD {
 	cfg.Model.Epochs = 2
 	cfg.Model.Dropout = 0
 	cfg.Model.MinContext = 2
-	cfg.Model.TopP = len(normalTemplates) // = Vocab-1
+	cfg.Model.TopP = len(templates) // = Vocab-1
 	u, err := core.Train(cfg, sessions, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if u.Vocab.Size() != len(normalTemplates)+1 {
-		tb.Fatalf("vocab size %d, want %d", u.Vocab.Size(), len(normalTemplates)+1)
+	if u.Vocab.Size() != len(templates)+1 {
+		tb.Fatalf("vocab size %d, want %d", u.Vocab.Size(), len(templates)+1)
 	}
 	return u
 }

@@ -472,6 +472,7 @@ func (s *Service) ingestEvent(i int, ev Event, b *batch) error {
 			Keys:      ap.Keys,
 			Pos:       ap.Pos,
 			SQL:       ev.SQL,
+			model:     mb,
 		}
 		if err := s.engine.Submit(sh.idx, job); err != nil {
 			s.rollbackLogged(sh, client, ap.SessionID, ap.Pos, ev.Epoch, ev.Seq)
@@ -491,9 +492,11 @@ func (s *Service) ingestEvent(i int, ev Event, b *batch) error {
 }
 
 // onResult runs on scoring workers: ranks beyond top-p raise (or
-// extend) the session's mid-session alert.
+// extend) the session's mid-session alert. A job tokenized before a
+// model swap is dropped: the new model would rank keys of the old
+// vocabulary, and close-out detection scores the rekeyed session.
 func (s *Service) onResult(r Result) {
-	if r.Rank <= s.model.Load().topP {
+	if r.model != s.model.Load() || r.Rank <= r.model.topP {
 		return
 	}
 	s.midFlags.Add(1)
@@ -604,10 +607,9 @@ func (s *Service) retrain() (int, transdas.TrainResult) {
 // the detector inside detect.Online (under its model write-lock),
 // publishes the new scoring parameters, and re-tokenizes every open
 // session with the new vocabulary so the key windows handed to scorers
-// stay consistent with the model ranking them. Scoring jobs already in
-// flight complete against whichever model version their batch locks —
-// at most one micro-batch per worker spans the swap. The caller has
-// already validated that the model loads.
+// stay consistent with the model ranking them. Scoring jobs queued
+// before the swap still run, but their results raise no alert (see
+// onResult). The caller has already validated that the model loads.
 func (s *Service) SwapModel(u *core.UCAD) error {
 	if s.stopped.Load() {
 		return ErrStopped

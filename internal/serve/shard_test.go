@@ -255,6 +255,64 @@ func TestShardCrossShardIsolation(t *testing.T) {
 	}
 }
 
+// heldRanker ranks through r once gate is closed, so every job
+// submitted before then waits in the queue.
+type heldRanker struct {
+	r    Ranker
+	gate chan struct{}
+}
+
+func (h heldRanker) RankBatch(dst []int, contexts [][]int, keys []int) []int {
+	<-h.gate
+	return h.r.RankBatch(dst, contexts, keys)
+}
+
+// TestSwapDropsQueuedResults: scoring jobs queued before SwapModel
+// carry keys of the old vocabulary, so the new model must not rank
+// them into alerts. Model A knows all eight templates, model B only
+// the last four, whose keys under A (5-8) are past B's vocabulary. The
+// backlog is ranked after the swap; only close-out detection, which
+// scores the rekeyed sessions, may flag, and it finds them all normal.
+func TestSwapDropsQueuedResults(t *testing.T) {
+	clk := newFakeClock()
+	s := NewService(testUCAD(t), Config{Workers: 1, Shards: 1, QueueSize: 1024, SweepEvery: -1, Clock: clk.Now})
+	defer s.Stop()
+	gate := make(chan struct{})
+	s.engine.Stop()
+	s.engine = NewEngine(heldRanker{s.online, gate}, 1, 1, 1024, 1, s.onResult)
+
+	tail := normalTemplates[4:]
+	for c := 0; c < 4; c++ {
+		for p := 0; p < 10; p++ {
+			ev := Event{ClientID: fmt.Sprintf("c%d", c), User: "app", SQL: tail[p%len(tail)](p)}
+			if err := s.Ingest(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.SwapModel(toyUCAD(t, tail)); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	s.Drain()
+	if scored, _ := s.engine.Counts(); scored == 0 {
+		t.Fatal("no queued job was scored")
+	}
+	if n := s.midFlags.Load(); n != 0 {
+		t.Errorf("%d mid-session flags from jobs tokenized before the swap", n)
+	}
+	clk.Advance(time.Hour)
+	if n := s.CloseIdleNow(); n != 4 {
+		t.Fatalf("closed %d sessions, want 4", n)
+	}
+	if n := s.flagged.Load(); n != 0 {
+		t.Fatalf("close-out detection flagged %d sessions, want 0", n)
+	}
+	if alerts := s.Alerts(""); len(alerts) != 0 {
+		t.Errorf("%d alerts after a swap, want 0: %+v", len(alerts), alerts[0])
+	}
+}
+
 // TestShardHotSwapUnderIngest swaps the model repeatedly while events
 // stream in: no event may be dropped, double-ingested, or scored
 // against a half-swapped model (the conservation check below fails on
