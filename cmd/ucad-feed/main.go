@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/feed"
+	"github.com/ucad/ucad/internal/session"
 )
 
 func main() {
@@ -66,7 +67,7 @@ func main() {
 	batch := flag.Int("batch", 64, "events per delivery batch")
 	flush := flag.Duration("flush-interval", 200*time.Millisecond, "deliver a partial batch after this long")
 	poll := flag.Duration("poll", 50*time.Millisecond, "file poll period once caught up")
-	sessionIdle := flag.Duration("session-idle", 10*time.Minute, "sessionization idle cut-off (match the server's -idle-timeout)")
+	sessionIdle := flag.Duration("session-idle", session.IdleGap, "sessionization idle cut-off (match the server's -idle-timeout)")
 	metricsAddr := flag.String("metrics-addr", "", "expose feeder /metrics and /healthz here; empty disables")
 	flag.Parse()
 

@@ -12,7 +12,7 @@
 // this block following.
 //
 // Both subcommands split logs into sessions at the same idle gap
-// (core.DefaultConfig().IdleGap) where records carry no session id: the
+// (session.IdleGap, 10 minutes) where records carry no session id: the
 // model file does not record the gap, so detecting at another one would
 // rank windows unlike those the model was trained on.
 //
@@ -158,7 +158,7 @@ func runDetect(args []string) {
 	defer lf.Close()
 	ops, err := session.ReadLog(lf)
 	fatalIf(err)
-	sessions := session.Sessionize(ops, core.DefaultConfig().IdleGap)
+	sessions := session.Sessionize(ops, session.IdleGap)
 
 	flagged := 0
 	for _, s := range sessions {

@@ -42,7 +42,6 @@ func main() {
 	cfg.Model.Dropout = 0
 	cfg.Model.TopP = 8
 	cfg.Model.MinContext = 3
-	cfg.IdleGap = time.Hour
 	detector, err := core.Train(cfg, session.Sessionize(auditOps, time.Hour), nil)
 	if err != nil {
 		log.Fatal(err)

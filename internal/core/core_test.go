@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"github.com/ucad/ucad/internal/nn"
 	"github.com/ucad/ucad/internal/session"
@@ -145,7 +144,6 @@ func TestTrainFromLog(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.Model.Epochs = 1
-	cfg.IdleGap = time.Hour
 	u, err := TrainFromLog(cfg, &buf, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"time"
 
 	"github.com/ucad/ucad/internal/preprocess"
 	"github.com/ucad/ucad/internal/session"
@@ -32,9 +31,6 @@ type Config struct {
 	// SkipClean disables noise removal (used by the preprocessing
 	// ablation).
 	SkipClean bool
-	// IdleGap splits raw logs into sessions when no session id is
-	// recorded.
-	IdleGap time.Duration
 	// Seed drives preprocessing randomness (under-sampling).
 	Seed int64
 }
@@ -42,10 +38,9 @@ type Config struct {
 // DefaultConfig returns a Scenario-I-shaped configuration.
 func DefaultConfig() Config {
 	return Config{
-		Model:   transdas.DefaultConfig(2), // vocab placeholder, filled in Train
-		Clean:   preprocess.DefaultCleanConfig(),
-		IdleGap: 10 * time.Minute,
-		Seed:    1,
+		Model: transdas.DefaultConfig(2), // vocab placeholder, filled in Train
+		Clean: preprocess.DefaultCleanConfig(),
+		Seed:  1,
 	}
 }
 
@@ -88,13 +83,14 @@ func Train(cfg Config, sessions []*session.Session, progress func(epoch int, los
 	return &UCAD{Vocab: vocab, Model: model, Report: report}, nil
 }
 
-// TrainFromLog reads a JSON-lines audit log, sessionizes it and trains.
+// TrainFromLog reads a JSON-lines audit log, sessionizes it at
+// session.IdleGap and trains.
 func TrainFromLog(cfg Config, r io.Reader, progress func(int, float64)) (*UCAD, error) {
 	ops, err := session.ReadLog(r)
 	if err != nil {
 		return nil, err
 	}
-	return Train(cfg, session.Sessionize(ops, cfg.IdleGap), progress)
+	return Train(cfg, session.Sessionize(ops, session.IdleGap), progress)
 }
 
 // DetectSession tokenizes an active session with the trained vocabulary

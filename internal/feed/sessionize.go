@@ -63,7 +63,7 @@ type SessionSeq struct {
 // carries no timestamp (nil means time.Now).
 func NewSessionizer(idle time.Duration, now func() time.Time) *Sessionizer {
 	if idle <= 0 {
-		idle = 10 * time.Minute
+		idle = session.IdleGap
 	}
 	if now == nil {
 		now = time.Now

@@ -86,7 +86,7 @@ func DefaultConfig() Config {
 		Workers:           4,
 		QueueSize:         1024,
 		Batch:             16,
-		IdleTimeout:       10 * time.Minute,
+		IdleTimeout:       session.IdleGap,
 		SweepEvery:        15 * time.Second,
 		RetrainEpochs:     2,
 		MaxResolvedAlerts: 4096,

@@ -120,6 +120,12 @@ func ReadLog(r io.Reader) ([]Operation, error) {
 	return ops, nil
 }
 
+// IdleGap is the idle cut-off that splits a client's operations into
+// sessions where the log records no session id: the gap ucad train and
+// ucad detect sessionize at, and the default of the feed's sessionizer
+// and the server's idle close-out.
+const IdleGap = 10 * time.Minute
+
 // Sessionize groups operations into sessions. Operations carrying a
 // SessionID are grouped by it; the rest are grouped per (user, addr) and
 // split whenever consecutive operations are more than idleGap apart.
