@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-train bench-feed bench-build bench-check surface size examples clean
+.PHONY: all build vet fmt test race race-e2e check equiv32 portable fuzz-smoke bench bench-kernel bench-train bench-feed bench-build bench-check surface size examples clean
 
 all: check
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the module and the nested bench/ module is gofmt-clean
+# (lists the offenders and fails otherwise).
+fmt:
+	@out=$$(gofmt -l internal cmd examples bench *.go); \
+		if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -92,14 +98,14 @@ bench-build:
 surface:
 	$(GO) test -count=1 -run 'TestExportedSurfaceIsExercised|TestFieldWritesSelfTest' .
 
-# The CI gate: static checks (the nested benchmark module and the
+# The CI gate: static checks (gofmt, the nested benchmark module and the
 # exported-surface rule and the portable-fallback cross-vet included)
 # plus the suite under the race detector (the serving layer is heavily
 # concurrent), the float32 equivalence contract, and the fuzz smoke
 # (WAL decoder and recovery, feed parsers and checkpoint load, ingest
 # body and statement abstraction, model-file load, layout manifest and
 # tenant spec).
-check: vet build portable bench-build surface race equiv32 fuzz-smoke
+check: fmt vet build portable bench-build surface race equiv32 fuzz-smoke
 
 # The paper-reproduction sweep (one benchmark per table/figure plus the
 # training hot paths). Serving-side performance is bench-check's harness.

@@ -71,17 +71,11 @@ func NewSessionizer(idle time.Duration, now func() time.Time) *Sessionizer {
 	return &Sessionizer{idle: idle, now: now, state: make(map[string]*SessionSeq), dirty: make(map[string]struct{})}
 }
 
-// clientOf mirrors serve.Event.Client: the connection id when the log
-// records one, else user@addr.
-func clientOf(op session.Operation) string {
-	if op.SessionID != "" {
-		return op.SessionID
-	}
-	return op.User + "@" + op.Addr
-}
-
 // Event stamps one operation into a serve event addressed to tenant.
+// The log's connection id is the event's ClientID, and the counters are
+// keyed by the event's Client — the key the serving layer assembles by.
 func (z *Sessionizer) Event(tenant string, op session.Operation) serve.Event {
+	ev := serve.Event{Tenant: tenant, ClientID: op.SessionID, User: op.User, Addr: op.Addr, SQL: op.SQL, Time: op.Time}
 	ts := op.Time
 	if ts.IsZero() {
 		ts = z.now()
@@ -89,7 +83,7 @@ func (z *Sessionizer) Event(tenant string, op session.Operation) serve.Event {
 	if ts.After(z.stream) {
 		z.stream = ts
 	}
-	client := clientOf(op)
+	client := ev.Client()
 	st := z.state[client]
 	if st == nil || ts.Sub(st.Last) > z.idle || z.stale(st) {
 		z.epoch++
@@ -101,16 +95,8 @@ func (z *Sessionizer) Event(tenant string, op session.Operation) serve.Event {
 		st.Last = ts
 	}
 	z.dirty[client] = struct{}{}
-	return serve.Event{
-		Tenant:   tenant,
-		ClientID: client,
-		User:     op.User,
-		Addr:     op.Addr,
-		SQL:      op.SQL,
-		Time:     op.Time,
-		Seq:      st.Seq,
-		Epoch:    st.Epoch,
-	}
+	ev.Seq, ev.Epoch = st.Seq, st.Epoch
+	return ev
 }
 
 // Sweep drops state for clients idle past the cut-off (memory bound);

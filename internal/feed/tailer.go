@@ -49,8 +49,8 @@ type Tailer struct {
 
 	f        *os.File
 	ino      uint64
-	readOff  int64  // bytes consumed from f into the line queue
-	retOff   int64  // offset just past the last line returned by Next
+	readOff  int64 // bytes consumed from f into the line queue
+	retOff   int64 // offset just past the last line returned by Next
 	queue    []tline
 	partial  []byte
 	draining bool // f is a rotated-away file; switch to cfg.Path at EOF

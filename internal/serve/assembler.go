@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/ucad/ucad/internal/session"
@@ -15,9 +14,9 @@ import (
 // client has at most one open session, events append to it, and a
 // session closes when the client has been idle past the timeout (the
 // paper's idle-gap sessionization of §6.1 running online instead of as
-// a batch sort). It is safe for concurrent use.
+// a batch sort). It is not safe for concurrent use: a Service's shard
+// mutex serializes every call on the shard's assembler.
 type Assembler struct {
-	mu   sync.Mutex
 	open map[string]*openSession
 	idle time.Duration
 	now  func() time.Time
@@ -29,7 +28,6 @@ type Assembler struct {
 
 type openSession struct {
 	sess     *session.Session
-	keys     []int
 	lastSeen time.Time
 	// epoch/lastSeq are the dedupe high-water mark for sequenced senders
 	// (Event.Epoch > 0): the newest sender session generation absorbed
@@ -91,11 +89,8 @@ func (a *Assembler) Append(ev Event, key, window int) Appended {
 		ts = now
 	}
 	client := ev.Client()
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	os := a.open[client]
-	if os != nil && ev.Seq > 0 && ev.Epoch > 0 && os.isDupLocked(ev) {
+	if os != nil && ev.Seq > 0 && ev.Epoch > 0 && os.isDup(ev) {
 		os.lastSeen = now // the client is clearly alive; keep the session open
 		return Appended{SessionID: os.sess.ID, Pos: int(ev.Seq) - 1, Dup: true}
 	}
@@ -112,56 +107,52 @@ func (a *Assembler) Append(ev Event, key, window int) Appended {
 	os.sess.Ops = append(os.sess.Ops, session.Operation{
 		Time: ts, User: ev.User, Addr: ev.Addr, SessionID: os.sess.ID, SQL: ev.SQL, Key: key,
 	})
-	os.keys = append(os.keys, key)
 	os.lastSeen = now
 	if ev.Epoch > 0 {
 		os.epoch, os.lastSeq = ev.Epoch, ev.Seq
 	}
 
+	ops := os.sess.Ops
 	lo := 0
-	if window > 0 && len(os.keys) > window {
-		lo = len(os.keys) - window
+	if window > 0 && len(ops) > window {
+		lo = len(ops) - window
 	}
-	snap := append([]int(nil), os.keys[lo:]...)
-	return Appended{SessionID: os.sess.ID, Pos: len(os.keys) - 1, Keys: snap, Time: ts}
+	snap := make([]int, len(ops)-lo)
+	for i := range snap {
+		snap[i] = ops[lo+i].Key
+	}
+	return Appended{SessionID: os.sess.ID, Pos: len(ops) - 1, Keys: snap, Time: ts}
 }
 
-// isDupLocked reports whether a sequenced event (ev.Seq, ev.Epoch > 0)
+// isDup reports whether a sequenced event (ev.Seq, ev.Epoch > 0)
 // is a redelivery the open session already absorbed. Sender epochs are
 // monotonic and delivery is in order, so anything from an older epoch —
 // or from the current one at or below its last Seq — was already seen.
 // A session with no epoch mark (only unsequenced events so far) is
 // incomparable and the event is treated as new: a rare duplicate beats
 // silently dropping live data.
-func (os *openSession) isDupLocked(ev Event) bool {
+func (os *openSession) isDup(ev Event) bool {
 	return os.epoch > 0 &&
 		(ev.Epoch < os.epoch || (ev.Epoch == os.epoch && ev.Seq <= os.lastSeq))
 }
 
 // Rollback removes the operation at position pos from the client's open
-// session, provided it is still the most recent one — the undo path
-// when the scoring queue rejects an event and the caller bounces it
-// back to the client for retry. epoch/seq are the undone event's dedupe
-// coordinates (zero for an unsequenced one): the mark that operation set
-// is undone with it, so the sender's retry is fresh, not a duplicate. It
-// reports whether the operation was actually removed (a concurrent
-// append for the same client after pos prevents the rollback; the event
-// then simply stays unscored).
-func (a *Assembler) Rollback(client string, pos int, epoch, seq int64) bool {
-	return a.rollback(client, "", pos, epoch, seq)
-}
-
-// rollback is Rollback, additionally guarded on the session id when one
-// is given (the replay form: the record names the session it undid).
-func (a *Assembler) rollback(client, sessionID string, pos int, epoch, seq int64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// session sessionID, provided it is still the most recent one — the undo
+// path when the scoring queue rejects an event or its WAL record cannot
+// be written or committed, and the replay of the "rb" record that logs
+// such an undo. epoch/seq are the undone event's dedupe coordinates
+// (zero for an unsequenced one, or on an "rb" record written before
+// they were logged): the mark that operation set is undone with it, so
+// the sender's retry is fresh, not a duplicate. It reports whether the
+// operation was actually removed (a later append for the same client
+// after pos prevents the rollback; the event then simply stays
+// unscored).
+func (a *Assembler) Rollback(client, sessionID string, pos int, epoch, seq int64) bool {
 	os := a.open[client]
-	if os == nil || sessionID != "" && os.sess.ID != sessionID || len(os.keys) != pos+1 {
+	if os == nil || os.sess.ID != sessionID || len(os.sess.Ops) != pos+1 {
 		return false
 	}
 	os.sess.Ops = os.sess.Ops[:pos]
-	os.keys = os.keys[:pos]
 	if pos == 0 {
 		delete(a.open, client)
 		a.opened--
@@ -185,8 +176,6 @@ type Closed struct {
 // CloseIdle closes and returns every session idle past the timeout.
 func (a *Assembler) CloseIdle() []Closed {
 	cutoff := a.now().Add(-a.idle)
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var out []Closed
 	for client, os := range a.open {
 		if !os.lastSeen.After(cutoff) {
@@ -200,8 +189,6 @@ func (a *Assembler) CloseIdle() []Closed {
 
 // CloseAll closes and returns every open session (shutdown flush).
 func (a *Assembler) CloseAll() []Closed {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var out []Closed
 	for client, os := range a.open {
 		delete(a.open, client)
@@ -216,22 +203,16 @@ func (a *Assembler) CloseAll() []Closed {
 // to be re-restored from a newer shipped snapshot). The session-id
 // counter is kept: ids must never move backwards across a rebuild.
 func (a *Assembler) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.open = make(map[string]*openSession)
 }
 
 // OpenCount returns the number of currently open sessions.
 func (a *Assembler) OpenCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return len(a.open)
 }
 
 // Counts reports lifetime opened/closed session counts.
 func (a *Assembler) Counts() (opened, closed int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.opened, a.closed
 }
 
@@ -254,8 +235,6 @@ type SessionState struct {
 // Export snapshots every open session plus the session-id counter,
 // sorted by client for deterministic snapshots.
 func (a *Assembler) Export() (seq int, out []SessionState) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out = make([]SessionState, 0, len(a.open))
 	for client, os := range a.open {
 		out = append(out, SessionState{
@@ -273,11 +252,9 @@ func (a *Assembler) Export() (seq int, out []SessionState) {
 	return a.seq, out
 }
 
-// Restore installs an open session from a snapshot (recovery path).
-// keys must be the tokenized statement keys of st.Ops, index-aligned.
-func (a *Assembler) Restore(st SessionState, keys []int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// Restore installs an open session from a snapshot (recovery path);
+// st.Ops must carry their tokenized statement keys.
+func (a *Assembler) Restore(st SessionState) {
 	a.open[st.Client] = &openSession{
 		sess: &session.Session{
 			ID:   st.ID,
@@ -285,20 +262,17 @@ func (a *Assembler) Restore(st SessionState, keys []int) {
 			Addr: st.Addr,
 			Ops:  append([]session.Operation(nil), st.Ops...),
 		},
-		keys:     append([]int(nil), keys...),
 		lastSeen: st.LastSeen,
 		epoch:    st.Epoch,
 		lastSeq:  st.LastSeq,
 	}
 	a.opened++
-	a.bumpSeqLocked(st.ID)
+	a.bumpSeq(st.ID)
 }
 
 // SetSeqFloor raises the session-id counter to at least n, so sessions
 // opened after a restore never reuse a pre-crash id.
 func (a *Assembler) SetSeqFloor(n int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if n > a.seq {
 		a.seq = n
 	}
@@ -309,20 +283,16 @@ func (a *Assembler) SetSeqFloor(n int) {
 // now on must rank against the model that replaced the old one. Ops
 // keep their stored SQL text, so the mapping is exact, not approximate.
 func (a *Assembler) Rekey(key func(sql string) int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for _, os := range a.open {
 		for i := range os.sess.Ops {
-			k := key(os.sess.Ops[i].SQL)
-			os.sess.Ops[i].Key = k
-			os.keys[i] = k
+			os.sess.Ops[i].Key = key(os.sess.Ops[i].SQL)
 		}
 	}
 }
 
-// bumpSeqLocked parses the trailing "#<n>" of a restored session id and
+// bumpSeq parses the trailing "#<n>" of a restored session id and
 // raises the counter past it.
-func (a *Assembler) bumpSeqLocked(id string) {
+func (a *Assembler) bumpSeq(id string) {
 	if i := strings.LastIndexByte(id, '#'); i >= 0 {
 		if n, err := strconv.Atoi(id[i+1:]); err == nil && n > a.seq {
 			a.seq = n
@@ -340,8 +310,6 @@ func (a *Assembler) bumpSeqLocked(id string) {
 // mark the original Append recorded. It reports whether the operation
 // was applied.
 func (a *Assembler) ReplayAppend(client, sessionID string, pos int, op session.Operation, key int, epoch, seq int64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	os := a.open[client]
 	if os == nil {
 		if pos != 0 {
@@ -354,15 +322,14 @@ func (a *Assembler) ReplayAppend(client, sessionID string, pos int, op session.O
 		}}
 		a.open[client] = os
 		a.opened++
-		a.bumpSeqLocked(sessionID)
+		a.bumpSeq(sessionID)
 	}
-	if os.sess.ID != sessionID || pos != len(os.keys) {
+	if os.sess.ID != sessionID || pos != len(os.sess.Ops) {
 		return false // duplicate (pos < len) or gap — never a phantom
 	}
 	op.SessionID = sessionID
 	op.Key = key
 	os.sess.Ops = append(os.sess.Ops, op)
-	os.keys = append(os.keys, key)
 	if epoch > 0 {
 		os.epoch, os.lastSeq = epoch, seq
 	}
@@ -375,8 +342,6 @@ func (a *Assembler) ReplayAppend(client, sessionID string, pos int, op session.O
 // ReplayClose removes the identified session during recovery (its
 // close-out verdict already happened before the record was logged).
 func (a *Assembler) ReplayClose(client, sessionID string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	os := a.open[client]
 	if os == nil || os.sess.ID != sessionID {
 		return false
@@ -384,12 +349,4 @@ func (a *Assembler) ReplayClose(client, sessionID string) bool {
 	delete(a.open, client)
 	a.closed++
 	return true
-}
-
-// ReplayRollback undoes the tail operation of the identified session
-// during recovery — the logged image of a backpressure rollback, dedupe
-// mark included (epoch/seq are zero on records written before they were
-// logged: the mark then stays, as it did live).
-func (a *Assembler) ReplayRollback(client, sessionID string, pos int, epoch, seq int64) bool {
-	return a.rollback(client, sessionID, pos, epoch, seq)
 }

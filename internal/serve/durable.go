@@ -242,7 +242,8 @@ func (s *Service) walOptions(d *DurabilityConfig, i int) wal.Options {
 // every restored session and replayed record to the shard its client
 // hashes to (a client's records live entirely within one stream — the
 // writer hashed with the same function — so per-client replay order is
-// preserved; the assemblers serialize concurrent mutation internally).
+// preserved; the shard mutex serializes the streams' concurrent
+// mutation of one shard).
 // With keep the stores are installed as the shards' streams (valid only
 // when m equals the shard count and the prefixes match); otherwise they
 // are closed after recovery — the remap path reopens fresh ones.
@@ -374,26 +375,29 @@ func (s *Service) seedStores(d *DurabilityConfig) error {
 
 // restoreSnapshot rebuilds assembler state from a snapshot payload,
 // routing each session to the shard its client hashes to and
-// re-tokenizing every statement with the trained vocabulary (the
-// vocabulary is fixed after training, so the key windows come back
-// byte-exact). The session-id floor applies to every shard — ids must
-// stay unique across any past or future layout.
+// re-tokenizing every statement, under that shard's mutex, with the
+// serving vocabulary (the vocabulary is fixed after training, so the
+// key windows come back byte-exact). The session-id floor applies to
+// every shard — ids must stay unique across any past or future layout.
 func (s *Service) restoreSnapshot(b []byte) error {
 	var snap snapState
 	if err := json.Unmarshal(b, &snap); err != nil {
 		return fmt.Errorf("serve: undecodable snapshot: %w", err)
 	}
-	key := s.model.Load().ucad.Vocab.Key
 	for _, ss := range snap.Sessions {
-		keys := make([]int, len(ss.Ops))
+		sh := s.shardFor(ss.Client)
+		sh.mu.Lock()
+		key := s.model.Load().ucad.Vocab.Key
 		for i := range ss.Ops {
-			keys[i] = key(ss.Ops[i].SQL)
-			ss.Ops[i].Key = keys[i]
+			ss.Ops[i].Key = key(ss.Ops[i].SQL)
 		}
-		s.shardFor(ss.Client).asm.Restore(ss, keys)
+		sh.asm.Restore(ss)
+		sh.mu.Unlock()
 	}
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		sh.asm.SetSeqFloor(snap.Seq)
+		sh.mu.Unlock()
 	}
 	return nil
 }
@@ -410,18 +414,23 @@ func (s *Service) replayPayload(b []byte, st *RestoreStats) error {
 		// not a torn tail; surface it.
 		return fmt.Errorf("serve: undecodable wal record: %w", err)
 	}
+	if r.T == recSeal {
+		st.CleanSeal = true
+		return nil
+	}
+	sh := s.shardFor(r.Client)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	switch r.T {
 	case recEvent:
 		key := s.model.Load().ucad.Vocab.Key(r.SQL)
-		s.shardFor(r.Client).asm.ReplayAppend(r.Client, r.SID, r.Pos, session.Operation{
+		sh.asm.ReplayAppend(r.Client, r.SID, r.Pos, session.Operation{
 			Time: r.TS, User: r.User, Addr: r.Addr, SQL: r.SQL,
 		}, key, r.Epoch, r.Seq)
 	case recClose:
-		s.shardFor(r.Client).asm.ReplayClose(r.Client, r.SID)
+		sh.asm.ReplayClose(r.Client, r.SID)
 	case recRollback:
-		s.shardFor(r.Client).asm.ReplayRollback(r.Client, r.SID, r.Pos, r.Epoch, r.Seq)
-	case recSeal:
-		st.CleanSeal = true
+		sh.asm.Rollback(r.Client, r.SID, r.Pos, r.Epoch, r.Seq)
 	}
 	return nil
 }
@@ -429,7 +438,7 @@ func (s *Service) replayPayload(b []byte, st *RestoreStats) error {
 // appendWAL marshals one record and writes it to the stream without
 // forcing it to disk: its durability point is the caller's next
 // store.Commit (or the Close that seals the stream). The caller holds
-// the shard's durMu when the record must stay ordered with an assembler
+// the shard's mutex when the record must stay ordered with an assembler
 // mutation.
 func (s *Service) appendWAL(store *wal.Store, r walRecord) error {
 	b, err := json.Marshal(r)
@@ -437,34 +446,6 @@ func (s *Service) appendWAL(store *wal.Store, r walRecord) error {
 		return err
 	}
 	return store.AppendDeferred(b)
-}
-
-// ingestDurable is the assemble-and-log step when durability is on: the
-// assembler mutation and the write of its WAL record happen atomically
-// with respect to snapshot capture (the shard's durMu). The record is
-// not durable yet — IngestBatch commits the stream before the event is
-// acknowledged. A WAL write failure undoes the append and rejects the
-// event — nothing enters a session that the log cannot replay.
-func (s *Service) ingestDurable(sh *shard, ev Event, key, window int) (Appended, error) {
-	client := ev.Client()
-	sh.durMu.Lock()
-	defer sh.durMu.Unlock()
-	ap := sh.asm.Append(ev, key, window+1)
-	if ap.Dup {
-		// A redelivery mutated nothing, so there is nothing to log: the
-		// original append's WAL record already covers this position.
-		return ap, nil
-	}
-	err := s.appendWAL(sh.store, walRecord{
-		T: recEvent, Client: client, SID: ap.SessionID, Pos: ap.Pos,
-		User: ev.User, Addr: ev.Addr, SQL: ev.SQL, TS: ap.Time,
-		Epoch: ev.Epoch, Seq: ev.Seq,
-	})
-	if err != nil {
-		sh.asm.Rollback(client, ap.Pos, ev.Epoch, ev.Seq)
-		return ap, fmt.Errorf("serve: wal append: %w", err)
-	}
-	return ap, nil
 }
 
 // commitBatch is the durability point of one request: every shard
@@ -516,27 +497,23 @@ func (s *Service) commitBatch(b *batch, errs []error) {
 // replays the undo too. The record is written, not committed: the
 // request's commitBatch covers it before the rejection is answered.
 func (s *Service) rollbackLogged(sh *shard, client, sessionID string, pos int, epoch, seq int64) {
-	if sh.store == nil {
-		sh.asm.Rollback(client, pos, epoch, seq)
-		return
-	}
-	sh.durMu.Lock()
-	if sh.asm.Rollback(client, pos, epoch, seq) {
+	sh.mu.Lock()
+	if sh.asm.Rollback(client, sessionID, pos, epoch, seq) && sh.store != nil {
 		s.appendWAL(sh.store, walRecord{T: recRollback, Client: client, SID: sessionID, Pos: pos, Epoch: epoch, Seq: seq})
 	}
-	sh.durMu.Unlock()
+	sh.mu.Unlock()
 }
 
 // closeAllLogged closes sessions shard by shard — all of them, or only
 // those idle past the timeout — logging one close record per closed
-// session under the shard's durMu, so recovery never resurrects a
+// session under the shard's mutex, so recovery never resurrects a
 // session that already received its authoritative verdict. The records
 // of one shard share one commit: a sweep that closes N sessions holds
 // that shard's ingest for one fsync, not N.
 func (s *Service) closeAllLogged(idleOnly bool) []Closed {
 	var all []Closed
 	for _, sh := range s.shards {
-		sh.durMu.Lock()
+		sh.mu.Lock()
 		var closed []Closed
 		if idleOnly {
 			closed = sh.asm.CloseIdle()
@@ -552,14 +529,14 @@ func (s *Service) closeAllLogged(idleOnly bool) []Closed {
 			// idles out again.
 			_ = sh.store.Commit()
 		}
-		sh.durMu.Unlock()
+		sh.mu.Unlock()
 		all = append(all, closed...)
 	}
 	return all
 }
 
 // SnapshotNow captures every shard's open sessions under a
-// stop-the-world barrier (all shard durMus, acquired in index order)
+// stop-the-world barrier (all shard mutexes, acquired in index order)
 // and commits one durable snapshot per stream, pruning the WAL segments
 // each snapshot supersedes. Only the capture and segment rotation
 // happen inside the barrier; serialization and the commit fsyncs run
@@ -584,7 +561,7 @@ func (s *Service) snapshotShards() error {
 	cuts := make([]cut, len(s.shards))
 	var err error
 	for _, sh := range s.shards {
-		sh.durMu.Lock()
+		sh.mu.Lock()
 	}
 	for i, sh := range s.shards {
 		seq, sessions := sh.asm.Export()
@@ -595,7 +572,7 @@ func (s *Service) snapshotShards() error {
 		cuts[i] = cut{anchor: anchor, state: snapState{Seq: seq, Sessions: sessions}}
 	}
 	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].durMu.Unlock()
+		s.shards[i].mu.Unlock()
 	}
 	if err != nil {
 		return err

@@ -357,7 +357,7 @@ func TestDurableBatchCommitFailure(t *testing.T) {
 
 // TestIdleSweepCommitsOncePerShard: a sweep that closes N sessions of a
 // shard logs N close records under one fsync — it holds that shard's
-// durMu for one commit, not N — and the records still keep recovery
+// mutex for one commit, not N — and the records still keep recovery
 // from resurrecting the finalized sessions.
 func TestIdleSweepCommitsOncePerShard(t *testing.T) {
 	u := testUCAD(t)
@@ -470,10 +470,10 @@ func TestDurableReplayIdempotence(t *testing.T) {
 		t.Fatalf("session has %d ops, want 2", len(st[0].Ops))
 	}
 	// Rollback replay undoes only the matching tail.
-	if a.ReplayRollback("c1", "c1#1", 0, 0, 0) {
+	if a.Rollback("c1", "c1#1", 0, 0, 0) {
 		t.Fatal("non-tail rollback applied")
 	}
-	if !a.ReplayRollback("c1", "c1#1", 1, 0, 0) {
+	if !a.Rollback("c1", "c1#1", 1, 0, 0) {
 		t.Fatal("tail rollback rejected")
 	}
 	// Close replay removes the session; a second close is a no-op.

@@ -114,11 +114,7 @@ func TestAssemblerEpochFencedDedupe(t *testing.T) {
 	// The high-water mark survives Export/Restore (snapshot recovery).
 	seqFloor, states := a.Export()
 	b := NewAssembler(10*time.Minute, clk.Now)
-	keys := make([]int, len(states[0].Ops))
-	for i := range keys {
-		keys[i] = i + 1
-	}
-	b.Restore(states[0], keys)
+	b.Restore(states[0])
 	b.SetSeqFloor(seqFloor)
 	if ap := b.Append(ev(2, 2), 9, 8); !ap.Dup {
 		t.Fatalf("restored assembler lost the epoch mark: %+v", ap)

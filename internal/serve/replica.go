@@ -50,7 +50,9 @@ func (s *Service) ReplicaReset() error {
 		return err
 	}
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		sh.asm.Reset()
+		sh.mu.Unlock()
 	}
 	return nil
 }

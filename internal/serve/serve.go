@@ -8,11 +8,18 @@
 //
 // The package is layered as
 //
-//	Assembler  — per-client open-session state with idle-timeout close-out
-//	Engine     — micro-batched concurrent scoring with backpressure
-//	Service    — wires both to the model (guarded by detect.Online) and
-//	             runs Figure 5's loop: close-out verdicts, the verified
-//	             pool, expert feedback and fine-tune rounds
+//	Assembler  — per-client open-session state with idle-timeout
+//	             close-out; not safe for concurrent use
+//	shard      — one partition of the ingest plane, chosen by client
+//	             hash: an Assembler and its WAL stream behind one mutex,
+//	             under which each event is tokenized, appended and logged
+//	Engine     — micro-batched concurrent scoring with backpressure,
+//	             one queue per shard
+//	Service    — wires the shards and the Engine to the model (guarded
+//	             by detect.Online) and runs Figure 5's loop: close-out
+//	             verdicts, the verified pool, expert feedback, fine-tune
+//	             rounds and hot model swaps (a barrier over every shard
+//	             mutex)
 //
 // Each Service exports its instrumentation through a per-tenant view
 // (Metrics) of a MetricsHub: one shared registry whose families are

@@ -177,10 +177,13 @@ func TestAssemblerRollback(t *testing.T) {
 	a.Append(Event{ClientID: "c", SQL: "s"}, 2, 0)
 	ap := a.Append(Event{ClientID: "c", SQL: "s"}, 3, 0)
 
-	if a.Rollback("c", ap.Pos-1, 0, 0) {
+	if a.Rollback("c", ap.SessionID, ap.Pos-1, 0, 0) {
 		t.Fatal("rollback of a non-last position must fail")
 	}
-	if !a.Rollback("c", ap.Pos, 0, 0) {
+	if a.Rollback("c", "c#0", ap.Pos, 0, 0) {
+		t.Fatal("rollback naming another session must fail")
+	}
+	if !a.Rollback("c", ap.SessionID, ap.Pos, 0, 0) {
 		t.Fatal("rollback of the last position must succeed")
 	}
 	if next := a.Append(Event{ClientID: "c", SQL: "s"}, 4, 0); next.Pos != 2 {
@@ -189,7 +192,7 @@ func TestAssemblerRollback(t *testing.T) {
 
 	// Rolling back the only operation removes the session entirely.
 	first := a.Append(Event{ClientID: "d", SQL: "s"}, 1, 0)
-	if !a.Rollback("d", first.Pos, 0, 0) {
+	if !a.Rollback("d", first.SessionID, first.Pos, 0, 0) {
 		t.Fatal("rollback of sole op must succeed")
 	}
 	if a.OpenCount() != 1 {
@@ -210,7 +213,7 @@ func TestAssemblerRollbackUndoesDedupeMark(t *testing.T) {
 	a := NewAssembler(time.Minute, nil)
 	a.Append(ev(1, 1), 1, 0)
 	ap := a.Append(ev(1, 2), 2, 0)
-	if !a.Rollback("c", ap.Pos, 1, 2) {
+	if !a.Rollback("c", ap.SessionID, ap.Pos, 1, 2) {
 		t.Fatal("tail rollback refused")
 	}
 	if re := a.Append(ev(1, 2), 2, 0); re.Dup || re.Pos != 1 {
@@ -223,12 +226,12 @@ func TestAssemblerRollbackUndoesDedupeMark(t *testing.T) {
 	// A run of three rolled back newest-first, as commitBatch does: each
 	// step re-exposes exactly the event it undid.
 	a = NewAssembler(time.Minute, nil)
-	a.Append(ev(1, 1), 1, 0)
+	id := a.Append(ev(1, 1), 1, 0).SessionID
 	for seq := int64(2); seq <= 4; seq++ {
 		a.Append(ev(1, seq), int(seq), 0)
 	}
 	for seq := int64(4); seq >= 2; seq-- {
-		if !a.Rollback("c", int(seq)-1, 1, seq) {
+		if !a.Rollback("c", id, int(seq)-1, 1, seq) {
 			t.Fatalf("rollback of seq %d refused", seq)
 		}
 	}
@@ -247,7 +250,7 @@ func TestAssemblerRollbackUndoesDedupeMark(t *testing.T) {
 	a.Append(ev(1, 1), 1, 0)
 	a.Append(ev(1, 2), 2, 0)
 	ap = a.Append(ev(2, 1), 3, 0)
-	if !a.Rollback("c", ap.Pos, 2, 1) {
+	if !a.Rollback("c", ap.SessionID, ap.Pos, 2, 1) {
 		t.Fatal("rollback of the epoch-opening op refused")
 	}
 	if re := a.Append(ev(1, 2), 2, 0); !re.Dup {
@@ -262,7 +265,7 @@ func TestAssemblerRollbackUndoesDedupeMark(t *testing.T) {
 	a = NewAssembler(time.Minute, nil)
 	a.Append(ev(1, 1), 1, 0)
 	ap = a.Append(Event{ClientID: "c", SQL: "s"}, 2, 0)
-	if !a.Rollback("c", ap.Pos, 0, 0) {
+	if !a.Rollback("c", ap.SessionID, ap.Pos, 0, 0) {
 		t.Fatal("unsequenced rollback refused")
 	}
 	if re := a.Append(ev(1, 1), 1, 0); !re.Dup {

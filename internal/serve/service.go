@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,8 +73,7 @@ type Config struct {
 	// live, Ingest rejects with ErrNotReady.
 	Durability *DurabilityConfig
 	// Metrics receives the serving instrumentation; nil creates a
-	// private registry (reachable via Service.Metrics). A Metrics value
-	// binds to exactly one Service.
+	// private registry. A Metrics value binds to exactly one Service.
 	Metrics *Metrics
 	// Clock supplies the wall clock (nil means time.Now); tests inject
 	// a fake clock to drive idle close-out deterministically.
@@ -428,10 +428,10 @@ func (s *Service) IngestBatch(evs []Event, errs []error) {
 	}
 }
 
-// ingestEvent runs one event's steps: tokenize, assemble (and write the
-// WAL record, under the shard's durMu), enqueue for scoring. Without
-// durability (b nil) a nil return is the acceptance; with it the event
-// joins b.pend and commitBatch decides.
+// ingestEvent runs one event's steps: assemble (tokenize, append and
+// write the WAL record, under the shard's mutex), enqueue for scoring.
+// Without durability (b nil) a nil return is the acceptance; with it
+// the event joins b.pend and commitBatch decides.
 func (s *Service) ingestEvent(i int, ev Event, b *batch) error {
 	if s.stopped.Load() {
 		return ErrStopped
@@ -444,23 +444,15 @@ func (s *Service) ingestEvent(i int, ev Event, b *batch) error {
 	}
 	t := obs.StartTimer(s.metrics.ingestSeconds)
 	defer t.Stop()
-	mb := s.model.Load()
-	key := mb.ucad.Vocab.Key(ev.SQL)
-	if key == sqlnorm.UnknownKey {
-		s.unknownKeys.Add(1)
-	}
 	client := ev.Client()
 	sh := s.shardFor(client)
-	var ap Appended
+	ap, mb, err := s.assemble(sh, ev)
+	if err != nil {
+		s.rejected.Add(1)
+		return err
+	}
 	if b != nil {
-		var err error
-		if ap, err = s.ingestDurable(sh, ev, key, mb.window); err != nil {
-			s.rejected.Add(1)
-			return err
-		}
 		b.touched[sh.idx] = true
-	} else {
-		ap = sh.asm.Append(ev, key, mb.window+1)
 	}
 	if ap.Dup {
 		s.dupEvents.Add(1)
@@ -489,6 +481,45 @@ func (s *Service) ingestEvent(i int, ev Event, b *batch) error {
 		s.accepted.Add(1)
 	}
 	return nil
+}
+
+// assemble is the one step that puts an event into its shard's session
+// state. Under the shard's mutex it loads the serving model, tokenizes
+// the statement with that model's vocabulary, appends it to the
+// client's open session and, when the shard has a WAL stream, writes the
+// event's record — so a model swap (whose barrier takes every shard
+// mutex) can never land between an event's key and its append, and a
+// snapshot captures the append and its record together. The record is
+// not durable yet — IngestBatch commits the stream before the event is
+// acknowledged. A WAL write failure undoes the append and rejects the
+// event — nothing enters a session that the log cannot replay. It
+// returns the model the event was keyed with.
+func (s *Service) assemble(sh *shard, ev Event) (Appended, *modelBundle, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	mb := s.model.Load()
+	key := mb.ucad.Vocab.Key(ev.SQL)
+	if key == sqlnorm.UnknownKey {
+		s.unknownKeys.Add(1)
+	}
+	ap := sh.asm.Append(ev, key, mb.window+1)
+	if ap.Dup || sh.store == nil {
+		// Nothing to log: the service keeps no WAL, or a redelivery
+		// mutated nothing and the original append's record already
+		// covers this position.
+		return ap, mb, nil
+	}
+	client := ev.Client()
+	err := s.appendWAL(sh.store, walRecord{
+		T: recEvent, Client: client, SID: ap.SessionID, Pos: ap.Pos,
+		User: ev.User, Addr: ev.Addr, SQL: ev.SQL, TS: ap.Time,
+		Epoch: ev.Epoch, Seq: ev.Seq,
+	})
+	if err != nil {
+		sh.asm.Rollback(client, ap.SessionID, ap.Pos, ev.Epoch, ev.Seq)
+		return ap, mb, fmt.Errorf("serve: wal append: %w", err)
+	}
+	return ap, mb, nil
 }
 
 // onResult runs on scoring workers: ranks beyond top-p raise (or
@@ -607,7 +638,9 @@ func (s *Service) retrain() (int, transdas.TrainResult) {
 // the detector inside detect.Online (under its model write-lock),
 // publishes the new scoring parameters, and re-tokenizes every open
 // session with the new vocabulary so the key windows handed to scorers
-// stay consistent with the model ranking them. Scoring jobs queued
+// stay consistent with the model ranking them. Events tokenize under
+// their shard's mutex (see assemble), so each one is keyed and appended
+// wholly before the barrier or wholly after it. Scoring jobs queued
 // before the swap still run, but their results raise no alert (see
 // onResult). The caller has already validated that the model loads.
 func (s *Service) SwapModel(u *core.UCAD) error {
@@ -615,7 +648,7 @@ func (s *Service) SwapModel(u *core.UCAD) error {
 		return ErrStopped
 	}
 	for _, sh := range s.shards {
-		sh.durMu.Lock()
+		sh.mu.Lock()
 	}
 	s.online.SwapModel(u)
 	s.model.Store(newBundle(u))
@@ -623,7 +656,7 @@ func (s *Service) SwapModel(u *core.UCAD) error {
 		sh.asm.Rekey(u.Vocab.Key)
 	}
 	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].durMu.Unlock()
+		s.shards[i].mu.Unlock()
 	}
 	s.modelSwaps.Add(1)
 	return nil

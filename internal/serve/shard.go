@@ -15,13 +15,15 @@ import (
 // or serialize on an fsync.
 type shard struct {
 	idx int
-	asm *Assembler
 
-	// durMu makes an assembler mutation and its WAL record atomic with
-	// respect to snapshot capture on THIS shard. The cross-shard
-	// snapshot barrier (Service.SnapshotNow) acquires every shard's
-	// durMu in index order; no other path holds two at once.
-	durMu sync.Mutex
+	// mu is the one lock on the shard's session state: every asm call
+	// runs under it, and an event's tokenization, append and WAL record
+	// happen in one critical section (Service.assemble), so they are
+	// atomic with respect to snapshot capture and model swaps. The
+	// cross-shard barrier (snapshots, SwapModel) acquires every shard's
+	// mu in index order; no other path holds two at once.
+	mu  sync.Mutex
+	asm *Assembler
 	// store is the shard's own WAL segment stream (wal-shard-NN-*.log
 	// under the tenant's WAL dir); nil without durability, installed by
 	// Restore or PromoteToServing before goLive publishes the ready flag.
@@ -52,7 +54,9 @@ func (s *Service) shardFor(client string) *shard {
 func (s *Service) openCount() int {
 	n := 0
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		n += sh.asm.OpenCount()
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -60,7 +64,9 @@ func (s *Service) openCount() int {
 // asmCounts sums lifetime opened/closed session counts across shards.
 func (s *Service) asmCounts() (opened, closed int64) {
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		o, c := sh.asm.Counts()
+		sh.mu.Unlock()
 		opened += o
 		closed += c
 	}
@@ -70,12 +76,14 @@ func (s *Service) asmCounts() (opened, closed int64) {
 // exportAll merges every shard's open-session export into one
 // client-sorted state; the returned seq is the highest shard counter,
 // so a SetSeqFloor on any layout keeps restored ids unique. It takes
-// no cross-shard barrier — callers needing a consistent cut against
-// concurrent ingest hold the shard durMus (see SnapshotNow) or have
-// quiesced ingestion.
+// no cross-shard barrier — each shard's export is consistent, the merge
+// is not a cut across shards; callers needing one against concurrent
+// ingest quiesce ingestion first.
 func (s *Service) exportAll() (seq int, out []SessionState) {
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		sq, st := sh.asm.Export()
+		sh.mu.Unlock()
 		if sq > seq {
 			seq = sq
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/wal"
 )
 
@@ -390,6 +391,75 @@ func TestShardHotSwapUnderIngest(t *testing.T) {
 	wantScored := int64(goroutines * (perClient - u.Model.Config().MinContext))
 	if st.OpsScored+st.OpsRejected != wantScored {
 		t.Fatalf("scored %d + rejected %d, want %d (lost or doubled a job mid-swap)", st.OpsScored, st.OpsRejected, wantScored)
+	}
+}
+
+// TestShardHotSwapLeavesNoStaleKey swaps between two models whose
+// vocabularies give the same statements different keys while events
+// stream in: once ingestion quiesces, every open operation must carry
+// the key the serving model's vocabulary gives its SQL. An event
+// tokenized before a swap but appended after it would keep a key of the
+// replaced vocabulary for every later window and for close-out.
+func TestShardHotSwapLeavesNoStaleKey(t *testing.T) {
+	reversed := make([]func(int) string, len(normalTemplates))
+	for i, f := range normalTemplates {
+		reversed[len(reversed)-1-i] = f
+	}
+	models := [2]*core.UCAD{testUCAD(t), toyUCAD(t, reversed)}
+	if sql := normalStatement(0); models[0].Vocab.Key(sql) == models[1].Vocab.Key(sql) {
+		t.Fatalf("both vocabularies key %q alike", sql)
+	}
+	clk := newFakeClock()
+	s := NewService(models[0], Config{Workers: 2, Shards: 4, QueueSize: 4096, SweepEvery: -1, Clock: clk.Now})
+	defer s.Stop()
+
+	const rounds, goroutines, perRound = 300, 4, 16
+	stale := 0
+	for r := 0; r < rounds; r++ {
+		var wg, started sync.WaitGroup
+		errc := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			started.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				client := fmt.Sprintf("r%d-g%d", r, g)
+				for p := 0; p < perRound; p++ {
+					err := s.Ingest(Event{ClientID: client, User: "app", SQL: normalStatement(g + p)})
+					if p == 0 {
+						started.Done()
+					}
+					if err != nil && !errors.Is(err, ErrBusy) {
+						errc <- err
+						return
+					}
+				}
+			}(g)
+		}
+		// Swap while every goroutine is mid-stream.
+		started.Wait()
+		serving := models[(r+1)%2]
+		if err := s.SwapModel(serving); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
+		_, sessions := s.exportAll()
+		for _, ss := range sessions {
+			for _, op := range ss.Ops {
+				if op.Key != serving.Vocab.Key(op.SQL) {
+					stale++
+				}
+			}
+		}
+		clk.Advance(time.Hour)
+		s.CloseIdleNow()
+	}
+	if stale > 0 {
+		t.Fatalf("%d operations keyed with a replaced vocabulary after %d swaps", stale, rounds)
 	}
 }
 

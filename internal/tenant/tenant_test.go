@@ -55,7 +55,9 @@ func normalStatement(prefix string, pos int) string {
 	tmpl := []func(i int) string{
 		func(i int) string { return fmt.Sprintf("SELECT * FROM %s_videos WHERE vid = %d", prefix, i) },
 		func(i int) string { return fmt.Sprintf("SELECT * FROM %s_users WHERE uid = %d", prefix, i) },
-		func(i int) string { return fmt.Sprintf("INSERT INTO %s_views (vid, uid) VALUES (%d, %d)", prefix, i, i+1) },
+		func(i int) string {
+			return fmt.Sprintf("INSERT INTO %s_views (vid, uid) VALUES (%d, %d)", prefix, i, i+1)
+		},
 		func(i int) string { return fmt.Sprintf("UPDATE %s_stats SET views = %d WHERE vid = %d", prefix, i, i) },
 		func(i int) string { return fmt.Sprintf("SELECT * FROM %s_comments WHERE vid = %d", prefix, i) },
 		func(i int) string {

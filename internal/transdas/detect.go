@@ -8,7 +8,8 @@ package transdas
 
 // detectChunk bounds how many contexts a session scan stacks into one
 // forward pass: large enough to amortize the pass, small enough to keep
-// the padded (chunk·Window) x Hidden scratch modest.
+// the stacked scratch modest. Contexts stack ragged, each at its own
+// length, so that is at most chunk·Window rows of Hidden.
 const detectChunk = 32
 
 // RankOf returns the 1-based similarity rank of key among all keys given
