@@ -615,6 +615,44 @@ func TestFollowerAutoPromote(t *testing.T) {
 	}
 }
 
+// TestFollowerTenantErrorKeepsPrimaryHealthy: a tenant the standby
+// cannot open yet (its first checkpoint has not shipped) fails every
+// round, but the primary answered each listing, so the standby must not
+// promote itself beside a serving primary.
+func TestFollowerTenantErrorKeepsPrimaryHealthy(t *testing.T) {
+	root := t.TempDir()
+	writeTenant(t, root, "t1", 12, 5)
+	srv := httptest.NewServer((&Shipper{Root: root}).Handler())
+	defer srv.Close()
+
+	now := time.Unix(1754000000, 0)
+	fired := 0
+	f, err := NewFollower(FollowerConfig{
+		PrimaryURL:       srv.URL,
+		Root:             t.TempDir(),
+		OpenTarget:       func(id, dir string) (Target, error) { return nil, fmt.Errorf("no checkpoint for %s yet", id) },
+		AutoPromoteAfter: 10 * time.Second,
+		OnPrimaryDown:    func() { fired++ },
+		Clock:            func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 4
+	for i := 0; i < rounds; i++ {
+		if err := f.SyncOnce(context.Background()); err == nil {
+			t.Fatal("round with an unopenable tenant succeeded")
+		}
+		now = now.Add(11 * time.Second)
+	}
+	if fired != 0 {
+		t.Fatalf("OnPrimaryDown fired %d times against a serving primary", fired)
+	}
+	if st := f.Status(); !st.PrimaryHealthy || st.Errors != rounds || st.Rounds != rounds {
+		t.Fatalf("status: %+v", st)
+	}
+}
+
 // TestFollowerRunCallbackMayStop: OnPrimaryDown's job is promotion,
 // whose first steps are Stop and one final SyncOnce — from inside the
 // callback Run itself invoked. Run must have left its loop by then (Stop
