@@ -45,7 +45,9 @@ race-e2e:
 # through (its seed is a 2 KiB saved model, whose default 60 s
 # minimization per new input would eat the whole pass, so it is capped);
 # then the two layout records read back on every restore and mirrored
-# onto standbys (the WAL layout manifest, a tenant's tenant.json).
+# onto standbys (the WAL layout manifest, a tenant's tenant.json); then
+# the replication listing a standby acts on (every file it names must
+# land inside its tenant's directory).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s -run='^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzRecoverStream -fuzztime=10s -run='^$$' ./internal/wal/
@@ -57,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadModel -fuzztime=5s -fuzzminimizetime=100x -run='^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzLoadManifest -fuzztime=5s -run='^$$' ./internal/wal/
 	$(GO) test -fuzz=FuzzReadSpec -fuzztime=5s -run='^$$' ./internal/tenant/
+	$(GO) test -fuzz=FuzzReplicaListing -fuzztime=5s -run='^$$' ./internal/replica/
 
 # The scoring kernel's contract: float32 similarity scores within 1e-4
 # of the float64 instantiation with stable ranks/verdicts, both
@@ -103,8 +106,8 @@ surface:
 # plus the suite under the race detector (the serving layer is heavily
 # concurrent), the float32 equivalence contract, and the fuzz smoke
 # (WAL decoder and recovery, feed parsers and checkpoint load, ingest
-# body and statement abstraction, model-file load, layout manifest and
-# tenant spec).
+# body and statement abstraction, model-file load, layout manifest,
+# tenant spec and replication listing).
 check: fmt vet build portable bench-build surface race equiv32 fuzz-smoke
 
 # The paper-reproduction sweep (one benchmark per table/figure plus the

@@ -52,15 +52,18 @@
 // model checkpoints; boot prefers the newest checkpoint that loads,
 // deleting any newer ones that do not.
 //
-// With -data-dir the process is also a replication primary: sealed WAL
-// segments, snapshots, model checkpoints and tenant specs are served
-// read-only under /v1/replica/. A second process started with
+// With -data-dir the process is also a replication primary: GET
+// /v1/replica/files lists every tenant's sealed WAL segments, snapshots,
+// model checkpoints and spec, and GET /v1/replica/file serves one file
+// that listing names, read-only. A second process started with
 // -replicate-from pointed at it runs as a warm standby: it mirrors every
 // tenant into its own -data-dir and keeps replaying the shipped stream
 // into tenants that are durable but not yet live (the restart recovery
 // path, fed over HTTP). POST /v1/promote — or -auto-promote-after of
 // primary unreachability — stops following, syncs once more and takes
-// them live. GET /v1/replication reports standby lag.
+// them live; only a failed listing request counts as unreachability.
+// GET /v1/replication reports primary health, lag and per-tenant
+// progress, read from the ucad_replica_* metrics.
 //
 // API:
 //

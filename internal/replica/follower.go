@@ -36,7 +36,9 @@ type FollowerConfig struct {
 	// an error defers the tenant to the next round.
 	OpenTarget func(id, dir string) (Target, error)
 	// AutoPromoteAfter invokes OnPrimaryDown once the primary has been
-	// continuously unreachable for this long (0 disables the probe).
+	// continuously unreachable for this long: every round's listing
+	// request failed (0 disables the probe). A tenant that fails to
+	// sync is no sign of a dead primary and never counts.
 	AutoPromoteAfter time.Duration
 	// OnPrimaryDown fires at most once, after the sync round that
 	// crossed AutoPromoteAfter and never after Stop. Run has left its
@@ -78,22 +80,14 @@ type Follower struct {
 	cfg FollowerConfig
 
 	mu        sync.Mutex
-	tenants   map[string]*tenantSync
-	lastSync  time.Time
+	tenants   map[string]*Replayer
 	downSince time.Time
 	healthy   bool
-	rounds    int64
-	errs      int64
 	autoFired bool
 	running   bool
 
 	stop chan struct{}
 	done chan struct{}
-}
-
-type tenantSync struct {
-	replayer *Replayer
-	rebuilds int64
 }
 
 // NewFollower validates the config and returns a stopped follower.
@@ -125,7 +119,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	cfg.Metrics.clock = cfg.Clock
 	return &Follower{
 		cfg:     cfg,
-		tenants: make(map[string]*tenantSync),
+		tenants: make(map[string]*Replayer),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}, nil
@@ -186,29 +180,29 @@ func (f *Follower) Stop() {
 	}
 }
 
-// Status reports the follower's position.
+// Status reports the follower's position. Everything but primary
+// health is read from the replication metrics the follower feeds.
 func (f *Follower) Status() Status {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	m := f.cfg.Metrics
+	errs := m.syncErrors.Value()
 	st := Status{
-		PrimaryURL:     f.cfg.PrimaryURL,
-		PrimaryHealthy: f.healthy,
-		LastSync:       f.lastSync,
-		Rounds:         f.rounds,
-		Errors:         f.errs,
+		PrimaryURL: f.cfg.PrimaryURL,
+		Rounds:     m.syncRounds.Value() + errs,
+		Errors:     errs,
 	}
-	if !f.lastSync.IsZero() {
-		st.LagSeconds = f.cfg.Clock().Sub(f.lastSync).Seconds()
+	st.LastSync, st.LagSeconds = m.synced()
+	f.mu.Lock()
+	st.PrimaryHealthy = f.healthy
+	for id := range f.tenants {
+		st.Tenants = append(st.Tenants, TenantStatus{ID: id, AppliedRecords: m.appliedRecords.With(id).Value(), Rebuilds: m.rebuilds.With(id).Value()})
 	}
-	for id, ts := range f.tenants {
-		st.Tenants = append(st.Tenants, TenantStatus{ID: id, AppliedRecords: ts.replayer.AppliedRecords(), Rebuilds: ts.rebuilds})
-	}
+	f.mu.Unlock()
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].ID < st.Tenants[j].ID })
 	return st
 }
 
-// SyncOnce runs one full round: list tenants, sync each tenant's files,
-// replay. Returns the first error (the round may have partially
+// SyncOnce runs one full round: fetch the listing, sync each tenant's
+// files, replay. Returns the first error (the round may have partially
 // progressed — every step is idempotent). It invokes OnPrimaryDown when
 // this round is the one that crossed AutoPromoteAfter.
 func (f *Follower) SyncOnce(ctx context.Context) error {
@@ -219,139 +213,132 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 	return err
 }
 
-// syncRound is one round plus the health bookkeeping; down reports that
-// the primary has now been unreachable for AutoPromoteAfter (true at
-// most once per follower).
+// syncRound is one round; down reports that the primary has now been
+// unreachable for AutoPromoteAfter (true at most once per follower).
+// The listing request alone decides primary health: a tenant that fails
+// (a fetch, verification, opening its target, replay) is counted and
+// retried next round, but the primary that listed it is serving.
 func (f *Follower) syncRound(ctx context.Context) (down bool, err error) {
-	err = f.syncOnce(ctx)
+	var l listing
+	body, err := f.get(ctx, "/v1/replica/files")
+	if err == nil {
+		err = json.NewDecoder(body).Decode(&l)
+		body.Close()
+	}
 	now := f.cfg.Clock()
 	f.mu.Lock()
-	f.rounds++
+	f.healthy = err == nil
+	switch {
+	case f.healthy:
+		f.downSince = time.Time{}
+	case f.downSince.IsZero():
+		f.downSince = now
+	}
+	down = !f.healthy && f.cfg.AutoPromoteAfter > 0 && !f.autoFired &&
+		now.Sub(f.downSince) >= f.cfg.AutoPromoteAfter && f.cfg.OnPrimaryDown != nil
+	f.autoFired = f.autoFired || down
+	f.mu.Unlock()
+	if err == nil {
+		ids := make([]string, 0, len(l.Tenants))
+		for id := range l.Tenants {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			if terr := f.syncTenant(ctx, id, l.Tenants[id]); terr != nil && err == nil {
+				err = fmt.Errorf("tenant %q: %w", id, terr)
+			}
+		}
+	}
 	if err != nil {
-		f.errs++
-		if f.healthy || f.downSince.IsZero() {
-			f.downSince = now
-		}
-		f.healthy = false
-		down = f.cfg.AutoPromoteAfter > 0 && !f.autoFired &&
-			now.Sub(f.downSince) >= f.cfg.AutoPromoteAfter && f.cfg.OnPrimaryDown != nil
-		if down {
-			f.autoFired = true
-		}
-		f.mu.Unlock()
 		f.cfg.Metrics.syncErrors.Inc()
 		return down, err
 	}
-	f.healthy = true
-	f.downSince = time.Time{}
-	f.lastSync = now
-	f.mu.Unlock()
 	f.cfg.Metrics.syncRounds.Inc()
-	f.cfg.Metrics.markSynced(now)
+	f.cfg.Metrics.markSynced(f.cfg.Clock())
 	return false, nil
 }
 
-func (f *Follower) syncOnce(ctx context.Context) error {
-	var tl tenantsReply
-	if err := f.getJSON(ctx, "/v1/replica/tenants", &tl); err != nil {
-		return err
+// localFiles resolves one listed tenant's files to where they land:
+// its directory <root>/tenants/<id> and one local path per file. It
+// refuses an id the tenant registry would refuse and a path outside the
+// shipped grammar, so nothing a primary lists lands outside that
+// directory.
+func localFiles(root, id string, files []FileInfo) (dir string, local []string, err error) {
+	if !validTenantID(id) {
+		return "", nil, errors.New("replica: primary listed an invalid tenant id")
 	}
-	var firstErr error
-	for _, id := range tl.Tenants {
-		if !validTenantID(id) {
-			continue
+	dir = filepath.Join(root, "tenants", id)
+	local = make([]string, len(files))
+	for i, info := range files {
+		if !validRelPath(info.Path) {
+			return "", nil, fmt.Errorf("replica: primary listed invalid path %q", info.Path)
 		}
-		if err := f.syncTenant(ctx, id); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("tenant %s: %w", id, err)
-		}
+		local[i] = filepath.Join(dir, filepath.FromSlash(info.Path))
 	}
-	return firstErr
+	return dir, local, nil
 }
 
-// syncTenant mirrors one tenant's files and replays what changed.
-func (f *Follower) syncTenant(ctx context.Context, id string) error {
-	dir := filepath.Join(f.cfg.Root, "tenants", id)
+// syncTenant mirrors one tenant's listed files and replays what changed.
+func (f *Follower) syncTenant(ctx context.Context, id string, files []FileInfo) error {
+	dir, local, err := localFiles(f.cfg.Root, id, files)
+	if err != nil {
+		return err
+	}
 	for _, sub := range []string{walSubdir, ckptSubdir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return err
 		}
 	}
-	var fl filesReply
-	if err := f.getJSON(ctx, "/v1/replica/files?tenant="+url.QueryEscape(id), &fl); err != nil {
-		return err
-	}
-	listed := make(map[string]bool, len(fl.Files))
-	for _, info := range fl.Files {
-		if !validRelPath(info.Path) {
-			return fmt.Errorf("replica: primary listed invalid path %q", info.Path)
-		}
+	listed := make(map[string]bool, len(files))
+	for i, info := range files {
 		listed[info.Path] = true
-		local := filepath.Join(dir, filepath.FromSlash(info.Path))
 		if !info.Mutable {
-			if fi, err := os.Stat(local); err == nil && fi.Size() == info.Size {
+			if fi, err := os.Stat(local[i]); err == nil && fi.Size() == info.Size {
 				continue // immutable and already here: done forever
 			}
 		}
-		if err := f.fetch(ctx, id, info, local); err != nil {
+		if err := f.fetch(ctx, id, info, local[i]); err != nil {
 			return err
 		}
 	}
-	f.deleteUnlisted(dir, listed)
+	deleteUnlisted(dir, listed)
 
 	f.mu.Lock()
-	ts := f.tenants[id]
+	rp := f.tenants[id]
 	f.mu.Unlock()
-	if ts == nil {
+	if rp == nil {
 		target, err := f.cfg.OpenTarget(id, dir)
 		if err != nil {
 			return err
 		}
-		ts = &tenantSync{replayer: NewReplayer(dir, target)}
+		rp = NewReplayer(dir, target)
+		rp.applied = f.cfg.Metrics.appliedRecords.With(id)
 		f.mu.Lock()
-		f.tenants[id] = ts
+		f.tenants[id] = rp
 		f.mu.Unlock()
 	}
-	ap, err := ts.replayer.Apply()
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	if ap.Rebuilt {
-		ts.rebuilds++
-	}
-	f.mu.Unlock()
-	if ap.Records > 0 {
-		f.cfg.Metrics.appliedRecords.With(id).Add(int64(ap.Records))
-	}
+	ap, err := rp.Apply()
 	if ap.Rebuilt {
 		f.cfg.Metrics.rebuilds.With(id).Inc()
 	}
-	return nil
+	return err
 }
 
 // fetch downloads one shipped file into place: temp file, framing
 // verification under its final name's rules, atomic rename.
 func (f *Follower) fetch(ctx context.Context, id string, info FileInfo, local string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		f.cfg.PrimaryURL+"/v1/replica/file?tenant="+url.QueryEscape(id)+"&path="+url.QueryEscape(info.Path), nil)
+	body, err := f.get(ctx, "/v1/replica/file?tenant="+url.QueryEscape(id)+"&path="+url.QueryEscape(info.Path))
 	if err != nil {
 		return err
 	}
-	res, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(res.Body, 4<<10))
-		return fmt.Errorf("replica: fetch %s: %s", info.Path, res.Status)
-	}
+	defer body.Close()
 	tmp := local + ".fetch.tmp"
 	out, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	n, err := io.Copy(out, res.Body)
+	n, err := io.Copy(out, body)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
@@ -401,63 +388,39 @@ func verifyJSONFile(path string) error {
 	return nil
 }
 
-// deleteUnlisted removes local immutable stream files the primary no
-// longer lists (it pruned them past a newer snapshot). Mutable names
-// and unknown files are left alone; stray fetch temps are swept.
-func (f *Follower) deleteUnlisted(dir string, listed map[string]bool) {
+// deleteUnlisted makes the local wal/ and checkpoints/ hold only what
+// the primary lists: it removes files the primary pruned past a newer
+// snapshot, a remap staging file whose migration ended, and fetch temps
+// an interrupted round left behind.
+func deleteUnlisted(dir string, listed map[string]bool) {
 	for _, sub := range []string{walSubdir, ckptSubdir} {
 		ents, err := os.ReadDir(filepath.Join(dir, sub))
 		if err != nil {
 			continue
 		}
 		for _, e := range ents {
-			name := e.Name()
-			if e.IsDir() {
-				continue
+			if !e.IsDir() && !listed[sub+"/"+e.Name()] {
+				os.Remove(filepath.Join(dir, sub, e.Name()))
 			}
-			if strings.HasSuffix(name, ".fetch.tmp") {
-				os.Remove(filepath.Join(dir, sub, name))
-				continue
-			}
-			rel := sub + "/" + name
-			if listed[rel] || !immutableName(sub, name) {
-				continue
-			}
-			os.Remove(filepath.Join(dir, sub, name))
 		}
 	}
 }
 
-// immutableName reports whether a local file is one we mirror with
-// delete-on-prune semantics: WAL segments and snapshots, and checkpoint
-// payloads.
-func immutableName(sub, name string) bool {
-	switch sub {
-	case walSubdir:
-		if _, _, ok := wal.SplitSegmentName(name); ok {
-			return true
-		}
-		_, _, ok := wal.SplitSnapshotName(name)
-		return ok
-	case ckptSubdir:
-		return wal.IsCheckpointName(name)
-	}
-	return false
-}
-
-func (f *Follower) getJSON(ctx context.Context, p string, v any) error {
+// get issues one GET against the primary and returns the body of its
+// 200 reply; any other status is an error.
+func (f *Follower) get(ctx context.Context, p string) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.PrimaryURL+p, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := f.cfg.Client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(res.Body, 4<<10))
-		return fmt.Errorf("replica: GET %s: %s", p, res.Status)
+		res.Body.Close()
+		return nil, fmt.Errorf("replica: GET %s: %s", p, res.Status)
 	}
-	return json.NewDecoder(res.Body).Decode(v)
+	return res.Body, nil
 }

@@ -69,15 +69,20 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		"Follower sync rounds that ended in an error.")
 	reg.GaugeFunc("ucad_replica_lag_seconds",
 		"Seconds since the follower last completed a successful sync round.",
-		func() float64 {
-			ns := m.lastSync.Load()
-			if ns == 0 {
-				return 0
-			}
-			return m.clock().Sub(time.Unix(0, ns)).Seconds()
-		})
+		func() float64 { _, lag := m.synced(); return lag })
 	return m
 }
 
 // markSynced stamps a fully successful sync round.
 func (m *Metrics) markSynced(now time.Time) { m.lastSync.Store(now.UnixNano()) }
+
+// synced returns the wall time of the last fully successful sync round
+// and the seconds since (both zero before the first).
+func (m *Metrics) synced() (time.Time, float64) {
+	ns := m.lastSync.Load()
+	if ns == 0 {
+		return time.Time{}, 0
+	}
+	t := time.Unix(0, ns)
+	return t, m.clock().Sub(t).Seconds()
+}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"sync/atomic"
 
 	"github.com/ucad/ucad/internal/core"
+	"github.com/ucad/ucad/internal/obs"
 	"github.com/ucad/ucad/internal/wal"
 )
 
@@ -53,8 +53,10 @@ type Replayer struct {
 	shards int
 	next   []uint64 // per-stream next segment seq to replay
 	ckpt   string   // checkpoint file name last swapped in
-	// applied is read by Follower.Status while a round replays.
-	applied atomic.Int64
+	// applied counts every record replayed, as it is replayed, so a
+	// round that fails midway still counts what it applied (the
+	// follower points it at its tenant's ucad_replica_applied_records).
+	applied *obs.Counter
 }
 
 // Applied summarizes one Apply round.
@@ -67,11 +69,8 @@ type Applied struct {
 
 // NewReplayer returns a replayer over a synced tenant directory.
 func NewReplayer(dir string, target Target) *Replayer {
-	return &Replayer{dir: dir, target: target}
+	return &Replayer{dir: dir, target: target, applied: new(obs.Counter)}
 }
-
-// AppliedRecords reports the lifetime count of replayed WAL records.
-func (rp *Replayer) AppliedRecords() int64 { return rp.applied.Load() }
 
 // Apply folds everything new in the synced directory into the target.
 // Safe to call repeatedly; an error leaves the replayer consistent

@@ -68,22 +68,22 @@ func validBaseName(name string) bool {
 	return true
 }
 
-// validTenantID mirrors the tenant registry's conservative id charset;
-// the shipper and follower both refuse anything that could be a path
-// component trick.
+// validTenantID is the tenant registry's id rule (tenant.ValidateID:
+// [a-zA-Z0-9][a-zA-Z0-9_-]{0,63}), so the shipper lists and the follower
+// accepts exactly the ids a registry can create.
 func validTenantID(id string) bool {
-	if id == "" || len(id) > 128 {
+	if id == "" || len(id) > 64 {
 		return false
 	}
-	for _, r := range id {
+	for i, c := range id {
 		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
+		case (c == '_' || c == '-') && i > 0:
 		default:
 			return false
 		}
 	}
-	return !strings.HasPrefix(id, ".")
+	return true
 }
 
 // FileInfo is one replicable file in a tenant's directory.
@@ -96,12 +96,8 @@ type FileInfo struct {
 	Mutable bool `json:"mutable,omitempty"`
 }
 
-// tenantsReply is the shipper's tenant-listing payload.
-type tenantsReply struct {
-	Tenants []string `json:"tenants"`
-}
-
-// filesReply is the shipper's per-tenant file-listing payload.
-type filesReply struct {
-	Files []FileInfo `json:"files"`
+// listing is the shipper's reply: every tenant's shippable files, by
+// tenant id.
+type listing struct {
+	Tenants map[string][]FileInfo `json:"tenants"`
 }

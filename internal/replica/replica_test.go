@@ -172,11 +172,8 @@ func TestShipperEndpoints(t *testing.T) {
 		return res.StatusCode, string(b)
 	}
 
-	if code, body := get("/v1/replica/tenants"); code != 200 || !strings.Contains(body, `"t1"`) {
-		t.Fatalf("tenants: %d %q", code, body)
-	}
-	code, body := get("/v1/replica/files?tenant=t1")
-	if code != 200 {
+	code, body := get("/v1/replica/files")
+	if code != 200 || !strings.Contains(body, `"t1"`) {
 		t.Fatalf("files: %d %q", code, body)
 	}
 	seqs, err := wal.ListSegmentSeqs(filepath.Join(root, "t1", walSubdir), wal.ShardSegmentPrefix(0))
@@ -211,7 +208,7 @@ func TestShipperEndpoints(t *testing.T) {
 			t.Fatalf("%s: %d, want 400", bad, code)
 		}
 	}
-	if code, _ := get("/v1/replica/files?tenant=nope"); code != http.StatusNotFound {
+	if code, _ := get("/v1/replica/file?tenant=nope&path=" + specFile); code != http.StatusNotFound {
 		t.Fatalf("unknown tenant: %d, want 404", code)
 	}
 }
@@ -227,16 +224,16 @@ func TestShipperIgnoresFlatLayout(t *testing.T) {
 	srv := httptest.NewServer(sh.Handler())
 	defer srv.Close()
 
-	res, err := http.Get(srv.URL + "/v1/replica/tenants")
+	res, err := http.Get(srv.URL + "/v1/replica/files")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := io.ReadAll(res.Body)
 	res.Body.Close()
-	if strings.TrimSpace(string(b)) != `{"tenants":[]}` {
+	if strings.TrimSpace(string(b)) != `{"tenants":{}}` {
 		t.Fatalf("flat layout listed: %s", b)
 	}
-	res, err = http.Get(srv.URL + "/v1/replica/files?tenant=default")
+	res, err = http.Get(srv.URL + "/v1/replica/file?tenant=default&path=" + specFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +297,55 @@ func TestFollowerSyncReplayCatchUp(t *testing.T) {
 	}
 	if len(st.Tenants) != 1 || st.Tenants[0].AppliedRecords != int64(len(ft.records)) {
 		t.Fatalf("tenant status: %+v", st.Tenants)
+	}
+}
+
+// TestFollowerMirrorsListing: after a round the standby's wal/ and
+// checkpoints/ hold exactly the files the primary lists — a stray file
+// (an interrupted fetch's temp, a remap staging file whose migration
+// ended) does not outlive the listing that no longer names it.
+func TestFollowerMirrorsListing(t *testing.T) {
+	root, standby := t.TempDir(), t.TempDir()
+	writeTenant(t, root, "t1", 12, 5)
+	srv := httptest.NewServer((&Shipper{Root: root}).Handler())
+	defer srv.Close()
+
+	walDir := filepath.Join(standby, "tenants", "t1", walSubdir)
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, stray := range []string{wal.RemapFile, wal.ManifestName + ".fetch.tmp"} {
+		if err := os.WriteFile(filepath.Join(walDir, stray), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := newTestFollower(t, srv.URL, standby, map[string]*fakeTarget{})
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	files, err := tenantFiles(filepath.Join(root, "t1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, fi := range files {
+		if fi.Path != specFile {
+			want = append(want, fi.Path)
+		}
+	}
+	for _, sub := range []string{walSubdir, ckptSubdir} {
+		ents, err := os.ReadDir(filepath.Join(standby, "tenants", "t1", sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			got = append(got, sub+"/"+e.Name())
+		}
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("standby holds %v, primary lists %v", got, want)
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"github.com/ucad/ucad/internal/wal"
 )
@@ -20,13 +19,13 @@ import (
 // because everything a standby needs is, by the ship-sealed-only
 // invariant, already durable and immutable there: sealed WAL segments,
 // snapshots, the stream manifest, model checkpoints, and the tenant
-// spec. The active segment of every stream is recomputed per request
-// and never served.
+// spec. The listing is the only authority on what ships: the file
+// endpoint serves a path only while its tenant's current listing names
+// it, so the active segment of every stream is never served.
 //
 // Endpoints (mount under /v1/replica/):
 //
-//	GET /v1/replica/tenants            -> {"tenants":[...]}
-//	GET /v1/replica/files?tenant=ID    -> {"files":[{path,size,mutable}]}
+//	GET /v1/replica/files                   -> {"tenants":{"ID":[{path,size,mutable}]}}
 //	GET /v1/replica/file?tenant=ID&path=REL -> raw bytes
 type Shipper struct {
 	// Root is the tenants root (<data-dir>/tenants): one subdirectory
@@ -42,9 +41,8 @@ func (sh *Shipper) Handler() http.Handler {
 		sh.Metrics = NewMetrics(nil)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/replica/tenants", sh.handleTenants)
-	mux.HandleFunc("/v1/replica/files", sh.handleFiles)
-	mux.HandleFunc("/v1/replica/file", sh.handleFile)
+	mux.HandleFunc("GET /v1/replica/files", sh.handleFiles)
+	mux.HandleFunc("GET /v1/replica/file", sh.handleFile)
 	return mux
 }
 
@@ -53,76 +51,58 @@ func (sh *Shipper) refuse(w http.ResponseWriter, msg string, code int) {
 	http.Error(w, msg, code)
 }
 
-// handleTenants lists the tenant ids with a persisted spec.
-func (sh *Shipper) handleTenants(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		sh.refuse(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+// handleFiles lists every tenant with a persisted spec and its
+// shippable files.
+func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
 	ents, err := os.ReadDir(sh.Root)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		sh.refuse(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	ids := []string{}
+	reply := listing{Tenants: map[string][]FileInfo{}}
 	for _, e := range ents {
 		if !e.IsDir() || !validTenantID(e.Name()) {
 			continue
 		}
-		if _, err := os.Stat(filepath.Join(sh.Root, e.Name(), specFile)); err == nil {
-			ids = append(ids, e.Name())
+		files, err := tenantFiles(filepath.Join(sh.Root, e.Name()))
+		if err != nil {
+			sh.refuse(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if files != nil {
+			reply.Tenants[e.Name()] = files
 		}
 	}
-	sort.Strings(ids)
 	sh.Metrics.listRequests.Inc()
-	writeJSON(w, tenantsReply{Tenants: ids})
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(reply)
 }
 
-// tenantDir validates the id and resolves its directory, or writes an
-// error and returns "".
-func (sh *Shipper) tenantDir(w http.ResponseWriter, r *http.Request) string {
-	id := r.URL.Query().Get("tenant")
-	if !validTenantID(id) {
-		sh.refuse(w, "bad tenant id", http.StatusBadRequest)
-		return ""
+// tenantFiles lists one tenant directory's shippable files: the spec,
+// every sealed WAL stream file (wal.SealedStreamFiles — snapshots,
+// sealed segments, the manifest, the remap staging file), and every
+// model checkpoint (wal.IsCheckpointName: written once, only ever
+// deleted). It returns nil when the directory holds no spec, which is
+// no tenant.
+func tenantFiles(dir string) ([]FileInfo, error) {
+	fi, err := os.Stat(filepath.Join(dir, specFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	dir := filepath.Join(sh.Root, id)
-	if _, err := os.Stat(filepath.Join(dir, specFile)); err != nil {
-		sh.refuse(w, "unknown tenant", http.StatusNotFound)
-		return ""
+	if err != nil {
+		return nil, err
 	}
-	return dir
-}
-
-// handleFiles lists one tenant's replicable files: the spec, every
-// sealed WAL stream file (wal.SealedStreamFiles — snapshots, sealed
-// segments, the manifest, the remap staging file), and every model
-// checkpoint (wal.IsCheckpointName: written once, only ever deleted).
-func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		sh.refuse(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	dir := sh.tenantDir(w, r)
-	if dir == "" {
-		return
-	}
-	var files []FileInfo
-	if fi, err := os.Stat(filepath.Join(dir, specFile)); err == nil {
-		files = append(files, FileInfo{Path: specFile, Size: fi.Size(), Mutable: true})
-	}
+	files := []FileInfo{{Path: specFile, Size: fi.Size(), Mutable: true}}
 	sealed, err := wal.SealedStreamFiles(filepath.Join(dir, walSubdir))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		sh.refuse(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil, err
 	}
 	for _, f := range sealed {
 		files = append(files, FileInfo{Path: walSubdir + "/" + f.Name, Size: f.Size, Mutable: f.Mutable})
 	}
 	ents, err := os.ReadDir(filepath.Join(dir, ckptSubdir))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		sh.refuse(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil, err
 	}
 	for _, e := range ents {
 		if e.IsDir() || !wal.IsCheckpointName(e.Name()) {
@@ -132,41 +112,31 @@ func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
 			files = append(files, FileInfo{Path: ckptSubdir + "/" + e.Name(), Size: fi.Size()})
 		}
 	}
-	sh.Metrics.listRequests.Inc()
-	writeJSON(w, filesReply{Files: files})
+	return files, nil
 }
 
-// handleFile streams one replicable file. The path grammar is enforced
-// and WAL segments are re-checked against the current active set, so a
+// handleFile streams one file its tenant's current listing names, so a
 // follower (or anyone else) can never read the mutable segment tail or
 // escape the tenant directory.
 func (sh *Shipper) handleFile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		sh.refuse(w, "method not allowed", http.StatusMethodNotAllowed)
+	id, rel := r.URL.Query().Get("tenant"), r.URL.Query().Get("path")
+	if !validTenantID(id) || !validRelPath(rel) {
+		sh.refuse(w, "bad tenant id or path", http.StatusBadRequest)
 		return
 	}
-	dir := sh.tenantDir(w, r)
-	if dir == "" {
+	dir := filepath.Join(sh.Root, id)
+	files, err := tenantFiles(dir)
+	if err != nil {
+		sh.refuse(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	rel := r.URL.Query().Get("path")
-	if !validRelPath(rel) {
-		sh.refuse(w, "bad path", http.StatusBadRequest)
+	if files == nil {
+		sh.refuse(w, "unknown tenant", http.StatusNotFound)
 		return
 	}
-	base := filepath.Base(rel)
-	if strings.HasPrefix(rel, walSubdir+"/") {
-		if prefix, seq, ok := wal.SplitSegmentName(base); ok {
-			active, err := activeSegment(filepath.Join(dir, walSubdir), prefix)
-			if err != nil {
-				sh.refuse(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if seq >= active {
-				sh.refuse(w, "segment is active", http.StatusConflict)
-				return
-			}
-		}
+	if !slices.ContainsFunc(files, func(f FileInfo) bool { return f.Path == rel }) {
+		sh.refuse(w, "not shippable", http.StatusConflict)
+		return
 	}
 	f, err := os.Open(filepath.Join(dir, filepath.FromSlash(rel)))
 	if err != nil {
@@ -182,28 +152,6 @@ func (sh *Shipper) handleFile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	n, _ := io.Copy(w, f)
-	id := r.URL.Query().Get("tenant")
 	sh.Metrics.shippedFiles.With(id).Inc()
 	sh.Metrics.shippedBytes.With(id).Add(n)
-}
-
-// activeSegment returns the highest segment seq of prefix's stream (the
-// one still being appended to), or 0 when the stream has no segments.
-func activeSegment(walDir, prefix string) (uint64, error) {
-	seqs, err := wal.ListSegmentSeqs(walDir, prefix)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	if len(seqs) == 0 {
-		return 0, nil
-	}
-	return seqs[len(seqs)-1], nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }

@@ -62,6 +62,10 @@ type Appended struct {
 	// assembler clock when the event carried none) — what the WAL record
 	// persists so recovery rebuilds the operation byte-exactly.
 	Time time.Time
+	// Seen is the assembler clock at the append: the session's
+	// close-out clock. It differs from Time only when the event carried
+	// its own timestamp.
+	Seen time.Time
 	// Dup reports that the event carried a sequence number (Event.Seq)
 	// the open session already covers: nothing was appended, and the
 	// caller should acknowledge without scoring or logging. SessionID
@@ -121,7 +125,7 @@ func (a *Assembler) Append(ev Event, key, window int) Appended {
 	for i := range snap {
 		snap[i] = ops[lo+i].Key
 	}
-	return Appended{SessionID: os.sess.ID, Pos: len(ops) - 1, Keys: snap, Time: ts}
+	return Appended{SessionID: os.sess.ID, Pos: len(ops) - 1, Keys: snap, Time: ts, Seen: now}
 }
 
 // isDup reports whether a sequenced event (ev.Seq, ev.Epoch > 0)
@@ -307,8 +311,10 @@ func (a *Assembler) bumpSeq(id string) {
 // and gaps are dropped silently, so replaying any WAL suffix on top of
 // any snapshot converges on the prefix state the log acknowledged.
 // epoch/seq, when positive, restore the sender-side dedupe high-water
-// mark the original Append recorded. It reports whether the operation
-// was applied.
+// mark the original Append recorded. The session's close-out clock
+// advances to op.Time, which is the arrival time unless the event
+// carried its own timestamp (then replaySeen restores it). It reports
+// whether the operation was applied.
 func (a *Assembler) ReplayAppend(client, sessionID string, pos int, op session.Operation, key int, epoch, seq int64) bool {
 	os := a.open[client]
 	if os == nil {
@@ -337,6 +343,14 @@ func (a *Assembler) ReplayAppend(client, sessionID string, pos int, op session.O
 		os.lastSeen = op.Time
 	}
 	return true
+}
+
+// replaySeen sets a replayed session's close-out clock to the arrival
+// time its last event record carried, the clock the live Append set.
+func (a *Assembler) replaySeen(client string, at time.Time) {
+	if os := a.open[client]; os != nil {
+		os.lastSeen = at
+	}
 }
 
 // ReplayClose removes the identified session during recovery (its

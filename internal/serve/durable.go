@@ -84,6 +84,11 @@ type walRecord struct {
 	Addr   string    `json:"a,omitempty"`
 	SQL    string    `json:"q,omitempty"`
 	TS     time.Time `json:"ts"`
+	// At is the event's arrival time (Appended.Seen), the session's
+	// close-out clock, written only when it differs from TS (the event
+	// carried its own timestamp). Replay takes TS when it is absent, as
+	// older logs do.
+	At *time.Time `json:"at,omitempty"`
 	// Epoch/Seq are the event's sender-side dedupe coordinates
 	// (Event.Epoch/Event.Seq), replayed so redelivery fencing survives
 	// recovery; on a rollback record, those of the event it undid. Absent
@@ -424,9 +429,12 @@ func (s *Service) replayPayload(b []byte, st *RestoreStats) error {
 	switch r.T {
 	case recEvent:
 		key := s.model.Load().ucad.Vocab.Key(r.SQL)
-		sh.asm.ReplayAppend(r.Client, r.SID, r.Pos, session.Operation{
+		applied := sh.asm.ReplayAppend(r.Client, r.SID, r.Pos, session.Operation{
 			Time: r.TS, User: r.User, Addr: r.Addr, SQL: r.SQL,
 		}, key, r.Epoch, r.Seq)
+		if applied && r.At != nil {
+			sh.asm.replaySeen(r.Client, *r.At)
+		}
 	case recClose:
 		sh.asm.ReplayClose(r.Client, r.SID)
 	case recRollback:

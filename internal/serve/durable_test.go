@@ -193,6 +193,39 @@ func TestDurableRestartHardKill(t *testing.T) {
 	}
 }
 
+// TestDurableReplayKeepsCloseOutClock: the close-out clock is arrival
+// time, so a session whose only event is stamped a day back must have
+// the same close-out deadline after WAL replay as it had live — not
+// close at the first sweep after a restart.
+func TestDurableReplayKeepsCloseOutClock(t *testing.T) {
+	u := testUCAD(t)
+	dir := t.TempDir()
+	clock := newFakeClock()
+
+	s1, _ := durableService(t, u, dir, clock.Now, nil)
+	ev := Event{ClientID: "late", User: "app", SQL: normalStatement(0), Time: clock.Now().Add(-24 * time.Hour)}
+	if err := s1.Ingest(ev); err != nil {
+		t.Fatal(err)
+	}
+	s1.Drain()
+	_, live := s1.exportAll()
+	// Hard kill: no Close, no Stop, so the suffix replays from the WAL.
+
+	s2, rst := durableService(t, u, dir, clock.Now, nil)
+	defer s2.Close(context.Background())
+	if rst.Records != 1 || rst.SnapshotSeq != 0 {
+		t.Fatalf("restore %+v, want one replayed record and no snapshot", rst)
+	}
+	_, replayed := s2.exportAll()
+	if len(live) != 1 || len(replayed) != 1 || !replayed[0].LastSeen.Equal(live[0].LastSeen) {
+		t.Fatalf("close-out clock: live %+v, replayed %+v", live, replayed)
+	}
+	clock.Advance(time.Second)
+	if n := s2.CloseIdleNow(); n != 0 {
+		t.Fatalf("replayed session closed %d sessions one second after arrival", n)
+	}
+}
+
 // TestDurableRestoredCloseoutVerdict: after a hard kill the alert store
 // is gone, so the close-out scan is the only verdict a restored session
 // gets. A restored session holding an out-of-vocabulary statement must

@@ -510,12 +510,16 @@ func (s *Service) assemble(sh *shard, ev Event) (Appended, *modelBundle, error) 
 		return ap, mb, nil
 	}
 	client := ev.Client()
-	err := s.appendWAL(sh.store, walRecord{
+	rec := walRecord{
 		T: recEvent, Client: client, SID: ap.SessionID, Pos: ap.Pos,
 		User: ev.User, Addr: ev.Addr, SQL: ev.SQL, TS: ap.Time,
 		Epoch: ev.Epoch, Seq: ev.Seq,
-	})
-	if err != nil {
+	}
+	if !ap.Seen.Equal(ap.Time) {
+		seen := ap.Seen
+		rec.At = &seen
+	}
+	if err := s.appendWAL(sh.store, rec); err != nil {
 		sh.asm.Rollback(client, ap.SessionID, ap.Pos, ev.Epoch, ev.Seq)
 		return ap, mb, fmt.Errorf("serve: wal append: %w", err)
 	}

@@ -385,15 +385,15 @@ func TestBootOldCheckpointManifest(t *testing.T) {
 
 	sh := &replica.Shipper{Root: filepath.Join(root, "tenants")}
 	rec := httptest.NewRecorder()
-	sh.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/replica/files?tenant="+serve.DefaultTenant, nil))
+	sh.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/replica/files", nil))
 	var listing struct {
-		Files []replica.FileInfo `json:"files"`
+		Tenants map[string][]replica.FileInfo `json:"tenants"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
 		t.Fatalf("files listing %q: %v", rec.Body.String(), err)
 	}
 	var shipped []string
-	for _, f := range listing.Files {
+	for _, f := range listing.Tenants[serve.DefaultTenant] {
 		if filepath.Dir(f.Path) == "checkpoints" {
 			shipped = append(shipped, f.Path)
 		}
