@@ -61,7 +61,8 @@
 // into tenants that are durable but not yet live (the restart recovery
 // path, fed over HTTP). POST /v1/promote — or -auto-promote-after of
 // primary unreachability — stops following, syncs once more and takes
-// them live; only a failed listing request counts as unreachability.
+// them live; only a listing request the primary does not answer counts
+// as unreachability.
 // GET /v1/replication reports primary health, lag and per-tenant
 // progress, read from the ucad_replica_* metrics.
 //

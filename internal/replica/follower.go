@@ -36,9 +36,8 @@ type FollowerConfig struct {
 	// an error defers the tenant to the next round.
 	OpenTarget func(id, dir string) (Target, error)
 	// AutoPromoteAfter invokes OnPrimaryDown once the primary has been
-	// continuously unreachable for this long: every round's listing
-	// request failed (0 disables the probe). A tenant that fails to
-	// sync is no sign of a dead primary and never counts.
+	// continuously unreachable for this long: no round's listing request
+	// got an HTTP answer (0 disables the probe; see syncRound).
 	AutoPromoteAfter time.Duration
 	// OnPrimaryDown fires at most once, after the sync round that
 	// crossed AutoPromoteAfter and never after Stop. Run has left its
@@ -215,19 +214,27 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 
 // syncRound is one round; down reports that the primary has now been
 // unreachable for AutoPromoteAfter (true at most once per follower).
-// The listing request alone decides primary health: a tenant that fails
-// (a fetch, verification, opening its target, replay) is counted and
-// retried next round, but the primary that listed it is serving.
+// The listing request alone decides primary health, and only a
+// transport failure (no HTTP answer, or a body cut off) marks the
+// primary down. A primary that answers an error status or a listing
+// that does not decode (another build mid-upgrade, a proxy) is serving,
+// and so is one whose tenant fails (a fetch, verification, opening its
+// target, replay): each is counted and retried next round.
 func (f *Follower) syncRound(ctx context.Context) (down bool, err error) {
 	var l listing
 	body, err := f.get(ctx, "/v1/replica/files")
 	if err == nil {
-		err = json.NewDecoder(body).Decode(&l)
+		var b []byte
+		if b, err = io.ReadAll(body); err == nil {
+			if uerr := json.Unmarshal(b, &l); uerr != nil {
+				err = fmt.Errorf("replica: listing: %v (%w)", uerr, errAnswered)
+			}
+		}
 		body.Close()
 	}
 	now := f.cfg.Clock()
 	f.mu.Lock()
-	f.healthy = err == nil
+	f.healthy = err == nil || errors.Is(err, errAnswered)
 	switch {
 	case f.healthy:
 		f.downSince = time.Time{}
@@ -379,13 +386,10 @@ func verifyShipped(rel, tmp string) error {
 
 func verifyJSONFile(path string) error {
 	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
+	if err == nil && !json.Valid(b) {
+		err = errors.New("invalid JSON")
 	}
-	if !json.Valid(b) {
-		return errors.New("invalid JSON")
-	}
-	return nil
+	return err
 }
 
 // deleteUnlisted makes the local wal/ and checkpoints/ hold only what
@@ -406,8 +410,11 @@ func deleteUnlisted(dir string, listed map[string]bool) {
 	}
 }
 
+// errAnswered marks a failed request the primary did answer: it is up.
+var errAnswered = errors.New("primary answered")
+
 // get issues one GET against the primary and returns the body of its
-// 200 reply; any other status is an error.
+// 200 reply; any other status is an error wrapping errAnswered.
 func (f *Follower) get(ctx context.Context, p string) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.PrimaryURL+p, nil)
 	if err != nil {
@@ -420,7 +427,7 @@ func (f *Follower) get(ctx context.Context, p string) (io.ReadCloser, error) {
 	if res.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(res.Body, 4<<10))
 		res.Body.Close()
-		return nil, fmt.Errorf("replica: GET %s: %s", p, res.Status)
+		return nil, fmt.Errorf("replica: GET %s: %s (%w)", p, res.Status, errAnswered)
 	}
 	return res.Body, nil
 }

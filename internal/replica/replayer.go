@@ -41,10 +41,9 @@ type Target interface {
 //
 // Two conditions force a full rebuild (ReplicaReset, then
 // wal.RestoreStream — the recovery loop a restart runs, pointed at the
-// shipped files): a seq gap
-// in a stream (the primary pruned a segment before we fetched it — we
-// fell behind by more than the primary's retention), and a shard-layout
-// change in the manifest.
+// shipped files): a seq gap in a stream (the primary pruned a segment
+// before we fetched it — we fell behind by more than the primary's
+// retention), and a shard-layout change in the manifest.
 type Replayer struct {
 	dir    string // tenant directory (holds wal/, checkpoints/)
 	target Target

@@ -20,10 +20,7 @@
 // appends fresh — exactly-once sessions across the switch.
 package replica
 
-import (
-	"path"
-	"strings"
-)
+import "strings"
 
 // Shipped-path grammar. A tenant's replicable files are addressed by
 // forward-slash relative paths within its data directory:
@@ -60,12 +57,7 @@ func validRelPath(p string) bool {
 
 // validBaseName accepts clean single-component file names.
 func validBaseName(name string) bool {
-	if name == "" || name == "." || name == ".." ||
-		strings.HasPrefix(name, ".") || path.Base(name) != name ||
-		strings.ContainsAny(name, `/\`) {
-		return false
-	}
-	return true
+	return name != "" && name[0] != '.' && !strings.ContainsAny(name, `/\`)
 }
 
 // validTenantID is the tenant registry's id rule (tenant.ValidateID:

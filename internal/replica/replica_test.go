@@ -48,7 +48,7 @@ func (t *fakeTarget) WarmScoreCache() int          { t.warms++; return 0 }
 // writeTenant builds a primary-side tenant directory under root: a
 // spec, a one-shard WAL stream with n records (snapshot at snapAt, tiny
 // segments so several seal), and a checkpoint directory.
-func writeTenant(t *testing.T, root, id string, n, snapAt int) {
+func writeTenant(t testing.TB, root, id string, n, snapAt int) {
 	t.Helper()
 	dir := filepath.Join(root, id)
 	if err := os.MkdirAll(filepath.Join(dir, walSubdir), 0o755); err != nil {
@@ -66,7 +66,7 @@ func writeTenant(t *testing.T, root, id string, n, snapAt int) {
 
 // appendTenant appends records [from, from+n) to the tenant's stream,
 // snapshotting when crossing snapAt (absolute index; <0 disables).
-func appendTenant(t *testing.T, root, id string, from, n, snapAt int) {
+func appendTenant(t testing.TB, root, id string, from, n, snapAt int) {
 	t.Helper()
 	walDir := filepath.Join(root, id, walSubdir)
 	s, err := wal.OpenStore(walDir, wal.Options{
@@ -134,7 +134,7 @@ func sealedExpectation(t *testing.T, root, id string) (snaps, recs []string) {
 	return snaps, recs
 }
 
-func newTestFollower(t *testing.T, primaryURL, root string, targets map[string]*fakeTarget) *Follower {
+func newTestFollower(t testing.TB, primaryURL, root string, targets map[string]*fakeTarget) *Follower {
 	t.Helper()
 	f, err := NewFollower(FollowerConfig{
 		PrimaryURL: primaryURL,
@@ -323,7 +323,7 @@ func TestFollowerMirrorsListing(t *testing.T) {
 	if err := f.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	files, err := tenantFiles(filepath.Join(root, "t1"))
+	files, err := tenantFiles(filepath.Join(root, "t1"), wal.SealedStreamFiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,6 +699,94 @@ func TestFollowerTenantErrorKeepsPrimaryHealthy(t *testing.T) {
 	}
 }
 
+// TestFollowerAnsweringPrimaryStaysHealthy: a primary that answers the
+// listing request with an error status or a body that does not decode —
+// a primary of another build while one side is upgraded, a proxy in
+// front of it — is serving. Every such round is an error, but none marks
+// the primary down, so the standby never promotes itself beside it.
+func TestFollowerAnsweringPrimaryStaysHealthy(t *testing.T) {
+	for name, h := range map[string]http.HandlerFunc{
+		"404":     http.NotFound,
+		"400":     func(w http.ResponseWriter, r *http.Request) { http.Error(w, "missing tenant", http.StatusBadRequest) },
+		"500":     func(w http.ResponseWriter, r *http.Request) { http.Error(w, "boom", http.StatusInternalServerError) },
+		"garbage": func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, `{"tenants":[`) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(h)
+			defer srv.Close()
+			now := time.Unix(1754000000, 0)
+			fired := 0
+			f, err := NewFollower(FollowerConfig{
+				PrimaryURL:       srv.URL,
+				Root:             t.TempDir(),
+				OpenTarget:       func(id, dir string) (Target, error) { return &fakeTarget{}, nil },
+				AutoPromoteAfter: 10 * time.Second,
+				OnPrimaryDown:    func() { fired++ },
+				Clock:            func() time.Time { return now },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const rounds = 4
+			for i := 0; i < rounds; i++ {
+				if err := f.SyncOnce(context.Background()); err == nil {
+					t.Fatal("round against a refusing primary succeeded")
+				}
+				now = now.Add(11 * time.Second)
+			}
+			if fired != 0 {
+				t.Fatalf("OnPrimaryDown fired %d times against an answering primary", fired)
+			}
+			if st := f.Status(); !st.PrimaryHealthy || st.Errors != rounds {
+				t.Fatalf("status: %+v", st)
+			}
+		})
+	}
+}
+
+// TestShipperListsPastUnreadableTenant: a tenant whose directory cannot
+// be read is left out of the listing and counted as a ship error; every
+// other tenant still ships, and a follower syncs them with the primary
+// healthy.
+func TestShipperListsPastUnreadableTenant(t *testing.T) {
+	root, standby := t.TempDir(), t.TempDir()
+	writeTenant(t, root, "t1", 12, 5)
+	bad := filepath.Join(root, "bad")
+	if err := os.MkdirAll(bad, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{specFile, walSubdir} { // wal/ as a file: ENOTDIR
+		if err := os.WriteFile(filepath.Join(bad, name), []byte(`{}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := &Shipper{Root: root, Metrics: NewMetrics(nil)}
+	srv := httptest.NewServer(sh.Handler())
+	defer srv.Close()
+
+	res, err := http.Get(srv.URL + "/v1/replica/files")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != 200 || !strings.Contains(string(b), `"t1"`) || strings.Contains(string(b), `"bad"`) {
+		t.Fatalf("files: %d %s", res.StatusCode, b)
+	}
+	if n := sh.Metrics.shipErrors.Value(); n != 1 {
+		t.Fatalf("ship errors %d, want 1", n)
+	}
+
+	targets := map[string]*fakeTarget{}
+	f := newTestFollower(t, srv.URL, standby, targets)
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Status(); !st.PrimaryHealthy || len(st.Tenants) != 1 || st.Tenants[0].ID != "t1" || targets["t1"] == nil {
+		t.Fatalf("status: %+v", st)
+	}
+}
+
 // TestFollowerRunCallbackMayStop: OnPrimaryDown's job is promotion,
 // whose first steps are Stop and one final SyncOnce — from inside the
 // callback Run itself invoked. Run must have left its loop by then (Stop
@@ -735,6 +823,23 @@ func TestFollowerRunCallbackMayStop(t *testing.T) {
 	}
 	if len(fired) != 0 {
 		t.Fatal("the callback's own final sync fired it again")
+	}
+}
+
+// BenchmarkFollowerCatchUp: a fresh standby's first round against a
+// tenant of ~250 sealed segments: one listing, then one file request
+// per file, each checked against its tenant's current listing.
+func BenchmarkFollowerCatchUp(b *testing.B) {
+	root := b.TempDir()
+	writeTenant(b, root, "t1", 1200, -1)
+	srv := httptest.NewServer((&Shipper{Root: root}).Handler())
+	defer srv.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := newTestFollower(b, srv.URL, b.TempDir(), map[string]*fakeTarget{})
+		if err := f.SyncOnce(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -52,7 +52,8 @@ func (sh *Shipper) refuse(w http.ResponseWriter, msg string, code int) {
 }
 
 // handleFiles lists every tenant with a persisted spec and its
-// shippable files.
+// shippable files; one whose directory cannot be read is left out (a
+// ship error), and a follower keeps what it already holds of it.
 func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
 	ents, err := os.ReadDir(sh.Root)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -64,10 +65,10 @@ func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
 		if !e.IsDir() || !validTenantID(e.Name()) {
 			continue
 		}
-		files, err := tenantFiles(filepath.Join(sh.Root, e.Name()))
+		files, err := tenantFiles(filepath.Join(sh.Root, e.Name()), wal.SealedStreamFiles)
 		if err != nil {
-			sh.refuse(w, err.Error(), http.StatusInternalServerError)
-			return
+			sh.Metrics.shipErrors.Inc()
+			continue
 		}
 		if files != nil {
 			reply.Tenants[e.Name()] = files
@@ -80,11 +81,12 @@ func (sh *Shipper) handleFiles(w http.ResponseWriter, r *http.Request) {
 
 // tenantFiles lists one tenant directory's shippable files: the spec,
 // every sealed WAL stream file (wal.SealedStreamFiles — snapshots,
-// sealed segments, the manifest, the remap staging file), and every
-// model checkpoint (wal.IsCheckpointName: written once, only ever
-// deleted). It returns nil when the directory holds no spec, which is
-// no tenant.
-func tenantFiles(dir string) ([]FileInfo, error) {
+// sealed segments, the manifest, the remap staging file — or, when only
+// the names matter, wal.SealedStreamNames, which skips a stat per file),
+// and every model checkpoint (wal.IsCheckpointName: written once, only
+// ever deleted). It returns nil when the directory holds no spec, which
+// is no tenant.
+func tenantFiles(dir string, sealedFiles func(string) ([]wal.StreamFile, error)) ([]FileInfo, error) {
 	fi, err := os.Stat(filepath.Join(dir, specFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -93,7 +95,7 @@ func tenantFiles(dir string) ([]FileInfo, error) {
 		return nil, err
 	}
 	files := []FileInfo{{Path: specFile, Size: fi.Size(), Mutable: true}}
-	sealed, err := wal.SealedStreamFiles(filepath.Join(dir, walSubdir))
+	sealed, err := sealedFiles(filepath.Join(dir, walSubdir))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
@@ -125,7 +127,7 @@ func (sh *Shipper) handleFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dir := filepath.Join(sh.Root, id)
-	files, err := tenantFiles(dir)
+	files, err := tenantFiles(dir, wal.SealedStreamNames)
 	if err != nil {
 		sh.refuse(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -91,7 +90,13 @@ func ListSnapshotSeqs(dir, prefix string) ([]uint64, error) { return listSeqs(di
 // a restart recovers it from the unreplicated active segment).
 // Anything else — WriteAtomic's .<name>.tmp-* staging files included —
 // is not a stream file and is skipped. The listing is sorted by name.
-func SealedStreamFiles(dir string) ([]StreamFile, error) {
+func SealedStreamFiles(dir string) ([]StreamFile, error) { return sealedStreamFiles(dir, true) }
+
+// SealedStreamNames is SealedStreamFiles without the stat per file that
+// reads each Size (left 0), for a caller asking only which names ship.
+func SealedStreamNames(dir string) ([]StreamFile, error) { return sealedStreamFiles(dir, false) }
+
+func sealedStreamFiles(dir string, sized bool) ([]StreamFile, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -124,16 +129,18 @@ func SealedStreamFiles(dir string) ([]StreamFile, error) {
 				continue // not a stream file
 			}
 		}
-		fi, err := e.Info()
-		if err != nil {
+		f := StreamFile{Name: name, Mutable: mutable}
+		if sized {
+			fi, err := e.Info()
 			if os.IsNotExist(err) {
 				continue // pruned between ReadDir and stat
+			} else if err != nil {
+				return nil, err
 			}
-			return nil, err
+			f.Size = fi.Size()
 		}
-		out = append(out, StreamFile{Name: name, Size: fi.Size(), Mutable: mutable})
+		out = append(out, f) // os.ReadDir sorts by name
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
