@@ -22,7 +22,9 @@ test:
 # -short skips the slow experiment-reproduction sweeps (serial model
 # training, no concurrency to check) which exceed the go test timeout
 # under the race detector's slowdown; every concurrent package (obs,
-# serve, detect, transdas) runs in full.
+# serve, transdas) runs in full — serve's model-install races (scoring
+# during a fine-tune round, cached scoring across upload and fine-tune
+# swaps) included.
 race:
 	$(GO) test -race -short ./...
 

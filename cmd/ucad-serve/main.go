@@ -188,14 +188,15 @@ func main() {
 			SnapshotEvery: *snapshotEvery,
 		},
 		// The one place a serving model is configured: every model a
-		// tenant serves passes through it (boot, admin create, hot swap,
+		// tenant loads passes through it (boot, admin create, hot swap,
 		// and each checkpoint a standby's replayer installs). The persisted
 		// config keeps whatever parallelism a model was trained with; the
 		// serving flags decide what fine-tune rounds use on this host.
 		// Scoring is always the float32 kernel (float64 stays the training
-		// and reference path), with a fresh score cache — detect.Online
-		// carries the running tenant's cache (and its counters) onto a
-		// hot-swapped model in place of the fresh one.
+		// and reference path), with a fresh score cache — a hot swap
+		// carries the running tenant's cache (and its counters) onto the
+		// new model in place of the fresh one. A fine-tune round's copy
+		// inherits all of this from the model it copies.
 		Tune: func(u *core.UCAD) {
 			u.Model.SetTrainParallelism(*trainWorkers, *batchSize)
 			u.Model.SetScorePrecision(transdas.PrecisionFloat32)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/ucad/ucad/internal/nn"
@@ -214,14 +215,49 @@ func TestDetectorAdapter(t *testing.T) {
 	}
 }
 
+// TestFineTune: a fine-tune round returns a copy that shares the
+// vocabulary, whose false-positive rate stays bounded, and leaves the
+// original bit-unchanged — its saved weights and its scores at both
+// precisions (the float32 ones read its float32 snapshot).
 func TestFineTune(t *testing.T) {
 	u, g, _ := trainSmall(t)
+	var ctxs [][]int
+	for _, s := range g.GenerateSessions(4) {
+		keys := make([]int, len(s.Ops))
+		for i := range s.Ops {
+			keys[i] = u.Vocab.Key(s.Ops[i].SQL)
+		}
+		ctxs = append(ctxs, keys[:len(keys)/2])
+	}
+	state := func(u *UCAD) (saved []byte, scores [][]float64) {
+		var buf bytes.Buffer
+		if err := u.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []transdas.Precision{transdas.PrecisionFloat64, transdas.PrecisionFloat32} {
+			u.Model.SetScorePrecision(p)
+			scores = append(scores, u.Model.NewScorer().ScoreBatchInto(nil, ctxs)...)
+		}
+		u.Model.SetScorePrecision(transdas.PrecisionFloat64)
+		return buf.Bytes(), scores
+	}
+	saved, scores := state(u)
+
 	// Fine-tuning on fresh normal sessions must not explode FPR.
 	fresh := g.GenerateSessions(10)
-	u.FineTune(fresh, 2, nil)
+	tuned, _ := u.FineTune(fresh, 2, nil)
+	if tuned.Vocab != u.Vocab || tuned.Model == u.Model {
+		t.Fatal("the fine-tuned copy must share the vocabulary and own its model")
+	}
+	if gotSaved, gotScores := state(u); !bytes.Equal(gotSaved, saved) || !reflect.DeepEqual(gotScores, scores) {
+		t.Fatal("fine-tuning changed the original's weights or scores")
+	}
+	if tunedSaved, _ := state(tuned); bytes.Equal(tunedSaved, saved) {
+		t.Fatal("the fine-tuned copy has the original's weights")
+	}
 	fp := 0
 	for _, s := range g.GenerateSessions(10) {
-		if u.IsAnomalous(s) {
+		if tuned.IsAnomalous(s) {
 			fp++
 		}
 	}

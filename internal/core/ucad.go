@@ -108,11 +108,13 @@ func (u *UCAD) IsAnomalous(s *session.Session) bool {
 	return len(u.DetectSession(s)) > 0
 }
 
-// FineTune absorbs verified-normal sessions (concept drift, §5.2).
+// FineTune absorbs verified-normal sessions (concept drift, §5.2) into
+// a fine-tuned copy of the detector, sharing the receiver's vocabulary;
+// the receiver is never modified (see transdas.Model.FineTune).
 // progress, if non-nil, is called after every epoch; the returned
 // TrainResult carries per-epoch losses and the window count for
 // training instrumentation.
-func (u *UCAD) FineTune(sessions []*session.Session, epochs int, progress func(epoch int, loss float64)) transdas.TrainResult {
+func (u *UCAD) FineTune(sessions []*session.Session, epochs int, progress func(epoch int, loss float64)) (*UCAD, transdas.TrainResult) {
 	keySeqs := make([][]int, 0, len(sessions))
 	for _, s := range sessions {
 		keys := make([]int, len(s.Ops))
@@ -121,7 +123,8 @@ func (u *UCAD) FineTune(sessions []*session.Session, epochs int, progress func(e
 		}
 		keySeqs = append(keySeqs, keys)
 	}
-	return u.Model.FineTune(keySeqs, epochs, progress)
+	m, res := u.Model.FineTune(keySeqs, epochs, progress)
+	return &UCAD{Vocab: u.Vocab, Model: m, Report: u.Report}, res
 }
 
 // Save persists the vocabulary and model.

@@ -95,7 +95,6 @@ func (a *Assembler) Append(ev Event, key, window int) Appended {
 	client := ev.Client()
 	os := a.open[client]
 	if os != nil && ev.Seq > 0 && ev.Epoch > 0 && os.isDup(ev) {
-		os.lastSeen = now // the client is clearly alive; keep the session open
 		return Appended{SessionID: os.sess.ID, Pos: int(ev.Seq) - 1, Dup: true}
 	}
 	if os == nil {

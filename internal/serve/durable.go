@@ -639,7 +639,7 @@ func (s *Service) CheckpointModel() {
 	if s.ckpts == nil {
 		return
 	}
-	path, err := s.ckpts.Save(s.online.Save)
+	path, err := s.ckpts.Save(s.model.Load().ucad.Save)
 	if err != nil {
 		s.ckptErrors.Add(1)
 		return

@@ -226,6 +226,52 @@ func TestDurableReplayKeepsCloseOutClock(t *testing.T) {
 	}
 }
 
+// TestRedeliveryKeepsCloseOutClock: a redelivered event writes no WAL
+// record, so it must not move the close-out clock either. A service
+// that absorbs an event at T and its redelivery at T+9m, and one
+// restored from a copy of its log after a hard kill, must close the
+// session at the same sweep.
+func TestRedeliveryKeepsCloseOutClock(t *testing.T) {
+	u := testUCAD(t)
+	dir := t.TempDir()
+	clock := newFakeClock()
+
+	live, _ := durableService(t, u, dir, clock.Now, nil)
+	defer live.Close(context.Background())
+	ev := Event{ClientID: "c", User: "app", SQL: normalStatement(0), Seq: 1, Epoch: 1}
+	if err := live.Ingest(ev); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(9 * time.Minute)
+	if err := live.Ingest(ev); err != nil {
+		t.Fatal(err)
+	}
+	if live.dupEvents.Load() != 1 {
+		t.Fatal("the redelivery was not absorbed as a duplicate")
+	}
+	live.Drain()
+	// Hard kill: restore a copy of the log as it stands, so the live
+	// service keeps running on its own files.
+	restored, _ := durableService(t, u, copyTree(t, dir), clock.Now, nil)
+	defer restored.Close(context.Background())
+
+	closed := 0
+	for _, sweep := range []struct {
+		at   string
+		step time.Duration
+	}{{"T+11m", 2 * time.Minute}, {"T+19m", 8 * time.Minute}} {
+		clock.Advance(sweep.step)
+		l, r := live.CloseIdleNow(), restored.CloseIdleNow()
+		if l != r {
+			t.Fatalf("sweep at %s: live closed %d sessions, restored %d", sweep.at, l, r)
+		}
+		closed += l
+	}
+	if closed != 1 {
+		t.Fatalf("closed %d sessions, want 1", closed)
+	}
+}
+
 // TestDurableRestoredCloseoutVerdict: after a hard kill the alert store
 // is gone, so the close-out scan is the only verdict a restored session
 // gets. A restored session holding an out-of-vocabulary statement must

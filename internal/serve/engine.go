@@ -10,9 +10,9 @@ import (
 
 // Ranker scores a micro-batch of operations in one stacked forward
 // pass: dst[b] receives the 1-based rank of keys[b] given contexts[b],
-// and the returned slice is dst grown as needed. The production
-// implementation is detect.Online.RankBatch (read-locked against
-// fine-tuning and model swaps as one unit).
+// and the returned slice is dst grown as needed. The Service ranks each
+// batch with the model serving when the batch starts; no model is
+// changed once it can be scored, so a batch needs no lock.
 type Ranker interface {
 	RankBatch(dst []int, contexts [][]int, keys []int) []int
 }
@@ -31,7 +31,7 @@ type Job struct {
 	SQL string
 
 	// model is the bundle whose vocabulary tokenized Keys; a result is
-	// acted on only while it is still the serving one.
+	// acted on only while that vocabulary is the serving one's.
 	model *modelBundle
 
 	// enqueuedAt is stamped by Submit; workers derive the queue-wait

@@ -53,12 +53,13 @@ func TestAssemblerSeqDedupe(t *testing.T) {
 		t.Fatalf("unsequenced append: %+v", ap)
 	}
 
-	// A duplicate refreshes the idle clock — the client is alive.
+	// A duplicate leaves the idle clock alone: no WAL record carries its
+	// arrival, so a restored service could not replay a refresh.
 	clk.Advance(9 * time.Minute)
 	a.Append(ev(1, "s1"), 1, 4)
 	clk.Advance(2 * time.Minute)
-	if closed := a.CloseIdle(); len(closed) != 0 {
-		t.Fatalf("session idled out despite dup refresh: %d closed", len(closed))
+	if closed := a.CloseIdle(); len(closed) != 1 {
+		t.Fatalf("%d sessions closed 11 minutes after the last absorbed event, want 1", len(closed))
 	}
 }
 

@@ -138,7 +138,7 @@ func (s *Service) WarmScoreCache() int {
 	)
 	flush := func() {
 		if len(ctxs) > 0 {
-			dst = s.online.RankBatch(dst[:0], ctxs, keys)
+			dst = mb.ucad.Model.RankBatch(dst[:0], ctxs, keys)
 			ctxs, keys = ctxs[:0], keys[:0]
 		}
 	}

@@ -15,11 +15,11 @@
 //	             under which each event is tokenized, appended and logged
 //	Engine     — micro-batched concurrent scoring with backpressure,
 //	             one queue per shard
-//	Service    — wires the shards and the Engine to the model (guarded
-//	             by detect.Online) and runs Figure 5's loop: close-out
-//	             verdicts, the verified pool, expert feedback, fine-tune
-//	             rounds and hot model swaps (a barrier over every shard
-//	             mutex)
+//	Service    — wires the shards and the Engine to the serving model
+//	             (one atomic record, never changed in place) and runs
+//	             Figure 5's loop: close-out verdicts, the verified pool,
+//	             expert feedback, fine-tune rounds (each trains a copy)
+//	             and model installs (a barrier over every shard mutex)
 //
 // Each Service exports its instrumentation through a per-tenant view
 // (Metrics) of a MetricsHub: one shared registry whose families are

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/ucad/ucad/internal/core"
-	"github.com/ucad/ucad/internal/detect"
 	"github.com/ucad/ucad/internal/obs"
 	"github.com/ucad/ucad/internal/scorecache"
 	"github.com/ucad/ucad/internal/session"
@@ -95,17 +94,18 @@ func DefaultConfig() Config {
 }
 
 // modelBundle is the serving model plus the scoring parameters derived
-// from it, swapped as one unit so a hot model replacement can never be
-// observed half-applied on the ingest path.
+// from it, swapped as one unit so a model change can never be observed
+// half-applied on the ingest path. The model in it is never changed: a
+// fine-tune round installs a copy.
 type modelBundle struct {
 	ucad       *core.UCAD
 	window     int
 	minContext int
 	topP       int
 	// cache is the score cache the model serves with once installed.
-	// SwapModel carries the same object onto the replacement, so a
-	// reader of the outgoing bundle (which detect.Online.SwapModel has
-	// already detached from its model) still sees live counters.
+	// install carries the same object onto the replacement, so a reader
+	// of the outgoing bundle (whose model it has already detached) still
+	// sees live counters.
 	cache *scorecache.Cache
 }
 
@@ -129,15 +129,15 @@ func newBundle(u *core.UCAD) *modelBundle {
 // next fine-tune round absorbs.
 type Service struct {
 	cfg     Config
-	online  *detect.Online // the model guard
 	shards  []*shard
 	engine  *Engine
 	alerts  *alertStore
 	metrics *Metrics
 	start   time.Time
 
-	// model is the active model bundle; read per ingest, replaced
-	// atomically by SwapModel.
+	// model is the serving model bundle — the one record of which model
+	// serves: read per ingest, per scoring batch and per close-out
+	// verdict, replaced atomically by install.
 	model atomic.Pointer[modelBundle]
 
 	accepted    atomic.Int64
@@ -222,7 +222,6 @@ func NewService(u *core.UCAD, cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:     cfg,
-		online:  detect.NewOnline(u),
 		alerts:  newAlertStore(cfg.Clock, cfg.MaxResolvedAlerts, cfg.ResolvedAlertTTL),
 		metrics: cfg.Metrics,
 		start:   cfg.Clock(),
@@ -232,7 +231,7 @@ func NewService(u *core.UCAD, cfg Config) *Service {
 	for i := range s.shards {
 		s.shards[i] = &shard{idx: i, asm: NewAssembler(cfg.IdleTimeout, cfg.Clock)}
 	}
-	s.engine = NewEngine(s.online, cfg.Shards, cfg.Workers, cfg.QueueSize, cfg.Batch, s.onResult)
+	s.engine = NewEngine(servingRanker{s}, cfg.Shards, cfg.Workers, cfg.QueueSize, cfg.Batch, s.onResult)
 	m := s.metrics
 	s.engine.instrument(m.queueWaitSeconds, m.scoreSeconds, m.scoreBatchSize)
 	m.bind(s)
@@ -526,12 +525,22 @@ func (s *Service) assemble(sh *shard, ev Event) (Appended, *modelBundle, error) 
 	return ap, mb, nil
 }
 
+// servingRanker is the scoring engine's Ranker: each batch is ranked by
+// the model serving when the batch starts.
+type servingRanker struct{ s *Service }
+
+func (r servingRanker) RankBatch(dst []int, contexts [][]int, keys []int) []int {
+	return r.s.model.Load().ucad.Model.RankBatch(dst, contexts, keys)
+}
+
 // onResult runs on scoring workers: ranks beyond top-p raise (or
-// extend) the session's mid-session alert. A job tokenized before a
-// model swap is dropped: the new model would rank keys of the old
-// vocabulary, and close-out detection scores the rekeyed session.
+// extend) the session's mid-session alert. A job tokenized with another
+// vocabulary than the serving model's is dropped: that model ranks keys
+// of its own vocabulary, and close-out detection scores the rekeyed
+// session. A fine-tune round keeps the vocabulary, so results in flight
+// across its install stand.
 func (s *Service) onResult(r Result) {
-	if r.model != s.model.Load() || r.Rank <= r.model.topP {
+	if r.Rank <= r.model.topP || r.model.ucad.Vocab != s.model.Load().ucad.Vocab {
 		return
 	}
 	s.midFlags.Add(1)
@@ -556,7 +565,7 @@ func (s *Service) CloseIdleNow() int {
 func (s *Service) finalize(closed []Closed) {
 	for _, c := range closed {
 		t := obs.StartTimer(s.metrics.closeoutSeconds)
-		positions := s.online.DetectSession(c.Session)
+		positions := s.model.Load().ucad.DetectSession(c.Session)
 		t.Stop()
 		s.processed.Add(1)
 		if len(positions) == 0 {
@@ -582,8 +591,8 @@ func (s *Service) verifiedCount() int {
 }
 
 // maybeRetrain kicks one background fine-tune round when the verified
-// pool is large enough; scoring keeps running and blocks only while
-// the round holds the model write-lock. A configured RetrainGate is
+// pool is large enough; scoring keeps running on the serving model
+// throughout (see retrain). A configured RetrainGate is
 // acquired first, so overlapping tenant rounds share the training
 // workers fairly instead of piling up.
 func (s *Service) maybeRetrain() {
@@ -608,11 +617,15 @@ func (s *Service) maybeRetrain() {
 	}()
 }
 
-// retrain fine-tunes the model on the verified pool and clears it — one
-// round of the paper's periodic training (§3) — feeding the ucad_train_*
-// and ucad_retrain_seconds families as it goes. It returns the number of
-// sessions absorbed (0: the pool was empty and no round ran) and the
-// round's result.
+// retrain runs one round of the paper's periodic training (§3): it
+// fine-tunes a copy of the serving model on the verified pool and clears
+// the pool, feeding the ucad_train_* and ucad_retrain_seconds families
+// as it goes. The round runs off the serving path — scoring keeps
+// ranking with the model it copies — and installs the copy under the
+// swap barrier only if that model still serves: an admin upload that
+// lands during the round wins. It returns the number of sessions
+// absorbed (0: the pool was empty and no round ran) and the round's
+// result.
 func (s *Service) retrain() (int, transdas.TrainResult) {
 	s.verifiedMu.Lock()
 	pool := s.verified
@@ -622,9 +635,10 @@ func (s *Service) retrain() (int, transdas.TrainResult) {
 		return 0, transdas.TrainResult{}
 	}
 	m := s.metrics
+	from := s.model.Load()
 	start := time.Now()
 	last := start
-	res := s.online.FineTune(pool, s.cfg.RetrainEpochs, func(_ int, loss float64) {
+	tuned, res := from.ucad.FineTune(pool, s.cfg.RetrainEpochs, func(_ int, loss float64) {
 		now := time.Now()
 		m.trainEpochLoss.Set(loss)
 		m.trainEpochs.Inc()
@@ -634,36 +648,63 @@ func (s *Service) retrain() (int, transdas.TrainResult) {
 	took := time.Since(start).Seconds()
 	m.retrainSeconds.Observe(took)
 	m.trainWindowsPerSec.Set(float64(res.Windows*len(res.EpochLoss)) / took)
+	s.install(tuned, from)
 	return len(pool), res
 }
 
 // SwapModel hot-replaces the serving model without draining the
-// service: a brief stop-the-world barrier over every ingest shard swaps
-// the detector inside detect.Online (under its model write-lock),
-// publishes the new scoring parameters, and re-tokenizes every open
-// session with the new vocabulary so the key windows handed to scorers
-// stay consistent with the model ranking them. Events tokenize under
-// their shard's mutex (see assemble), so each one is keyed and appended
-// wholly before the barrier or wholly after it. Scoring jobs queued
-// before the swap still run, but their results raise no alert (see
-// onResult). The caller has already validated that the model loads.
+// service (see install); it counts in ucad_model_swaps_total. Scoring
+// jobs queued before the swap still run, but their results raise no
+// alert when the vocabulary changed (see onResult). The caller has
+// already validated that the model loads.
 func (s *Service) SwapModel(u *core.UCAD) error {
 	if s.stopped.Load() {
 		return ErrStopped
 	}
+	s.install(u, nil)
+	s.modelSwaps.Add(1)
+	return nil
+}
+
+// install makes u the serving model behind a brief stop-the-world
+// barrier over every ingest shard mutex. Events tokenize under their
+// shard's mutex (see assemble), so each one is keyed and appended wholly
+// before the barrier or wholly after it. The score cache moves with the
+// model, in this order: detached from the old model, so a straggler
+// still scoring it cannot insert into the cache u now owns (see
+// transdas.Scorer.ScoreBatchInto); bumped, so no row the old model
+// scored is served for u; and attached to u, so the lifetime hit/miss
+// counters stay monotonic (a cache u brings is kept, and bumped, when
+// the old model had none). A new vocabulary re-tokenizes
+// every open session, so the key windows handed to scorers stay
+// consistent with the model ranking them. With from non-nil, u is
+// installed only while from still serves.
+func (s *Service) install(u *core.UCAD, from *modelBundle) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
-	s.online.SwapModel(u)
+	defer func() {
+		for i := len(s.shards) - 1; i >= 0; i-- {
+			s.shards[i].mu.Unlock()
+		}
+	}()
+	old := s.model.Load()
+	if from != nil && old != from {
+		return
+	}
+	if c := old.ucad.Model.ScoreCache(); c != nil {
+		old.ucad.Model.SetScoreCache(nil)
+		c.Bump()
+		u.Model.SetScoreCache(c)
+	} else if c := u.Model.ScoreCache(); c != nil {
+		c.Bump()
+	}
 	s.model.Store(newBundle(u))
-	for _, sh := range s.shards {
-		sh.asm.Rekey(u.Vocab.Key)
+	if u.Vocab != old.ucad.Vocab {
+		for _, sh := range s.shards {
+			sh.asm.Rekey(u.Vocab.Key)
+		}
 	}
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-	s.modelSwaps.Add(1)
-	return nil
 }
 
 // Resolve applies an expert verdict to a final alert: false alarms

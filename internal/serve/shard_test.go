@@ -280,7 +280,7 @@ func TestSwapDropsQueuedResults(t *testing.T) {
 	defer s.Stop()
 	gate := make(chan struct{})
 	s.engine.Stop()
-	s.engine = NewEngine(heldRanker{s.online, gate}, 1, 1, 1024, 1, s.onResult)
+	s.engine = NewEngine(heldRanker{servingRanker{s}, gate}, 1, 1, 1024, 1, s.onResult)
 
 	tail := normalTemplates[4:]
 	for c := 0; c < 4; c++ {

@@ -160,25 +160,23 @@ func TestFloat32EquivalenceScenarioIIShape(t *testing.T) {
 	assertFloat32Equivalence(t, m, ctxs, keys)
 }
 
-// TestFloat32SnapshotTracksFineTune pins the generation machinery: a
-// fine-tune round must invalidate the frozen float32 snapshot, so
-// float32 scores keep agreeing with the *current* float64 weights, not
-// the ones the snapshot was first built from.
+// TestFloat32SnapshotTracksFineTune: a fine-tuned copy's float32
+// snapshot is built from its own weights, so its float32 scores agree
+// with its float64 ones, not with the weights of the model it was
+// copied from — which keeps its snapshot and scores bit-unchanged.
 func TestFloat32SnapshotTracksFineTune(t *testing.T) {
 	m := trainToy(t)
 	rng := rand.New(rand.NewSource(41))
 	ctx := toySessions(1, rng)[0][:6]
 
 	m.SetScorePrecision(PrecisionFloat32)
-	before := append([]float64(nil), m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]...)
+	before := freeze(m, [][]int{ctx})
 
-	m.SetScorePrecision(PrecisionFloat64)
-	m.FineTune(toySessions(10, rng), 3, nil)
-	after64 := append([]float64(nil), m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]...)
-
-	m.SetScorePrecision(PrecisionFloat32)
-	after32 := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
-	m.SetScorePrecision(PrecisionFloat64)
+	tuned, _ := m.FineTune(toySessions(10, rng), 3, nil)
+	requireUnchanged(t, m, [][]int{ctx}, before)
+	after32 := tuned.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
+	tuned.SetScorePrecision(PrecisionFloat64)
+	after64 := tuned.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0]
 
 	for k := range after64 {
 		if d := math.Abs(after64[k] - after32[k]); d > float32Tol {
@@ -189,8 +187,8 @@ func TestFloat32SnapshotTracksFineTune(t *testing.T) {
 	// Sanity: the fine-tune actually moved the scores, otherwise the
 	// staleness assertion above is vacuous.
 	moved := false
-	for k := range before {
-		if math.Abs(before[k]-after32[k]) > 1e-6 {
+	for k, v := range before.scores[0] {
+		if math.Abs(v-after32[k]) > 1e-6 {
 			moved = true
 			break
 		}

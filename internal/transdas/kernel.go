@@ -53,10 +53,9 @@ type kernel[T tensor.Float] struct {
 }
 
 // weights is the parameter set one forward pass reads, at the kernel's
-// element type: the live float64 parameters themselves, or a frozen
-// float32 conversion of them (see precision.go).
+// element type: the float64 parameters themselves, or a frozen float32
+// conversion of them (see precision.go).
 type weights[T tensor.Float] struct {
-	gen    uint64        // weight generation a frozen copy was converted at
 	emb    tensor.Mat[T] // Eq. 1 embedding table and Eq. 10 read-out table
 	pos    tensor.Mat[T] // empty unless cfg.Positional
 	blocks []blockWeights[T]
@@ -87,7 +86,7 @@ type normWeights[T tensor.Float] struct {
 	eps        float64
 }
 
-// load points w at the model's current parameters through vec, the one
+// load points w at the model's parameters through vec, the one
 // conversion a precision supplies: the identity (w aliases the live
 // float64 storage) or a converting copy. The projections that share
 // their input are concatenated column-wise into wqkv so one matmul
@@ -102,18 +101,14 @@ func (w *weights[T]) load(m *Model, vec func([]float64) []T) {
 	if m.pos != nil {
 		w.pos = mat(m.pos)
 	}
-	if w.blocks == nil {
-		w.blocks = make([]blockWeights[T], len(m.blocks))
-	}
+	w.blocks = make([]blockWeights[T], len(m.blocks))
 	for i, blk := range m.blocks {
 		b := &w.blocks[i]
 		fused := []*tensor.Param{blk.att.WQ, blk.att.WK, blk.att.WV}
 		if i == len(m.blocks)-1 {
 			b.wq, fused = mat(blk.att.WQ), fused[1:]
 		}
-		if b.wqkv == nil {
-			b.wqkv = tensor.NewMat[T](h, len(fused)*h)
-		}
+		b.wqkv = tensor.NewMat[T](h, len(fused)*h)
 		for r := 0; r < h; r++ {
 			row := b.wqkv.Row(r)
 			for j, p := range fused {

@@ -45,6 +45,64 @@ func dropTable(m *Model) {
 	m.snap32.Store(&w)
 }
 
+// frozen is a model's state as scoring sees it: its parameter values,
+// its scores of some contexts at its precision, and its float32
+// snapshot (the pointer and a copy of the converted values).
+type frozen struct {
+	params [][]float64
+	scores [][]float64
+	snap   *weights[float32]
+	snap32 [][]float32
+}
+
+func freeze(m *Model, ctxs [][]int) frozen {
+	f := frozen{scores: scoreCopy(m, ctxs), snap: m.snapshot32()}
+	for _, p := range m.params {
+		f.params = append(f.params, append([]float64(nil), p.Value.Data...))
+	}
+	f.snap32 = snapValues(f.snap)
+	return f
+}
+
+// snapValues copies every converted value of a float32 snapshot.
+func snapValues(w *weights[float32]) [][]float32 {
+	out := [][]float32{append([]float32(nil), w.emb.Data...)}
+	if w.qkv0 != nil {
+		out = append(out, append([]float32(nil), w.qkv0.Data...))
+	}
+	for _, b := range w.blocks {
+		for _, v := range [][]float32{b.wqkv.Data, b.wq.Data, b.wo.Data, b.w1.Data, b.w2.Data, b.b1, b.b2,
+			b.ln1.gain, b.ln1.bias, b.ln2.gain, b.ln2.bias} {
+			out = append(out, append([]float32(nil), v...))
+		}
+	}
+	return out
+}
+
+// requireUnchanged fails unless m still has, bit for bit, the state f
+// recorded: a fine-tune round must leave the model it copies untouched.
+func requireUnchanged(t *testing.T, m *Model, ctxs [][]int, f frozen) {
+	t.Helper()
+	for i, p := range m.params {
+		for j, v := range p.Value.Data {
+			if v != f.params[i][j] {
+				t.Fatalf("original's parameter %s[%d] moved: %v -> %v", p.Name, j, f.params[i][j], v)
+			}
+		}
+	}
+	requireSameBits(t, "original's scores", scoreCopy(m, ctxs), f.scores)
+	if m.snapshot32() != f.snap {
+		t.Fatal("original's float32 snapshot was replaced")
+	}
+	for i, v := range snapValues(f.snap) {
+		for j := range v {
+			if v[j] != f.snap32[i][j] {
+				t.Fatalf("original's float32 snapshot moved (array %d, index %d)", i, j)
+			}
+		}
+	}
+}
+
 // mixedContexts draws n contexts with lengths spread over (and past)
 // the window, pad and out-of-vocabulary keys included.
 func mixedContexts(rng *rand.Rand, cfg Config, n int) [][]int {
@@ -122,28 +180,31 @@ func TestScoresIndependentOfBatchComposition(t *testing.T) {
 }
 
 // TestFirstBlockTableDiesWithItsGeneration proves the table is never
-// served past the weights it was built from: after a fine-tune round a
-// warm float32 Scorer's scores equal those of the table-less matmul on
-// the new weights, and a save -> Load round trip scores exactly like
-// the model it was saved from.
+// served past the weights it was built from: a fine-tuned copy's
+// float32 scores equal those of the table-less matmul on the new
+// weights, while the original keeps its snapshot, its table and its
+// scores; and a save -> Load round trip scores exactly like the model
+// it was saved from.
 func TestFirstBlockTableDiesWithItsGeneration(t *testing.T) {
 	m := trainToy(t)
 	m.SetScorePrecision(PrecisionFloat32)
 	rng := rand.New(rand.NewSource(41))
 	ctxs := mixedContexts(rng, m.cfg, 10)
 	warm := m.NewScorer()
-	before := scoreCopy(m, ctxs)
+	before := freeze(m, ctxs)
 	old := m.snapshot32()
 
-	m.FineTune(toySessions(10, rng), 3, nil)
-	got := warm.ScoreBatchInto(nil, ctxs)
-	if w := m.snapshot32(); w == old || w.qkv0 == old.qkv0 {
-		t.Fatal("fine-tune kept the old snapshot or its table")
+	tuned, _ := m.FineTune(toySessions(10, rng), 3, nil)
+	got := scoreCopy(tuned, ctxs)
+	if w := tuned.snapshot32(); w == old || w.qkv0 == old.qkv0 {
+		t.Fatal("the fine-tuned copy shares the original's snapshot or its table")
 	}
+	requireUnchanged(t, m, ctxs, before)
+	requireSameBits(t, "warm scorer on the original", warm.ScoreBatchInto(nil, ctxs), before.scores)
 	changed := false
 	for b := range got {
 		for k := range got[b] {
-			changed = changed || got[b][k] != before[b][k]
+			changed = changed || got[b][k] != before.scores[b][k]
 		}
 	}
 	if !changed {
@@ -151,7 +212,7 @@ func TestFirstBlockTableDiesWithItsGeneration(t *testing.T) {
 	}
 
 	var blob bytes.Buffer
-	if err := m.Save(&blob); err != nil {
+	if err := tuned.Save(&blob); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&blob)
@@ -161,8 +222,8 @@ func TestFirstBlockTableDiesWithItsGeneration(t *testing.T) {
 	loaded.SetScorePrecision(PrecisionFloat32)
 	requireSameBits(t, "loaded vs saved", scoreCopy(loaded, ctxs), got)
 
-	dropTable(m)
-	requireSameBits(t, "post-tune table vs matmul on the new weights", got, scoreCopy(m, ctxs))
+	dropTable(tuned)
+	requireSameBits(t, "post-tune table vs matmul on the new weights", got, scoreCopy(tuned, ctxs))
 }
 
 // TestPrecisionFlipInvalidatesCachedRows: rows cached at one precision

@@ -45,16 +45,15 @@ type Model struct {
 
 	// Inference fast-path state (see precision.go and scorecache):
 	// scoreCache memoizes similarity rows by context (nil = disabled),
-	// prec32 selects the float32 scoring kernel, weightGen counts weight
-	// mutations (every train/fine-tune round bumps it), and snap32 holds
-	// the frozen single-precision weight snapshot — the first block's
-	// per-key projection table included — for the current generation,
-	// rebuilt lazily under snapMu after a weight change.
+	// prec32 selects the float32 scoring kernel, and w64/snap32 hold the
+	// weights each kernel instantiation reads, built on first use. A
+	// model is never changed once it can be scored (FineTune returns a
+	// copy), so they are built once and shared read-only by every Scorer;
+	// only a fresh model's Train drops them.
 	scoreCache atomic.Pointer[scorecache.Cache]
 	prec32     atomic.Bool
-	weightGen  atomic.Uint64
+	w64        atomic.Pointer[weights[float64]]
 	snap32     atomic.Pointer[weights[float32]]
-	snapMu     sync.Mutex
 }
 
 // New builds a model from the configuration. It panics on an invalid
@@ -106,11 +105,10 @@ func (m *Model) SetTrainParallelism(workers, batchSize int) {
 }
 
 // SetScoreCache attaches (or, with nil, detaches) a similarity-row
-// cache consulted by every Scorer before the forward pass. The cache
-// must be bumped on every weight change; Train/FineTune do so
-// automatically for the attached cache, and detect.Online.SwapModel
-// carries the old model's cache (bumped) onto its replacement so the
-// lifetime hit/miss counters stay monotonic across hot swaps.
+// cache consulted by every Scorer before the forward pass. Train bumps
+// the attached cache; a fine-tuned copy starts with none, and the
+// serving layer moves its cache (bumped) onto each model it installs,
+// so the lifetime hit/miss counters stay monotonic across swaps.
 func (m *Model) SetScoreCache(c *scorecache.Cache) { m.scoreCache.Store(c) }
 
 // ScoreCache returns the attached score cache (nil when disabled).
@@ -129,18 +127,6 @@ func (m *Model) SetScorePrecision(p Precision) {
 	if m.prec32.Swap(f32) == f32 {
 		return
 	}
-	if c := m.scoreCache.Load(); c != nil {
-		c.Bump()
-	}
-}
-
-// bumpWeightGen records a weight mutation: the float32 snapshot is
-// invalidated (rebuilt lazily on the next float32 score) and every
-// cached similarity row becomes stale. Called by train() after each
-// Train/FineTune round, under whatever lock serializes training against
-// scoring (detect.Online's model write-lock in the serving layer).
-func (m *Model) bumpWeightGen() {
-	m.weightGen.Add(1)
 	if c := m.scoreCache.Load(); c != nil {
 		c.Bump()
 	}

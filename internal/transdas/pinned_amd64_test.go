@@ -141,8 +141,8 @@ func trainFingerprint(m *Model, res TrainResult) uint64 {
 }
 
 // TestTrainBitsPinned holds training to the exact trajectory on file:
-// the weights and per-epoch losses after Train, then after one more
-// FineTune round, for the Scenario-I default (dropout, three negative
+// the weights and per-epoch losses after Train, then of the copy one
+// more FineTune round returns, for the Scenario-I default (dropout, three negative
 // rounds, six blocks, sequential SGD), the benchmark's paper shape
 // (two workers, batch 16, stride 12), the positional + future-mask +
 // CE-only ablation, the full mask trained data-parallel with dropout,
@@ -188,8 +188,8 @@ func TestTrainBitsPinned(t *testing.T) {
 			if got := trainFingerprint(m, res); got != tc.wantTrain {
 				t.Errorf("after Train: fingerprint %#x, want %#x", got, tc.wantTrain)
 			}
-			res = m.FineTune(pinnedSessions(tc.cfg, tc.sessions/2, tc.cfg.Seed+2), 1, nil)
-			if got := trainFingerprint(m, res); got != tc.want {
+			tuned, res := m.FineTune(pinnedSessions(tc.cfg, tc.sessions/2, tc.cfg.Seed+2), 1, nil)
+			if got := trainFingerprint(tuned, res); got != tc.want {
 				t.Errorf("after FineTune: fingerprint %#x, want %#x", got, tc.want)
 			}
 		})

@@ -1,6 +1,10 @@
 package transdas
 
-import "github.com/ucad/ucad/internal/tensor"
+import (
+	"sync/atomic"
+
+	"github.com/ucad/ucad/internal/tensor"
+)
 
 // Precision selects the element type the scoring kernel runs at.
 // Training and the property-tested reference path are always float64,
@@ -36,16 +40,12 @@ func (p Precision) String() string {
 // is a per-key table), which matmul and row softmax run, and whether the
 // packed dk=8 attention kernels exist.
 
-// kernel64 readies the float64 kernel over the model's live parameters.
-// The weight view aliases their storage and is re-taken on every pass
-// (only the fused Q|K|V concat is copied), so a Scorer stays valid
-// across in-place fine-tuning.
+// kernel64 readies the float64 kernel over the model's weights: the
+// parameters' own storage plus the fused Q|K|V concat, built once per
+// model (see weights64).
 func (s *Scorer) kernel64() *kernel[float64] {
 	k := &s.k64
-	if k.w == nil {
-		k.w, k.matmul, k.softmax = new(weights[float64]), tensor.MatMulInto, tensor.SoftmaxInto[float64]
-	}
-	k.w.load(s.m, func(v []float64) []float64 { return v })
+	k.w, k.matmul, k.softmax = s.m.weights64(), tensor.MatMulInto, tensor.SoftmaxInto[float64]
 	return k
 }
 
@@ -59,42 +59,50 @@ func (s *Scorer) kernel32() *kernel[float32] {
 	return k
 }
 
-// snapshot32 returns the frozen single-precision copy of the weights
-// for the current weight generation, converting at most once per
-// generation (checkpoint load, fine-tune round, hot swap;
-// double-checked under snapMu) and shared read-only by every Scorer,
-// which keeps the per-batch conversion cost at zero. Without a
-// positional embedding it also carries the first block's projection as
-// a per-key table (weights.qkv0), which lives and dies with the
-// snapshot: a weight change retires both together. Safe for
-// concurrent scorers; callers must externally serialize against weight
-// mutation exactly as float64 scoring already is.
-func (m *Model) snapshot32() *weights[float32] {
-	gen := m.weightGen.Load()
-	if w := m.snap32.Load(); w != nil && w.gen == gen {
+// weights64 returns the float64 kernel's view of the weights: it
+// aliases the parameters' storage, and only the fused Q|K|V concat is a
+// copy.
+func (m *Model) weights64() *weights[float64] {
+	return builtOnce(&m.w64, func() *weights[float64] {
+		w := new(weights[float64])
+		w.load(m, func(v []float64) []float64 { return v })
 		return w
-	}
-	m.snapMu.Lock()
-	defer m.snapMu.Unlock()
-	gen = m.weightGen.Load()
-	if w := m.snap32.Load(); w != nil && w.gen == gen {
-		return w
-	}
-	w := &weights[float32]{gen: gen}
-	w.load(m, func(src []float64) []float32 {
-		out := make([]float32, len(src))
-		for i, v := range src {
-			out[i] = float32(v)
-		}
-		return out
 	})
-	if m.pos == nil {
-		// By MatMulInto32 itself, so a table row is bit for bit what the
-		// kernel's matmul computes for that key in any batch.
-		w.qkv0 = tensor.NewMatrix32(w.emb.Rows, w.blocks[0].wqkv.Cols)
-		tensor.MatMulInto32(w.qkv0, &w.emb, w.blocks[0].wqkv)
-		clear(w.qkv0.Row(m.emb.PadKey))
+}
+
+// snapshot32 returns the frozen single-precision copy of the weights,
+// converted once per model and shared read-only by every Scorer, which
+// keeps the per-batch conversion cost at zero. Without a positional
+// embedding it also carries the first block's projection as a per-key
+// table (weights.qkv0).
+func (m *Model) snapshot32() *weights[float32] {
+	return builtOnce(&m.snap32, func() *weights[float32] {
+		w := new(weights[float32])
+		w.load(m, func(src []float64) []float32 {
+			out := make([]float32, len(src))
+			for i, v := range src {
+				out[i] = float32(v)
+			}
+			return out
+		})
+		if m.pos == nil {
+			// By MatMulInto32 itself, so a table row is bit for bit what the
+			// kernel's matmul computes for that key in any batch.
+			w.qkv0 = tensor.NewMatrix32(w.emb.Rows, w.blocks[0].wqkv.Cols)
+			tensor.MatMulInto32(w.qkv0, &w.emb, w.blocks[0].wqkv)
+			clear(w.qkv0.Row(m.emb.PadKey))
+		}
+		return w
+	})
+}
+
+// builtOnce returns *p, building and publishing it on first use. Two
+// scorers racing on a cold model may both build; one copy wins and the
+// other is dropped.
+func builtOnce[T tensor.Float](p *atomic.Pointer[weights[T]], build func() *weights[T]) *weights[T] {
+	if w := p.Load(); w != nil {
+		return w
 	}
-	m.snap32.Store(w)
-	return w
+	p.CompareAndSwap(nil, build())
+	return p.Load()
 }

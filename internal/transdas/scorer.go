@@ -13,10 +13,8 @@ import (
 // batch beyond result rows the caller did not provide.
 //
 // A Scorer is not safe for concurrent use; create one per goroutine
-// (they share the model's parameters, which the Scorer reads on every
-// call, so a Scorer remains valid across in-place fine-tuning as long
-// as scoring and training are externally serialized, e.g. by
-// detect.Online's lock).
+// (they share the model's weights, which no scoring changes: a
+// fine-tune round trains a copy, see FineTune).
 type Scorer struct {
 	m *Model
 
@@ -125,10 +123,13 @@ func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 
 	// Score-cache lookup: hits copy their memoized row straight into dst
 	// and leave the kernel; the remaining misses are compacted in place.
-	// The generation is captured before scoring — if a weight change
-	// lands mid-batch (impossible under detect.Online's lock, but cheap
-	// to defend against), the insertions below are stamped already-stale
-	// and can never be served.
+	// The cache may move to another model mid-batch, and the serving
+	// layer detaches it from this model before it bumps the generation.
+	// So the generation is captured first, and if the cache is still
+	// attached after the lookups, the bump came after the capture — the
+	// insertions below are stamped stale and can never be served — and
+	// no other model had inserted yet, so every hit is this model's row.
+	// A batch that finds it detached scores again without it.
 	cache := s.m.scoreCache.Load()
 	var cacheGen uint64
 	if cache != nil {
@@ -140,6 +141,9 @@ func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 			}
 			s.slots[w], s.ctxs[w], s.lens[w] = s.slots[i], s.ctxs[i], s.lens[i]
 			w++
+		}
+		if s.m.scoreCache.Load() != cache {
+			return s.ScoreBatchInto(dst, contexts)
 		}
 		s.slots, s.ctxs, s.lens = s.slots[:w], s.ctxs[:w], s.lens[:w]
 		if w == 0 {

@@ -95,9 +95,11 @@ func TestScoreCacheMixedHitMissBatch(t *testing.T) {
 	}
 }
 
-// TestScoreCacheInvalidatedByFineTune: after a fine-tune round the
-// cache must never serve pre-tune rows — fresh scores have to match an
-// uncached computation on the updated weights.
+// TestScoreCacheInvalidatedByFineTune: a cache moved from a model onto
+// its fine-tuned copy the way the serving layer installs one (detached,
+// bumped, attached) must never serve pre-tune rows — the copy's
+// scores have to match an uncached computation on its weights — and
+// the original keeps its weights, scores and float32 snapshot.
 func TestScoreCacheInvalidatedByFineTune(t *testing.T) {
 	m := trainToy(t)
 	c := scorecache.New(256)
@@ -105,19 +107,21 @@ func TestScoreCacheInvalidatedByFineTune(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ctxs := cacheTestContexts(rng, m, 8)
 
-	stale := make([][]float64, len(ctxs))
-	for i, row := range m.NewScorer().ScoreBatchInto(nil, ctxs) {
-		stale[i] = append([]float64(nil), row...)
-	}
+	before := freeze(m, ctxs)
+	stale := before.scores
 	gen := c.Gen()
-	m.FineTune(toySessions(10, rng), 3, nil)
-	if c.Gen() == gen {
-		t.Fatal("FineTune did not bump the attached cache generation")
+	tuned, _ := m.FineTune(toySessions(10, rng), 3, nil)
+	if c.Gen() != gen || tuned.ScoreCache() != nil {
+		t.Fatal("FineTune touched the original's cache or attached one to the copy")
 	}
-
-	got := m.NewScorer().ScoreBatchInto(nil, ctxs)
+	requireUnchanged(t, m, ctxs, before)
 	m.SetScoreCache(nil)
-	ref := m.NewScorer().ScoreBatchInto(nil, ctxs)
+	c.Bump()
+	tuned.SetScoreCache(c)
+
+	got := tuned.NewScorer().ScoreBatchInto(nil, ctxs)
+	tuned.SetScoreCache(nil)
+	ref := tuned.NewScorer().ScoreBatchInto(nil, ctxs)
 	changed := false
 	for i := range ctxs {
 		for k := range got[i] {

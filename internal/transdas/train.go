@@ -130,21 +130,36 @@ func (m *Model) Train(sessions [][]int, progress func(epoch int, loss float64)) 
 // FineTune continues training on newly verified normal sessions at half
 // the base learning rate — the paper's concept-drift strategy (§5.2):
 // the model keeps its historical knowledge and absorbs the new normal
-// patterns without retraining from scratch. progress, if non-nil, is
-// called after every epoch (training instrumentation).
-func (m *Model) FineTune(sessions [][]int, epochs int, progress func(epoch int, loss float64)) TrainResult {
-	return m.train(sessions, epochs, m.cfg.LR*0.5, progress)
+// patterns without retraining from scratch. The round trains a copy and
+// returns it; the receiver is never modified, so it keeps scoring while
+// the round runs. The copy has the receiver's configuration, parameter
+// values and scoring precision, no score cache, and takes over the
+// receiver's random stream, so the copy continues the receiver's
+// training trajectory; rounds on one receiver must therefore not run
+// concurrently. progress, if non-nil, is called after every epoch
+// (training instrumentation).
+func (m *Model) FineTune(sessions [][]int, epochs int, progress func(epoch int, loss float64)) (*Model, TrainResult) {
+	c := New(m.cfg)
+	for i, p := range m.params {
+		copy(c.params[i].Value.Data, p.Value.Data)
+	}
+	c.prec32.Store(m.prec32.Load())
+	c.rng = m.rng
+	return c, c.train(sessions, epochs, m.cfg.LR*0.5, progress)
 }
 
+// train runs epochs of SGD in place. Only Train (on a model nothing
+// scores yet) and FineTune (on its fresh copy) call it; it drops the
+// weights the kernels built, should a Scorer have run first, and bumps
+// an attached score cache.
 func (m *Model) train(sessions [][]int, epochs int, lr float64, progress func(int, float64)) TrainResult {
 	windows := m.collectWindows(sessions)
 	res := m.trainWindows(windows, epochs, lr, progress)
-	// The weights changed (or conservatively may have): advance the
-	// generation so the float32 snapshot rebuilds and every cached
-	// similarity row goes stale. The serving layer holds the model
-	// write-lock across this call, so no concurrent scorer can observe
-	// half-updated weights under the old generation.
-	m.bumpWeightGen()
+	m.w64.Store(nil)
+	m.snap32.Store(nil)
+	if c := m.scoreCache.Load(); c != nil {
+		c.Bump()
+	}
 	return res
 }
 

@@ -311,10 +311,12 @@ func TestFineTuneAdaptsToNewPattern(t *testing.T) {
 	// sessions: a type-A prefix followed by the new statement.
 	ctx := append(toySessions(1, rand.New(rand.NewSource(11)))[0], 13, 13)
 	beforeRank := m.RankOf(ctx, 13)
-	beforeSim := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0][13]
-	m.FineTune(drift, 15, nil)
-	afterRank := m.RankOf(ctx, 13)
-	afterSim := m.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0][13]
+	before := freeze(m, [][]int{ctx})
+	beforeSim := before.scores[0][13]
+	tuned, _ := m.FineTune(drift, 15, nil)
+	requireUnchanged(t, m, [][]int{ctx}, before)
+	afterRank := tuned.RankOf(ctx, 13)
+	afterSim := tuned.NewScorer().ScoreBatchInto(nil, [][]int{ctx})[0][13]
 	if afterRank > beforeRank {
 		t.Fatalf("fine-tuning should not worsen the drifted key's rank: %d -> %d", beforeRank, afterRank)
 	}
