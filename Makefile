@@ -84,8 +84,12 @@ equiv32:
 # The !amd64 fallbacks of the assembly kernels run on no CI machine;
 # type-check them for another architecture (a cross-vet downloads and
 # links nothing) so a signature drift fails here, not on a user's arm64.
+# Likewise the feed's non-Linux wait (the Poll timer alone, no inotify)
+# and the ucad-feed binary built on it, for macOS and Windows.
 portable:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/transdas/
+	GOOS=darwin $(GO) vet ./internal/feed/ ./cmd/ucad-feed/
+	GOOS=windows $(GO) vet ./internal/feed/ ./cmd/ucad-feed/
 
 # bench/ is a nested module that imports internal/... directly, so
 # `go build ./...` and `go vet ./...` never compile it: type-check it

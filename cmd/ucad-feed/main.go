@@ -27,9 +27,12 @@
 //
 // The source file may rotate (rename-and-recreate is followed to the
 // last byte, copytruncate restarts at the head) and may not exist yet
-// at startup. Backpressure from the server (503) pauses the tail with
-// capped exponential backoff — the audit log itself is the buffer, and
-// the lag is exported as ucad_feed_lag_bytes when -metrics-addr is set.
+// at startup. Once caught up, the tailer waits for the file to change
+// (inotify on Linux; -poll is then only the fallback re-check period,
+// and the only wait elsewhere). Backpressure from the server (503)
+// pauses the tail with capped exponential backoff — the audit log
+// itself is the buffer, and the lag is exported as ucad_feed_lag_bytes
+// when -metrics-addr is set.
 //
 // -serve-url accepts a comma-separated failover list (primary first,
 // then warm standbys). When the acknowledging server changes — the
@@ -65,8 +68,8 @@ func main() {
 	tenantID := flag.String("tenant", "", "target tenant (sent as the X-UCAD-Tenant header; empty = server default)")
 	offsetDir := flag.String("offset-dir", "", "directory for resume checkpoints; empty disables resume")
 	batch := flag.Int("batch", 64, "events per delivery batch")
-	flush := flag.Duration("flush-interval", 200*time.Millisecond, "deliver a partial batch after this long")
-	poll := flag.Duration("poll", 50*time.Millisecond, "file poll period once caught up")
+	flush := flag.Duration("flush-interval", 200*time.Millisecond, "a partial batch is delivered this long after its first event")
+	poll := flag.Duration("poll", 50*time.Millisecond, "fallback re-check period; on Linux the tailer wakes on file change")
 	sessionIdle := flag.Duration("session-idle", session.IdleGap, "sessionization idle cut-off (match the server's -idle-timeout)")
 	metricsAddr := flag.String("metrics-addr", "", "expose feeder /metrics and /healthz here; empty disables")
 	flag.Parse()

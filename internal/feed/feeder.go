@@ -134,8 +134,9 @@ type FeederConfig struct {
 	CheckpointPath string
 	// BatchSize caps events per delivery (<= 0 means 64).
 	BatchSize int
-	// FlushInterval bounds how long a partial batch waits for more
-	// input before delivering anyway (<= 0 means 200ms).
+	// FlushInterval is how long after its first event a partial batch
+	// is delivered anyway, however slowly more input arrives (<= 0
+	// means 200ms).
 	FlushInterval time.Duration
 	// Idle is the sessionization cut-off (<= 0 means 10 minutes). It
 	// should not exceed the server's session idle timeout, and
@@ -246,40 +247,46 @@ func (f *Feeder) Run(ctx context.Context) error {
 	}
 	batch := make([]serve.Event, 0, f.cfg.BatchSize)
 	for {
-		// A pending partial batch bounds the wait so slow sources
-		// still see their events delivered within FlushInterval.
-		rctx, cancel := ctx, context.CancelFunc(func() {})
-		if len(batch) > 0 {
-			rctx, cancel = context.WithTimeout(ctx, f.cfg.FlushInterval)
+		// A batch opens with its first event, and the rest of it is read
+		// under one deadline FlushInterval later, however slowly it
+		// trickles in.
+		op, err := f.cfg.Source.Next(ctx)
+		if err == nil {
+			batch = append(batch, f.sess.Event(f.cfg.Tenant, op))
+			bctx, cancel := context.WithTimeout(ctx, f.cfg.FlushInterval)
+			batch, err = f.fillBatch(bctx, batch)
+			cancel()
 		}
-		op, err := f.cfg.Source.Next(rctx)
-		cancel()
 		switch {
 		case err == nil:
-			batch = append(batch, f.sess.Event(f.cfg.Tenant, op))
-			if len(batch) < f.cfg.BatchSize {
-				continue
-			}
 		case errors.Is(err, io.EOF):
-			if ferr := f.flush(ctx, batch); ferr != nil {
-				return ferr
-			}
-			return nil
+			return f.flush(ctx, batch)
 		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			// Flush-interval tick on a partial batch; fall through.
+			// The flush interval ran out on a partial batch.
 		default:
 			return err
 		}
-		if len(batch) > 0 {
-			if ferr := f.flush(ctx, batch); ferr != nil {
-				return ferr
-			}
-			batch = batch[:0]
+		if ferr := f.flush(ctx, batch); ferr != nil {
+			return ferr
 		}
+		batch = batch[:0]
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 	}
+}
+
+// fillBatch reads events into batch until it is full or the source
+// reports an error (bctx's deadline included).
+func (f *Feeder) fillBatch(bctx context.Context, batch []serve.Event) ([]serve.Event, error) {
+	for len(batch) < f.cfg.BatchSize {
+		op, err := f.cfg.Source.Next(bctx)
+		if err != nil {
+			return batch, err
+		}
+		batch = append(batch, f.sess.Event(f.cfg.Tenant, op))
+	}
+	return batch, nil
 }
 
 // restore opens the checkpoint store, loads the state it holds and

@@ -19,30 +19,34 @@ type TailerConfig struct {
 	// session.Operation wire format, one JSON object per line) or "csv"
 	// (ts,user,addr,session_id,sql — see ParseCSVLine).
 	Format string
-	// Poll is how often the tailer re-checks the file for new bytes or
-	// rotation once it has caught up (default 50ms).
+	// Poll is the fallback re-check period once the tailer has caught
+	// up (default 50ms). On Linux the tailer wakes as soon as the file
+	// changes and Poll only bounds a wait no change ends; elsewhere, or
+	// when inotify cannot be set up, it is how often the file is
+	// re-checked for new bytes or rotation.
 	Poll time.Duration
 	// Metrics receives per-source instrumentation (nil disables).
 	Metrics *SourceMetrics
 }
 
 // Tailer follows an audit log file like tail -F: it returns complete
-// records in order, waits at EOF for the writer, follows rotation
-// (rename-and-recreate: the renamed file is drained to its end before
-// the new one starts) and truncation (copytruncate: reading restarts at
-// zero), and never returns a torn record — a trailing line without its
-// newline is held until the writer finishes it, unless the file was
-// rotated away, in which case the remnant is parsed as-is or counted as
-// a parse error.
+// records in order, waits at EOF for the writer (woken by the file's
+// changes on Linux, see watcher; by the Poll timer elsewhere), follows
+// rotation (rename-and-recreate: the renamed file is drained to its end
+// before the new one starts) and truncation (copytruncate: reading
+// restarts at zero), and never returns a torn record — a trailing line
+// without its newline is held until the writer finishes it, unless the
+// file was rotated away, in which case the remnant is parsed as-is or
+// counted as a parse error.
 //
 // Pos/SeekTo expose the byte position after the last returned record,
 // pinned to the file's inode, so a Feeder checkpoint resumes exactly
 // where delivery stopped even if the file rotated in between. The
-// tailer follows one rotation at a time: if the log rotates more than
-// once between polls (or while the feeder is down and the checkpointed
-// file is gone), the skipped generations are counted in the
-// ucad_feed_rotation_gaps_total metric rather than lost silently. Not
-// safe for concurrent use.
+// tailer follows one rotation at a time: if the log rotates again while
+// a rotated file drains (or while the feeder is down and the
+// checkpointed file is gone), the skipped generations are counted in
+// the ucad_feed_rotation_gaps_total metric rather than lost silently.
+// Not safe for concurrent use.
 type Tailer struct {
 	cfg   TailerConfig
 	parse func([]byte) (session.Operation, error)
@@ -53,13 +57,17 @@ type Tailer struct {
 	retOff   int64 // offset just past the last line returned by Next
 	queue    []tline
 	partial  []byte
-	draining bool // f is a rotated-away file; switch to cfg.Path at EOF
+	draining bool     // f is a rotated-away file; switch to cfg.Path at EOF
+	w        *watcher // wakes Next on a change; nil waits on the Poll timer
 
-	// rotatePolls counts consecutive quiet polls since rotation was
-	// detected; the old descriptor is only abandoned after rotateGrace
-	// of them, because a writer holding the renamed file open may still
-	// be finishing a half-written record (rotation mid-record).
-	rotatePolls int
+	// quietSince is when the rotated-away file was last found quiet
+	// (zero while it is being read or no rotation is pending); the old
+	// descriptor is only abandoned once it has stayed quiet for
+	// rotateGrace Poll periods, because a writer holding the renamed
+	// file open may still be finishing a half-written record (rotation
+	// mid-record). It is wall time, not a count of re-checks: the
+	// rename and create alone wake the tailer more than once.
+	quietSince time.Time
 
 	// expectIno is the live file's inode observed when rotation was
 	// first detected. If the file the tailer eventually reopens has a
@@ -68,8 +76,8 @@ type Tailer struct {
 	expectIno uint64
 }
 
-// rotateGrace is how many quiet poll cycles the tailer keeps draining a
-// rotated-away file before flushing its unterminated tail and moving on.
+// rotateGrace is how many Poll periods a rotated-away file must stay
+// quiet before the tailer flushes its unterminated tail and moves on.
 const rotateGrace = 2
 
 // tline is one complete line and the file offset just past its newline.
@@ -93,6 +101,7 @@ func NewTailer(cfg TailerConfig) (*Tailer, error) {
 	default:
 		return nil, fmt.Errorf("feed: unknown tail format %q (want jsonl or csv)", cfg.Format)
 	}
+	t.w = newWatcher(cfg.Path)
 	return t, nil
 }
 
@@ -121,6 +130,7 @@ func (t *Tailer) SeekTo(pos FilePos) error {
 			return err
 		}
 		t.f, t.ino, t.readOff, t.retOff, t.draining = f, pos.Ino, off, off, draining
+		t.w.watchFile(path)
 		return nil
 	}
 	if st, err := os.Stat(t.cfg.Path); err == nil && fileIno(st) == pos.Ino {
@@ -156,13 +166,12 @@ func (t *Tailer) SeekTo(pos FilePos) error {
 // gap.
 func (t *Tailer) Rewind(pos FilePos) error {
 	if t.f != nil {
-		t.f.Close()
-		t.f = nil
+		t.closeFile()
 	}
 	t.queue, t.partial = nil, nil
 	t.ino, t.readOff, t.retOff = 0, 0, 0
 	t.draining = false
-	t.rotatePolls = 0
+	t.quietSince = time.Time{}
 	t.expectIno = 0
 	return t.SeekTo(pos)
 }
@@ -181,11 +190,33 @@ func (t *Tailer) Next(ctx context.Context) (session.Operation, error) {
 		if progressed {
 			continue
 		}
-		select {
-		case <-ctx.Done():
-			return session.Operation{}, ctx.Err()
-		case <-time.After(t.cfg.Poll):
+		if err := t.wait(ctx); err != nil {
+			return session.Operation{}, err
 		}
+	}
+}
+
+// wait blocks until the file may have changed: the watcher's wake, or
+// Poll at the latest. Without a watcher (off Linux, inotify
+// unavailable, or lost mid-run) it is the Poll timer alone. It returns
+// ctx.Err() once ctx is done.
+func (t *Tailer) wait(ctx context.Context) error {
+	if t.w != nil {
+		err := t.w.wait(ctx, t.cfg.Poll)
+		if err == nil || ctx.Err() != nil {
+			return ctx.Err()
+		}
+		// Events may have been lost: re-check now, and on the timer from
+		// here on.
+		t.w.close()
+		t.w = nil
+		return nil
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(t.cfg.Poll):
+		return nil
 	}
 }
 
@@ -224,6 +255,7 @@ func (t *Tailer) fill() (bool, error) {
 			return false, err
 		}
 		t.f, t.ino, t.readOff, t.retOff = f, fileIno(st), 0, 0
+		t.w.watchFile(t.cfg.Path)
 		if t.expectIno != 0 {
 			if t.ino != t.expectIno {
 				// The log rotated again while the old generation was
@@ -238,7 +270,7 @@ func (t *Tailer) fill() (bool, error) {
 	var buf [64 * 1024]byte
 	n, err := t.f.Read(buf[:])
 	if n > 0 {
-		t.rotatePolls = 0
+		t.quietSince = time.Time{}
 		t.absorb(buf[:n])
 		t.updateLag()
 		return true, nil
@@ -254,23 +286,25 @@ func (t *Tailer) fill() (bool, error) {
 		// Rotated away (or we were already draining a rotated file and
 		// hit its end). The writer may still finish a half-written
 		// record through its old handle, so keep reading the old
-		// descriptor for rotateGrace quiet polls before flushing the
-		// remnant and switching to the new file.
+		// descriptor until it has been quiet for rotateGrace Poll
+		// periods before flushing the remnant and switching to the new
+		// file.
 		if serr != nil && !os.IsNotExist(serr) {
 			return false, serr
 		}
 		if t.expectIno == 0 && serr == nil {
 			t.expectIno = fileIno(st) // the generation we expect to open next
 		}
-		if t.rotatePolls < rotateGrace {
-			t.rotatePolls++
+		if t.quietSince.IsZero() {
+			t.quietSince = time.Now()
+		}
+		if time.Since(t.quietSince) < rotateGrace*t.cfg.Poll {
 			return false, nil
 		}
 		t.flushPartial()
-		t.f.Close()
-		t.f = nil // next fill opens cfg.Path fresh
+		t.closeFile() // next fill opens cfg.Path fresh
 		t.draining = false
-		t.rotatePolls = 0
+		t.quietSince = time.Time{}
 		return true, nil
 	case st.Size() < t.readOff:
 		// Truncated in place (copytruncate): restart from the head. The
@@ -282,7 +316,7 @@ func (t *Tailer) fill() (bool, error) {
 		t.readOff, t.retOff = 0, 0
 		return true, nil
 	}
-	t.updateLag()
+	t.setLag(st)
 	return false, nil
 }
 
@@ -321,23 +355,39 @@ func (t *Tailer) updateLag() {
 		return
 	}
 	if st, err := os.Stat(t.cfg.Path); err == nil {
-		lag := st.Size() - t.retOff
-		if t.draining || fileIno(st) != t.ino {
-			lag = st.Size() // everything in the new file is still ahead
-		}
-		if lag < 0 {
-			lag = 0
-		}
-		t.cfg.Metrics.setLagBytes(float64(lag))
+		t.setLag(st)
 	}
 }
 
-// Close releases the tailed file.
-func (t *Tailer) Close() error {
-	if t.f == nil {
-		return nil
+// setLag is updateLag from a stat of cfg.Path already taken.
+func (t *Tailer) setLag(st os.FileInfo) {
+	if t.cfg.Metrics == nil {
+		return
 	}
+	lag := st.Size() - t.retOff
+	if t.draining || fileIno(st) != t.ino {
+		lag = st.Size() // everything in the new file is still ahead
+	}
+	if lag < 0 {
+		lag = 0
+	}
+	t.cfg.Metrics.setLagBytes(float64(lag))
+}
+
+// closeFile abandons the file being read and its inode watch.
+func (t *Tailer) closeFile() error {
+	t.w.unwatchFile()
 	err := t.f.Close()
 	t.f = nil
 	return err
+}
+
+// Close releases the tailed file and the watcher.
+func (t *Tailer) Close() error {
+	t.w.close()
+	t.w = nil
+	if t.f == nil {
+		return nil
+	}
+	return t.closeFile()
 }

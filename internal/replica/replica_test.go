@@ -213,6 +213,68 @@ func TestShipperEndpoints(t *testing.T) {
 	}
 }
 
+// TestShipperRelistsChangedLayout: a file request is checked against
+// the tenant's last listing, but a tenant deleted and created again, or
+// one whose streams were reseeded under a new manifest (a shard remap),
+// restarts its segment numbers — a name the last listing held as
+// sealed can be the new active segment, and must not ship.
+func TestShipperRelistsChangedLayout(t *testing.T) {
+	for name, reseed := range map[string]func(root string){
+		"recreated": func(root string) {
+			if err := os.RemoveAll(filepath.Join(root, "t1")); err != nil {
+				t.Fatal(err)
+			}
+			writeTenant(t, root, "t1", 6, -1)
+		},
+		"reseeded": func(root string) {
+			walDir := filepath.Join(root, "t1", walSubdir)
+			if err := os.RemoveAll(walDir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(walDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.SaveManifest(walDir, wal.Manifest{Version: wal.ManifestVersion, Shards: 1}); err != nil {
+				t.Fatal(err)
+			}
+			appendTenant(t, root, "t1", 0, 6, -1)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			writeTenant(t, root, "t1", 40, -1)
+			srv := httptest.NewServer((&Shipper{Root: root}).Handler())
+			defer srv.Close()
+			get := func(p string) int {
+				res, err := http.Get(srv.URL + p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, res.Body)
+				res.Body.Close()
+				return res.StatusCode
+			}
+			if code := get("/v1/replica/files"); code != 200 {
+				t.Fatalf("files: %d", code)
+			}
+
+			reseed(root)
+			seqs, err := wal.ListSegmentSeqs(filepath.Join(root, "t1", walSubdir), wal.ShardSegmentPrefix(0))
+			if err != nil || len(seqs) < 2 {
+				t.Fatalf("want several segments, got %v (%v)", seqs, err)
+			}
+			active := wal.SegmentFileName(wal.ShardSegmentPrefix(0), seqs[len(seqs)-1])
+			if code := get("/v1/replica/file?tenant=t1&path=wal/" + active); code != http.StatusConflict {
+				t.Fatalf("new active segment %s (sealed in the last listing): %d, want 409", active, code)
+			}
+			sealed := wal.SegmentFileName(wal.ShardSegmentPrefix(0), seqs[0])
+			if code := get("/v1/replica/file?tenant=t1&path=wal/" + sealed); code != 200 {
+				t.Fatalf("sealed segment %s: %d, want 200", sealed, code)
+			}
+		})
+	}
+}
+
 // TestShipperIgnoresFlatLayout: tenants/<id>/ is the only layout that
 // ships. A spec and streams sitting at the data-dir root (the
 // pre-tenant flat layout, which the registry refuses to boot) are
@@ -827,19 +889,29 @@ func TestFollowerRunCallbackMayStop(t *testing.T) {
 }
 
 // BenchmarkFollowerCatchUp: a fresh standby's first round against a
-// tenant of ~250 sealed segments: one listing, then one file request
-// per file, each checked against its tenant's current listing.
+// tenant of about 250 and about 1 200 sealed segments: one listing,
+// then one file request per file, each checked against its tenant's
+// listing. The time per file must not grow with the tenant.
 func BenchmarkFollowerCatchUp(b *testing.B) {
-	root := b.TempDir()
-	writeTenant(b, root, "t1", 1200, -1)
-	srv := httptest.NewServer((&Shipper{Root: root}).Handler())
-	defer srv.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := newTestFollower(b, srv.URL, b.TempDir(), map[string]*fakeTarget{})
-		if err := f.SyncOnce(context.Background()); err != nil {
-			b.Fatal(err)
-		}
+	for _, segments := range []int{250, 1200} {
+		b.Run(fmt.Sprintf("segments=%d", segments), func(b *testing.B) {
+			root := b.TempDir()
+			writeTenant(b, root, "t1", segments*1200/250, -1) // 1 200 records seal about 250 segments
+			files, err := tenantFiles(filepath.Join(root, "t1"), wal.SealedStreamNames)
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := httptest.NewServer((&Shipper{Root: root}).Handler())
+			defer srv.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := newTestFollower(b, srv.URL, b.TempDir(), map[string]*fakeTarget{})
+				if err := f.SyncOnce(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(files)), "ns/file")
+		})
 	}
 }
 
