@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -72,6 +73,18 @@ func TestTable1Shapes(t *testing.T) {
 	}
 	if res[1].Stats.Keys <= res[0].Stats.Keys {
 		t.Fatal("Scenario-II must have a much richer key space")
+	}
+	// Table 1's statistics, pinned: they are a function of the statement
+	// parse (template, command, table) alone.
+	for i, want := range []string{
+		"283 24.257951 20 map[DELETE:5 INSERT:4 SELECT:7 UPDATE:4] 7",
+		"2977 129.607323 621 map[DELETE:4 INSERT:260 SELECT:232 UPDATE:125] 15",
+	} {
+		st := res[i].Stats
+		got := fmt.Sprintf("%d %.6f %d %v %d", st.Sessions, st.AvgLen, st.Keys, st.KeysByCommand, st.Tables)
+		if got != want {
+			t.Errorf("%s Table 1 stats = %q, want %q", res[i].Scenario, got, want)
+		}
 	}
 	for _, r := range res {
 		for _, set := range []string{"V1", "V2", "V3", "A1", "A2", "A3"} {

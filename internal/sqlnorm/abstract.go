@@ -138,3 +138,16 @@ func wordAfter(fields []string, i int) string {
 	}
 	return w
 }
+
+// Statement is one parse of a SQL statement.
+type Statement struct {
+	Template string // see Abstract
+	Command  string // see CommandOf
+	Table    string // see TableOf
+}
+
+// Parse returns a statement's template, command and table.
+func Parse(sql string) Statement {
+	t := Abstract(sql)
+	return Statement{t, CommandOf(t), TableOf(t)}
+}
