@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ucad/ucad/internal/core"
+	"github.com/ucad/ucad/internal/sqlnorm"
 	"github.com/ucad/ucad/internal/workload"
 )
 
@@ -211,5 +213,31 @@ func TestE2EBindBeforeBoot(t *testing.T) {
 	}
 	if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
 		t.Fatalf("refused start touched the data dir (stat err %v): %v", err, tree(t, dataDir))
+	}
+}
+
+// A model saved by the byte-wise lexer may hold a template the rune-wise
+// lexer never produces; boot says how many.
+func TestE2EBootCountsUnreachableTemplates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	root := t.TempDir()
+	u := trainOn(t, workload.NewScenarioSource(workload.ScenarioI(), 101, 0), 12)
+	templates := u.Vocab.Templates()
+	templates[1] = "SELECT caf\xc3 © FROM t" // what the byte-wise lexer made of "SELECT café FROM t"
+	vocab, err := sqlnorm.FromTemplates(templates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := filepath.Join(root, "m.model")
+	saveModel(t, &core.UCAD{Vocab: vocab, Model: u.Model}, model)
+	addr := freeAddr(t)
+	c := startChild(t, "-model", model, "-addr", addr)
+	defer c.cmd.Process.Kill()
+	waitHealthy(t, c, "http://"+addr)
+	want := "tenant default: model loaded from " + model + " (unreachable templates: 1, saved by an older lexer; their statements key to UNK)\n"
+	if !strings.Contains(c.log(), want) {
+		t.Fatalf("boot output lacks %q:\n%s", want, c.log())
 	}
 }

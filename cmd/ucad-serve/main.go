@@ -210,7 +210,11 @@ func main() {
 	if *replicateFrom == "" {
 		fatalIf(reg.Boot(specs))
 		for _, t := range reg.List() {
-			fmt.Printf("tenant %s: model loaded from %s\n", t.ID(), t.ModelSource())
+			note := ""
+			if n := t.Service().Model().Vocab.Unreachable(); n > 0 {
+				note = fmt.Sprintf(" (unreachable templates: %d, saved by an older lexer; their statements key to UNK)", n)
+			}
+			fmt.Printf("tenant %s: model loaded from %s%s\n", t.ID(), t.ModelSource(), note)
 			if t.Dir() == "" {
 				continue
 			}

@@ -96,11 +96,7 @@ func TrainFromLog(cfg Config, r io.Reader, progress func(int, float64)) (*UCAD, 
 // DetectSession tokenizes an active session with the trained vocabulary
 // and returns the indices of operations violating the top-p test.
 func (u *UCAD) DetectSession(s *session.Session) []int {
-	keys := make([]int, len(s.Ops))
-	for i := range s.Ops {
-		keys[i] = u.Vocab.Key(s.Ops[i].SQL)
-	}
-	return u.Model.DetectSession(keys)
+	return u.Model.DetectSession(session.KeysIn(u.Vocab, s)[0])
 }
 
 // IsAnomalous reports the session-level flag used by the evaluation.
@@ -115,15 +111,7 @@ func (u *UCAD) IsAnomalous(s *session.Session) bool {
 // TrainResult carries per-epoch losses and the window count for
 // training instrumentation.
 func (u *UCAD) FineTune(sessions []*session.Session, epochs int, progress func(epoch int, loss float64)) (*UCAD, transdas.TrainResult) {
-	keySeqs := make([][]int, 0, len(sessions))
-	for _, s := range sessions {
-		keys := make([]int, len(s.Ops))
-		for i := range s.Ops {
-			keys[i] = u.Vocab.Key(s.Ops[i].SQL)
-		}
-		keySeqs = append(keySeqs, keys)
-	}
-	m, res := u.Model.FineTune(keySeqs, epochs, progress)
+	m, res := u.Model.FineTune(session.KeysIn(u.Vocab, sessions...), epochs, progress)
 	return &UCAD{Vocab: u.Vocab, Model: m, Report: u.Report}, res
 }
 

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"github.com/ucad/ucad/internal/core"
-	"github.com/ucad/ucad/internal/workload"
+	"github.com/ucad/ucad/internal/session"
 )
 
 // extendAttackSets appends the extended taxonomy (A4 low-and-slow
@@ -16,7 +16,7 @@ import (
 func extendAttackSets(d *ScenarioData) {
 	d.Gen.ExtendAttacks(d.Suite)
 	for _, fam := range []string{"A4", "A5", "A6"} {
-		d.Abnormal[fam] = workload.Keyed(d.Vocab, d.Suite.Abnormal[fam])
+		d.Abnormal[fam] = session.KeysIn(d.Vocab, d.Suite.Abnormal[fam]...)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"github.com/ucad/ucad/internal/core"
 	"github.com/ucad/ucad/internal/metrics"
 	"github.com/ucad/ucad/internal/preprocess"
+	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/tensor"
-	"github.com/ucad/ucad/internal/workload"
 )
 
 // Figure6Result is the attention-weight introspection of one session.
@@ -270,7 +270,7 @@ func Figure8(opt Options, w io.Writer) []Figure8Result {
 		for _, ratio := range ratios {
 			data := prepareFn(opt)
 			dirty := data.Gen.Contaminate(data.Suite.Train, ratio)
-			dirtyKeys := workload.Keyed(data.Vocab, dirty)
+			dirtyKeys := session.KeysIn(data.Vocab, dirty...)
 
 			detectors := append(baselineSet(opt), core.NewDetector(data.Cfg))
 			for _, d := range detectors {
@@ -282,7 +282,7 @@ func Figure8(opt Options, w io.Writer) []Figure8Result {
 			cleaned, _ := preprocess.Clean(dirty, cleanConfigFor(opt), rand.New(rand.NewSource(opt.Seed)))
 			cleanDet := core.NewDetector(data.Cfg)
 			cleanDet.DisplayName = "UCAD+clean"
-			cleanDet.Fit(workload.Keyed(data.Vocab, cleaned))
+			cleanDet.Fit(session.KeysIn(data.Vocab, cleaned...))
 			record(cleanDet.Name(), ratio, metrics.Evaluate(cleanDet, data.Normal, data.Abnormal).F1)
 		}
 		for _, name := range order {

@@ -36,6 +36,10 @@ func prepare(name string, spec workload.Spec, p scenarioParams, seed int64) *Sce
 
 	cfg := p.cfg
 	cfg.Vocab = vocab.Size()
+	train := make([][]int, len(suite.Train))
+	for i, s := range suite.Train {
+		train[i] = s.Keys() // as TokenizeLearn keyed them
+	}
 
 	d := &ScenarioData{
 		Name:     name,
@@ -43,15 +47,15 @@ func prepare(name string, spec workload.Spec, p scenarioParams, seed int64) *Sce
 		Suite:    suite,
 		Vocab:    vocab,
 		Cfg:      cfg,
-		Train:    workload.Keyed(vocab, suite.Train),
+		Train:    train,
 		Normal:   map[string][][]int{},
 		Abnormal: map[string][][]int{},
 	}
 	for set, ss := range suite.Normal {
-		d.Normal[set] = workload.Keyed(vocab, ss)
+		d.Normal[set] = session.KeysIn(vocab, ss...)
 	}
 	for set, ss := range suite.Abnormal {
-		d.Abnormal[set] = workload.Keyed(vocab, ss)
+		d.Abnormal[set] = session.KeysIn(vocab, ss...)
 	}
 	return d
 }

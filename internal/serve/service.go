@@ -666,6 +666,9 @@ func (s *Service) SwapModel(u *core.UCAD) error {
 	return nil
 }
 
+// Model returns the model serving now.
+func (s *Service) Model() *core.UCAD { return s.model.Load().ucad }
+
 // install makes u the serving model behind a brief stop-the-world
 // barrier over every ingest shard mutex. Events tokenize under their
 // shard's mutex (see assemble), so each one is keyed and appended wholly

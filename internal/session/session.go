@@ -35,12 +35,6 @@ type Operation struct {
 	Key int `json:"-"`
 }
 
-// Table returns the primary table the operation touches.
-func (o Operation) Table() string { return sqlnorm.TableOf(sqlnorm.Abstract(o.SQL)) }
-
-// Command returns the leading SQL command (SELECT, INSERT, …).
-func (o Operation) Command() string { return sqlnorm.CommandOf(o.SQL) }
-
 // Session is a sequence of operations executed by one user during one
 // database access (the paper's detection granularity for reporting).
 type Session struct {
@@ -50,14 +44,27 @@ type Session struct {
 	Ops  []Operation
 }
 
-// Keys returns the statement-key sequence of the session. It requires
-// the operations to have been tokenized (Tokenize or TokenizeLearn).
+// Keys returns the statement keys TokenizeLearn gave the session's
+// operations.
 func (s *Session) Keys() []int {
 	keys := make([]int, len(s.Ops))
 	for i, op := range s.Ops {
 		keys[i] = op.Key
 	}
 	return keys
+}
+
+// KeysIn returns each session's statement keys in v, touching neither:
+// a template v never learned keys to sqlnorm.UnknownKey (detection).
+func KeysIn(v *sqlnorm.Vocabulary, sessions ...*Session) [][]int {
+	out := make([][]int, len(sessions))
+	for i, s := range sessions {
+		out[i] = make([]int, len(s.Ops))
+		for j := range s.Ops {
+			out[i][j] = v.Key(s.Ops[j].SQL)
+		}
+	}
+	return out
 }
 
 // Start returns the timestamp of the first operation (zero if empty).

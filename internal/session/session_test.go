@@ -13,16 +13,6 @@ func ts(sec int) time.Time {
 	return time.Date(2022, 6, 12, 10, 0, 0, 0, time.UTC).Add(time.Duration(sec) * time.Second)
 }
 
-func TestOperationAccessors(t *testing.T) {
-	op := Operation{SQL: "delete from t_rm_mac where mac='aa'"}
-	if got := op.Command(); got != "DELETE" {
-		t.Fatalf("Command = %q", got)
-	}
-	if got := op.Table(); got != "t_rm_mac" {
-		t.Fatalf("Table = %q", got)
-	}
-}
-
 func TestSessionizeByID(t *testing.T) {
 	ops := []Operation{
 		{Time: ts(0), User: "u1", Addr: "a", SessionID: "s1", SQL: "SELECT 1"},

@@ -11,6 +11,7 @@ package sqlnorm
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer output.
@@ -20,131 +21,133 @@ const (
 	tokWord        tokenKind = iota // identifiers and keywords
 	tokNumber                       // numeric literal
 	tokString                       // quoted string literal
-	tokSymbol                       // operators and punctuation
+	tokSymbol                       // operators, punctuation, runs of invalid UTF-8
 	tokPlaceholder                  // pre-existing ? or $n placeholder
 )
 
+// token is one lexeme; text is always a slice of the statement.
 type token struct {
 	kind tokenKind
 	text string
 }
 
-// lex splits a SQL statement into tokens, stripping comments. It is
-// deliberately forgiving: malformed trailing quotes are consumed to the
-// end of input rather than rejected, since audit logs may truncate.
-func lex(sql string) []token {
-	var toks []token
-	i := 0
-	n := len(sql)
-	for i < n {
+// lexer walks a statement token by token, by rune, skipping whitespace
+// and comments. It is forgiving: an unterminated quote or block comment
+// runs to the end (audit logs may truncate), and a run of bytes that are
+// not UTF-8 is one symbol token, kept verbatim.
+type lexer struct {
+	sql string
+	i   int // offset of the next unread byte
+}
+
+// next returns the next token, or false at the end of the statement.
+func (l *lexer) next() (token, bool) {
+	sql, n := l.sql, len(l.sql)
+	for l.i < n {
+		i := l.i
 		c := sql[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '-' && i+1 < n && sql[i+1] == '-': // -- line comment
-			for i < n && sql[i] != '\n' {
-				i++
+			l.i++
+		case strings.HasPrefix(sql[i:], "--"): // line comment
+			l.i = n
+			if j := strings.IndexByte(sql[i:], '\n'); j >= 0 {
+				l.i = i + j
 			}
-		case c == '/' && i+1 < n && sql[i+1] == '*': // /* block comment */
-			i += 2
-			for i+1 < n && !(sql[i] == '*' && sql[i+1] == '/') {
-				i++
+		case strings.HasPrefix(sql[i:], "/*"): // block comment
+			l.i = n
+			if j := strings.Index(sql[i+2:], "*/"); j >= 0 {
+				l.i = i + 2 + j + 2
 			}
-			i += 2
-			if i > n {
-				i = n
-			}
-		case c == '\'' || c == '"', c == '`':
-			quote := c
+		case c == '\'' || c == '"' || c == '`':
 			j := i + 1
-			for j < n {
-				if sql[j] == quote {
-					if j+1 < n && sql[j+1] == quote { // doubled-quote escape
-						j += 2
-						continue
-					}
-					break
+			for ; j < n && (sql[j] != c || j+1 < n && sql[j+1] == c); j++ {
+				if sql[j] == c { // doubled-quote escape
+					j++
 				}
-				j++
 			}
 			if j < n {
-				j++
+				j++ // the closing quote
 			}
-			kind := tokString
-			if quote == '`' { // backquoted identifier, not a literal
-				kind = tokWord
+			if c == '`' { // backquoted identifier, not a literal
+				return l.emit(tokWord, j), true
 			}
-			toks = append(toks, token{kind, sql[i:j]})
-			i = j
-		case c >= '0' && c <= '9', c == '.' && i+1 < n && sql[i+1] >= '0' && sql[i+1] <= '9':
-			j := i
-			seenDot, seenExp := false, false
-			for j < n {
-				d := sql[j]
-				if d >= '0' && d <= '9' {
-					j++
-					continue
-				}
-				if d == '.' && !seenDot && !seenExp {
+			return l.emit(tokString, j), true
+		case isDigit(c) || c == '.' && i+1 < n && isDigit(sql[i+1]):
+			j, seenDot, seenExp := i, false, false
+		number:
+			for ; j < n; j++ {
+				switch d := sql[j]; {
+				case isDigit(d):
+				case d == '.' && !seenDot && !seenExp:
 					seenDot = true
-					j++
-					continue
-				}
-				if (d == 'e' || d == 'E') && !seenExp && j > i {
+				case (d == 'e' || d == 'E') && !seenExp && j > i:
 					seenExp = true
-					j++
-					if j < n && (sql[j] == '+' || sql[j] == '-') {
+					if j+1 < n && (sql[j+1] == '+' || sql[j+1] == '-') {
 						j++
 					}
-					continue
+				default:
+					break number
 				}
-				break
 			}
-			toks = append(toks, token{tokNumber, sql[i:j]})
-			i = j
+			return l.emit(tokNumber, j), true
 		case c == '?':
-			toks = append(toks, token{tokPlaceholder, "?"})
-			i++
-		case c == '$':
+			return l.emit(tokPlaceholder, i+1), true
+		case c == '$' && i+1 < n && isDigit(sql[i+1]):
 			j := i + 1
-			for j < n && sql[j] >= '0' && sql[j] <= '9' {
+			for j < n && isDigit(sql[j]) {
 				j++
 			}
-			if j > i+1 {
-				toks = append(toks, token{tokPlaceholder, sql[i:j]})
-				i = j
-			} else {
-				toks = append(toks, token{tokSymbol, "$"})
-				i++
-			}
-		case isWordStart(rune(c)):
-			j := i
-			for j < n && isWordPart(rune(sql[j])) {
-				j++
-			}
-			toks = append(toks, token{tokWord, sql[i:j]})
-			i = j
+			return l.emit(tokPlaceholder, j), true
 		default:
-			// Multi-char operators worth keeping intact.
-			for _, op := range []string{"<=", ">=", "<>", "!=", "||"} {
-				if strings.HasPrefix(sql[i:], op) {
-					toks = append(toks, token{tokSymbol, op})
-					i += len(op)
-					goto next
+			r, size := runeAt(sql, i)
+			j := i + size
+			switch {
+			case unicode.IsLetter(r) || r == '_':
+				for j < n {
+					r, size := runeAt(sql, j)
+					if !isWordPart(r) {
+						break
+					}
+					j += size
+				}
+				return l.emit(tokWord, j), true
+			case r == utf8.RuneError && size == 1:
+				for j < n {
+					if r, size := runeAt(sql, j); r != utf8.RuneError || size != 1 {
+						break
+					}
+					j++
+				}
+			case j < n:
+				switch sql[i : j+1] { // multi-char operators worth keeping intact
+				case "<=", ">=", "<>", "!=", "||":
+					j++
 				}
 			}
-			toks = append(toks, token{tokSymbol, string(c)})
-			i++
-		next:
+			return l.emit(tokSymbol, j), true
 		}
 	}
-	return toks
+	return token{}, false
 }
 
-func isWordStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+// emit returns the token sql[l.i:end] and moves past it.
+func (l *lexer) emit(kind tokenKind, end int) token {
+	tok := token{kind, l.sql[l.i:end]}
+	l.i = end
+	return tok
 }
+
+// runeAt decodes the rune at sql[i:]; an invalid byte is (RuneError, 1).
+func runeAt(sql string, i int) (rune, int) {
+	if c := sql[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(sql[i:])
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func isWordPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
+	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || unicode.IsMark(r)
 }

@@ -108,11 +108,12 @@ func TestCommandOf(t *testing.T) {
 		"insert into t values(1)": "INSERT",
 		"Update t set a=1":        "UPDATE",
 		"DELETE FROM t":           "DELETE",
+		"merge into t":            "MERGE",
 		"":                        "",
 	}
 	for in, want := range cases {
-		if got := CommandOf(in); got != want {
-			t.Errorf("CommandOf(%q) = %q, want %q", in, got, want)
+		if got := Parse(in).Command; got != want {
+			t.Errorf("Parse(%q).Command = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -123,13 +124,70 @@ func TestTableOf(t *testing.T) {
 		"INSERT INTO danmu_display(a, b) VALUES ($1, $2)": "danmu_display",
 		"UPDATE T_content SET count = $1":                 "T_content",
 		"DELETE FROM loc_rm WHERE x = $1":                 "loc_rm",
+		"delete from t_rm_mac where mac='aa'":             "t_rm_mac",
 		"CREATE TABLE users (id INT)":                     "users",
+		"SELECT a FROM db.users, t":                       "db.users",
+		"SELECT * FROM":                                   "",
 		"SELECT 1":                                        "",
 	}
 	for in, want := range cases {
-		if got := TableOf(in); got != want {
-			t.Errorf("TableOf(%q) = %q, want %q", in, got, want)
+		if got := Parse(in).Table; got != want {
+			t.Errorf("Parse(%q).Table = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// The lexer reads runes: a multi-byte letter is part of its word, not
+// split into a letter byte and a symbol.
+func TestAbstractKeepsMultiByteWords(t *testing.T) {
+	for _, sql := range []string{"SELECT café FROM t", "SELECT * FROM 用户 WHERE 名 = 1"} {
+		want := sql
+		if strings.HasSuffix(sql, "1") {
+			want = strings.TrimSuffix(sql, "1") + "$1"
+		}
+		if got := Abstract(sql); got != want {
+			t.Errorf("Abstract(%q) = %q, want %q", sql, got, want)
+		}
+	}
+	if st := Parse("SELECT * FROM 用户"); st.Table != "用户" {
+		t.Errorf("Parse(%q).Table = %q", "SELECT * FROM 用户", st.Table)
+	}
+	// A run of invalid bytes is one token, printed verbatim.
+	if got := Abstract("SELECT caf\xc3\xff FROM t"); got != "SELECT caf \xc3\xff FROM t" {
+		t.Errorf("invalid UTF-8: got %q", got)
+	}
+}
+
+// The command is the statement's first token, not its first raw word: a
+// leading comment is not a command.
+func TestCommandSkipsLeadingComments(t *testing.T) {
+	cases := map[string]string{
+		"/* hint */ SELECT a FROM t": "SELECT",
+		"-- c\nDELETE FROM t":        "DELETE",
+	}
+	for in, want := range cases {
+		if got := Parse(in).Command; got != want {
+			t.Errorf("Parse(%q).Command = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// A vocabulary saved by the byte-wise lexer may hold a template that no
+// statement abstracts to any more.
+func TestVocabularyUnreachable(t *testing.T) {
+	v, err := FromTemplates([]string{"", "SELECT caf\xc3 © FROM t", "SELECT * FROM t WHERE a = $1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := v.Unreachable(); n != 1 {
+		t.Fatalf("Unreachable = %d, want 1", n)
+	}
+	if k := v.Key("SELECT café FROM t"); k != UnknownKey {
+		t.Fatalf("Key = %d, want UnknownKey", k)
+	}
+	v.Learn("SELECT café FROM t")
+	if n := v.Unreachable(); n != 1 {
+		t.Fatalf("after Learn: Unreachable = %d, want 1", n)
 	}
 }
 

@@ -85,6 +85,18 @@ func (v *Vocabulary) Templates() []string {
 	return append([]string(nil), v.templates...)
 }
 
+// Unreachable counts the templates Abstract does not map to themselves,
+// which no statement keys to: a vocabulary saved by the byte-wise lexer
+// may hold one ("SELECT caf\xc3 © FROM t", from "SELECT café FROM t").
+func (v *Vocabulary) Unreachable() (n int) {
+	for _, tpl := range v.Templates()[1:] {
+		if Abstract(tpl) != tpl {
+			n++
+		}
+	}
+	return n
+}
+
 // FromTemplates rebuilds a vocabulary from a Templates() slice (as
 // persisted in a model checkpoint).
 func FromTemplates(templates []string) (*Vocabulary, error) {

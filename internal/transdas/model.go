@@ -2,6 +2,7 @@ package transdas
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -72,7 +73,7 @@ func New(cfg Config) *Model {
 		m.pos = tensor.NewParam("transdas.pos", tensor.NewRandN(cfg.Window, cfg.Hidden, 0.1, rng))
 	}
 	for i := 0; i < cfg.Blocks; i++ {
-		name := "transdas.block" + itoa(i)
+		name := "transdas.block" + strconv.Itoa(i)
 		m.blocks = append(m.blocks, &block{
 			att: nn.NewMultiHeadAttention(name+".att", cfg.Hidden, cfg.Heads, rng),
 			ln1: nn.NewLayerNorm(name+".ln1", cfg.Hidden),
@@ -147,18 +148,4 @@ func (m *Model) AttentionWeights(keys []int) []*tensor.Matrix {
 		out[i] = s.blocks[0].att.Weights(i).Clone()
 	}
 	return out
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,9 +1,8 @@
 package workload
 
 import (
-	"strings"
-
 	"github.com/ucad/ucad/internal/session"
+	"github.com/ucad/ucad/internal/sqlnorm"
 )
 
 // This file extends §6.1's A1/A2/A3 taxonomy with three attack families
@@ -105,7 +104,7 @@ func (g *Generator) deleteGens() []StmtGen {
 	var dels []StmtGen
 	for _, pool := range [][]StmtGen{g.spec.SensitiveOps, g.spec.RareOps} {
 		for _, gen := range pool {
-			if strings.HasPrefix(strings.ToUpper(gen(g.rng)), "DELETE") {
+			if sqlnorm.Parse(gen(g.rng)).Command == "DELETE" {
 				dels = append(dels, gen)
 			}
 		}

@@ -215,17 +215,25 @@ func (g *Generator) newSessionForRole(role *RoleSpec) *session.Session {
 // the same command on different tables, if any exists.
 func swapInterchangeable(rng *rand.Rand, chunk []string) {
 	var candidates []int
-	for i := 0; i+1 < len(chunk); i++ {
-		a, b := sqlnorm.Abstract(chunk[i]), sqlnorm.Abstract(chunk[i+1])
-		if sqlnorm.CommandOf(a) == sqlnorm.CommandOf(b) && sqlnorm.TableOf(a) != sqlnorm.TableOf(b) {
-			candidates = append(candidates, i)
+	var prev sqlnorm.Statement
+	for i, sql := range chunk {
+		cur := sqlnorm.Parse(sql)
+		if i > 0 && interchangeable(prev, cur) {
+			candidates = append(candidates, i-1)
 		}
+		prev = cur
 	}
 	if len(candidates) == 0 {
 		return
 	}
 	i := candidates[rng.Intn(len(candidates))]
 	chunk[i], chunk[i+1] = chunk[i+1], chunk[i]
+}
+
+// interchangeable reports whether two adjacent statements may trade
+// places: the same command on different tables (§6.1).
+func interchangeable(a, b sqlnorm.Statement) bool {
+	return a.Command == b.Command && a.Table != b.Table
 }
 
 // riffle merges two statement sequences preserving each one's internal

@@ -18,12 +18,15 @@ func (g *Generator) PartialSwap(s *session.Session) *session.Session {
 	// pairs per session ("partially swap"), not every candidate.
 	swapped := 0
 	const maxSwaps = 3
+	stmts := make([]sqlnorm.Statement, len(out.Ops))
+	for i := range out.Ops {
+		stmts[i] = sqlnorm.Parse(out.Ops[i].SQL)
+	}
 	for i := 0; i+1 < len(out.Ops) && swapped < maxSwaps; i++ {
-		a, b := &out.Ops[i], &out.Ops[i+1]
-		if a.Command() == b.Command() && a.Table() != b.Table() && g.rng.Float64() < 0.35 {
+		if interchangeable(stmts[i], stmts[i+1]) && g.rng.Float64() < 0.35 {
 			out.Ops[i], out.Ops[i+1] = out.Ops[i+1], out.Ops[i]
 			swapped++
-			i++ // do not re-swap the same pair
+			i++ // do not re-swap the same pair (so stmts need not follow the swap)
 		}
 	}
 	g.restamp(out)
@@ -177,21 +180,6 @@ func (g *Generator) Contaminate(train []*session.Session, ratio float64) []*sess
 		default:
 			out[perm[i]] = g.Misoperate(g.spec.AvgLen)
 		}
-	}
-	return out
-}
-
-// Keyed tokenizes a set of sessions into key sequences using an already
-// built vocabulary (detection-stage semantics: unseen templates map to
-// k0).
-func Keyed(v *sqlnorm.Vocabulary, sessions []*session.Session) [][]int {
-	out := make([][]int, len(sessions))
-	for i, s := range sessions {
-		keys := make([]int, len(s.Ops))
-		for j := range s.Ops {
-			keys[j] = v.Key(s.Ops[j].SQL)
-		}
-		out[i] = keys
 	}
 	return out
 }

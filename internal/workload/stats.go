@@ -14,32 +14,29 @@ type Stats struct {
 	Tables        int
 }
 
-// ComputeStats tokenizes the sessions with a fresh vocabulary and
-// reports Table 1 statistics.
+// ComputeStats parses every statement once and reports Table 1
+// statistics.
 func ComputeStats(sessions []*session.Session) Stats {
-	v := sqlnorm.NewVocabulary()
+	st := Stats{Sessions: len(sessions), KeysByCommand: make(map[string]int)}
+	templates := make(map[string]bool)
 	tables := make(map[string]bool)
 	totalOps := 0
 	for _, s := range sessions {
 		for i := range s.Ops {
-			v.Learn(s.Ops[i].SQL)
-			if t := s.Ops[i].Table(); t != "" {
-				tables[t] = true
+			p := sqlnorm.Parse(s.Ops[i].SQL)
+			if !templates[p.Template] {
+				templates[p.Template] = true
+				st.KeysByCommand[p.Command]++
+			}
+			if p.Table != "" {
+				tables[p.Table] = true
 			}
 		}
 		totalOps += len(s.Ops)
 	}
-	st := Stats{
-		Sessions:      len(sessions),
-		Keys:          v.Size() - 1,
-		KeysByCommand: make(map[string]int),
-		Tables:        len(tables),
-	}
+	st.Keys, st.Tables = len(templates), len(tables)
 	if len(sessions) > 0 {
 		st.AvgLen = float64(totalOps) / float64(len(sessions))
-	}
-	for _, tpl := range v.Templates()[1:] {
-		st.KeysByCommand[sqlnorm.CommandOf(tpl)]++
 	}
 	return st
 }

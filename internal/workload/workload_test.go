@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/sqlnorm"
 )
 
@@ -196,13 +197,13 @@ func TestAbusePrivilegeAddsOnlySelects(t *testing.T) {
 		base[sqlnorm.Abstract(s.Ops[i].SQL)]++
 	}
 	for i := range ab.Ops {
-		tpl := sqlnorm.Abstract(ab.Ops[i].SQL)
-		if base[tpl] > 0 {
-			base[tpl]--
+		st := sqlnorm.Parse(ab.Ops[i].SQL)
+		if base[st.Template] > 0 {
+			base[st.Template]--
 			continue
 		}
-		if sqlnorm.CommandOf(tpl) != "SELECT" {
-			t.Fatalf("A1 injected non-select %q", tpl)
+		if st.Command != "SELECT" {
+			t.Fatalf("A1 injected non-select %q", st.Template)
 		}
 	}
 }
@@ -327,7 +328,7 @@ func TestKeyedUsesDetectionSemantics(t *testing.T) {
 			v.Learn(s.Ops[i].SQL)
 		}
 	}
-	keyed := Keyed(v, train)
+	keyed := session.KeysIn(v, train...)
 	if len(keyed) != 10 {
 		t.Fatal("wrong session count")
 	}
@@ -340,5 +341,34 @@ func TestKeyedUsesDetectionSemantics(t *testing.T) {
 				t.Fatal("training statements must all be in vocabulary")
 			}
 		}
+	}
+}
+
+// PartialSwap reads a statement's command from its first token, so a
+// leading comment neither makes two commands look alike nor different.
+func TestPartialSwapReadsCommandPastComments(t *testing.T) {
+	build := func(a, b string) *session.Session {
+		s := &session.Session{ID: "s"}
+		for i := 0; i < 20; i++ {
+			s.Ops = append(s.Ops, session.Operation{SQL: a}, session.Operation{SQL: b})
+		}
+		return s
+	}
+	g := NewGenerator(ScenarioI(), 1)
+	same := func(x, y *session.Session) bool {
+		for i := range x.Ops {
+			if x.Ops[i].SQL != y.Ops[i].SQL {
+				return false
+			}
+		}
+		return true
+	}
+	// A select and a delete are not interchangeable, whatever their hints say.
+	if s := build("/* h */ SELECT a FROM t1", "/* h */ DELETE FROM t2"); !same(s, g.PartialSwap(s)) {
+		t.Error("PartialSwap swapped a SELECT with a DELETE")
+	}
+	// Two selects on different tables are, whatever their comments say.
+	if s := build("/* h */ SELECT a FROM t1", "-- c\nSELECT b FROM t2"); same(s, g.PartialSwap(s)) {
+		t.Error("PartialSwap swapped no pair of selects on different tables")
 	}
 }
