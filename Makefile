@@ -57,6 +57,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseCSVLine -fuzztime=5s -run='^$$' ./internal/feed/
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=5s -run='^$$' ./internal/feed/
 	$(GO) test -fuzz=FuzzDecodeEvents -fuzztime=5s -run='^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzEncodeEvents -fuzztime=5s -run='^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzEncodeWALRecord -fuzztime=5s -run='^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzAbstract -fuzztime=5s -run='^$$' ./internal/sqlnorm/
 	$(GO) test -fuzz=FuzzLoadModel -fuzztime=5s -fuzzminimizetime=100x -run='^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzLoadManifest -fuzztime=5s -run='^$$' ./internal/wal/

@@ -172,7 +172,7 @@ func (d *HTTPDeliverer) Deliver(ctx context.Context, events []serve.Event) error
 // deliver posts one batch, splitting it when its encoding would exceed
 // the server's request cap.
 func (d *HTTPDeliverer) deliver(ctx context.Context, client *http.Client, events []serve.Event) error {
-	body, err := json.Marshal(events)
+	body, err := serve.AppendEvents(nil, events)
 	if err != nil {
 		return fmt.Errorf("feed: encode batch: %w", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ucad/ucad/internal/session"
 	"github.com/ucad/ucad/internal/wal"
 )
 
@@ -19,16 +20,59 @@ import (
 // and a line they accept must carry its statement through re-encoding
 // unchanged.
 
+// parseJSONLineJSON is ParseJSONLine as encoding/json answers it, the
+// contract the parser is held to.
+func parseJSONLineJSON(line []byte) (session.Operation, error) {
+	var op session.Operation
+	if err := json.Unmarshal(line, &op); err != nil {
+		return op, err
+	}
+	if op.SQL == "" {
+		return op, fmt.Errorf("missing sql")
+	}
+	return op, nil
+}
+
+// FuzzParseJSONLine also holds the parser to encoding/json: it accepts
+// exactly the lines json.Unmarshal accepts into a session.Operation
+// (with a statement), and yields the same record — the timestamp the
+// same instant in the same zone offset.
 func FuzzParseJSONLine(f *testing.F) {
 	f.Add([]byte(`{"ts":"2026-01-01T00:00:01Z","user":"app","addr":"10.0.0.1:55","session_id":"7","sql":"SELECT * FROM t WHERE a = 1"}`))
 	f.Add([]byte(`{"user":"app","sql":"SELECT \"x\" FROM ét\\u"}`))
 	f.Add([]byte(`{"sql":""}`))
 	f.Add([]byte(`{not json`))
 	f.Add([]byte(`{"ts":"yesterday","sql":"SELECT 1"}`))
+	f.Add([]byte(`{"SQL":"a","ſql":"b","User":"u","Session_ID":"s","ADDR":"x","Ts":null,"Key":5}`))
+	f.Add([]byte(`{"sql":"a","sql":"b","user":"u","user":null,"ts":"2026-01-01T00:00:00Z","ts":null}`))
+	f.Add([]byte(`{"sql":"x","ts":1e3,"user":-0}`))
+	f.Add([]byte(`{"sql":"x","session_id":9223372036854775808}`))
+	f.Add([]byte(`{"sql":"\ud800 \udc00 \ud83d\ude00 \ud800\u0041","user":"\u00e9\u0000"}`))
+	f.Add([]byte("{\"sql\":\"\xff\xfe caf\xc3\xa9 \xed\xa0\x80\",\"addr\":\"a\xc3\"}"))
+	f.Add([]byte(`{"sql":"<a>&amp; \u2028\u2029"}`))
+	f.Add([]byte(`{"sql":"x","ts":"10000-01-01T00:00:00Z"}`))
+	f.Add([]byte(`{"sql":"x","ts":"2026-01-01T00:00:00.5-07:00"}`))
+	f.Add([]byte(`{"sql":"x","extra":{"a":[1,{"b":null}]},"more":[true,false,-1.5e-3]} `))
+	f.Add([]byte(`{"sql":"x"} {"sql":"y"}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`[{"sql":"x"}]`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		op, err := ParseJSONLine(line)
+		want, wantErr := parseJSONLineJSON(line)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: error %v, encoding/json says %v", line, err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		_, off := op.Time.Zone()
+		_, wantOff := want.Time.Zone()
+		if !op.Time.Equal(want.Time) || off != wantOff {
+			t.Fatalf("%q: time %v, encoding/json decodes %v", line, op.Time, want.Time)
+		}
+		op.Time, want.Time = time.Time{}, time.Time{}
+		if op != want {
+			t.Fatalf("%q: decoded %+v, encoding/json decodes %+v", line, op, want)
 		}
 		if op.SQL == "" {
 			t.Fatalf("accepted %q with no statement", line)

@@ -443,17 +443,18 @@ func (s *Service) replayPayload(b []byte, st *RestoreStats) error {
 	return nil
 }
 
-// appendWAL marshals one record and writes it to the stream without
-// forcing it to disk: its durability point is the caller's next
-// store.Commit (or the Close that seals the stream). The caller holds
-// the shard's mutex when the record must stay ordered with an assembler
-// mutation.
-func (s *Service) appendWAL(store *wal.Store, r walRecord) error {
-	b, err := json.Marshal(r)
+// appendWAL encodes one record into the shard's buffer and writes it
+// to the shard's stream without forcing it to disk: its durability
+// point is the caller's next store.Commit (or the Close that seals the
+// stream). The caller holds the shard's mutex, which guards the buffer
+// and keeps the record ordered with the assembler mutation it logs.
+func (s *Service) appendWAL(sh *shard, r *walRecord) error {
+	b, err := appendWALRecord(sh.walBuf[:0], r)
 	if err != nil {
 		return err
 	}
-	return store.AppendDeferred(b)
+	sh.walBuf = b
+	return sh.store.AppendDeferred(b)
 }
 
 // commitBatch is the durability point of one request: every shard
@@ -507,9 +508,16 @@ func (s *Service) commitBatch(b *batch, errs []error) {
 func (s *Service) rollbackLogged(sh *shard, client, sessionID string, pos int, epoch, seq int64) {
 	sh.mu.Lock()
 	if sh.asm.Rollback(client, sessionID, pos, epoch, seq) && sh.store != nil {
-		s.appendWAL(sh.store, walRecord{T: recRollback, Client: client, SID: sessionID, Pos: pos, Epoch: epoch, Seq: seq})
+		s.appendWAL(sh, &walRecord{T: recRollback, Client: client, SID: sessionID, Pos: pos, Epoch: epoch, Seq: seq})
 	}
 	sh.mu.Unlock()
+}
+
+// closing is a closed session on its way to close-out detection, with
+// the model bundle whose vocabulary keyed its operations.
+type closing struct {
+	Closed
+	model *modelBundle
 }
 
 // closeAllLogged closes sessions shard by shard — all of them, or only
@@ -517,11 +525,15 @@ func (s *Service) rollbackLogged(sh *shard, client, sessionID string, pos int, e
 // session under the shard's mutex, so recovery never resurrects a
 // session that already received its authoritative verdict. The records
 // of one shard share one commit: a sweep that closes N sessions holds
-// that shard's ingest for one fsync, not N.
-func (s *Service) closeAllLogged(idleOnly bool) []Closed {
-	var all []Closed
+// that shard's ingest for one fsync, not N. Each session leaves with
+// the model serving at its close: under the shard's mutex its stored
+// keys are that model's (a swap re-keys open sessions behind the same
+// mutex), so close-out ranks them as they are.
+func (s *Service) closeAllLogged(idleOnly bool) []closing {
+	var all []closing
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		mb := s.model.Load()
 		var closed []Closed
 		if idleOnly {
 			closed = sh.asm.CloseIdle()
@@ -530,7 +542,7 @@ func (s *Service) closeAllLogged(idleOnly bool) []Closed {
 		}
 		if sh.store != nil && len(closed) > 0 {
 			for _, c := range closed {
-				s.appendWAL(sh.store, walRecord{T: recClose, Client: c.Client, SID: c.Session.ID})
+				s.appendWAL(sh, &walRecord{T: recClose, Client: c.Client, SID: c.Session.ID})
 			}
 			// Best effort, like the writes: the verdicts are already out, and
 			// a lost close record only makes recovery reopen a session that
@@ -538,7 +550,9 @@ func (s *Service) closeAllLogged(idleOnly bool) []Closed {
 			_ = sh.store.Commit()
 		}
 		sh.mu.Unlock()
-		all = append(all, closed...)
+		for _, c := range closed {
+			all = append(all, closing{c, mb})
+		}
 	}
 	return all
 }
@@ -620,7 +634,10 @@ func (s *Service) sealAndCloseStore() error {
 	}
 	err := s.SnapshotNow()
 	for _, sh := range s.shards {
-		if serr := s.appendWAL(sh.store, walRecord{T: recSeal}); err == nil {
+		sh.mu.Lock()
+		serr := s.appendWAL(sh, &walRecord{T: recSeal})
+		sh.mu.Unlock()
+		if err == nil {
 			err = serr
 		}
 		if cerr := sh.store.Close(); err == nil {

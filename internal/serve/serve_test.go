@@ -58,6 +58,14 @@ func testUCAD(tb testing.TB) *core.UCAD { return toyUCAD(tb, normalTemplates) }
 // toyUCAD is testUCAD over the given templates (TopP = len(templates)).
 func toyUCAD(tb testing.TB, templates []func(i int) string) *core.UCAD {
 	tb.Helper()
+	return toyUCADTopP(tb, templates, len(templates))
+}
+
+// toyUCADTopP is toyUCAD with the given top-p: below len(templates) an
+// in-vocabulary statement can fail the test too, depending on its
+// context.
+func toyUCADTopP(tb testing.TB, templates []func(i int) string, topP int) *core.UCAD {
+	tb.Helper()
 	var sessions []*session.Session
 	for i := 0; i < 16; i++ {
 		s := &session.Session{ID: fmt.Sprintf("train-%d", i), User: "app"}
@@ -75,7 +83,7 @@ func toyUCAD(tb testing.TB, templates []func(i int) string) *core.UCAD {
 	cfg.Model.Epochs = 2
 	cfg.Model.Dropout = 0
 	cfg.Model.MinContext = 2
-	cfg.Model.TopP = len(templates) // = Vocab-1
+	cfg.Model.TopP = topP
 	u, err := core.Train(cfg, sessions, nil)
 	if err != nil {
 		tb.Fatal(err)

@@ -518,7 +518,7 @@ func (s *Service) assemble(sh *shard, ev Event) (Appended, *modelBundle, error) 
 		seen := ap.Seen
 		rec.At = &seen
 	}
-	if err := s.appendWAL(sh.store, rec); err != nil {
+	if err := s.appendWAL(sh, &rec); err != nil {
 		sh.asm.Rollback(client, ap.SessionID, ap.Pos, ev.Epoch, ev.Seq)
 		return ap, mb, fmt.Errorf("serve: wal append: %w", err)
 	}
@@ -561,11 +561,13 @@ func (s *Service) CloseIdleNow() int {
 
 // finalize runs full-session detection on closed sessions — the
 // authoritative verdict of Figure 5: normal sessions join the verified
-// pool, anomalous ones become (or complete) pending alerts.
-func (s *Service) finalize(closed []Closed) {
+// pool, anomalous ones become (or complete) pending alerts. Each
+// session's stored keys are ranked by the model that assigned them; no
+// statement is lexed a second time.
+func (s *Service) finalize(closed []closing) {
 	for _, c := range closed {
 		t := obs.StartTimer(s.metrics.closeoutSeconds)
-		positions := s.model.Load().ucad.DetectSession(c.Session)
+		positions := c.model.ucad.Model.DetectSession(c.Session.Keys())
 		t.Stop()
 		s.processed.Add(1)
 		if len(positions) == 0 {

@@ -28,6 +28,9 @@ type shard struct {
 	// under the tenant's WAL dir); nil without durability, installed by
 	// Restore or PromoteToServing before goLive publishes the ready flag.
 	store *wal.Store
+	// walBuf is appendWAL's encode buffer, reused record after record
+	// under mu (the stream copies each record into its own frame).
+	walBuf []byte
 }
 
 // shardIndex hashes a client id onto one of n shards (FNV-1a). The
