@@ -106,7 +106,7 @@ func decodeEvents(d *jsonwire.Decoder, body []byte, cut bool) ([]Event, bool, er
 		return nil, false, errInvalidBody
 	case !d.End():
 		return nil, false, errDataAfter
-	case cut && first != '[' && first != '{' && !isSpaceByte(body[len(body)-1]):
+	case cut && first != '[' && first != '{' && len(bytes.TrimRight(body, " \t\r\n")) == len(body):
 		// A scalar that runs to the cut point may continue past it.
 		return nil, false, errInvalidBody
 	case cut:
@@ -118,8 +118,6 @@ func decodeEvents(d *jsonwire.Decoder, body []byte, cut bool) ([]Event, bool, er
 	}
 	return events, isArray, nil
 }
-
-func isSpaceByte(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 func decodeEvent(d *jsonwire.Decoder, ev *Event) {
 	if !d.Object() {
