@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"errors"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -33,7 +32,7 @@ var eventFields = jsonwire.NewFields("tenant", "client_id", "user", "addr", "sql
 // bodyBuf is the reusable read buffer of one request; a buffer grown
 // past maxPooledBody is let go rather than pinned by the pool.
 type bodyBuf struct {
-	b []byte
+	b bytes.Buffer
 	d jsonwire.Decoder
 }
 
@@ -48,35 +47,20 @@ var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
 func DecodeEvents(r *http.Request) (events []Event, isArray bool, err error) {
 	bb := bodyPool.Get().(*bodyBuf)
 	defer func() {
-		if cap(bb.b) > maxPooledBody {
-			bb.b = nil
+		if bb.b.Cap() > maxPooledBody {
+			bb.b = bytes.Buffer{}
 		}
 		bodyPool.Put(bb)
 	}()
-	var rerr error
-	bb.b, rerr = readBody(bb.b[:0], http.MaxBytesReader(nil, r.Body, maxBody), r.ContentLength)
-	return decodeEvents(&bb.d, bb.b, rerr != nil)
-}
-
-// readBody appends everything r yields to dst, sized for the declared
-// length up front.
-func readBody(dst []byte, r io.Reader, declared int64) ([]byte, error) {
-	if declared > 0 && declared <= maxBody && cap(dst) <= int(declared) {
-		dst = make([]byte, 0, declared+512)
+	bb.b.Reset()
+	// Room for the declared length and the read that meets EOF, but no
+	// more than maxPooledBody ahead of what has arrived: a client that
+	// declares 8 MiB and stalls pins no more than that.
+	if r.ContentLength > 0 {
+		bb.b.Grow(int(min(r.ContentLength+bytes.MinRead, maxPooledBody)))
 	}
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
+	_, rerr := bb.b.ReadFrom(http.MaxBytesReader(nil, r.Body, maxBody))
+	return decodeEvents(&bb.d, bb.b.Bytes(), rerr != nil)
 }
 
 // decodeEvents decodes one request body. cut reports that reading it

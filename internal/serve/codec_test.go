@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -91,6 +92,50 @@ func TestDecodeEventsCopiesStrings(t *testing.T) {
 	}
 	if ev := events[0]; ev.Tenant != "t" || ev.ClientID != "c" || ev.User != "u" || ev.Addr != "a" || ev.SQL != "SELECT 1" {
 		t.Fatalf("strings alias the body: %+v", ev)
+	}
+}
+
+// A request that declares the cap but sends a short body is not given
+// the declared length up front: a client that stalls after its headers
+// pins at most maxPooledBody, not maxBody.
+func TestDecodeEventsDeclaredLengthNotPreallocated(t *testing.T) {
+	body := `{"client_id":"c","user":"u","sql":"SELECT 1"}`
+	req := httptest.NewRequest("POST", "/v1/events", strings.NewReader(body))
+	req.ContentLength = maxBody
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	events, _, err := DecodeEvents(req)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(events) != 1 {
+		t.Fatalf("%d events, error %v", len(events), err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > maxBody/2 {
+		t.Fatalf("a %d-byte body declared as %d bytes allocated %d bytes", len(body), maxBody, n)
+	}
+}
+
+// A WAL record grown past maxPooledBody (one huge statement) does not
+// stay behind as its shard's encode buffer; an ordinary one does.
+func TestWALBufferLetsGoOfHugeRecords(t *testing.T) {
+	s, _ := durableService(t, testUCAD(t), t.TempDir(), newFakeClock().Now, nil)
+	defer s.Stop()
+	sh := s.shards[shardIndex("c", len(s.shards))]
+	huge := "SELECT * FROM t WHERE x = '" + strings.Repeat("x", maxPooledBody) + "'"
+	for _, c := range []struct {
+		sql  string
+		kept bool
+	}{{"SELECT 1", true}, {huge, false}, {"SELECT 2", true}} {
+		errs := make([]error, 1)
+		s.IngestBatch([]Event{{ClientID: "c", User: "u", SQL: c.sql}}, errs)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		sh.mu.Lock()
+		kept, size := sh.walBuf != nil, cap(sh.walBuf)
+		sh.mu.Unlock()
+		if kept != c.kept || size > maxPooledBody {
+			t.Fatalf("after a %d-byte statement: buffer kept %v with cap %d, want kept %v", len(c.sql), kept, size, c.kept)
+		}
 	}
 }
 

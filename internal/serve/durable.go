@@ -454,6 +454,9 @@ func (s *Service) appendWAL(sh *shard, r *walRecord) error {
 		return err
 	}
 	sh.walBuf = b
+	if cap(b) > maxPooledBody {
+		sh.walBuf = nil
+	}
 	return sh.store.AppendDeferred(b)
 }
 

@@ -29,7 +29,8 @@ type shard struct {
 	// Restore or PromoteToServing before goLive publishes the ready flag.
 	store *wal.Store
 	// walBuf is appendWAL's encode buffer, reused record after record
-	// under mu (the stream copies each record into its own frame).
+	// under mu (the stream copies each record into its own frame); one
+	// grown past maxPooledBody is let go, as the request body buffer is.
 	walBuf []byte
 }
 
